@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lifecycle"
 	"repro/internal/mtl"
+	"repro/internal/opf"
 	"repro/internal/serve"
 )
 
@@ -64,7 +65,7 @@ func BenchmarkLifecycle(b *testing.B) {
 
 // probeWarm solves n fresh instances warm with the given model and
 // returns the warm hit count and the mean warm iterations over hits.
-func probeWarm(b *testing.B, sys *core.System, m core.Predictor, n int, seed float64) (hits int, meanIters float64) {
+func probeWarm(b *testing.B, sys *core.System, m opf.Predictor, n int, seed float64) (hits int, meanIters float64) {
 	b.Helper()
 	var iters int
 	for i := 0; i < n; i++ {

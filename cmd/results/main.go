@@ -150,6 +150,15 @@ type report struct {
 	Systems            map[string]systemRow `json:"systems"`
 }
 
+// codeSize is the tracked line-count history rendered into RESULTS.md.
+var codeSize = []struct {
+	at, why       string
+	all, warmPath int
+}{
+	{at: "PR 11", all: 19677, warmPath: 6252, why: "baseline (first tracked commit)"},
+	{at: "PR 14", all: 18977, warmPath: 5900, why: "one warm-start pipeline: one predictor seam, replica pool, row-identity projection and warm→cold routine; labelled metric counters; `internal/dcopf`, `internal/ed` deleted"},
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("results: ")
@@ -269,6 +278,24 @@ func main() {
 	if lbuf, err := os.ReadFile(*lc); err == nil {
 		renderLifecycle(w, *lc, lbuf)
 	}
+
+	w("## Code size")
+	w("")
+	w("Non-test, non-data Go lines, tracked because the same behaviour from")
+	w("less code is a goal in its own right (ROADMAP item 4). A PR that moves")
+	w("the number adds its row to `codeSize` in `cmd/results`; the counts are")
+	w("")
+	w("```sh")
+	w("find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './internal/grid/cases*.go' | xargs cat | wc -l")
+	w("ls internal/{opf,core,scopf,horizon,serve}/*.go | grep -v _test | xargs cat | wc -l")
+	w("```")
+	w("")
+	w("| at | all packages | opf + core + scopf + horizon + serve | what moved it |")
+	w("|---|---|---|---|")
+	for _, c := range codeSize {
+		w("| %s | %d | %d | %s |", c.at, c.all, c.warmPath, c.why)
+	}
+	w("")
 
 	if err := os.WriteFile(*out, []byte(b.String()), 0o644); err != nil {
 		log.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/la"
 	"repro/internal/mtl"
+	"repro/internal/opf"
 	"repro/internal/stats"
 )
 
@@ -21,6 +22,19 @@ type FeatureAccuracy struct {
 	MaxDev  float64 // max |pred − truth| in normalized units
 	MeanDev float64
 	N       int
+}
+
+// predictAll runs the model on every sample's input, fanned out over a
+// replica pool. Starts come back in sample order, so what callers
+// accumulate from them does not depend on scheduling.
+func predictAll(m *mtl.Model, val *dataset.Set) []*opf.Start {
+	pool := m.Replicas(min(batch.Workers(0), len(val.Samples)))
+	out, _ := batch.Map(len(val.Samples), batch.Options{}, func(t *batch.Task) (*opf.Start, error) {
+		mm := pool.Get()
+		defer pool.Put(mm)
+		return mm.Predict(val.Samples[t.Index].Input), nil
+	})
+	return out
 }
 
 // PredictionAccuracy reproduces Figure 6: per-feature agreement between
@@ -43,32 +57,21 @@ func PredictionAccuracy(sys *System, m *mtl.Model, val *dataset.Set) []FeatureAc
 	}
 	// Model inference fans out over the pool; the per-feature streams are
 	// then accumulated in sample order, keeping them scheduling-independent.
-	type normPair struct{ pred, truth [4]la.Vector }
-	pool := newModelPool(m, batch.Workers(0), len(val.Samples))
-	pairs, _ := batch.Map(len(val.Samples), batch.Options{}, func(t *batch.Task) (normPair, error) {
-		s := &val.Samples[t.Index]
-		mm := pool.get()
-		st := mm.Predict(s.Input)
-		pool.put(mm)
-		return normPair{
-			pred: [4]la.Vector{
-				m.Norm.X.NormalizeVec(st.X),
-				m.Norm.Lam.NormalizeVec(st.Lam),
-				m.Norm.Mu.NormalizeVec(st.Mu),
-				m.Norm.Z.NormalizeVec(st.Z),
-			},
-			truth: [4]la.Vector{
-				m.Norm.X.NormalizeVec(s.X),
-				m.Norm.Lam.NormalizeVec(s.Lam),
-				m.Norm.Mu.NormalizeVec(s.Mu),
-				m.Norm.Z.NormalizeVec(s.Z),
-			},
-		}, nil
-	})
-
 	var preds, truths [7][]float64
-	for _, pair := range pairs {
-		normPred, normTruth := pair.pred, pair.truth
+	for i, st := range predictAll(m, val) {
+		s := &val.Samples[i]
+		normPred := [4]la.Vector{
+			m.Norm.X.NormalizeVec(st.X),
+			m.Norm.Lam.NormalizeVec(st.Lam),
+			m.Norm.Mu.NormalizeVec(st.Mu),
+			m.Norm.Z.NormalizeVec(st.Z),
+		}
+		normTruth := [4]la.Vector{
+			m.Norm.X.NormalizeVec(s.X),
+			m.Norm.Lam.NormalizeVec(s.Lam),
+			m.Norm.Mu.NormalizeVec(s.Mu),
+			m.Norm.Z.NormalizeVec(s.Z),
+		}
 		for gi, g := range groups {
 			var pv, tv la.Vector
 			switch g.group {
@@ -154,25 +157,14 @@ func CompareModels(sys *System, train, val *dataset.Set, epochs int, seed int64,
 // use of relative error).
 func relativeErrorBox(m *mtl.Model, val *dataset.Set) stats.Box {
 	const floor = 1e-3
-	pool := newModelPool(m, batch.Workers(0), len(val.Samples))
-	perSample, _ := batch.Map(len(val.Samples), batch.Options{}, func(t *batch.Task) ([]float64, error) {
-		s := &val.Samples[t.Index]
-		mm := pool.get()
-		st := mm.Predict(s.Input)
-		pool.put(mm)
-		var res []float64
-		for i := range st.X {
-			gt := s.X[i]
+	var res []float64
+	for i, st := range predictAll(m, val) {
+		for k, gt := range val.Samples[i].X {
 			if math.Abs(gt) < floor {
 				continue
 			}
-			res = append(res, math.Abs(st.X[i]-gt)/math.Abs(gt))
+			res = append(res, math.Abs(st.X[k]-gt)/math.Abs(gt))
 		}
-		return res, nil
-	})
-	var res []float64
-	for _, r := range perSample {
-		res = append(res, r...)
 	}
 	return stats.BoxStats(res)
 }

@@ -17,7 +17,7 @@
 //
 // The online phase is also exposed as a long-running service: the
 // internal/serve package (behind cmd/pgsimd) drives System.SolveWarm
-// per HTTP request, with Predictor as the warm-start seam and
+// per HTTP request, with opf.Predictor as the warm-start seam and
 // InstanceInput reproducing the offline pipeline's model inputs bit for
 // bit.
 package core

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/batch"
@@ -71,19 +72,19 @@ func evaluate(sys *System, m *mtl.Model, val *dataset.Set, maxProblems, workers 
 		return res
 	}
 
-	pool := newModelPool(m, batch.Workers(workers), n)
+	pool := m.Replicas(min(batch.Workers(workers), n))
 	outcomes, _ := batch.Map(n, batch.Options{Workers: workers}, func(t *batch.Task) (evalOutcome, error) {
 		s := &val.Samples[t.Index]
 		// Cold MIPS baseline (measured fresh — the dataset's stored time
 		// may come from a different machine/load state).
-		o := sys.instanceOPF(s.Factors)
+		o := sys.OPF.Perturb(s.Factors)
 		rc, err := o.Solve(nil, opf.Options{})
 		if err != nil || !rc.Converged {
 			return evalOutcome{skipped: true}, nil
 		}
-		mm := pool.get()
+		mm := pool.Get()
 		w := sys.SolveWarm(mm, s.Factors, s.Input)
-		pool.put(mm)
+		pool.Put(mm)
 		return evalOutcome{cold: rc, warm: w}, nil
 	})
 
@@ -110,7 +111,7 @@ func evaluate(sys *System, m *mtl.Model, val *dataset.Set, maxProblems, workers 
 			nOK++
 		}
 		if w.Cost > 0 && rc.Cost > 0 {
-			costDeltas = append(costDeltas, abs(1-w.Cost/rc.Cost))
+			costDeltas = append(costDeltas, math.Abs(1-w.Cost/rc.Cost))
 		}
 	}
 	res.IterMIPS = iterM / float64(n)
@@ -121,13 +122,6 @@ func evaluate(sys *System, m *mtl.Model, val *dataset.Set, maxProblems, workers 
 	}
 	res.CostDelta = stats.Mean(costDeltas)
 	return res
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // PrintFig4 renders the three panels of Figure 4 as rows.

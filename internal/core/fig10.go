@@ -35,7 +35,7 @@ func ConvergenceStudy(sys *System, s *dataset.Sample) []ConvergenceCase {
 		{"default init (cold start)", nil},
 	}
 	out, _ := batch.Map(len(starts), batch.Options{}, func(t *batch.Task) (ConvergenceCase, error) {
-		o := sys.instanceOPF(s.Factors)
+		o := sys.OPF.Perturb(s.Factors)
 		r, _ := o.Solve(starts[t.Index].start, opts)
 		return ConvergenceCase{Label: starts[t.Index].label, Converged: r.Converged, Trace: r.Trace}, nil
 	})

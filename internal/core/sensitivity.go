@@ -51,8 +51,12 @@ type SensRow struct {
 	SR float64
 	// SU is the mean speedup of the successful solves relative to the
 	// all-default baseline solve of the same problem (time-based, as in
-	// the paper). NaN when SR = 0.
+	// the paper). NaN when SR = 0. Wall-clock based, so it is reported
+	// but never asserted on; Iters is the deterministic counterpart.
 	SU float64
+	// Iters is the mean interior-point iteration count of the successful
+	// solves (0 when SR = 0).
+	Iters float64
 }
 
 // SensitivityStudy reproduces one system column of Table I: for every
@@ -75,7 +79,7 @@ func SensitivityStudy(sys *System, set *dataset.Set, maxProblems int) []SensRow 
 
 	// Baseline (all imprecise) times per problem.
 	baseTime, _ := batch.Map(n, batch.Options{}, func(t *batch.Task) (time.Duration, error) {
-		o := sys.instanceOPF(set.Samples[t.Index].Factors)
+		o := sys.OPF.Perturb(set.Samples[t.Index].Factors)
 		r, err := o.Solve(nil, opf.Options{})
 		if err != nil || !r.Converged {
 			// The dataset only contains solvable instances, so this
@@ -87,8 +91,9 @@ func SensitivityStudy(sys *System, set *dataset.Set, maxProblems int) []SensRow 
 
 	// One task per (combo, problem) cell.
 	type cell struct {
-		ok bool
-		su float64
+		ok    bool
+		su    float64
+		iters int
 	}
 	cells, _ := batch.Map(len(combos)*n, batch.Options{}, func(t *batch.Task) (cell, error) {
 		combo := combos[t.Index/n]
@@ -97,7 +102,7 @@ func SensitivityStudy(sys *System, set *dataset.Set, maxProblems int) []SensRow 
 			return cell{}, nil
 		}
 		s := &set.Samples[i]
-		o := sys.instanceOPF(s.Factors)
+		o := sys.OPF.Perturb(s.Factors)
 		start := &opf.Start{}
 		if combo.X {
 			start.X = s.X
@@ -111,32 +116,28 @@ func SensitivityStudy(sys *System, set *dataset.Set, maxProblems int) []SensRow 
 		if combo.Z {
 			start.Z = s.Z
 		}
-		var r *opf.Result
-		var err error
-		if !combo.X && !combo.Lam && !combo.Mu && !combo.Z {
-			r, err = o.Solve(nil, opf.Options{})
-		} else {
-			r, err = o.Solve(start, opf.Options{})
-		}
+		// An all-default start seeds nothing: it is the cold solve.
+		r, err := o.Solve(start, opf.Options{})
 		if err != nil || !r.Converged {
 			return cell{}, nil
 		}
-		return cell{ok: true, su: float64(baseTime[i]) / float64(r.SolveTime)}, nil
+		return cell{ok: true, su: float64(baseTime[i]) / float64(r.SolveTime), iters: r.Iterations}, nil
 	})
 
 	for ci, combo := range combos {
-		var okCount int
+		var iters int
 		var sus []float64
 		for i := 0; i < n; i++ {
 			c := cells[ci*n+i]
 			if c.ok {
-				okCount++
+				iters += c.iters
 				sus = append(sus, c.su)
 			}
 		}
-		row := SensRow{Combo: combo, SR: float64(okCount) / float64(n)}
+		row := SensRow{Combo: combo, SR: float64(len(sus)) / float64(n)}
 		if len(sus) > 0 {
 			row.SU = stats.GeoMean(sus)
+			row.Iters = float64(iters) / float64(len(sus))
 		}
 		rows[ci] = row
 	}

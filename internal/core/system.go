@@ -60,16 +60,6 @@ func (s *System) GenerateData(n int, seed int64) (*dataset.Set, error) {
 	return dataset.Generate(s.Case, dataset.DefaultPreparer, dataset.Options{N: n, Seed: seed})
 }
 
-// instanceOPF derives the OPF of one load sample from the system's
-// prepared instance — the Ybus and constraint structure are
-// load-invariant, so they are shared, not rebuilt, across every
-// perturbation of the base grid. The instance's PrepTime reports the
-// derivation cost (clone+scale+rebind), which is the real per-problem
-// construction work under structure sharing; see DESIGN.md §3.
-func (s *System) instanceOPF(factors []float64) *opf.OPF {
-	return s.OPF.Perturb(factors)
-}
-
 // InstanceInput computes the model input [Pd; Qd] of the load instance
 // defined by factors — the same clone→scale→pack sequence that
 // dataset.Generate stores as Sample.Input, so a serving-time prediction
@@ -79,35 +69,6 @@ func (s *System) InstanceInput(factors []float64) la.Vector {
 	cc.ScaleLoads(factors)
 	return dataset.InputVector(cc)
 }
-
-// modelPool hands out model replicas to concurrent workers: Predict
-// caches activations on the model, so each in-flight inference needs its
-// own clone. Replicas are interchangeable (identical weights), which
-// keeps pooled results bit-identical to sequential ones. The pool is
-// sized min(workers, tasks) — never more clones than can be in flight.
-type modelPool struct{ ch chan *mtl.Model }
-
-func newModelPool(m *mtl.Model, workers, tasks int) *modelPool {
-	n := workers
-	if tasks < n {
-		n = tasks
-	}
-	if n < 1 {
-		n = 1
-	}
-	p := &modelPool{ch: make(chan *mtl.Model, n)}
-	m.Warmup() // float32 serving caches built at pool setup, not in timed inference
-	p.ch <- m  // the original counts as one replica
-	for i := 1; i < n; i++ {
-		c := m.Clone()
-		c.Warmup()
-		p.ch <- c
-	}
-	return p
-}
-
-func (p *modelPool) get() *mtl.Model  { return <-p.ch }
-func (p *modelPool) put(m *mtl.Model) { p.ch <- m }
 
 // TrainingDefaults returns the offline-phase sizes that keep dataset
 // generation and training tractable for a system of nb buses: the
@@ -121,19 +82,9 @@ func (p *modelPool) put(m *mtl.Model) { p.ch <- m }
 // The cmd/traingen -n, cmd/train -epochs and cmd/scopf -epochs flags
 // default to these via their 0 values; explicit flags override.
 func TrainingDefaults(nb int) (draws, epochs int) {
-	draws = clampInt(48000/nb, 150, 600)
-	epochs = clampInt(24000/nb, 80, 300)
+	draws = min(max(48000/nb, 150), 600)
+	epochs = min(max(24000/nb, 80), 300)
 	return draws, epochs
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // ModelConfig returns the model configuration the offline phase uses
@@ -233,22 +184,12 @@ func (s *System) Retrain(variant mtl.Variant, set *dataset.Set, opt RetrainOptio
 	return s.TrainModel(variant, set, epochs, seed, opt.Logf)
 }
 
-// Predictor produces a warm-start point from a model input [Pd; Qd].
-// *mtl.Model is the production implementation; the serving layer and
-// tests substitute stubs to force specific warm-start behaviour. A
-// Predictor is not required to be safe for concurrent use (model
-// forward passes cache activations), so concurrent callers hand each
-// worker its own instance — see mtl.Model.Clone.
-type Predictor interface {
-	Predict(input la.Vector) *opf.Start
-}
-
 // WarmOutcome reports one online-phase solve: whether the warm-start
 // attempt converged (before any restart), the accepted solution, and
 // the component timings of Figure 5.
 type WarmOutcome struct {
 	Converged   bool // warm-start attempt converged (before restart)
-	Iterations  int  // iterations of the successful solve
+	Iterations  int  // iterations of the accepted solve
 	InferTime   time.Duration
 	WarmTime    time.Duration // solver time of the warm attempt
 	RestartTime time.Duration // cold fallback time (zero if not needed)
@@ -258,37 +199,36 @@ type WarmOutcome struct {
 }
 
 // SolveWarm executes predict→warm-solve→(fallback restart).
-func (s *System) SolveWarm(m Predictor, factors []float64, input []float64) *WarmOutcome {
-	return s.SolveWarmInstance(m, s.instanceOPF(factors), input)
+func (s *System) SolveWarm(m opf.Predictor, factors []float64, input []float64) *WarmOutcome {
+	return s.SolveWarmInstance(m, s.OPF.Perturb(factors), input)
 }
 
 // SolveWarmInstance is SolveWarm on an already derived load instance.
 // The serving path uses it to derive each request's instance exactly
 // once — the instance's Case provides the model input and the solver's
 // problem — instead of cloning and scaling the base case twice.
-func (s *System) SolveWarmInstance(m Predictor, o *opf.OPF, input []float64) *WarmOutcome {
+func (s *System) SolveWarmInstance(m opf.Predictor, o *opf.OPF, input []float64) *WarmOutcome {
 	t0 := time.Now()
 	start := m.Predict(input)
 	infer := time.Since(t0)
-	r, err := o.Solve(start, opf.Options{})
-	out := &WarmOutcome{
-		Converged:  err == nil && r.Converged,
-		InferTime:  infer,
-		WarmTime:   r.SolveTime,
-		PrepTime:   r.PrepTime,
-		Iterations: r.Iterations,
-		Cost:       r.Cost,
-		Result:     r,
-	}
-	if !out.Converged {
-		// Paper: restart from the default initial point.
-		rc, err2 := o.Solve(nil, opf.Options{})
-		out.RestartTime = rc.SolveTime
-		if err2 == nil && rc.Converged {
-			out.Iterations = rc.Iterations
-			out.Cost = rc.Cost
-			out.Result = rc
+	out := o.SolveWarm(start, opf.Options{})
+	first, r := out.Result, out.Result
+	if out.Restarted {
+		first = out.Warm
+		if out.Err != nil || !r.Converged {
+			r = out.Warm // neither attempt converged: the warm one is reported
 		}
 	}
-	return out
+	return &WarmOutcome{
+		// A predictor that offers no start leaves one solve from the
+		// default point; that solve is the attempt.
+		Converged:   out.WarmAccepted || start == nil && out.Err == nil && r.Converged,
+		InferTime:   infer,
+		WarmTime:    out.SolveTime,
+		RestartTime: out.RestartTime,
+		PrepTime:    first.PrepTime,
+		Iterations:  r.Iterations,
+		Cost:        r.Cost,
+		Result:      r,
+	}
 }

@@ -8,8 +8,8 @@
 // opf.RebindRamp, and is warm-started per the runner's Mode:
 //
 //   - ModeChain:   step t starts from step t−1's full primal/dual
-//     solution, projected onto step t's layout with
-//     opf.ProjectStartStep — solver-to-solver chaining, no model.
+//     solution, projected onto step t's layout with an
+//     opf.Projection — solver-to-solver chaining, no model.
 //   - ModePredict: the MTL model predicts a start for every step — the
 //     i.i.d. serving behaviour applied per step.
 //   - ModeCold:    every step solves from the interior default.
@@ -75,13 +75,6 @@ func ParseMode(s string) (Mode, error) {
 		return ModeCold, nil
 	}
 	return 0, fmt.Errorf("horizon: unknown mode %q (want chain, predict or cold)", s)
-}
-
-// Predictor produces a warm-start point from a model input [Pd; Qd].
-// It is structurally identical to core.Predictor and scopf.Predictor,
-// so the serving daemon's replica pool plugs in directly.
-type Predictor interface {
-	Predict(input la.Vector) *opf.Start
 }
 
 // Trajectory is a load trajectory: one per-bus multiplicative load
@@ -210,7 +203,7 @@ func summarize(mode Mode, steps []StepResult) *Result {
 type Stepper struct {
 	base     *opf.OPF
 	mode     Mode
-	pred     Predictor
+	pred     opf.Predictor
 	up, down la.Vector
 	prev     *opf.Result
 	prevInst *opf.OPF
@@ -221,7 +214,7 @@ type Stepper struct {
 // down are per-step ramp limits in pu (len NG, +Inf entries allowed,
 // nil = that direction unconstrained); pred supplies predictions for
 // ModePredict and is ignored otherwise.
-func NewStepper(base *opf.OPF, mode Mode, pred Predictor, up, down la.Vector) (*Stepper, error) {
+func NewStepper(base *opf.OPF, mode Mode, pred opf.Predictor, up, down la.Vector) (*Stepper, error) {
 	if base == nil {
 		return nil, fmt.Errorf("horizon: stepper needs a prepared base instance")
 	}
@@ -243,10 +236,6 @@ func NewStepper(base *opf.OPF, mode Mode, pred Predictor, up, down la.Vector) (*
 	return &Stepper{base: base, mode: mode, pred: pred, up: up, down: down}, nil
 }
 
-// bindingTol matches scopf's: the slack threshold below which a bound
-// counts as binding at the accepted solution.
-const bindingTol = 1e-6
-
 // rampBinding counts Pg bounds tightened by the ramp window and binding
 // at x — the steps where the coupling actually constrained dispatch.
 func rampBinding(base, cur *opf.OPF, x la.Vector) int {
@@ -260,9 +249,9 @@ func rampBinding(base, cur *opf.OPF, x la.Vector) int {
 	for g := 0; g < lay.NG; g++ {
 		i := lay.PgOff + g
 		switch {
-		case cmax[i] < bmax[i] && x[i] > cmax[i]-bindingTol:
+		case cmax[i] < bmax[i] && x[i] > cmax[i]-opf.BindingTol:
 			n++
-		case cmin[i] > bmin[i] && x[i] < cmin[i]+bindingTol:
+		case cmin[i] > bmin[i] && x[i] < cmin[i]+opf.BindingTol:
 			n++
 		}
 	}
@@ -274,17 +263,17 @@ func rampBinding(base, cur *opf.OPF, x la.Vector) int {
 // left at the last accepted solution, so a later step re-anchors there.
 func (s *Stepper) Step(factors []float64) StepResult {
 	sr := StepResult{Step: s.step}
+	s.step++
 	t0 := time.Now()
 	inst := s.base.Perturb(factors)
 	cur := inst
-	if s.step > 0 && s.prev != nil && (s.up != nil || s.down != nil) {
+	if s.prev != nil && (s.up != nil || s.down != nil) { // never on the first step
 		lay := s.base.Lay
 		prevPg := s.prev.X[lay.PgOff : lay.PgOff+lay.NG]
 		r, err := inst.RebindRamp(prevPg, s.up, s.down)
 		if err != nil {
 			sr.PrepTime = time.Since(t0)
 			sr.Err = err
-			s.step++
 			return sr
 		}
 		cur = r
@@ -296,37 +285,26 @@ func (s *Stepper) Step(factors []float64) StepResult {
 	switch s.mode {
 	case ModeChain:
 		if s.prev != nil && s.prevInst != nil {
-			start = s.prevInst.ProjectStartStep(&opf.Start{
+			start = s.prevInst.ProjectionTo(cur).Apply(&opf.Start{
 				X: s.prev.X, Lam: s.prev.Lam, Mu: s.prev.Mu, Z: s.prev.Z,
-			}, cur)
+			})
 		}
 	case ModePredict:
 		t1 := time.Now()
 		st := s.pred.Predict(dataset.InputVector(cur.Case))
 		sr.InferTime = time.Since(t1)
-		start = s.base.ProjectStartStep(st, cur)
+		start = s.base.ProjectionTo(cur).Apply(st)
 	}
 
-	t2 := time.Now()
-	var acc *opf.Result
-	if start != nil {
-		if r, err := cur.Solve(start, opf.Options{}); err == nil && r.Converged {
-			acc = r
-			sr.WarmUsed = true
-		}
+	out := cur.SolveWarm(start, opf.Options{})
+	sr.SolveTime = out.SolveTime + out.RestartTime
+	if out.Err != nil {
+		sr.Err = out.Err
+		return sr
 	}
-	if acc == nil {
-		r, err := cur.Solve(nil, opf.Options{})
-		if err != nil {
-			sr.SolveTime = time.Since(t2)
-			sr.Err = err
-			s.step++
-			return sr
-		}
-		acc = r
-		sr.ColdRestart = start != nil
-	}
-	sr.SolveTime = time.Since(t2)
+	acc := out.Result
+	sr.WarmUsed = out.WarmAccepted
+	sr.ColdRestart = out.Restarted
 	sr.Converged = acc.Converged
 	sr.Iterations = acc.Iterations
 	sr.Cost = acc.Cost
@@ -334,7 +312,6 @@ func (s *Stepper) Step(factors []float64) StepResult {
 	sr.RampBinding = rampBinding(s.base, cur, acc.X)
 	s.prev = acc
 	s.prevInst = cur
-	s.step++
 	return sr
 }
 
@@ -348,8 +325,8 @@ type Runner struct {
 	Base       *grid.Case
 	Prepared   *opf.OPF // prepared base instance; built from Base when nil
 	Mode       Mode
-	Model      *mtl.Model  // cloned per in-flight trajectory for ModePredict
-	Predictors []Predictor // explicit replica set used instead of cloning Model
+	Model      *mtl.Model      // cloned per in-flight trajectory for ModePredict
+	Predictors []opf.Predictor // explicit replica set used instead of cloning Model
 	// RampUp and RampDown are per-step ramp limits in pu (len NG; nil =
 	// unconstrained). See RampFromRange for the derivation convention.
 	RampUp, RampDown la.Vector
@@ -366,38 +343,6 @@ func (r *Runner) prepared() (*opf.OPF, error) {
 		return nil, fmt.Errorf("horizon: runner needs Base or Prepared")
 	}
 	return opf.Prepare(r.Base), nil
-}
-
-// pool builds the predictor replica pool for n in-flight trajectories:
-// the explicit Predictors, or min(workers, n) clones of Model. Returns
-// nil when the mode needs no predictions.
-func (r *Runner) pool(n int) (chan Predictor, error) {
-	if r.Mode != ModePredict {
-		return nil, nil
-	}
-	preds := r.Predictors
-	if len(preds) == 0 {
-		if r.Model == nil {
-			return nil, fmt.Errorf("horizon: mode predict needs Model or Predictors")
-		}
-		k := batch.Workers(r.Workers)
-		if k > n {
-			k = n
-		}
-		if k < 1 {
-			k = 1
-		}
-		preds = make([]Predictor, k)
-		preds[0] = r.Model
-		for i := 1; i < k; i++ {
-			preds[i] = r.Model.Clone()
-		}
-	}
-	pool := make(chan Predictor, len(preds))
-	for _, p := range preds {
-		pool <- p
-	}
-	return pool, nil
 }
 
 // Run solves a single trajectory sequentially.
@@ -429,16 +374,21 @@ func (r *Runner) RunBatch(trajs []*Trajectory) ([]*Result, error) {
 			}
 		}
 	}
-	pool, err := r.pool(len(trajs))
-	if err != nil {
-		return nil, err
+	// ModePredict borrows from the explicit Predictors, or from one
+	// warmed-up replica of Model per trajectory that can be in flight.
+	var pool *opf.Pool
+	if r.Mode == ModePredict {
+		pool = mtl.PoolFor(r.Model, r.Predictors, min(batch.Workers(r.Workers), len(trajs)))
+		if pool == nil {
+			return nil, fmt.Errorf("horizon: mode predict needs Model or Predictors")
+		}
 	}
 	results := make([]*Result, len(trajs))
 	err = batch.Run(len(trajs), batch.Options{Workers: r.Workers}, func(t *batch.Task) error {
-		var pred Predictor
+		var pred opf.Predictor
 		if pool != nil {
-			pred = <-pool
-			defer func() { pool <- pred }()
+			pred = pool.Get()
+			defer pool.Put(pred)
 		}
 		st, err := NewStepper(base, r.Mode, pred, r.RampUp, r.RampDown)
 		if err != nil {

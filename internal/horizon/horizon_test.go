@@ -145,9 +145,9 @@ func TestHorizonChainMatchesSingleShotWarm(t *testing.T) {
 				if !sameVec(xmin, rmin) || !sameVec(xmax, rmax) {
 					t.Fatalf("step %d: inactive ramp limits changed the bounds", s)
 				}
-				start := ramped.ProjectStartStep(&opf.Start{
+				start := ramped.ProjectionTo(ramped).Apply(&opf.Start{
 					X: prev.X, Lam: prev.Lam, Mu: prev.Mu, Z: prev.Z,
-				}, ramped)
+				})
 				// The same warm→cold pipeline the Stepper runs.
 				single, err := ramped.Solve(start, opf.Options{})
 				warm := err == nil && single.Converged
@@ -195,7 +195,7 @@ func TestHorizonSeqVsParallel(t *testing.T) {
 					RampUp: up, RampDown: up, Workers: workers,
 				}
 				if mode == ModePredict {
-					r.Predictors = []Predictor{pred, pred, pred, pred}
+					r.Predictors = []opf.Predictor{pred, pred, pred, pred}
 				}
 				out, err := r.RunBatch(trajs)
 				if err != nil {
@@ -261,7 +261,7 @@ func TestHorizonPredictReplicaAffinity(t *testing.T) {
 	}
 	r := &Runner{
 		Prepared: base, Mode: ModePredict,
-		Predictors: []Predictor{preds[0], preds[1]},
+		Predictors: []opf.Predictor{preds[0], preds[1]},
 		Workers:    4, // more workers than replicas: checkout must gate
 	}
 	out, err := r.RunBatch(trajs)

@@ -493,6 +493,38 @@ func (m *Model) Warmup() {
 	}
 }
 
+// Replicas returns a pool of n interchangeable serving replicas of m —
+// m itself plus n−1 clones (at least one replica in total) — each with
+// its float32 serving caches prebuilt, so no prediction pays the
+// conversion inside timed inference. Every concurrent consumer of
+// predictions (evaluation sweeps, screening, trajectories, the serving
+// daemon) sizes n to its in-flight limit and borrows through the pool.
+func (m *Model) Replicas(n int) *opf.Pool {
+	m.Warmup()
+	reps := []opf.Predictor{m}
+	for len(reps) < n {
+		c := m.Clone()
+		c.Warmup()
+		reps = append(reps, c)
+	}
+	return opf.NewPool(reps)
+}
+
+// PoolFor resolves the (Model, explicit replica set) pair the screening
+// engine and the trajectory runner both carry into the pool their
+// workers borrow from: the explicit replicas when given (the serving
+// daemon lends its own, tests inject stubs), otherwise n replicas of m,
+// otherwise nil — nothing to predict with.
+func PoolFor(m *Model, explicit []opf.Predictor, n int) *opf.Pool {
+	switch {
+	case len(explicit) > 0:
+		return opf.NewPool(explicit)
+	case m == nil:
+		return nil
+	}
+	return m.Replicas(n)
+}
+
 // snapshot is the on-disk model format: normalization state plus the
 // parameter tensors in Params order.
 type snapshot struct {

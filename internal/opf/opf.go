@@ -40,6 +40,13 @@ type Layout struct {
 	VaOff, VmOff, PgOff, QgOff int // offsets into x
 }
 
+// Fits reports whether a Start laid out for m has exactly the vector
+// lengths l requires — the test every warm-start consumer applies before
+// handing a prediction to an instance.
+func (l Layout) Fits(m Layout) bool {
+	return l.NX == m.NX && l.NEq == m.NEq && l.NIq == m.NIq
+}
+
 // Start is a warm-start point in problem coordinates (the layout of X, λ,
 // µ and Z produced by Result and predicted by the MTL model).
 type Start struct {
@@ -189,16 +196,7 @@ func Prepare(c *grid.Case) *OPF {
 		xmin[lay.QgOff+g] = gens[g].Qmin / c.BaseMVA
 		xmax[lay.QgOff+g] = gens[g].Qmax / c.BaseMVA
 	}
-	nFinite := 0
-	for i := range xmin {
-		if !math.IsInf(xmin[i], -1) {
-			nFinite++
-		}
-		if !math.IsInf(xmax[i], 1) {
-			nFinite++
-		}
-	}
-	lay.NIq = 2*nlr + nFinite
+	lay.NIq = 2*nlr + finiteBounds(xmin, xmax)
 
 	o := &OPF{
 		Case: c, Y: y, Lay: lay,
@@ -239,6 +237,21 @@ func (o *OPF) Ordering() sparse.Ordering { return o.kkt.Ordering() }
 // KKT factorizations performed.
 func (o *OPF) KKTStats() sparse.CacheStats { return o.kkt.Stats() }
 
+// finiteBounds counts the finite entries of the two bound vectors — the
+// linear inequality rows MIPS appends after the flow rows.
+func finiteBounds(xmin, xmax la.Vector) int {
+	n := 0
+	for i := range xmin {
+		if !math.IsInf(xmin[i], -1) {
+			n++
+		}
+		if !math.IsInf(xmax[i], 1) {
+			n++
+		}
+	}
+	return n
+}
+
 // Rebind returns an OPF for c that reuses o's prepared structure — the
 // admittance matrices, rated-branch subset, bounds, layout and reference
 // data — instead of rebuilding them. It is valid when c differs from the
@@ -264,7 +277,7 @@ func (o *OPF) Rebind(c *grid.Case) *OPF {
 // generator data, reference bus, variable layout) is shared with o. If
 // the branch is rated, its two flow rows leave the inequality layout
 // (NIq shrinks by 2); warm starts predicted in o's layout then need
-// ProjectStart. The derived instance gets its own KKT ordering cache
+// ProjectionTo. The derived instance gets its own KKT ordering cache
 // (its pattern differs from o's) with o's configured ordering, shared —
 // like any prepared instance's — by all Rebind/Perturb derivations, so
 // one ordering analysis serves every scenario of the outage topology.
@@ -276,17 +289,22 @@ func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 	if !o.Case.Branches[branch].Status {
 		return nil, fmt.Errorf("opf: outage branch %d of %s is already out of service", branch, o.Case.Name)
 	}
-	ai := 0 // position of branch within ActiveBranches (the Yf/Yt rows)
-	for i := 0; i < branch; i++ {
-		if o.Case.Branches[i].Status {
+	// Positions of branch within ActiveBranches (the Yf/Yt rows) and
+	// within the rated subset (its |Sf|² flow row).
+	ai, rl := 0, 0
+	for _, br := range o.Case.Branches[:branch] {
+		if br.Status {
 			ai++
+			if br.RateA > 0 {
+				rl++
+			}
 		}
 	}
 	y := o.Y.DropBranch(o.Case, ai)
 	cp := *o
 	cp.Case = o.Case.WithoutBranch(branch)
 	cp.Y = y
-	if rl := o.RatedPos(branch); rl >= 0 {
+	if o.Case.Branches[branch].RateA > 0 {
 		cp.ratedY = &grid.YMatrices{
 			Ybus: y.Ybus,
 			Yf:   o.ratedY.Yf.WithoutRow(rl), Yt: o.ratedY.Yt.WithoutRow(rl),
@@ -314,7 +332,7 @@ func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 // layout — so Y and the rated-branch subset are shared with o, while
 // the packed layout loses the generator's Pg and Qg variables (NG−1,
 // NX−2) and their finite-bound inequality rows. Warm starts predicted
-// in o's layout need ProjectStartGen, which also performs the screening
+// in o's layout need ProjectionTo, which also performs the screening
 // redispatch. The derived instance gets its own KKT ordering cache (the
 // KKT pattern loses two columns) with o's configured ordering.
 func (o *OPF) RebindGenOutage(gen int) (*OPF, error) {
@@ -347,187 +365,11 @@ func (o *OPF) RebindGenOutage(gen int) (*OPF, error) {
 	cp.Lay.NG = lay.NG - 1
 	cp.Lay.NX = lay.NX - 2
 	cp.Lay.QgOff = lay.QgOff - 1
-	nFinite := 0
-	for i := range cp.xmin {
-		if !math.IsInf(cp.xmin[i], -1) {
-			nFinite++
-		}
-		if !math.IsInf(cp.xmax[i], 1) {
-			nFinite++
-		}
-	}
-	cp.Lay.NIq = 2*lay.NLRated + nFinite
+	cp.Lay.NIq = 2*lay.NLRated + finiteBounds(cp.xmin, cp.xmax)
 	cp.kkt = sparse.NewOrderingCache(o.kkt.Ordering())
 	cp.kktSym = sparse.NewSymbolicCacheFrom(cp.kkt, 1.0).Shaped()
 	cp.prep = time.Since(t0)
 	return &cp, nil
-}
-
-// GenPos returns the position of the given case generator within the
-// in-service generator set (the Pg/Qg variable block index its dispatch
-// occupies), or -1 when the generator is out of service.
-func (o *OPF) GenPos(gen int) int {
-	if gen < 0 || gen >= len(o.Case.Gens) {
-		return -1
-	}
-	if !o.Case.Gens[gen].Status {
-		return -1
-	}
-	gi := 0
-	for i := 0; i < gen; i++ {
-		if o.Case.Gens[i].Status {
-			gi++
-		}
-	}
-	return gi
-}
-
-// ProjectStartGen maps a warm start predicted in o's layout onto the
-// layout of the variant with in-service generator position gi dropped
-// (see RebindGenOutage and GenPos). Two things happen:
-//
-//   - Redispatch: the outaged unit's real dispatch is re-spread across
-//     the remaining units in proportion to their upward headroom
-//     (clipped at Pmax), so the projected start approximately balances
-//     the system instead of starting lost-generation short. This is the
-//     screening redispatch convention (DESIGN.md §8).
-//   - Projection: the Pg/Qg entries of the dropped unit leave X, and
-//     the µ/Z rows of its finite variable bounds leave the inequality
-//     vectors (flow rows first, then finite upper bounds, then finite
-//     lower bounds — the FullInequality order). λ is unchanged, since
-//     a generator outage touches no equality row.
-func (o *OPF) ProjectStartGen(st *Start, gi int) *Start {
-	lay := o.Lay
-	if st == nil || gi < 0 || gi >= lay.NG {
-		return st
-	}
-	pg, qg := lay.PgOff+gi, lay.QgOff+gi
-	x := st.X
-	if len(x) == lay.NX {
-		x = slices.Clone(x)
-		if lost := x[pg]; lost > 0 {
-			total := 0.0
-			for g := 0; g < lay.NG; g++ {
-				if g == gi {
-					continue
-				}
-				if h := o.xmax[lay.PgOff+g] - x[lay.PgOff+g]; h > 0 && !math.IsInf(h, 1) {
-					total += h
-				}
-			}
-			if total > 0 {
-				for g := 0; g < lay.NG; g++ {
-					if g == gi {
-						continue
-					}
-					h := o.xmax[lay.PgOff+g] - x[lay.PgOff+g]
-					if h > 0 && !math.IsInf(h, 1) {
-						if add := lost * h / total; add < h {
-							x[lay.PgOff+g] += add
-						} else {
-							x[lay.PgOff+g] += h
-						}
-					}
-				}
-			}
-		}
-		x = slices.Delete(x, qg, qg+1)
-		x = slices.Delete(x, pg, pg+1)
-	}
-	mu, z := st.Mu, st.Z
-	if rows := o.boundRows(pg, qg); len(rows) > 0 && len(mu) == lay.NIq && len(z) == lay.NIq {
-		mu = dropRows(mu, rows)
-		z = dropRows(z, rows)
-	}
-	return &Start{X: x, Lam: st.Lam, Mu: mu, Z: z}
-}
-
-// boundRows returns the inequality-row indices (in FullInequality /
-// µ-vector order) of the finite bounds of the two packed variable
-// indices, ascending.
-func (o *OPF) boundRows(i1, i2 int) []int {
-	var rows []int
-	row := 2 * o.Lay.NLRated
-	for i := range o.xmax {
-		if !math.IsInf(o.xmax[i], 1) {
-			if i == i1 || i == i2 {
-				rows = append(rows, row)
-			}
-			row++
-		}
-	}
-	for i := range o.xmin {
-		if !math.IsInf(o.xmin[i], -1) {
-			if i == i1 || i == i2 {
-				rows = append(rows, row)
-			}
-			row++
-		}
-	}
-	return rows
-}
-
-// dropRows returns a copy of v without the (ascending) row indices.
-func dropRows(v la.Vector, rows []int) la.Vector {
-	out := make(la.Vector, 0, len(v)-len(rows))
-	k := 0
-	for i, x := range v {
-		if k < len(rows) && i == rows[k] {
-			k++
-			continue
-		}
-		out = append(out, x)
-	}
-	return out
-}
-
-// RatedPos returns the position of the given case branch within the
-// rated-branch subset (the flow-row index its |Sf|² constraint occupies),
-// or -1 when the branch is out of service or unrated — i.e. when its
-// outage leaves the inequality layout unchanged.
-func (o *OPF) RatedPos(branch int) int {
-	if branch < 0 || branch >= len(o.Case.Branches) {
-		return -1
-	}
-	br := o.Case.Branches[branch]
-	if !br.Status || br.RateA <= 0 {
-		return -1
-	}
-	rl := 0
-	for i := 0; i < branch; i++ {
-		if b := o.Case.Branches[i]; b.Status && b.RateA > 0 {
-			rl++
-		}
-	}
-	return rl
-}
-
-// ProjectStart maps a warm start predicted in o's layout onto the layout
-// of the variant with rated-branch position rl outaged (see RebindOutage
-// and RatedPos): the µ and Z entries of the dropped from- and to-flow
-// rows (rl and NLRated+rl) are removed; X and λ are unchanged, since the
-// outage touches neither the variable packing nor the equality rows.
-// This is what makes rated-branch contingencies warm-startable from an
-// intact-system prediction instead of falling back to a cold solve.
-func (o *OPF) ProjectStart(st *Start, rl int) *Start {
-	nlr := o.Lay.NLRated
-	if st == nil || rl < 0 || rl >= nlr {
-		return st
-	}
-	drop2 := func(v la.Vector) la.Vector {
-		if len(v) == 0 {
-			return v
-		}
-		out := make(la.Vector, 0, len(v)-2)
-		for i, x := range v {
-			if i == rl || i == nlr+rl {
-				continue
-			}
-			out = append(out, x)
-		}
-		return out
-	}
-	return &Start{X: st.X, Lam: st.Lam, Mu: drop2(st.Mu), Z: drop2(st.Z)}
 }
 
 // Perturb derives the OPF of a load-scaled variant of the bound case in

@@ -1,6 +1,8 @@
 package opf
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -53,9 +55,27 @@ func TestRebindOutageMatchesPrepare(t *testing.T) {
 	}
 }
 
+// markedStart returns a start in o's layout whose µ/Z entries encode
+// their own row index, so a projection's row mapping reads off the
+// projected values.
+func markedStart(o *OPF) *Start {
+	st := &Start{
+		X:   make(la.Vector, o.Lay.NX),
+		Lam: make(la.Vector, o.Lay.NEq),
+		Mu:  make(la.Vector, o.Lay.NIq),
+		Z:   make(la.Vector, o.Lay.NIq),
+	}
+	for i := range st.Mu {
+		st.Mu[i] = float64(i)
+		st.Z[i] = float64(i) + 0.5
+	}
+	return st
+}
+
 // Every connected outage of case9 (all branches rated) must keep layout
-// bookkeeping consistent: NIq shrinks by 2, RatedPos addresses the
-// dropped flow rows, and the projected start has the derived dimensions.
+// bookkeeping consistent: NIq shrinks by 2, and the projection drops
+// exactly the outaged branch's from- and to-flow rows (its position in
+// the rated subset and NLRated above it), passing X and λ through.
 func TestRebindOutageLayoutAndProjection(t *testing.T) {
 	c := grid.Case9()
 	base := Prepare(c)
@@ -65,26 +85,17 @@ func TestRebindOutageLayoutAndProjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rl := base.RatedPos(branch)
-		if rl < 0 {
-			t.Fatalf("branch %d rated but RatedPos = %d", branch, rl)
-		}
+		rl := branch // all nine branches are rated and in service
 		if o.Lay.NIq != base.Lay.NIq-2 || o.Lay.NLRated != nlr-1 {
 			t.Fatalf("branch %d: NIq %d NLRated %d", branch, o.Lay.NIq, o.Lay.NLRated)
 		}
-		st := &Start{
-			X:   make(la.Vector, base.Lay.NX),
-			Lam: make(la.Vector, base.Lay.NEq),
-			Mu:  make(la.Vector, base.Lay.NIq),
-			Z:   make(la.Vector, base.Lay.NIq),
-		}
-		for i := range st.Mu {
-			st.Mu[i] = float64(i)
-			st.Z[i] = float64(i) + 0.5
-		}
-		p := base.ProjectStart(st, rl)
+		st := markedStart(base)
+		p := base.ProjectionTo(o).Apply(st)
 		if len(p.Mu) != o.Lay.NIq || len(p.Z) != o.Lay.NIq {
 			t.Fatalf("branch %d: projected µ/Z dims %d/%d want %d", branch, len(p.Mu), len(p.Z), o.Lay.NIq)
+		}
+		if &p.X[0] != &st.X[0] || &p.Lam[0] != &st.Lam[0] {
+			t.Fatalf("branch %d: a branch outage must pass X and λ through", branch)
 		}
 		// The dropped entries are exactly rows rl and nlr+rl.
 		wantAt := func(i int) float64 {
@@ -98,8 +109,8 @@ func TestRebindOutageLayoutAndProjection(t *testing.T) {
 			return float64(j)
 		}
 		for i := range p.Mu {
-			if p.Mu[i] != wantAt(i) {
-				t.Fatalf("branch %d: projected µ[%d] = %v want %v", branch, i, p.Mu[i], wantAt(i))
+			if p.Mu[i] != wantAt(i) || p.Z[i] != wantAt(i)+0.5 {
+				t.Fatalf("branch %d: projected µ/z[%d] = %v/%v want %v", branch, i, p.Mu[i], p.Z[i], wantAt(i))
 			}
 		}
 	}
@@ -160,39 +171,27 @@ func TestRebindGenOutageMatchesPrepare(t *testing.T) {
 	}
 }
 
-// ProjectStartGen must drop exactly the outaged generator's variables
-// and bound rows, and its redispatch must conserve total real dispatch
-// when the remaining units have headroom.
-func TestProjectStartGenLayoutAndRedispatch(t *testing.T) {
+// The projection onto a generator outage must drop exactly the outaged
+// generator's variables and bound rows, and its redispatch must conserve
+// total real dispatch when the remaining units have headroom.
+func TestProjectionGenLayoutAndRedispatch(t *testing.T) {
 	c := grid.Case9()
 	base := Prepare(c)
 	lay := base.Lay
 	for gen := range c.Gens {
-		gi := base.GenPos(gen)
-		if gi < 0 {
-			t.Fatalf("gen %d in service but GenPos = %d", gen, gi)
-		}
+		gi := gen // all three units are in service
 		o, err := base.RebindGenOutage(gen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := &Start{
-			X:   make(la.Vector, lay.NX),
-			Lam: make(la.Vector, lay.NEq),
-			Mu:  make(la.Vector, lay.NIq),
-			Z:   make(la.Vector, lay.NIq),
-		}
-		for i := range st.Mu {
-			st.Mu[i] = float64(i)
-			st.Z[i] = float64(i) + 0.5
-		}
+		st := markedStart(base)
 		// A balanced mid-range dispatch: every unit at 40 % of Pmax.
 		total := 0.0
 		for g := 0; g < lay.NG; g++ {
 			st.X[lay.PgOff+g] = 0.4 * base.xmax[lay.PgOff+g]
 			total += st.X[lay.PgOff+g]
 		}
-		p := base.ProjectStartGen(st, gi)
+		p := base.ProjectionTo(o).Apply(st)
 		if len(p.X) != o.Lay.NX || len(p.Mu) != o.Lay.NIq || len(p.Z) != o.Lay.NIq {
 			t.Fatalf("gen %d: projected dims X %d µ %d Z %d want %d/%d/%d",
 				gen, len(p.X), len(p.Mu), len(p.Z), o.Lay.NX, o.Lay.NIq, o.Lay.NIq)
@@ -215,16 +214,34 @@ func TestProjectStartGenLayoutAndRedispatch(t *testing.T) {
 			}
 		}
 		// The µ rows dropped are exactly the four bound rows of the
-		// outaged unit's Pg/Qg (case9 has no flow-row change here).
-		rows := base.boundRows(lay.PgOff+gi, lay.QgOff+gi)
-		if len(rows) != 4 {
-			t.Fatalf("gen %d: %d bound rows want 4", gen, len(rows))
-		}
-		want := dropRows(st.Mu, rows)
-		for i := range p.Mu {
-			if p.Mu[i] != want[i] {
-				t.Fatalf("gen %d: projected µ[%d] = %v want %v", gen, i, p.Mu[i], want[i])
+		// outaged unit's Pg/Qg (case9 has no flow-row change here): in
+		// FullInequality order, upper bounds of every variable but the
+		// angles, then lower bounds likewise.
+		var rows []int
+		row := 2 * lay.NLRated
+		for _, bound := range []la.Vector{base.xmax, base.xmin} {
+			for i := lay.VmOff; i < lay.NX; i++ { // every non-angle bound of case9 is finite
+				if math.IsInf(bound[i], 0) {
+					t.Fatalf("case9 bound %d is not finite", i)
+				}
+				if i == lay.PgOff+gi || i == lay.QgOff+gi {
+					rows = append(rows, row)
+				}
+				row++
 			}
+		}
+		if len(rows) != 4 || row != lay.NIq {
+			t.Fatalf("gen %d: %d bound rows of %d walked, want 4 of %d", gen, len(rows), row, lay.NIq)
+		}
+		k := 0
+		for i, mu := range st.Mu {
+			if slices.Contains(rows, i) {
+				continue
+			}
+			if p.Mu[k] != mu {
+				t.Fatalf("gen %d: projected µ[%d] = %v want %v", gen, k, p.Mu[k], mu)
+			}
+			k++
 		}
 	}
 	// Invalid inputs pass through / are rejected.
@@ -241,9 +258,6 @@ func TestProjectStartGenLayoutAndRedispatch(t *testing.T) {
 	}
 	if _, err := Prepare(cc).RebindGenOutage(1); err == nil {
 		t.Error("already-outaged generator accepted")
-	}
-	if gi := Prepare(cc).GenPos(1); gi != -1 {
-		t.Errorf("out-of-service generator reported GenPos %d", gi)
 	}
 }
 
@@ -264,15 +278,17 @@ func TestRebindOutageRejectsBadBranch(t *testing.T) {
 	if _, err := Prepare(cc).RebindOutage(2); err == nil {
 		t.Error("already-outaged branch accepted")
 	}
-	// case14 is unrated: outages keep the inequality layout.
-	if rl := base.RatedPos(3); rl != -1 {
-		t.Errorf("unrated branch reported RatedPos %d", rl)
-	}
+	// case14 is unrated: outages keep the inequality layout, and the
+	// projection onto them passes every component through.
 	o, err := base.RebindOutage(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.Lay != base.Lay {
 		t.Error("unrated outage changed the layout")
+	}
+	st := markedStart(base)
+	if p := base.ProjectionTo(o).Apply(st); &p.Mu[0] != &st.Mu[0] || &p.X[0] != &st.X[0] {
+		t.Error("unrated outage projection copied an unchanged start")
 	}
 }

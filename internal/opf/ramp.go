@@ -75,16 +75,7 @@ func (o *OPF) RebindRamp(prevPg, up, down la.Vector) (*OPF, error) {
 	cp := *o
 	cp.xmin = xmin
 	cp.xmax = xmax
-	nFinite := 0
-	for i := range xmin {
-		if !math.IsInf(xmin[i], -1) {
-			nFinite++
-		}
-		if !math.IsInf(xmax[i], 1) {
-			nFinite++
-		}
-	}
-	cp.Lay.NIq = 2*lay.NLRated + nFinite
+	cp.Lay.NIq = 2*lay.NLRated + finiteBounds(xmin, xmax)
 	if cp.Lay.NIq != lay.NIq {
 		// A previously-infinite Pg bound became finite: the KKT pattern
 		// gained rows, so the ordering analysis cannot be shared.
@@ -107,90 +98,4 @@ func checkRampLimits(name string, v la.Vector, ng int) error {
 		}
 	}
 	return nil
-}
-
-// ProjectStartStep maps a warm start expressed in o's layout (typically
-// step t−1's solved instance, whose own ramp rows are baked into its
-// NIq) onto the layout of to, a step-t instance derived from the same
-// base grid. The variable packing and equality rows are untouched by
-// ramp tightening, so X and λ transfer as-is (MIPS clips X into to's
-// bounds itself); the µ and Z vectors are remapped row-by-row over the
-// FullInequality order — flow rows positionally, bound rows by matching
-// the finite-bound patterns of the two layouts. Rows finite in both
-// copy their multiplier and slack; rows newly finite in to are seeded
-// with the MIPS cold defaults (µ = z = 1); rows finite only in o are
-// dropped. The result always has exactly to.Lay.NIq rows — the length
-// MIPS requires of a warm start.
-//
-// It returns nil (a cold start) when the two instances do not share the
-// step-compatible shape: equal NX, NEq and NLRated. Malformed µ/Z in st
-// are dropped rather than remapped, degrading to an X/λ-only start.
-func (o *OPF) ProjectStartStep(st *Start, to *OPF) *Start {
-	if st == nil || to == nil {
-		return nil
-	}
-	if to.Lay.NX != o.Lay.NX || to.Lay.NEq != o.Lay.NEq || to.Lay.NLRated != o.Lay.NLRated {
-		return nil
-	}
-	out := &Start{}
-	if len(st.X) == o.Lay.NX {
-		out.X = st.X
-	}
-	if len(st.Lam) == o.Lay.NEq {
-		out.Lam = st.Lam
-	}
-	if len(st.Mu) != o.Lay.NIq || len(st.Z) != o.Lay.NIq {
-		return out
-	}
-	if to.Lay.NIq == o.Lay.NIq && sameBoundPattern(o, to) {
-		out.Mu, out.Z = st.Mu, st.Z
-		return out
-	}
-	// The MIPS seed for a fresh inequality row: mips.Solve floors warm µ
-	// and z at 1e-10 and recomputes the barrier from z·µ, so the cold
-	// defaults blend safely with the carried rows.
-	const seed = 1.0
-	nlr := 2 * o.Lay.NLRated
-	mu := make(la.Vector, 0, to.Lay.NIq)
-	z := make(la.Vector, 0, to.Lay.NIq)
-	mu = append(mu, st.Mu[:nlr]...)
-	z = append(z, st.Z[:nlr]...)
-	srcRow := nlr
-	remap := func(srcB, dstB la.Vector, sign int) {
-		for i := range dstB {
-			srcFinite := !math.IsInf(srcB[i], sign)
-			dstFinite := !math.IsInf(dstB[i], sign)
-			if dstFinite {
-				if srcFinite {
-					mu = append(mu, st.Mu[srcRow])
-					z = append(z, st.Z[srcRow])
-				} else {
-					mu = append(mu, seed)
-					z = append(z, seed)
-				}
-			}
-			if srcFinite {
-				srcRow++
-			}
-		}
-	}
-	remap(o.xmax, to.xmax, 1)  // finite upper bounds first,
-	remap(o.xmin, to.xmin, -1) // then finite lower bounds.
-	out.Mu, out.Z = mu, z
-	return out
-}
-
-// sameBoundPattern reports whether two same-shape instances have
-// identical bound-finiteness patterns (and hence identical inequality
-// layouts and KKT patterns).
-func sameBoundPattern(a, b *OPF) bool {
-	for i := range a.xmin {
-		if math.IsInf(a.xmin[i], -1) != math.IsInf(b.xmin[i], -1) {
-			return false
-		}
-		if math.IsInf(a.xmax[i], 1) != math.IsInf(b.xmax[i], 1) {
-			return false
-		}
-	}
-	return true
 }

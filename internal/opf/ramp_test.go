@@ -97,7 +97,7 @@ func TestRebindRampGrowsLayoutForInfiniteBound(t *testing.T) {
 	}
 	// A warm start in the base layout projects to exactly the grown NIq
 	// and solves without the length panic.
-	st := o.ProjectStartStep(&Start{X: r.X, Lam: r.Lam, Mu: r.Mu, Z: r.Z}, ro)
+	st := o.ProjectionTo(ro).Apply(&Start{X: r.X, Lam: r.Lam, Mu: r.Mu, Z: r.Z})
 	if len(st.Mu) != ro.Lay.NIq || len(st.Z) != ro.Lay.NIq {
 		t.Fatalf("projected µ/z lengths %d/%d, want %d", len(st.Mu), len(st.Z), ro.Lay.NIq)
 	}
@@ -131,7 +131,7 @@ func TestRebindRampValidation(t *testing.T) {
 	}
 }
 
-func TestProjectStartStepSharedPattern(t *testing.T) {
+func TestProjectionStepSharedPattern(t *testing.T) {
 	o := Prepare(grid.Case9())
 	r := rampSolved(t, o)
 	prev := prevDispatch(o, r)
@@ -141,7 +141,7 @@ func TestProjectStartStepSharedPattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &Start{X: r.X, Lam: r.Lam, Mu: r.Mu, Z: r.Z}
-	ps := o.ProjectStartStep(st, ro)
+	ps := o.ProjectionTo(ro).Apply(st)
 	// Identical bound pattern: µ/Z pass through untouched.
 	if &ps.Mu[0] != &st.Mu[0] || &ps.Z[0] != &st.Z[0] {
 		t.Fatal("pattern-preserving projection must pass µ/Z through")
@@ -155,19 +155,19 @@ func TestProjectStartStepSharedPattern(t *testing.T) {
 	}
 }
 
-func TestProjectStartStepShapeMismatch(t *testing.T) {
+func TestProjectionShapeMismatch(t *testing.T) {
 	o := Prepare(grid.Case9())
 	o2 := Prepare(grid.Case14())
 	r := rampSolved(t, o)
 	st := &Start{X: r.X, Lam: r.Lam, Mu: r.Mu, Z: r.Z}
-	if got := o.ProjectStartStep(st, o2); got != nil {
+	if got := o.ProjectionTo(o2).Apply(st); got != nil {
 		t.Fatal("projection across grids must return nil (cold)")
 	}
-	if got := o.ProjectStartStep(nil, o); got != nil {
+	if got := o.ProjectionTo(o).Apply(nil); got != nil {
 		t.Fatal("nil start must project to nil")
 	}
 	// Malformed µ/Z degrade to an X/λ-only start.
-	got := o.ProjectStartStep(&Start{X: r.X, Lam: r.Lam, Mu: r.Mu[:3], Z: r.Z[:3]}, o)
+	got := o.ProjectionTo(o).Apply(&Start{X: r.X, Lam: r.Lam, Mu: r.Mu[:3], Z: r.Z[:3]})
 	if got == nil || got.X == nil || got.Mu != nil || got.Z != nil {
 		t.Fatalf("malformed µ/Z must drop to X/λ-only, got %+v", got)
 	}
@@ -266,7 +266,7 @@ func FuzzRebindRamp(f *testing.F) {
 		if unboundPmax {
 			rb, _ = base.Solve(nil, Options{})
 		}
-		st := base.ProjectStartStep(&Start{X: rb.X, Lam: rb.Lam, Mu: rb.Mu, Z: rb.Z}, ro)
+		st := base.ProjectionTo(ro).Apply(&Start{X: rb.X, Lam: rb.Lam, Mu: rb.Mu, Z: rb.Z})
 		if len(st.Mu) != ro.Lay.NIq || len(st.Z) != ro.Lay.NIq {
 			t.Fatalf("projected µ/z lengths %d/%d, want %d", len(st.Mu), len(st.Z), ro.Lay.NIq)
 		}

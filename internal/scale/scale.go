@@ -143,7 +143,18 @@ func RunParallel(models []*mtl.Model, inputs *la.Matrix, workers int) (time.Dura
 		workers = len(models)
 	}
 	start := time.Now()
-	count := inputs.Rows
+	eachChunk(inputs.Rows, workers, func(task, lo, hi int) {
+		m := models[task]
+		for r := lo; r < hi; r++ {
+			m.Predict(inputs.Row(r))
+		}
+	})
+	return time.Since(start), inputs.Rows
+}
+
+// eachChunk splits rows [0, count) evenly into one batch task per worker
+// and runs fn(task, lo, hi) for each on a pool of that many workers.
+func eachChunk(count, workers int, fn func(task, lo, hi int)) {
 	chunk := (count + workers - 1) / workers
 	_ = batch.Run(workers, batch.Options{Workers: workers}, func(t *batch.Task) error {
 		lo := t.Index * chunk
@@ -151,11 +162,7 @@ func RunParallel(models []*mtl.Model, inputs *la.Matrix, workers int) (time.Dura
 		if hi > count {
 			hi = count
 		}
-		m := models[t.Index]
-		for r := lo; r < hi; r++ {
-			m.Predict(inputs.Row(r))
-		}
+		fn(t.Index, lo, hi)
 		return nil
 	})
-	return time.Since(start), count
 }

@@ -102,7 +102,7 @@ func TestIslandingClassification(t *testing.T) {
 		}
 		// The connectivity shim agrees with the from-scratch BFS.
 		for _, b := range tc.bridges {
-			if connectedWithout(tc.c, b) {
+			if grid.ConnectedWithout(tc.c, []int{b}) {
 				t.Fatalf("%s: bridge %d reported connected", tc.name, b)
 			}
 			cc := tc.c.Clone()

@@ -14,7 +14,7 @@
 // scenario pays only the clone+scale+rebind derivation cost and every
 // class shares one KKT ordering analysis. Outages of rated branches
 // shrink the inequality layout; the engine projects the intact-system
-// warm-start prediction onto the contingency layout (opf.ProjectStart)
+// warm-start prediction onto the contingency layout (opf.Projection)
 // instead of falling back to a cold solve. ScreenNaive keeps the
 // per-scenario-Prepare reference path; the engine is pinned
 // bit-identical to it by the tests in this package and benchmarked
@@ -91,14 +91,6 @@ type Outcome struct {
 	Err          error // solver/derivation error; nil for a clean infeasible
 }
 
-// Predictor produces a warm-start point from a model input [Pd; Qd].
-// *mtl.Model is the production implementation; it is structurally
-// identical to core.Predictor, so the serving layer can hand its replica
-// pool straight to an Engine.
-type Predictor interface {
-	Predict(input la.Vector) *opf.Start
-}
-
 // warmMode is the per-class warm-start policy.
 type warmMode int
 
@@ -149,7 +141,7 @@ type Engine struct {
 	Model    *mtl.Model
 	// Predictors is an explicit replica set used instead of cloning
 	// Model — the serving daemon lends its pool, tests inject stubs.
-	Predictors []Predictor
+	Predictors []opf.Predictor
 	// Workers sizes the batch pool (0 resolves through PGSIM_WORKERS,
 	// batch.SetDefaultWorkers, GOMAXPROCS; 1 is sequential).
 	Workers int
@@ -197,6 +189,25 @@ func (s Scenario) key() classKey {
 	return classKey{b1: b1, b2: b2, g: g}
 }
 
+// check validates the class's outage indices against the case: branch
+// ranges first, then generator range and service status. The engine and
+// the naive reference both reject a scenario through it, so they report
+// the same error for the same bad input.
+func (k classKey) check(c *grid.Case) error {
+	for _, b := range []int{k.b1, k.b2} {
+		if b >= len(c.Branches) {
+			return fmt.Errorf("scopf: outage branch %d outside %d branches", b, len(c.Branches))
+		}
+	}
+	switch {
+	case k.g >= len(c.Gens):
+		return fmt.Errorf("scopf: outage generator %d outside %d generators", k.g, len(c.Gens))
+	case k.g >= 0 && !c.Gens[k.g].Status:
+		return fmt.Errorf("scopf: outage generator %d already out of service", k.g)
+	}
+	return nil
+}
+
 // kind names the outage combination of a class.
 func (k classKey) kind() string {
 	switch {
@@ -216,10 +227,9 @@ func (k classKey) kind() string {
 type class struct {
 	opf  *opf.OPF
 	mode warmMode
-	// project maps a base-layout prediction onto the class layout — the
-	// composition of the per-outage projections in derivation order;
-	// nil when the layout is unchanged.
-	project  func(*opf.Start) *opf.Start
+	// project maps a base-layout prediction onto the class layout; nil
+	// unless the class warm-starts in projected mode.
+	project  *opf.Projection
 	islanded bool   // the outage splits the network; never solved
 	kind     string // classKey.kind()
 	// droppedIq is how many inequality rows the outage removed relative
@@ -238,7 +248,6 @@ func (e *Engine) Run(scenarios []Scenario) *Report {
 		base = opf.Prepare(e.Base)
 	}
 
-	preds := e.Predictors
 	modelLay := e.modelLayout(base)
 
 	// One prepared OPF per distinct topology, first-seen order.
@@ -255,7 +264,9 @@ func (e *Engine) Run(scenarios []Scenario) *Report {
 		order = append(order, key)
 	}
 
-	pool := replicaPool(e.Model, preds, e.Workers, len(scenarios))
+	// Replicas: the explicit set, or one per worker that can be busy —
+	// the same sizing ScreenNaive uses.
+	pool := mtl.PoolFor(e.Model, e.Predictors, min(batch.Workers(e.Workers), len(scenarios)))
 
 	out := make([]Outcome, len(scenarios))
 	_ = batch.Run(len(scenarios), batch.Options{Workers: e.Workers}, func(t *batch.Task) error {
@@ -280,29 +291,14 @@ func (e *Engine) Run(scenarios []Scenario) *Report {
 	return rep
 }
 
-// buildClass derives the prepared OPF, projection chain and warm policy
-// of one topology class. Branch outages are applied first (ascending),
-// then the generator drop; each layout-changing step contributes one
-// projection leg, and the composition in derivation order maps a
-// base-layout prediction onto the class layout.
+// buildClass derives the prepared OPF, projection and warm policy of one
+// topology class. Branch outages are applied first (ascending), then the
+// generator drop; one projection, computed here once per class, maps a
+// base-layout prediction onto whatever layout the derivation ended in.
 func (e *Engine) buildClass(base *opf.OPF, modelLay *opf.Layout, key classKey) *class {
 	cl := &class{kind: key.kind()}
-	nbr := len(base.Case.Branches)
-	for _, b := range []int{key.b1, key.b2} {
-		if b >= nbr {
-			cl.err = fmt.Errorf("scopf: outage branch %d outside %d branches", b, nbr)
-			return cl
-		}
-	}
-	if g := key.g; g >= 0 {
-		switch {
-		case g >= len(base.Case.Gens):
-			cl.err = fmt.Errorf("scopf: outage generator %d outside %d generators", g, len(base.Case.Gens))
-			return cl
-		case !base.Case.Gens[g].Status:
-			cl.err = fmt.Errorf("scopf: outage generator %d already out of service", g)
-			return cl
-		}
+	if cl.err = key.check(base.Case); cl.err != nil {
+		return cl
 	}
 
 	// Islanding classification on the outage topology view: a scenario
@@ -322,30 +318,18 @@ func (e *Engine) buildClass(base *opf.OPF, modelLay *opf.Layout, key classKey) *
 	// Derivation chain: base → branch outages → generator drop. Outages
 	// of already-inactive branches leave the topology as-is (no step).
 	cur := base
-	var steps []func(*opf.Start) *opf.Start
+	var err error
 	for _, b := range skips {
-		src := cur
-		rl := src.RatedPos(b)
-		o, err := src.RebindOutage(b)
-		if err != nil {
+		if cur, err = cur.RebindOutage(b); err != nil {
 			cl.err = err
 			return cl
 		}
-		if rl >= 0 {
-			steps = append(steps, func(st *opf.Start) *opf.Start { return src.ProjectStart(st, rl) })
-		}
-		cur = o
 	}
 	if key.g >= 0 {
-		src := cur
-		gi := src.GenPos(key.g)
-		o, err := src.RebindGenOutage(key.g)
-		if err != nil {
+		if cur, err = cur.RebindGenOutage(key.g); err != nil {
 			cl.err = err
 			return cl
 		}
-		steps = append(steps, func(st *opf.Start) *opf.Start { return src.ProjectStartGen(st, gi) })
-		cur = o
 	}
 	cl.opf = cur
 	cl.droppedIq = base.Lay.NIq - cur.Lay.NIq
@@ -353,63 +337,21 @@ func (e *Engine) buildClass(base *opf.OPF, modelLay *opf.Layout, key classKey) *
 	if modelLay == nil {
 		return cl
 	}
-	baseMatches := base.Lay.NIq == modelLay.NIq && base.Lay.NEq == modelLay.NEq && base.Lay.NX == modelLay.NX
 	switch {
-	case cur.Lay.NIq == modelLay.NIq && cur.Lay.NEq == modelLay.NEq && cur.Lay.NX == modelLay.NX:
+	case cur.Lay.Fits(*modelLay):
 		cl.mode = warmExact
-	case !e.NoProjection && len(steps) > 0 && baseMatches:
+	case !e.NoProjection && base.Lay.Fits(*modelLay):
 		cl.mode = warmProjected
-		cl.project = func(st *opf.Start) *opf.Start {
-			for _, step := range steps {
-				st = step(st)
-			}
-			return st
-		}
+		cl.project = base.ProjectionTo(cur)
 	}
 	return cl
 }
-
-// replicaPool builds the warm-start replica pool handed out to workers:
-// the explicit preds, or min(workers, scenarios) clones of m. Replicas
-// share weights, so results do not depend on which replica serves a
-// scenario. Both the engine and the naive reference path size their
-// pools through here, keeping the two paths' replica policy identical.
-func replicaPool(m *mtl.Model, preds []Predictor, workers, scenarios int) chan Predictor {
-	if len(preds) == 0 {
-		if m == nil || scenarios == 0 {
-			return nil
-		}
-		n := batch.Workers(workers)
-		if n > scenarios {
-			n = scenarios
-		}
-		if n < 1 {
-			n = 1
-		}
-		preds = make([]Predictor, n)
-		preds[0] = m // the original counts as one replica
-		for i := 1; i < n; i++ {
-			preds[i] = m.Clone()
-		}
-	}
-	pool := make(chan Predictor, len(preds))
-	for _, p := range preds {
-		pool <- p
-	}
-	return pool
-}
-
-// bindingTol is the slack threshold below which an inequality row
-// counts as binding at the accepted solution. MIPS drives feasible
-// slacks to ~µ/z scale; 1e-6 separates active rows cleanly on every
-// embedded system.
-const bindingTol = 1e-6
 
 // bindingCount counts inequality rows whose slack is at its bound.
 func bindingCount(z la.Vector) int {
 	n := 0
 	for _, zi := range z {
-		if zi < bindingTol {
+		if zi < opf.BindingTol {
 			n++
 		}
 	}
@@ -417,7 +359,7 @@ func bindingCount(z la.Vector) int {
 }
 
 // screenClass solves one scenario on its class's prepared structure.
-func screenClass(base *opf.OPF, cl *class, pool chan Predictor, pol *Policy, sc Scenario) Outcome {
+func screenClass(base *opf.OPF, cl *class, pool *opf.Pool, pol *Policy, sc Scenario) Outcome {
 	if cl.err != nil {
 		return Outcome{Scenario: sc, Err: cl.err}
 	}
@@ -432,11 +374,9 @@ func screenClass(base *opf.OPF, cl *class, pool chan Predictor, pol *Policy, sc 
 		if pol != nil && !pol.UseWarm(featuresOf(base.Case, cl, sc)) {
 			coldByPolicy = true
 		} else {
-			p := <-pool
-			start = p.Predict(dataset.InputVector(inst.Case))
-			pool <- p
-			if cl.project != nil {
-				start = cl.project(start)
+			start = predict(pool, inst)
+			if cl.mode == warmProjected {
+				start = cl.project.Apply(start)
 			}
 		}
 	}
@@ -445,58 +385,33 @@ func screenClass(base *opf.OPF, cl *class, pool chan Predictor, pol *Policy, sc 
 	return out
 }
 
-// solveOutcome runs the warm→cold pipeline of one scenario: try the
-// predicted start when there is one, restart cold on non-convergence.
-// Both the engine and the naive reference path report through it, so
-// their accounting is identical by construction.
+// predict borrows a replica for one prediction on the instance's loads.
+func predict(pool *opf.Pool, inst *opf.OPF) *opf.Start {
+	p := pool.Get()
+	defer pool.Put(p)
+	return p.Predict(dataset.InputVector(inst.Case))
+}
+
+// solveOutcome runs one scenario through the warm→cold chain
+// (opf.SolveWarm) and reports it. Both the engine and the naive
+// reference path report through it, so their accounting is identical by
+// construction.
 func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool) Outcome {
 	res := Outcome{Scenario: sc}
-	if start != nil {
-		if r, err := inst.Solve(start, opf.Options{}); err == nil && r.Converged {
-			res.Feasible = true
-			res.Cost = r.Cost
-			res.Iterations = r.Iterations
-			res.WarmUsed = true
-			res.Projected = projected
-			res.Binding = bindingCount(r.Z)
-			return res
-		}
-	}
-	r, err := inst.Solve(nil, opf.Options{})
-	if err != nil {
-		res.Err = err
+	out := inst.SolveWarm(start, opf.Options{})
+	if out.Err != nil {
+		res.Err = out.Err
 		return res
 	}
-	if r.Converged {
+	if r := out.Result; r.Converged {
 		res.Feasible = true
 		res.Cost = r.Cost
 		res.Iterations = r.Iterations
+		res.WarmUsed = out.WarmAccepted
+		res.Projected = projected && out.WarmAccepted
 		res.Binding = bindingCount(r.Z)
 	}
 	return res
-}
-
-// Screener fans scenarios out across workers. It is the package's
-// stable entry point; Screen delegates to the topology-aware Engine
-// (or, with Naive set, to the per-scenario-Prepare reference path).
-type Screener struct {
-	Base    *grid.Case
-	Model   *mtl.Model // may be nil: cold-start screening
-	Workers int        // default via the batch pool (PGSIM_WORKERS, GOMAXPROCS)
-	// Naive selects the reference path that re-Prepares every scenario.
-	Naive bool
-	// NoProjection disables rated-outage warm-start projection.
-	NoProjection bool
-}
-
-// Screen solves every scenario, warm-starting from the model when one is
-// set, and returns outcomes in scenario order.
-func (s *Screener) Screen(scenarios []Scenario) []Outcome {
-	if s.Naive {
-		return ScreenNaive(s.Base, s.Model, scenarios, s.Workers)
-	}
-	e := &Engine{Base: s.Base, Model: s.Model, Workers: s.Workers, NoProjection: s.NoProjection}
-	return e.Run(scenarios).Outcomes
 }
 
 // ScreenNaive is the reference screening path: every scenario deep-clones
@@ -509,28 +424,15 @@ func (s *Screener) Screen(scenarios []Scenario) []Outcome {
 // baseline for the Engine, which must reproduce its outcomes bit for
 // bit when projection is disabled.
 func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers int) []Outcome {
-	pool := replicaPool(m, nil, workers, len(scenarios))
+	pool := mtl.PoolFor(m, nil, min(batch.Workers(workers), len(scenarios)))
 	out := make([]Outcome, len(scenarios))
 	_ = batch.Run(len(scenarios), batch.Options{Workers: workers}, func(t *batch.Task) error {
 		sc := scenarios[t.Index]
 		key := sc.key()
-		// Validation order matches Engine.buildClass: branch ranges,
-		// then generator range and service status, then islanding.
-		for _, b := range []int{key.b1, key.b2} {
-			if b >= len(base.Branches) {
-				out[t.Index] = Outcome{Scenario: sc, Err: fmt.Errorf("scopf: outage branch %d outside %d branches", b, len(base.Branches))}
-				return nil
-			}
-		}
-		if g := key.g; g >= 0 {
-			switch {
-			case g >= len(base.Gens):
-				out[t.Index] = Outcome{Scenario: sc, Err: fmt.Errorf("scopf: outage generator %d outside %d generators", g, len(base.Gens))}
-				return nil
-			case !base.Gens[g].Status:
-				out[t.Index] = Outcome{Scenario: sc, Err: fmt.Errorf("scopf: outage generator %d already out of service", g)}
-				return nil
-			}
+		// Same order as Engine.buildClass: validation, then islanding.
+		if err := key.check(base); err != nil {
+			out[t.Index] = Outcome{Scenario: sc, Err: err}
+			return nil
 		}
 		c := base.Clone()
 		c.ScaleLoads(sc.Factors)
@@ -554,10 +456,8 @@ func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers in
 		}
 		o := opf.Prepare(c)
 		var start *opf.Start
-		if m != nil && o.Lay.NIq == m.Lay.NIq && o.Lay.NEq == m.Lay.NEq && o.Lay.NX == m.Lay.NX {
-			p := <-pool
-			start = p.Predict(dataset.InputVector(c))
-			pool <- p
+		if m != nil && o.Lay.Fits(m.Lay) {
+			start = predict(pool, o)
 		}
 		out[t.Index] = solveOutcome(o, sc, start, false)
 		return nil
@@ -575,18 +475,11 @@ func Contingencies(c *grid.Case) []int {
 		if !br.Status {
 			continue
 		}
-		if connectedWithout(c, l) {
+		if grid.ConnectedWithout(c, []int{l}) {
 			out = append(out, l)
 		}
 	}
 	return out
-}
-
-// connectedWithout reports single-outage connectivity through the
-// shared grid primitive (kept as the package-local shim the N-1
-// enumeration has always used).
-func connectedWithout(c *grid.Case, skip int) bool {
-	return grid.ConnectedWithout(c, []int{skip})
 }
 
 // GenContingencies enumerates the single-generator outages that leave

@@ -64,9 +64,9 @@ func TestBuildScenarios(t *testing.T) {
 
 func TestScreenColdStart(t *testing.T) {
 	c := grid.Case9()
-	s := &Screener{Base: c, Workers: 4}
+	s := &Engine{Base: c, Workers: 4}
 	draws := loadDraws(c.NB(), 2, 2)
-	outs := s.Screen(BuildScenarios(draws, Contingencies(c)[:3]))
+	outs := s.Run(BuildScenarios(draws, Contingencies(c)[:3])).Outcomes
 	sum := Summarize(outs)
 	if sum.Total != 8 {
 		t.Fatalf("total %d", sum.Total)
@@ -96,10 +96,10 @@ func TestScreenWarmStart(t *testing.T) {
 	cons := Contingencies(c)[:4]
 	scenarios := BuildScenarios(draws, cons)
 
-	warm := &Screener{Base: c, Model: m, Workers: 4}
-	cold := &Screener{Base: c, Workers: 4}
-	wOut := Summarize(warm.Screen(scenarios))
-	cOut := Summarize(cold.Screen(scenarios))
+	warm := &Engine{Base: c, Model: m, Workers: 4}
+	cold := &Engine{Base: c, Workers: 4}
+	wOut := Summarize(warm.Run(scenarios).Outcomes)
+	cOut := Summarize(cold.Run(scenarios).Outcomes)
 
 	if wOut.Feasible != cOut.Feasible {
 		t.Fatalf("warm screening changed feasibility: %d vs %d", wOut.Feasible, cOut.Feasible)
@@ -281,11 +281,11 @@ func ones(n int) la.Vector {
 
 func TestScreenDeterministicOrder(t *testing.T) {
 	c := grid.Case9()
-	s := &Screener{Base: c, Workers: 3}
+	s := &Engine{Base: c, Workers: 3}
 	draws := loadDraws(c.NB(), 2, 7)
 	scenarios := BuildScenarios(draws, nil)
-	a := s.Screen(scenarios)
-	b := s.Screen(scenarios)
+	a := s.Run(scenarios).Outcomes
+	b := s.Run(scenarios).Outcomes
 	for i := range a {
 		if a[i].Feasible != b[i].Feasible || a[i].Cost != b[i].Cost {
 			t.Fatal("screening not deterministic in scenario order")

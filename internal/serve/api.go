@@ -209,12 +209,9 @@ const (
 // (draw-major, intact topology first unless skipped) and the draw index
 // of each scenario. Error text is safe for the client.
 func (s *Server) validateScreen(req *ScreenRequest) (*systemState, []scopf.Scenario, []int, error) {
-	if req.System == "" {
-		return nil, nil, nil, fmt.Errorf("missing required field %q", "system")
-	}
-	st, ok := s.systems[req.System]
-	if !ok {
-		return nil, nil, nil, errUnknownSystem
+	st, err := s.system(req.System)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	nb := st.sys.Case.NB()
 
@@ -342,12 +339,9 @@ func (s *Server) validateScreen(req *ScreenRequest) (*systemState, []scopf.Scena
 // resolves the per-bus factor vector. The returned error text is safe
 // to return to the client.
 func (s *Server) validate(req *SolveRequest) (*systemState, []float64, error) {
-	if req.System == "" {
-		return nil, nil, fmt.Errorf("missing required field %q", "system")
-	}
-	st, ok := s.systems[req.System]
-	if !ok {
-		return nil, nil, errUnknownSystem
+	st, err := s.system(req.System)
+	if err != nil {
+		return nil, nil, err
 	}
 	if req.Scale != nil && req.Factors != nil {
 		return nil, nil, fmt.Errorf("fields %q and %q are mutually exclusive", "scale", "factors")

@@ -93,17 +93,21 @@ func (s *Server) runBatch(jobs []*job) {
 }
 
 // execute runs one request through the exact offline code path:
-// core.System.SolveWarm for the warm pipeline (predict → warm solve →
-// cold-restart fallback) or a plain cold (*opf.OPF).Solve. Solutions
-// are therefore bit-identical to cmd/pgsim / cmd/smartpgsim for the
-// same system, factors and model.
+// core.System.SolveWarmInstance for the warm pipeline (predict → warm
+// solve → cold-restart fallback) or the same (*opf.OPF).SolveWarm chain
+// without a start for the cold one. Solutions are therefore
+// bit-identical to cmd/pgsim / cmd/smartpgsim for the same system,
+// factors and model.
 func (s *Server) execute(j *job) *SolveResponse {
 	t0 := time.Now()
-	resp := &SolveResponse{System: j.st.sys.Name}
-	var state solveState
+	resp := &SolveResponse{System: j.st.sys.Name, Path: "cold"}
+	// One derivation serves both the model input and the solver: the
+	// Perturb'd instance's case is the scaled clone InstanceInput would
+	// otherwise rebuild.
+	inst := j.st.sys.OPF.Perturb(j.factors)
 	var input []float64
-	rs := j.st.replicas()
-	if rs != nil && !j.cold {
+	var r *opf.Result
+	if rs := j.st.replicas(); rs != nil && !j.cold {
 		// The replica set is loaded once per request: the request borrows
 		// a replica from that set and returns it to the same set, so a
 		// concurrent hot swap can neither drop this request nor mix model
@@ -115,27 +119,18 @@ func (s *Server) execute(j *job) *SolveResponse {
 			set = cr.set
 			resp.Canary = true
 		}
-		p := <-set.pool
-		// One derivation serves both the model input and the solver: the
-		// Perturb'd instance's case is the scaled clone InstanceInput
-		// would otherwise rebuild.
-		inst := j.st.sys.OPF.Perturb(j.factors)
 		input = dataset.InputVector(inst.Case)
+		p := set.pool.Get()
 		w := j.st.sys.SolveWarmInstance(p, inst, input)
-		set.pool <- p
-		r := w.Result
+		set.pool.Put(p)
+		r = w.Result
 		resp.Path = "warm"
 		resp.WarmConverged = w.Converged
 		if !w.Converged {
 			resp.Path = "warm_restart"
 			resp.ColdRestarted = true
 		}
-		resp.Converged = r.Converged
-		resp.Iterations = w.Iterations
-		resp.Cost = w.Cost
-		resp.Va, resp.Vm, resp.Pg, resp.Qg = r.Va, r.Vm, r.Pg, r.Qg
 		resp.ModelVersion = set.version
-		state = solveState{x: r.X, lam: r.Lam, mu: r.Mu, z: r.Z}
 		resp.Timing = Timing{
 			PrepUS:    usec(w.PrepTime),
 			InferUS:   usec(w.InferTime),
@@ -144,24 +139,26 @@ func (s *Server) execute(j *job) *SolveResponse {
 		}
 		if cr != nil {
 			cr.ctl.Observe(resp.Canary, w.Converged, w.Iterations)
-			s.met.recordCanarySolve(j.st.sys.Name, resp.Canary)
+			arm := "incumbent"
+			if resp.Canary {
+				arm = "candidate"
+			}
+			s.met.inc(s.met.lcCanarySolves, 1, j.st.sys.Name, arm)
 			s.maybeFinishCanary(j.st, cr)
 		}
 	} else {
-		inst := j.st.sys.OPF.Perturb(j.factors)
 		if j.st.lc != nil {
 			input = dataset.InputVector(inst.Case)
 		}
-		r, _ := inst.Solve(nil, opf.Options{}) // a solver error reports as Converged=false
-		resp.Path = "cold"
-		resp.Converged = r.Converged
-		resp.Iterations = r.Iterations
-		resp.Cost = r.Cost
-		resp.Va, resp.Vm, resp.Pg, resp.Qg = r.Va, r.Vm, r.Pg, r.Qg
-		state = solveState{x: r.X, lam: r.Lam, mu: r.Mu, z: r.Z}
-		resp.Timing = Timing{PrepUS: usec(r.PrepTime), SolveUS: usec(r.SolveTime)}
+		out := inst.SolveWarm(nil, opf.Options{}) // a solver error reports as Converged=false
+		r = out.Result
+		resp.Timing = Timing{PrepUS: usec(r.PrepTime), SolveUS: usec(out.SolveTime)}
 	}
-	s.lifecycleObserve(j.st, j.factors, input, resp, state)
+	resp.Converged = r.Converged
+	resp.Iterations = r.Iterations
+	resp.Cost = r.Cost
+	resp.Va, resp.Vm, resp.Pg, resp.Qg = r.Va, r.Vm, r.Pg, r.Qg
+	s.lifecycleObserve(j.st, j.factors, input, resp, r)
 	total := time.Since(t0)
 	resp.Timing.TotalUS = usec(total)
 	s.met.recordSolve(resp, total)

@@ -3,9 +3,9 @@ package serve
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/lifecycle"
 	"repro/internal/mtl"
+	"repro/internal/opf"
 )
 
 // canaryRun is an open canary window on a system: the candidate's
@@ -73,29 +73,30 @@ func (s *Server) SwapModel(name string, m *mtl.Model, version string) error {
 	if !ok {
 		return fmt.Errorf("serve: swap on unknown system %q", name)
 	}
-	if version == "" {
-		version = "m-" + m.Fingerprint()[:12]
-	}
-	st.active.Store(s.newModelSet(m, version))
+	rs := s.newModelSet(m, version)
+	s.swap(st, rs, rs.version)
+	return nil
+}
+
+// swap installs rs as a system's active replica set in one atomic store,
+// tells the attached lifecycle manager (if any) the new incumbent
+// version and counts the swap.
+func (s *Server) swap(st *systemState, rs *replicaSet, version string) {
+	st.active.Store(rs)
 	if st.lc != nil {
 		st.lc.SetIncumbent(version)
 	}
-	s.met.recordSwap(name)
-	return nil
+	s.met.inc(s.met.lcSwaps, 1, st.sys.Name)
 }
 
 // SwapPredictors is SwapModel with an explicit replica set — the test
 // seam for forcing warm-start outcomes across a hot swap.
-func (s *Server) SwapPredictors(name string, replicas []core.Predictor, version string) error {
+func (s *Server) SwapPredictors(name string, replicas []opf.Predictor, version string) error {
 	st, ok := s.systems[name]
 	if !ok {
 		return fmt.Errorf("serve: swap on unknown system %q", name)
 	}
-	st.active.Store(newPredictorSet(replicas, version))
-	if st.lc != nil {
-		st.lc.SetIncumbent(version)
-	}
-	s.met.recordSwap(name)
+	s.swap(st, newPredictorSet(replicas, version), version)
 	return nil
 }
 
@@ -130,7 +131,7 @@ func (s *Server) StartCanary(name string) error {
 // need an attached lifecycle manager; without one, promotion swaps the
 // active set and rollback discards the candidate, with no registry
 // bookkeeping.
-func (s *Server) StartCanaryPredictors(name string, replicas []core.Predictor, version string, ctl *lifecycle.Canary) error {
+func (s *Server) StartCanaryPredictors(name string, replicas []opf.Predictor, version string, ctl *lifecycle.Canary) error {
 	st, ok := s.systems[name]
 	if !ok {
 		return fmt.Errorf("serve: canary on unknown system %q", name)
@@ -185,23 +186,21 @@ func (s *Server) completeCanary(st *systemState, cr *canaryRun, d lifecycle.Deci
 		return false
 	}
 	if d == lifecycle.Promote {
-		st.active.Store(cr.set)
-		s.met.recordSwap(st.sys.Name)
+		s.swap(st, cr.set, cr.set.version)
 		if st.lc != nil {
-			st.lc.SetIncumbent(cr.set.version)
 			_ = st.lc.CompletePromotion()
 		}
 	} else if st.lc != nil {
 		_ = st.lc.CompleteRollback()
 	}
-	s.met.recordCanaryDecision(st.sys.Name, d.String())
+	s.met.inc(s.met.lcDecisions, 1, st.sys.Name, d.String())
 	return true
 }
 
 // lifecycleObserve is the per-solve capture tap: it folds the completed
 // request into the attached manager (capture buffer + drift detector)
 // and, in auto mode, launches the background retrain when drift fires.
-func (s *Server) lifecycleObserve(st *systemState, factors, input []float64, resp *SolveResponse, res solveState) {
+func (s *Server) lifecycleObserve(st *systemState, factors, input []float64, resp *SolveResponse, res *opf.Result) {
 	if st.lc == nil {
 		return
 	}
@@ -215,20 +214,14 @@ func (s *Server) lifecycleObserve(st *systemState, factors, input []float64, res
 		ModelVersion:  resp.ModelVersion,
 	}
 	if resp.Converged {
-		rec.X, rec.Lam, rec.Mu, rec.Z = res.x, res.lam, res.mu, res.z
+		rec.X, rec.Lam, rec.Mu, rec.Z = res.X, res.Lam, res.Mu, res.Z
 	}
 	if st.lc.Observe(rec) == lifecycle.ActionRetrain {
-		s.met.recordDrift(st.sys.Name)
+		s.met.inc(s.met.lcDrift, 1, st.sys.Name)
 		if st.lcAuto {
 			s.startAutoRetrain(st)
 		}
 	}
-}
-
-// solveState carries the accepted solve's raw solver vectors from
-// execute to the capture tap without widening SolveResponse.
-type solveState struct {
-	x, lam, mu, z []float64
 }
 
 // startAutoRetrain launches the drift-triggered retrain + canary open

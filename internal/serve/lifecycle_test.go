@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/la"
 	"repro/internal/lifecycle"
@@ -25,7 +24,7 @@ import (
 // tests drive it sequentially for exact drift timing.
 type degradingPredictor struct {
 	mu      sync.Mutex
-	good    core.Predictor
+	good    opf.Predictor
 	bad     *opf.Start
 	goodFor int
 	served  int
@@ -80,8 +79,8 @@ func TestLifecycleClosedLoopServed(t *testing.T) {
 	s := New(Config{MaxBatch: 1})
 	t.Cleanup(s.Close)
 	deg := &degradingPredictor{good: m, bad: badStart(sys.OPF.Lay), goodFor: 16}
-	s.AddSystemPredictors(sys, []core.Predictor{deg})
-	if err := s.SwapPredictors(sys.Name, []core.Predictor{deg}, inc.ID); err != nil {
+	s.AddSystemPredictors(sys, []opf.Predictor{deg})
+	if err := s.SwapPredictors(sys.Name, []opf.Predictor{deg}, inc.ID); err != nil {
 		t.Fatal(err)
 	}
 	mgr, err := lifecycle.NewManager(lifecycle.Config{
@@ -483,8 +482,8 @@ func TestWarmLoopAllocsZeroAfterSwap(t *testing.T) {
 	}
 
 	rs := s.systems[sys.Name].replicas()
-	p := <-rs.pool
-	defer func() { rs.pool <- p }()
+	p := rs.pool.Get()
+	defer rs.pool.Put(p)
 	inst := sys.OPF.Perturb(uniform(sys.Case.NB(), 1.02))
 	start := p.Predict(dataset.InputVector(inst.Case))
 	// Unreachable tolerances keep Step executing the full per-iteration

@@ -3,11 +3,13 @@ package serve
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/lifecycle"
 	"repro/internal/scopf"
 	"repro/internal/sparse"
 )
@@ -64,7 +66,7 @@ func (h *histogram) render(w io.Writer, name, labels string) {
 	cum += h.counts[len(h.bounds)]
 	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, cum)
 	suffix := ""
-	if l := trimComma(labels); l != "" {
+	if l := strings.TrimSuffix(labels, ","); l != "" {
 		suffix = "{" + l + "}"
 	}
 	fmt.Fprintf(w, "%s_sum%s %g\n", name, suffix, h.sum)
@@ -73,12 +75,49 @@ func (h *histogram) render(w io.Writer, name, labels string) {
 
 func formatBound(b float64) string { return strconv.FormatFloat(b, 'g', -1, 64) }
 
-// trimComma drops the trailing label separator for sum/count lines.
-func trimComma(labels string) string {
-	if n := len(labels); n > 0 && labels[n-1] == ',' {
-		return labels[:n-1]
+// counter is one labelled Prometheus counter family: samples keyed by
+// their label values, rendered in sorted order so /metrics is
+// deterministic. A family without label names is a single sample that
+// renders even at zero. Callers hold the metrics mutex.
+type counter struct {
+	name, help string
+	labels     []string            // at most two
+	vals       map[[2]string]int64 // keyed by label values: counting on the request path allocates nothing
+}
+
+func newCounter(name, help string, labels ...string) *counter {
+	return &counter{name: name, help: help, labels: labels, vals: make(map[[2]string]int64)}
+}
+
+// add bumps the sample with the given label values (one per label name)
+// by n; adding 0 still creates the sample, so it renders.
+func (c *counter) add(n int64, values ...string) {
+	var k [2]string
+	copy(k[:], values)
+	c.vals[k] += n
+}
+
+func (c *counter) render(w io.Writer) {
+	header(w, c.name, "counter", c.help)
+	if len(c.labels) == 0 {
+		fmt.Fprintf(w, "%s %d\n", c.name, c.vals[[2]string{}])
+		return
 	}
-	return labels
+	// Sorted by the joined label values ("case9|warm"), the order the
+	// page has always had.
+	keys := make([][2]string, 0, len(c.vals))
+	for k := range c.vals {
+		keys = append(keys, k)
+	}
+	joined := func(k [2]string) string { return strings.Join(k[:len(c.labels)], "|") }
+	sort.Slice(keys, func(i, j int) bool { return joined(keys[i]) < joined(keys[j]) })
+	for _, k := range keys {
+		pairs := make([]string, len(c.labels))
+		for i, name := range c.labels {
+			pairs[i] = fmt.Sprintf("%s=%q", name, k[i])
+		}
+		fmt.Fprintf(w, "%s{%s} %d\n", c.name, strings.Join(pairs, ","), c.vals[k])
+	}
 }
 
 // metrics aggregates the serving counters exposed at /metrics: request
@@ -88,47 +127,30 @@ func trimComma(labels string) string {
 type metrics struct {
 	mu sync.Mutex
 
-	requests   map[string]int64 // "endpoint|code"
-	solves     map[string]int64 // "system|path"
-	iterations map[string]int64 // "system|path"
-
-	warmAttempts  int64
-	warmConverged int64
-	coldRestarts  int64
+	requests, solves, iterations              *counter
+	warmAttempts, warmConverged, coldRestarts *counter
 
 	// Screening counters, per system: sweeps completed, scenarios
 	// screened, feasible/warm/projected/error outcomes, and topology
 	// classes prepared (scenarios/classes is the prepare-reuse factor;
 	// warm/scenarios the screening warm-hit rate).
-	screens          map[string]int64
-	screenScenarios  map[string]int64
-	screenFeasible   map[string]int64
-	screenWarm       map[string]int64
-	screenProjected  map[string]int64
-	screenIslanded   map[string]int64
-	screenPolicyCold map[string]int64
-	screenErrors     map[string]int64
-	screenClasses    map[string]int64
-	screenLatency    *histogram
+	screens, screenScenarios, screenFeasible, screenWarm, screenProjected *counter
+	screenIslanded, screenPolicyCold, screenErrors, screenClasses         *counter
+	screenLatency                                                         *histogram
 
-	// Trajectory counters: streams completed per system|mode, steps and
-	// warm-accepted steps per system|mode, mid-stream client disconnects
-	// per system, and the per-step latency histogram.
-	trajectories          map[string]int64 // "system|mode"
-	trajectorySteps       map[string]int64 // "system|mode"
-	trajectoryWarm        map[string]int64 // "system|mode"
-	trajectoryDisconnects map[string]int64 // system
-	trajectoryStepLatency *histogram
+	// Trajectory counters: streams completed, steps and warm-accepted
+	// steps per system and mode, mid-stream client disconnects per
+	// system, and the per-step latency histogram.
+	trajectories, trajectorySteps, trajectoryWarm, trajectoryDisconnects *counter
+	trajectoryStepLatency                                                *histogram
 
 	// Lifecycle event counters, per system: hot swaps applied to the
-	// serving replica set, drift events observed, canary-scored solves
-	// per arm and canary window outcomes. Gauge-like lifecycle state
-	// (captured records, retrains, …) is snapshotted from the attached
-	// managers at render time instead.
-	lcSwaps        map[string]int64 // system
-	lcDrift        map[string]int64 // system
-	lcCanarySolves map[string]int64 // "system|arm"
-	lcDecisions    map[string]int64 // "system|decision"
+	// serving replica set (SwapModel, SwapPredictors or a canary
+	// promotion), drift-detector firings, canary-scored solves per arm
+	// and canary window outcomes. Gauge-like lifecycle state (captured
+	// records, retrains, …) is snapshotted from the attached managers at
+	// render time instead.
+	lcSwaps, lcDrift, lcCanarySolves, lcDecisions *counter
 
 	latency map[string]*histogram // per path
 	batches *histogram
@@ -137,30 +159,34 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	return &metrics{
-		requests:         make(map[string]int64),
-		solves:           make(map[string]int64),
-		iterations:       make(map[string]int64),
-		screens:          make(map[string]int64),
-		screenScenarios:  make(map[string]int64),
-		screenFeasible:   make(map[string]int64),
-		screenWarm:       make(map[string]int64),
-		screenProjected:  make(map[string]int64),
-		screenIslanded:   make(map[string]int64),
-		screenPolicyCold: make(map[string]int64),
-		screenErrors:     make(map[string]int64),
-		screenClasses:    make(map[string]int64),
+		requests:      newCounter("pgsimd_http_requests_total", "API responses by endpoint and status code.", "endpoint", "code"),
+		solves:        newCounter("pgsimd_solves_total", "Completed solves by system and pipeline path.", "system", "path"),
+		iterations:    newCounter("pgsimd_solve_iterations_total", "Interior-point iterations of accepted solves.", "system", "path"),
+		warmAttempts:  newCounter("pgsimd_warm_attempts_total", "Warm-start attempts (requests served with a model)."),
+		warmConverged: newCounter("pgsimd_warm_converged_total", "Warm starts that converged without restart (hit rate numerator)."),
+		coldRestarts:  newCounter("pgsimd_cold_restarts_total", "Cold fallbacks after a non-convergent warm start."),
+
+		screens:          newCounter("pgsimd_screen_sweeps_total", "Completed /v1/screen contingency sweeps per system.", "system"),
+		screenScenarios:  newCounter("pgsimd_screen_scenarios_total", "Scenarios screened per system.", "system"),
+		screenFeasible:   newCounter("pgsimd_screen_feasible_total", "Scenarios that admitted a secure dispatch.", "system"),
+		screenWarm:       newCounter("pgsimd_screen_warm_total", "Scenarios accepted on a model warm start (hit rate = warm/scenarios).", "system"),
+		screenProjected:  newCounter("pgsimd_screen_projected_total", "Warm starts accepted after projection onto an outage layout.", "system"),
+		screenIslanded:   newCounter("pgsimd_screen_islanded_total", "Scenarios classified as islanding outages (no solver invoked).", "system"),
+		screenPolicyCold: newCounter("pgsimd_screen_policy_cold_total", "Warm starts skipped by the dispatch policy.", "system"),
+		screenErrors:     newCounter("pgsimd_screen_errors_total", "Scenarios whose solve or derivation errored.", "system"),
+		screenClasses:    newCounter("pgsimd_screen_classes_total", "Topology classes prepared (prepare reuse = scenarios/classes).", "system"),
 		screenLatency:    newHistogram(screenLatencyBuckets),
 
-		trajectories:          make(map[string]int64),
-		trajectorySteps:       make(map[string]int64),
-		trajectoryWarm:        make(map[string]int64),
-		trajectoryDisconnects: make(map[string]int64),
+		trajectories:          newCounter("pgsimd_trajectory_streams_total", "Completed /v1/trajectory streams by system and warm-start mode.", "system", "mode"),
+		trajectorySteps:       newCounter("pgsimd_trajectory_steps_total", "Trajectory steps streamed by system and warm-start mode.", "system", "mode"),
+		trajectoryWarm:        newCounter("pgsimd_trajectory_warm_steps_total", "Trajectory steps accepted on their chained or predicted start.", "system", "mode"),
+		trajectoryDisconnects: newCounter("pgsimd_trajectory_disconnects_total", "Streams aborted mid-trajectory by the client (pinned replica released).", "system"),
 		trajectoryStepLatency: newHistogram(latencyBuckets),
 
-		lcSwaps:        make(map[string]int64),
-		lcDrift:        make(map[string]int64),
-		lcCanarySolves: make(map[string]int64),
-		lcDecisions:    make(map[string]int64),
+		lcSwaps:        newCounter("pgsimd_lifecycle_swaps_total", "Hot swaps of a system's serving replica set (direct swaps and canary promotions).", "system"),
+		lcDrift:        newCounter("pgsimd_lifecycle_drift_events_total", "Drift-detector firings on live warm-start telemetry.", "system"),
+		lcCanarySolves: newCounter("pgsimd_lifecycle_canary_solves_total", "Canary-scored warm solves by arm.", "system", "arm"),
+		lcDecisions:    newCounter("pgsimd_lifecycle_canary_decisions_total", "Completed canary windows by outcome.", "system", "decision"),
 
 		latency: make(map[string]*histogram),
 		batches: newHistogram(batchBuckets),
@@ -168,19 +194,26 @@ func newMetrics() *metrics {
 	}
 }
 
+// inc bumps one counter sample by n.
+func (m *metrics) inc(c *counter, n int64, values ...string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c.add(n, values...)
+}
+
 // recordScreen folds one completed screening sweep into the counters.
 func (m *metrics) recordScreen(system string, sum scopf.Summary, classes int, latency time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.screens[system]++
-	m.screenScenarios[system] += int64(sum.Total)
-	m.screenFeasible[system] += int64(sum.Feasible)
-	m.screenWarm[system] += int64(sum.WarmConverged)
-	m.screenProjected[system] += int64(sum.Projected)
-	m.screenIslanded[system] += int64(sum.Islanded)
-	m.screenPolicyCold[system] += int64(sum.PolicyCold)
-	m.screenErrors[system] += int64(sum.Errors)
-	m.screenClasses[system] += int64(classes)
+	m.screens.add(1, system)
+	m.screenScenarios.add(int64(sum.Total), system)
+	m.screenFeasible.add(int64(sum.Feasible), system)
+	m.screenWarm.add(int64(sum.WarmConverged), system)
+	m.screenProjected.add(int64(sum.Projected), system)
+	m.screenIslanded.add(int64(sum.Islanded), system)
+	m.screenPolicyCold.add(int64(sum.PolicyCold), system)
+	m.screenErrors.add(int64(sum.Errors), system)
+	m.screenClasses.add(int64(classes), system)
 	m.screenLatency.observe(latency.Seconds())
 }
 
@@ -189,81 +222,25 @@ func (m *metrics) recordScreen(system string, sum scopf.Summary, classes int, la
 func (m *metrics) recordTrajectoryStep(system, mode string, warm bool, latency time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := system + "|" + mode
-	m.trajectorySteps[key]++
+	m.trajectorySteps.add(1, system, mode)
 	if warm {
-		m.trajectoryWarm[key]++
+		m.trajectoryWarm.add(1, system, mode)
 	}
 	m.trajectoryStepLatency.observe(latency.Seconds())
-}
-
-// recordTrajectoryDone marks one stream completed through its summary.
-func (m *metrics) recordTrajectoryDone(system, mode string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.trajectories[system+"|"+mode]++
-}
-
-// recordTrajectoryDisconnect counts a stream aborted by the client
-// before the summary line (the pinned replica was released).
-func (m *metrics) recordTrajectoryDisconnect(system string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.trajectoryDisconnects[system]++
-}
-
-// recordSwap counts one hot swap of a system's serving replica set
-// (SwapModel, SwapPredictors or a canary promotion).
-func (m *metrics) recordSwap(system string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lcSwaps[system]++
-}
-
-// recordDrift counts one drift-detector firing.
-func (m *metrics) recordDrift(system string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lcDrift[system]++
-}
-
-// recordCanarySolve counts one canary-scored warm solve on its arm.
-func (m *metrics) recordCanarySolve(system string, candidate bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	arm := "incumbent"
-	if candidate {
-		arm = "candidate"
-	}
-	m.lcCanarySolves[system+"|"+arm]++
-}
-
-// recordCanaryDecision counts one completed canary window by outcome.
-func (m *metrics) recordCanaryDecision(system, decision string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lcDecisions[system+"|"+decision]++
-}
-
-func (m *metrics) recordRequest(endpoint string, code int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[endpoint+"|"+strconv.Itoa(code)]++
 }
 
 func (m *metrics) recordSolve(resp *SolveResponse, latency time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := resp.System + "|" + resp.Path
-	m.solves[key]++
-	m.iterations[key] += int64(resp.Iterations)
+	m.solves.add(1, resp.System, resp.Path)
+	m.iterations.add(int64(resp.Iterations), resp.System, resp.Path)
 	if resp.Path != "cold" {
-		m.warmAttempts++
+		m.warmAttempts.add(1)
 		if resp.WarmConverged {
-			m.warmConverged++
+			m.warmConverged.add(1)
 		}
 		if resp.ColdRestarted {
-			m.coldRestarts++
+			m.coldRestarts.add(1)
 		}
 	}
 	h := m.latency[resp.Path]
@@ -286,214 +263,102 @@ type kktStat struct {
 	stats  sparse.CacheStats
 }
 
+// header writes a metric family's HELP and TYPE lines.
+func header(w io.Writer, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
 // render writes every metric in Prometheus text exposition format, with
 // deterministic (sorted) label ordering.
 func (m *metrics) render(w io.Writer, queueDepth, solverThreads int, kkt []kktStat, lcs []lcStat) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	fmt.Fprintln(w, "# HELP pgsimd_http_requests_total API responses by endpoint and status code.")
-	fmt.Fprintln(w, "# TYPE pgsimd_http_requests_total counter")
-	for _, k := range sortedKeys(m.requests) {
-		ep, code, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "pgsimd_http_requests_total{endpoint=%q,code=%q} %d\n", ep, code, m.requests[k])
+	for _, c := range []*counter{m.requests, m.solves, m.iterations, m.warmAttempts, m.warmConverged, m.coldRestarts} {
+		c.render(w)
 	}
-
-	fmt.Fprintln(w, "# HELP pgsimd_solves_total Completed solves by system and pipeline path.")
-	fmt.Fprintln(w, "# TYPE pgsimd_solves_total counter")
-	for _, k := range sortedKeys(m.solves) {
-		sys, path, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "pgsimd_solves_total{system=%q,path=%q} %d\n", sys, path, m.solves[k])
+	header(w, "pgsimd_solve_latency_seconds", "histogram", "End-to-end solve latency by pipeline path.")
+	paths := make([]string, 0, len(m.latency))
+	for p := range m.latency {
+		paths = append(paths, p)
 	}
-
-	fmt.Fprintln(w, "# HELP pgsimd_solve_iterations_total Interior-point iterations of accepted solves.")
-	fmt.Fprintln(w, "# TYPE pgsimd_solve_iterations_total counter")
-	for _, k := range sortedKeys(m.iterations) {
-		sys, path, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "pgsimd_solve_iterations_total{system=%q,path=%q} %d\n", sys, path, m.iterations[k])
-	}
-
-	fmt.Fprintln(w, "# HELP pgsimd_warm_attempts_total Warm-start attempts (requests served with a model).")
-	fmt.Fprintln(w, "# TYPE pgsimd_warm_attempts_total counter")
-	fmt.Fprintf(w, "pgsimd_warm_attempts_total %d\n", m.warmAttempts)
-	fmt.Fprintln(w, "# HELP pgsimd_warm_converged_total Warm starts that converged without restart (hit rate numerator).")
-	fmt.Fprintln(w, "# TYPE pgsimd_warm_converged_total counter")
-	fmt.Fprintf(w, "pgsimd_warm_converged_total %d\n", m.warmConverged)
-	fmt.Fprintln(w, "# HELP pgsimd_cold_restarts_total Cold fallbacks after a non-convergent warm start.")
-	fmt.Fprintln(w, "# TYPE pgsimd_cold_restarts_total counter")
-	fmt.Fprintf(w, "pgsimd_cold_restarts_total %d\n", m.coldRestarts)
-
-	fmt.Fprintln(w, "# HELP pgsimd_solve_latency_seconds End-to-end solve latency by pipeline path.")
-	fmt.Fprintln(w, "# TYPE pgsimd_solve_latency_seconds histogram")
-	for _, path := range sortedKeys(m.latency) {
+	sort.Strings(paths)
+	for _, path := range paths {
 		m.latency[path].render(w, "pgsimd_solve_latency_seconds", fmt.Sprintf("path=%q,", path))
 	}
-
-	fmt.Fprintln(w, "# HELP pgsimd_batch_size Requests coalesced per micro-batch.")
-	fmt.Fprintln(w, "# TYPE pgsimd_batch_size histogram")
+	header(w, "pgsimd_batch_size", "histogram", "Requests coalesced per micro-batch.")
 	m.batches.render(w, "pgsimd_batch_size", "")
 
-	fmt.Fprintln(w, "# HELP pgsimd_screen_sweeps_total Completed /v1/screen contingency sweeps per system.")
-	fmt.Fprintln(w, "# TYPE pgsimd_screen_sweeps_total counter")
-	for _, k := range sortedKeys(m.screens) {
-		fmt.Fprintf(w, "pgsimd_screen_sweeps_total{system=%q} %d\n", k, m.screens[k])
+	for _, c := range []*counter{
+		m.screens, m.screenScenarios, m.screenFeasible, m.screenWarm, m.screenProjected,
+		m.screenIslanded, m.screenPolicyCold, m.screenErrors, m.screenClasses,
+	} {
+		c.render(w)
 	}
-	fmt.Fprintln(w, "# HELP pgsimd_screen_scenarios_total Scenarios screened per system.")
-	fmt.Fprintln(w, "# TYPE pgsimd_screen_scenarios_total counter")
-	for _, k := range sortedKeys(m.screenScenarios) {
-		fmt.Fprintf(w, "pgsimd_screen_scenarios_total{system=%q} %d\n", k, m.screenScenarios[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_screen_feasible_total Scenarios that admitted a secure dispatch.")
-	fmt.Fprintln(w, "# TYPE pgsimd_screen_feasible_total counter")
-	for _, k := range sortedKeys(m.screenFeasible) {
-		fmt.Fprintf(w, "pgsimd_screen_feasible_total{system=%q} %d\n", k, m.screenFeasible[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_screen_warm_total Scenarios accepted on a model warm start (hit rate = warm/scenarios).")
-	fmt.Fprintln(w, "# TYPE pgsimd_screen_warm_total counter")
-	for _, k := range sortedKeys(m.screenWarm) {
-		fmt.Fprintf(w, "pgsimd_screen_warm_total{system=%q} %d\n", k, m.screenWarm[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_screen_projected_total Warm starts accepted after projection onto an outage layout.")
-	fmt.Fprintln(w, "# TYPE pgsimd_screen_projected_total counter")
-	for _, k := range sortedKeys(m.screenProjected) {
-		fmt.Fprintf(w, "pgsimd_screen_projected_total{system=%q} %d\n", k, m.screenProjected[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_screen_islanded_total Scenarios classified as islanding outages (no solver invoked).")
-	fmt.Fprintln(w, "# TYPE pgsimd_screen_islanded_total counter")
-	for _, k := range sortedKeys(m.screenIslanded) {
-		fmt.Fprintf(w, "pgsimd_screen_islanded_total{system=%q} %d\n", k, m.screenIslanded[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_screen_policy_cold_total Warm starts skipped by the dispatch policy.")
-	fmt.Fprintln(w, "# TYPE pgsimd_screen_policy_cold_total counter")
-	for _, k := range sortedKeys(m.screenPolicyCold) {
-		fmt.Fprintf(w, "pgsimd_screen_policy_cold_total{system=%q} %d\n", k, m.screenPolicyCold[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_screen_errors_total Scenarios whose solve or derivation errored.")
-	fmt.Fprintln(w, "# TYPE pgsimd_screen_errors_total counter")
-	for _, k := range sortedKeys(m.screenErrors) {
-		fmt.Fprintf(w, "pgsimd_screen_errors_total{system=%q} %d\n", k, m.screenErrors[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_screen_classes_total Topology classes prepared (prepare reuse = scenarios/classes).")
-	fmt.Fprintln(w, "# TYPE pgsimd_screen_classes_total counter")
-	for _, k := range sortedKeys(m.screenClasses) {
-		fmt.Fprintf(w, "pgsimd_screen_classes_total{system=%q} %d\n", k, m.screenClasses[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_screen_latency_seconds End-to-end latency of screening sweeps.")
-	fmt.Fprintln(w, "# TYPE pgsimd_screen_latency_seconds histogram")
+	header(w, "pgsimd_screen_latency_seconds", "histogram", "End-to-end latency of screening sweeps.")
 	m.screenLatency.render(w, "pgsimd_screen_latency_seconds", "")
 
-	fmt.Fprintln(w, "# HELP pgsimd_trajectory_streams_total Completed /v1/trajectory streams by system and warm-start mode.")
-	fmt.Fprintln(w, "# TYPE pgsimd_trajectory_streams_total counter")
-	for _, k := range sortedKeys(m.trajectories) {
-		sys, mode, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "pgsimd_trajectory_streams_total{system=%q,mode=%q} %d\n", sys, mode, m.trajectories[k])
+	for _, c := range []*counter{m.trajectories, m.trajectorySteps, m.trajectoryWarm, m.trajectoryDisconnects} {
+		c.render(w)
 	}
-	fmt.Fprintln(w, "# HELP pgsimd_trajectory_steps_total Trajectory steps streamed by system and warm-start mode.")
-	fmt.Fprintln(w, "# TYPE pgsimd_trajectory_steps_total counter")
-	for _, k := range sortedKeys(m.trajectorySteps) {
-		sys, mode, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "pgsimd_trajectory_steps_total{system=%q,mode=%q} %d\n", sys, mode, m.trajectorySteps[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_trajectory_warm_steps_total Trajectory steps accepted on their chained or predicted start.")
-	fmt.Fprintln(w, "# TYPE pgsimd_trajectory_warm_steps_total counter")
-	for _, k := range sortedKeys(m.trajectoryWarm) {
-		sys, mode, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "pgsimd_trajectory_warm_steps_total{system=%q,mode=%q} %d\n", sys, mode, m.trajectoryWarm[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_trajectory_disconnects_total Streams aborted mid-trajectory by the client (pinned replica released).")
-	fmt.Fprintln(w, "# TYPE pgsimd_trajectory_disconnects_total counter")
-	for _, k := range sortedKeys(m.trajectoryDisconnects) {
-		fmt.Fprintf(w, "pgsimd_trajectory_disconnects_total{system=%q} %d\n", k, m.trajectoryDisconnects[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_trajectory_step_latency_seconds Per-step wall-clock latency of streamed trajectory steps.")
-	fmt.Fprintln(w, "# TYPE pgsimd_trajectory_step_latency_seconds histogram")
+	header(w, "pgsimd_trajectory_step_latency_seconds", "histogram", "Per-step wall-clock latency of streamed trajectory steps.")
 	m.trajectoryStepLatency.render(w, "pgsimd_trajectory_step_latency_seconds", "")
 
-	fmt.Fprintln(w, "# HELP pgsimd_kkt_symbolic_analyses_total Full KKT factorizations (ordering + pattern analysis + pivoting) per grid.")
-	fmt.Fprintln(w, "# TYPE pgsimd_kkt_symbolic_analyses_total counter")
-	for _, k := range kkt {
-		fmt.Fprintf(w, "pgsimd_kkt_symbolic_analyses_total{system=%q} %d\n", k.system, k.stats.Analyses)
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_kkt_numeric_refactors_total Numeric-only KKT refactorizations on the cached symbolic analysis per grid.")
-	fmt.Fprintln(w, "# TYPE pgsimd_kkt_numeric_refactors_total counter")
-	for _, k := range kkt {
-		fmt.Fprintf(w, "pgsimd_kkt_numeric_refactors_total{system=%q} %d\n", k.system, k.stats.Refactors)
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_kkt_refactor_fallbacks_total Refactorizations abandoned for stability and replaced by a fresh analysis per grid.")
-	fmt.Fprintln(w, "# TYPE pgsimd_kkt_refactor_fallbacks_total counter")
-	for _, k := range kkt {
-		fmt.Fprintf(w, "pgsimd_kkt_refactor_fallbacks_total{system=%q} %d\n", k.system, k.stats.Fallbacks)
-	}
-
-	fmt.Fprintln(w, "# HELP pgsimd_lifecycle_swaps_total Hot swaps of a system's serving replica set (direct swaps and canary promotions).")
-	fmt.Fprintln(w, "# TYPE pgsimd_lifecycle_swaps_total counter")
-	for _, k := range sortedKeys(m.lcSwaps) {
-		fmt.Fprintf(w, "pgsimd_lifecycle_swaps_total{system=%q} %d\n", k, m.lcSwaps[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_lifecycle_drift_events_total Drift-detector firings on live warm-start telemetry.")
-	fmt.Fprintln(w, "# TYPE pgsimd_lifecycle_drift_events_total counter")
-	for _, k := range sortedKeys(m.lcDrift) {
-		fmt.Fprintf(w, "pgsimd_lifecycle_drift_events_total{system=%q} %d\n", k, m.lcDrift[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_lifecycle_canary_solves_total Canary-scored warm solves by arm.")
-	fmt.Fprintln(w, "# TYPE pgsimd_lifecycle_canary_solves_total counter")
-	for _, k := range sortedKeys(m.lcCanarySolves) {
-		sys, arm, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "pgsimd_lifecycle_canary_solves_total{system=%q,arm=%q} %d\n", sys, arm, m.lcCanarySolves[k])
-	}
-	fmt.Fprintln(w, "# HELP pgsimd_lifecycle_canary_decisions_total Completed canary windows by outcome.")
-	fmt.Fprintln(w, "# TYPE pgsimd_lifecycle_canary_decisions_total counter")
-	for _, k := range sortedKeys(m.lcDecisions) {
-		sys, decision, _ := strings.Cut(k, "|")
-		fmt.Fprintf(w, "pgsimd_lifecycle_canary_decisions_total{system=%q,decision=%q} %d\n", sys, decision, m.lcDecisions[k])
-	}
-	if len(lcs) > 0 {
-		fmt.Fprintln(w, "# HELP pgsimd_lifecycle_state Lifecycle state per system (0=capturing, 1=retraining, 2=canary).")
-		fmt.Fprintln(w, "# TYPE pgsimd_lifecycle_state gauge")
-		for _, l := range lcs {
-			fmt.Fprintf(w, "pgsimd_lifecycle_state{system=%q} %d\n", l.system, int(l.stats.State))
-		}
-		fmt.Fprintln(w, "# HELP pgsimd_lifecycle_captured_total Served solves recorded into the capture buffer.")
-		fmt.Fprintln(w, "# TYPE pgsimd_lifecycle_captured_total counter")
-		for _, l := range lcs {
-			fmt.Fprintf(w, "pgsimd_lifecycle_captured_total{system=%q} %d\n", l.system, l.stats.Captured)
-		}
-		fmt.Fprintln(w, "# HELP pgsimd_lifecycle_capture_retained Records currently retained in the bounded capture buffer.")
-		fmt.Fprintln(w, "# TYPE pgsimd_lifecycle_capture_retained gauge")
-		for _, l := range lcs {
-			fmt.Fprintf(w, "pgsimd_lifecycle_capture_retained{system=%q} %d\n", l.system, l.stats.Retained)
-		}
-		fmt.Fprintln(w, "# HELP pgsimd_lifecycle_capture_flushes_total Completed fsync'd capture flushes to disk.")
-		fmt.Fprintln(w, "# TYPE pgsimd_lifecycle_capture_flushes_total counter")
-		for _, l := range lcs {
-			fmt.Fprintf(w, "pgsimd_lifecycle_capture_flushes_total{system=%q} %d\n", l.system, l.stats.Flushes)
-		}
-		fmt.Fprintln(w, "# HELP pgsimd_lifecycle_retrains_total Completed drift-triggered retrains.")
-		fmt.Fprintln(w, "# TYPE pgsimd_lifecycle_retrains_total counter")
-		for _, l := range lcs {
-			fmt.Fprintf(w, "pgsimd_lifecycle_retrains_total{system=%q} %d\n", l.system, l.stats.Retrains)
-		}
-		fmt.Fprintln(w, "# HELP pgsimd_lifecycle_promotions_total Canary candidates promoted to incumbent.")
-		fmt.Fprintln(w, "# TYPE pgsimd_lifecycle_promotions_total counter")
-		for _, l := range lcs {
-			fmt.Fprintf(w, "pgsimd_lifecycle_promotions_total{system=%q} %d\n", l.system, l.stats.Promotions)
-		}
-		fmt.Fprintln(w, "# HELP pgsimd_lifecycle_rollbacks_total Canary candidates rejected after a measured regression.")
-		fmt.Fprintln(w, "# TYPE pgsimd_lifecycle_rollbacks_total counter")
-		for _, l := range lcs {
-			fmt.Fprintf(w, "pgsimd_lifecycle_rollbacks_total{system=%q} %d\n", l.system, l.stats.Rollbacks)
+	// Snapshot families: one sample per system in registration order,
+	// read from the grids' caches and the lifecycle managers at render
+	// time rather than counted here.
+	for _, f := range []struct {
+		name, help string
+		pick       func(sparse.CacheStats) uint64
+	}{
+		{"pgsimd_kkt_symbolic_analyses_total", "Full KKT factorizations (ordering + pattern analysis + pivoting) per grid.",
+			func(s sparse.CacheStats) uint64 { return s.Analyses }},
+		{"pgsimd_kkt_numeric_refactors_total", "Numeric-only KKT refactorizations on the cached symbolic analysis per grid.",
+			func(s sparse.CacheStats) uint64 { return s.Refactors }},
+		{"pgsimd_kkt_refactor_fallbacks_total", "Refactorizations abandoned for stability and replaced by a fresh analysis per grid.",
+			func(s sparse.CacheStats) uint64 { return s.Fallbacks }},
+	} {
+		header(w, f.name, "counter", f.help)
+		for _, k := range kkt {
+			fmt.Fprintf(w, "%s{system=%q} %d\n", f.name, k.system, f.pick(k.stats))
 		}
 	}
 
-	fmt.Fprintln(w, "# HELP pgsimd_queue_depth Requests waiting for the dispatcher.")
-	fmt.Fprintln(w, "# TYPE pgsimd_queue_depth gauge")
+	for _, c := range []*counter{m.lcSwaps, m.lcDrift, m.lcCanarySolves, m.lcDecisions} {
+		c.render(w)
+	}
+	for _, f := range []struct {
+		name, typ, help string
+		pick            func(lifecycle.Stats) int64
+	}{
+		{"pgsimd_lifecycle_state", "gauge", "Lifecycle state per system (0=capturing, 1=retraining, 2=canary).",
+			func(s lifecycle.Stats) int64 { return int64(s.State) }},
+		{"pgsimd_lifecycle_captured_total", "counter", "Served solves recorded into the capture buffer.",
+			func(s lifecycle.Stats) int64 { return s.Captured }},
+		{"pgsimd_lifecycle_capture_retained", "gauge", "Records currently retained in the bounded capture buffer.",
+			func(s lifecycle.Stats) int64 { return int64(s.Retained) }},
+		{"pgsimd_lifecycle_capture_flushes_total", "counter", "Completed fsync'd capture flushes to disk.",
+			func(s lifecycle.Stats) int64 { return s.Flushes }},
+		{"pgsimd_lifecycle_retrains_total", "counter", "Completed drift-triggered retrains.",
+			func(s lifecycle.Stats) int64 { return s.Retrains }},
+		{"pgsimd_lifecycle_promotions_total", "counter", "Canary candidates promoted to incumbent.",
+			func(s lifecycle.Stats) int64 { return s.Promotions }},
+		{"pgsimd_lifecycle_rollbacks_total", "counter", "Canary candidates rejected after a measured regression.",
+			func(s lifecycle.Stats) int64 { return s.Rollbacks }},
+	} {
+		if len(lcs) == 0 {
+			break // no lifecycle attached anywhere: the families are absent
+		}
+		header(w, f.name, f.typ, f.help)
+		for _, l := range lcs {
+			fmt.Fprintf(w, "%s{system=%q} %d\n", f.name, l.system, f.pick(l.stats))
+		}
+	}
+
+	header(w, "pgsimd_queue_depth", "gauge", "Requests waiting for the dispatcher.")
 	fmt.Fprintf(w, "pgsimd_queue_depth %d\n", queueDepth)
-
-	fmt.Fprintln(w, "# HELP pgsimd_solver_threads Resolved intra-solve parallelism per KKT factorization (before the per-solve worker-budget cap).")
-	fmt.Fprintln(w, "# TYPE pgsimd_solver_threads gauge")
+	header(w, "pgsimd_solver_threads", "gauge", "Resolved intra-solve parallelism per KKT factorization (before the per-solve worker-budget cap).")
 	fmt.Fprintf(w, "pgsimd_solver_threads %d\n", solverThreads)
-
-	fmt.Fprintln(w, "# HELP pgsimd_uptime_seconds Seconds since the server started.")
-	fmt.Fprintln(w, "# TYPE pgsimd_uptime_seconds gauge")
+	header(w, "pgsimd_uptime_seconds", "gauge", "Seconds since the server started.")
 	fmt.Fprintf(w, "pgsimd_uptime_seconds %g\n", time.Since(m.started).Seconds())
 }

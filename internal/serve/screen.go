@@ -1,12 +1,11 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/opf"
 	"repro/internal/scopf"
 )
 
@@ -16,26 +15,20 @@ import (
 // screenSem; a second concurrent request sheds with 503 rather than
 // oversubscribing the solver pool.
 func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
+	const endpoint = "/v1/screen"
 	var req ScreenRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeErrorAt(w, "/v1/screen", http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !s.decode(w, r, endpoint, &req) {
 		return
 	}
 	st, scenarios, drawIdx, err := s.validateScreen(&req)
 	if err != nil {
-		code := http.StatusBadRequest
-		if err == errUnknownSystem {
-			code = http.StatusNotFound
-		}
-		s.writeErrorAt(w, "/v1/screen", code, err.Error())
+		s.reject(w, endpoint, err)
 		return
 	}
 	select {
 	case s.screenSem <- struct{}{}:
 	default:
-		s.writeErrorAt(w, "/v1/screen", http.StatusServiceUnavailable, "a screening sweep is already running, retry later")
+		s.writeError(w, endpoint, http.StatusServiceUnavailable, "a screening sweep is already running, retry later")
 		return
 	}
 	defer func() { <-s.screenSem }()
@@ -44,12 +37,12 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	// replicas go back to the same set even if the system's model is
 	// hot-swapped mid-sweep, so the sweep is served wholly by one
 	// version and the swap drops nothing.
-	var preds []scopf.Predictor
+	var preds []opf.Predictor
 	if rs := st.replicas(); rs != nil && !req.Cold {
-		preds = s.borrowPredictors(rs, len(scenarios))
+		preds = s.borrowPredictors(rs.pool, len(scenarios))
 		defer func() {
 			for _, p := range preds {
-				rs.pool <- p
+				rs.pool.Put(p)
 			}
 		}()
 	}
@@ -110,7 +103,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.met.recordScreen(st.sys.Name, sum, len(rep.Classes), elapsed)
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, endpoint, http.StatusOK, resp)
 }
 
 // borrowPredictors takes model replicas from a replica set for the
@@ -120,25 +113,24 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 // warm starts keep flowing instead of stalling the dispatcher for the
 // whole sweep. A single-replica pool is the unavoidable exception:
 // solves for that system then wait until the sweep returns it.
-func (s *Server) borrowPredictors(rs *replicaSet, scenarios int) []scopf.Predictor {
+func (s *Server) borrowPredictors(pool *opf.Pool, scenarios int) []opf.Predictor {
 	want := batch.Workers(s.cfg.Workers)
 	if want > scenarios {
 		want = scenarios
 	}
-	if max := cap(rs.pool) - 1; want > max {
+	if max := pool.Cap() - 1; want > max {
 		want = max
 	}
 	if want < 1 {
 		want = 1
 	}
-	preds := []scopf.Predictor{<-rs.pool}
+	preds := []opf.Predictor{pool.Get()}
 	for len(preds) < want {
-		select {
-		case p := <-rs.pool:
-			preds = append(preds, p)
-		default:
-			return preds
+		p, ok := pool.TryGet()
+		if !ok {
+			break
 		}
+		preds = append(preds, p)
 	}
 	return preds
 }

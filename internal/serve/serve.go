@@ -16,10 +16,15 @@
 // requests that arrive within Config.BatchWindow of each other (up to
 // Config.MaxBatch) and fans the batch out across the internal/batch
 // worker pool. Each request runs the exact offline code path
-// (core.System.SolveWarm, or a cold (*opf.OPF).Solve), so a served
-// solution is bit-identical to what cmd/pgsim or cmd/smartpgsim would
-// compute for the same system, factors and model — pinned by the
-// equivalence tests in this package.
+// (core.System.SolveWarm, or (*opf.OPF).SolveWarm without a start), so
+// a served solution is bit-identical to what cmd/pgsim or
+// cmd/smartpgsim would compute for the same system, factors and model —
+// pinned by the equivalence tests in this package.
+//
+// The three POST endpoints share one request front — decode (size cap,
+// unknown fields rejected), system lookup, validation, one error writer
+// — and one replica pool type (opf.Pool); what differs per endpoint is
+// only how it borrows from the pool.
 //
 // Endpoints:
 //
@@ -57,9 +62,10 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,6 +74,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lifecycle"
 	"repro/internal/mtl"
+	"repro/internal/opf"
 	"repro/internal/sparse"
 )
 
@@ -123,8 +130,7 @@ func (c Config) withDefaults() Config {
 // one version — a hot swap can never mix versions within a request.
 type replicaSet struct {
 	version string
-	model   *mtl.Model // nil for explicit-predictor sets (tests)
-	pool    chan core.Predictor
+	pool    *opf.Pool
 }
 
 // systemState is one registered base grid: the shared prepared problem
@@ -200,11 +206,7 @@ func New(cfg Config) *Server {
 // set sized to the in-flight solve limit. Not safe to call once the
 // handler is serving traffic.
 func (s *Server) AddSystem(sys *core.System, m *mtl.Model) {
-	if m == nil {
-		s.addSystem(sys, nil)
-		return
-	}
-	s.addSystem(sys, s.newModelSet(m, "m-"+m.Fingerprint()[:12]))
+	s.AddSystemVersion(sys, m, "")
 }
 
 // AddSystemVersion is AddSystem with an explicit version tag for the
@@ -217,7 +219,7 @@ func (s *Server) AddSystemVersion(sys *core.System, m *mtl.Model, version string
 // AddSystemPredictors registers a base grid with an explicit replica
 // set — one Predictor per concurrently served warm start. Tests use it
 // to force warm-start outcomes; AddSystem is the production path.
-func (s *Server) AddSystemPredictors(sys *core.System, replicas []core.Predictor) {
+func (s *Server) AddSystemPredictors(sys *core.System, replicas []opf.Predictor) {
 	s.addSystem(sys, newPredictorSet(replicas, "p-fixed"))
 }
 
@@ -233,31 +235,25 @@ func (s *Server) addSystem(sys *core.System, rs *replicaSet) {
 }
 
 // newModelSet clones a model into a version-tagged replica set sized to
-// the in-flight solve limit, with float32 serving caches prebuilt.
+// the in-flight solve limit, with float32 serving caches prebuilt at
+// registration, not in the first request. An empty version tags the set
+// with the model's content fingerprint; a nil model gives no set
+// (cold-only serving).
 func (s *Server) newModelSet(m *mtl.Model, version string) *replicaSet {
-	n := s.replicaCount()
-	reps := make([]core.Predictor, n)
-	m.Warmup()  // float32 serving caches built at registration, not in the first request
-	reps[0] = m // the original counts as one replica
-	for i := 1; i < n; i++ {
-		c := m.Clone()
-		c.Warmup()
-		reps[i] = c
+	if m == nil {
+		return nil
 	}
-	rs := newPredictorSet(reps, version)
-	rs.model = m
-	return rs
+	if version == "" {
+		version = "m-" + m.Fingerprint()[:12]
+	}
+	return &replicaSet{version: version, pool: m.Replicas(s.replicaCount())}
 }
 
-func newPredictorSet(replicas []core.Predictor, version string) *replicaSet {
+func newPredictorSet(replicas []opf.Predictor, version string) *replicaSet {
 	if len(replicas) == 0 {
 		return nil
 	}
-	rs := &replicaSet{version: version, pool: make(chan core.Predictor, len(replicas))}
-	for _, p := range replicas {
-		rs.pool <- p
-	}
-	return rs
+	return &replicaSet{version: version, pool: opf.NewPool(replicas)}
 }
 
 // replicaCount is the most warm starts that can be in flight at once:
@@ -296,33 +292,64 @@ func (s *Server) Close() {
 	})
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
+// decode is the request front shared by the POST endpoints: it reads one
+// JSON body under the size cap, rejecting unknown fields, and on failure
+// answers 400 itself and reports false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, endpoint string, req any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if err := dec.Decode(req); err != nil {
+		s.writeError(w, endpoint, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		return false
+	}
+	return true
+}
+
+// system resolves a request's system field: empty is a malformed
+// request, an unregistered name is errUnknownSystem.
+func (s *Server) system(name string) (*systemState, error) {
+	if name == "" {
+		return nil, fmt.Errorf("missing required field %q", "system")
+	}
+	st, ok := s.systems[name]
+	if !ok {
+		return nil, errUnknownSystem
+	}
+	return st, nil
+}
+
+// reject answers a request that failed validation: 404 for an unknown
+// system, 400 for everything else. Validation error text is written for
+// the client.
+func (s *Server) reject(w http.ResponseWriter, endpoint string, err error) {
+	code := http.StatusBadRequest
+	if errors.Is(err, errUnknownSystem) {
+		code = http.StatusNotFound
+	}
+	s.writeError(w, endpoint, code, err.Error())
+}
+
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	const endpoint = "/v1/solve"
+	var req SolveRequest
+	if !s.decode(w, r, endpoint, &req) {
 		return
 	}
 	st, factors, err := s.validate(&req)
 	if err != nil {
-		code := http.StatusBadRequest
-		if err == errUnknownSystem {
-			code = http.StatusNotFound
-		}
-		s.writeError(w, code, err.Error())
+		s.reject(w, endpoint, err)
 		return
 	}
 	j := &job{st: st, cold: req.Cold, factors: factors, resp: make(chan *SolveResponse, 1)}
 	select {
 	case s.queue <- j:
 	default:
-		s.writeError(w, http.StatusServiceUnavailable, "solve queue full, retry later")
+		s.writeError(w, endpoint, http.StatusServiceUnavailable, "solve queue full, retry later")
 		return
 	}
 	select {
 	case resp := <-j.resp:
-		s.writeJSON(w, http.StatusOK, resp)
+		s.writeJSON(w, endpoint, http.StatusOK, resp)
 	case <-r.Context().Done():
 		// Client gone; the solve still completes (resp is buffered) and
 		// its metrics are recorded, but there is nobody to answer.
@@ -339,11 +366,11 @@ func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
 			NLam: lay.NEq, NMu: lay.NIq, Model: st.replicas() != nil,
 		})
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, "/v1/systems", http.StatusOK, out)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, HealthResponse{
+	s.writeJSON(w, "/healthz", http.StatusOK, HealthResponse{
 		Status:  "ok",
 		Systems: len(s.systems),
 		UptimeS: time.Since(s.started).Seconds(),
@@ -353,7 +380,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.met.render(w, len(s.queue), sparse.SolverThreads(s.cfg.SolverThreads), s.kktStats(), s.lifecycleStats())
-	s.met.recordRequest("/metrics", http.StatusOK)
+	s.met.inc(s.met.requests, 1, "/metrics", "200")
 }
 
 // kktStats snapshots every registered grid's KKT symbolic-cache counters
@@ -368,48 +395,15 @@ func (s *Server) kktStats() []kktStat {
 	return out
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON answers with a JSON body and counts the response under its
+// endpoint label.
+func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-	s.met.recordRequest(endpointLabel(v), code)
+	_ = json.NewEncoder(w).Encode(v) // a failed write means the client is gone
+	s.met.inc(s.met.requests, 1, endpoint, strconv.Itoa(code))
 }
 
-func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
-	s.writeErrorAt(w, "/v1/solve", code, msg)
-}
-
-func (s *Server) writeErrorAt(w http.ResponseWriter, endpoint string, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: msg})
-	s.met.recordRequest(endpoint, code)
-}
-
-// endpointLabel maps a response type to its metrics label.
-func endpointLabel(v any) string {
-	switch v.(type) {
-	case *SolveResponse:
-		return "/v1/solve"
-	case *ScreenResponse:
-		return "/v1/screen"
-	case SystemsResponse:
-		return "/v1/systems"
-	case HealthResponse:
-		return "/healthz"
-	default:
-		return "other"
-	}
-}
-
-// sortedKeys returns the map's keys in lexical order (deterministic
-// metrics rendering).
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
+func (s *Server) writeError(w http.ResponseWriter, endpoint string, code int, msg string) {
+	s.writeJSON(w, endpoint, code, ErrorResponse{Error: msg})
 }

@@ -244,7 +244,7 @@ func TestWarmColdFallback(t *testing.T) {
 	sys, _ := loadFixture(t)
 	s := New(Config{})
 	t.Cleanup(s.Close)
-	s.AddSystemPredictors(sys, []core.Predictor{stubPredictor{start: badStart(sys.OPF.Lay)}})
+	s.AddSystemPredictors(sys, []opf.Predictor{stubPredictor{start: badStart(sys.OPF.Lay)}})
 
 	code, body := postSolve(t, s.Handler(), `{"system":"case9","scale":1.01}`)
 	if code != http.StatusOK {
@@ -271,6 +271,62 @@ func TestWarmColdFallback(t *testing.T) {
 	if resp.Timing.RestartUS <= 0 {
 		t.Fatalf("restart timing not reported: %+v", resp.Timing)
 	}
+}
+
+// TestWarmEdgesOnTheWire pins the two corners of the warm pipeline's
+// reporting that no converged request reaches: a predictor that offers
+// no start is one solve from the default point reported as the warm
+// attempt, and when neither the warm try nor the cold restart converges
+// the response carries the warm attempt's numbers.
+func TestWarmEdgesOnTheWire(t *testing.T) {
+	sys, _ := loadFixture(t)
+
+	s := New(Config{})
+	t.Cleanup(s.Close)
+	s.AddSystemPredictors(sys, []opf.Predictor{stubPredictor{}})
+	code, body := postSolve(t, s.Handler(), `{"system":"case9","scale":1.01}`)
+	if code != http.StatusOK {
+		t.Fatalf("status = %d (%s)", code, body)
+	}
+	resp := decodeSolve(t, body)
+	if resp.Path != "warm" || !resp.WarmConverged || resp.ColdRestarted || !resp.Converged || resp.Timing.RestartUS != 0 {
+		t.Fatalf("no start offered: %+v", resp)
+	}
+	cold, err := sys.OPF.Perturb(uniform(sys.Case.NB(), 1.01)).Solve(nil, opf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Iterations != cold.Iterations || resp.Cost != cold.Cost {
+		t.Fatalf("no start offered: (it=%d cost=%v) != offline cold (it=%d cost=%v)",
+			resp.Iterations, resp.Cost, cold.Iterations, cold.Cost)
+	}
+	checkVectors(t, resp, cold)
+
+	// Three times the nominal load is infeasible on case9: the bad start
+	// and the restart both run into the iteration limit.
+	s2 := New(Config{})
+	t.Cleanup(s2.Close)
+	bad := badStart(sys.OPF.Lay)
+	s2.AddSystemPredictors(sys, []opf.Predictor{stubPredictor{start: bad}})
+	code, body = postSolve(t, s2.Handler(), `{"system":"case9","scale":3}`)
+	if code != http.StatusOK {
+		t.Fatalf("status = %d (%s)", code, body)
+	}
+	resp = decodeSolve(t, body)
+	if resp.Path != "warm_restart" || resp.WarmConverged || !resp.ColdRestarted || resp.Converged || resp.Timing.RestartUS <= 0 {
+		t.Fatalf("nothing converges: %+v", resp)
+	}
+	inst := sys.OPF.Perturb(uniform(sys.Case.NB(), 3))
+	warm, _ := inst.Solve(bad, opf.Options{})
+	restart, _ := inst.Solve(nil, opf.Options{})
+	if warm.Converged || restart.Converged || warm.Cost == restart.Cost {
+		t.Fatalf("fixture does not separate the attempts: warm %+v, restart %+v", warm.Cost, restart.Cost)
+	}
+	if resp.Iterations != warm.Iterations || resp.Cost != warm.Cost {
+		t.Fatalf("nothing converges: (it=%d cost=%v) != warm attempt (it=%d cost=%v)",
+			resp.Iterations, resp.Cost, warm.Iterations, warm.Cost)
+	}
+	checkVectors(t, resp, warm)
 }
 
 // TestConcurrentDeterminism fires concurrent warm requests through a

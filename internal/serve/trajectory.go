@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/horizon"
+	"repro/internal/opf"
 )
 
 // maxTrajectorySteps bounds one /v1/trajectory request: long enough for
@@ -79,12 +79,9 @@ type TrajectorySummary struct {
 // parsed mode and the synthetic trajectory. Error text is safe for the
 // client.
 func (s *Server) validateTrajectory(req *TrajectoryRequest) (*systemState, horizon.Mode, *horizon.Trajectory, float64, error) {
-	if req.System == "" {
-		return nil, 0, nil, 0, fmt.Errorf("missing required field %q", "system")
-	}
-	st, ok := s.systems[req.System]
-	if !ok {
-		return nil, 0, nil, 0, errUnknownSystem
+	st, err := s.system(req.System)
+	if err != nil {
+		return nil, 0, nil, 0, err
 	}
 	if req.Steps <= 0 {
 		return nil, 0, nil, 0, fmt.Errorf("steps %d out of range (want a positive count)", req.Steps)
@@ -136,26 +133,20 @@ func (s *Server) validateTrajectory(req *TrajectoryRequest) (*systemState, horiz
 // replica to the pool. Concurrent trajectories are bounded by the
 // replica-pool size; excess requests shed with 503.
 func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
+	const endpoint = "/v1/trajectory"
 	var req TrajectoryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeErrorAt(w, "/v1/trajectory", http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !s.decode(w, r, endpoint, &req) {
 		return
 	}
 	st, mode, traj, frac, err := s.validateTrajectory(&req)
 	if err != nil {
-		code := http.StatusBadRequest
-		if err == errUnknownSystem {
-			code = http.StatusNotFound
-		}
-		s.writeErrorAt(w, "/v1/trajectory", code, err.Error())
+		s.reject(w, endpoint, err)
 		return
 	}
 	select {
 	case s.trajSem <- struct{}{}:
 	default:
-		s.writeErrorAt(w, "/v1/trajectory", http.StatusServiceUnavailable, "trajectory capacity exhausted, retry later")
+		s.writeError(w, endpoint, http.StatusServiceUnavailable, "trajectory capacity exhausted, retry later")
 		return
 	}
 	defer func() { <-s.trajSem }()
@@ -163,33 +154,30 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 	// Pin one replica for the whole trajectory. Prediction is stateful
 	// per step (forward passes cache activations) and chain state lives
 	// on this goroutine, so exactly one replica serves the stream.
-	var pred horizon.Predictor
+	var pred opf.Predictor
 	if mode == horizon.ModePredict {
 		// The replica set is loaded once and the pinned replica returns
 		// to it, so a hot swap mid-stream neither drops the stream nor
 		// changes the model it predicts with.
 		rs := st.replicas()
-		var rep core.Predictor
-		select {
-		case rep = <-rs.pool:
-		default:
-			s.writeErrorAt(w, "/v1/trajectory", http.StatusServiceUnavailable, "no idle model replica, retry later")
+		var ok bool
+		if pred, ok = rs.pool.TryGet(); !ok {
+			s.writeError(w, endpoint, http.StatusServiceUnavailable, "no idle model replica, retry later")
 			return
 		}
-		defer func() { rs.pool <- rep }()
-		pred = rep
+		defer rs.pool.Put(pred)
 	}
 
 	ramp := horizon.RampFromRange(st.sys.OPF, frac)
 	stepper, err := horizon.NewStepper(st.sys.OPF, mode, pred, ramp, ramp)
 	if err != nil {
-		s.writeErrorAt(w, "/v1/trajectory", http.StatusInternalServerError, err.Error())
+		s.writeError(w, endpoint, http.StatusInternalServerError, err.Error())
 		return
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	s.met.recordRequest("/v1/trajectory", http.StatusOK)
+	s.met.inc(s.met.requests, 1, endpoint, "200")
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	ctx := r.Context()
@@ -200,7 +188,7 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 		case <-ctx.Done():
 			// Client gone mid-stream: abort the horizon, release the
 			// pinned replica (deferred) and account the disconnect.
-			s.met.recordTrajectoryDisconnect(st.sys.Name)
+			s.met.inc(s.met.trajectoryDisconnects, 1, st.sys.Name)
 			return
 		default:
 		}
@@ -229,7 +217,7 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 			line.Err = sr.Err.Error()
 		}
 		if err := enc.Encode(line); err != nil {
-			s.met.recordTrajectoryDisconnect(st.sys.Name)
+			s.met.inc(s.met.trajectoryDisconnects, 1, st.sys.Name)
 			return
 		}
 		if flusher != nil {
@@ -258,5 +246,5 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-	s.met.recordTrajectoryDone(st.sys.Name, mode.String())
+	s.met.inc(s.met.trajectories, 1, st.sys.Name, mode.String())
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/horizon"
 	"repro/internal/opf"
 )
@@ -188,7 +187,7 @@ func TestTrajectoryPredictReplay(t *testing.T) {
 	stub := stubPredictor{start: &opf.Start{X: base.X, Lam: base.Lam, Mu: base.Mu, Z: base.Z}}
 
 	s := New(Config{})
-	s.AddSystemPredictors(sys, []core.Predictor{stub})
+	s.AddSystemPredictors(sys, []opf.Predictor{stub})
 	t.Cleanup(s.Close)
 
 	const steps = 3
@@ -206,7 +205,7 @@ func TestTrajectoryPredictReplay(t *testing.T) {
 	r := &horizon.Runner{
 		Prepared:   sys.OPF,
 		Mode:       horizon.ModePredict,
-		Predictors: []horizon.Predictor{stub},
+		Predictors: []opf.Predictor{stub},
 		Workers:    1,
 	}
 	ref, err := r.Run(traj)
@@ -240,7 +239,7 @@ func TestTrajectoryDisconnectFreesReplica(t *testing.T) {
 	// One worker, one replica, one stream slot: any leak deadlocks the
 	// follow-up request into a 503.
 	s := New(Config{Workers: 1, MaxBatch: 1})
-	s.AddSystemPredictors(sys, []core.Predictor{stub})
+	s.AddSystemPredictors(sys, []opf.Predictor{stub})
 	t.Cleanup(s.Close)
 	if cap(s.trajSem) != 1 {
 		t.Fatalf("trajSem capacity %d, want 1", cap(s.trajSem))
@@ -266,8 +265,8 @@ func TestTrajectoryDisconnectFreesReplica(t *testing.T) {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	// The replica is pinned while the stream is live.
-	if len(st.replicas().pool) != 0 {
-		t.Fatalf("replica pool holds %d replicas mid-stream, want 0", len(st.replicas().pool))
+	if replicaIdle(st.replicas().pool) {
+		t.Fatal("replica pool holds an idle replica mid-stream, want it pinned")
 	}
 	// Read one streamed step, then drop the connection.
 	sc := bufio.NewScanner(resp.Body)
@@ -286,9 +285,9 @@ func TestTrajectoryDisconnectFreesReplica(t *testing.T) {
 	// The handler notices between steps and returns the replica and the
 	// stream slot (deferred). Poll the pool accounting back to full.
 	deadline := time.Now().Add(10 * time.Second)
-	for len(st.replicas().pool) != 1 || len(s.trajSem) != 0 {
+	for !replicaIdle(st.replicas().pool) || len(s.trajSem) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("after disconnect: pool=%d sem=%d, want 1/0", len(st.replicas().pool), len(s.trajSem))
+			t.Fatalf("after disconnect: replica idle=%v sem=%d, want true/0", replicaIdle(st.replicas().pool), len(s.trajSem))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -307,4 +306,14 @@ func TestTrajectoryDisconnectFreesReplica(t *testing.T) {
 	if _, sum := decodeSteps(t, lines); !sum.Done {
 		t.Fatal("follow-up stream did not complete")
 	}
+}
+
+// replicaIdle reports whether the pool has an idle replica right now,
+// leaving it there.
+func replicaIdle(p *opf.Pool) bool {
+	r, ok := p.TryGet()
+	if ok {
+		p.Put(r)
+	}
+	return ok
 }

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"errors"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -158,63 +157,14 @@ func (s *Symbolic) NNZ() int { return len(s.li) + len(s.ui) }
 // Returns ErrPatternChanged if a's pattern differs from the analyzed
 // one, and ErrRefactorUnstable (or ErrSingular) when the frozen pivots
 // are no longer numerically acceptable for a's values; both are cues to
-// re-Analyze.
+// re-Analyze. It allocates the factors and the dense accumulator — the
+// only part of a workspace the scalar kernel touches, so the blocked
+// schedule is not built for it — and runs RefactorInto: one kernel
+// body, so the two forms cannot drift.
 func (s *Symbolic) Refactor(a *CSC) (*LUFactors, error) {
-	if !s.PatternMatches(a) {
-		return nil, ErrPatternChanged
-	}
-	n := s.n
-	f := &LUFactors{
-		n: n, q: s.q, pinv: s.pinv,
-		lp: s.lp, up: s.up, li: s.li, ui: s.ui,
-		lx: make([]float64, len(s.li)), ux: make([]float64, len(s.ui)),
-		lnzTotal:   len(s.li) + len(s.ui),
-		pivotTolND: s.tol,
-	}
-	x := make([]float64, n) // dense accumulator in pivot coordinates
-	for k := 0; k < n; k++ {
-		col := s.q[k]
-		for p := a.ColPtr[col]; p < a.ColPtr[col+1]; p++ {
-			x[s.pinv[a.RowIdx[p]]] = a.Val[p]
-		}
-		// Eliminate in the recorded order: the U column's stored sequence
-		// is the topological order the analysis used, so every x[j] is
-		// final when consumed. The diagonal is the column's last entry.
-		d := s.up[k+1] - 1
-		for p := s.up[k]; p < d; p++ {
-			j := s.ui[p]
-			xj := x[j]
-			f.ux[p] = xj
-			x[j] = 0
-			if xj == 0 {
-				continue
-			}
-			for pl := s.lp[j] + 1; pl < s.lp[j+1]; pl++ {
-				x[s.li[pl]] -= f.lx[pl] * xj
-			}
-		}
-		pivot := x[k]
-		x[k] = 0
-		apiv := math.Abs(pivot)
-		amax := apiv
-		for p := s.lp[k] + 1; p < s.lp[k+1]; p++ {
-			if t := math.Abs(x[s.li[p]]); t > amax {
-				amax = t
-			}
-		}
-		if pivot == 0 || math.IsNaN(pivot) || amax == 0 {
-			return nil, ErrSingular
-		}
-		if apiv < refactorPivotFloor*amax {
-			return nil, ErrRefactorUnstable
-		}
-		f.ux[d] = pivot
-		f.lx[s.lp[k]] = 1
-		for p := s.lp[k] + 1; p < s.lp[k+1]; p++ {
-			i := s.li[p]
-			f.lx[p] = x[i] / pivot
-			x[i] = 0
-		}
+	f := &LUFactors{}
+	if err := s.RefactorInto(f, &RefactorWorkspace{x: make([]float64, s.n)}, a); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

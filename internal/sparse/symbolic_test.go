@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -321,5 +322,42 @@ func TestRefactorSingularValues(t *testing.T) {
 	nan.Val[0] = math.NaN()
 	if _, err := sym.Refactor(nan); err == nil {
 		t.Fatal("expected error for NaN values")
+	}
+}
+
+// A shaped cache keeps its pattern-derived diagonal pivot sequence when
+// a value collapses a pivot, applying the static pivot perturbation
+// instead of re-analyzing. Factorize (allocating) and FactorizeInto
+// (slot) must agree on that: both run the one scalar kernel, so the
+// factors are equal and neither counts a fallback.
+func TestShapedFactorizeMatchesFactorizeIntoUnderBoost(t *testing.T) {
+	b := NewBuilder(2, 2)
+	b.Append(0, 0, 1e-14) // shaped pivot, far below boostPivotRel of its column
+	b.Append(0, 1, 1)
+	b.Append(1, 0, 1)
+	b.Append(1, 1, 3)
+	weak := b.ToCSC()
+
+	shaped := func() *SymbolicCache { return NewSymbolicCache(OrderNatural, 1.0).Shaped() }
+	plain, slotted := shaped(), shaped()
+	f1, err := plain.Factorize(weak)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := slotted.FactorizeInto(&FactorSlot{}, weak)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(f1.lx, f2.lx) || !slices.Equal(f1.ux, f2.ux) ||
+		!slices.Equal(f1.li, f2.li) || !slices.Equal(f1.ui, f2.ui) || !slices.Equal(f1.pinv, f2.pinv) {
+		t.Fatalf("Factorize and FactorizeInto diverge on a boosted pivot:\n L %v vs %v\n U %v vs %v", f1.lx, f2.lx, f1.ux, f2.ux)
+	}
+	if got, want := f1.ux[f1.up[1]-1], boostPivotRel; got != want {
+		t.Fatalf("pivot (0,0) = %v, want the perturbed %v", got, want)
+	}
+	for name, c := range map[string]*SymbolicCache{"Factorize": plain, "FactorizeInto": slotted} {
+		if st := c.Stats(); st.Fallbacks != 0 || st.Analyses != 1 {
+			t.Fatalf("%s stats = %+v, want the shaped analysis alone (boost, no fallback)", name, st)
+		}
 	}
 }
