@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -1171,12 +1170,12 @@ var kktReportMu sync.Mutex
 
 // mergeKKTReport read-modify-writes BENCH_kkt.json: the given keys
 // overwrite their own top-level entries and everything else already on
-// disk is preserved, so the symbolic-reuse, blocked-kernel and
-// parallel-kernel sections regenerate independently without truncating
-// each other (the same convention writePaperBenchReport uses for
-// per-system rows). Within a section, per-system rows already on disk
-// survive a run that measured fewer systems (a gated or smoke run), so
-// partial regeneration never loses the case1354 row.
+// disk is preserved, so the symbolic-reuse and blocked-kernel sections
+// regenerate independently without truncating each other (the same
+// convention writePaperBenchReport uses for per-system rows). Within a
+// section, per-system rows already on disk survive a run that measured
+// fewer systems (a gated or smoke run), so partial regeneration never
+// loses the case1354 row.
 func mergeKKTReport(b *testing.B, sections map[string]any) {
 	b.Helper()
 	kktReportMu.Lock()
@@ -1352,149 +1351,6 @@ func writeBlockedKernelReport(b *testing.B) {
 				"(self-timed section; equivalence and zero-alloc pins enforced with b.Fatal)",
 			"ordering": "amd",
 			"systems":  systems,
-		},
-	})
-}
-
-var parallelReportOnce sync.Once
-
-// BenchmarkParallelKernel races the elimination-tree scheduled parallel
-// refactorization and the level-scheduled parallel triangular solves
-// against the serial kernels on the bordered KKT proxies of the three
-// largest embedded systems, at 1/2/4/8 threads, and writes the
-// "parallel_kernel" section of BENCH_kkt.json. Determinism is enforced
-// with b.Fatal, not merely reported: at every thread count the factors
-// must be bit-identical (EqualValues) to the 1-thread factors and the
-// solve bit-identical to the 1-thread solve. The report records
-// GOMAXPROCS alongside the timings — on a single-core host every
-// thread count executes on one CPU (the pool has no workers), so the
-// per-thread numbers measure scheduling overhead, not speedup; quote
-// them only with the recorded GOMAXPROCS (PERFORMANCE.md). The b.N
-// loop itself times the 4-thread case300 refactorization.
-func BenchmarkParallelKernel(b *testing.B) {
-	parallelReportOnce.Do(func() { writeParallelKernelReport(b) })
-	sys := core.MustLoadSystem("case300")
-	kkt := kktProxyFor(sys.OPF)
-	sym, _, err := sparse.Analyze(kkt, sparse.OrderAMD, 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	slot := sym.NewFactorSlot()
-	slot.SetThreads(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := slot.Refactor(kkt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// writeParallelKernelReport self-times the threaded factor slot over
-// fixed repetition counts (independent of -benchtime) and merges the
-// per-system rows into BENCH_kkt.json.
-func writeParallelKernelReport(b *testing.B) {
-	b.Helper()
-	reps := map[string]int{"case118": 100, "case300": 40, "case1354": 10}
-	threadCounts := []int{1, 2, 4, 8}
-	names := []string{"case118", "case300", "case1354"}
-	if benchSkipLarge() {
-		names = names[:2]
-		fmt.Println("BENCH_kkt.json: parallel_kernel case1354 row gated by -short/PGSIM_BENCH_SKIP_LARGE (on-disk row preserved)")
-	}
-	systems := map[string]any{}
-	for _, name := range names {
-		sys := core.MustLoadSystem(name)
-		kkt := kktProxyFor(sys.OPF)
-		sym, _, err := sparse.Analyze(kkt, sparse.OrderAMD, 1.0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := kkt.NRows
-		r := rand.New(rand.NewSource(42))
-		rhs := make(la.Vector, n)
-		for i := range rhs {
-			rhs[i] = r.NormFloat64()
-		}
-
-		// 1-thread reference factors and solution.
-		refSlot := sym.NewFactorSlot()
-		refSlot.SetThreads(1)
-		refF, err := refSlot.Refactor(kkt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		refX := make(la.Vector, n)
-		refSlot.SolveInto(refF, refX, rhs, make(la.Vector, n))
-
-		var oneThreadFactorNs, oneThreadSolveNs float64
-		threads := map[string]any{}
-		for _, t := range threadCounts {
-			slot := sym.NewFactorSlot()
-			slot.SetThreads(t)
-			f, err := slot.Refactor(kkt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Bit-identity pins: the parallel kernels are schedules of the
-			// serial kernels, not reimplementations.
-			if !f.EqualValues(refF) {
-				b.Fatalf("%s: %d-thread factors differ from serial", name, t)
-			}
-			x := make(la.Vector, n)
-			work := make(la.Vector, n)
-			slot.SolveInto(f, x, rhs, work)
-			for i := range x {
-				if math.Float64bits(x[i]) != math.Float64bits(refX[i]) {
-					b.Fatalf("%s: %d-thread solve differs from serial at %d: %v vs %v",
-						name, t, i, x[i], refX[i])
-				}
-			}
-
-			rep := reps[name]
-			t0 := time.Now()
-			for i := 0; i < rep; i++ {
-				if _, err := slot.Refactor(kkt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			factorNs := float64(time.Since(t0).Nanoseconds()) / float64(rep)
-			solveReps := rep * 10
-			t0 = time.Now()
-			for i := 0; i < solveReps; i++ {
-				slot.SolveInto(f, x, rhs, work)
-			}
-			solveNs := float64(time.Since(t0).Nanoseconds()) / float64(solveReps)
-			if t == 1 {
-				oneThreadFactorNs, oneThreadSolveNs = factorNs, solveNs
-			}
-			threads[fmt.Sprintf("%d", t)] = map[string]any{
-				"factor_ns":      factorNs,
-				"solve_ns":       solveNs,
-				"factor_speedup": oneThreadFactorNs / factorNs,
-				"solve_speedup":  oneThreadSolveNs / solveNs,
-				"bit_identical":  true, // pinned above, b.Fatal otherwise
-			}
-		}
-		systems[name] = map[string]any{
-			"kkt_n":   n,
-			"kkt_nnz": kkt.NNZ(),
-			"lu_nnz":  refF.NNZ(),
-			"ops":     reps[name],
-			"threads": threads,
-		}
-		f4 := threads["4"].(map[string]any)
-		fmt.Printf("BENCH_kkt.json: %s parallel refactor at 4 threads %.2fx vs 1 thread (GOMAXPROCS=%d), bit-identical at 1/2/4/8\n",
-			name, f4["factor_speedup"].(float64), runtime.GOMAXPROCS(0))
-	}
-	mergeKKTReport(b, map[string]any{
-		"parallel_kernel": map[string]any{
-			"produced_by": "go test -run '^$' -bench BenchmarkParallelKernel -benchtime 1x . " +
-				"(self-timed section; bit-identity to the serial kernels enforced with b.Fatal)",
-			"ordering":   "amd",
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-			"note": "speedups are meaningful only relative to the recorded gomaxprocs; " +
-				"with gomaxprocs=1 the worker pool is empty and every thread count runs serially on one CPU",
-			"systems": systems,
 		},
 	})
 }

@@ -32,7 +32,6 @@ import (
 	"repro/internal/horizon"
 	"repro/internal/mtl"
 	"repro/internal/opf"
-	"repro/internal/sparse"
 )
 
 // maxSteps bounds one trajectory; far above any realistic horizon (a
@@ -58,10 +57,8 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size (0 = PGSIM_WORKERS or all cores)")
 	jsonOut := flag.Bool("json", false, "print a machine-readable JSON summary instead of tables")
 	verbose := flag.Bool("v", false, "print one row per step")
-	solverThreads := flag.Int("solver-threads", 0, "threads per KKT factorization/solve, capped by the worker budget (0 = PGSIM_SOLVER_THREADS or 1)")
 	flag.Parse()
 	batch.SetDefaultWorkers(*workers)
-	sparse.SetDefaultSolverThreads(*solverThreads)
 
 	// Explicit validation with actionable errors: a zero or negative
 	// horizon or interval is always a typo, not a degenerate run.

@@ -40,10 +40,8 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size for batch stages (0 = PGSIM_WORKERS or all cores)")
 	ordering := flag.String("ordering", "", "fill-reducing ordering for the KKT factorization: natural, rcm, amd or auto (default: per-system selection, see opf.DefaultOrdering)")
 	kktReuse := flag.Bool("kkt-reuse", true, "reuse the symbolic KKT factorization across interior-point iterations")
-	solverThreads := flag.Int("solver-threads", 0, "threads per KKT factorization/solve, capped by the worker budget (0 = PGSIM_SOLVER_THREADS or 1)")
 	flag.Parse()
 	batch.SetDefaultWorkers(*workers)
-	sparse.SetDefaultSolverThreads(*solverThreads)
 
 	var c *grid.Case
 	var err error

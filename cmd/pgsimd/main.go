@@ -68,7 +68,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 16, "max requests coalesced into one micro-batch")
 	window := flag.Duration("batch-window", 2*time.Millisecond, "how long to wait for requests to coalesce (negative = no wait)")
 	queue := flag.Int("queue", 256, "pending-request bound (full queue answers 503)")
-	solverThreads := flag.Int("solver-threads", 0, "threads per KKT factorization/solve, capped by the worker budget (0 = PGSIM_SOLVER_THREADS or 1)")
 	captureDir := flag.String("capture-dir", "", "directory for served-traffic capture files and the model registry (empty = lifecycle off)")
 	captureCap := flag.Int("capture-cap", 1024, "captured (instance, solution) pairs retained per system (ring buffer)")
 	canaryFrac := flag.Float64("canary-frac", 0.2, "fraction of warm traffic routed to a canary candidate")
@@ -92,11 +91,10 @@ func main() {
 	}
 
 	srv := serve.New(serve.Config{
-		Workers:       *workers,
-		MaxBatch:      *maxBatch,
-		BatchWindow:   *window,
-		QueueDepth:    *queue,
-		SolverThreads: *solverThreads,
+		Workers:     *workers,
+		MaxBatch:    *maxBatch,
+		BatchWindow: *window,
+		QueueDepth:  *queue,
 	})
 	// With -capture-dir the daemon runs the full model lifecycle: served
 	// traffic is captured to <dir>/<system>.capture, boot models are
@@ -153,7 +151,7 @@ func main() {
 			sys.Name, sys.Case.NB(), sys.OPF.Lay.NEq, sys.OPF.Lay.NIq, mode)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
@@ -172,6 +170,31 @@ func main() {
 	}
 	srv.Close() // after the listener drains, so no handler waits forever
 	log.Printf("bye")
+}
+
+// Connection timeouts: constants, not flags — no deployment has needed
+// different values, and they only bound how long a client may take to
+// send a request, never how long a solve may run.
+const (
+	readHeaderTimeout = 5 * time.Second  // a client that never finishes its headers
+	readTimeout       = 30 * time.Second // headers + body; bodies are capped at 1 MiB
+	idleTimeout       = 2 * time.Minute  // keep-alive connections between requests
+)
+
+// newHTTPServer returns the daemon's http.Server with the read-side
+// timeouts set, so one slow or stalled client cannot hold a connection
+// forever. WriteTimeout is deliberately left unset: it is an absolute
+// deadline on the whole response, and /v1/trajectory streams NDJSON for
+// the life of the run while a /v1/screen sweep can take seconds — a
+// write deadline would cut off exactly the long answers that are valid.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // modelFor resolves a system's warm-start model: a -model snapshot if

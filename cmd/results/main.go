@@ -86,20 +86,6 @@ type kernelRow struct {
 	AutoBlocked bool    `json:"auto_blocked"`
 }
 
-type parallelThreadRow struct {
-	FactorNs      float64 `json:"factor_ns"`
-	SolveNs       float64 `json:"solve_ns"`
-	FactorSpeedup float64 `json:"factor_speedup"`
-	SolveSpeedup  float64 `json:"solve_speedup"`
-	BitIdentical  bool    `json:"bit_identical"`
-}
-
-type parallelSystemRow struct {
-	KKTN    int                          `json:"kkt_n"`
-	LUNnz   int                          `json:"lu_nnz"`
-	Threads map[string]parallelThreadRow `json:"threads"`
-}
-
 type kktReport struct {
 	Case                     string  `json:"case"`
 	KKTN                     int     `json:"kkt_n"`
@@ -109,11 +95,6 @@ type kktReport struct {
 		Ordering string               `json:"ordering"`
 		Systems  map[string]kernelRow `json:"systems"`
 	} `json:"blocked_kernel"`
-	ParallelKernel struct {
-		Ordering   string                       `json:"ordering"`
-		GoMaxProcs int                          `json:"gomaxprocs"`
-		Systems    map[string]parallelSystemRow `json:"systems"`
-	} `json:"parallel_kernel"`
 }
 
 type lifecycleReport struct {
@@ -152,11 +133,12 @@ type report struct {
 
 // codeSize is the tracked line-count history rendered into RESULTS.md.
 var codeSize = []struct {
-	at, why       string
-	all, warmPath int
+	at, why               string
+	all, warmPath, kernel int
 }{
-	{at: "PR 11", all: 19677, warmPath: 6252, why: "baseline (first tracked commit)"},
-	{at: "PR 14", all: 18977, warmPath: 5900, why: "one warm-start pipeline: one predictor seam, replica pool, row-identity projection and warm→cold routine; labelled metric counters; `internal/dcopf`, `internal/ed` deleted"},
+	{at: "PR 11", all: 19677, warmPath: 6252, kernel: 5123, why: "baseline (first tracked commit)"},
+	{at: "PR 14", all: 18977, warmPath: 5900, kernel: 5073, why: "one warm-start pipeline: one predictor seam, replica pool, row-identity projection and warm→cold routine; labelled metric counters; `internal/dcopf`, `internal/ed` deleted"},
+	{at: "PR 17", all: 17466, warmPath: 5887, kernel: 3604, why: "one serial KKT path: intra-solve parallel tier deleted (`etree.go`, `parfor.go`, `pool.go`, `parallel.go`, the stamped assembler protocol, sharded KKT assembly, the batch thread budget, the solver-thread flag and its seven sibling knobs; CHANGES.md names them)"},
 }
 
 func main() {
@@ -288,12 +270,13 @@ func main() {
 	w("```sh")
 	w("find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './internal/grid/cases*.go' | xargs cat | wc -l")
 	w("ls internal/{opf,core,scopf,horizon,serve}/*.go | grep -v _test | xargs cat | wc -l")
+	w("ls internal/{sparse,mips,batch}/*.go | grep -v _test | xargs cat | wc -l")
 	w("```")
 	w("")
-	w("| at | all packages | opf + core + scopf + horizon + serve | what moved it |")
-	w("|---|---|---|---|")
+	w("| at | all packages | opf + core + scopf + horizon + serve | sparse + mips + batch | what moved it |")
+	w("|---|---|---|---|---|")
 	for _, c := range codeSize {
-		w("| %s | %d | %d | %s |", c.at, c.all, c.warmPath, c.why)
+		w("| %s | %d | %d | %d | %s |", c.at, c.all, c.warmPath, c.kernel, c.why)
 	}
 	w("")
 
@@ -350,34 +333,6 @@ func renderKernel(w func(string, ...any), path string, buf []byte) {
 			w("| %s | %d | %d | %.2f | %.2f | **%.2f×** | %d | %d | %.0f%% | %v |",
 				n, s.KKTN, s.LUNnz, s.ScalarNs/1e6, s.BlockedNs/1e6, s.Speedup,
 				s.Supernodes, s.PanelCols, 100*s.PanelFrac, s.AutoBlocked)
-		}
-		w("")
-	}
-	if len(k.ParallelKernel.Systems) > 0 {
-		w("The parallel kernel schedules the same per-column work over an")
-		w("elimination-tree task DAG (factor) and level-scheduled row chunks")
-		w("(solves), bit-identical to serial at every thread count — pinned")
-		w("with `b.Fatal` inside the benchmark (DESIGN.md §12). These numbers")
-		w("were measured with **GOMAXPROCS=%d**; per PERFORMANCE.md's quoting", k.ParallelKernel.GoMaxProcs)
-		w("rules, thread-count speedups are only meaningful alongside that")
-		w("value — on a single-core host every thread count runs serially and")
-		w("the ratios measure scheduling overhead, not parallelism.")
-		w("")
-		w("| system | KKT n | factor ms (1T) | 2T | 4T | 8T | 4T speedup | solve ms (1T) | 4T solve speedup |")
-		w("|---|---|---|---|---|---|---|---|---|")
-		names := make([]string, 0, len(k.ParallelKernel.Systems))
-		for n := range k.ParallelKernel.Systems {
-			names = append(names, n)
-		}
-		sort.Slice(names, func(i, j int) bool {
-			return k.ParallelKernel.Systems[names[i]].KKTN < k.ParallelKernel.Systems[names[j]].KKTN
-		})
-		for _, n := range names {
-			s := k.ParallelKernel.Systems[n]
-			t1, t2, t4, t8 := s.Threads["1"], s.Threads["2"], s.Threads["4"], s.Threads["8"]
-			w("| %s | %d | %.2f | %.2f | %.2f | %.2f | **%.2f×** | %.3f | %.2f× |",
-				n, s.KKTN, t1.FactorNs/1e6, t2.FactorNs/1e6, t4.FactorNs/1e6, t8.FactorNs/1e6,
-				t4.FactorSpeedup, t1.SolveNs/1e6, t4.SolveSpeedup)
 		}
 		w("")
 	}

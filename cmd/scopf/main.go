@@ -63,10 +63,8 @@ func main() {
 	noProjection := flag.Bool("no-projection", false, "disable warm-start projection onto outage layouts")
 	jsonOut := flag.Bool("json", false, "print a machine-readable JSON summary instead of tables")
 	verbose := flag.Bool("v", false, "print one row per scenario")
-	solverThreads := flag.Int("solver-threads", 0, "threads per KKT factorization/solve, capped by the worker budget (0 = PGSIM_SOLVER_THREADS or 1)")
 	flag.Parse()
 	batch.SetDefaultWorkers(*workers)
-	sparse.SetDefaultSolverThreads(*solverThreads)
 
 	c, err := casegen.Paper(*caseName)
 	if err != nil {

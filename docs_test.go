@@ -6,8 +6,13 @@ package smartpgsim_test
 // regenerating RESULTS.md from a partial benchmark run — fails fast.
 
 import (
+	"bytes"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/casegen"
@@ -86,5 +91,65 @@ func TestLifecycleDocsCoverage(t *testing.T) {
 	}
 	if perf := mustRead(t, "PERFORMANCE.md"); !mentions(perf, "BENCH_lifecycle.json") {
 		t.Error("PERFORMANCE.md does not describe the BENCH_lifecycle.json schema")
+	}
+}
+
+// TestCodeSizeRecorded is the code-size ratchet: the tree may not hold
+// more non-test, non-data Go lines than the last row of RESULTS.md's
+// "Code size" table records, so growth is always a written-down
+// decision (add a row to codeSize in cmd/results and re-render) and a
+// deletion that forgets its row only leaves slack. The walk counts what
+// the table's `find … | xargs cat | wc -l` command counts, and also
+// skips dot-directories (.git, the benchmark's .bench_build checkout).
+func TestCodeSizeRecorded(t *testing.T) {
+	lines := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		if isData, _ := filepath.Match("internal/grid/cases*.go", filepath.ToSlash(path)); isData {
+			return nil
+		}
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		lines += bytes.Count(buf, []byte{'\n'})
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("counting Go lines: %v", err)
+	}
+
+	_, table, ok := strings.Cut(mustRead(t, "RESULTS.md"), "## Code size")
+	if !ok {
+		t.Fatal(`RESULTS.md has no "Code size" section`)
+	}
+	var last string
+	for _, l := range strings.Split(table, "\n") {
+		if strings.HasPrefix(l, "| ") {
+			last = l
+		}
+	}
+	cols := strings.Split(last, "|") // "", at, all packages, …
+	if len(cols) < 3 {
+		t.Fatalf("RESULTS.md code-size table has no rows (last table line %q)", last)
+	}
+	recorded, err := strconv.Atoi(strings.TrimSpace(cols[2]))
+	if err != nil {
+		t.Fatalf("RESULTS.md code-size row %q: all-packages column is not a count: %v", last, err)
+	}
+	if lines > recorded {
+		t.Errorf("tree has %d non-test, non-data Go lines but the last RESULTS.md code-size row records %d: "+
+			"add this change's row to codeSize in cmd/results and re-render (go run ./cmd/results)", lines, recorded)
 	}
 }

@@ -91,41 +91,6 @@ func Workers(explicit int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// activeWorkers sums the pool sizes of every Run currently in flight.
-// Nested intra-solve parallelism (the sparse solver's thread option)
-// sizes itself against it through ThreadBudget, so batch workers and
-// solver threads never oversubscribe the machine together.
-var activeWorkers atomic.Int64
-
-// ActiveWorkers reports the summed pool sizes of the batch runs in
-// flight (0 when none) — the concurrency-accounting property tests
-// observe it.
-func ActiveWorkers() int { return int(activeWorkers.Load()) }
-
-// ThreadBudget caps a requested intra-task thread count against the
-// worker pools currently running: the product of active workers and the
-// returned budget never exceeds GOMAXPROCS, so a -workers W sweep whose
-// tasks each ask for T solver threads runs W×min(T, GOMAXPROCS/W)
-// goroutines, not W×T. Outside any batch run the request passes through
-// (floored at 1); SolverThreads' own GOMAXPROCS clamp bounds it above.
-func ThreadBudget(threads int) int {
-	if threads < 1 {
-		threads = 1
-	}
-	w := int(activeWorkers.Load())
-	if w < 1 {
-		w = 1
-	}
-	per := runtime.GOMAXPROCS(0) / w
-	if per < 1 {
-		per = 1
-	}
-	if threads > per {
-		return per
-	}
-	return threads
-}
-
 // TaskSeed derives the deterministic RNG seed of task index under base —
 // a splitmix64 finalization step, so nearby indices get well-separated
 // streams regardless of the base seed.
@@ -169,11 +134,6 @@ func Run(n int, opt Options, fn func(t *Task) error) error {
 	if workers > n {
 		workers = n
 	}
-	// Register the pool for nested-parallelism accounting (ThreadBudget)
-	// for the duration of the run — the sequential path included, since
-	// its inline tasks occupy the calling goroutine's core all the same.
-	activeWorkers.Add(int64(workers))
-	defer activeWorkers.Add(int64(-workers))
 
 	errs := make([]error, n)
 	var done atomic.Int64

@@ -3,7 +3,6 @@ package batch
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -164,54 +163,6 @@ func TestWorkerResolution(t *testing.T) {
 	t.Setenv("PGSIM_WORKERS", "not-a-number")
 	if got := Workers(0); got < 1 {
 		t.Fatalf("bad env should fall through, got %d", got)
-	}
-}
-
-// TestThreadBudgetOversubscription is the nested-parallelism accounting
-// property: from inside a Run at any worker count, the per-task solver
-// thread budget times the registered worker count never exceeds the
-// machine — workers × ThreadBudget(T) ≤ max(GOMAXPROCS, workers) for
-// every requested T. Outside any Run the budget degrades to a plain
-// GOMAXPROCS clamp.
-func TestThreadBudgetOversubscription(t *testing.T) {
-	maxProcs := runtime.GOMAXPROCS(0)
-	if aw := ActiveWorkers(); aw != 0 {
-		t.Fatalf("ActiveWorkers = %d before any Run, want 0", aw)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, threads := range []int{1, 2, 4, 8, 1 << 20} {
-			var bad atomic.Int64
-			err := Run(3*workers, Options{Workers: workers}, func(task *Task) error {
-				aw := ActiveWorkers()
-				tb := ThreadBudget(threads)
-				if tb < 1 || aw < 1 {
-					bad.Add(1)
-					return fmt.Errorf("task %d: budget %d, workers %d", task.Index, tb, aw)
-				}
-				limit := maxProcs
-				if aw > limit {
-					limit = aw
-				}
-				if aw*tb > limit {
-					bad.Add(1)
-					return fmt.Errorf("task %d: %d workers × %d threads oversubscribes %d procs",
-						task.Index, aw, tb, maxProcs)
-				}
-				return nil
-			})
-			if err != nil || bad.Load() != 0 {
-				t.Fatalf("workers=%d threads=%d: %v", workers, threads, err)
-			}
-		}
-	}
-	if aw := ActiveWorkers(); aw != 0 {
-		t.Fatalf("ActiveWorkers = %d after Runs returned, want 0", aw)
-	}
-	if tb := ThreadBudget(1 << 20); tb != maxProcs {
-		t.Fatalf("idle ThreadBudget(huge) = %d, want GOMAXPROCS %d", tb, maxProcs)
-	}
-	if tb := ThreadBudget(0); tb != 1 {
-		t.Fatalf("ThreadBudget(0) = %d, want 1", tb)
 	}
 }
 

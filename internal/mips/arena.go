@@ -40,18 +40,6 @@ type Arena struct {
 	jhView     jhRowView
 	slot       sparse.FactorSlot
 	zeroHess   *sparse.CSC // cached empty nx×nx Hessian (Hess == nil)
-
-	// Sharded KKT-assembly state (see Stepper.assembleKKTParallel):
-	// per-shard gather buffers (shard s owns outerValsPar[s·nx:(s+1)·nx]),
-	// the row-shard boundaries and triplet offsets recomputed each
-	// iteration, per-shard deviation flags, and the fork-join runner.
-	// Shards write disjoint slices only, so the zero-allocation pin and
-	// the race detector both stay clean.
-	outerValsPar la.Vector
-	shardRow     []int
-	shardOff     []int
-	shardBad     []int32
-	parfor       sparse.ParFor
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
@@ -97,22 +85,6 @@ func (a *Arena) ensureKKT(nx, neq int) {
 	if a.zeroHess == nil || a.zeroHess.NRows != nx {
 		a.zeroHess = sparse.NewBuilder(nx, nx).ToCSC()
 	}
-}
-
-// ensurePar sizes the sharded-assembly buffers for a solve running the
-// given thread count.
-func (a *Arena) ensurePar(threads, nx int) {
-	a.outerValsPar = grow(a.outerValsPar, threads*nx)
-	if cap(a.shardRow) < threads+1 {
-		a.shardRow = make([]int, threads+1)
-		a.shardOff = make([]int, threads+1)
-	}
-	a.shardRow = a.shardRow[:threads+1]
-	a.shardOff = a.shardOff[:threads+1]
-	if cap(a.shardBad) < threads {
-		a.shardBad = make([]int32, threads)
-	}
-	a.shardBad = a.shardBad[:threads]
 }
 
 // jhRowView is a pattern-keyed transpose view of the row-per-constraint

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/batch"
 	"repro/internal/la"
 	"repro/internal/sparse"
 )
@@ -94,15 +93,6 @@ type Options struct {
 	// pivoting), exactly the pre-reuse code path. It exists as the
 	// baseline for benchmarks and equivalence tests.
 	NoKKTReuse bool
-	// Threads requests intra-solve parallelism for the per-iteration KKT
-	// kernels (assembly, factorization, triangular solves). 0 defers to
-	// sparse.SolverThreads' process-wide resolution (PGSIM_SOLVER_THREADS,
-	// then the cmd/* -solver-threads default); the result is capped by
-	// batch.ThreadBudget so batch workers × solver threads never exceeds
-	// GOMAXPROCS. Results are bit-identical at every thread count — the
-	// parallel kernels are deterministic by construction (see DESIGN.md
-	// §12).
-	Threads int
 }
 
 func (o Options) withDefaults() Options {
@@ -220,8 +210,6 @@ type Stepper struct {
 	ar  *Arena
 
 	nx, neq, niq, nh   int
-	threads            int              // resolved solver thread count for this solve
-	outerFn            func(lo, hi int) // sharded outer-product body (threads > 1)
 	upperIdx, lowerIdx []int
 
 	// Iterates. x, lam, mu and z are owned by (and aliased into) res;
@@ -280,12 +268,6 @@ func newStepper(p *Problem, x0 la.Vector, ws *WarmStart, opt Options, ar *Arena)
 	s.neq, s.niq = len(s.g), len(s.h)
 	s.nh = s.niq - len(s.upperIdx) - len(s.lowerIdx)
 	ar.ensureKKT(nx, s.neq)
-
-	// Resolve the solver thread count once per solve: the explicit
-	// option (or the process-wide default), capped against the batch
-	// worker pools currently running so nested parallelism never
-	// oversubscribes the machine.
-	s.SetThreads(batch.ThreadBudget(sparse.SolverThreads(opt.Threads)))
 
 	// Initialize slacks and multipliers (mips.m defaults).
 	s.z = make(la.Vector, s.niq)
@@ -368,32 +350,6 @@ func newStepper(p *Problem, x0 la.Vector, ws *WarmStart, opt Options, ar *Arena)
 // Result returns the solve state. Its X/Lam/Mu/Z alias the live
 // iterates until Step reports done.
 func (s *Stepper) Result() *Result { return s.res }
-
-// SetThreads overrides the solve's resolved solver thread count —
-// factorization, triangular solves and KKT assembly all follow it from
-// the next Step on. NewStepper calls it with the Options.Threads
-// resolution; harnesses (equivalence tests, benchmarks) call it
-// directly to pin a thread count regardless of the host's GOMAXPROCS,
-// which is safe because every parallel kernel is bit-identical to its
-// serial counterpart at any count.
-func (s *Stepper) SetThreads(t int) {
-	if t < 1 {
-		t = 1
-	}
-	s.threads = t
-	s.ar.slot.SetThreads(t)
-	s.outerFn = nil
-	if t > 1 {
-		s.ar.ensurePar(t, s.nx)
-		// The shard body is bound once per call; each Step reuses it
-		// through the arena's fork-join runner without allocating.
-		s.outerFn = func(lo, hi int) {
-			for sh := lo; sh < hi; sh++ {
-				s.stampOuterShard(sh)
-			}
-		}
-	}
-}
 
 // flushStats folds the per-solve symbolic-cache counters into the
 // shared ordering cache, once.
@@ -497,49 +453,41 @@ func (s *Stepper) Step() (bool, error) {
 		w[k] = s.mu[k] / s.z[k]
 	}
 	ar.jhView.update(s.jh)
-	var kkt *sparse.CSC
-	if s.threads > 1 && ar.kktAsm.Compiled() {
-		// Sharded stamp over the compiled append sequence; nil means the
-		// sequence deviated (pattern drift) — replay serially below.
-		kkt = s.assembleKKTParallel(lxx)
+	view := &ar.jhView
+	asm := ar.kktAsm
+	asm.Begin()
+	jhVal := s.jh.Val
+	for r := 0; r < niq; r++ {
+		lo, hi := view.rowPtr[r], view.rowPtr[r+1]
+		rv := ar.outerVals[:hi-lo]
+		for t, p := 0, lo; p < hi; p, t = p+1, t+1 {
+			rv[t] = jhVal[view.valPos[p]]
+		}
+		asm.AppendOuter(w[r], view.colIdx[lo:hi], rv)
 	}
-	if kkt == nil {
-		view := &ar.jhView
-		asm := ar.kktAsm
-		asm.Begin()
-		jhVal := s.jh.Val
-		for r := 0; r < niq; r++ {
-			lo, hi := view.rowPtr[r], view.rowPtr[r+1]
-			rv := ar.outerVals[:hi-lo]
-			for t, p := 0, lo; p < hi; p, t = p+1, t+1 {
-				rv[t] = jhVal[view.valPos[p]]
-			}
-			asm.AppendOuter(w[r], view.colIdx[lo:hi], rv)
-		}
-		asm.AppendCSC(0, 0, 1, lxx)
-		for i := 0; i < nx; i++ {
-			asm.Append(i, i, s.regKKT)
-		}
-		if s.jg != nil {
-			asm.AppendCSC(nx, 0, 1, s.jg)
-			for j := 0; j < s.jg.NCols; j++ {
-				for q := s.jg.ColPtr[j]; q < s.jg.ColPtr[j+1]; q++ {
-					asm.Append(j, nx+s.jg.RowIdx[q], s.jg.Val[q])
-				}
+	asm.AppendCSC(0, 0, 1, lxx)
+	for i := 0; i < nx; i++ {
+		asm.Append(i, i, s.regKKT)
+	}
+	if s.jg != nil {
+		asm.AppendCSC(nx, 0, 1, s.jg)
+		for j := 0; j < s.jg.NCols; j++ {
+			for q := s.jg.ColPtr[j]; q < s.jg.ColPtr[j+1]; q++ {
+				asm.Append(j, nx+s.jg.RowIdx[q], s.jg.Val[q])
 			}
 		}
-		// Ground the dual diagonal with the static −δ regularization: the
-		// quasi-definite diagonal keeps shaped pivot sequences on the
-		// diagonal, where minimum-degree fill predictions hold —
-		// severalfold less fill than pivoting off an empty dual diagonal —
-		// and makes the pattern invariant under the Tikhonov retry, so one
-		// symbolic analysis covers every iteration of every solve. δ only
-		// perturbs the step O(δ·‖Δ‖), far below the convergence tolerances.
-		for i := 0; i < neq; i++ {
-			asm.Append(nx+i, nx+i, -kktStaticReg)
-		}
-		kkt = asm.Finish()
 	}
+	// Ground the dual diagonal with the static −δ regularization: the
+	// quasi-definite diagonal keeps shaped pivot sequences on the
+	// diagonal, where minimum-degree fill predictions hold —
+	// severalfold less fill than pivoting off an empty dual diagonal —
+	// and makes the pattern invariant under the Tikhonov retry, so one
+	// symbolic analysis covers every iteration of every solve. δ only
+	// perturbs the step O(δ·‖Δ‖), far below the convergence tolerances.
+	for i := 0; i < neq; i++ {
+		asm.Append(nx+i, nx+i, -kktStaticReg)
+	}
+	kkt := asm.Finish()
 
 	rhs := ar.rhs
 	for k := 0; k < niq; k++ {
@@ -574,12 +522,7 @@ func (s *Stepper) Step() (bool, error) {
 		s.iter++
 		return false, nil
 	}
-	// The slot routes the solve through the level-scheduled parallel
-	// sweeps when its thread count and the pattern's schedule warrant
-	// them; for foreign factors (the NoKKTReuse baseline) or serial
-	// slots it falls back to the factor's own serial sweeps. Either
-	// path is bit-identical.
-	ar.slot.SolveInto(fac, ar.dxdlam, rhs, ar.solveWork)
+	fac.SolveInto(ar.dxdlam, rhs, ar.solveWork)
 
 	dx := ar.dxdlam[:nx]
 	dlam := ar.dxdlam[nx:]
@@ -623,117 +566,6 @@ func (s *Stepper) Step() (bool, error) {
 	s.evalGH()
 	s.iter++
 	return false, nil
-}
-
-// assembleKKTParallel builds the iteration's KKT matrix as a stamped
-// pass over the assembler's compiled append sequence, in three phases:
-// the Σ w·JhᵀJh outer products sharded by row range across the solver
-// threads (phase A — the m² work that dominates assembly), the serial
-// tail blocks (phase B — Hessian, regularization diagonal, Jg borders,
-// dual grounding), and a parallel slot reduction (phase C — each matrix
-// entry assigned the append-order sum of its triplets). The result is
-// bit-identical to the serial Append pass: phases A and B write the
-// same triplet values the appends would, and the reduction sums them in
-// the same order. Shards write only their own triplet range and gather
-// buffer, preserving the zero-allocation and race-free pins.
-//
-// Returns nil when the compiled sequence no longer matches this
-// iteration's appends (first iteration, pattern drift) — the caller
-// then replays the identical sequence through the serial path, which
-// recompiles it.
-func (s *Stepper) assembleKKTParallel(lxx *sparse.CSC) *sparse.CSC {
-	ar := s.ar
-	view := &ar.jhView
-	asm := ar.kktAsm
-	nx, neq, niq := s.nx, s.neq, s.niq
-	t := s.threads
-
-	// Shard rows so each gets ~1/t of the Σm² triplet work, recording
-	// each shard's starting triplet offset.
-	var totalSq int
-	for r := 0; r < niq; r++ {
-		m := view.rowPtr[r+1] - view.rowPtr[r]
-		totalSq += m * m
-	}
-	per := totalSq/t + 1
-	ar.shardRow[0], ar.shardOff[0] = 0, 0
-	sh, acc := 1, 0
-	for r := 0; r < niq && sh < t; r++ {
-		m := view.rowPtr[r+1] - view.rowPtr[r]
-		acc += m * m
-		if acc >= per*sh {
-			ar.shardRow[sh], ar.shardOff[sh] = r+1, acc
-			sh++
-		}
-	}
-	for ; sh <= t; sh++ {
-		ar.shardRow[sh], ar.shardOff[sh] = niq, totalSq
-	}
-	for i := range ar.shardBad {
-		ar.shardBad[i] = 0
-	}
-
-	// Phase A: stamp the outer products, one shard per participant.
-	ar.parfor.Run(t, t, 1, s.outerFn)
-	for _, bad := range ar.shardBad {
-		if bad != 0 {
-			return nil
-		}
-	}
-
-	// Phase B: the serial tail, continuing at the first post-outer
-	// triplet — the same append sequence as the serial path.
-	k, ok := asm.StampCSCAt(totalSq, 0, 0, 1, lxx)
-	for i := 0; ok && i < nx; i++ {
-		k, ok = asm.StampAt(k, i, i, s.regKKT)
-	}
-	if ok && s.jg != nil {
-		k, ok = asm.StampCSCAt(k, nx, 0, 1, s.jg)
-		for j := 0; ok && j < s.jg.NCols; j++ {
-			for q := s.jg.ColPtr[j]; ok && q < s.jg.ColPtr[j+1]; q++ {
-				k, ok = asm.StampAt(k, j, nx+s.jg.RowIdx[q], s.jg.Val[q])
-			}
-		}
-	}
-	for i := 0; ok && i < neq; i++ {
-		k, ok = asm.StampAt(k, nx+i, nx+i, -kktStaticReg)
-	}
-	if !ok {
-		return nil
-	}
-
-	// Phase C: reduce triplets into matrix values, in append order.
-	kkt, ok := asm.FinishStamped(k, t)
-	if !ok {
-		return nil
-	}
-	return kkt
-}
-
-// stampOuterShard gathers and stamps one row shard of the weighted
-// JhᵀJh outer products into the compiled KKT sequence. Each shard owns
-// its own gather buffer and triplet range; a coordinate deviation sets
-// the shard's flag and abandons the shard.
-func (s *Stepper) stampOuterShard(sh int) {
-	ar := s.ar
-	view := &ar.jhView
-	asm := ar.kktAsm
-	jhVal := s.jh.Val
-	w := ar.w
-	buf := ar.outerValsPar[sh*s.nx : (sh+1)*s.nx]
-	k := ar.shardOff[sh]
-	for r := ar.shardRow[sh]; r < ar.shardRow[sh+1]; r++ {
-		lo, hi := view.rowPtr[r], view.rowPtr[r+1]
-		rv := buf[:hi-lo]
-		for t, p := 0, lo; p < hi; p, t = p+1, t+1 {
-			rv[t] = jhVal[view.valPos[p]]
-		}
-		var ok bool
-		if k, ok = asm.StampOuterAt(k, w[r], view.colIdx[lo:hi], rv); !ok {
-			ar.shardBad[sh] = 1
-			return
-		}
-	}
 }
 
 // evalGH evaluates the nonlinear constraints and assembles the full

@@ -270,7 +270,7 @@ func header(w io.Writer, name, typ, help string) {
 
 // render writes every metric in Prometheus text exposition format, with
 // deterministic (sorted) label ordering.
-func (m *metrics) render(w io.Writer, queueDepth, solverThreads int, kkt []kktStat, lcs []lcStat) {
+func (m *metrics) render(w io.Writer, queueDepth int, kkt []kktStat, lcs []lcStat) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -357,8 +357,6 @@ func (m *metrics) render(w io.Writer, queueDepth, solverThreads int, kkt []kktSt
 
 	header(w, "pgsimd_queue_depth", "gauge", "Requests waiting for the dispatcher.")
 	fmt.Fprintf(w, "pgsimd_queue_depth %d\n", queueDepth)
-	header(w, "pgsimd_solver_threads", "gauge", "Resolved intra-solve parallelism per KKT factorization (before the per-solve worker-budget cap).")
-	fmt.Fprintf(w, "pgsimd_solver_threads %d\n", solverThreads)
 	header(w, "pgsimd_uptime_seconds", "gauge", "Seconds since the server started.")
 	fmt.Fprintf(w, "pgsimd_uptime_seconds %g\n", time.Since(m.started).Seconds())
 }

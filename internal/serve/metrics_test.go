@@ -42,7 +42,7 @@ func TestMetricsGolden(t *testing.T) {
 	good := stubPredictor{start: &opf.Start{X: base.X, Lam: base.Lam, Mu: base.Mu, Z: base.Z}}
 	bad := stubPredictor{start: badStart(sys.OPF.Lay)}
 
-	s := New(Config{Workers: 1, MaxBatch: 1, SolverThreads: 1})
+	s := New(Config{Workers: 1, MaxBatch: 1})
 	t.Cleanup(s.Close)
 	s.AddSystemPredictors(sys, []opf.Predictor{good})
 	// A capture-only lifecycle manager puts the per-system lifecycle

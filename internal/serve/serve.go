@@ -75,7 +75,6 @@ import (
 	"repro/internal/lifecycle"
 	"repro/internal/mtl"
 	"repro/internal/opf"
-	"repro/internal/sparse"
 )
 
 // Config sizes the server. The zero value is usable: every field has a
@@ -98,13 +97,6 @@ type Config struct {
 	QueueDepth int
 	// MaxBodyBytes caps a request body (default 1 MiB).
 	MaxBodyBytes int64
-	// SolverThreads is the intra-solve parallelism of each KKT
-	// factorization/solve (DESIGN.md §12); 0 resolves through the sparse
-	// engine's chain (PGSIM_SOLVER_THREADS, SetDefaultSolverThreads, 1).
-	// Each solve's effective count is further capped by the worker
-	// budget, so workers × threads never oversubscribes GOMAXPROCS. The
-	// resolved value is exported as the pgsimd_solver_threads gauge.
-	SolverThreads int
 }
 
 func (c Config) withDefaults() Config {
@@ -176,9 +168,6 @@ type Server struct {
 // New builds a server and starts its micro-batch dispatcher.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	if cfg.SolverThreads > 0 {
-		sparse.SetDefaultSolverThreads(cfg.SolverThreads)
-	}
 	s := &Server{
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
@@ -379,7 +368,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.met.render(w, len(s.queue), sparse.SolverThreads(s.cfg.SolverThreads), s.kktStats(), s.lifecycleStats())
+	s.met.render(w, len(s.queue), s.kktStats(), s.lifecycleStats())
 	s.met.inc(s.met.requests, 1, "/metrics", "200")
 }
 

@@ -142,6 +142,44 @@ func TestRequestValidation(t *testing.T) {
 	})
 }
 
+// FuzzSolveRequest is the /v1/solve trust boundary: arbitrary bytes
+// POSTed to a cold-only case5 server must never panic, may only be
+// answered 200, 400 or 404, and every 200 must carry a decodable
+// SolveResponse with one voltage angle and magnitude per bus.
+func FuzzSolveRequest(f *testing.F) {
+	sys, err := core.LoadSystem("case5")
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := New(Config{Workers: 1, BatchWindow: -1})
+	s.AddSystem(sys, nil)
+	f.Cleanup(s.Close)
+	h := s.Handler()
+	nb := sys.Case.NB()
+
+	f.Add([]byte(`{"system":"case5","scale":1.05}`))
+	f.Add([]byte(`{"system":"case5","scale":1.0,"factors":[1,1,1,1,1]}`))
+	f.Add([]byte(`{"system":"case5","scale":1e999}`))
+	f.Add([]byte(`{"system":"case5","factors":[1,1,-0.5,1,1]}`))
+	f.Add([]byte(`{"system":"case5","scale":1.0,"bogus":true}`))
+	f.Add([]byte(`{"system":"case5","factors":[1,1,1]}`))
+	f.Add([]byte(`{"system":"case5","sca`))
+	f.Add([]byte(`{"system":"case5","factors":[` + strings.Repeat("1,", 1<<20) + `1]}`)) // 2 MiB
+	f.Fuzz(func(t *testing.T, body []byte) {
+		code, out := postSolve(t, h, string(body))
+		switch code {
+		case http.StatusOK:
+			resp := decodeSolve(t, out)
+			if len(resp.Va) != nb || len(resp.Vm) != nb {
+				t.Fatalf("200 with %d va / %d vm entries, want %d: %s", len(resp.Va), len(resp.Vm), nb, out)
+			}
+		case http.StatusBadRequest, http.StatusNotFound:
+		default:
+			t.Fatalf("status %d for body %q: %s", code, body, out)
+		}
+	})
+}
+
 // TestColdMatchesOffline pins that a served cold solve is bit-identical
 // to the offline pgsim path (Perturb + Solve from the default start).
 func TestColdMatchesOffline(t *testing.T) {
@@ -435,7 +473,6 @@ func TestSystemsHealthMetrics(t *testing.T) {
 		"pgsimd_solve_latency_seconds_count",
 		"pgsimd_batch_size_count 1",
 		"pgsimd_queue_depth 0",
-		"pgsimd_solver_threads ",
 		`pgsimd_http_requests_total{endpoint="/v1/solve",code="200"} 1`,
 		`pgsimd_kkt_symbolic_analyses_total{system="case9"}`,
 		`pgsimd_kkt_numeric_refactors_total{system="case9"}`,

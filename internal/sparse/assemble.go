@@ -34,18 +34,6 @@ type Assembler struct {
 	live      bool    // this pass still matches the compiled sequence
 	pos       []int32 // triplet k -> index into csc.Val
 	csc       *CSC
-
-	// Deferred-reduction (stamped) pass support: the inverse of pos —
-	// slot s's contributing triplets at slotTr[slotPtr[s]:slotPtr[s+1]],
-	// in ascending append order — rebuilt when gen (bumped by compile)
-	// outruns redGen. red drives the parallel reduction; redFn is the
-	// bound reduction body, created once.
-	gen     uint64
-	redGen  uint64
-	slotPtr []int32
-	slotTr  []int32
-	red     ParFor
-	redFn   func(lo, hi int)
 }
 
 // Live passes stamp values directly into csc.Val as they are appended
@@ -247,140 +235,5 @@ func (a *Assembler) compile() *CSC {
 	a.compiled = true
 	a.compiledN = n
 	a.live = true
-	a.gen++
 	return m
-}
-
-// Stamped passes: an alternative to Begin/Append/Finish for callers
-// that shard one pass across goroutines. Each Stamp*At call verifies a
-// stretch of the compiled sequence and writes only the triplet values
-// at its own offsets — no shared assembler state is touched, so shards
-// stamping disjoint offset ranges may run concurrently. FinishStamped
-// then reduces csc.Val[s] = Σ vals[k] over each slot's triplets in
-// ascending append order — exactly the serial live-stamp's summation
-// order, so a stamped pass is bit-identical to the equivalent Append
-// pass. Any deviation from the compiled sequence reports false, and the
-// caller replays the pass through the serial API (partial stamped
-// values are overwritten by the replay).
-
-// Compiled reports whether a previous pass left a compiled append
-// sequence for stamped passes to verify against.
-func (a *Assembler) Compiled() bool { return a.compiled }
-
-// StampAt verifies that triplet k of the compiled sequence is (i, j)
-// and records v there. Returns the next offset and whether it matched.
-func (a *Assembler) StampAt(k, i, j int, v float64) (int, bool) {
-	if k >= a.compiledN || a.rows[k] != int32(i) || a.cols[k] != int32(j) {
-		return k, false
-	}
-	a.vals[k] = v
-	return k + 1, true
-}
-
-// StampOuterAt records the w-weighted outer product of a sparse row
-// with itself at triplet offset k — AppendOuter's entries and
-// arithmetic with the value stamp deferred to FinishStamped.
-func (a *Assembler) StampOuterAt(k int, w float64, cols []int32, vals []float64) (int, bool) {
-	m := len(cols)
-	mm := m * m
-	if k+mm > a.compiledN {
-		return k, false
-	}
-	rows, cc, vv := a.rows[k:k+mm], a.cols[k:k+mm], a.vals[k:k+mm]
-	t := 0
-	for p1 := 0; p1 < m; p1++ {
-		v1 := w * vals[p1]
-		r := cols[p1]
-		for p2 := 0; p2 < m; p2++ {
-			if rows[t] != r || cc[t] != cols[p2] {
-				return k, false
-			}
-			vv[t] = v1 * vals[p2]
-			t++
-		}
-	}
-	return k + mm, true
-}
-
-// StampCSCAt records src, scaled by s, at row/col offsets — the stamped
-// counterpart of AppendCSC.
-func (a *Assembler) StampCSCAt(k, rowOff, colOff int, s float64, src *CSC) (int, bool) {
-	ok := true
-	for j := 0; j < src.NCols; j++ {
-		for p := src.ColPtr[j]; p < src.ColPtr[j+1]; p++ {
-			if k, ok = a.StampAt(k, rowOff+src.RowIdx[p], colOff+j, s*src.Val[p]); !ok {
-				return k, false
-			}
-		}
-	}
-	return k, true
-}
-
-// FinishStamped completes a stamped pass of exactly n triplets: every
-// slot of the compiled matrix is assigned the sum of its triplet values
-// in append order, parallelized over disjoint slot ranges when threads
-// > 1 (assignment per slot, so which participant reduces it cannot
-// matter). Returns the matrix and whether n covered the compiled
-// sequence; on false the caller must replay the pass serially.
-func (a *Assembler) FinishStamped(n, threads int) (*CSC, bool) {
-	if !a.compiled || n != a.compiledN {
-		return nil, false
-	}
-	a.ensureReduction()
-	if a.redFn == nil {
-		a.redFn = a.reduceSlots
-	}
-	a.red.Run(len(a.csc.Val), threads, 2048, a.redFn)
-	a.n = n
-	return a.csc, true
-}
-
-// ensureReduction (re)builds the slot → triplets inverse of pos. A
-// counting sort by slot over ascending k keeps each slot's triplet list
-// in append order.
-func (a *Assembler) ensureReduction() {
-	if a.redGen == a.gen {
-		return
-	}
-	n := a.compiledN
-	nnz := len(a.csc.Val)
-	if cap(a.slotPtr) < nnz+1 {
-		a.slotPtr = make([]int32, nnz+1)
-	}
-	a.slotPtr = a.slotPtr[:nnz+1]
-	for i := range a.slotPtr {
-		a.slotPtr[i] = 0
-	}
-	for k := 0; k < n; k++ {
-		a.slotPtr[a.pos[k]+1]++
-	}
-	for s := 0; s < nnz; s++ {
-		a.slotPtr[s+1] += a.slotPtr[s]
-	}
-	if cap(a.slotTr) < n {
-		a.slotTr = make([]int32, n)
-	}
-	a.slotTr = a.slotTr[:n]
-	next := make([]int32, nnz)
-	copy(next, a.slotPtr[:nnz])
-	for k := 0; k < n; k++ {
-		s := a.pos[k]
-		a.slotTr[next[s]] = int32(k)
-		next[s]++
-	}
-	a.redGen = a.gen
-}
-
-// reduceSlots is the reduction body: sum each slot's triplets in append
-// order and assign (not accumulate — stale partial stamps are
-// discarded).
-func (a *Assembler) reduceSlots(lo, hi int) {
-	val := a.csc.Val
-	for s := lo; s < hi; s++ {
-		v := 0.0
-		for t := a.slotPtr[s]; t < a.slotPtr[s+1]; t++ {
-			v += a.vals[a.slotTr[t]]
-		}
-		val[s] = v
-	}
 }

@@ -231,146 +231,6 @@ func TestAssemblerAppendOuterDeviation(t *testing.T) {
 	}
 }
 
-// A stamped pass (Stamp*At + FinishStamped) over a compiled sequence
-// must be bit-identical to the serial Append pass it shards — same
-// structure, same duplicate summation order — at every reduction thread
-// count, including mixed Append/AppendOuter/AppendCSC sequences.
-func TestAssemblerStampedMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 10; trial++ {
-		n := 6 + r.Intn(24)
-		is, js := randTriplets(r, n, 1+r.Intn(80))
-		outerCols := []int32{int32(r.Intn(n - 1)), int32(n - 1)}
-		src, _ := randPatternPair(r, 4)
-		asm := NewAssembler(n, n)
-		serial := func(vals, ov []float64) *CSC {
-			asm.Begin()
-			for _, c := range outerCols {
-				asm.AppendOuter(0.5, outerCols, ov)
-				_ = c
-			}
-			for k := range is {
-				asm.Append(is[k], js[k], vals[k])
-			}
-			asm.AppendCSC(0, 0, -2, src)
-			return asm.Finish()
-		}
-		fresh := func() ([]float64, []float64) {
-			vals := make([]float64, len(is))
-			for k := range vals {
-				vals[k] = r.NormFloat64()
-			}
-			ov := []float64{r.NormFloat64(), r.NormFloat64()}
-			return vals, ov
-		}
-		v0, o0 := fresh()
-		serial(v0, o0) // compile
-		for _, threads := range []int{1, 2, 4, 8} {
-			vals, ov := fresh()
-			ref := serial(vals, ov)
-			refVal := append([]float64(nil), ref.Val...)
-			// Same values, stamped out of order across the sequence.
-			k := 0
-			ok := true
-			for range outerCols {
-				k, ok = asm.StampOuterAt(k, 0.5, outerCols, ov)
-				if !ok {
-					t.Fatal("outer stamp deviated")
-				}
-			}
-			for t2 := range is {
-				if k, ok = asm.StampAt(k, is[t2], js[t2], vals[t2]); !ok {
-					t.Fatal("stamp deviated")
-				}
-			}
-			if k, ok = asm.StampCSCAt(k, 0, 0, -2, src); !ok {
-				t.Fatal("CSC stamp deviated")
-			}
-			got, ok := asm.FinishStamped(k, threads)
-			if !ok {
-				t.Fatal("FinishStamped rejected a full pass")
-			}
-			for p := range refVal {
-				if got.Val[p] != refVal[p] {
-					t.Fatalf("trial %d threads %d: Val[%d] = %v, want %v",
-						trial, threads, p, got.Val[p], refVal[p])
-				}
-			}
-		}
-	}
-}
-
-// Stamp calls against coordinates that deviate from the compiled
-// sequence, or a FinishStamped that does not cover it, must report
-// false so the caller replays serially — and the serial replay must
-// still produce the right matrix afterwards.
-func TestAssemblerStampedDeviation(t *testing.T) {
-	asm := NewAssembler(4, 4)
-	pass := func(v float64) *CSC {
-		asm.Begin()
-		asm.Append(0, 0, v)
-		asm.Append(1, 2, 2*v)
-		asm.Append(1, 2, v) // duplicate
-		return asm.Finish()
-	}
-	pass(1)
-	if _, ok := asm.StampAt(0, 3, 3, 5); ok {
-		t.Fatal("deviating StampAt accepted")
-	}
-	if _, ok := asm.StampAt(99, 0, 0, 5); ok {
-		t.Fatal("out-of-range StampAt accepted")
-	}
-	k, ok := asm.StampAt(0, 0, 0, 5)
-	if !ok {
-		t.Fatal("matching StampAt rejected")
-	}
-	if _, ok := asm.FinishStamped(k, 1); ok {
-		t.Fatal("short FinishStamped accepted")
-	}
-	// Serial replay after the abandoned stamped pass.
-	m := pass(3)
-	if m.At(0, 0) != 3 || m.At(1, 2) != 9 {
-		t.Fatalf("replay wrong: %+v", m.Val)
-	}
-}
-
-// The steady-state stamped pass must not allocate once the reduction
-// structure exists — the sharded KKT assembly's half of the
-// zero-allocation pin.
-func TestAssemblerStampedAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	r := rand.New(rand.NewSource(41))
-	is, js := randTriplets(r, 40, 400)
-	vals := make([]float64, len(is))
-	for k := range vals {
-		vals[k] = r.NormFloat64()
-	}
-	asm := NewAssembler(40, 40)
-	asm.Begin()
-	for k := range is {
-		asm.Append(is[k], js[k], vals[k])
-	}
-	asm.Finish() // compile
-	stamped := func() {
-		k := 0
-		ok := true
-		for t2 := range is {
-			if k, ok = asm.StampAt(k, is[t2], js[t2], vals[t2]); !ok {
-				panic("deviated")
-			}
-		}
-		if _, ok = asm.FinishStamped(k, 4); !ok {
-			panic("rejected")
-		}
-	}
-	stamped() // build the reduction structure
-	if n := testing.AllocsPerRun(100, stamped); n != 0 {
-		t.Fatalf("stamped pass allocates %v times per run, want 0", n)
-	}
-}
-
 // The steady-state stamp path must not allocate: this is what keeps the
 // warm MIPS iteration loop allocation-free.
 func TestAssemblerStampAllocFree(t *testing.T) {

@@ -306,10 +306,7 @@ func (s *Symbolic) clearColumn(x []float64, li []int, k int) {
 // refactorColumn runs destination column k of the scalar kernel —
 // gather, ordered consumption, pivot check, L/U write — against the
 // workspace accumulator x (all-zero on entry, restored on every exit
-// path). It is the unit of work the parallel task scheduler dispatches:
-// a column computed here is the same instruction sequence at any thread
-// count, which is what makes the parallel kernel bit-identical to the
-// serial one.
+// path).
 func (s *Symbolic) refactorColumn(f *LUFactors, x []float64, a *CSC, k int) error {
 	col := s.q[k]
 	for p := a.ColPtr[col]; p < a.ColPtr[col+1]; p++ {
@@ -415,10 +412,7 @@ func (s *Symbolic) RefactorBlockedInto(f *LUFactors, ws *RefactorWorkspace, a *C
 
 // refactorColumnBlocked runs destination column k of the blocked
 // kernel: gather, program consumption (scalar ops and panel groups),
-// pivot check, L/U write. Like refactorColumn it is the parallel
-// scheduler's unit of work — the same instruction sequence at any
-// thread count, so the parallel blocked kernel is bit-identical to the
-// single-threaded one.
+// pivot check, L/U write.
 func (s *Symbolic) refactorColumnBlocked(f *LUFactors, ws *RefactorWorkspace, a *CSC, b *blockedSchedule, k int) error {
 	x := ws.x
 	{

@@ -7,7 +7,6 @@ package sparse_test
 // solver actually factors in production.
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -108,70 +107,6 @@ func TestRefactorBlockedEmbeddedFleet(t *testing.T) {
 			st := sym.PanelStats()
 			t.Logf("%s: n=%d supernodes=%d panelCols=%d maxWidth=%d panelFrac=%.3f blocked=%v",
 				name, kkt.NRows, st.Supernodes, st.PanelCols, st.MaxWidth, st.PanelFrac, st.Blocked)
-		})
-	}
-}
-
-// TestParallelRefactorEmbeddedFleet pins the parallel factor and solve
-// kernels to the serial auto kernel on every embedded system's
-// KKT-shaped pattern, at every tested thread count, bit for bit — the
-// production half of the parallel equivalence suite (random-pattern and
-// fuzz coverage live in parallel_test.go).
-func TestParallelRefactorEmbeddedFleet(t *testing.T) {
-	r := rand.New(rand.NewSource(67))
-	for _, name := range casegen.EmbeddedNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			skipLargeInShort(t, name)
-			c, err := casegen.Paper(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o := opf.Prepare(c)
-			kkt := fleetKKTProxy(o, r)
-			sym, _, err := sparse.Analyze(kkt, opf.DefaultOrdering(c.NB()), 1.0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := kkt.Clone()
-			for p := range m.Val {
-				m.Val[p] *= 1 + 0.1*r.NormFloat64()
-			}
-			rhs := make(la.Vector, m.NRows)
-			for i := range rhs {
-				rhs[i] = r.NormFloat64()
-			}
-			for i := 0; i < len(rhs); i += 11 {
-				rhs[i] = 0 // exercise the zero-skip paths
-			}
-			refSlot := sym.NewFactorSlot()
-			refSlot.SetThreads(1)
-			refF, err := refSlot.Refactor(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantX := make(la.Vector, m.NRows)
-			work := make(la.Vector, m.NRows)
-			refSlot.SolveInto(refF, wantX, rhs, work)
-			for _, threads := range []int{2, 4, 8} {
-				sl := sym.NewFactorSlot()
-				sl.SetThreads(threads)
-				f, err := sl.Refactor(m)
-				if err != nil {
-					t.Fatalf("threads=%d: %v", threads, err)
-				}
-				if !f.EqualValues(refF) {
-					t.Fatalf("threads=%d: parallel factors differ from serial", threads)
-				}
-				got := make(la.Vector, m.NRows)
-				sl.SolveInto(f, got, rhs, work)
-				for i := range got {
-					if math.Float64bits(got[i]) != math.Float64bits(wantX[i]) {
-						t.Fatalf("threads=%d: solve differs at row %d: %v vs %v",
-							threads, i, got[i], wantX[i])
-					}
-				}
-			}
 		})
 	}
 }

@@ -254,38 +254,6 @@ func (f *LUFactors) SolveInto(dst, b, work la.Vector) {
 // NNZ returns the total stored entries of L and U.
 func (f *LUFactors) NNZ() int { return f.lnzTotal }
 
-// EqualValues reports whether f and o hold bit-identical factorizations:
-// same dimensions, same index structure, and factor values equal bit for
-// bit (Float64bits, so ±0 and NaN payloads count as different). The
-// equivalence tests and the parallel-kernel benchmark use it to pin the
-// parallel kernels to their serial counterparts.
-func (f *LUFactors) EqualValues(o *LUFactors) bool {
-	if f.n != o.n || len(f.lx) != len(o.lx) || len(f.ux) != len(o.ux) {
-		return false
-	}
-	for p := range f.li {
-		if f.li[p] != o.li[p] {
-			return false
-		}
-	}
-	for p := range f.ui {
-		if f.ui[p] != o.ui[p] {
-			return false
-		}
-	}
-	for p := range f.lx {
-		if math.Float64bits(f.lx[p]) != math.Float64bits(o.lx[p]) {
-			return false
-		}
-	}
-	for p := range f.ux {
-		if math.Float64bits(f.ux[p]) != math.Float64bits(o.ux[p]) {
-			return false
-		}
-	}
-	return true
-}
-
 // SolveLU factorizes a and solves a single system in one call.
 func SolveLU(a *CSC, b la.Vector) (la.Vector, error) {
 	f, err := Factorize(a)

@@ -106,11 +106,6 @@ type Symbolic struct {
 	// on first use; a pure function of the frozen pattern, so a benign
 	// build race stores identical schedules. See blocked.go.
 	blk atomic.Pointer[blockedSchedule]
-
-	// par caches the parallel execution schedule (factor task DAG and
-	// level-scheduled solve plans); same lazy-build contract as blk.
-	// See etree.go and parallel.go.
-	par atomic.Pointer[parSched]
 }
 
 // Analyze computes a full LU factorization of a and extracts its symbolic
@@ -297,33 +292,12 @@ type FactorSlot struct {
 	sym *Symbolic
 	f   *LUFactors
 	ws  *RefactorWorkspace
-
-	// threads is the solver thread request set by SetThreads; pr is the
-	// lazily built parallel runner for (sym, threads). See parallel.go.
-	threads int
-	pr      *parRunner
-}
-
-// SetThreads sets the slot's solver thread count for subsequent
-// factorizations and solves. n <= 1 keeps every kernel serial; n > 1
-// enables the parallel kernels on patterns whose schedule marks them
-// worthwhile (the n >= 192 blocked threshold). Results are bit-identical
-// at every thread count.
-func (sl *FactorSlot) SetThreads(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n != sl.threads {
-		sl.threads = n
-		sl.pr = nil
-	}
 }
 
 func (sl *FactorSlot) bind(sym *Symbolic) {
 	sl.sym = sym
 	sl.f = &LUFactors{}
 	sl.ws = sym.NewRefactorWorkspace()
-	sl.pr = nil
 }
 
 // Factorize returns an LU of a, refactorizing on a cached symbolic
@@ -429,12 +403,6 @@ func refactorOn(sym *Symbolic, a *CSC, slot *FactorSlot) (*LUFactors, error) {
 	if slot != nil {
 		if slot.sym != sym {
 			slot.bind(sym)
-		}
-		if slot.threads > 1 && sym.parallel().use {
-			if err := slot.refactorParallel(a); err != nil {
-				return nil, err
-			}
-			return slot.f, nil
 		}
 		if err := sym.refactorAutoInto(slot.f, slot.ws, a); err != nil {
 			return nil, err
