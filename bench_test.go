@@ -442,13 +442,14 @@ func BenchmarkKKTFactor(b *testing.B) {
 		}
 	})
 	b.Run("refactor", func(b *testing.B) {
-		sym, _, err := sparse.Analyze(kkt, sparse.OrderRCM, 1.0)
+		sym, f, err := sparse.Analyze(kkt, sparse.OrderRCM, 1.0)
 		if err != nil {
 			b.Fatal(err)
 		}
+		ws := sym.NewRefactorWorkspace()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sym.Refactor(kkt); err != nil {
+			if err := sym.RefactorInto(f, ws, kkt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -464,9 +465,8 @@ func BenchmarkKKTFactor(b *testing.B) {
 	}
 }
 
-// BenchmarkMIPSSolve times a cold case14 AC-OPF solve with the symbolic
-// KKT reuse on (the default) and off (the pre-reuse per-iteration full
-// factorization) — the end-to-end number PERFORMANCE.md quotes.
+// BenchmarkMIPSSolve times a cold case14 AC-OPF solve through the
+// grid's shared KKT cache — the end-to-end number PERFORMANCE.md quotes.
 func BenchmarkMIPSSolve(b *testing.B) {
 	sys := core.MustLoadSystem("case14")
 	writeKKTBenchReport(b)
@@ -474,19 +474,12 @@ func BenchmarkMIPSSolve(b *testing.B) {
 	for i := range fac {
 		fac[i] = 1.03
 	}
-	for _, mode := range []struct {
-		name    string
-		noReuse bool
-	}{{"reuse", false}, {"noreuse", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			base := opf.Prepare(sys.Case)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := base.Perturb(fac).Solve(nil, opf.Options{NoKKTReuse: mode.noReuse}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	base := opf.Prepare(sys.Case)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := base.Perturb(fac).Solve(nil, opf.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -1110,14 +1103,12 @@ func writeKKTBenchReport(b *testing.B) {
 			_, err := sparse.FactorizeOpts(kkt, sparse.OrderRCM, 1.0)
 			return err
 		})
-		sym, _, err := sparse.Analyze(kkt, sparse.OrderRCM, 1.0)
+		sym, f, err := sparse.Analyze(kkt, sparse.OrderRCM, 1.0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		refactorNs := timeIt(facReps, func() error {
-			_, err := sym.Refactor(kkt)
-			return err
-		})
+		ws := sym.NewRefactorWorkspace()
+		refactorNs := timeIt(facReps, func() error { return sym.RefactorInto(f, ws, kkt) })
 
 		fill := map[string]int{}
 		for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM, sparse.OrderAMD} {
@@ -1134,15 +1125,11 @@ func writeKKTBenchReport(b *testing.B) {
 			fac[i] = 1.03
 		}
 		const solveReps = 10
-		solve := func(noReuse bool) func() error {
-			base := opf.Prepare(sys.Case)
-			return func() error {
-				_, err := base.Perturb(fac).Solve(nil, opf.Options{NoKKTReuse: noReuse})
-				return err
-			}
-		}
-		reuseNs := timeIt(solveReps, solve(false))
-		noReuseNs := timeIt(solveReps, solve(true))
+		base := opf.Prepare(sys.Case)
+		reuseNs := timeIt(solveReps, func() error {
+			_, err := base.Perturb(fac).Solve(nil, opf.Options{})
+			return err
+		})
 
 		mergeKKTReport(b, map[string]any{
 			"benchmark": "kkt-symbolic-reuse",
@@ -1155,14 +1142,12 @@ func writeKKTBenchReport(b *testing.B) {
 				{"name": "KKTFactor/analyze", "ns_per_op": analyzeNs, "ops": facReps},
 				{"name": "KKTFactor/refactor", "ns_per_op": refactorNs, "ops": facReps},
 				{"name": "MIPSSolve/reuse", "ns_per_op": reuseNs, "ops": solveReps},
-				{"name": "MIPSSolve/noreuse", "ns_per_op": noReuseNs, "ops": solveReps},
 			},
 			"fill_by_ordering":            fill,
 			"speedup_refactor_vs_analyze": analyzeNs / refactorNs,
-			"speedup_mips_solve":          noReuseNs / reuseNs,
 		})
-		fmt.Printf("BENCH_kkt.json: refactor %.1fx faster than analyze, cold MIPS solve %.2fx faster with reuse\n",
-			analyzeNs/refactorNs, noReuseNs/reuseNs)
+		fmt.Printf("BENCH_kkt.json: refactor %.1fx faster than analyze, cold MIPS solve %.2f ms\n",
+			analyzeNs/refactorNs, reuseNs/1e6)
 	})
 }
 
@@ -1229,7 +1214,7 @@ func BenchmarkRefactorBlocked(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := sym.NewFactors()
+	f := &sparse.LUFactors{}
 	ws := sym.NewRefactorWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1260,9 +1245,9 @@ func writeBlockedKernelReport(b *testing.B) {
 		}
 		ps := sym.PanelStats()
 
-		fScalar := sym.NewFactors()
+		fScalar := &sparse.LUFactors{}
 		wsScalar := sym.NewRefactorWorkspace()
-		fBlocked := sym.NewFactors()
+		fBlocked := &sparse.LUFactors{}
 		wsBlocked := sym.NewRefactorWorkspace()
 		if err := sym.RefactorInto(fScalar, wsScalar, kkt); err != nil {
 			b.Fatal(err)

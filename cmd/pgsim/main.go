@@ -11,7 +11,6 @@
 //	pgsim -case case30 -scale 1.05
 //	pgsim -case case30 -scale 0.9,0.95,1.0,1.05,1.1 -workers 4
 //	pgsim -case case30 -ordering amd
-//	pgsim -case case30 -kkt-reuse=false   # pre-reuse baseline (EXPERIMENTS.md)
 package main
 
 import (
@@ -39,7 +38,6 @@ func main() {
 	trace := flag.Bool("trace", false, "print per-iteration convergence trace")
 	workers := flag.Int("workers", 0, "worker pool size for batch stages (0 = PGSIM_WORKERS or all cores)")
 	ordering := flag.String("ordering", "", "fill-reducing ordering for the KKT factorization: natural, rcm, amd or auto (default: per-system selection, see opf.DefaultOrdering)")
-	kktReuse := flag.Bool("kkt-reuse", true, "reuse the symbolic KKT factorization across interior-point iterations")
 	flag.Parse()
 	batch.SetDefaultWorkers(*workers)
 
@@ -63,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if len(scales) > 1 {
-		sweep(c, scales, *ordering, !*kktReuse)
+		sweep(c, scales, *ordering)
 		return
 	}
 	if s := scales[0]; s != 1.0 {
@@ -78,7 +76,7 @@ func main() {
 	if err := applyOrdering(o, *ordering); err != nil {
 		log.Fatal(err)
 	}
-	r, err := o.Solve(nil, opf.Options{RecordTrace: *trace, NoKKTReuse: !*kktReuse})
+	r, err := o.Solve(nil, opf.Options{RecordTrace: *trace})
 	if err != nil {
 		log.Fatalf("solve failed: %v", err)
 	}
@@ -87,13 +85,9 @@ func main() {
 		c.Name, c.NB(), c.NG(), c.NL(), o.Lay.NEq, o.Lay.NIq)
 	fmt.Printf("converged in %d iterations (prep %v, solve %v)\n",
 		r.Iterations, r.PrepTime, r.SolveTime)
-	if *kktReuse {
-		st := o.KKTStats()
-		fmt.Printf("KKT: ordering=%s, %d symbolic analyses, %d numeric refactors, %d fallbacks\n",
-			o.Ordering(), st.Analyses, st.Refactors, st.Fallbacks)
-	} else {
-		fmt.Printf("KKT: ordering=%s, symbolic reuse disabled (one full factorization per iteration)\n", o.Ordering())
-	}
+	st := o.KKTStats()
+	fmt.Printf("KKT: ordering=%s, %d symbolic analyses, %d numeric refactors, %d fallbacks\n",
+		o.Ordering(), st.Analyses, st.Refactors, st.Fallbacks)
 	fmt.Printf("objective: %.2f $/hr\n\n", r.Cost)
 	fmt.Printf("%-6s %10s %10s\n", "bus", "Vm (pu)", "Va (deg)")
 	for i, b := range c.Buses {
@@ -142,9 +136,9 @@ func applyOrdering(o *opf.OPF, flagVal string) error {
 }
 
 // sweep solves the case at every load level on the worker pool, reusing
-// the prepared OPF structure (and its shared KKT ordering cache), and
-// prints one summary row per level.
-func sweep(c *grid.Case, scales []float64, ordering string, noReuse bool) {
+// the prepared OPF structure (and its shared KKT cache), and prints one
+// summary row per level.
+func sweep(c *grid.Case, scales []float64, ordering string) {
 	base := opf.Prepare(c)
 	if err := applyOrdering(base, ordering); err != nil {
 		log.Fatal(err)
@@ -158,7 +152,7 @@ func sweep(c *grid.Case, scales []float64, ordering string, noReuse bool) {
 		for i := range fac {
 			fac[i] = scales[t.Index]
 		}
-		r, err := base.Perturb(fac).Solve(nil, opf.Options{NoKKTReuse: noReuse})
+		r, err := base.Perturb(fac).Solve(nil, opf.Options{})
 		return row{r: r, err: err}, nil
 	})
 	fmt.Printf("case %s: load sweep over %d levels\n", c.Name, len(scales))
@@ -178,9 +172,7 @@ func sweep(c *grid.Case, scales []float64, ordering string, noReuse bool) {
 		fmt.Printf("%8.3f %10s %6d %14s %12v\n",
 			scales[i], status, out.r.Iterations, cost, out.r.SolveTime.Round(time.Microsecond))
 	}
-	if !noReuse {
-		st := base.KKTStats()
-		fmt.Printf("KKT: ordering=%s, %d ordering computation(s) shared across the sweep, %d symbolic analyses, %d numeric refactors, %d fallbacks\n",
-			base.Ordering(), st.Orderings, st.Analyses, st.Refactors, st.Fallbacks)
-	}
+	st := base.KKTStats()
+	fmt.Printf("KKT: ordering=%s, %d ordering computation(s) shared across the sweep, %d symbolic analyses, %d numeric refactors, %d fallbacks\n",
+		base.Ordering(), st.Orderings, st.Analyses, st.Refactors, st.Fallbacks)
 }

@@ -90,7 +90,6 @@ type kktReport struct {
 	Case                     string  `json:"case"`
 	KKTN                     int     `json:"kkt_n"`
 	SpeedupRefactorVsAnalyze float64 `json:"speedup_refactor_vs_analyze"`
-	SpeedupMIPSSolve         float64 `json:"speedup_mips_solve"`
 	BlockedKernel            struct {
 		Ordering string               `json:"ordering"`
 		Systems  map[string]kernelRow `json:"systems"`
@@ -139,6 +138,7 @@ var codeSize = []struct {
 	{at: "PR 11", all: 19677, warmPath: 6252, kernel: 5123, why: "baseline (first tracked commit)"},
 	{at: "PR 14", all: 18977, warmPath: 5900, kernel: 5073, why: "one warm-start pipeline: one predictor seam, replica pool, row-identity projection and warm→cold routine; labelled metric counters; `internal/dcopf`, `internal/ed` deleted"},
 	{at: "PR 17", all: 17466, warmPath: 5887, kernel: 3604, why: "one serial KKT path: intra-solve parallel tier deleted (`etree.go`, `parfor.go`, `pool.go`, `parallel.go`, the stamped assembler protocol, sharded KKT assembly, the batch thread budget, the solver-thread flag and its seven sibling knobs; CHANGES.md names them)"},
+	{at: "PR 19", all: 17094, warmPath: 5824, kernel: 3331, why: "one KKT analysis cache: `sparse.OrderingCache` and the plain/shaped/child modes of `SymbolicCache` merged into one per-topology cache + per-solve handle; `mips.Options.Orderings`/`NoKKTReuse`, `pgsim -kkt-reuse` and the from-scratch factorization path deleted; allocating `Refactor`/`RefactorBlocked`/`Factorize`/`SolveLU`/`NewFactors` forms, `(*OPF).Rebind` and seven unreferenced declarations removed"},
 }
 
 func main() {
@@ -264,7 +264,7 @@ func main() {
 	w("## Code size")
 	w("")
 	w("Non-test, non-data Go lines, tracked because the same behaviour from")
-	w("less code is a goal in its own right (ROADMAP item 4). A PR that moves")
+	w("less code is a goal in its own right (ROADMAP item 6). A PR that moves")
 	w("the number adds its row to `codeSize` in `cmd/results`; the counts are")
 	w("")
 	w("```sh")
@@ -308,8 +308,7 @@ func renderKernel(w func(string, ...any), path string, buf []byte) {
 	w("")
 	if k.Case != "" {
 		w("Reusing the frozen symbolic analysis (%s KKT, n=%d) makes a", k.Case, k.KKTN)
-		w("refactorization %.1f× faster than a fresh analyze+factor, worth", k.SpeedupRefactorVsAnalyze)
-		w("%.2f× on a cold MIPS solve.", k.SpeedupMIPSSolve)
+		w("refactorization %.1f× faster than a fresh analyze+factor.", k.SpeedupRefactorVsAnalyze)
 		w("")
 	}
 	if len(k.BlockedKernel.Systems) > 0 {

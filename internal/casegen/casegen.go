@@ -166,12 +166,6 @@ func EmbeddedNames() []string {
 	return []string{"case5", "case9", "case14", "case30", "case57", "case118", "case300", "case1354"}
 }
 
-// PaperSystemNames lists the five evaluation systems of Figures 4-8
-// in size order.
-func PaperSystemNames() []string {
-	return []string{"case14", "case30", "case57", "case118", "case300"}
-}
-
 // SensitivitySystemNames lists the eight systems of Table I in size order.
 func SensitivitySystemNames() []string {
 	return []string{"case5", "case9", "case14", "case30", "case39", "case57", "case118", "case300"}

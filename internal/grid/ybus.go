@@ -181,15 +181,6 @@ func vnorm(v []complex128) []complex128 {
 	return out
 }
 
-// vabs returns |V| element-wise.
-func vabs(v []complex128) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = cmplx.Abs(x)
-	}
-	return out
-}
-
 // conjVec returns conj(v) as a new slice.
 func conjVec(v []complex128) []complex128 {
 	out := make([]complex128, len(v))

@@ -22,21 +22,11 @@ import (
 // Vector is a dense column vector.
 type Vector []float64
 
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
-
 // Clone returns a copy of v.
 func (v Vector) Clone() Vector {
 	w := make(Vector, len(v))
 	copy(w, v)
 	return w
-}
-
-// Fill sets every element of v to s.
-func (v Vector) Fill(s float64) {
-	for i := range v {
-		v[i] = s
-	}
 }
 
 // AddScaled sets v = v + s*w and returns v. Panics if lengths differ.

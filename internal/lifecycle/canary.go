@@ -144,13 +144,6 @@ func (c *Canary) Observe(candidate, warmConverged bool, iterations int) {
 	}
 }
 
-// Counts reports the observations per arm (incumbent, candidate).
-func (c *Canary) Counts() (incumbent, candidate int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.incumbent.n, c.candidate.n
-}
-
 // Stats reports each arm's measured hit rate and mean warm iterations.
 func (c *Canary) Stats() (incHit, incIters, candHit, candIters float64) {
 	c.mu.Lock()

@@ -17,10 +17,10 @@
 // performs one symbolic factorization (fill-reducing ordering, pattern
 // analysis, pivoting) on the first iteration and numeric-only
 // refactorizations after — see sparse.SymbolicCache and DESIGN.md §7.
-// Options.Orderings extends the value-independent part of that reuse
-// across solves that share a problem structure, Options.Ordering picks
-// the fill-reducing ordering, and Options.NoKKTReuse restores the
-// factor-from-scratch baseline for comparison.
+// The analysis is a function of the pattern alone, so Options.KKT
+// extends that reuse across every solve that shares a problem
+// structure; without one, Options.Ordering picks the fill-reducing
+// ordering of a cache private to the solve.
 package mips
 
 import (
@@ -69,30 +69,21 @@ type Options struct {
 
 	// Ordering selects the fill-reducing ordering for the KKT
 	// factorization. The zero value is sparse.OrderRCM, the historical
-	// default. Ignored when Orderings is set (the cache's ordering wins).
+	// default. Ignored when KKT is set (the cache's ordering wins).
 	Ordering sparse.Ordering
-	// Orderings, when non-nil, is a shared cache of fill-reducing
-	// orderings keyed by KKT sparsity pattern. The pattern is a property
-	// of the problem structure, not of its values, so one cache safely
+	// KKT, when non-nil, is the shared analysis cache of the problem's
+	// KKT pattern (see sparse.SymbolicCache): the solve consults it
+	// through a per-solve handle before analyzing, so repeat solves of
+	// the same pattern — the whole warm-start pipeline — skip ordering
+	// and symbolic analysis entirely. Ordering and shaped pivot sequence
+	// are pure functions of the sparsity pattern, a property of the
+	// problem structure and not of its values, so one cache safely
 	// serves all solves of load-perturbed instances of one grid —
 	// concurrently and deterministically (opf threads its per-grid cache
 	// through here). The solve's reuse counters are folded into the
-	// cache when it returns.
-	Orderings *sparse.OrderingCache
-	// KKT, when non-nil, is a shared pivot-shaped symbolic cache (see
-	// sparse.SymbolicCache.Shaped): the solve consults it through a
-	// per-solve child before analyzing, so repeat solves of the same
-	// KKT pattern — the whole warm-start pipeline — skip symbolic
-	// analysis entirely. Shaped pivot sequences are pure functions of
-	// the sparsity pattern, so sharing them across solves is exactly as
-	// deterministic as sharing orderings through Orderings (opf threads
-	// its per-grid cache through here).
+	// cache when it finishes. Nil gives the solve a private cache, which
+	// reproduces the same analysis from scratch.
 	KKT *sparse.SymbolicCache
-	// NoKKTReuse disables symbolic reuse entirely: every iteration runs
-	// a from-scratch factorization (ordering, pattern analysis and
-	// pivoting), exactly the pre-reuse code path. It exists as the
-	// baseline for benchmarks and equivalence tests.
-	NoKKTReuse bool
 }
 
 func (o Options) withDefaults() Options {
@@ -183,7 +174,6 @@ func Solve(p *Problem, x0 la.Vector, ws *WarmStart, opt Options) (*Result, error
 	ar := arenaPool.Get().(*Arena)
 	defer arenaPool.Put(ar)
 	s := newStepper(p, x0, ws, opt, ar)
-	defer s.flushStats()
 	for {
 		done, err := s.Step()
 		if done {
@@ -221,13 +211,11 @@ type Stepper struct {
 	df            la.Vector
 	gamma, regKKT float64
 
-	kktCache  *sparse.SymbolicCache
-	oc        *sparse.OrderingCache // receives kktCache's stats on finish
-	res       *Result
-	iter      int
-	done      bool
-	err       error
-	statsDone bool
+	kkt  *sparse.CacheHandle
+	res  *Result
+	iter int
+	done bool
+	err  error
 }
 
 // NewStepper prepares a solve of p from x0 (or ws) without running any
@@ -327,23 +315,16 @@ func newStepper(p *Problem, x0 la.Vector, ws *WarmStart, opt Options, ar *Arena)
 	// KKT pattern is fixed — the static dual regularization keeps the
 	// full diagonal structurally present, so even the Tikhonov-retry
 	// variant reuses the same pattern. Analysis is pivot-shaped (frozen
-	// pivots come from the pattern-derived surrogate, not this solve\'s
+	// pivots come from the pattern-derived surrogate, not this solve's
 	// values), which keeps results independent of solve order and lets
 	// a shared opt.KKT cache amortize the analysis across the whole
-	// warm-start pipeline; without one, a per-solve shaped cache
-	// reproduces the same pivot sequences from scratch.
-	if !opt.NoKKTReuse {
-		switch {
-		case opt.KKT != nil:
-			s.kktCache = opt.KKT.NewChild()
-			s.oc = opt.Orderings
-		case opt.Orderings != nil:
-			s.kktCache = sparse.NewSymbolicCacheFrom(opt.Orderings, 1.0).Shaped()
-			s.oc = opt.Orderings
-		default:
-			s.kktCache = sparse.NewSymbolicCache(opt.Ordering, 1.0).Shaped()
-		}
+	// warm-start pipeline; without one, a private cache reproduces the
+	// same pivot sequences from scratch.
+	kkt := opt.KKT
+	if kkt == nil {
+		kkt = sparse.NewSymbolicCache(opt.Ordering)
 	}
+	s.kkt = kkt.Handle()
 	return s
 }
 
@@ -351,18 +332,9 @@ func newStepper(p *Problem, x0 la.Vector, ws *WarmStart, opt Options, ar *Arena)
 // iterates until Step reports done.
 func (s *Stepper) Result() *Result { return s.res }
 
-// flushStats folds the per-solve symbolic-cache counters into the
-// shared ordering cache, once.
-func (s *Stepper) flushStats() {
-	if s.statsDone || s.oc == nil || s.kktCache == nil {
-		return
-	}
-	s.statsDone = true
-	s.oc.AddSolveStats(s.kktCache.Stats())
-}
-
-// finish records the terminal state. Bound multipliers are split back
-// out per variable only on convergence, matching Solve\'s contract.
+// finish records the terminal state and folds the solve's KKT reuse
+// counters into the cache. Bound multipliers are split back out per
+// variable only on convergence, matching Solve's contract.
 func (s *Stepper) finish(err error) (bool, error) {
 	s.done, s.err = true, err
 	res := s.res
@@ -378,7 +350,7 @@ func (s *Stepper) finish(err error) (bool, error) {
 			res.MuLower[i] = s.mu[off+k]
 		}
 	}
-	s.flushStats()
+	s.kkt.Close()
 	return true, s.err
 }
 
@@ -444,7 +416,7 @@ func (s *Stepper) Step() (bool, error) {
 	// block JhᵀWJh + ∇²L + regKKT·I, the Jg borders, and the grounded
 	// diagonal. The append sequence is identical every iteration —
 	// regKKT·I is stamped even at regKKT = 0 (it doubles as the primal
-	// block\'s structural-diagonal grounding), and W = µ/Z is strictly
+	// block's structural-diagonal grounding), and W = µ/Z is strictly
 	// positive so no product row is ever skipped — which keeps the
 	// assembler on its verified O(nnz) stamp path.
 	lxx := s.hessOrZero()
@@ -501,13 +473,7 @@ func (s *Stepper) Step() (bool, error) {
 		rhs[nx+i] = -s.g[i]
 	}
 
-	var fac *sparse.LUFactors
-	var ferr error
-	if opt.NoKKTReuse {
-		fac, ferr = sparse.FactorizeOpts(kkt, opt.Ordering, 1.0)
-	} else {
-		fac, ferr = s.kktCache.FactorizeInto(&ar.slot, kkt)
-	}
+	fac, ferr := s.kkt.FactorizeInto(&ar.slot, kkt)
 	if ferr != nil {
 		// Retry the same iterate with escalating Tikhonov
 		// regularization on the (1,1) block.
@@ -570,7 +536,7 @@ func (s *Stepper) Step() (bool, error) {
 
 // evalGH evaluates the nonlinear constraints and assembles the full
 // inequality system — nonlinear h rows first, then upper- and
-// lower-bound rows — into the arena\'s compiled assembler and residual
+// lower-bound rows — into the arena's compiled assembler and residual
 // buffer.
 func (s *Stepper) evalGH() {
 	var h la.Vector
@@ -613,7 +579,7 @@ func (s *Stepper) hessOrZero() *sparse.CSC {
 }
 
 // jtDiagJ computes Jᵀ·diag(w)·J for a row-per-constraint Jacobian. It
-// is the reference implementation the tests pin the arena\'s view-based
+// is the reference implementation the tests pin the arena's view-based
 // KKT assembly against; the solver itself streams the product straight
 // into its compiled assembler (see Step).
 func jtDiagJ(j *sparse.CSC, w la.Vector) *sparse.CSC {

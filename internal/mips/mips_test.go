@@ -347,36 +347,6 @@ func TestGammaShrinks(t *testing.T) {
 	}
 }
 
-// TestKKTReuseMatchesFullFactorization pins the symbolic-reuse path
-// against the from-scratch baseline: both must converge, in the same
-// number of iterations, to the same point within tight tolerance. (The
-// paths are not bit-identical by construction: reuse freezes the first
-// iteration's pivot sequence where the baseline re-pivots every
-// iteration, so late-bit rounding differs.)
-func TestKKTReuseMatchesFullFactorization(t *testing.T) {
-	x0 := la.Vector{1, 1, 1}
-	rReuse, err := Solve(mipsExampleProblem(), x0, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rFull, err := Solve(mipsExampleProblem(), x0, nil, Options{NoKKTReuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rReuse.Converged || !rFull.Converged {
-		t.Fatalf("convergence: reuse=%v full=%v", rReuse.Converged, rFull.Converged)
-	}
-	if rReuse.Iterations != rFull.Iterations {
-		t.Fatalf("iterations: reuse=%d full=%d", rReuse.Iterations, rFull.Iterations)
-	}
-	if d := rReuse.X.Clone().Sub(rFull.X).NormInf(); d > 1e-8 {
-		t.Fatalf("solutions differ by %v", d)
-	}
-	if math.Abs(rReuse.F-rFull.F) > 1e-8*(1+math.Abs(rFull.F)) {
-		t.Fatalf("objectives differ: %v vs %v", rReuse.F, rFull.F)
-	}
-}
-
 // TestKKTOrderingsConverge runs the doc example under every fill-reducing
 // ordering: the ordering changes the factorization, not the solution.
 func TestKKTOrderingsConverge(t *testing.T) {
@@ -393,29 +363,26 @@ func TestKKTOrderingsConverge(t *testing.T) {
 }
 
 // TestKKTSolveStatsReported pins the reuse accounting: a solve wired to
-// a shared OrderingCache folds its per-iteration counters in, with one
-// analysis per pattern and refactors for the remaining iterations.
+// a shared SymbolicCache folds its per-iteration counters in, with one
+// ordering and one analysis per pattern and refactors for the remaining
+// iterations.
 func TestKKTSolveStatsReported(t *testing.T) {
-	oc := sparse.NewOrderingCache(sparse.OrderRCM)
-	r, err := Solve(mipsExampleProblem(), la.Vector{1, 1, 1}, nil, Options{Orderings: oc})
+	c := sparse.NewSymbolicCache(sparse.OrderRCM)
+	r, err := Solve(mipsExampleProblem(), la.Vector{1, 1, 1}, nil, Options{KKT: c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := oc.Stats()
-	if st.Analyses != 1 {
-		t.Fatalf("analyses = %d, want 1 (fixed KKT pattern)", st.Analyses)
+	want := sparse.CacheStats{Analyses: 1, Refactors: uint64(r.Iterations - 1), Orderings: 1}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v (fixed KKT pattern: one analysis, then one refactor per remaining iteration)", st, want)
 	}
-	if st.Refactors != uint64(r.Iterations-1) {
-		t.Fatalf("refactors = %d, want %d (one per remaining iteration)", st.Refactors, r.Iterations-1)
-	}
-	if st.Orderings != 1 {
-		t.Fatalf("orderings = %d, want 1", st.Orderings)
-	}
-	// A second solve through the same cache reuses the cached ordering.
-	if _, err := Solve(mipsExampleProblem(), la.Vector{1, 1, 1}, nil, Options{Orderings: oc}); err != nil {
+	// A second solve through the same cache reuses the whole analysis.
+	r2, err := Solve(mipsExampleProblem(), la.Vector{1, 1, 1}, nil, Options{KKT: c})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := oc.Stats(); st.Orderings != 1 || st.Analyses != 2 {
-		t.Fatalf("cross-solve stats = %+v, want 1 ordering + 2 analyses", st)
+	want.Refactors += uint64(r2.Iterations)
+	if st := c.Stats(); st != want {
+		t.Fatalf("cross-solve stats = %+v, want %+v", st, want)
 	}
 }

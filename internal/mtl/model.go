@@ -233,13 +233,6 @@ func (m *Model) shared() bool { return m.Cfg.Variant != VariantSeparate }
 // hier reports whether the physics-dependent hierarchy is active.
 func (m *Model) hier() bool { return m.Cfg.Hierarchy && m.shared() }
 
-func (m *Model) trunkFor(t taskID) *nn.Sequential {
-	if m.shared() {
-		return m.trunks[0]
-	}
-	return m.trunks[t]
-}
-
 // Forward runs the network on a batch of normalized inputs.
 func (m *Model) Forward(in *la.Matrix) *Pred {
 	m.in = in

@@ -8,54 +8,11 @@ import (
 	"repro/internal/sparse"
 )
 
-// TestKKTReuseMatchesFullFactorization pins the symbolic-reuse KKT path
-// against the from-scratch baseline on a real AC-OPF: same iteration
-// count, solution and cost within tight tolerance. (Not bit-identical by
-// construction: reuse freezes each solve's first-iteration pivots where
-// the baseline re-pivots every iteration.)
-func TestKKTReuseMatchesFullFactorization(t *testing.T) {
-	for _, name := range []string{"case9", "case14"} {
-		c := caseByName(t, name)
-		rReuse, err := Prepare(c).Solve(nil, Options{})
-		if err != nil {
-			t.Fatalf("%s reuse: %v", name, err)
-		}
-		rFull, err := Prepare(c).Solve(nil, Options{NoKKTReuse: true})
-		if err != nil {
-			t.Fatalf("%s full: %v", name, err)
-		}
-		if !rReuse.Converged || !rFull.Converged {
-			t.Fatalf("%s convergence: reuse=%v full=%v", name, rReuse.Converged, rFull.Converged)
-		}
-		if rReuse.Iterations != rFull.Iterations {
-			t.Fatalf("%s iterations: reuse=%d full=%d", name, rReuse.Iterations, rFull.Iterations)
-		}
-		if d := math.Abs(rReuse.Cost-rFull.Cost) / (1 + math.Abs(rFull.Cost)); d > 1e-9 {
-			t.Fatalf("%s cost differs: %v vs %v", name, rReuse.Cost, rFull.Cost)
-		}
-		if d := rReuse.X.Clone().Sub(rFull.X).NormInf(); d > 1e-7 {
-			t.Fatalf("%s solutions differ by %v", name, d)
-		}
-	}
-}
-
-func caseByName(t *testing.T, name string) *grid.Case {
-	t.Helper()
-	switch name {
-	case "case9":
-		return grid.Case9()
-	case "case14":
-		return grid.Case14()
-	}
-	t.Fatalf("unknown case %s", name)
-	return nil
-}
-
 // TestKKTCacheSharedAcrossPerturbations pins the cross-solve seam: all
-// instances derived from one Prepare share its ordering cache AND its
-// pivot-shaped symbolic cache, so a sweep computes the fill-reducing
-// ordering and the symbolic analysis once — every iteration after the
-// very first across the whole sweep is a numeric refactorization.
+// instances derived from one Prepare share its KKT cache, so a sweep
+// computes the fill-reducing ordering and the pivot-shaped symbolic
+// analysis once — every iteration after the very first across the whole
+// sweep is a numeric refactorization.
 func TestKKTCacheSharedAcrossPerturbations(t *testing.T) {
 	base := Prepare(grid.Case9())
 	nb := base.Lay.NB

@@ -11,7 +11,7 @@
 // (X, λ, µ, Z) — the Smart-PGSim acceleration interface.
 //
 // A Prepare'd instance is immutable during Solve, and instances derived
-// from it with Rebind or Perturb share its assembled structure without
+// from it with Perturb or a Rebind* share its assembled structure without
 // sharing mutable solve state. Both properties are load-bearing for the
 // batch sweeps and the serving daemon, which solve many derived
 // instances of one base grid concurrently.
@@ -90,27 +90,18 @@ type OPF struct {
 	refIdx int
 	refVa  float64
 	prep   time.Duration
-	// kkt caches the fill-reducing ordering of the KKT pattern, which is
-	// a property of the grid structure, not of the loads: every instance
-	// derived with Rebind/Perturb shares it, so one ordering analysis
-	// serves a whole sweep (and, in the serving daemon, all requests for
-	// the grid). Only the value-independent ordering is shared — each
-	// solve freezes its own pivot sequence — so derived instances may be
-	// solved in parallel with bit-identical results regardless of order.
-	kkt *sparse.OrderingCache
-	// kktSym caches the pivot-shaped symbolic analysis of the KKT
-	// pattern. Shaped pivot sequences are pure functions of the pattern
-	// (like the ordering above), so every Rebind/Perturb derivation
-	// shares this cache too: the first solve of a grid analyzes, and
-	// every later solve of any load variant — the entire warm-start
-	// pipeline — goes straight to numeric refactorization. mips pins
-	// entries per solve through a child cache, keeping parallel sweeps
-	// deterministic and eviction-safe.
-	kktSym *sparse.SymbolicCache
-	// kktForced records that SetOrdering overrode the per-system
-	// default, so Solve's NoKKTReuse path honours an explicitly forced
-	// auto instead of falling back to RCM.
-	kktForced bool
+	// kkt caches the analysis of the KKT pattern — fill-reducing
+	// ordering and pivot-shaped symbolic — which is a property of the
+	// grid structure, not of the loads or of the bound values: every
+	// instance derived with Perturb/RebindRamp shares it, so the first
+	// solve of a grid analyzes and every later solve of any load variant
+	// — a whole sweep, the entire warm-start pipeline, all requests for
+	// the grid in the serving daemon — goes straight to numeric
+	// refactorization. Both halves are pure functions of the pattern, so
+	// derived instances may be solved in parallel with bit-identical
+	// results regardless of order; mips pins entries per solve through a
+	// handle, which keeps parallel sweeps eviction-safe.
+	kkt *sparse.SymbolicCache
 }
 
 // AutoOrderingBuses is the bus count at and above which Prepare probes
@@ -121,7 +112,7 @@ type OPF struct {
 // RCM's fill on case300, a 25× slower cold solve), so above this size
 // the ordering is measured per grid with sparse.OrderAuto's
 // pattern-pure pivoted-fill probe and the one-off cost is amortized by
-// the shared OrderingCache. The probe is deliberately conservative
+// the shared KKT cache. The probe is deliberately conservative
 // under pivoting: it reserves AMD for patterns where it wins decisively
 // and otherwise keeps RCM, so which side a given grid lands on depends
 // on the actual KKT pattern (case300's real solve KKT probes to AMD;
@@ -207,31 +198,30 @@ func Prepare(c *grid.Case) *OPF {
 		xmin:   xmin, xmax: xmax,
 		refIdx: c.RefIndex(),
 		refVa:  grid.Deg2Rad(c.Buses[c.RefIndex()].Va),
-		kkt:    sparse.NewOrderingCache(DefaultOrdering(nb)),
 	}
-	o.kktSym = sparse.NewSymbolicCacheFrom(o.kkt, 1.0).Shaped()
+	o.SetOrdering(DefaultOrdering(nb))
 	o.prep = time.Since(t0)
 	return o
 }
 
-// SetOrdering replaces the KKT ordering cache with one using the given
-// fill-reducing ordering (the -ordering flag of cmd/pgsim). Call it on
-// the base instance before deriving with Rebind/Perturb so the derived
-// instances share the new cache; previously cached orderings and
+// SetOrdering gives the instance a fresh, empty KKT cache analyzing
+// under the given fill-reducing ordering — the one place this package
+// makes a cache: Prepare and the topology-changing Rebind*s call it with
+// the configured ordering, the -ordering flags with the forced one. Call it
+// on the base instance before deriving with Perturb so the derived
+// instances share the new cache; previously cached analyses and
 // counters are discarded.
 func (o *OPF) SetOrdering(ord sparse.Ordering) {
-	o.kkt = sparse.NewOrderingCache(ord)
-	o.kktSym = sparse.NewSymbolicCacheFrom(o.kkt, 1.0).Shaped()
-	o.kktForced = true
+	o.kkt = sparse.NewSymbolicCache(ord)
 }
 
 // Ordering reports the KKT fill-reducing ordering this instance (and
-// every Rebind/Perturb derivation sharing its cache) analyzes with —
-// the per-system default of Prepare unless SetOrdering replaced it.
+// every derivation sharing its cache) analyzes with — the per-system
+// default of Prepare unless SetOrdering replaced it.
 func (o *OPF) Ordering() sparse.Ordering { return o.kkt.Ordering() }
 
 // KKTStats reports the KKT reuse counters for this grid, aggregated over
-// every solve of this instance and its Rebind/Perturb derivations: how
+// every solve of this instance and the derivations sharing its cache: how
 // many fill-reducing orderings were computed, and how many full symbolic
 // analyses, numeric refactorizations and stability fallbacks the solves'
 // KKT factorizations performed.
@@ -252,23 +242,6 @@ func finiteBounds(xmin, xmax la.Vector) int {
 	return n
 }
 
-// Rebind returns an OPF for c that reuses o's prepared structure — the
-// admittance matrices, rated-branch subset, bounds, layout and reference
-// data — instead of rebuilding them. It is valid when c differs from the
-// original case only in bus loads (Pd/Qd), which is exactly the ±10 %
-// load-perturbation workload: loads enter the problem solely through
-// MakeSbus, which reads the bound case at solve time. Rebinding is what
-// lets a batch sweep amortize one Prepare across thousands of
-// perturbations of the same base grid; the returned instance shares no
-// mutable solve state with o and both may be solved concurrently.
-func (o *OPF) Rebind(c *grid.Case) *OPF {
-	t0 := time.Now()
-	cp := *o
-	cp.Case = c
-	cp.prep = time.Since(t0)
-	return &cp
-}
-
 // RebindOutage derives a prepared OPF for the single-branch-outage
 // variant of the bound case: branch (an index into Case.Branches) is
 // taken out of service. The admittance matrices are delta'd with
@@ -277,10 +250,10 @@ func (o *OPF) Rebind(c *grid.Case) *OPF {
 // generator data, reference bus, variable layout) is shared with o. If
 // the branch is rated, its two flow rows leave the inequality layout
 // (NIq shrinks by 2); warm starts predicted in o's layout then need
-// ProjectionTo. The derived instance gets its own KKT ordering cache
-// (its pattern differs from o's) with o's configured ordering, shared —
-// like any prepared instance's — by all Rebind/Perturb derivations, so
-// one ordering analysis serves every scenario of the outage topology.
+// ProjectionTo. The derived instance gets its own KKT cache (its
+// pattern differs from o's) with o's configured ordering, shared — like
+// any prepared instance's — by all its Perturb derivations, so one
+// analysis serves every scenario of the outage topology.
 func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 	t0 := time.Now()
 	if branch < 0 || branch >= len(o.Case.Branches) {
@@ -319,8 +292,7 @@ func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 		rc.Ybus = y.Ybus
 		cp.ratedY = &rc
 	}
-	cp.kkt = sparse.NewOrderingCache(o.kkt.Ordering())
-	cp.kktSym = sparse.NewSymbolicCacheFrom(cp.kkt, 1.0).Shaped()
+	cp.SetOrdering(o.Ordering())
 	cp.prep = time.Since(t0)
 	return &cp, nil
 }
@@ -333,8 +305,8 @@ func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 // the packed layout loses the generator's Pg and Qg variables (NG−1,
 // NX−2) and their finite-bound inequality rows. Warm starts predicted
 // in o's layout need ProjectionTo, which also performs the screening
-// redispatch. The derived instance gets its own KKT ordering cache (the
-// KKT pattern loses two columns) with o's configured ordering.
+// redispatch. The derived instance gets its own KKT cache (the KKT
+// pattern loses two columns) with o's configured ordering.
 func (o *OPF) RebindGenOutage(gen int) (*OPF, error) {
 	t0 := time.Now()
 	if gen < 0 || gen >= len(o.Case.Gens) {
@@ -366,17 +338,24 @@ func (o *OPF) RebindGenOutage(gen int) (*OPF, error) {
 	cp.Lay.NX = lay.NX - 2
 	cp.Lay.QgOff = lay.QgOff - 1
 	cp.Lay.NIq = 2*lay.NLRated + finiteBounds(cp.xmin, cp.xmax)
-	cp.kkt = sparse.NewOrderingCache(o.kkt.Ordering())
-	cp.kktSym = sparse.NewSymbolicCacheFrom(cp.kkt, 1.0).Shaped()
+	cp.SetOrdering(o.Ordering())
 	cp.prep = time.Since(t0)
 	return &cp, nil
 }
 
 // Perturb derives the OPF of a load-scaled variant of the bound case in
-// one step: clone, scale, rebind. The resulting instance's PrepTime is
-// the full derivation cost — the real per-problem construction work once
-// the base structure is amortized across a sweep (much smaller than a
-// fresh Prepare, which the runtime-breakdown figures should reflect).
+// one step: clone the case, scale its loads, and bind the copy to o's
+// prepared structure — admittance matrices, rated-branch subset, bounds,
+// layout, reference data and KKT cache — instead of rebuilding them.
+// That is valid because loads enter the problem solely through
+// MakeSbus, which reads the bound case at solve time, and it is what
+// lets a batch sweep amortize one Prepare across thousands of
+// perturbations of the same base grid; the returned instance shares no
+// mutable solve state with o and both may be solved concurrently. Its
+// PrepTime is the full derivation cost — the real per-problem
+// construction work once the base structure is amortized across a sweep
+// (much smaller than a fresh Prepare, which the runtime-breakdown
+// figures should reflect).
 func (o *OPF) Perturb(factors []float64) *OPF {
 	t0 := time.Now()
 	cc := o.Case.Clone()
@@ -421,27 +400,8 @@ func (o *OPF) Solve(start *Start, opt Options) (*Result, error) {
 	sc := evalPool.Get().(*evalScratch)
 	defer evalPool.Put(sc)
 	p := o.problemWith(sc)
-	if opt.Orderings == nil && !opt.NoKKTReuse {
-		opt.Orderings = o.kkt
-		if opt.KKT == nil {
-			opt.KKT = o.kktSym
-		}
-	}
-	if opt.Ordering == sparse.OrderRCM {
-		// Thread the grid's configured ordering (SetOrdering) into the
-		// paths that do not read the cache — the NoKKTReuse baseline and
-		// any re-analysis mips performs without a shared cache.
-		opt.Ordering = o.kkt.Ordering()
-		if opt.NoKKTReuse && opt.Ordering == sparse.OrderAuto && !o.kktForced {
-			// The no-reuse baseline factors from scratch every iteration;
-			// the per-system auto default would re-run the two-candidate
-			// fill probe on each of them, distorting the very
-			// reuse-vs-baseline comparison the flag exists for. Fall back
-			// to the fixed pre-probe default; auto forced explicitly via
-			// SetOrdering (-ordering auto) or Options.Ordering is
-			// honoured.
-			opt.Ordering = sparse.OrderRCM
-		}
+	if opt.KKT == nil {
+		opt.KKT = o.kkt
 	}
 	var ws *mips.WarmStart
 	if start != nil {

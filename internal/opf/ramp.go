@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/la"
-	"repro/internal/sparse"
 )
 
 // RebindRamp derives a prepared OPF whose real-dispatch bounds are
@@ -19,15 +18,16 @@ import (
 //
 // Ramp limits are pure bound tightening, so the derived instance shares
 // everything structural with o: admittance matrices, rated-branch
-// subset, layout offsets, and — when no previously-infinite Pg bound
-// becomes finite — o's KKT ordering cache itself, because the KKT
-// pattern depends only on which bounds are finite, not on their values.
-// A ramp limit that turns an infinite bound finite grows NIq (the new
-// bound becomes an inequality row in MIPS's FullInequality order) and
-// the derived instance then gets a fresh cache with o's configured
-// ordering, exactly like RebindOutage/RebindGenOutage. Finiteness is
-// monotone under tightening — min(finite, ·) stays finite — so NIq
-// never shrinks and NIq unchanged ⇔ identical bound pattern.
+// subset, layout offsets, and o's KKT cache itself. A ramp limit that
+// turns an infinite bound finite grows NIq (the new bound becomes an
+// inequality row in MIPS's FullInequality order; warm starts in o's
+// layout then need ProjectionTo), but MIPS factors the reduced KKT of
+// dimension NX + NEq, where a bound row on variable i contributes only
+// to the (i, i) diagonal entry that is always stamped — so the pattern,
+// and with it o's analysis, is shared by construction whichever bounds
+// are finite. Finiteness is monotone under tightening — min(finite, ·)
+// stays finite — so NIq never shrinks and NIq unchanged ⇔ identical
+// bound pattern.
 //
 // The anchor is clamped into the static box first, so the tightened
 // window is never empty even for an anchor from a non-converged step;
@@ -76,11 +76,6 @@ func (o *OPF) RebindRamp(prevPg, up, down la.Vector) (*OPF, error) {
 	cp.xmin = xmin
 	cp.xmax = xmax
 	cp.Lay.NIq = 2*lay.NLRated + finiteBounds(xmin, xmax)
-	if cp.Lay.NIq != lay.NIq {
-		// A previously-infinite Pg bound became finite: the KKT pattern
-		// gained rows, so the ordering analysis cannot be shared.
-		cp.kkt = sparse.NewOrderingCache(o.kkt.Ordering())
-	}
 	cp.prep = time.Since(t0)
 	return &cp, nil
 }

@@ -50,12 +50,12 @@ func TestRebindRampTightensBounds(t *testing.T) {
 		}
 	}
 	// Pg bounds of case9 are finite already: tightening changes no
-	// finiteness, so the layout and KKT ordering cache are shared.
+	// finiteness, so the layout is unchanged; the KKT cache is shared.
 	if ro.Lay.NIq != o.Lay.NIq {
 		t.Fatalf("NIq changed %d -> %d with no newly-finite bound", o.Lay.NIq, ro.Lay.NIq)
 	}
 	if ro.kkt != o.kkt {
-		t.Fatal("pattern-preserving RebindRamp must share the ordering cache")
+		t.Fatal("RebindRamp must share the KKT cache")
 	}
 	// Non-Pg bounds are untouched.
 	for i := 0; i < lay.PgOff; i++ {
@@ -92,8 +92,10 @@ func TestRebindRampGrowsLayoutForInfiniteBound(t *testing.T) {
 	if ro.Lay.NIq != o.Lay.NIq+1 {
 		t.Fatalf("NIq = %d, want %d (one newly-finite upper bound)", ro.Lay.NIq, o.Lay.NIq+1)
 	}
-	if ro.kkt == o.kkt {
-		t.Fatal("pattern-changing RebindRamp must not share the ordering cache")
+	// The new bound row lands on the always-stamped diagonal of the
+	// reduced KKT, so the pattern — and the base's analysis — is shared.
+	if ro.kkt != o.kkt {
+		t.Fatal("RebindRamp must share the KKT cache even when NIq grows")
 	}
 	// A warm start in the base layout projects to exactly the grown NIq
 	// and solves without the length panic.
@@ -101,9 +103,16 @@ func TestRebindRampGrowsLayoutForInfiniteBound(t *testing.T) {
 	if len(st.Mu) != ro.Lay.NIq || len(st.Z) != ro.Lay.NIq {
 		t.Fatalf("projected µ/z lengths %d/%d, want %d", len(st.Mu), len(st.Z), ro.Lay.NIq)
 	}
+	before := o.KKTStats()
 	rr, err := ro.Solve(st, Options{})
 	if err != nil || !rr.Converged {
 		t.Fatalf("projected warm solve failed: %v", err)
+	}
+	// The ramp solve only refactors, and is counted on the base grid.
+	want := before
+	want.Refactors += uint64(rr.Iterations)
+	if got := o.KKTStats(); got != want {
+		t.Fatalf("KKT stats after the ramp solve = %+v, want %+v (0 analyses, 0 orderings, %d refactors added)", got, want, rr.Iterations)
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"repro/internal/grid"
 )
 
-// TestRebindMatchesPrepare: solving a load-perturbed clone through a
-// rebound base OPF must give bit-identical results to a fresh Prepare of
-// the perturbed case — the correctness contract of the batch engine's
-// structure-reuse cache.
+// TestRebindMatchesPrepare: solving a load-perturbed variant derived
+// from a base OPF with Perturb must give bit-identical results to a
+// fresh Prepare of the perturbed case — the correctness contract of the
+// batch engine's structure-reuse cache.
 func TestRebindMatchesPrepare(t *testing.T) {
 	c := grid.Case9()
 	base := Prepare(c)
@@ -25,7 +25,7 @@ func TestRebindMatchesPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rReuse, err := base.Rebind(cc).Solve(nil, Options{})
+	rReuse, err := base.Perturb(factors).Solve(nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestRebindMatchesPrepare(t *testing.T) {
 		}
 	}
 
-	// The rebound instance must not have mutated the base: a base-case
+	// The derived instance must not have mutated the base: a base-case
 	// solve through the original still matches a fresh base solve.
 	rBase, err := base.Solve(nil, Options{})
 	if err != nil {
@@ -55,7 +55,7 @@ func TestRebindMatchesPrepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rBase.Cost != rBase2.Cost || rBase.Iterations != rBase2.Iterations {
-		t.Fatalf("base instance disturbed by Rebind: %v/%d vs %v/%d",
+		t.Fatalf("base instance disturbed by Perturb: %v/%d vs %v/%d",
 			rBase.Cost, rBase.Iterations, rBase2.Cost, rBase2.Iterations)
 	}
 }

@@ -105,8 +105,14 @@ func Solve(c *grid.Case, opt Options) (*Result, error) {
 
 	res := &Result{Vm: vm, Va: va}
 	// The Jacobian pattern is fixed across Newton iterations (it mirrors
-	// the Ybus structure), so one symbolic analysis serves the whole solve.
-	jacCache := sparse.NewSymbolicCache(sparse.OrderRCM, 1.0)
+	// the Ybus structure), so one symbolic analysis serves the whole
+	// solve: the first Jacobian is analyzed with its own values choosing
+	// the pivots, and later ones refactor into the analysis's factors.
+	var (
+		sym *sparse.Symbolic
+		fac *sparse.LUFactors
+		ws  *sparse.RefactorWorkspace
+	)
 	for iter := 0; iter <= opt.MaxIter; iter++ {
 		v := grid.Voltage(vm, va)
 		mis := grid.PowerMismatch(y, v, sbus)
@@ -151,10 +157,16 @@ func Solve(c *grid.Case, opt Options) (*Result, error) {
 		appendBlock(dVm, false, posA, 0, posM, npv)  // dP/dVm
 		appendBlock(dVa, true, posM, npv, posA, 0)   // dQ/dVa
 		appendBlock(dVm, true, posM, npv, posM, npv) // dQ/dVm
-		dx, err := jacCache.SolveRefactored(jb.ToCSC(), f)
-		if err != nil {
-			return res, fmt.Errorf("pf: singular Jacobian at iteration %d: %w", iter, err)
+		jac := jb.ToCSC()
+		if sym == nil || sym.RefactorAutoInto(fac, ws, jac) != nil {
+			// First iteration, or a frozen pivot has decayed: re-pick them.
+			var err error
+			if sym, fac, err = sparse.Analyze(jac, sparse.OrderRCM, 1.0); err != nil {
+				return res, fmt.Errorf("pf: singular Jacobian at iteration %d: %w", iter, err)
+			}
+			ws = sym.NewRefactorWorkspace()
 		}
+		dx := fac.Solve(f)
 		for k, i := range pvpq {
 			va[i] -= dx[k]
 		}

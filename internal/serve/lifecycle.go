@@ -24,10 +24,11 @@ type canaryRun struct {
 // background retrain whose candidate opens a canary window and is
 // promoted or rolled back from measured arm statistics without any
 // operator action. With auto unset the manager only captures and
-// detects; retrains and canary transitions are driven explicitly
-// (StartCanary / FinishCanary), which is what deterministic tests and
-// the benchmark use. Not safe to call once the handler is serving
-// traffic.
+// detects; retrains and the opening of a canary window are driven
+// explicitly (Manager.Retrain, StartCanary), which is what
+// deterministic tests and the benchmark use — the window still closes
+// itself on the request that fills it. Not safe to call once the
+// handler is serving traffic.
 func (s *Server) AttachLifecycle(name string, mgr *lifecycle.Manager, auto bool) error {
 	st, ok := s.systems[name]
 	if !ok {
@@ -144,25 +145,6 @@ func (s *Server) StartCanaryPredictors(name string, replicas []opf.Predictor, ve
 func (s *Server) CanaryActive(name string) bool {
 	st, ok := s.systems[name]
 	return ok && st.canary.Load() != nil
-}
-
-// FinishCanary evaluates a system's open canary window immediately and,
-// if decided, completes it. It returns the decision (Undecided when the
-// window stays open) and whether this call closed it.
-func (s *Server) FinishCanary(name string) (lifecycle.Decision, bool, error) {
-	st, ok := s.systems[name]
-	if !ok {
-		return lifecycle.Undecided, false, fmt.Errorf("serve: canary on unknown system %q", name)
-	}
-	cr := st.canary.Load()
-	if cr == nil {
-		return lifecycle.Undecided, false, fmt.Errorf("serve: %q has no open canary window", name)
-	}
-	d := cr.ctl.Decide()
-	if d == lifecycle.Undecided {
-		return d, false, nil
-	}
-	return d, s.completeCanary(st, cr, d), nil
 }
 
 // maybeFinishCanary closes the canary window when its arms have enough

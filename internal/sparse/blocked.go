@@ -6,7 +6,7 @@ import (
 )
 
 // This file implements the blocked (supernodal) numeric refactorization
-// kernel. The scalar Refactor consumes one source column at a time: for
+// kernel. The scalar RefactorInto consumes one source column at a time: for
 // every source it re-loads the column's row indices and scatters an
 // axpy into the dense accumulator. On the KKT factors of larger grids
 // most of that work happens inside the dense trailing profile of L,
@@ -17,7 +17,7 @@ import (
 // updates: row indices are loaded once per panel instead of once per
 // member, and the inner loops run over contiguous value slices.
 //
-// The factors produced are numerically equivalent to scalar Refactor
+// The factors produced are numerically equivalent to the scalar kernel's
 // (same pivot sequence, same patterns) but not bit-identical: grouping
 // a panel's updates changes floating-point summation order. The kernel
 // is deterministic — a pure function of (pattern, values) — and keeps
@@ -35,7 +35,7 @@ const (
 	blockedPanelFracMin = 0.25
 )
 
-// blockedSchedule is the per-Symbolic plan for RefactorBlocked: the
+// blockedSchedule is the per-Symbolic plan for RefactorBlockedInto: the
 // supernode partition of the pivot columns, the aligned L row order,
 // and one consumption program per destination column.
 type blockedSchedule struct {
@@ -73,7 +73,7 @@ type PanelStats struct {
 	MaxWidth   int     // widest supernode
 	MaxBelow   int     // largest shared below-row set
 	PanelFrac  float64 // fraction of update flops routed through panels
-	Blocked    bool    // true when Factorize auto-selects RefactorBlocked
+	Blocked    bool    // true when RefactorAutoInto selects the blocked kernel
 }
 
 // PanelStats builds the blocked schedule if needed and reports it.
@@ -267,15 +267,6 @@ func (s *Symbolic) NewRefactorWorkspace() *RefactorWorkspace {
 	}
 }
 
-// NewFactors returns an LUFactors shell bound to this Symbolic's index
-// structure with preallocated value storage, for use with RefactorInto
-// and RefactorBlockedInto.
-func (s *Symbolic) NewFactors() *LUFactors {
-	f := &LUFactors{}
-	s.bindFactors(f, s.li)
-	return f
-}
-
 // bindFactors points f at the symbolic index structure (li chooses the
 // scalar or aligned row order) and sizes its value storage.
 func (s *Symbolic) bindFactors(f *LUFactors, li []int) {
@@ -361,10 +352,20 @@ func (s *Symbolic) refactorColumn(f *LUFactors, x []float64, a *CSC, k int) erro
 	return nil
 }
 
-// RefactorInto is Refactor writing into preallocated factors with an
-// external workspace: zero allocations per call. f is rebound to the
-// symbolic structure; ws must come from NewRefactorWorkspace. The
-// result is bit-identical to Refactor.
+// RefactorInto computes a numeric LU of a on the frozen symbolic
+// structure: same ordering, same pivot sequence, same L/U patterns,
+// values recomputed for a. It is the hot half of the symbolic/numeric
+// split — a single left-looking sweep with no graph traversal and no
+// pivot search — and writes into preallocated factors with an external
+// workspace: zero allocations per call once f has been through one. f
+// is rebound to the symbolic structure (a zero LUFactors will do); ws
+// must come from NewRefactorWorkspace. Refactoring the analyzed matrix
+// itself reproduces the analyzing factorization bit for bit.
+//
+// Returns ErrPatternChanged if a's pattern differs from the analyzed
+// one, and ErrRefactorUnstable (or ErrSingular) when the frozen pivots
+// are no longer numerically acceptable for a's values; both are cues to
+// re-Analyze.
 func (s *Symbolic) RefactorInto(f *LUFactors, ws *RefactorWorkspace, a *CSC) error {
 	if !s.PatternMatches(a) {
 		return ErrPatternChanged
@@ -380,21 +381,11 @@ func (s *Symbolic) RefactorInto(f *LUFactors, ws *RefactorWorkspace, a *CSC) err
 	return nil
 }
 
-// RefactorBlocked computes a numeric LU of a on the frozen symbolic
-// structure using the supernodal panel kernel. Same pivot sequence and
-// patterns as Refactor; values agree up to floating-point summation
-// order. The returned factors store L rows in the aligned (bli) order —
-// equivalent for Solve, which is order-free within a column.
-func (s *Symbolic) RefactorBlocked(a *CSC) (*LUFactors, error) {
-	f := &LUFactors{}
-	if err := s.RefactorBlockedInto(f, s.NewRefactorWorkspace(), a); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// RefactorBlockedInto is RefactorBlocked writing into preallocated
-// factors with an external workspace: zero allocations per call.
+// RefactorBlockedInto is RefactorInto through the supernodal panel
+// kernel. Same pivot sequence and patterns; values agree up to
+// floating-point summation order. The factors store L rows in the
+// aligned (bli) order — equivalent for Solve, which is order-free within
+// a column.
 func (s *Symbolic) RefactorBlockedInto(f *LUFactors, ws *RefactorWorkspace, a *CSC) error {
 	if !s.PatternMatches(a) {
 		return ErrPatternChanged
@@ -544,17 +535,10 @@ func (s *Symbolic) refactorColumnBlocked(f *LUFactors, ws *RefactorWorkspace, a 
 	return nil
 }
 
-// refactorAuto picks the kernel the schedule's density analysis
-// selected — the path SymbolicCache.Factorize takes.
-func (s *Symbolic) refactorAuto(a *CSC) (*LUFactors, error) {
-	if s.blocked().use {
-		return s.RefactorBlocked(a)
-	}
-	return s.Refactor(a)
-}
-
-// refactorAutoInto is refactorAuto into preallocated storage.
-func (s *Symbolic) refactorAutoInto(f *LUFactors, ws *RefactorWorkspace, a *CSC) error {
+// RefactorAutoInto runs the kernel the schedule's density analysis
+// selected (see Blocked) — the path every production refactorization
+// takes.
+func (s *Symbolic) RefactorAutoInto(f *LUFactors, ws *RefactorWorkspace, a *CSC) error {
 	if s.blocked().use {
 		return s.RefactorBlockedInto(f, ws, a)
 	}

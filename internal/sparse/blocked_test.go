@@ -92,8 +92,8 @@ func colOf(a *CSC, p int) int {
 // and solves within tol of each other and of the dense reference.
 func compareKernels(t *testing.T, sym *Symbolic, a *CSC, r *rand.Rand, tol float64) {
 	t.Helper()
-	fs, errS := sym.Refactor(a)
-	fb, errB := sym.RefactorBlocked(a)
+	fs, errS := refactor(sym, a)
+	fb, errB := refactorBlocked(sym, a)
 	if (errS == nil) != (errB == nil) {
 		t.Fatalf("kernel error mismatch: scalar %v, blocked %v", errS, errB)
 	}
@@ -186,7 +186,7 @@ func TestRefactorBlockedMidPanels(t *testing.T) {
 
 // The blocked kernel must apply the same pivot-decay floor as the
 // scalar kernel and restore its workspace on the error path, so the
-// SymbolicCache re-analyze fallback works identically for both.
+// CacheHandle re-analyze fallback works identically for both.
 func TestRefactorBlockedUnstableFallback(t *testing.T) {
 	build := func(d float64) *CSC {
 		b := NewBuilder(2, 2)
@@ -219,31 +219,30 @@ func TestRefactorBlockedUnstableFallback(t *testing.T) {
 		t.Fatalf("post-fallback solve residual %v", res)
 	}
 
-	// Through the cache with the blocked kernel forced on: the decayed
-	// matrix must trigger the re-analyze fallback, exactly like the
-	// scalar path in TestSymbolicCacheUnstableFallback.
-	c := NewSymbolicCache(OrderNatural, 1.0)
-	if _, err := c.Factorize(build(2)); err != nil {
-		t.Fatal(err)
-	}
-	c.syms[0].blocked().use = true
-	fac, err := c.Factorize(build(1e-14))
+	// Through a cache handle holding that value-pivoted sequence, with
+	// the blocked kernel forced on: the decayed matrix must trigger the
+	// re-analyze fallback, exactly like the scalar path in
+	// TestSymbolicCacheUnstableFallback.
+	sym.blocked().use = true
+	h := NewSymbolicCache(OrderNatural).Handle()
+	h.syms.insert(sym, build(2))
+	weak := build(1e-14)
+	fac, err := h.FactorizeInto(&FactorSlot{}, weak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	weak := build(1e-14)
 	x = fac.Solve(la.Vector{1, 2})
 	if res := weak.MulVec(x).Sub(la.Vector{1, 2}).NormInf(); res > 1e-9 {
 		t.Fatalf("fallback solve residual %v", res)
 	}
-	if st := c.Stats(); st.Fallbacks != 1 || st.Analyses != 2 {
-		t.Fatalf("stats = %+v, want 1 fallback + 2 analyses", st)
+	if st := h.stats; st.Fallbacks != 1 || st.Analyses != 1 {
+		t.Fatalf("stats = %+v, want 1 fallback + the 1 analysis that replaced the stale sequence", st)
 	}
 }
 
-// Into-variants must match their allocating counterparts bit for bit
-// and rebind cleanly when one factors/workspace pair is reused across
-// kernels and matrices.
+// One factors/workspace pair reused across kernels and matrices must
+// rebind cleanly: every result matches, bit for bit, the same kernel
+// run on fresh factors and a fresh workspace.
 func TestRefactorIntoMatchesRefactor(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	a := denseTailSystem(r, 60, 8)
@@ -255,7 +254,7 @@ func TestRefactorIntoMatchesRefactor(t *testing.T) {
 	ws := sym.NewRefactorWorkspace()
 	for trial := 0; trial < 4; trial++ {
 		m := withFreshValues(r, a)
-		want, err := sym.Refactor(m)
+		want, err := refactor(sym, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,15 +263,15 @@ func TestRefactorIntoMatchesRefactor(t *testing.T) {
 		}
 		for p := range want.lx {
 			if want.lx[p] != f.lx[p] {
-				t.Fatalf("trial %d: RefactorInto differs from Refactor at lx[%d]", trial, p)
+				t.Fatalf("trial %d: reused RefactorInto differs from fresh at lx[%d]", trial, p)
 			}
 		}
 		for p := range want.ux {
 			if want.ux[p] != f.ux[p] {
-				t.Fatalf("trial %d: RefactorInto differs from Refactor at ux[%d]", trial, p)
+				t.Fatalf("trial %d: reused RefactorInto differs from fresh at ux[%d]", trial, p)
 			}
 		}
-		wantB, err := sym.RefactorBlocked(m)
+		wantB, err := refactorBlocked(sym, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,12 +280,12 @@ func TestRefactorIntoMatchesRefactor(t *testing.T) {
 		}
 		for p := range wantB.lx {
 			if wantB.lx[p] != f.lx[p] {
-				t.Fatalf("trial %d: RefactorBlockedInto differs from RefactorBlocked at lx[%d]", trial, p)
+				t.Fatalf("trial %d: reused RefactorBlockedInto differs from fresh at lx[%d]", trial, p)
 			}
 		}
 		for p := range wantB.ux {
 			if wantB.ux[p] != f.ux[p] {
-				t.Fatalf("trial %d: RefactorBlockedInto differs from RefactorBlocked at ux[%d]", trial, p)
+				t.Fatalf("trial %d: reused RefactorBlockedInto differs from fresh at ux[%d]", trial, p)
 			}
 		}
 	}
@@ -340,9 +339,9 @@ func TestRefactorIntoAllocFree(t *testing.T) {
 		}
 	}
 
-	// And through the cache slot: the full Factorize path of a warm
-	// iteration loop.
-	cache := NewSymbolicCache(OrderAMD, 1.0)
+	// And through a cache handle and slot: the full factorization path
+	// of a warm iteration loop.
+	cache := NewSymbolicCache(OrderAMD).Handle()
 	slot := &FactorSlot{}
 	if _, err := cache.FactorizeInto(slot, m); err != nil {
 		t.Fatal(err)

@@ -13,12 +13,11 @@
 // is split into a symbolic phase and a numeric phase for the hot paths
 // that factor many matrices with one sparsity pattern — interior-point
 // KKT systems, Newton Jacobians: Analyze freezes the ordering, pivot
-// sequence and L/U patterns into a Symbolic, and Symbolic.Refactor
-// recomputes values only. SymbolicCache automates the
-// analyze-once/refactor-after pattern for a sequential solve;
-// OrderingCache shares the value-independent ordering across concurrent
-// solves of one grid without coupling their numerics. DESIGN.md §7
-// documents the design, PERFORMANCE.md the measured effect.
+// sequence and L/U patterns into a Symbolic, and Symbolic.RefactorInto
+// recomputes values only. SymbolicCache holds the pattern-pure analysis
+// of one grid's KKT systems and shares it across every solve of the
+// grid, concurrent ones included, without coupling their numerics.
+// DESIGN.md §7 documents the design, PERFORMANCE.md the measured effect.
 package sparse
 
 import (

@@ -75,12 +75,11 @@ func TestRefactorBlockedEmbeddedFleet(t *testing.T) {
 			for p := range m.Val {
 				m.Val[p] *= 1 + 0.1*r.NormFloat64()
 			}
-			fs, err := sym.Refactor(m)
-			if err != nil {
+			fs, fb, ws := &sparse.LUFactors{}, &sparse.LUFactors{}, sym.NewRefactorWorkspace()
+			if err := sym.RefactorInto(fs, ws, m); err != nil {
 				t.Fatal(err)
 			}
-			fb, err := sym.RefactorBlocked(m)
-			if err != nil {
+			if err := sym.RefactorBlockedInto(fb, ws, m); err != nil {
 				t.Fatal(err)
 			}
 			rhs := make(la.Vector, m.NRows)
@@ -126,7 +125,7 @@ func BenchmarkFleetRefactorKernels(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		f := sym.NewFactors()
+		f := &sparse.LUFactors{}
 		ws := sym.NewRefactorWorkspace()
 		b.Run(name+"/scalar", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

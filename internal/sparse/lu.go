@@ -24,12 +24,6 @@ type LUFactors struct {
 	pivotTolND float64
 }
 
-// Factorize computes a sparse LU of a square CSC matrix with the default
-// RCM ordering and partial-pivot threshold 1.0 (strict partial pivoting).
-func Factorize(a *CSC) (*LUFactors, error) {
-	return FactorizeOpts(a, OrderRCM, 1.0)
-}
-
 // FactorizeOpts computes a sparse left-looking (Gilbert–Peierls) LU
 // factorization with threshold partial pivoting. tol in (0,1] trades
 // sparsity for stability: 1.0 always picks the largest-magnitude candidate,
@@ -43,7 +37,7 @@ func FactorizeOpts(a *CSC, ord Ordering, tol float64) (*LUFactors, error) {
 }
 
 // FactorizePerm factorizes with an explicit column pre-ordering q (a
-// permutation of 0..n-1, as produced by an OrderingCache or permFor),
+// permutation of 0..n-1, as produced by permFor or held by a Symbolic),
 // skipping the ordering computation. Same pivoting semantics as
 // FactorizeOpts.
 func FactorizePerm(a *CSC, q []int, tol float64) (*LUFactors, error) {
@@ -253,12 +247,3 @@ func (f *LUFactors) SolveInto(dst, b, work la.Vector) {
 
 // NNZ returns the total stored entries of L and U.
 func (f *LUFactors) NNZ() int { return f.lnzTotal }
-
-// SolveLU factorizes a and solves a single system in one call.
-func SolveLU(a *CSC, b la.Vector) (la.Vector, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}

@@ -33,14 +33,12 @@ const (
 	// diagonal and fill diverges badly from the symmetric-elimination
 	// prediction. Probing with a *pattern-derived* surrogate keeps the
 	// choice a pure function of the sparsity pattern — required for the
-	// OrderingCache's guarantee that parallel sweeps are bit-identical
+	// SymbolicCache's guarantee that parallel sweeps are bit-identical
 	// regardless of which instance populates the cache — while still
 	// exercising real pivoted elimination. The probe costs two ordering
 	// computations plus two symbolic factorizations, once per sparsity
-	// pattern when used through an OrderingCache/SymbolicCache (the
-	// opf.Prepare path); combining it with NoKKTReuse-style
-	// per-iteration factorization re-probes every call (opf falls back
-	// to RCM on that baseline unless auto is forced explicitly).
+	// pattern when used through a SymbolicCache (the opf.Prepare path);
+	// a direct FactorizeOpts call re-probes every time.
 	OrderAuto
 )
 
@@ -214,9 +212,9 @@ func autoOrder(a *CSC) []int {
 // hash spread over [1, 2) — avoiding the singular all-ones case and
 // systematic pivot ties. Structural zeros that matter (absent entries,
 // e.g. a KKT matrix's empty trailing diagonal block) still force
-// off-diagonal pivoting. Both the ordering probe and shaped symbolic
-// analysis (SymbolicCache.Shaped) factor this surrogate, so the pivot
-// sequences they freeze are pure functions of the sparsity pattern.
+// off-diagonal pivoting. Both the ordering probe and the SymbolicCache's
+// pivot-shaped analysis factor this surrogate, so the pivot sequences
+// they freeze are pure functions of the sparsity pattern.
 func pivotSurrogate(a *CSC) *CSC {
 	sur := &CSC{NRows: a.NRows, NCols: a.NCols, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: make([]float64, len(a.RowIdx))}
 	for j := 0; j < a.NCols; j++ {

@@ -136,11 +136,11 @@ func TestToDenseRoundTrip(t *testing.T) {
 func TestLUSolveSmall(t *testing.T) {
 	a := buildSmall(t)
 	b := la.Vector{1, 2, 3}
-	x, err := SolveLU(a, b)
+	f, err := FactorizeOpts(a, OrderRCM, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := a.MulVec(x).Sub(b)
+	r := a.MulVec(f.Solve(b)).Sub(b)
 	if r.NormInf() > 1e-12 {
 		t.Fatalf("residual %v", r.NormInf())
 	}
@@ -150,7 +150,7 @@ func TestLUSingular(t *testing.T) {
 	b := NewBuilder(2, 2)
 	b.Append(0, 0, 1)
 	b.Append(1, 0, 1) // second column empty -> structurally singular
-	if _, err := Factorize(b.ToCSC()); err == nil {
+	if _, err := FactorizeOpts(b.ToCSC(), OrderRCM, 1.0); err == nil {
 		t.Fatal("expected ErrSingular")
 	}
 }
@@ -161,10 +161,11 @@ func TestLUNeedsPivoting(t *testing.T) {
 	b.Append(0, 1, 1)
 	b.Append(1, 0, 1)
 	a := b.ToCSC()
-	x, err := SolveLU(a, la.Vector{3, 7})
+	f, err := FactorizeOpts(a, OrderRCM, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	x := f.Solve(la.Vector{3, 7})
 	if math.Abs(x[0]-7) > 1e-14 || math.Abs(x[1]-3) > 1e-14 {
 		t.Fatalf("x = %v", x)
 	}
@@ -238,10 +239,11 @@ func TestLUAgainstDense(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = r.NormFloat64()
 	}
-	xs, err := SolveLU(a, rhs)
+	f, err := FactorizeOpts(a, OrderRCM, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	xs := f.Solve(rhs)
 	xd, err := la.Solve(a.ToDense(), rhs)
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +380,7 @@ func BenchmarkSparseLUKKTLike(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := Factorize(a)
+		f, err := FactorizeOpts(a, OrderRCM, 1.0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func TestRefactorSameMatrixBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f1, err := sym.Refactor(a)
+		f1, err := refactor(sym, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestRefactorAgainstDenseReference(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			fac, err := sym.Refactor(a2)
+			fac, err := refactor(sym, a2)
 			if err != nil {
 				return false
 			}
@@ -112,7 +112,7 @@ func TestRefactorRejectsPatternChange(t *testing.T) {
 	b2.Append(0, 0, 2)
 	b2.Append(1, 0, 1)
 	b2.Append(1, 1, 3)
-	if _, err := sym.Refactor(b2.ToCSC()); err != ErrPatternChanged {
+	if _, err := refactor(sym, b2.ToCSC()); err != ErrPatternChanged {
 		t.Fatalf("want ErrPatternChanged, got %v", err)
 	}
 }
@@ -192,33 +192,34 @@ func TestAMDReducesFill(t *testing.T) {
 func TestSymbolicCacheReuseAndStats(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	a1, a2 := randPatternPair(r, 30)
-	c := NewSymbolicCache(OrderRCM, 1.0)
+	c := NewSymbolicCache(OrderRCM)
+	h, slot := c.Handle(), &FactorSlot{}
 	for _, m := range []*CSC{a1, a2, a1} {
-		if _, err := c.Factorize(m); err != nil {
+		if _, err := h.FactorizeInto(slot, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := c.Stats()
-	if st.Analyses != 1 || st.Refactors != 2 || st.Fallbacks != 0 {
-		t.Fatalf("stats = %+v, want 1 analysis + 2 refactors", st)
+	if st, want := h.stats, (CacheStats{Analyses: 1, Refactors: 2, Orderings: 1}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 	// A different pattern triggers a second analysis but keeps the first.
 	b, _ := randSparseSystem(r, 31)
-	if _, err := c.Factorize(b); err != nil {
+	if _, err := h.FactorizeInto(slot, b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Factorize(a2); err != nil {
+	if _, err := h.FactorizeInto(slot, a2); err != nil {
 		t.Fatal(err)
 	}
-	st = c.Stats()
-	if st.Analyses != 2 || st.Refactors != 3 {
-		t.Fatalf("stats = %+v, want 2 analyses + 3 refactors", st)
+	if st, want := h.stats, (CacheStats{Analyses: 2, Refactors: 3, Orderings: 2}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 }
 
-// When new values make a frozen pivot collapse, the cache must notice
-// and fall back to a fresh analysis that re-picks pivots — and still
-// return a correct factorization.
+// A value-pivoted sequence exists only inside a handle, as the
+// replacement for shaped pivots its values rejected. When new values
+// make one of its frozen pivots collapse, the handle must notice and
+// fall back to a fresh analysis that re-picks pivots — still return a
+// correct factorization, and still publish nothing value-derived.
 func TestSymbolicCacheUnstableFallback(t *testing.T) {
 	build := func(d float64) *CSC {
 		b := NewBuilder(2, 2)
@@ -228,12 +229,15 @@ func TestSymbolicCacheUnstableFallback(t *testing.T) {
 		b.Append(1, 1, d)
 		return b.ToCSC()
 	}
-	c := NewSymbolicCache(OrderNatural, 1.0)
-	if _, err := c.Factorize(build(2)); err != nil { // freezes diagonal pivots
+	sym, _, err := Analyze(build(2), OrderNatural, 1.0) // freezes diagonal pivots
+	if err != nil {
 		t.Fatal(err)
 	}
+	c := NewSymbolicCache(OrderNatural)
+	h := c.Handle()
+	h.syms.insert(sym, build(2))
 	weak := build(1e-14) // frozen (0,0) pivot is 1e-14 vs candidate 1
-	fac, err := c.Factorize(weak)
+	fac, err := h.FactorizeInto(&FactorSlot{}, weak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +246,11 @@ func TestSymbolicCacheUnstableFallback(t *testing.T) {
 	if res.NormInf() > 1e-9 {
 		t.Fatalf("fallback solve residual %v", res.NormInf())
 	}
-	st := c.Stats()
-	if st.Fallbacks != 1 || st.Analyses != 2 {
-		t.Fatalf("stats = %+v, want 1 fallback + 2 analyses", st)
+	if st, want := h.stats, (CacheStats{Analyses: 1, Fallbacks: 1}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+	if len(h.syms) != 1 || h.syms[0] == sym || len(c.syms) != 0 {
+		t.Fatalf("want the re-analysis to replace the stale sequence in the handle and stay out of the cache; handle %d, cache %d", len(h.syms), len(c.syms))
 	}
 }
 
@@ -254,38 +260,47 @@ func TestSymbolicCacheSingular(t *testing.T) {
 	b.Append(0, 1, 2)
 	b.Append(1, 0, 2)
 	b.Append(1, 1, 4) // rank 1
-	c := NewSymbolicCache(OrderRCM, 1.0)
-	if _, err := c.Factorize(b.ToCSC()); err == nil {
+	h := NewSymbolicCache(OrderRCM).Handle()
+	if _, err := h.FactorizeInto(&FactorSlot{}, b.ToCSC()); err == nil {
 		t.Fatal("expected singular error")
+	}
+	// The shaped sequence was rejected and value pivoting failed too.
+	if st, want := h.stats, (CacheStats{Analyses: 1, Fallbacks: 1, Orderings: 1}); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 }
 
-func TestOrderingCachePermsAndAggregation(t *testing.T) {
+// The analysis of a pattern — permutation and shaped symbolic — is
+// computed once per cache however many solves go through it, and the
+// cache's counters are the sum over closed handles.
+func TestSymbolicCachePermsAndAggregation(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	a1, a2 := randPatternPair(r, 25)
-	oc := NewOrderingCache(OrderAMD)
-	q1 := oc.Perm(a1)
-	q2 := oc.Perm(a2) // same pattern -> same cached slice
-	if &q1[0] != &q2[0] {
-		t.Fatal("same pattern should return the cached permutation")
+	c := NewSymbolicCache(OrderAMD)
+	if c.Ordering() != OrderAMD {
+		t.Fatalf("ordering = %v", c.Ordering())
 	}
-	if got := oc.Stats().Orderings; got != 1 {
-		t.Fatalf("orderings = %d, want 1", got)
+	h1, h2 := c.Handle(), c.Handle()
+	if _, err := h1.FactorizeInto(&FactorSlot{}, a1); err != nil {
+		t.Fatal(err)
 	}
-	// A per-solve cache wired to oc uses and charges it for orderings.
-	sc := NewSymbolicCacheFrom(oc, 1.0)
-	if sc.Ordering() != OrderAMD {
-		t.Fatalf("ordering = %v", sc.Ordering())
-	}
-	for _, m := range []*CSC{a1, a2, a2} {
-		if _, err := sc.Factorize(m); err != nil {
+	slot := &FactorSlot{}
+	for _, m := range []*CSC{a2, a2} { // same pattern -> the cached analysis
+		if _, err := h2.FactorizeInto(slot, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	oc.AddSolveStats(sc.Stats())
-	st := oc.Stats()
-	if st.Analyses != 1 || st.Refactors != 2 || st.Orderings != 1 {
-		t.Fatalf("aggregated stats = %+v", st)
+	if h1.syms[0] != h2.syms[0] || &h1.syms[0].q[0] != &slot.f.q[0] {
+		t.Fatal("same pattern should pin the one cached symbolic and its permutation")
+	}
+	if st := c.Stats(); st != (CacheStats{}) {
+		t.Fatalf("open handles already counted: %+v", st)
+	}
+	h1.Close()
+	h2.Close()
+	h2.Close() // adds nothing the second time
+	if st, want := c.Stats(), (CacheStats{Analyses: 1, Refactors: 2, Orderings: 1}); st != want {
+		t.Fatalf("aggregated stats = %+v, want %+v", st, want)
 	}
 }
 
@@ -315,21 +330,21 @@ func TestRefactorSingularValues(t *testing.T) {
 	for i := range zero.Val {
 		zero.Val[i] = 0
 	}
-	if _, err := sym.Refactor(zero); err == nil {
+	if _, err := refactor(sym, zero); err == nil {
 		t.Fatal("expected singular error for all-zero values")
 	}
 	nan := a.Clone()
 	nan.Val[0] = math.NaN()
-	if _, err := sym.Refactor(nan); err == nil {
+	if _, err := refactor(sym, nan); err == nil {
 		t.Fatal("expected error for NaN values")
 	}
 }
 
-// A shaped cache keeps its pattern-derived diagonal pivot sequence when
-// a value collapses a pivot, applying the static pivot perturbation
-// instead of re-analyzing. Factorize (allocating) and FactorizeInto
-// (slot) must agree on that: both run the one scalar kernel, so the
-// factors are equal and neither counts a fallback.
+// The cache keeps its pattern-derived diagonal pivot sequence when a
+// value collapses a pivot, applying the static pivot perturbation
+// instead of re-analyzing — through the handle exactly as through the
+// kernel called directly on the cached symbolic, and without counting a
+// fallback.
 func TestShapedFactorizeMatchesFactorizeIntoUnderBoost(t *testing.T) {
 	b := NewBuilder(2, 2)
 	b.Append(0, 0, 1e-14) // shaped pivot, far below boostPivotRel of its column
@@ -338,26 +353,24 @@ func TestShapedFactorizeMatchesFactorizeIntoUnderBoost(t *testing.T) {
 	b.Append(1, 1, 3)
 	weak := b.ToCSC()
 
-	shaped := func() *SymbolicCache { return NewSymbolicCache(OrderNatural, 1.0).Shaped() }
-	plain, slotted := shaped(), shaped()
-	f1, err := plain.Factorize(weak)
+	c := NewSymbolicCache(OrderNatural)
+	h := c.Handle()
+	f2, err := h.FactorizeInto(&FactorSlot{}, weak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := slotted.FactorizeInto(&FactorSlot{}, weak)
+	f1, err := refactor(c.syms[0], weak)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(f1.lx, f2.lx) || !slices.Equal(f1.ux, f2.ux) ||
 		!slices.Equal(f1.li, f2.li) || !slices.Equal(f1.ui, f2.ui) || !slices.Equal(f1.pinv, f2.pinv) {
-		t.Fatalf("Factorize and FactorizeInto diverge on a boosted pivot:\n L %v vs %v\n U %v vs %v", f1.lx, f2.lx, f1.ux, f2.ux)
+		t.Fatalf("RefactorInto and FactorizeInto diverge on a boosted pivot:\n L %v vs %v\n U %v vs %v", f1.lx, f2.lx, f1.ux, f2.ux)
 	}
 	if got, want := f1.ux[f1.up[1]-1], boostPivotRel; got != want {
 		t.Fatalf("pivot (0,0) = %v, want the perturbed %v", got, want)
 	}
-	for name, c := range map[string]*SymbolicCache{"Factorize": plain, "FactorizeInto": slotted} {
-		if st := c.Stats(); st.Fallbacks != 0 || st.Analyses != 1 {
-			t.Fatalf("%s stats = %+v, want the shaped analysis alone (boost, no fallback)", name, st)
-		}
+	if st, want := h.stats, (CacheStats{Analyses: 1, Orderings: 1}); st != want {
+		t.Fatalf("stats = %+v, want the shaped analysis alone (boost, no fallback)", st)
 	}
 }
