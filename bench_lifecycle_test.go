@@ -8,9 +8,9 @@ package smartpgsim_test
 // drift and after the promotion. The canary gate is enforced with
 // b.Fatal: a candidate whose measured arm statistics regress must never
 // reach promotion, and the promoted candidate must warm-converge on
-// fresh probe traffic. The timed operation is the hot swap itself
-// (clone + float32 warmup + atomic replica-set store), the latency a
-// promotion adds to the serving process.
+// fresh probe traffic. The timed operation is the hot swap itself (one
+// atomic store of the version-tagged model), the latency a promotion
+// adds to the serving process.
 
 import (
 	"encoding/json"

@@ -269,14 +269,9 @@ func BenchmarkFig9(b *testing.B) {
 	for r := 0; r < big.Rows; r++ {
 		copy(big.Row(r), inputs.Row(r%inputs.Rows))
 	}
-	replicas := make([]*mtl.Model, 4)
-	for i := range replicas {
-		replicas[i] = mtl.New(f.model9.Lay, f.model9.Cfg)
-		replicas[i].Norm = f.model9.Norm
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scale.RunParallel(replicas, big, 4)
+		scale.RunParallel(f.model9, big, 4)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command pgsimd is the warm-start OPF serving daemon: it loads one or
-// more test systems, keeps their prepared problem structure and a pool
-// of model replicas resident, and serves solve requests over HTTP/JSON
+// more test systems, keeps their prepared problem structure and one
+// model each resident, and serves solve requests over HTTP/JSON
 // (POST /v1/solve), micro-batching concurrent requests onto the
 // parallel worker pool. Warm starts fall back to a cold restart on
 // non-convergence, so every answerable request is answered; the

@@ -1,7 +1,8 @@
 // Scaling: fan one batch of SC-ACOPF scenarios out across worker
-// goroutines, each holding a model replica — the data-parallel inference
-// pattern of the paper's Figure 9 — and measure real speedup on this
-// machine plus the modeled 128-worker cluster curve.
+// goroutines sharing the trained model — the data-parallel inference
+// pattern of the paper's Figure 9, one replica per device there — and
+// measure real speedup on this machine plus the modeled 128-worker
+// cluster curve.
 //
 //	go run ./examples/scaling
 package main
@@ -37,17 +38,12 @@ func main() {
 		copy(big.Row(r), inputs.Row(r%inputs.Rows))
 	}
 
-	// Real data parallelism on this machine (one replica per worker).
+	// Real data parallelism on this machine (all workers on the one model).
 	maxW := runtime.GOMAXPROCS(0)
 	fmt.Printf("real scenario fan-out on %d-core host (%d scenarios):\n", maxW, big.Rows)
 	var t1 time.Duration
 	for w := 1; w <= maxW; w *= 2 {
-		replicas := make([]*mtl.Model, w)
-		for i := range replicas {
-			replicas[i] = mtl.New(model.Lay, model.Cfg)
-			replicas[i].Norm = model.Norm
-		}
-		t, _ := scale.RunParallel(replicas, big, w)
+		t, _ := scale.RunParallel(model, big, w)
 		if w == 1 {
 			t1 = t
 		}

@@ -24,15 +24,12 @@ type FeatureAccuracy struct {
 	N       int
 }
 
-// predictAll runs the model on every sample's input, fanned out over a
-// replica pool. Starts come back in sample order, so what callers
+// predictAll runs the model on every sample's input, fanned out over
+// the batch pool. Starts come back in sample order, so what callers
 // accumulate from them does not depend on scheduling.
 func predictAll(m *mtl.Model, val *dataset.Set) []*opf.Start {
-	pool := m.Replicas(min(batch.Workers(0), len(val.Samples)))
 	out, _ := batch.Map(len(val.Samples), batch.Options{}, func(t *batch.Task) (*opf.Start, error) {
-		mm := pool.Get()
-		defer pool.Put(mm)
-		return mm.Predict(val.Samples[t.Index].Input), nil
+		return m.Predict(val.Samples[t.Index].Input), nil
 	})
 	return out
 }

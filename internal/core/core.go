@@ -9,11 +9,10 @@
 // ConvergenceStudy) fan their per-problem solves out across the
 // internal/batch worker pool. Each perturbed problem instance is derived
 // from the system's prepared OPF via Rebind, sharing the assembled Ybus
-// and constraint structure across all load perturbations, and model
-// inference runs on per-worker replicas (model forward passes cache
-// activations, so a replica may serve only one in-flight prediction).
-// All aggregates except wall-clock timings are bit-identical to a
-// sequential run under a fixed seed.
+// and constraint structure across all load perturbations, and every
+// worker predicts with the one model ((*mtl.Model).Predict is safe for
+// concurrent use). All aggregates except wall-clock timings are
+// bit-identical to a sequential run under a fixed seed.
 //
 // The online phase is also exposed as a long-running service: the
 // internal/serve package (behind cmd/pgsimd) drives System.SolveWarm

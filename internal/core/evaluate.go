@@ -72,7 +72,6 @@ func evaluate(sys *System, m *mtl.Model, val *dataset.Set, maxProblems, workers 
 		return res
 	}
 
-	pool := m.Replicas(min(batch.Workers(workers), n))
 	outcomes, _ := batch.Map(n, batch.Options{Workers: workers}, func(t *batch.Task) (evalOutcome, error) {
 		s := &val.Samples[t.Index]
 		// Cold MIPS baseline (measured fresh — the dataset's stored time
@@ -82,9 +81,7 @@ func evaluate(sys *System, m *mtl.Model, val *dataset.Set, maxProblems, workers 
 		if err != nil || !rc.Converged {
 			return evalOutcome{skipped: true}, nil
 		}
-		mm := pool.Get()
-		w := sys.SolveWarm(mm, s.Factors, s.Input)
-		pool.Put(mm)
+		w := sys.SolveWarm(m, s.Factors, s.Input)
 		return evalOutcome{cold: rc, warm: w}, nil
 	})
 

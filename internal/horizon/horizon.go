@@ -198,8 +198,9 @@ func summarize(mode Mode, steps []StepResult) *Result {
 // the single implementation both the offline Runner and the streaming
 // /v1/trajectory endpoint drive, which is what makes served replays
 // bit-identical to offline runs by construction. A Stepper is not safe
-// for concurrent use; its state must stay on one goroutine — the
-// serving layer's per-trajectory worker affinity.
+// for concurrent use: its chained state stays on one goroutine, the
+// streaming handler's or the Runner task's. The predictor it is given
+// holds no per-trajectory state and is shared with other steppers.
 type Stepper struct {
 	base     *opf.OPF
 	mode     Mode
@@ -315,18 +316,15 @@ func (s *Stepper) Step(factors []float64) StepResult {
 	return sr
 }
 
-// Runner solves trajectories over one base grid. Exactly one of Model
-// and Predictors supplies ModePredict warm starts; Predictors must be
-// interchangeable replicas (identical weights), and each in-flight
-// trajectory checks out exactly one replica for its whole run — the
-// per-trajectory affinity that keeps chained state and model state on
-// one worker.
+// Runner solves trajectories over one base grid. ModePredict warm
+// starts come from Predictor when set, else from Model
+// (mtl.PredictorFor); all in-flight trajectories share the one source.
 type Runner struct {
-	Base       *grid.Case
-	Prepared   *opf.OPF // prepared base instance; built from Base when nil
-	Mode       Mode
-	Model      *mtl.Model      // cloned per in-flight trajectory for ModePredict
-	Predictors []opf.Predictor // explicit replica set used instead of cloning Model
+	Base      *grid.Case
+	Prepared  *opf.OPF // prepared base instance; built from Base when nil
+	Mode      Mode
+	Model     *mtl.Model
+	Predictor opf.Predictor // used instead of Model when set (tests inject stubs)
 	// RampUp and RampDown are per-step ramp limits in pu (len NG; nil =
 	// unconstrained). See RampFromRange for the derivation convention.
 	RampUp, RampDown la.Vector
@@ -357,7 +355,7 @@ func (r *Runner) Run(traj *Trajectory) (*Result, error) {
 // RunBatch solves each trajectory start-to-end (steps are sequential
 // within a trajectory) and fans the trajectories across the batch
 // pool. Results are bit-identical for any worker count: trajectory i
-// depends only on its own chained state and its predictor replica.
+// depends only on its own chained state.
 func (r *Runner) RunBatch(trajs []*Trajectory) ([]*Result, error) {
 	base, err := r.prepared()
 	if err != nil {
@@ -374,22 +372,10 @@ func (r *Runner) RunBatch(trajs []*Trajectory) ([]*Result, error) {
 			}
 		}
 	}
-	// ModePredict borrows from the explicit Predictors, or from one
-	// warmed-up replica of Model per trajectory that can be in flight.
-	var pool *opf.Pool
-	if r.Mode == ModePredict {
-		pool = mtl.PoolFor(r.Model, r.Predictors, min(batch.Workers(r.Workers), len(trajs)))
-		if pool == nil {
-			return nil, fmt.Errorf("horizon: mode predict needs Model or Predictors")
-		}
-	}
+	// nil when neither is set; NewStepper then rejects ModePredict.
+	pred, _ := mtl.PredictorFor(r.Model, r.Predictor, &base.Lay)
 	results := make([]*Result, len(trajs))
 	err = batch.Run(len(trajs), batch.Options{Workers: r.Workers}, func(t *batch.Task) error {
-		var pred opf.Predictor
-		if pool != nil {
-			pred = pool.Get()
-			defer pool.Put(pred)
-		}
 		st, err := NewStepper(base, r.Mode, pred, r.RampUp, r.RampDown)
 		if err != nil {
 			return err

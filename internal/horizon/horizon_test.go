@@ -195,7 +195,7 @@ func TestHorizonSeqVsParallel(t *testing.T) {
 					RampUp: up, RampDown: up, Workers: workers,
 				}
 				if mode == ModePredict {
-					r.Predictors = []opf.Predictor{pred, pred, pred, pred}
+					r.Predictor = pred
 				}
 				out, err := r.RunBatch(trajs)
 				if err != nil {
@@ -203,54 +203,54 @@ func TestHorizonSeqVsParallel(t *testing.T) {
 				}
 				return out
 			}
-			seq := run(1)
-			par := run(4)
-			for i := range seq {
-				if seq[i].Converged != par[i].Converged || seq[i].WarmHits != par[i].WarmHits ||
-					seq[i].Iterations != par[i].Iterations {
-					t.Fatalf("trajectory %d aggregates diverge seq vs parallel", i)
-				}
-				for s := range seq[i].Steps {
-					a, b := seq[i].Steps[s], par[i].Steps[s]
-					if a.Cost != b.Cost || a.Iterations != b.Iterations ||
-						a.WarmUsed != b.WarmUsed || a.RampBinding != b.RampBinding ||
-						(a.Result == nil) != (b.Result == nil) ||
-						(a.Result != nil && !sameVec(a.Result.X, b.Result.X)) {
-						t.Fatalf("trajectory %d step %d diverges seq vs parallel", i, s)
-					}
-				}
-			}
+			sameResults(t, run(1), run(4))
 		})
 	}
 }
 
-// stubPredictor returns a fixed start and counts concurrent use: the
-// per-trajectory checkout discipline must never share a replica between
-// two in-flight trajectories.
+// sameResults fails unless two runs of the same trajectories agree bit
+// for bit, aggregate by aggregate and step by step.
+func sameResults(t *testing.T, seq, par []*Result) {
+	t.Helper()
+	for i := range seq {
+		if seq[i].Converged != par[i].Converged || seq[i].WarmHits != par[i].WarmHits ||
+			seq[i].Iterations != par[i].Iterations {
+			t.Fatalf("trajectory %d aggregates diverge seq vs parallel", i)
+		}
+		for s := range seq[i].Steps {
+			a, b := seq[i].Steps[s], par[i].Steps[s]
+			if a.Cost != b.Cost || a.Iterations != b.Iterations ||
+				a.WarmUsed != b.WarmUsed || a.RampBinding != b.RampBinding ||
+				(a.Result == nil) != (b.Result == nil) ||
+				(a.Result != nil && !sameVec(a.Result.X, b.Result.X)) {
+				t.Fatalf("trajectory %d step %d diverges seq vs parallel", i, s)
+			}
+		}
+	}
+}
+
+// stubPredictor returns a fixed start and counts its calls; like every
+// opf.Predictor it is safe to call from all workers at once.
 type stubPredictor struct {
 	start *opf.Start
-	inUse atomic.Int32
-	raced atomic.Bool
+	calls atomic.Int64
 }
 
 func (p *stubPredictor) Predict(la.Vector) *opf.Start {
-	if p.inUse.Add(1) > 1 {
-		p.raced.Store(true)
-	}
-	defer p.inUse.Add(-1)
+	p.calls.Add(1)
 	return &opf.Start{X: p.start.X, Lam: p.start.Lam, Mu: p.start.Mu, Z: p.start.Z}
 }
 
+// TestHorizonPredictReplicaAffinity: there are no replicas to be affine
+// to — four workers sharing the one predictor produce, step for step,
+// what one worker produces, and every step asks it exactly once.
 func TestHorizonPredictReplicaAffinity(t *testing.T) {
 	base := opf.Prepare(grid.Case9())
 	sol, err := base.Solve(nil, opf.Options{})
 	if err != nil || !sol.Converged {
 		t.Fatal(err)
 	}
-	preds := []*stubPredictor{
-		{start: &opf.Start{X: sol.X, Lam: sol.Lam, Mu: sol.Mu, Z: sol.Z}},
-		{start: &opf.Start{X: sol.X, Lam: sol.Lam, Mu: sol.Mu, Z: sol.Z}},
-	}
+	pred := &stubPredictor{start: &opf.Start{X: sol.X, Lam: sol.Lam, Mu: sol.Mu, Z: sol.Z}}
 	trajs := make([]*Trajectory, 5)
 	for i := range trajs {
 		tr, err := Synthetic(base.Lay.NB, 3, int64(i), 0.05, 0.02)
@@ -259,22 +259,22 @@ func TestHorizonPredictReplicaAffinity(t *testing.T) {
 		}
 		trajs[i] = tr
 	}
-	r := &Runner{
-		Prepared: base, Mode: ModePredict,
-		Predictors: []opf.Predictor{preds[0], preds[1]},
-		Workers:    4, // more workers than replicas: checkout must gate
-	}
-	out, err := r.RunBatch(trajs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range preds {
-		if p.raced.Load() {
-			t.Fatal("a predictor replica was shared between in-flight trajectories")
+	run := func(workers int) []*Result {
+		pred.calls.Store(0)
+		r := &Runner{Prepared: base, Mode: ModePredict, Predictor: pred, Workers: workers}
+		out, err := r.RunBatch(trajs)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got, want := pred.calls.Load(), int64(len(trajs)*3); got != want {
+			t.Fatalf("workers=%d: %d predictions for %d steps", workers, got, want)
+		}
+		return out
 	}
+	seq, par := run(1), run(4)
+	sameResults(t, seq, par)
 	warm := 0
-	for _, res := range out {
+	for _, res := range par {
 		warm += res.WarmHits
 	}
 	if warm == 0 {

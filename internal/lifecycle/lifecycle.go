@@ -27,7 +27,7 @@
 //
 // driven by an injected Clock so every transition is drivable
 // deterministically in-process. The serving integration (capture tap,
-// canary routing, atomic hot-swap of model replicas) lives in
+// canary routing, atomic hot-swap of the served model) lives in
 // internal/serve; the retraining itself is core.(*System).Retrain, the
 // exact offline path on the captured pairs.
 package lifecycle

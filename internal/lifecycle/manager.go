@@ -308,7 +308,7 @@ func (m *Manager) Decide() Decision {
 // CompletePromotion closes the canary with a promotion: the candidate
 // becomes the incumbent (registry updated when configured), the drift
 // detector re-baselines on the new model, and the state returns to
-// capturing. The serving layer performs the actual replica swap before
+// capturing. The serving layer performs the actual model swap before
 // calling this.
 func (m *Manager) CompletePromotion() error {
 	m.mu.Lock()

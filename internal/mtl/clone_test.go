@@ -1,7 +1,9 @@
 package mtl
 
 import (
+	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/la"
@@ -17,14 +19,18 @@ func identityRange(n int) Range {
 	return r
 }
 
-// tinyModel builds a small model with identity normalization and an
-// input it accepts.
+// tinyModel builds a small hierarchical model with identity
+// normalization and an input it accepts.
 func tinyModel() (*Model, la.Vector) {
+	return tinyModelOf(Config{Variant: VariantSmartPGSim, Hierarchy: true, Seed: 17})
+}
+
+func tinyModelOf(cfg Config) (*Model, la.Vector) {
 	lay := opf.Layout{
 		NB: 3, NG: 2, NX: 10, NEq: 7, NIq: 8,
 		VaOff: 0, VmOff: 3, PgOff: 6, QgOff: 8,
 	}
-	m := New(lay, Config{Variant: VariantSmartPGSim, Hierarchy: true, Seed: 17})
+	m := New(lay, cfg)
 	m.Norm = Normalizer{
 		In:  identityRange(2 * lay.NB),
 		X:   identityRange(lay.NX),
@@ -35,27 +41,48 @@ func tinyModel() (*Model, la.Vector) {
 	return m, la.Vector{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
 }
 
+// reloaded round-trips m through Save and Load into a fresh model.
+func reloaded(t *testing.T, m *Model) *Model {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	l := New(m.Lay, m.Cfg)
+	if err := l.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// sameStart reports an error unless two starts agree bit for bit.
+func sameStart(t *testing.T, what string, want, got *opf.Start) {
+	t.Helper()
+	for _, pair := range []struct{ a, b la.Vector }{
+		{want.X, got.X}, {want.Lam, got.Lam}, {want.Mu, got.Mu}, {want.Z, got.Z},
+	} {
+		if len(pair.a) != len(pair.b) {
+			t.Errorf("%s: length mismatch: %d vs %d", what, len(pair.a), len(pair.b))
+			return
+		}
+		for i := range pair.a {
+			if pair.a[i] != pair.b[i] {
+				t.Errorf("%s: prediction differs at %d: %v vs %v", what, i, pair.a[i], pair.b[i])
+				return
+			}
+		}
+	}
+}
+
 // TestClonePredictsIdentically: a clone must reproduce the original's
-// predictions exactly (the parallel sweeps rely on replicas being
-// interchangeable) while staying independent of the original's weights.
+// predictions exactly while staying independent of the original's
+// weights.
 func TestClonePredictsIdentically(t *testing.T) {
 	m, in := tinyModel()
 	want := m.Predict(in)
 
 	c := m.Clone()
-	got := c.Predict(in)
-	for _, pair := range []struct{ a, b la.Vector }{
-		{want.X, got.X}, {want.Lam, got.Lam}, {want.Mu, got.Mu}, {want.Z, got.Z},
-	} {
-		if len(pair.a) != len(pair.b) {
-			t.Fatalf("length mismatch: %d vs %d", len(pair.a), len(pair.b))
-		}
-		for i := range pair.a {
-			if pair.a[i] != pair.b[i] {
-				t.Fatalf("clone prediction differs at %d: %v vs %v", i, pair.a[i], pair.b[i])
-			}
-		}
-	}
+	sameStart(t, "clone", want, c.Predict(in))
 
 	// Weight independence: perturbing the clone must not change the
 	// original's prediction.
@@ -77,42 +104,80 @@ func predictMallocs(p opf.Predictor, in la.Vector) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// TestReplicasAreWarm: the one pool constructor hands out exactly n
-// replicas — the model itself plus clones — and every one of them has
-// had Warmup applied, so its first prediction allocates no more than
-// its second (no float32 cache build inside timed inference). A bare
-// Clone is the positive control: its first prediction does pay the
-// materialization.
+// firstPredictBuilds reports whether m's first prediction pays the
+// float32 build. A build allocates three objects per layer, so a cold
+// first call exceeds the second by at least 3·layers; what else the
+// process allocates meanwhile (exiting batch workers, the collector)
+// stays well under one object per layer.
+func firstPredictBuilds(m *Model, in la.Vector) bool {
+	layers := uint64(len(m.Params()) / 2)
+	first, second := predictMallocs(m, in), predictMallocs(m, in)
+	return first >= second+layers
+}
+
+// TestReplicasAreWarm: a model as it reaches a request — out of Train
+// (core.TrainModel, Retrain, and so the lifecycle's swap candidates), or
+// out of Load and through Warmup (core.LoadModel, then what serve does at
+// registration) — has its float32 weights built, so its first prediction
+// pays no conversion: the benchmark's first request and the offline
+// sweeps keep it out of timed inference. A bare Clone is the positive
+// control for the lazy path: its first prediction does pay it.
 func TestReplicasAreWarm(t *testing.T) {
 	m, in := tinyModel()
-	bare := m.Clone()
-	if first, second := predictMallocs(bare, in), predictMallocs(bare, in); first <= second {
-		t.Fatalf("control: an unwarmed clone's first Predict made %d allocations, its second %d — materialization not observable", first, second)
+	if !firstPredictBuilds(m.Clone(), in) {
+		t.Fatal("control: an unwarmed clone's first Predict shows no float32 build — materialization not observable")
 	}
 
-	const n = 3
-	pool := m.Replicas(n)
-	if pool.Cap() != n {
-		t.Fatalf("Cap = %d, want %d", pool.Cap(), n)
+	registered := reloaded(t, m)
+	registered.Warmup()
+	if firstPredictBuilds(registered, in) {
+		t.Fatal("loaded and warmed model built its float32 weights inside the first Predict")
 	}
-	sawOriginal := false
-	for i := 0; i < n; i++ {
-		r, ok := pool.TryGet()
-		if !ok {
-			t.Fatalf("pool ran dry after %d of %d replicas", i, n)
+
+	_, o, set := case9Data(t, 10)
+	trained := New(o.Lay, Config{Variant: VariantMTL, Hierarchy: true, Seed: 21})
+	if _, err := Train(trained, nil, set, TrainConfig{Epochs: 2, BatchSize: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if firstPredictBuilds(trained, set.Samples[0].Input) {
+		t.Fatal("trained model built its float32 weights inside the first Predict — Train left it cold")
+	}
+}
+
+// TestPredictConcurrent pins the concurrency contract of Predict: eight
+// goroutines released together on one model that has never predicted —
+// a fresh Clone and one straight out of Load, so their first use builds
+// the float32 weights — race-free under -race and each bit-identical to
+// the sequential prediction.
+func TestPredictConcurrent(t *testing.T) {
+	for _, cfg := range []Config{
+		{Variant: VariantSeparate, Seed: 17},
+		{Variant: VariantSmartPGSim, Hierarchy: true, Seed: 17},
+	} {
+		src, in := tinyModelOf(cfg)
+		want := src.Predict(in)
+		for _, tc := range []struct {
+			name string
+			m    *Model
+		}{{"clone", src.Clone()}, {"load", reloaded(t, src)}} {
+			t.Run(cfg.Variant.String()+"/"+tc.name, func(t *testing.T) {
+				got := make([]*opf.Start, 8)
+				release := make(chan struct{})
+				var wg sync.WaitGroup
+				for w := range got {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-release
+						got[w] = tc.m.Predict(in)
+					}()
+				}
+				close(release)
+				wg.Wait()
+				for _, st := range got {
+					sameStart(t, "concurrent", want, st)
+				}
+			})
 		}
-		sawOriginal = sawOriginal || r == opf.Predictor(m)
-		if first, second := predictMallocs(r, in), predictMallocs(r, in); first != second {
-			t.Fatalf("replica %d: first Predict made %d allocations, second %d — replica entered the pool cold", i, first, second)
-		}
-	}
-	if !sawOriginal {
-		t.Fatal("the model itself must count as one replica")
-	}
-	if _, ok := pool.TryGet(); ok {
-		t.Fatal("TryGet succeeded on an emptied pool")
-	}
-	if one := m.Replicas(0); one.Cap() != 1 {
-		t.Fatalf("Replicas(0) holds %d replicas, want the model alone", one.Cap())
 	}
 }

@@ -383,10 +383,10 @@ func (m *Model) Params() []*nn.Param {
 	return ps
 }
 
-// Clone returns an independent replica with the same configuration,
-// weights and normalization state. Forward passes cache activations on
-// the model, so concurrent inference (the evaluation sweeps and the
-// scaling study) gives each worker its own replica via Clone.
+// Clone returns an independent trainable copy with the same
+// configuration, weights and normalization state. Training (Forward and
+// Backward cache activations on the model) is the one use that needs a
+// private copy; prediction does not — see Predict.
 func (m *Model) Clone() *Model {
 	c := New(m.Lay, m.Cfg)
 	c.Norm = m.Norm
@@ -412,6 +412,13 @@ func (m *Model) Clone() *Model {
 // traffic over the weights, and float32 halves it at precision far
 // beyond what a warm start needs. Training and the batch Forward stay
 // float64.
+//
+// Predict is safe for concurrent use: it allocates its activations per
+// call and reads the weights through each layer's immutable float32 copy
+// (nn.Sequential.Infer), so every consumer of predictions — evaluation
+// sweeps, screening, trajectories, the serving daemon — shares the one
+// Model from all its goroutines. Only mutating the weights (Train, Load)
+// excludes concurrent prediction.
 func (m *Model) Predict(input la.Vector) *opf.Start {
 	lay := m.Lay
 	norm := m.Norm.In.NormalizeVec(input)
@@ -474,9 +481,13 @@ func (m *Model) Predict(input la.Vector) *opf.Start {
 	return &opf.Start{X: x, Lam: lam, Mu: mu, Z: z}
 }
 
-// Warmup eagerly materializes the float32 serving caches of every
-// layer. Call it when a replica enters a serving pool so the one-time
-// conversion happens at deploy time, not inside the first prediction.
+// Warmup builds the float32 serving copy of every layer now instead of
+// inside the first prediction. It is an optimisation, never an
+// obligation — an unwarmed model converts on first use, race-free — and
+// it has two callers: Train ends with it, and the serving daemon calls
+// it at registration. Load deliberately does not: a daemon fingerprints
+// the model right after loading it, and holding the float32 copy through
+// that gob encode raised the case300 boot's peak RSS by 13 %.
 func (m *Model) Warmup() {
 	for _, tr := range m.trunks {
 		tr.Materialize32()
@@ -486,36 +497,22 @@ func (m *Model) Warmup() {
 	}
 }
 
-// Replicas returns a pool of n interchangeable serving replicas of m —
-// m itself plus n−1 clones (at least one replica in total) — each with
-// its float32 serving caches prebuilt, so no prediction pays the
-// conversion inside timed inference. Every concurrent consumer of
-// predictions (evaluation sweeps, screening, trajectories, the serving
-// daemon) sizes n to its in-flight limit and borrows through the pool.
-func (m *Model) Replicas(n int) *opf.Pool {
-	m.Warmup()
-	reps := []opf.Predictor{m}
-	for len(reps) < n {
-		c := m.Clone()
-		c.Warmup()
-		reps = append(reps, c)
-	}
-	return opf.NewPool(reps)
-}
-
-// PoolFor resolves the (Model, explicit replica set) pair the screening
-// engine and the trajectory runner both carry into the pool their
-// workers borrow from: the explicit replicas when given (the serving
-// daemon lends its own, tests inject stubs), otherwise n replicas of m,
-// otherwise nil — nothing to predict with.
-func PoolFor(m *Model, explicit []opf.Predictor, n int) *opf.Pool {
+// PredictorFor resolves the (Model, explicit predictor) pair the
+// screening engine and the trajectory runner both carry into the one
+// predictor all their workers share, and the layout its starts arrive
+// in: the explicit predictor when given (the serving daemon lends its
+// own, tests inject stubs — by contract it predicts in base), otherwise
+// m in its own layout, otherwise nil — nothing to predict with. m is
+// tested before it is converted, so cold callers may pass a nil *Model
+// without it turning into a non-nil interface.
+func PredictorFor(m *Model, explicit opf.Predictor, base *opf.Layout) (opf.Predictor, *opf.Layout) {
 	switch {
-	case len(explicit) > 0:
-		return opf.NewPool(explicit)
-	case m == nil:
-		return nil
+	case explicit != nil:
+		return explicit, base
+	case m != nil:
+		return m, &m.Lay
 	}
-	return m.Replicas(n)
+	return nil, nil
 }
 
 // snapshot is the on-disk model format: normalization state plus the

@@ -4,12 +4,13 @@
 // predicted from X̂, µ from Ẑ), the detach-based feature prioritization,
 // and the four physics-informed loss terms f_AC, f_ieq, f_cost and f_Lag.
 //
-// A Model is not safe for concurrent inference (forward passes cache
-// activations on the model); concurrent consumers — the evaluation
-// sweeps and the serving daemon's replica pool — give each worker its
-// own Clone. Clones share weights, so which replica serves a prediction
-// never changes the result. Save/Load round-trip the weights and
-// normalization state; cmd/train writes the snapshots cmd/pgsimd loads.
+// Predict is safe for concurrent use — it runs on the float32 serving
+// path, which caches nothing on the model — so concurrent consumers (the
+// evaluation sweeps, screening, trajectories, the serving daemon) share
+// one Model per set of weights. Training is not: Forward and Backward
+// cache activations on the model, and a trainer works on its own Clone.
+// Save/Load round-trip the weights and normalization state; cmd/train
+// writes the snapshots cmd/pgsimd loads.
 package mtl
 
 import (

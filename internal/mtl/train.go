@@ -135,6 +135,7 @@ func Train(m *Model, phys *Physics, set *dataset.Set, cfg TrainConfig) (*History
 				m.Cfg.Variant, ep+1, cfg.Epochs, epSup/float64(nbatch), epPhy/float64(nbatch))
 		}
 	}
+	m.Warmup()
 	return hist, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/la"
 )
@@ -55,12 +56,10 @@ type Linear struct {
 	B       *Param // Out
 	xCache  *la.Matrix
 
-	// float32 serving-path weight cache (infer.go). wbVer stores the
-	// Params' Version+1 at materialization, so the zero value means
-	// "never built".
-	w32   []float32
-	b32   []float32
-	wbVer uint64
+	// float32 serving-path weight copy (infer.go), nil until first built.
+	// A published copy is never written again, so any number of
+	// goroutines may infer through one Linear.
+	w32 atomic.Pointer[weights32]
 }
 
 // NewLinear creates a dense layer with He-uniform initialization drawn

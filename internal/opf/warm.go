@@ -8,48 +8,13 @@ import (
 
 // Predictor produces a warm-start point from a model input [Pd; Qd].
 // *mtl.Model is the production implementation; the serving layer and
-// tests substitute stubs to force specific warm-start behaviour. A
-// Predictor is not required to be safe for concurrent use (model forward
-// passes cache activations), so concurrent callers hand each worker its
-// own replica through a Pool.
+// tests substitute stubs to force specific warm-start behaviour. Predict
+// must be safe for concurrent use: every consumer — evaluation sweeps,
+// screening, trajectories, the serving daemon — shares one Predictor per
+// model version across all its goroutines.
 type Predictor interface {
 	Predict(input la.Vector) *Start
 }
-
-// Pool hands interchangeable predictor replicas (identical weights) to
-// concurrent workers, one in-flight prediction per replica. Which
-// replica serves a task never shows in the result, so pooled sweeps stay
-// bit-identical to sequential ones. (*mtl.Model).Replicas builds the
-// production pool; NewPool wraps an explicit replica set.
-type Pool struct{ ch chan Predictor }
-
-// NewPool returns a pool holding the given replicas.
-func NewPool(replicas []Predictor) *Pool {
-	p := &Pool{ch: make(chan Predictor, len(replicas))}
-	for _, r := range replicas {
-		p.ch <- r
-	}
-	return p
-}
-
-// Get borrows a replica, waiting until one is idle.
-func (p *Pool) Get() Predictor { return <-p.ch }
-
-// TryGet borrows a replica if one is idle right now.
-func (p *Pool) TryGet() (Predictor, bool) {
-	select {
-	case r := <-p.ch:
-		return r, true
-	default:
-		return nil, false
-	}
-}
-
-// Put returns a borrowed replica.
-func (p *Pool) Put(r Predictor) { p.ch <- r }
-
-// Cap is the number of replicas the pool was built with.
-func (p *Pool) Cap() int { return cap(p.ch) }
 
 // BindingTol is the slack threshold below which an inequality row (or a
 // variable's distance to its bound) counts as binding at an accepted

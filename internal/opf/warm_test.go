@@ -7,35 +7,6 @@ import (
 	"repro/internal/la"
 )
 
-type fixedPredictor struct{ id int }
-
-func (fixedPredictor) Predict(la.Vector) *Start { return nil }
-
-func TestPoolBorrowAndReturn(t *testing.T) {
-	reps := []Predictor{fixedPredictor{0}, fixedPredictor{1}, fixedPredictor{2}}
-	p := NewPool(reps)
-	if p.Cap() != 3 {
-		t.Fatalf("Cap = %d, want 3", p.Cap())
-	}
-	seen := map[Predictor]bool{}
-	for range reps {
-		seen[p.Get()] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("borrowed %d distinct replicas, want the 3 put in", len(seen))
-	}
-	if r, ok := p.TryGet(); ok {
-		t.Fatalf("TryGet on an empty pool returned %v", r)
-	}
-	p.Put(reps[1])
-	if r, ok := p.TryGet(); !ok || r != reps[1] {
-		t.Fatalf("TryGet after Put = %v, %v; want the returned replica", r, ok)
-	}
-	if p.Cap() != 3 {
-		t.Fatalf("Cap changed to %d while replicas were out", p.Cap())
-	}
-}
-
 // SolveWarm is the one warm→cold routine: every branch of its
 // accounting is pinned against plain Solve calls on the same instance.
 func TestSolveWarmAccounting(t *testing.T) {

@@ -133,18 +133,14 @@ func WeakScaling(tInf time.Duration, perWorker int, flopsPerScenario float64, wo
 }
 
 // RunParallel performs real data-parallel inference on the batch engine
-// with one task per worker, each owning a model replica (models must be
-// structurally identical; the task index selects the replica, mirroring
-// the paper's one-replica-per-device distribution). It returns the wall
+// with one task per worker, each predicting its even share of the
+// scenarios on the one shared model — where the paper ships a replica to
+// each device, goroutines read the same weights. It returns the wall
 // time and the scenario count.
-func RunParallel(models []*mtl.Model, inputs *la.Matrix, workers int) (time.Duration, int) {
+func RunParallel(m *mtl.Model, inputs *la.Matrix, workers int) (time.Duration, int) {
 	workers = batch.Workers(workers)
-	if workers > len(models) {
-		workers = len(models)
-	}
 	start := time.Now()
-	eachChunk(inputs.Rows, workers, func(task, lo, hi int) {
-		m := models[task]
+	eachChunk(inputs.Rows, workers, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			m.Predict(inputs.Row(r))
 		}
@@ -153,8 +149,8 @@ func RunParallel(models []*mtl.Model, inputs *la.Matrix, workers int) (time.Dura
 }
 
 // eachChunk splits rows [0, count) evenly into one batch task per worker
-// and runs fn(task, lo, hi) for each on a pool of that many workers.
-func eachChunk(count, workers int, fn func(task, lo, hi int)) {
+// and runs fn(lo, hi) for each on a pool of that many workers.
+func eachChunk(count, workers int, fn func(lo, hi int)) {
 	chunk := (count + workers - 1) / workers
 	_ = batch.Run(workers, batch.Options{Workers: workers}, func(t *batch.Task) error {
 		lo := t.Index * chunk
@@ -162,7 +158,7 @@ func eachChunk(count, workers int, fn func(task, lo, hi int)) {
 		if hi > count {
 			hi = count
 		}
-		fn(t.Index, lo, hi)
+		fn(lo, hi)
 		return nil
 	})
 }

@@ -106,7 +106,7 @@ func TestRunParallelRunsWorkersConcurrently(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		eachChunk(rows, workers, func(task, lo, hi int) {
+		eachChunk(rows, workers, func(lo, hi int) {
 			barrier.Done()
 			barrier.Wait()
 			mu.Lock()
@@ -127,20 +127,15 @@ func TestRunParallelRunsWorkersConcurrently(t *testing.T) {
 		}
 	}
 
-	// The same split through RunParallel: one replica per worker (separate
-	// replicas so forward caches are not shared), every scenario counted.
+	// The same split through RunParallel: every worker predicts on the one
+	// model, every scenario counted.
 	m, in := smallModel(t)
 	big := la.NewMatrix(600, in.Cols)
 	for r := 0; r < big.Rows; r++ {
 		copy(big.Row(r), in.Row(r%in.Rows))
 	}
-	replicas := make([]*mtl.Model, workers)
-	for i := range replicas {
-		replicas[i] = mtl.New(m.Lay, m.Cfg)
-		replicas[i].Norm = m.Norm
-	}
-	t1, n1 := RunParallel(replicas[:1], big, 1)
-	t4, n4 := RunParallel(replicas, big, workers)
+	t1, n1 := RunParallel(m, big, 1)
+	t4, n4 := RunParallel(m, big, workers)
 	if n1 != big.Rows || n4 != big.Rows {
 		t.Fatal("scenario counts wrong")
 	}

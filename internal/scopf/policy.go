@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/grid"
+	"repro/internal/mtl"
 	"repro/internal/opf"
 )
 
@@ -120,12 +121,12 @@ func CollectPolicySamples(e *Engine, scenarios []Scenario) []PolicySample {
 		base = opf.Prepare(e.Base)
 	}
 	warmEng := &Engine{Base: e.Base, Prepared: base, Model: e.Model,
-		Predictors: e.Predictors, Workers: e.Workers, NoProjection: e.NoProjection}
+		Predictor: e.Predictor, Workers: e.Workers, NoProjection: e.NoProjection}
 	warm := warmEng.Run(scenarios)
 	coldEng := &Engine{Base: e.Base, Prepared: base, Workers: e.Workers}
 	cold := coldEng.Run(scenarios)
 
-	modelLay := warmEng.modelLayout(base)
+	_, modelLay := mtl.PredictorFor(e.Model, e.Predictor, &base.Lay)
 	classes := map[classKey]*class{}
 	var samples []PolicySample
 	for i, sc := range scenarios {
@@ -200,18 +201,4 @@ func TrainPolicy(samples []PolicySample) *Policy {
 	}
 	p.Threshold = thr
 	return p
-}
-
-// modelLayout resolves the layout warm-start predictions arrive in —
-// the replica contract (base layout) or the model's own.
-func (e *Engine) modelLayout(base *opf.OPF) *opf.Layout {
-	switch {
-	case len(e.Predictors) > 0:
-		lay := base.Lay
-		return &lay
-	case e.Model != nil:
-		lay := e.Model.Lay
-		return &lay
-	}
-	return nil
 }

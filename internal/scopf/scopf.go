@@ -131,17 +131,17 @@ type Report struct {
 	Classes  []ClassInfo
 }
 
-// Engine is the topology-aware screener. Exactly one of Model and
-// Predictors supplies warm starts (both nil/empty screens cold);
-// Predictors must be interchangeable replicas whose predictions are in
-// the base instance's layout.
+// Engine is the topology-aware screener. Warm starts come from
+// Predictor when set, else from Model, else the screen runs cold
+// (mtl.PredictorFor); all workers share the one source.
 type Engine struct {
 	Base     *grid.Case
 	Prepared *opf.OPF // prepared base instance; built from Base when nil
 	Model    *mtl.Model
-	// Predictors is an explicit replica set used instead of cloning
-	// Model — the serving daemon lends its pool, tests inject stubs.
-	Predictors []opf.Predictor
+	// Predictor is used instead of Model when set — the serving daemon
+	// lends the version it loaded for the sweep, tests inject stubs. Its
+	// predictions are in the base instance's layout.
+	Predictor opf.Predictor
 	// Workers sizes the batch pool (0 resolves through PGSIM_WORKERS,
 	// batch.SetDefaultWorkers, GOMAXPROCS; 1 is sequential).
 	Workers int
@@ -248,7 +248,7 @@ func (e *Engine) Run(scenarios []Scenario) *Report {
 		base = opf.Prepare(e.Base)
 	}
 
-	modelLay := e.modelLayout(base)
+	pred, modelLay := mtl.PredictorFor(e.Model, e.Predictor, &base.Lay)
 
 	// One prepared OPF per distinct topology, first-seen order.
 	classes := map[classKey]*class{}
@@ -264,14 +264,10 @@ func (e *Engine) Run(scenarios []Scenario) *Report {
 		order = append(order, key)
 	}
 
-	// Replicas: the explicit set, or one per worker that can be busy —
-	// the same sizing ScreenNaive uses.
-	pool := mtl.PoolFor(e.Model, e.Predictors, min(batch.Workers(e.Workers), len(scenarios)))
-
 	out := make([]Outcome, len(scenarios))
 	_ = batch.Run(len(scenarios), batch.Options{Workers: e.Workers}, func(t *batch.Task) error {
 		sc := scenarios[t.Index]
-		out[t.Index] = screenClass(base, classes[sc.key()], pool, e.Policy, sc)
+		out[t.Index] = screenClass(base, classes[sc.key()], pred, e.Policy, sc)
 		return nil
 	})
 
@@ -359,7 +355,7 @@ func bindingCount(z la.Vector) int {
 }
 
 // screenClass solves one scenario on its class's prepared structure.
-func screenClass(base *opf.OPF, cl *class, pool *opf.Pool, pol *Policy, sc Scenario) Outcome {
+func screenClass(base *opf.OPF, cl *class, pred opf.Predictor, pol *Policy, sc Scenario) Outcome {
 	if cl.err != nil {
 		return Outcome{Scenario: sc, Err: cl.err}
 	}
@@ -370,11 +366,11 @@ func screenClass(base *opf.OPF, cl *class, pool *opf.Pool, pol *Policy, sc Scena
 	inst := cl.opf.Perturb(sc.Factors)
 	var start *opf.Start
 	coldByPolicy := false
-	if pool != nil && cl.mode != warmCold {
+	if pred != nil && cl.mode != warmCold {
 		if pol != nil && !pol.UseWarm(featuresOf(base.Case, cl, sc)) {
 			coldByPolicy = true
 		} else {
-			start = predict(pool, inst)
+			start = pred.Predict(dataset.InputVector(inst.Case))
 			if cl.mode == warmProjected {
 				start = cl.project.Apply(start)
 			}
@@ -383,13 +379,6 @@ func screenClass(base *opf.OPF, cl *class, pool *opf.Pool, pol *Policy, sc Scena
 	out := solveOutcome(inst, sc, start, cl.mode == warmProjected)
 	out.ColdByPolicy = coldByPolicy
 	return out
-}
-
-// predict borrows a replica for one prediction on the instance's loads.
-func predict(pool *opf.Pool, inst *opf.OPF) *opf.Start {
-	p := pool.Get()
-	defer pool.Put(p)
-	return p.Predict(dataset.InputVector(inst.Case))
 }
 
 // solveOutcome runs one scenario through the warm→cold chain
@@ -424,7 +413,6 @@ func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool) 
 // baseline for the Engine, which must reproduce its outcomes bit for
 // bit when projection is disabled.
 func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers int) []Outcome {
-	pool := mtl.PoolFor(m, nil, min(batch.Workers(workers), len(scenarios)))
 	out := make([]Outcome, len(scenarios))
 	_ = batch.Run(len(scenarios), batch.Options{Workers: workers}, func(t *batch.Task) error {
 		sc := scenarios[t.Index]
@@ -457,7 +445,7 @@ func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers in
 		o := opf.Prepare(c)
 		var start *opf.Start
 		if m != nil && o.Lay.Fits(m.Lay) {
-			start = predict(pool, o)
+			start = m.Predict(dataset.InputVector(o.Case))
 		}
 		out[t.Index] = solveOutcome(o, sc, start, false)
 		return nil

@@ -179,8 +179,8 @@ func TestEngineMatchesNaiveWarm(t *testing.T) {
 }
 
 // Sequential and parallel engine runs must be bit-identical (the batch
-// engine's core guarantee, preserved through replica pools and shared
-// ordering caches).
+// engine's core guarantee, preserved through the shared predictor and
+// shared ordering caches).
 func TestEngineSeqParallelIdentical(t *testing.T) {
 	c := grid.Case9()
 	m := trainModel(t, c, 9)

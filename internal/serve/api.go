@@ -64,7 +64,7 @@ type SolveResponse struct {
 	Pg         []float64 `json:"pg"`
 	Qg         []float64 `json:"qg"`
 
-	// ModelVersion identifies the replica set that served a warm request
+	// ModelVersion identifies the model version that served a warm request
 	// (the lifecycle registry version when one is attached); empty on the
 	// cold path. Every response carries exactly one version — a request
 	// is never split across a hot swap.

@@ -107,22 +107,19 @@ func (s *Server) execute(j *job) *SolveResponse {
 	inst := j.st.sys.OPF.Perturb(j.factors)
 	var input []float64
 	var r *opf.Result
-	if rs := j.st.replicas(); rs != nil && !j.cold {
-		// The replica set is loaded once per request: the request borrows
-		// a replica from that set and returns it to the same set, so a
-		// concurrent hot swap can neither drop this request nor mix model
-		// versions within it. During a canary window the deterministic
-		// splitter routes the request to the candidate's set instead.
-		set := rs
+	if mv := j.st.model(); mv != nil && !j.cold {
+		// The model version is loaded once per request and the request
+		// predicts only with it, so a concurrent hot swap can neither drop
+		// this request nor mix model versions within it. During a canary
+		// window the deterministic splitter routes the request to the
+		// candidate's version instead.
 		cr := j.st.canary.Load()
 		if cr != nil && cr.ctl.Route() {
-			set = cr.set
+			mv = cr.cand
 			resp.Canary = true
 		}
 		input = dataset.InputVector(inst.Case)
-		p := set.pool.Get()
-		w := j.st.sys.SolveWarmInstance(p, inst, input)
-		set.pool.Put(p)
+		w := j.st.sys.SolveWarmInstance(mv.pred, inst, input)
 		r = w.Result
 		resp.Path = "warm"
 		resp.WarmConverged = w.Converged
@@ -130,7 +127,7 @@ func (s *Server) execute(j *job) *SolveResponse {
 			resp.Path = "warm_restart"
 			resp.ColdRestarted = true
 		}
-		resp.ModelVersion = set.version
+		resp.ModelVersion = mv.version
 		resp.Timing = Timing{
 			PrepUS:    usec(w.PrepTime),
 			InferUS:   usec(w.InferTime),

@@ -9,13 +9,13 @@ import (
 )
 
 // canaryRun is an open canary window on a system: the candidate's
-// replica set plus the deterministic traffic splitter that routes and
+// model version plus the deterministic traffic splitter that routes and
 // scores it. It is swapped in and out of systemState.canary atomically;
 // clearing it (promotion or rollback) is a CompareAndSwap, so exactly
 // one goroutine completes the window.
 type canaryRun struct {
-	set *replicaSet
-	ctl *lifecycle.Canary
+	cand *modelVersion
+	ctl  *lifecycle.Canary
 }
 
 // AttachLifecycle wires a lifecycle manager to a registered system: the
@@ -36,8 +36,8 @@ func (s *Server) AttachLifecycle(name string, mgr *lifecycle.Manager, auto bool)
 	}
 	st.lc = mgr
 	st.lcAuto = auto
-	if rs := st.replicas(); rs != nil {
-		mgr.SetIncumbent(rs.version)
+	if mv := st.model(); mv != nil {
+		mgr.SetIncumbent(mv.version)
 	}
 	return nil
 }
@@ -50,61 +50,61 @@ func (s *Server) Lifecycle(name string) *lifecycle.Manager {
 	return nil
 }
 
-// ServingVersion reports the version tag of a system's active replica
-// set ("" for cold-only systems).
+// ServingVersion reports the version tag of a system's active model
+// ("" for cold-only systems).
 func (s *Server) ServingVersion(name string) string {
 	st, ok := s.systems[name]
 	if !ok {
 		return ""
 	}
-	if rs := st.replicas(); rs != nil {
-		return rs.version
+	if mv := st.model(); mv != nil {
+		return mv.version
 	}
 	return ""
 }
 
-// SwapModel hot-swaps a system's serving model: the new weights are
-// cloned into a fresh replica set which replaces the active one in a
-// single atomic store. In-flight requests finish on the set they
-// loaded — every response is served wholly by one version — and no
-// request is dropped or delayed by the swap. The attached lifecycle
-// manager (if any) is told the new incumbent version.
+// SwapModel hot-swaps a system's serving model: m, version-tagged,
+// replaces the active version in a single atomic store. In-flight
+// requests finish on the version they loaded — every response is served
+// wholly by one version — and no request is dropped or delayed by the
+// swap. The attached lifecycle manager (if any) is told the new
+// incumbent version.
 func (s *Server) SwapModel(name string, m *mtl.Model, version string) error {
 	st, ok := s.systems[name]
 	if !ok {
 		return fmt.Errorf("serve: swap on unknown system %q", name)
 	}
-	rs := s.newModelSet(m, version)
-	s.swap(st, rs, rs.version)
+	mv := newModelVersion(m, version)
+	s.swap(st, mv, mv.version)
 	return nil
 }
 
-// swap installs rs as a system's active replica set in one atomic store,
-// tells the attached lifecycle manager (if any) the new incumbent
+// swap installs mv as a system's active model version in one atomic
+// store, tells the attached lifecycle manager (if any) the new incumbent
 // version and counts the swap.
-func (s *Server) swap(st *systemState, rs *replicaSet, version string) {
-	st.active.Store(rs)
+func (s *Server) swap(st *systemState, mv *modelVersion, version string) {
+	st.active.Store(mv)
 	if st.lc != nil {
 		st.lc.SetIncumbent(version)
 	}
 	s.met.inc(s.met.lcSwaps, 1, st.sys.Name)
 }
 
-// SwapPredictors is SwapModel with an explicit replica set — the test
+// SwapPredictors is SwapModel with an explicit predictor — the test
 // seam for forcing warm-start outcomes across a hot swap.
-func (s *Server) SwapPredictors(name string, replicas []opf.Predictor, version string) error {
+func (s *Server) SwapPredictors(name string, p opf.Predictor, version string) error {
 	st, ok := s.systems[name]
 	if !ok {
 		return fmt.Errorf("serve: swap on unknown system %q", name)
 	}
-	s.swap(st, newPredictorSet(replicas, version), version)
+	s.swap(st, newPredictorVersion(p, version), version)
 	return nil
 }
 
 // StartCanary opens a canary window serving the attached manager's
 // candidate model (installed by Manager.Retrain or BeginCanaryWith) on
 // the manager's configured traffic fraction. Warm requests are split
-// deterministically between the incumbent and candidate replica sets;
+// deterministically between the incumbent and candidate versions;
 // the window closes itself (promote or rollback) once both arms carry
 // enough observations.
 func (s *Server) StartCanary(name string) error {
@@ -123,21 +123,21 @@ func (s *Server) StartCanary(name string) error {
 	if ctl == nil {
 		return fmt.Errorf("serve: %q has no open canary window", name)
 	}
-	st.canary.Store(&canaryRun{set: s.newModelSet(cand, version), ctl: ctl})
+	st.canary.Store(&canaryRun{cand: newModelVersion(cand, version), ctl: ctl})
 	return nil
 }
 
 // StartCanaryPredictors opens a canary window with an explicit
-// candidate replica set and controller — the test seam. It does not
-// need an attached lifecycle manager; without one, promotion swaps the
-// active set and rollback discards the candidate, with no registry
+// candidate predictor and controller — the test seam. It does not need
+// an attached lifecycle manager; without one, promotion swaps the active
+// version and rollback discards the candidate, with no registry
 // bookkeeping.
-func (s *Server) StartCanaryPredictors(name string, replicas []opf.Predictor, version string, ctl *lifecycle.Canary) error {
+func (s *Server) StartCanaryPredictors(name string, p opf.Predictor, version string, ctl *lifecycle.Canary) error {
 	st, ok := s.systems[name]
 	if !ok {
 		return fmt.Errorf("serve: canary on unknown system %q", name)
 	}
-	st.canary.Store(&canaryRun{set: newPredictorSet(replicas, version), ctl: ctl})
+	st.canary.Store(&canaryRun{cand: newPredictorVersion(p, version), ctl: ctl})
 	return nil
 }
 
@@ -159,7 +159,7 @@ func (s *Server) maybeFinishCanary(st *systemState, cr *canaryRun) {
 
 // completeCanary applies a canary decision exactly once (the canary
 // pointer CompareAndSwap is the election): on promotion the candidate's
-// replica set becomes the active one — the same zero-drop atomic store
+// version becomes the active one — the same zero-drop atomic store
 // as SwapModel — and on rollback it is discarded; either way the
 // attached manager updates the registry and re-baselines the drift
 // detector. Reports whether this call won the election.
@@ -168,7 +168,7 @@ func (s *Server) completeCanary(st *systemState, cr *canaryRun, d lifecycle.Deci
 		return false
 	}
 	if d == lifecycle.Promote {
-		s.swap(st, cr.set, cr.set.version)
+		s.swap(st, cr.cand, cr.cand.version)
 		if st.lc != nil {
 			_ = st.lc.CompletePromotion()
 		}

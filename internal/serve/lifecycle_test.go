@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -79,8 +80,8 @@ func TestLifecycleClosedLoopServed(t *testing.T) {
 	s := New(Config{MaxBatch: 1})
 	t.Cleanup(s.Close)
 	deg := &degradingPredictor{good: m, bad: badStart(sys.OPF.Lay), goodFor: 16}
-	s.AddSystemPredictors(sys, []opf.Predictor{deg})
-	if err := s.SwapPredictors(sys.Name, []opf.Predictor{deg}, inc.ID); err != nil {
+	s.AddSystemPredictors(sys, deg)
+	if err := s.SwapPredictors(sys.Name, deg, inc.ID); err != nil {
 		t.Fatal(err)
 	}
 	mgr, err := lifecycle.NewManager(lifecycle.Config{
@@ -467,10 +468,10 @@ func TestCanaryIdenticalWeightsBitIdentical(t *testing.T) {
 }
 
 // TestWarmLoopAllocsZeroAfterSwap extends the zero-allocation contract
-// (DESIGN.md §11) across a hot swap: a replica borrowed from the
-// swapped-in set predicts a warm start whose steady-state interior-
-// point iteration still allocates nothing — the swap installs fresh
-// clones and warmed caches, it does not regress the serving loop.
+// (DESIGN.md §11) across a hot swap: the swapped-in version predicts a
+// warm start whose steady-state interior-point iteration still
+// allocates nothing, and registration left it warm — the swap does not
+// regress the serving loop.
 func TestWarmLoopAllocsZeroAfterSwap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -481,11 +482,23 @@ func TestWarmLoopAllocsZeroAfterSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rs := s.systems[sys.Name].replicas()
-	p := rs.pool.Get()
-	defer rs.pool.Put(p)
+	p := s.systems[sys.Name].model().pred
 	inst := sys.OPF.Perturb(uniform(sys.Case.NB(), 1.02))
-	start := p.Predict(dataset.InputVector(inst.Case))
+	in := dataset.InputVector(inst.Case)
+	// Registration built the never-used clone's float32 weights: its
+	// first prediction pays no build (three objects per layer; stray
+	// background allocations stay well under one per layer).
+	mallocs := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p.Predict(in)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	if first, second := mallocs(), mallocs(); first >= second+uint64(len(m.Params())/2) {
+		t.Errorf("first Predict after a swap made %d allocations, the second %d — the swapped-in model was registered cold", first, second)
+	}
+	start := p.Predict(in)
 	// Unreachable tolerances keep Step executing the full per-iteration
 	// pipeline at the numerical fixed point (the mips alloc-test idiom).
 	st := mips.NewStepper(inst.Problem(), start.X,

@@ -145,7 +145,7 @@ type metrics struct {
 	trajectoryStepLatency                                                *histogram
 
 	// Lifecycle event counters, per system: hot swaps applied to the
-	// serving replica set (SwapModel, SwapPredictors or a canary
+	// serving model version (SwapModel, SwapPredictors or a canary
 	// promotion), drift-detector firings, canary-scored solves per arm
 	// and canary window outcomes. Gauge-like lifecycle state (captured
 	// records, retrains, …) is snapshotted from the attached managers at
@@ -180,10 +180,10 @@ func newMetrics() *metrics {
 		trajectories:          newCounter("pgsimd_trajectory_streams_total", "Completed /v1/trajectory streams by system and warm-start mode.", "system", "mode"),
 		trajectorySteps:       newCounter("pgsimd_trajectory_steps_total", "Trajectory steps streamed by system and warm-start mode.", "system", "mode"),
 		trajectoryWarm:        newCounter("pgsimd_trajectory_warm_steps_total", "Trajectory steps accepted on their chained or predicted start.", "system", "mode"),
-		trajectoryDisconnects: newCounter("pgsimd_trajectory_disconnects_total", "Streams aborted mid-trajectory by the client (pinned replica released).", "system"),
+		trajectoryDisconnects: newCounter("pgsimd_trajectory_disconnects_total", "Streams aborted mid-trajectory by the client (stream slot released).", "system"),
 		trajectoryStepLatency: newHistogram(latencyBuckets),
 
-		lcSwaps:        newCounter("pgsimd_lifecycle_swaps_total", "Hot swaps of a system's serving replica set (direct swaps and canary promotions).", "system"),
+		lcSwaps:        newCounter("pgsimd_lifecycle_swaps_total", "Hot swaps of a system's serving model (direct swaps and canary promotions).", "system"),
 		lcDrift:        newCounter("pgsimd_lifecycle_drift_events_total", "Drift-detector firings on live warm-start telemetry.", "system"),
 		lcCanarySolves: newCounter("pgsimd_lifecycle_canary_solves_total", "Canary-scored warm solves by arm.", "system", "arm"),
 		lcDecisions:    newCounter("pgsimd_lifecycle_canary_decisions_total", "Completed canary windows by outcome.", "system", "decision"),

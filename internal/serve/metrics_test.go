@@ -44,7 +44,7 @@ func TestMetricsGolden(t *testing.T) {
 
 	s := New(Config{Workers: 1, MaxBatch: 1})
 	t.Cleanup(s.Close)
-	s.AddSystemPredictors(sys, []opf.Predictor{good})
+	s.AddSystemPredictors(sys, good)
 	// A capture-only lifecycle manager puts the per-system lifecycle
 	// snapshot families on the page.
 	mgr, err := lifecycle.NewManager(lifecycle.Config{System: sys, Variant: mtl.VariantSmartPGSim})
@@ -79,15 +79,15 @@ func TestMetricsGolden(t *testing.T) {
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/trajectory",
 		strings.NewReader(`{"system":"case9","steps":4,"mode":"predict"}`)).WithContext(gone))
 
-	if err := s.SwapPredictors("case9", []opf.Predictor{bad}, "v-bad"); err != nil {
+	if err := s.SwapPredictors("case9", bad, "v-bad"); err != nil {
 		t.Fatal(err)
 	}
 	post("/v1/solve", `{"system":"case9","scale":1.02}`) // warm attempt fails → cold restart
-	if err := s.SwapPredictors("case9", []opf.Predictor{good}, "v-good"); err != nil {
+	if err := s.SwapPredictors("case9", good, "v-good"); err != nil {
 		t.Fatal(err)
 	}
 	ctl := lifecycle.NewCanary(lifecycle.CanaryConfig{Frac: 0.5, Window: 2})
-	if err := s.StartCanaryPredictors("case9", []opf.Predictor{good}, "v-cand", ctl); err != nil {
+	if err := s.StartCanaryPredictors("case9", good, "v-cand", ctl); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; s.CanaryActive("case9"); i++ {

@@ -4,16 +4,15 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/opf"
 	"repro/internal/scopf"
 )
 
 // handleScreen runs one N-1 screening sweep on the topology-aware
 // engine, reusing the system's prepared OPF structure and — for warm
-// screening — its model replica pool. Sweeps are serialized through
-// screenSem; a second concurrent request sheds with 503 rather than
-// oversubscribing the solver pool.
+// screening — its model. Sweeps are serialized through screenSem; a
+// second concurrent request sheds with 503 rather than oversubscribing
+// the solver pool.
 func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	const endpoint = "/v1/screen"
 	var req ScreenRequest
@@ -33,26 +32,20 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.screenSem }()
 
-	// The replica set is loaded once for the whole sweep; borrowed
-	// replicas go back to the same set even if the system's model is
-	// hot-swapped mid-sweep, so the sweep is served wholly by one
-	// version and the swap drops nothing.
-	var preds []opf.Predictor
-	if rs := st.replicas(); rs != nil && !req.Cold {
-		preds = s.borrowPredictors(rs.pool, len(scenarios))
-		defer func() {
-			for _, p := range preds {
-				rs.pool.Put(p)
-			}
-		}()
+	// The model version is loaded once for the whole sweep, so the sweep
+	// is served wholly by one version even if the system's model is
+	// hot-swapped while it runs.
+	var pred opf.Predictor
+	if mv := st.model(); mv != nil && !req.Cold {
+		pred = mv.pred
 	}
 
 	eng := &scopf.Engine{
-		Base:       st.sys.Case,
-		Prepared:   st.sys.OPF,
-		Predictors: preds,
-		Workers:    s.cfg.Workers,
-		Policy:     req.Policy,
+		Base:      st.sys.Case,
+		Prepared:  st.sys.OPF,
+		Predictor: pred,
+		Workers:   s.cfg.Workers,
+		Policy:    req.Policy,
 	}
 	t0 := time.Now()
 	rep := eng.Run(scenarios)
@@ -104,33 +97,4 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.recordScreen(st.sys.Name, sum, len(rep.Classes), elapsed)
 	s.writeJSON(w, endpoint, http.StatusOK, resp)
-}
-
-// borrowPredictors takes model replicas from a replica set for the
-// duration of a sweep: one blocking receive (there is always at least
-// one replica), then whatever else is idle, up to the engine's worker
-// count but always leaving one replica behind so concurrent /v1/solve
-// warm starts keep flowing instead of stalling the dispatcher for the
-// whole sweep. A single-replica pool is the unavoidable exception:
-// solves for that system then wait until the sweep returns it.
-func (s *Server) borrowPredictors(pool *opf.Pool, scenarios int) []opf.Predictor {
-	want := batch.Workers(s.cfg.Workers)
-	if want > scenarios {
-		want = scenarios
-	}
-	if max := pool.Cap() - 1; want > max {
-		want = max
-	}
-	if want < 1 {
-		want = 1
-	}
-	preds := []opf.Predictor{pool.Get()}
-	for len(preds) < want {
-		p, ok := pool.TryGet()
-		if !ok {
-			break
-		}
-		preds = append(preds, p)
-	}
-	return preds
 }

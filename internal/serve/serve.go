@@ -7,10 +7,9 @@
 // (admittance matrices, rated-branch subset, bounds, constraint layout)
 // and derives each request's instance with (*opf.OPF).Perturb, so a
 // request pays only the clone+scale+rebind derivation cost, never a full
-// Prepare. Warm starts come from a pool of per-worker model replicas
-// (mtl.Model.Clone — forward passes cache activations, so a replica
-// serves one in-flight prediction); replicas share weights, so results
-// do not depend on which replica served a request.
+// Prepare. Warm starts come from the system's one model, shared by every
+// worker, sweep and stream ((*mtl.Model).Predict is safe for concurrent
+// use), so no endpoint ever waits for another's use of it.
 //
 // Concurrent solve requests are micro-batched: a dispatcher coalesces
 // requests that arrive within Config.BatchWindow of each other (up to
@@ -23,8 +22,8 @@
 //
 // The three POST endpoints share one request front — decode (size cap,
 // unknown fields rejected), system lookup, validation, one error writer
-// — and one replica pool type (opf.Pool); what differs per endpoint is
-// only how it borrows from the pool.
+// — and one way to the model: each request, sweep or stream loads the
+// system's {version, predictor} pair once and predicts only with it.
 //
 // Endpoints:
 //
@@ -43,17 +42,13 @@
 //
 // Screening runs outside the micro-batch queue — a sweep is itself a
 // batch, fanned out on the worker pool by the engine — and is serialized:
-// one screen at a time, a concurrent request sheds with 503. A warm
-// screen borrows the system's idle model replicas and returns them when
-// the sweep completes; solve requests arriving meanwhile fall back to
-// waiting for a free replica.
+// one screen at a time, a concurrent request sheds with 503.
 //
 // Trajectories are the daemon's stateful workload: chained state (step
-// t−1's solution) and the at-most-one pinned model replica stay on the
-// handler's goroutine for the stream's whole life — per-trajectory
-// worker affinity. Concurrent trajectories are bounded by the replica
-// count; a client disconnect between steps aborts the run and frees the
-// pinned replica immediately.
+// t−1's solution) stays on the handler's goroutine for the stream's
+// whole life. Concurrent trajectories are bounded by the in-flight solve
+// limit; a client disconnect between steps aborts the run and frees the
+// stream slot immediately.
 //
 // Backpressure is explicit: at most Config.QueueDepth requests wait for
 // the dispatcher; beyond that the server sheds load with 503 rather than
@@ -115,28 +110,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// replicaSet is one model version's serving pool: the per-worker
-// predictor replicas of a single set of weights, tagged with the
-// version they carry. A request borrows a replica from exactly one set
-// and returns it to the same set, so every response is served wholly by
-// one version — a hot swap can never mix versions within a request.
-type replicaSet struct {
+// modelVersion is one model version as served: the predictor all
+// workers, sweeps and streams on that version share, tagged with the
+// version it carries. A request, sweep or stream loads exactly one
+// modelVersion and predicts only with it, so every response is served
+// wholly by one version — a hot swap can never mix versions within it.
+type modelVersion struct {
 	version string
-	pool    *opf.Pool
+	pred    opf.Predictor
 }
 
 // systemState is one registered base grid: the shared prepared problem
-// structure plus the atomically swappable warm-start replica set (nil
+// structure plus the atomically swappable warm-start model version (nil
 // for cold-only) and, when attached, the model lifecycle.
 //
-// active is an atomic pointer so SwapModel replaces the whole set in
-// one store with zero dropped requests: in-flight solves keep the set
-// they loaded (and return replicas to it), new solves load the new set.
-// canary, when non-nil, carries the candidate's replica set plus the
-// deterministic traffic splitter for the open canary window.
+// active is an atomic pointer so SwapModel replaces the version in one
+// store with zero dropped requests: in-flight solves keep the version
+// they loaded, new solves load the new one. canary, when non-nil,
+// carries the candidate's version plus the deterministic traffic
+// splitter for the open canary window.
 type systemState struct {
 	sys    *core.System
-	active atomic.Pointer[replicaSet]
+	active atomic.Pointer[modelVersion]
 	canary atomic.Pointer[canaryRun]
 
 	lc         *lifecycle.Manager // nil when no lifecycle is attached
@@ -144,8 +139,8 @@ type systemState struct {
 	retraining atomic.Bool        // an auto retrain is in flight
 }
 
-// replicas returns the serving replica set, nil for cold-only systems.
-func (st *systemState) replicas() *replicaSet { return st.active.Load() }
+// model returns the serving model version, nil for cold-only systems.
+func (st *systemState) model() *modelVersion { return st.active.Load() }
 
 // Server is the OPF-serving engine. Register systems with AddSystem
 // before exposing Handler; Close stops the dispatcher after the HTTP
@@ -177,8 +172,10 @@ func New(cfg Config) *Server {
 		met:       newMetrics(),
 		started:   time.Now(),
 		screenSem: make(chan struct{}, 1),
+		// As many open streams as solves that can be in flight at once:
+		// one micro-batch of MaxBatch requests spread over the worker pool.
+		trajSem: make(chan struct{}, min(batch.Workers(cfg.Workers), cfg.MaxBatch)),
 	}
-	s.trajSem = make(chan struct{}, s.replicaCount())
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/screen", s.handleScreen)
 	s.mux.HandleFunc("POST /v1/trajectory", s.handleTrajectory)
@@ -191,31 +188,30 @@ func New(cfg Config) *Server {
 }
 
 // AddSystem registers a base grid, with m (may be nil for cold-only
-// serving) as the warm-start model. The model is cloned into a replica
-// set sized to the in-flight solve limit. Not safe to call once the
-// handler is serving traffic.
+// serving) as the warm-start model every worker shares. Not safe to call
+// once the handler is serving traffic.
 func (s *Server) AddSystem(sys *core.System, m *mtl.Model) {
 	s.AddSystemVersion(sys, m, "")
 }
 
-// AddSystemVersion is AddSystem with an explicit version tag for the
-// replica set — used when the model is registered in a lifecycle
-// registry and responses should carry its registry version ID.
+// AddSystemVersion is AddSystem with an explicit version tag — used
+// when the model is registered in a lifecycle registry and responses
+// should carry its registry version ID.
 func (s *Server) AddSystemVersion(sys *core.System, m *mtl.Model, version string) {
-	s.addSystem(sys, s.newModelSet(m, version))
+	s.addSystem(sys, newModelVersion(m, version))
 }
 
-// AddSystemPredictors registers a base grid with an explicit replica
-// set — one Predictor per concurrently served warm start. Tests use it
-// to force warm-start outcomes; AddSystem is the production path.
-func (s *Server) AddSystemPredictors(sys *core.System, replicas []opf.Predictor) {
-	s.addSystem(sys, newPredictorSet(replicas, "p-fixed"))
+// AddSystemPredictors registers a base grid with an explicit predictor
+// (nil for cold-only), called from every worker at once. Tests use it to
+// force warm-start outcomes; AddSystem is the production path.
+func (s *Server) AddSystemPredictors(sys *core.System, p opf.Predictor) {
+	s.addSystem(sys, newPredictorVersion(p, "p-fixed"))
 }
 
-func (s *Server) addSystem(sys *core.System, rs *replicaSet) {
+func (s *Server) addSystem(sys *core.System, mv *modelVersion) {
 	st := &systemState{sys: sys}
-	if rs != nil {
-		st.active.Store(rs)
+	if mv != nil {
+		st.active.Store(mv)
 	}
 	if _, dup := s.systems[sys.Name]; !dup {
 		s.names = append(s.names, sys.Name)
@@ -223,39 +219,27 @@ func (s *Server) addSystem(sys *core.System, rs *replicaSet) {
 	s.systems[sys.Name] = st
 }
 
-// newModelSet clones a model into a version-tagged replica set sized to
-// the in-flight solve limit, with float32 serving caches prebuilt at
-// registration, not in the first request. An empty version tags the set
-// with the model's content fingerprint; a nil model gives no set
-// (cold-only serving).
-func (s *Server) newModelSet(m *mtl.Model, version string) *replicaSet {
+// newModelVersion tags a model for serving. An empty version tags it
+// with the model's content fingerprint; a nil model gives no version
+// (cold-only serving). The model itself is served, not a copy, with its
+// float32 serving weights built here (a no-op for a model out of Train)
+// so the first request pays no conversion.
+func newModelVersion(m *mtl.Model, version string) *modelVersion {
 	if m == nil {
 		return nil
 	}
 	if version == "" {
 		version = "m-" + m.Fingerprint()[:12]
 	}
-	return &replicaSet{version: version, pool: m.Replicas(s.replicaCount())}
+	m.Warmup()
+	return &modelVersion{version: version, pred: m}
 }
 
-func newPredictorSet(replicas []opf.Predictor, version string) *replicaSet {
-	if len(replicas) == 0 {
+func newPredictorVersion(p opf.Predictor, version string) *modelVersion {
+	if p == nil {
 		return nil
 	}
-	return &replicaSet{version: version, pool: opf.NewPool(replicas)}
-}
-
-// replicaCount is the most warm starts that can be in flight at once:
-// one micro-batch of MaxBatch requests spread over the worker pool.
-func (s *Server) replicaCount() int {
-	n := batch.Workers(s.cfg.Workers)
-	if n > s.cfg.MaxBatch {
-		n = s.cfg.MaxBatch
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return &modelVersion{version: version, pred: p}
 }
 
 // Handler returns the HTTP handler serving the API.
@@ -352,7 +336,7 @@ func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
 		c, lay := st.sys.Case, st.sys.OPF.Lay
 		out.Systems = append(out.Systems, SystemInfo{
 			Name: name, Buses: c.NB(), Generators: c.NG(), Branches: c.NL(),
-			NLam: lay.NEq, NMu: lay.NIq, Model: st.replicas() != nil,
+			NLam: lay.NEq, NMu: lay.NIq, Model: st.model() != nil,
 		})
 	}
 	s.writeJSON(w, "/v1/systems", http.StatusOK, out)

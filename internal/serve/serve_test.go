@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -282,7 +283,7 @@ func TestWarmColdFallback(t *testing.T) {
 	sys, _ := loadFixture(t)
 	s := New(Config{})
 	t.Cleanup(s.Close)
-	s.AddSystemPredictors(sys, []opf.Predictor{stubPredictor{start: badStart(sys.OPF.Lay)}})
+	s.AddSystemPredictors(sys, stubPredictor{start: badStart(sys.OPF.Lay)})
 
 	code, body := postSolve(t, s.Handler(), `{"system":"case9","scale":1.01}`)
 	if code != http.StatusOK {
@@ -311,6 +312,92 @@ func TestWarmColdFallback(t *testing.T) {
 	}
 }
 
+// gatePredictor holds its first Predict call until the gate is closed
+// and lets every other call straight through.
+type gatePredictor struct {
+	start   *opf.Start
+	called  atomic.Bool
+	entered chan struct{} // closed once the first call is inside Predict
+	gate    chan struct{} // the first call returns after this is closed
+}
+
+func (p *gatePredictor) Predict(la.Vector) *opf.Start {
+	if p.called.CompareAndSwap(false, true) {
+		close(p.entered)
+		<-p.gate
+	}
+	return p.start
+}
+
+// TestWarmSolveDoesNotWaitOnOtherEndpoints: a stream or a sweep that is
+// inside the system's model does not keep a warm /v1/solve from it. The
+// holder's first prediction blocks on a gate; the solve must answer 200
+// while the gate is still closed. Success is event-driven; the 10 s hang
+// timeouts are the only failure path.
+func TestWarmSolveDoesNotWaitOnOtherEndpoints(t *testing.T) {
+	sys, _ := loadFixture(t)
+	base, err := sys.OPF.Solve(nil, opf.Options{})
+	if err != nil || !base.Converged {
+		t.Fatalf("base solve failed: %v", err)
+	}
+	for _, holder := range []struct{ name, path, body string }{
+		{"trajectory", "/v1/trajectory", `{"system":"case9","steps":2,"mode":"predict","seed":1}`},
+		{"screen", "/v1/screen", `{"system":"case9","n_draws":1,"seed":4}`},
+	} {
+		t.Run(holder.name, func(t *testing.T) {
+			gp := &gatePredictor{
+				start:   &opf.Start{X: base.X, Lam: base.Lam, Mu: base.Mu, Z: base.Z},
+				entered: make(chan struct{}),
+				gate:    make(chan struct{}),
+			}
+			s := New(Config{Workers: 1, MaxBatch: 1})
+			s.AddSystemPredictors(sys, gp)
+			t.Cleanup(s.Close)
+
+			post := func(path, body string) chan int {
+				done := make(chan int, 1)
+				go func() {
+					rec := httptest.NewRecorder()
+					s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+					done <- rec.Code
+				}()
+				return done
+			}
+			hang := time.After(10 * time.Second)
+
+			held := post(holder.path, holder.body)
+			select {
+			case <-gp.entered:
+			case <-hang:
+				close(gp.gate)
+				t.Fatalf("%s never reached the predictor", holder.path)
+			}
+			select {
+			case code := <-post("/v1/solve", `{"system":"case9","scale":1.01}`):
+				if code != http.StatusOK {
+					t.Errorf("warm solve beside an open %s = %d, want 200", holder.path, code)
+				}
+			case <-hang:
+				t.Errorf("warm solve waited on %s's use of the model", holder.path)
+			}
+			select {
+			case code := <-held:
+				t.Errorf("%s answered %d with its first prediction still gated", holder.path, code)
+			default:
+			}
+			close(gp.gate)
+			select {
+			case code := <-held:
+				if code != http.StatusOK {
+					t.Errorf("%s = %d after the gate opened, want 200", holder.path, code)
+				}
+			case <-hang:
+				t.Fatalf("%s did not complete after the gate opened", holder.path)
+			}
+		})
+	}
+}
+
 // TestWarmEdgesOnTheWire pins the two corners of the warm pipeline's
 // reporting that no converged request reaches: a predictor that offers
 // no start is one solve from the default point reported as the warm
@@ -321,7 +408,7 @@ func TestWarmEdgesOnTheWire(t *testing.T) {
 
 	s := New(Config{})
 	t.Cleanup(s.Close)
-	s.AddSystemPredictors(sys, []opf.Predictor{stubPredictor{}})
+	s.AddSystemPredictors(sys, stubPredictor{})
 	code, body := postSolve(t, s.Handler(), `{"system":"case9","scale":1.01}`)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d (%s)", code, body)
@@ -345,7 +432,7 @@ func TestWarmEdgesOnTheWire(t *testing.T) {
 	s2 := New(Config{})
 	t.Cleanup(s2.Close)
 	bad := badStart(sys.OPF.Lay)
-	s2.AddSystemPredictors(sys, []opf.Predictor{stubPredictor{start: bad}})
+	s2.AddSystemPredictors(sys, stubPredictor{start: bad})
 	code, body = postSolve(t, s2.Handler(), `{"system":"case9","scale":3}`)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d (%s)", code, body)
@@ -368,7 +455,7 @@ func TestWarmEdgesOnTheWire(t *testing.T) {
 }
 
 // TestConcurrentDeterminism fires concurrent warm requests through a
-// real listener (exercising the micro-batcher and the replica pool) and
+// real listener (exercising the micro-batcher and the shared model) and
 // pins every response against its sequentially computed offline
 // reference.
 func TestConcurrentDeterminism(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 
 // maxTrajectorySteps bounds one /v1/trajectory request: long enough for
 // a day of 5-minute intervals, short enough that a single stream cannot
-// pin a replica for hours unnoticed.
+// hold a stream slot for hours unnoticed.
 const maxTrajectorySteps = 512
 
 // defaultRampFrac is the per-step ramp limit applied when the request
@@ -76,18 +76,19 @@ type TrajectorySummary struct {
 }
 
 // validateTrajectory resolves a trajectory request into the system, the
-// parsed mode and the synthetic trajectory. Error text is safe for the
+// parsed mode, the predictor a predict-mode stream runs on (nil in the
+// other modes) and the synthetic trajectory. Error text is safe for the
 // client.
-func (s *Server) validateTrajectory(req *TrajectoryRequest) (*systemState, horizon.Mode, *horizon.Trajectory, float64, error) {
+func (s *Server) validateTrajectory(req *TrajectoryRequest) (*systemState, horizon.Mode, opf.Predictor, *horizon.Trajectory, float64, error) {
 	st, err := s.system(req.System)
 	if err != nil {
-		return nil, 0, nil, 0, err
+		return nil, 0, nil, nil, 0, err
 	}
 	if req.Steps <= 0 {
-		return nil, 0, nil, 0, fmt.Errorf("steps %d out of range (want a positive count)", req.Steps)
+		return nil, 0, nil, nil, 0, fmt.Errorf("steps %d out of range (want a positive count)", req.Steps)
 	}
 	if req.Steps > maxTrajectorySteps {
-		return nil, 0, nil, 0, fmt.Errorf("steps %d exceeds the limit of %d", req.Steps, maxTrajectorySteps)
+		return nil, 0, nil, nil, 0, fmt.Errorf("steps %d exceeds the limit of %d", req.Steps, maxTrajectorySteps)
 	}
 	modeStr := req.Mode
 	if modeStr == "" {
@@ -95,10 +96,18 @@ func (s *Server) validateTrajectory(req *TrajectoryRequest) (*systemState, horiz
 	}
 	mode, err := horizon.ParseMode(modeStr)
 	if err != nil {
-		return nil, 0, nil, 0, fmt.Errorf("mode %q unknown (want chain, predict or cold)", req.Mode)
+		return nil, 0, nil, nil, 0, fmt.Errorf("mode %q unknown (want chain, predict or cold)", req.Mode)
 	}
-	if mode == horizon.ModePredict && st.replicas() == nil {
-		return nil, 0, nil, 0, fmt.Errorf("mode %q needs a model, system %s serves cold-only", "predict", req.System)
+	var pred opf.Predictor
+	if mode == horizon.ModePredict {
+		// The model version is loaded once, here, for the whole stream, so
+		// a hot swap mid-stream neither drops the stream nor changes the
+		// model it predicts with.
+		mv := st.model()
+		if mv == nil {
+			return nil, 0, nil, nil, 0, fmt.Errorf("mode %q needs a model, system %s serves cold-only", "predict", req.System)
+		}
+		pred = mv.pred
 	}
 	amp := 0.05
 	if req.Amp != nil {
@@ -113,32 +122,31 @@ func (s *Server) validateTrajectory(req *TrajectoryRequest) (*systemState, horiz
 		frac = *req.RampFrac
 	}
 	if frac < 0 || frac > 1 {
-		return nil, 0, nil, 0, fmt.Errorf("ramp_frac %v out of range [0, 1]", frac)
+		return nil, 0, nil, nil, 0, fmt.Errorf("ramp_frac %v out of range [0, 1]", frac)
 	}
 	traj, err := horizon.Synthetic(st.sys.Case.NB(), req.Steps, req.Seed, amp, spread)
 	if err != nil {
 		// Synthetic's own bounds checks (amp/spread in [0, 1)) with the
 		// package prefix stripped for the client.
-		return nil, 0, nil, 0, fmt.Errorf("%v", err)
+		return nil, 0, nil, nil, 0, fmt.Errorf("%v", err)
 	}
-	return st, mode, traj, frac, nil
+	return st, mode, pred, traj, frac, nil
 }
 
 // handleTrajectory streams one multi-period trajectory as NDJSON: one
 // TrajectoryStep line per step as it completes, then a TrajectorySummary
 // line with done = true. The whole trajectory runs on this handler's
-// goroutine with at most one pinned model replica — per-trajectory
-// worker affinity, so chained state never crosses replicas — and a
-// client disconnect between steps aborts the run and returns the
-// replica to the pool. Concurrent trajectories are bounded by the
-// replica-pool size; excess requests shed with 503.
+// goroutine, where its chained state lives; a predict-mode stream calls
+// the system's shared model from here, concurrently with the solve
+// workers. A client disconnect between steps aborts the run. Concurrent
+// trajectories are bounded by trajSem; excess requests shed with 503.
 func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 	const endpoint = "/v1/trajectory"
 	var req TrajectoryRequest
 	if !s.decode(w, r, endpoint, &req) {
 		return
 	}
-	st, mode, traj, frac, err := s.validateTrajectory(&req)
+	st, mode, pred, traj, frac, err := s.validateTrajectory(&req)
 	if err != nil {
 		s.reject(w, endpoint, err)
 		return
@@ -150,23 +158,6 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { <-s.trajSem }()
-
-	// Pin one replica for the whole trajectory. Prediction is stateful
-	// per step (forward passes cache activations) and chain state lives
-	// on this goroutine, so exactly one replica serves the stream.
-	var pred opf.Predictor
-	if mode == horizon.ModePredict {
-		// The replica set is loaded once and the pinned replica returns
-		// to it, so a hot swap mid-stream neither drops the stream nor
-		// changes the model it predicts with.
-		rs := st.replicas()
-		var ok bool
-		if pred, ok = rs.pool.TryGet(); !ok {
-			s.writeError(w, endpoint, http.StatusServiceUnavailable, "no idle model replica, retry later")
-			return
-		}
-		defer rs.pool.Put(pred)
-	}
 
 	ramp := horizon.RampFromRange(st.sys.OPF, frac)
 	stepper, err := horizon.NewStepper(st.sys.OPF, mode, pred, ramp, ramp)
@@ -187,7 +178,7 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-ctx.Done():
 			// Client gone mid-stream: abort the horizon, release the
-			// pinned replica (deferred) and account the disconnect.
+			// stream slot (deferred) and account the disconnect.
 			s.met.inc(s.met.trajectoryDisconnects, 1, st.sys.Name)
 			return
 		default:

@@ -177,7 +177,7 @@ func TestTrajectoryStreamReplay(t *testing.T) {
 }
 
 // TestTrajectoryPredictReplay pins predict-mode streaming against the
-// offline runner with the same stub predictor replica.
+// offline runner with the same stub predictor.
 func TestTrajectoryPredictReplay(t *testing.T) {
 	sys, _ := loadFixture(t)
 	base, err := sys.OPF.Solve(nil, opf.Options{})
@@ -187,7 +187,7 @@ func TestTrajectoryPredictReplay(t *testing.T) {
 	stub := stubPredictor{start: &opf.Start{X: base.X, Lam: base.Lam, Mu: base.Mu, Z: base.Z}}
 
 	s := New(Config{})
-	s.AddSystemPredictors(sys, []opf.Predictor{stub})
+	s.AddSystemPredictors(sys, stub)
 	t.Cleanup(s.Close)
 
 	const steps = 3
@@ -203,10 +203,10 @@ func TestTrajectoryPredictReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &horizon.Runner{
-		Prepared:   sys.OPF,
-		Mode:       horizon.ModePredict,
-		Predictors: []opf.Predictor{stub},
-		Workers:    1,
+		Prepared:  sys.OPF,
+		Mode:      horizon.ModePredict,
+		Predictor: stub,
+		Workers:   1,
 	}
 	ref, err := r.Run(traj)
 	if err != nil {
@@ -224,11 +224,11 @@ func TestTrajectoryPredictReplay(t *testing.T) {
 	}
 }
 
-// TestTrajectoryDisconnectFreesReplica pins the mid-stream abort path:
-// a client that drops the connection after the first line must release
-// both the pinned model replica and the stream slot, so a follow-up
-// trajectory on the same system succeeds.
-func TestTrajectoryDisconnectFreesReplica(t *testing.T) {
+// TestTrajectoryDisconnectFreesSlot pins the mid-stream abort path: a
+// client that drops the connection after the first line must release
+// the stream slot, so a follow-up trajectory on the same system
+// succeeds.
+func TestTrajectoryDisconnectFreesSlot(t *testing.T) {
 	sys, _ := loadFixture(t)
 	base, err := sys.OPF.Solve(nil, opf.Options{})
 	if err != nil || !base.Converged {
@@ -236,15 +236,14 @@ func TestTrajectoryDisconnectFreesReplica(t *testing.T) {
 	}
 	stub := stubPredictor{start: &opf.Start{X: base.X, Lam: base.Lam, Mu: base.Mu, Z: base.Z}}
 
-	// One worker, one replica, one stream slot: any leak deadlocks the
-	// follow-up request into a 503.
+	// One worker, one stream slot: a leak turns the follow-up request
+	// into a 503.
 	s := New(Config{Workers: 1, MaxBatch: 1})
-	s.AddSystemPredictors(sys, []opf.Predictor{stub})
+	s.AddSystemPredictors(sys, stub)
 	t.Cleanup(s.Close)
 	if cap(s.trajSem) != 1 {
 		t.Fatalf("trajSem capacity %d, want 1", cap(s.trajSem))
 	}
-	st := s.systems["case9"]
 
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
@@ -264,9 +263,9 @@ func TestTrajectoryDisconnectFreesReplica(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	// The replica is pinned while the stream is live.
-	if replicaIdle(st.replicas().pool) {
-		t.Fatal("replica pool holds an idle replica mid-stream, want it pinned")
+	// The slot is held while the stream is live.
+	if len(s.trajSem) != 1 {
+		t.Fatalf("trajSem holds %d slots mid-stream, want 1", len(s.trajSem))
 	}
 	// Read one streamed step, then drop the connection.
 	sc := bufio.NewScanner(resp.Body)
@@ -282,12 +281,12 @@ func TestTrajectoryDisconnectFreesReplica(t *testing.T) {
 	}
 	cancel()
 
-	// The handler notices between steps and returns the replica and the
-	// stream slot (deferred). Poll the pool accounting back to full.
+	// The handler notices between steps and returns the stream slot
+	// (deferred). Poll the slot accounting back to empty.
 	deadline := time.Now().Add(10 * time.Second)
-	for !replicaIdle(st.replicas().pool) || len(s.trajSem) != 0 {
+	for len(s.trajSem) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("after disconnect: replica idle=%v sem=%d, want true/0", replicaIdle(st.replicas().pool), len(s.trajSem))
+			t.Fatalf("after disconnect: sem=%d, want 0", len(s.trajSem))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -306,14 +305,4 @@ func TestTrajectoryDisconnectFreesReplica(t *testing.T) {
 	if _, sum := decodeSteps(t, lines); !sum.Done {
 		t.Fatal("follow-up stream did not complete")
 	}
-}
-
-// replicaIdle reports whether the pool has an idle replica right now,
-// leaving it there.
-func replicaIdle(p *opf.Pool) bool {
-	r, ok := p.TryGet()
-	if ok {
-		p.Put(r)
-	}
-	return ok
 }
