@@ -140,6 +140,7 @@ var codeSize = []struct {
 	{at: "PR 17", all: 17466, warmPath: 5887, kernel: 3604, why: "one serial KKT path: intra-solve parallel tier deleted (`etree.go`, `parfor.go`, `pool.go`, `parallel.go`, the stamped assembler protocol, sharded KKT assembly, the batch thread budget, the solver-thread flag and its seven sibling knobs; CHANGES.md names them)"},
 	{at: "PR 19", all: 17094, warmPath: 5824, kernel: 3331, why: "one KKT analysis cache: `sparse.OrderingCache` and the plain/shaped/child modes of `SymbolicCache` merged into one per-topology cache + per-solve handle; `mips.Options.Orderings`/`NoKKTReuse`, `pgsim -kkt-reuse` and the from-scratch factorization path deleted; allocating `Refactor`/`RefactorBlocked`/`Factorize`/`SolveLU`/`NewFactors` forms, `(*OPF).Rebind` and seven unreferenced declarations removed"},
 	{at: "PR 20", all: 16949, warmPath: 5679, kernel: 3331, why: "one shared model per system: `(*mtl.Model).Predict` made safe for concurrent use (immutable float32 copy behind one atomic pointer per layer); the predictor pool type in `internal/opf`, the model's replica-pool constructor and pool resolver in `internal/mtl`, serve's replica sets, sweep borrow logic, `replicaCount` and the trajectory \"no idle replica\" 503, the predictor slices of `scopf.Engine`/`horizon.Runner`, `scopf`'s `modelLayout`/`predict` and the slice form of `scale.RunParallel` deleted (CHANGES.md names them)"},
+	{at: "PR 21", all: 17256, warmPath: 5861, kernel: 3446, why: "one KKT analysis per system for the whole branch-outage space (a performance change, so the count goes up): `sparse.SymbolicCache.Derive` + the sub-pattern embedding in `CacheHandle.FactorizeInto` (+115), `opf.RebindOutage` deriving its cache and the root-first rule in `Solve`, one prediction per load draw and per-class KKT counters in `scopf`, `scopf.MatchNaive` + `Drift` replacing four copies of the bit-identity guard, the first solve on a KKT cache serialised behind a `sync.Once`; `screen_n1_mid` `latency_ms_mid` 105.0 → 68.3 ms in exchange (PERFORMANCE.md)"},
 }
 
 func main() {

@@ -154,6 +154,7 @@ func main() {
 	t0 := time.Now()
 	var outs []scopf.Outcome
 	var classes []scopf.ClassInfo
+	var kkt, intactKKT sparse.CacheStats // outage classes'; the intact system's own, on base
 	if *naive {
 		outs = scopf.ScreenNaive(c, model, scenarios, *workers)
 	} else {
@@ -161,8 +162,10 @@ func main() {
 			Base: c, Prepared: base, Model: model,
 			Workers: *workers, NoProjection: *noProjection, Policy: pol,
 		}
+		kkt0 := base.KKTStats()
 		rep := eng.Run(scenarios)
-		outs, classes = rep.Outcomes, rep.Classes
+		outs, classes, kkt = rep.Outcomes, rep.Classes, rep.KKT
+		intactKKT = base.KKTStats().Sub(kkt0)
 	}
 	elapsed := time.Since(t0)
 	sum := scopf.Summarize(outs)
@@ -183,7 +186,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		printJSON(c.Name, *naive, sum, classes, elapsed, pol, n2res)
+		printJSON(c.Name, *naive, sum, classes, kkt.Add(intactKKT), elapsed, pol, n2res)
 		return
 	}
 	perDraw := len(cons) + len(genCons) + boolInt(!*skipIntact)
@@ -215,6 +218,9 @@ func main() {
 		for _, cl := range classes {
 			fmt.Printf("%-14s %10d %8d %10s\n", className(c, cl), cl.Scenarios, cl.NIq, cl.WarmMode)
 		}
+		all := kkt.Add(intactKKT)
+		fmt.Printf("KKT: %d symbolic analyses and %d orderings for %d classes — intact system %d, outage classes %d (branch outages factor on the intact system's analysis) — %d numeric refactors, %d fallbacks\n",
+			all.Analyses, all.Orderings, len(classes), intactKKT.Analyses, kkt.Analyses, all.Refactors, all.Fallbacks)
 	}
 	if n2res != nil {
 		sumN2 := scopf.Summarize(n2res.Report.Outcomes)
@@ -278,7 +284,7 @@ func className(c *grid.Case, cl scopf.ClassInfo) string {
 
 // printJSON emits the machine-readable summary (the cmd-line analogue of
 // POST /v1/screen's response).
-func printJSON(name string, naive bool, sum scopf.Summary, classes []scopf.ClassInfo, elapsed time.Duration, pol *scopf.Policy, n2res *scopf.N2Result) {
+func printJSON(name string, naive bool, sum scopf.Summary, classes []scopf.ClassInfo, kkt sparse.CacheStats, elapsed time.Duration, pol *scopf.Policy, n2res *scopf.N2Result) {
 	path := "engine"
 	if naive {
 		path = "naive"
@@ -305,9 +311,12 @@ func printJSON(name string, naive bool, sum scopf.Summary, classes []scopf.Class
 				"out_branch": cl.OutBranch, "out_branch2": cl.OutBranch2,
 				"out_gen": cl.OutGen, "kind": cl.Kind, "scenarios": cl.Scenarios,
 				"nmu": cl.NIq, "warm_mode": cl.WarmMode, "islanded": cl.Islanded,
+				"kkt_analyses": cl.KKT.Analyses,
 			})
 		}
 		report["classes"] = cls
+		report["kkt_analyses"] = kkt.Analyses
+		report["kkt_orderings"] = kkt.Orderings
 	}
 	if pol != nil {
 		// The policy object round-trips into POST /v1/screen's "policy" field.

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/grid"
@@ -102,6 +103,16 @@ type OPF struct {
 	// results regardless of order; mips pins entries per solve through a
 	// handle, which keeps parallel sweeps eviction-safe.
 	kkt *sparse.SymbolicCache
+	// kktFirst runs the first solve on kkt — the one that publishes the
+	// analysis — alone: made with the cache and shared with it, so solves
+	// racing on an empty cache wait for one analysis instead of each
+	// making their own, and the counters do not depend on worker count.
+	kktFirst *sync.Once
+	// kktRoot is the instance kkt was derived from (RebindOutage): its
+	// cache holds the analysis this instance's KKT systems are factored
+	// on, so Solve makes sure it is there first. Nil on an instance whose
+	// cache is its own.
+	kktRoot *OPF
 }
 
 // AutoOrderingBuses is the bus count at and above which Prepare probes
@@ -204,15 +215,20 @@ func Prepare(c *grid.Case) *OPF {
 	return o
 }
 
-// SetOrdering gives the instance a fresh, empty KKT cache analyzing
-// under the given fill-reducing ordering — the one place this package
-// makes a cache: Prepare and the topology-changing Rebind*s call it with
-// the configured ordering, the -ordering flags with the forced one. Call it
-// on the base instance before deriving with Perturb so the derived
-// instances share the new cache; previously cached analyses and
-// counters are discarded.
+// SetOrdering gives the instance a fresh, empty KKT cache of its own
+// analyzing under the given fill-reducing ordering — the one place this
+// package makes an underived cache: Prepare and RebindGenOutage call it
+// with the configured ordering, the -ordering flags with the forced one.
+// Call it on the base instance before deriving with Perturb or
+// RebindOutage so the derived instances share, or derive from, the new
+// cache; previously cached analyses and counters are discarded. On an
+// instance from RebindOutage it cuts the tie to the parent's analysis:
+// the outage pattern is then ordered and analyzed privately, the path
+// the containment tests compare against.
 func (o *OPF) SetOrdering(ord sparse.Ordering) {
 	o.kkt = sparse.NewSymbolicCache(ord)
+	o.kktFirst = new(sync.Once)
+	o.kktRoot = nil
 }
 
 // Ordering reports the KKT fill-reducing ordering this instance (and
@@ -224,7 +240,9 @@ func (o *OPF) Ordering() sparse.Ordering { return o.kkt.Ordering() }
 // every solve of this instance and the derivations sharing its cache: how
 // many fill-reducing orderings were computed, and how many full symbolic
 // analyses, numeric refactorizations and stability fallbacks the solves'
-// KKT factorizations performed.
+// KKT factorizations performed. An outage class from RebindOutage counts
+// for itself — zero orderings and analyses while its pattern sits inside
+// its parent's — and adds nothing to the parent's counters.
 func (o *OPF) KKTStats() sparse.CacheStats { return o.kkt.Stats() }
 
 // finiteBounds counts the finite entries of the two bound vectors — the
@@ -250,10 +268,15 @@ func finiteBounds(xmin, xmax la.Vector) int {
 // generator data, reference bus, variable layout) is shared with o. If
 // the branch is rated, its two flow rows leave the inequality layout
 // (NIq shrinks by 2); warm starts predicted in o's layout then need
-// ProjectionTo. The derived instance gets its own KKT cache (its
-// pattern differs from o's) with o's configured ordering, shared — like
-// any prepared instance's — by all its Perturb derivations, so one
-// analysis serves every scenario of the outage topology.
+// ProjectionTo. The derived instance keeps o's KKT analysis: MIPS
+// factors the reduced KKT system of dimension NX + NEq, which a branch
+// outage leaves alone, so the outage pattern is o's with a few entries
+// gone and its systems are factored on o's symbolic analysis with those
+// entries as explicit zeros (sparse.SymbolicCache.Derive) — no ordering
+// and no analysis per outage, and a chain of outages (N-2) resolves to
+// the same analysis. The counters are the class's own (KKTStats), shared
+// by all its Perturb derivations; a pattern that does not embed is
+// analyzed privately under o's ordering, as before.
 func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 	t0 := time.Now()
 	if branch < 0 || branch >= len(o.Case.Branches) {
@@ -292,7 +315,10 @@ func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 		rc.Ybus = y.Ybus
 		cp.ratedY = &rc
 	}
-	cp.SetOrdering(o.Ordering())
+	cp.kkt = o.kkt.Derive()
+	if o.kktRoot == nil {
+		cp.kktRoot = o
+	}
 	cp.prep = time.Since(t0)
 	return &cp, nil
 }
@@ -395,14 +421,37 @@ type Options = mips.Options
 
 // Solve runs the interior-point method from the given start (nil for the
 // default cold start). The returned error wraps mips failures; the Result
-// always reports iterations and timing.
-func (o *OPF) Solve(start *Start, opt Options) (*Result, error) {
+// always reports iterations and timing. The first solve on the
+// instance's KKT cache runs alone (solves arriving meanwhile wait for the
+// analysis it publishes); every later one runs freely in parallel.
+func (o *OPF) Solve(start *Start, opt Options) (res *Result, err error) {
+	if opt.KKT != nil {
+		return o.solve(start, opt)
+	}
+	opt.KKT = o.kkt
+	if r := o.kktRoot; r != nil {
+		// Root first: a derived cache analyzes privately while its root
+		// holds nothing, so result bits would depend on whether the intact
+		// system happened to be solved before its outages. Unless a solve
+		// of the root already has, one iteration from its default start
+		// publishes its analysis, a function of its pattern alone
+		// (ErrMaxIter is the expected outcome, not a failure).
+		r.kktFirst.Do(func() { _, _ = r.solve(nil, Options{MaxIter: 1, KKT: r.kkt}) })
+		return o.solve(start, opt)
+	}
+	first := false
+	o.kktFirst.Do(func() { first = true; res, err = o.solve(start, opt) })
+	if first {
+		return res, err
+	}
+	return o.solve(start, opt)
+}
+
+// solve is Solve on the cache opt.KKT names.
+func (o *OPF) solve(start *Start, opt Options) (*Result, error) {
 	sc := evalPool.Get().(*evalScratch)
 	defer evalPool.Put(sc)
 	p := o.problemWith(sc)
-	if opt.KKT == nil {
-		opt.KKT = o.kkt
-	}
 	var ws *mips.WarmStart
 	if start != nil {
 		ws = &mips.WarmStart{X: start.X, Lam: start.Lam, Mu: start.Mu, Z: start.Z}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/la"
 )
 
-// The engine's generator-outage path must pin bit-identical to the
+// The engine's generator-outage path must agree (MatchNaive) with the
 // naive per-scenario rebuild, cold and warm (the naive path cold-solves
 // layout-changing gen drops; NoProjection makes the engine match).
 func TestEngineMatchesNaiveGenOutages(t *testing.T) {
@@ -21,11 +21,11 @@ func TestEngineMatchesNaiveGenOutages(t *testing.T) {
 	scenarios = append(scenarios, BuildGenScenarios(draws, gens)...)
 
 	e := &Engine{Base: c, Workers: 4}
-	sameOutcomes(t, e.Run(scenarios).Outcomes, ScreenNaive(c, nil, scenarios, 4))
+	matchesNaive(t, e.Run(scenarios).Outcomes, ScreenNaive(c, nil, scenarios, 4))
 
 	m := trainModel(t, c, 17)
 	ew := &Engine{Base: c, Model: m, Workers: 4, NoProjection: true}
-	sameOutcomes(t, ew.Run(scenarios).Outcomes, ScreenNaive(c, m, scenarios, 4))
+	matchesNaive(t, ew.Run(scenarios).Outcomes, ScreenNaive(c, m, scenarios, 4))
 }
 
 // N-2 pair scenarios — including pairs that island — must pin to the
@@ -43,7 +43,7 @@ func TestEngineMatchesNaivePairs(t *testing.T) {
 
 	e := &Engine{Base: c, Workers: 4}
 	rep := e.Run(scenarios)
-	sameOutcomes(t, rep.Outcomes, ScreenNaive(c, nil, scenarios, 4))
+	matchesNaive(t, rep.Outcomes, ScreenNaive(c, nil, scenarios, 4))
 
 	kinds := map[string]int{}
 	for _, cl := range rep.Classes {

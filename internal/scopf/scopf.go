@@ -9,20 +9,31 @@
 // Screening is topology-aware: Engine groups scenarios by topology
 // class (which branch is out), derives one prepared OPF per class from
 // the intact system's prepared structure (grid.YMatrices.DropBranch +
-// opf.RebindOutage — bit-identical to a per-scenario rebuild) and fans
-// the scenarios out on the internal/batch worker pool, so every
-// scenario pays only the clone+scale+rebind derivation cost and every
-// class shares one KKT ordering analysis. Outages of rated branches
-// shrink the inequality layout; the engine projects the intact-system
-// warm-start prediction onto the contingency layout (opf.Projection)
-// instead of falling back to a cold solve. ScreenNaive keeps the
-// per-scenario-Prepare reference path; the engine is pinned
-// bit-identical to it by the tests in this package and benchmarked
-// against it by BenchmarkScreen (BENCH_scopf.json).
+// opf.RebindOutage — the same structure a per-scenario rebuild produces)
+// and fans the scenarios out on the internal/batch worker pool, so every
+// scenario pays only the clone+scale+rebind derivation cost. The whole
+// branch-outage space of a system shares ONE KKT analysis: an outage's
+// reduced KKT pattern lies inside the intact system's, so every branch
+// and branch-pair class factors on the intact system's symbolic analysis
+// and only generator outages, which change the variable layout, order
+// and analyze for themselves (ClassInfo.KKT counts it per class,
+// Report.KKT per sweep). Outages of rated branches shrink the inequality
+// layout; the engine projects the intact-system warm-start prediction
+// onto the contingency layout (opf.Projection) instead of falling back
+// to a cold solve, and predicts once per load draw, not per scenario.
+// ScreenNaive keeps the per-scenario-Prepare reference path, which
+// analyzes every outage pattern privately: the engine is pinned to it by
+// MatchNaive — every verdict and iteration count exact, costs to 1e-9 —
+// in this package's tests and in BenchmarkScreen (BENCH_scopf.json),
+// whose two cold sweeps pass their measured trajectory drift as the
+// ceiling.
 package scopf
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"sync"
 
 	"repro/internal/batch"
 	"repro/internal/dataset"
@@ -30,6 +41,7 @@ import (
 	"repro/internal/la"
 	"repro/internal/mtl"
 	"repro/internal/opf"
+	"repro/internal/sparse"
 )
 
 // Scenario is one node of the uncertainty tree: a load draw plus an
@@ -120,6 +132,14 @@ type ClassInfo struct {
 	NIq        int    // inequality rows of the class layout (#µ)
 	WarmMode   string // "exact", "projected" or "cold"
 	Islanded   bool   // the outage splits the network; nothing was solved
+	// KKT counts the KKT factorization work of the class's own solves.
+	// Analyses and Orderings are zero for a branch or pair class whose
+	// pattern sits inside the intact system's analysis; a generator
+	// outage, or a pattern that does not, shows up here as > 0. Zero for
+	// the intact class: it is solved on the system's long-lived cache,
+	// whose counters (Prepared.KKTStats) every other user of the system
+	// feeds too and no sweep can call its own.
+	KKT sparse.CacheStats
 }
 
 // Report is the full result of an Engine run: outcomes in scenario
@@ -129,6 +149,10 @@ type ClassInfo struct {
 type Report struct {
 	Outcomes []Outcome
 	Classes  []ClassInfo
+	// KKT is the KKT factorization work of the sweep's outage classes,
+	// the sum of Classes[i].KKT: zero analyses and orderings while every
+	// outage factors on the intact system's analysis.
+	KKT sparse.CacheStats
 }
 
 // Engine is the topology-aware screener. Warm starts come from
@@ -239,9 +263,9 @@ type class struct {
 }
 
 // Run screens every scenario and returns outcomes in scenario order.
-// Results are bit-identical for any worker count, and — warm-start
-// policy aside (see NoProjection, Policy) — to the ScreenNaive
-// reference.
+// Results are bit-identical for any worker count and scenario order,
+// and — warm-start policy aside (see NoProjection, Policy) — agree with
+// the ScreenNaive reference as MatchNaive defines.
 func (e *Engine) Run(scenarios []Scenario) *Report {
 	base := e.Prepared
 	if base == nil {
@@ -264,10 +288,30 @@ func (e *Engine) Run(scenarios []Scenario) *Report {
 		order = append(order, key)
 	}
 
+	// One warm start per load draw: the model input is the loads alone,
+	// so a draw's intact scenario and all its outages share a prediction,
+	// made by whichever of them asks first. A draw is its Factors vector,
+	// compared by content.
+	draws := map[string]*drawStart{}
+	starts := make([]*drawStart, len(scenarios))
+	var key []byte
+	for i, sc := range scenarios {
+		key = key[:0]
+		for _, f := range sc.Factors {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(f))
+		}
+		d := draws[string(key)]
+		if d == nil {
+			d = new(drawStart)
+			draws[string(key)] = d
+		}
+		starts[i] = d
+	}
+
 	out := make([]Outcome, len(scenarios))
 	_ = batch.Run(len(scenarios), batch.Options{Workers: e.Workers}, func(t *batch.Task) error {
 		sc := scenarios[t.Index]
-		out[t.Index] = screenClass(base, classes[sc.key()], pred, e.Policy, sc)
+		out[t.Index] = screenClass(base, classes[sc.key()], pred, starts[t.Index], e.Policy, sc)
 		return nil
 	})
 
@@ -281,10 +325,26 @@ func (e *Engine) Run(scenarios []Scenario) *Report {
 		}
 		if cl.opf != nil {
 			info.NIq = cl.opf.Lay.NIq
+			if cl.opf != base { // derived: the cache and its counters are the class's own
+				info.KKT = cl.opf.KKTStats()
+				rep.KKT = rep.KKT.Add(info.KKT)
+			}
 		}
 		rep.Classes = append(rep.Classes, info)
 	}
 	return rep
+}
+
+// drawStart is the warm-start prediction of one load draw, made on
+// first use and then shared, read-only, by the draw's scenarios.
+type drawStart struct {
+	once  sync.Once
+	start *opf.Start
+}
+
+func (d *drawStart) get(pred opf.Predictor, loaded *grid.Case) *opf.Start {
+	d.once.Do(func() { d.start = pred.Predict(dataset.InputVector(loaded)) })
+	return d.start
 }
 
 // buildClass derives the prepared OPF, projection and warm policy of one
@@ -355,7 +415,7 @@ func bindingCount(z la.Vector) int {
 }
 
 // screenClass solves one scenario on its class's prepared structure.
-func screenClass(base *opf.OPF, cl *class, pred opf.Predictor, pol *Policy, sc Scenario) Outcome {
+func screenClass(base *opf.OPF, cl *class, pred opf.Predictor, draw *drawStart, pol *Policy, sc Scenario) Outcome {
 	if cl.err != nil {
 		return Outcome{Scenario: sc, Err: cl.err}
 	}
@@ -370,7 +430,7 @@ func screenClass(base *opf.OPF, cl *class, pred opf.Predictor, pol *Policy, sc S
 		if pol != nil && !pol.UseWarm(featuresOf(base.Case, cl, sc)) {
 			coldByPolicy = true
 		} else {
-			start = pred.Predict(dataset.InputVector(inst.Case))
+			start = draw.get(pred, inst.Case)
 			if cl.mode == warmProjected {
 				start = cl.project.Apply(start)
 			}
@@ -410,8 +470,8 @@ func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool) 
 // back to cold). It mirrors the Engine's full contingency-space
 // semantics — validation order, islanding classification, generator and
 // N-2 pair outages — and exists as the pinning target and benchmark
-// baseline for the Engine, which must reproduce its outcomes bit for
-// bit when projection is disabled.
+// baseline for the Engine, which must agree with it (MatchNaive) when
+// projection is disabled.
 func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers int) []Outcome {
 	out := make([]Outcome, len(scenarios))
 	_ = batch.Run(len(scenarios), batch.Options{Workers: workers}, func(t *batch.Task) error {
@@ -451,6 +511,76 @@ func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers in
 		return nil
 	})
 	return out
+}
+
+// NaiveCostTol is the relative cost agreement MatchNaive asks of every
+// scenario. The reference analyzes each outage pattern privately, so its
+// factors round differently from the engine's: where the two take the
+// same trajectory the costs differ by ≤ 3e-13.
+const NaiveCostTol = 1e-9
+
+// Drift measures how far an engine sweep sits from the ScreenNaive
+// outcomes of the same scenarios in the two quantities that are not
+// verdicts. The engine factors every outage on the intact system's
+// analysis, the reference on a private one — two elimination orders of
+// the same Newton systems — and a trajectory started far from the central
+// path (a cold start, most of all under N-2) can amplify the rounding
+// difference into another iteration count on the way to the same optimum
+// (PERFORMANCE.md, "One KKT analysis per system", lists every such
+// scenario measured).
+type Drift struct {
+	IterDiffs  int     // scenarios that took a different number of iterations
+	IterAbs    int     // Σ |iterations − reference iterations| over them
+	MaxRelCost float64 // worst relative cost difference
+}
+
+// MatchNaive is the one pin of the engine to the ScreenNaive reference,
+// for the package tests and BenchmarkScreen alike. It fails unless every
+// outcome agrees exactly in Feasible, WarmUsed, Projected, Islanded,
+// Binding, ColdByPolicy and error presence, and the sweep's drift stays
+// within allow. The zero Drift allows none: every iteration count equal,
+// every cost within NaiveCostTol (allow.MaxRelCost below that is read as
+// NaiveCostTol). A sweep known to drift passes the drift measured on it,
+// so that anything beyond fails. The measured drift is returned.
+func MatchNaive(got, ref []Outcome, allow Drift) (Drift, error) {
+	var d Drift
+	if len(got) != len(ref) {
+		return d, fmt.Errorf("scopf: %d outcomes against %d reference outcomes", len(got), len(ref))
+	}
+	for i := range got {
+		g, r := got[i], ref[i]
+		if !sameVerdict(g, r) {
+			return d, fmt.Errorf("scopf: scenario %d: verdict differs from the reference:\n got %+v\nwant %+v", i, g, r)
+		}
+		if g.Iterations != r.Iterations {
+			d.IterDiffs++
+			d.IterAbs += max(g.Iterations-r.Iterations, r.Iterations-g.Iterations)
+		}
+		d.MaxRelCost = math.Max(d.MaxRelCost, relCostDiff(g, r))
+	}
+	if d.IterDiffs > allow.IterDiffs || d.IterAbs > allow.IterAbs || d.MaxRelCost > math.Max(allow.MaxRelCost, NaiveCostTol) {
+		return d, fmt.Errorf("scopf: drift from the reference %+v exceeds %+v", d, allow)
+	}
+	return d, nil
+}
+
+// sameVerdict reports whether two outcomes of one scenario agree in
+// everything that is not a float or an iteration count.
+func sameVerdict(got, ref Outcome) bool {
+	return got.Feasible == ref.Feasible && got.WarmUsed == ref.WarmUsed &&
+		got.Projected == ref.Projected && got.Islanded == ref.Islanded &&
+		got.Binding == ref.Binding && got.ColdByPolicy == ref.ColdByPolicy &&
+		(got.Err != nil) == (ref.Err != nil)
+}
+
+// relCostDiff is |got.Cost − ref.Cost| relative to the larger of the
+// two (0 when both are 0, as for two infeasible outcomes).
+func relCostDiff(got, ref Outcome) float64 {
+	d := math.Abs(got.Cost - ref.Cost)
+	if d == 0 {
+		return 0
+	}
+	return d / math.Max(math.Abs(got.Cost), math.Abs(ref.Cost))
 }
 
 // Contingencies enumerates the single-branch outages that leave the

@@ -132,9 +132,9 @@ func trainModel(t *testing.T, c *grid.Case, seed int64) *mtl.Model {
 	return m
 }
 
-// sameOutcomes requires bit-identical screening results: same feasibility,
-// exact float equality on cost, same iteration counts and warm-start
-// accounting, matching error presence.
+// sameOutcomes requires bit-identical screening results — the pin between
+// two engine runs: every verdict, the iteration counts, and exact float
+// equality on cost.
 func sameOutcomes(t *testing.T, got, want []Outcome) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -142,40 +142,47 @@ func sameOutcomes(t *testing.T, got, want []Outcome) {
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if g.Feasible != w.Feasible || g.Cost != w.Cost || g.Iterations != w.Iterations ||
-			g.WarmUsed != w.WarmUsed || g.Projected != w.Projected ||
-			g.Islanded != w.Islanded || g.Binding != w.Binding ||
-			g.ColdByPolicy != w.ColdByPolicy || (g.Err != nil) != (w.Err != nil) {
+		if !sameVerdict(g, w) || g.Iterations != w.Iterations || g.Cost != w.Cost {
 			t.Fatalf("outcome %d differs:\n got %+v\nwant %+v", i, g, w)
 		}
 	}
 }
 
-// The engine must reproduce the naive per-scenario-Prepare path bit for
-// bit on a cold N-1 sweep — case9's branches are all rated, so this
-// covers layout-shrinking outages.
+// matchesNaive requires engine outcomes to agree with the ScreenNaive
+// reference with no drift allowed: MatchNaive's exact fields, the same
+// iteration counts, costs equal to 1e-9 relative.
+func matchesNaive(t *testing.T, got, ref []Outcome) {
+	t.Helper()
+	if _, err := MatchNaive(got, ref, Drift{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The engine must reproduce the naive per-scenario-Prepare path on a
+// cold N-1 sweep — case9's branches are all rated, so this covers
+// layout-shrinking outages.
 func TestEngineMatchesNaiveCold(t *testing.T) {
 	c := grid.Case9()
 	draws := loadDraws(c.NB(), 2, 3)
 	scenarios := BuildScenarios(draws, Contingencies(c))
 	e := &Engine{Base: c, Workers: 4}
-	sameOutcomes(t, e.Run(scenarios).Outcomes, ScreenNaive(c, nil, scenarios, 4))
+	matchesNaive(t, e.Run(scenarios).Outcomes, ScreenNaive(c, nil, scenarios, 4))
 }
 
 // Warm screening on case14 (unrated: every outage keeps the layout) must
-// also pin bit-identical to the naive path — same predictions, same
-// shared-ordering solves.
+// also match the naive path — same predictions, same warm-start
+// acceptance, same iteration counts.
 func TestEngineMatchesNaiveWarm(t *testing.T) {
 	c := grid.Case14()
 	m := trainModel(t, c, 5)
 	draws := loadDraws(c.NB(), 2, 6)
 	scenarios := BuildScenarios(draws, Contingencies(c)[:4])
 	e := &Engine{Base: c, Model: m, Workers: 4, NoProjection: true}
-	sameOutcomes(t, e.Run(scenarios).Outcomes, ScreenNaive(c, m, scenarios, 4))
+	matchesNaive(t, e.Run(scenarios).Outcomes, ScreenNaive(c, m, scenarios, 4))
 	// Projection has nothing to project on an unrated system: the default
 	// engine must produce the same outcomes.
 	e2 := &Engine{Base: c, Model: m, Workers: 4}
-	sameOutcomes(t, e2.Run(scenarios).Outcomes, ScreenNaive(c, m, scenarios, 4))
+	matchesNaive(t, e2.Run(scenarios).Outcomes, ScreenNaive(c, m, scenarios, 4))
 }
 
 // Sequential and parallel engine runs must be bit-identical (the batch

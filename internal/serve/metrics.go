@@ -136,6 +136,7 @@ type metrics struct {
 	// warm/scenarios the screening warm-hit rate).
 	screens, screenScenarios, screenFeasible, screenWarm, screenProjected *counter
 	screenIslanded, screenPolicyCold, screenErrors, screenClasses         *counter
+	screenAnalyses                                                        *counter
 	screenLatency                                                         *histogram
 
 	// Trajectory counters: streams completed, steps and warm-accepted
@@ -175,6 +176,7 @@ func newMetrics() *metrics {
 		screenPolicyCold: newCounter("pgsimd_screen_policy_cold_total", "Warm starts skipped by the dispatch policy.", "system"),
 		screenErrors:     newCounter("pgsimd_screen_errors_total", "Scenarios whose solve or derivation errored.", "system"),
 		screenClasses:    newCounter("pgsimd_screen_classes_total", "Topology classes prepared (prepare reuse = scenarios/classes).", "system"),
+		screenAnalyses:   newCounter("pgsimd_screen_kkt_analyses_total", "KKT symbolic analyses made by the outage classes of screening sweeps (0 while every outage pattern embeds in the intact system's analysis, which pgsimd_kkt_symbolic_analyses_total counts; generator outages analyze privately).", "system"),
 		screenLatency:    newHistogram(screenLatencyBuckets),
 
 		trajectories:          newCounter("pgsimd_trajectory_streams_total", "Completed /v1/trajectory streams by system and warm-start mode.", "system", "mode"),
@@ -202,7 +204,7 @@ func (m *metrics) inc(c *counter, n int64, values ...string) {
 }
 
 // recordScreen folds one completed screening sweep into the counters.
-func (m *metrics) recordScreen(system string, sum scopf.Summary, classes int, latency time.Duration) {
+func (m *metrics) recordScreen(system string, sum scopf.Summary, rep *scopf.Report, latency time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.screens.add(1, system)
@@ -213,7 +215,8 @@ func (m *metrics) recordScreen(system string, sum scopf.Summary, classes int, la
 	m.screenIslanded.add(int64(sum.Islanded), system)
 	m.screenPolicyCold.add(int64(sum.PolicyCold), system)
 	m.screenErrors.add(int64(sum.Errors), system)
-	m.screenClasses.add(int64(classes), system)
+	m.screenClasses.add(int64(len(rep.Classes)), system)
+	m.screenAnalyses.add(int64(rep.KKT.Analyses), system)
 	m.screenLatency.observe(latency.Seconds())
 }
 
@@ -291,7 +294,7 @@ func (m *metrics) render(w io.Writer, queueDepth int, kkt []kktStat, lcs []lcSta
 
 	for _, c := range []*counter{
 		m.screens, m.screenScenarios, m.screenFeasible, m.screenWarm, m.screenProjected,
-		m.screenIslanded, m.screenPolicyCold, m.screenErrors, m.screenClasses,
+		m.screenIslanded, m.screenPolicyCold, m.screenErrors, m.screenClasses, m.screenAnalyses,
 	} {
 		c.render(w)
 	}

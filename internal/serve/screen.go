@@ -95,6 +95,6 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 			resp.Outcomes[i] = so
 		}
 	}
-	s.met.recordScreen(st.sys.Name, sum, len(rep.Classes), elapsed)
+	s.met.recordScreen(st.sys.Name, sum, rep, elapsed)
 	s.writeJSON(w, endpoint, http.StatusOK, resp)
 }

@@ -242,12 +242,25 @@ func TestScreenMetricsAndBusy(t *testing.T) {
 		`pgsimd_screen_warm_total{system="case9"}`,
 		`pgsimd_screen_projected_total{system="case9"}`,
 		`pgsimd_screen_errors_total{system="case9"} 0`,
+		// Branch outages factor on the intact system's analysis, on a
+		// server that had solved nothing before as on any other.
+		`pgsimd_screen_kkt_analyses_total{system="case9"} 0`,
 		"pgsimd_screen_latency_seconds_count 1",
 		`pgsimd_http_requests_total{endpoint="/v1/screen",code="200"} 1`,
 	} {
 		if !strings.Contains(met, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, met)
 		}
+	}
+
+	// Generator outages change the layout: each class analyzes once.
+	if code, body := postScreen(t, h, `{"system":"case9","contingencies":[1],"all_gen_outages":true}`); code != http.StatusOK {
+		t.Fatalf("screen = %d (%s)", code, body)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if want := `pgsimd_screen_kkt_analyses_total{system="case9"} 3`; !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("metrics missing %q:\n%s", want, rec.Body.String())
 	}
 
 	// A sweep in flight sheds a second request with 503.

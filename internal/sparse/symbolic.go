@@ -64,6 +64,31 @@ func (pt *pattern) matches(a *CSC) bool {
 	return true
 }
 
+// locate maps each stored entry of a to the position of the same
+// coordinate in pt, or returns nil when a has another dimension or an
+// entry pt lacks. One merge pass over the two sorted column structures;
+// a column of a that is not sorted ascending merely fails to embed.
+func (pt *pattern) locate(a *CSC) []int {
+	if a.NRows != pt.n || a.NCols != pt.n || len(a.RowIdx) > len(pt.rowIdx) {
+		return nil
+	}
+	pos := make([]int, len(a.RowIdx))
+	for j := 0; j < pt.n; j++ {
+		q, end := pt.colPtr[j], pt.colPtr[j+1]
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			for q < end && pt.rowIdx[q] < a.RowIdx[p] {
+				q++
+			}
+			if q == end || pt.rowIdx[q] != a.RowIdx[p] {
+				return nil
+			}
+			pos[p] = q
+			q++
+		}
+	}
+	return pos
+}
+
 // Symbolic is the reusable, value-independent-in-structure part of a
 // sparse LU: the fill-reducing column ordering, the row-pivot sequence
 // frozen by the analyzing factorization, and the exact nonzero patterns
@@ -152,12 +177,21 @@ type CacheStats struct {
 	Orderings uint64 // fill-reducing orderings computed from scratch
 }
 
-// add accumulates o into s.
-func (s *CacheStats) add(o CacheStats) {
-	s.Analyses += o.Analyses
-	s.Refactors += o.Refactors
-	s.Fallbacks += o.Fallbacks
-	s.Orderings += o.Orderings
+// Add returns s + o, counter by counter.
+func (s CacheStats) Add(o CacheStats) CacheStats {
+	return CacheStats{
+		Analyses: s.Analyses + o.Analyses, Refactors: s.Refactors + o.Refactors,
+		Fallbacks: s.Fallbacks + o.Fallbacks, Orderings: s.Orderings + o.Orderings,
+	}
+}
+
+// Sub returns s − o, counter by counter: what was counted since the
+// snapshot o of the same counters.
+func (s CacheStats) Sub(o CacheStats) CacheStats {
+	return CacheStats{
+		Analyses: s.Analyses - o.Analyses, Refactors: s.Refactors - o.Refactors,
+		Fallbacks: s.Fallbacks - o.Fallbacks, Orderings: s.Orderings - o.Orderings,
+	}
 }
 
 // symbolicCacheCap bounds how many distinct patterns one cache retains.
@@ -166,33 +200,45 @@ func (s *CacheStats) add(o CacheStats) {
 // structures through one cache.
 const symbolicCacheCap = 4
 
-// symList is a most-recently-used list of symbolics keyed by the
-// pattern each was analyzed for.
-type symList []*Symbolic
+// analysis is how a cache factors the matrices of one sparsity pattern:
+// the Symbolic to refactor on and, when that Symbolic was analyzed for a
+// containing pattern of the root cache (see Derive), where each entry of
+// the pattern lands in it.
+type analysis struct {
+	pat pattern // the pattern this entry answers for
+	sym *Symbolic
+	pos []int // entry k of pat -> entry pos[k] of sym's pattern; nil when they are the same pattern
+}
 
-// lookup returns the symbolic for a's pattern, bumped to the MRU
+// analysisOf wraps a Symbolic as the analysis of its own pattern.
+func analysisOf(sym *Symbolic) *analysis { return &analysis{pat: sym.pat, sym: sym} }
+
+// symList is a most-recently-used list of analyses keyed by pattern.
+type symList []*analysis
+
+// lookup returns the analysis for a's pattern, bumped to the MRU
 // position, or nil.
-func (l symList) lookup(a *CSC) *Symbolic {
-	for i, s := range l {
-		if s.PatternMatches(a) {
+func (l symList) lookup(a *CSC) *analysis {
+	for i, e := range l {
+		if e.pat.matches(a) {
 			copy(l[1:i+1], l[:i])
-			l[0] = s
-			return s
+			l[0] = e
+			return e
 		}
 	}
 	return nil
 }
 
-// insert places sym at the MRU position, replacing an existing entry for
+// insert places e at the MRU position, replacing an existing entry for
 // a's pattern and evicting the oldest beyond the cap.
-func (l *symList) insert(sym *Symbolic, a *CSC) {
+func (l *symList) insert(e *analysis, a *CSC) {
 	if l.lookup(a) != nil {
-		(*l)[0] = sym
+		(*l)[0] = e
 		return
 	}
 	*l = append(*l, nil)
 	copy((*l)[1:], *l)
-	(*l)[0] = sym
+	(*l)[0] = e
 	if len(*l) > symbolicCacheCap {
 		*l = (*l)[:symbolicCacheCap]
 	}
@@ -222,10 +268,11 @@ func (l *symList) insert(sym *Symbolic, a *CSC) {
 //
 // Solves do not call the cache directly: each takes a CacheHandle.
 type SymbolicCache struct {
-	ord Ordering
+	ord  Ordering
+	root *SymbolicCache // non-nil on a derived cache (see Derive)
 
 	mu    sync.Mutex
-	syms  symList // pivot-shaped entries only
+	syms  symList // pivot-shaped entries and embeddings into them only
 	stats CacheStats
 }
 
@@ -233,6 +280,27 @@ type SymbolicCache struct {
 // under the given fill-reducing ordering.
 func NewSymbolicCache(ord Ordering) *SymbolicCache {
 	return &SymbolicCache{ord: ord}
+}
+
+// Derive returns an empty cache, with its own entries and counters, for
+// a variant of c's structure whose matrices are those of c with some
+// entries gone — a grid with a branch out. A pattern new to the derived
+// cache is first sought inside the analyses c holds (c's own root, when
+// c is itself derived, so chains stay one level deep): if one of the
+// same dimension has every entry of the new pattern, matrices of that
+// pattern are factored on it with the missing entries stored as explicit
+// zeros — no ordering, no analysis — and otherwise the derived cache
+// analyzes the pattern itself under c's ordering, exactly as a cache
+// from NewSymbolicCache would. Which of the two happens is read off the
+// two patterns, so it is the caller's job to have the root analysis in
+// place before the first derived factorization if results must not
+// depend on whether it was (opf does, see (*OPF).Solve).
+func (c *SymbolicCache) Derive() *SymbolicCache {
+	root := c
+	if c.root != nil {
+		root = c.root
+	}
+	return &SymbolicCache{ord: c.ord, root: root}
 }
 
 // Ordering returns the fill-reducing ordering the cache analyzes with.
@@ -245,19 +313,39 @@ func (c *SymbolicCache) Stats() CacheStats {
 	return c.stats
 }
 
-func (c *SymbolicCache) lookup(a *CSC) *Symbolic {
+func (c *SymbolicCache) lookup(a *CSC) *analysis {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.syms.lookup(a)
 }
 
-// insert publishes a shaped symbolic. Racing inserts of one pattern
-// store identical symbolics (pure functions of the pattern), so the
-// replace keeps the cache correct either way.
-func (c *SymbolicCache) insert(sym *Symbolic, a *CSC) {
+// insert publishes an analysis. Racing inserts of one pattern store
+// identical analyses (pure functions of the pattern and, for an
+// embedding, of the root pattern it sits in), so the replace keeps the
+// cache correct either way.
+func (c *SymbolicCache) insert(e *analysis, a *CSC) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syms.insert(sym, a)
+	c.syms.insert(e, a)
+}
+
+// embed answers a's pattern from the first root analysis, in the root's
+// MRU order, that contains it; nil when c is not derived or none does.
+// A root holds one pattern per dimension in practice (the KKT pattern of
+// its topology), so the order decides nothing.
+func (c *SymbolicCache) embed(a *CSC) *analysis {
+	if c.root == nil {
+		return nil
+	}
+	c.root.mu.Lock()
+	held := append(symList(nil), c.root.syms...)
+	c.root.mu.Unlock()
+	for _, r := range held {
+		if pos := r.sym.pat.locate(a); pos != nil {
+			return &analysis{pat: patternOf(a), sym: r.sym, pos: pos}
+		}
+	}
+	return nil
 }
 
 // Handle returns the view of c one sequential factorization stream —
@@ -281,7 +369,7 @@ type CacheHandle struct {
 func (h *CacheHandle) Close() {
 	h.c.mu.Lock()
 	defer h.c.mu.Unlock()
-	h.c.stats.add(h.stats)
+	h.c.stats = h.c.stats.Add(h.stats)
 	h.stats = CacheStats{}
 }
 
@@ -294,45 +382,72 @@ type FactorSlot struct {
 	sym *Symbolic
 	f   *LUFactors
 	ws  *RefactorWorkspace
+	// wide is a matrix of sym's pattern that embedded matrices are
+	// scattered into; its values are allocated on the first embedding.
+	wide CSC
 }
 
 func (sl *FactorSlot) bind(sym *Symbolic) {
 	sl.sym = sym
 	sl.f = &LUFactors{}
 	sl.ws = sym.NewRefactorWorkspace()
+	sl.wide = CSC{NRows: sym.n, NCols: sym.n, ColPtr: sym.pat.colPtr, RowIdx: sym.pat.rowIdx}
+}
+
+// scatter returns a in the bound symbolic's pattern: value k at entry
+// pos[k], every other entry an explicit zero. The whole buffer is
+// cleared each time because the slot outlives the solve and the next
+// one may embed a different pattern into the same symbolic.
+func (sl *FactorSlot) scatter(pos []int, a *CSC) *CSC {
+	if sl.wide.Val == nil {
+		sl.wide.Val = make([]float64, len(sl.wide.RowIdx))
+	}
+	v := sl.wide.Val
+	clear(v)
+	for k, q := range pos {
+		v[q] = a.Val[k]
+	}
+	return &sl.wide
 }
 
 // FactorizeInto returns an LU of a in slot's preallocated storage:
 // a numeric refactorization (the automatically selected kernel, scalar
-// or blocked — see Symbolic.Blocked) on the analysis of a's pattern,
-// which is computed and published to the cache on first sight. On the
+// or blocked — see Symbolic.Blocked) on the analysis of a's pattern —
+// or, through a derived cache, of a root pattern containing it — which
+// is computed and published to the cache on first sight. On the
 // steady-state path (pattern pinned, slot bound to it) it performs zero
 // allocations. The returned factors are valid until the next call.
 func (h *CacheHandle) FactorizeInto(slot *FactorSlot, a *CSC) (*LUFactors, error) {
-	sym, analyzed := h.syms.lookup(a), false
-	if sym == nil {
-		if sym = h.c.lookup(a); sym == nil {
-			q := permFor(a, h.c.ord)
-			h.stats.Orderings++
-			var err error
-			if sym, _, err = AnalyzePerm(pivotSurrogate(a), q, 1.0); err != nil {
-				return h.analyzeValue(slot, a, q)
+	e, analyzed := h.syms.lookup(a), false
+	if e == nil {
+		if e = h.c.lookup(a); e == nil {
+			if e = h.c.embed(a); e == nil {
+				q := permFor(a, h.c.ord)
+				h.stats.Orderings++
+				sym, _, err := AnalyzePerm(pivotSurrogate(a), q, 1.0)
+				if err != nil {
+					return h.analyzeValue(slot, a, q)
+				}
+				sym.boost = true
+				h.stats.Analyses++
+				e, analyzed = analysisOf(sym), true
 			}
-			sym.boost = true
-			h.stats.Analyses++
-			h.c.insert(sym, a)
-			analyzed = true
+			h.c.insert(e, a)
 		}
-		h.syms.insert(sym, a)
+		h.syms.insert(e, a)
 	}
-	if slot.sym != sym {
-		slot.bind(sym)
+	if slot.sym != e.sym {
+		slot.bind(e.sym)
 	}
-	if err := sym.RefactorAutoInto(slot.f, slot.ws, a); err != nil {
+	m := a
+	if e.pos != nil {
+		m = slot.scatter(e.pos, a)
+	}
+	if err := e.sym.RefactorAutoInto(slot.f, slot.ws, m); err != nil {
 		// These values reject the frozen pivots (a numerically singular
 		// column, or a stale value-pivoted sequence): re-pick them.
 		h.stats.Fallbacks++
-		return h.analyzeValue(slot, a, sym.q)
+		return h.analyzeValue(slot, a, e.sym.q)
 	}
 	if !analyzed {
 		h.stats.Refactors++
@@ -350,7 +465,7 @@ func (h *CacheHandle) analyzeValue(slot *FactorSlot, a *CSC, q []int) (*LUFactor
 		return nil, err
 	}
 	h.stats.Analyses++
-	h.syms.insert(sym, a)
+	h.syms.insert(analysisOf(sym), a)
 	// Bind the slot for the refactorizations that follow; the analyzing
 	// factors themselves are freshly allocated.
 	slot.bind(sym)

@@ -235,7 +235,7 @@ func TestSymbolicCacheUnstableFallback(t *testing.T) {
 	}
 	c := NewSymbolicCache(OrderNatural)
 	h := c.Handle()
-	h.syms.insert(sym, build(2))
+	h.syms.insert(analysisOf(sym), build(2))
 	weak := build(1e-14) // frozen (0,0) pivot is 1e-14 vs candidate 1
 	fac, err := h.FactorizeInto(&FactorSlot{}, weak)
 	if err != nil {
@@ -249,7 +249,7 @@ func TestSymbolicCacheUnstableFallback(t *testing.T) {
 	if st, want := h.stats, (CacheStats{Analyses: 1, Fallbacks: 1}); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
-	if len(h.syms) != 1 || h.syms[0] == sym || len(c.syms) != 0 {
+	if len(h.syms) != 1 || h.syms[0].sym == sym || len(c.syms) != 0 {
 		t.Fatalf("want the re-analysis to replace the stale sequence in the handle and stay out of the cache; handle %d, cache %d", len(h.syms), len(c.syms))
 	}
 }
@@ -290,7 +290,7 @@ func TestSymbolicCachePermsAndAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h1.syms[0] != h2.syms[0] || &h1.syms[0].q[0] != &slot.f.q[0] {
+	if h1.syms[0] != h2.syms[0] || &h1.syms[0].sym.q[0] != &slot.f.q[0] {
 		t.Fatal("same pattern should pin the one cached symbolic and its permutation")
 	}
 	if st := c.Stats(); st != (CacheStats{}) {
@@ -359,7 +359,7 @@ func TestShapedFactorizeMatchesFactorizeIntoUnderBoost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := refactor(c.syms[0], weak)
+	f1, err := refactor(c.syms[0].sym, weak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,4 +373,141 @@ func TestShapedFactorizeMatchesFactorizeIntoUnderBoost(t *testing.T) {
 	if st, want := h.stats, (CacheStats{Analyses: 1, Orderings: 1}); st != want {
 		t.Fatalf("stats = %+v, want the shaped analysis alone (boost, no fallback)", st)
 	}
+}
+
+// subMatrix rebuilds a without the off-diagonal entries drop rejects,
+// plus the extra coordinates (value 0.5 each).
+func subMatrix(a *CSC, drop func(i, j int) bool, extra ...[2]int) *CSC {
+	b := NewBuilder(a.NRows, a.NCols)
+	for j := 0; j < a.NCols; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			if i := a.RowIdx[p]; i == j || !drop(i, j) {
+				b.Append(i, j, a.Val[p])
+			}
+		}
+	}
+	for _, e := range extra {
+		b.Append(e[0], e[1], 0.5)
+	}
+	return b.ToCSC()
+}
+
+// A derived cache factors a pattern that lies inside one its root has
+// analyzed on the root's symbolic: no ordering, no analysis, one map
+// shared by its handles, its own counters, and the same solution as a
+// from-scratch factorization of the smaller matrix. A cache derived from
+// the derived one resolves to the same root.
+func TestDerivedCacheEmbedsSubPattern(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	full, x := randSparseSystem(r, 40)
+	sub := subMatrix(full, func(i, j int) bool { return (i+j)%3 == 0 })
+	if len(sub.RowIdx) >= len(full.RowIdx) {
+		t.Fatal("test matrix lost no entries")
+	}
+	root := NewSymbolicCache(OrderRCM)
+	rh := root.Handle()
+	if _, err := rh.FactorizeInto(&FactorSlot{}, full); err != nil {
+		t.Fatal(err)
+	}
+	rh.Close()
+
+	der := root.Derive()
+	if der.Ordering() != OrderRCM || der.Derive().root != root {
+		t.Fatal("a derived cache keeps the root's ordering, and chains resolve to the root")
+	}
+	h1, h2, slot := der.Handle(), der.Handle(), &FactorSlot{}
+	var fac *LUFactors
+	for _, h := range []*CacheHandle{h1, h2, h1} {
+		var err error
+		if fac, err = h.FactorizeInto(slot, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h1.syms[0] != h2.syms[0] || h1.syms[0].pos == nil || h1.syms[0].sym != root.syms[0].sym {
+		t.Fatal("both handles should pin the one embedding into the root's symbolic")
+	}
+	rhs := sub.MulVec(x)
+	ref, err := FactorizeOpts(sub, OrderRCM, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := fac.Solve(rhs).Sub(ref.Solve(rhs)).NormInf(); d > 1e-9 {
+		t.Fatalf("embedded solve differs from FactorizeOpts by %g", d)
+	}
+	h1.Close()
+	h2.Close()
+	if st, want := der.Stats(), (CacheStats{Refactors: 3}); st != want {
+		t.Fatalf("derived stats = %+v, want %+v", st, want)
+	}
+	if st, want := root.Stats(), (CacheStats{Analyses: 1, Orderings: 1}); st != want {
+		t.Fatalf("root stats = %+v, want %+v (a derived class counts for itself)", st, want)
+	}
+
+	// The slot outlives the solve: a different sub-pattern through the
+	// same symbolic must not see the previous one's values.
+	sub2 := subMatrix(full, func(i, j int) bool { return (i+j)%3 == 1 })
+	h3 := root.Derive().Handle()
+	if fac, err = h3.FactorizeInto(slot, sub2); err != nil {
+		t.Fatal(err)
+	}
+	ref2, err := FactorizeOpts(sub2, OrderRCM, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs2 := sub2.MulVec(x)
+	if d := fac.Solve(rhs2).Sub(ref2.Solve(rhs2)).NormInf(); d > 1e-9 {
+		t.Fatalf("second embedding through a reused slot differs from FactorizeOpts by %g", d)
+	}
+}
+
+// Containment is read off the two patterns and nothing depends on it
+// holding: a pattern with one entry outside the root's, a pattern of
+// another dimension, and any pattern while the root is still empty are
+// analyzed privately — factors bit-identical to a fresh cache's.
+func TestDerivedCacheAnalyzesUncontainedPattern(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	full, _ := randSparseSystem(r, 30)
+	var outside [2]int
+find:
+	for i := 0; i < 30; i++ {
+		for j := 0; j < 30; j++ {
+			if i != j && full.At(i, j) == 0 && full.At(j, i) == 0 {
+				outside = [2]int{i, j}
+				break find
+			}
+		}
+	}
+	almost := subMatrix(full, func(i, j int) bool { return (i+j)%4 == 0 }, outside)
+	other, _ := randSparseSystem(r, 31)
+
+	private := func(a *CSC) *LUFactors {
+		f, err := NewSymbolicCache(OrderAMD).Handle().FactorizeInto(&FactorSlot{}, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	check := func(name string, der *SymbolicCache, a *CSC) {
+		t.Helper()
+		h := der.Handle()
+		f, err := h.FactorizeInto(&FactorSlot{}, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, want := h.stats, (CacheStats{Analyses: 1, Orderings: 1}); st != want {
+			t.Fatalf("%s: stats = %+v, want the private analysis %+v", name, st, want)
+		}
+		if w := private(a); !slices.Equal(f.lx, w.lx) || !slices.Equal(f.ux, w.ux) ||
+			!slices.Equal(f.li, w.li) || !slices.Equal(f.ui, w.ui) || !slices.Equal(f.q, w.q) {
+			t.Fatalf("%s: factors differ from a fresh cache's", name)
+		}
+	}
+
+	root := NewSymbolicCache(OrderAMD)
+	check("empty root", root.Derive(), almost)
+	if _, err := root.Handle().FactorizeInto(&FactorSlot{}, full); err != nil {
+		t.Fatal(err)
+	}
+	check("one entry outside", root.Derive(), almost)
+	check("other dimension", root.Derive(), other)
 }
