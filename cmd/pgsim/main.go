@@ -10,7 +10,6 @@
 //	pgsim -file mygrid.m -trace
 //	pgsim -case case30 -scale 1.05
 //	pgsim -case case30 -scale 0.9,0.95,1.0,1.05,1.1 -workers 4
-//	pgsim -case case30 -ordering amd
 package main
 
 import (
@@ -26,7 +25,6 @@ import (
 	"repro/internal/casegen"
 	"repro/internal/grid"
 	"repro/internal/opf"
-	"repro/internal/sparse"
 )
 
 func main() {
@@ -37,7 +35,6 @@ func main() {
 	scale := flag.String("scale", "1.0", "uniform load scaling factor, or a comma-separated sweep (e.g. 0.9,1.0,1.1)")
 	trace := flag.Bool("trace", false, "print per-iteration convergence trace")
 	workers := flag.Int("workers", 0, "worker pool size for batch stages (0 = PGSIM_WORKERS or all cores)")
-	ordering := flag.String("ordering", "", "fill-reducing ordering for the KKT factorization: natural, rcm, amd or auto (default: per-system selection, see opf.DefaultOrdering)")
 	flag.Parse()
 	batch.SetDefaultWorkers(*workers)
 
@@ -61,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if len(scales) > 1 {
-		sweep(c, scales, *ordering)
+		sweep(c, scales)
 		return
 	}
 	if s := scales[0]; s != 1.0 {
@@ -73,9 +70,6 @@ func main() {
 	}
 
 	o := opf.Prepare(c)
-	if err := applyOrdering(o, *ordering); err != nil {
-		log.Fatal(err)
-	}
 	r, err := o.Solve(nil, opf.Options{RecordTrace: *trace})
 	if err != nil {
 		log.Fatalf("solve failed: %v", err)
@@ -120,29 +114,11 @@ func parseScales(s string) ([]float64, error) {
 	return out, nil
 }
 
-// applyOrdering resolves the -ordering flag: empty keeps the per-system
-// default selected by opf.Prepare; any other value is parsed and forced
-// onto the instance.
-func applyOrdering(o *opf.OPF, flagVal string) error {
-	if flagVal == "" {
-		return nil
-	}
-	ord, err := sparse.ParseOrdering(flagVal)
-	if err != nil {
-		return err
-	}
-	o.SetOrdering(ord)
-	return nil
-}
-
 // sweep solves the case at every load level on the worker pool, reusing
 // the prepared OPF structure (and its shared KKT cache), and prints one
 // summary row per level.
-func sweep(c *grid.Case, scales []float64, ordering string) {
+func sweep(c *grid.Case, scales []float64) {
 	base := opf.Prepare(c)
-	if err := applyOrdering(base, ordering); err != nil {
-		log.Fatal(err)
-	}
 	type row struct {
 		r   *opf.Result
 		err error

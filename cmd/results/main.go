@@ -19,30 +19,25 @@ import (
 	"os"
 	"sort"
 	"strings"
-
-	"repro/internal/opf"
 )
 
 type systemRow struct {
-	Buses            int            `json:"buses"`
-	Gens             int            `json:"gens"`
-	Branches         int            `json:"branches"`
-	RatedBranches    int            `json:"rated_branches"`
-	NEq              int            `json:"neq"`
-	NIq              int            `json:"niq"`
-	Draws            int            `json:"draws"`
-	Epochs           int            `json:"epochs"`
-	Problems         int            `json:"problems"`
-	ColdIters        float64        `json:"cold_iters"`
-	WarmIters        float64        `json:"warm_iters"`
-	ColdMsPerProblem float64        `json:"cold_ms_per_problem"`
-	WarmMsPerProblem float64        `json:"warm_ms_per_problem"`
-	SuccessRate      float64        `json:"success_rate"`
-	Speedup          float64        `json:"speedup"`
-	OptimalityGap    float64        `json:"optimality_gap"`
-	KKTN             int            `json:"kkt_n"`
-	KKTFill          map[string]int `json:"kkt_fill"`
-	KKTOrdering      string         `json:"kkt_ordering"`
+	Buses            int     `json:"buses"`
+	Gens             int     `json:"gens"`
+	Branches         int     `json:"branches"`
+	RatedBranches    int     `json:"rated_branches"`
+	NEq              int     `json:"neq"`
+	NIq              int     `json:"niq"`
+	Draws            int     `json:"draws"`
+	Epochs           int     `json:"epochs"`
+	Problems         int     `json:"problems"`
+	ColdIters        float64 `json:"cold_iters"`
+	WarmIters        float64 `json:"warm_iters"`
+	ColdMsPerProblem float64 `json:"cold_ms_per_problem"`
+	WarmMsPerProblem float64 `json:"warm_ms_per_problem"`
+	SuccessRate      float64 `json:"success_rate"`
+	Speedup          float64 `json:"speedup"`
+	OptimalityGap    float64 `json:"optimality_gap"`
 }
 
 type trajSystemRow struct {
@@ -86,11 +81,21 @@ type kernelRow struct {
 	AutoBlocked bool    `json:"auto_blocked"`
 }
 
+type fillRow struct {
+	KKTN   int `json:"kkt_n"`
+	KKTNnz int `json:"kkt_nnz"`
+	RCM    int `json:"lu_nnz_rcm"`
+	AMD    int `json:"lu_nnz_amd"`
+}
+
 type kktReport struct {
 	Case                     string  `json:"case"`
 	KKTN                     int     `json:"kkt_n"`
 	SpeedupRefactorVsAnalyze float64 `json:"speedup_refactor_vs_analyze"`
-	BlockedKernel            struct {
+	ProductionFill           struct {
+		Systems map[string]fillRow `json:"systems"`
+	} `json:"production_fill"`
+	BlockedKernel struct {
 		Ordering string               `json:"ordering"`
 		Systems  map[string]kernelRow `json:"systems"`
 	} `json:"blocked_kernel"`
@@ -141,6 +146,7 @@ var codeSize = []struct {
 	{at: "PR 19", all: 17094, warmPath: 5824, kernel: 3331, why: "one KKT analysis cache: `sparse.OrderingCache` and the plain/shaped/child modes of `SymbolicCache` merged into one per-topology cache + per-solve handle; `mips.Options.Orderings`/`NoKKTReuse`, `pgsim -kkt-reuse` and the from-scratch factorization path deleted; allocating `Refactor`/`RefactorBlocked`/`Factorize`/`SolveLU`/`NewFactors` forms, `(*OPF).Rebind` and seven unreferenced declarations removed"},
 	{at: "PR 20", all: 16949, warmPath: 5679, kernel: 3331, why: "one shared model per system: `(*mtl.Model).Predict` made safe for concurrent use (immutable float32 copy behind one atomic pointer per layer); the predictor pool type in `internal/opf`, the model's replica-pool constructor and pool resolver in `internal/mtl`, serve's replica sets, sweep borrow logic, `replicaCount` and the trajectory \"no idle replica\" 503, the predictor slices of `scopf.Engine`/`horizon.Runner`, `scopf`'s `modelLayout`/`predict` and the slice form of `scale.RunParallel` deleted (CHANGES.md names them)"},
 	{at: "PR 21", all: 17256, warmPath: 5861, kernel: 3446, why: "one KKT analysis per system for the whole branch-outage space (a performance change, so the count goes up): `sparse.SymbolicCache.Derive` + the sub-pattern embedding in `CacheHandle.FactorizeInto` (+115), `opf.RebindOutage` deriving its cache and the root-first rule in `Solve`, one prediction per load draw and per-class KKT counters in `scopf`, `scopf.MatchNaive` + `Drift` replacing four copies of the bit-identity guard, the first solve on a KKT cache serialised behind a `sync.Once`; `screen_n1_mid` `latency_ms_mid` 105.0 → 68.3 ms in exchange (PERFORMANCE.md)"},
+	{at: "PR 22", all: 17100, warmPath: 5840, kernel: 3338, why: "one KKT ordering, AMD, chosen on the matrix MIPS factors: the fill-probing fourth ordering with its resolver and surrogate probe, the per-size default with its 48-bus threshold in `internal/opf`, the `-ordering` flags of `pgsim`/`scopf` and the ordering-name parser deleted (CHANGES.md names them); a `SymbolicCache` publishes one analysis through one atomic pointer — the four-entry MRU, its cap, the bump/evict logic and the handle's pin list gone, a second pattern stays private to its handle; `cmd/results` renders the production fill table and sorts its four tables with one helper"},
 }
 
 func main() {
@@ -164,11 +170,7 @@ func main() {
 	if len(r.Systems) == 0 {
 		log.Fatalf("%s has no system rows", *in)
 	}
-	names := make([]string, 0, len(r.Systems))
-	for n := range r.Systems {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return r.Systems[names[i]].Buses < r.Systems[names[j]].Buses })
+	names := bySize(r.Systems, func(s systemRow) int { return s.Buses })
 
 	var b strings.Builder
 	w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
@@ -235,20 +237,6 @@ func main() {
 		w("| %s | %.1f | %.1f | %d | %d |", n, s.ColdMsPerProblem, s.WarmMsPerProblem, s.Draws, s.Epochs)
 	}
 	w("")
-	w("## KKT fill by ordering (why the ordering is probed per system)")
-	w("")
-	w("LU factor nonzeros of the bordered KKT proxy; `selected` is what")
-	w("`opf.Prepare` chose (fixed RCM below %d buses, fill-probing `auto`", opf.AutoOrderingBuses)
-	w("at and above — see DESIGN.md §9).")
-	w("")
-	w("| system | KKT n | natural | rcm | amd | selected |")
-	w("|---|---|---|---|---|---|")
-	for _, n := range names {
-		s := r.Systems[n]
-		w("| %s | %d | %d | %d | %d | %s |", n, s.KKTN, s.KKTFill["natural"], s.KKTFill["rcm"], s.KKTFill["amd"], s.KKTOrdering)
-	}
-	w("")
-
 	if kbuf, err := os.ReadFile(*kkt); err == nil {
 		renderKernel(w, *kkt, kbuf)
 	} else {
@@ -289,15 +277,43 @@ func main() {
 		*out, len(names), r.MeasuredAvgSpeedup, r.PaperClaim.AvgSpeedup)
 }
 
-// renderKernel appends the numeric-kernel section from BENCH_kkt.json
-// (symbolic reuse written by BenchmarkKKTFactor/BenchmarkMIPSSolve,
-// blocked-kernel rows by BenchmarkRefactorBlocked). Either half may be
-// absent — a filtered bench run regenerates only its own section — so
-// each table renders only when its rows exist.
+// bySize returns the keys of a per-system table ordered by system size.
+func bySize[T any](m map[string]T, size func(T) int) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Slice(names, func(i, j int) bool { return size(m[names[i]]) < size(m[names[j]]) })
+	return names
+}
+
+// renderKernel appends the KKT-fill and numeric-kernel sections from
+// BENCH_kkt.json (production fill and symbolic reuse written by
+// BenchmarkKKTFactor/BenchmarkMIPSSolve, blocked-kernel rows by
+// BenchmarkRefactorBlocked). Any part may be absent — a filtered bench
+// run regenerates only its own section — so each table renders only
+// when its rows exist.
 func renderKernel(w func(string, ...any), path string, buf []byte) {
 	var k kktReport
 	if err := json.Unmarshal(buf, &k); err != nil {
 		log.Fatalf("parsing %s: %v", path, err)
+	}
+	if fill := k.ProductionFill.Systems; len(fill) > 0 {
+		w("## KKT fill by ordering (why every system is analyzed under AMD)")
+		w("")
+		w("L+U nonzeros of the matrix MIPS factors — the reduced KKT system,")
+		w("pivot-shaped, as a one-iteration cold solve analyzes it under each")
+		w("ordering (`production_fill` in `%s`). `opf.Prepare` uses AMD on", path)
+		w("every system; `TestKKTOrderingFill` holds it to 1.05× RCM's fill")
+		w("(DESIGN.md §9).")
+		w("")
+		w("| system | KKT n | nnz(KKT) | L+U rcm | L+U amd | amd / rcm |")
+		w("|---|---|---|---|---|---|")
+		for _, n := range bySize(fill, func(f fillRow) int { return f.KKTN }) {
+			f := fill[n]
+			w("| %s | %d | %d | %d | %d | %.2f |", n, f.KKTN, f.KKTNnz, f.RCM, f.AMD, float64(f.AMD)/float64(f.RCM))
+		}
+		w("")
 	}
 	if k.Case == "" && len(k.BlockedKernel.Systems) == 0 {
 		log.Printf("note: %s has no kernel sections, skipped", path)
@@ -322,14 +338,7 @@ func renderKernel(w func(string, ...any), path string, buf []byte) {
 		w("")
 		w("| system | KKT n | nnz(LU) | scalar ms | blocked ms | speedup | supernodes | panel cols | panel flops | auto-selected |")
 		w("|---|---|---|---|---|---|---|---|---|---|")
-		names := make([]string, 0, len(k.BlockedKernel.Systems))
-		for n := range k.BlockedKernel.Systems {
-			names = append(names, n)
-		}
-		sort.Slice(names, func(i, j int) bool {
-			return k.BlockedKernel.Systems[names[i]].KKTN < k.BlockedKernel.Systems[names[j]].KKTN
-		})
-		for _, n := range names {
+		for _, n := range bySize(k.BlockedKernel.Systems, func(s kernelRow) int { return s.KKTN }) {
 			s := k.BlockedKernel.Systems[n]
 			w("| %s | %d | %d | %.2f | %.2f | **%.2f×** | %d | %d | %.0f%% | %v |",
 				n, s.KKTN, s.LUNnz, s.ScalarNs/1e6, s.BlockedNs/1e6, s.Speedup,
@@ -349,11 +358,7 @@ func renderTrajectory(w func(string, ...any), path string, buf []byte) {
 	if len(t.Systems) == 0 {
 		log.Fatalf("%s has no system rows", path)
 	}
-	names := make([]string, 0, len(t.Systems))
-	for n := range t.Systems {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return t.Systems[names[i]].Buses < t.Systems[names[j]].Buses })
+	names := bySize(t.Systems, func(s trajSystemRow) int { return s.Buses })
 
 	w("## Multi-period trajectories: chain vs predict crossover")
 	w("")

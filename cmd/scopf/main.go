@@ -58,7 +58,6 @@ func main() {
 	epochs := flag.Int("epochs", 0, "training epochs for -train (0 = per-system default, see core.TrainingDefaults)")
 	variantName := flag.String("variant", "mtl", "model variant for -train: sep, mtl or smartpgsim")
 	workers := flag.Int("workers", 0, "worker pool size (0 = PGSIM_WORKERS or all cores)")
-	ordering := flag.String("ordering", "", "fill-reducing ordering for the KKT factorization: natural, rcm, amd or auto (default: per-system selection, see opf.DefaultOrdering)")
 	naive := flag.Bool("naive", false, "use the per-scenario-rebuild reference path instead of the topology-aware engine")
 	noProjection := flag.Bool("no-projection", false, "disable warm-start projection onto outage layouts")
 	jsonOut := flag.Bool("json", false, "print a machine-readable JSON summary instead of tables")
@@ -71,13 +70,6 @@ func main() {
 		log.Fatal(err)
 	}
 	base := opf.Prepare(c)
-	if *ordering != "" {
-		ord, err := sparse.ParseOrdering(*ordering)
-		if err != nil {
-			log.Fatal(err)
-		}
-		base.SetOrdering(ord)
-	}
 
 	var model *mtl.Model
 	if *trainN > 0 {

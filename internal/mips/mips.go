@@ -67,9 +67,10 @@ type Options struct {
 	Gamma0                             float64 // initial barrier; default 1 (cold start)
 	RecordTrace                        bool    // keep per-iteration Trace
 
-	// Ordering selects the fill-reducing ordering for the KKT
-	// factorization. The zero value is sparse.OrderRCM, the historical
-	// default. Ignored when KKT is set (the cache's ordering wins).
+	// Ordering is the fill-reducing ordering of the private cache a
+	// solve without KKT analyzes under (zero value sparse.OrderRCM);
+	// ignored when KKT is set. To reproduce a solve on opf's shared
+	// cache privately, pass (*opf.OPF).Ordering(), which is AMD.
 	Ordering sparse.Ordering
 	// KKT, when non-nil, is the shared analysis cache of the problem's
 	// KKT pattern (see sparse.SymbolicCache): the solve consults it

@@ -50,7 +50,7 @@ func TestKKTOrderingChoices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderAMD} {
+	for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM} {
 		o := Prepare(grid.Case9())
 		o.SetOrdering(ord)
 		r, err := o.Solve(nil, Options{})
@@ -61,7 +61,7 @@ func TestKKTOrderingChoices(t *testing.T) {
 			t.Fatalf("%v: did not converge", ord)
 		}
 		if d := math.Abs(r.Cost-ref.Cost) / (1 + math.Abs(ref.Cost)); d > 1e-7 {
-			t.Fatalf("%v: cost %v differs from rcm %v", ord, r.Cost, ref.Cost)
+			t.Fatalf("%v: cost %v differs from the default ordering's %v", ord, r.Cost, ref.Cost)
 		}
 		if got := o.KKTStats().Orderings; got != 1 {
 			t.Fatalf("%v: orderings = %d, want 1", ord, got)

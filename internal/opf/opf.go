@@ -100,8 +100,7 @@ type OPF struct {
 	// the grid in the serving daemon — goes straight to numeric
 	// refactorization. Both halves are pure functions of the pattern, so
 	// derived instances may be solved in parallel with bit-identical
-	// results regardless of order; mips pins entries per solve through a
-	// handle, which keeps parallel sweeps eviction-safe.
+	// results regardless of order.
 	kkt *sparse.SymbolicCache
 	// kktFirst runs the first solve on kkt — the one that publishes the
 	// analysis — alone: made with the cache and shared with it, so solves
@@ -113,35 +112,6 @@ type OPF struct {
 	// on, so Solve makes sure it is there first. Nil on an instance whose
 	// cache is its own.
 	kktRoot *OPF
-}
-
-// AutoOrderingBuses is the bus count at and above which Prepare probes
-// the KKT fill-reducing ordering (sparse.OrderAuto) instead of assuming
-// RCM. Neither heuristic dominates at paper scale — AMD measures ~17 %
-// less real fill than RCM on the case57 KKT pattern, while RCM beats
-// AMD by 2.4× on case118 — and natural ordering blows up outright (≈9×
-// RCM's fill on case300, a 25× slower cold solve), so above this size
-// the ordering is measured per grid with sparse.OrderAuto's
-// pattern-pure pivoted-fill probe and the one-off cost is amortized by
-// the shared KKT cache. The probe is deliberately conservative
-// under pivoting: it reserves AMD for patterns where it wins decisively
-// and otherwise keeps RCM, so which side a given grid lands on depends
-// on the actual KKT pattern (case300's real solve KKT probes to AMD;
-// the bordered benchmark proxies probe to RCM — see RESULTS.md for the
-// measured fills). Below the threshold, small
-// patterns factor in microseconds either way and RCM stays the fixed
-// default (bit-compatible with the historic behaviour). See DESIGN.md
-// §9.
-const AutoOrderingBuses = 48
-
-// DefaultOrdering returns the KKT ordering Prepare selects for a grid
-// of nb buses: the fill-probing sparse.OrderAuto at and above
-// AutoOrderingBuses, sparse.OrderRCM below.
-func DefaultOrdering(nb int) sparse.Ordering {
-	if nb >= AutoOrderingBuses {
-		return sparse.OrderAuto
-	}
-	return sparse.OrderRCM
 }
 
 // Prepare builds the admittance matrices, bounds and constraint layout
@@ -210,21 +180,26 @@ func Prepare(c *grid.Case) *OPF {
 		refIdx: c.RefIndex(),
 		refVa:  grid.Deg2Rad(c.Buses[c.RefIndex()].Va),
 	}
-	o.SetOrdering(DefaultOrdering(nb))
+	// One ordering for every KKT system: minimum degree, the textbook
+	// choice for a quasi-definite matrix (Vanderbei 1995) and the measured
+	// one — on the reduced KKT patterns MIPS factors AMD's L+U is
+	// 0.84–1.04× RCM's up to case30 and 0.71/0.90/0.53/0.31× of it on
+	// case57/118/300/1354 (TestKKTOrderingFill, RESULTS.md).
+	o.SetOrdering(sparse.OrderAMD)
 	o.prep = time.Since(t0)
 	return o
 }
 
 // SetOrdering gives the instance a fresh, empty KKT cache of its own
 // analyzing under the given fill-reducing ordering — the one place this
-// package makes an underived cache: Prepare and RebindGenOutage call it
-// with the configured ordering, the -ordering flags with the forced one.
-// Call it on the base instance before deriving with Perturb or
-// RebindOutage so the derived instances share, or derive from, the new
-// cache; previously cached analyses and counters are discarded. On an
-// instance from RebindOutage it cuts the tie to the parent's analysis:
-// the outage pattern is then ordered and analyzed privately, the path
-// the containment tests compare against.
+// package makes an underived cache: Prepare calls it with AMD,
+// RebindGenOutage with its parent's ordering, and the ordering-independence
+// and private-analysis tests with another. Call it on the base instance
+// before deriving with Perturb or RebindOutage so the derived instances
+// share, or derive from, the new cache; the old analysis and counters are
+// discarded. On an instance from RebindOutage it cuts the tie to the
+// parent's analysis: the outage pattern is then ordered and analyzed
+// privately, which the containment tests compare against.
 func (o *OPF) SetOrdering(ord sparse.Ordering) {
 	o.kkt = sparse.NewSymbolicCache(ord)
 	o.kktFirst = new(sync.Once)
@@ -232,9 +207,13 @@ func (o *OPF) SetOrdering(ord sparse.Ordering) {
 }
 
 // Ordering reports the KKT fill-reducing ordering this instance (and
-// every derivation sharing its cache) analyzes with — the per-system
-// default of Prepare unless SetOrdering replaced it.
+// every derivation sharing its cache) analyzes with: sparse.OrderAMD
+// unless a test's SetOrdering replaced it.
 func (o *OPF) Ordering() sparse.Ordering { return o.kkt.Ordering() }
+
+// KKTSymbolic returns the symbolic analysis this instance's KKT systems
+// are factored on — the production fill — or nil before its first solve.
+func (o *OPF) KKTSymbolic() *sparse.Symbolic { return o.kkt.Symbolic() }
 
 // KKTStats reports the KKT reuse counters for this grid, aggregated over
 // every solve of this instance and the derivations sharing its cache: how
@@ -331,8 +310,8 @@ func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 // the packed layout loses the generator's Pg and Qg variables (NG−1,
 // NX−2) and their finite-bound inequality rows. Warm starts predicted
 // in o's layout need ProjectionTo, which also performs the screening
-// redispatch. The derived instance gets its own KKT cache (the KKT
-// pattern loses two columns) with o's configured ordering.
+// redispatch. The derived instance gets its own KKT cache under o's
+// ordering: its KKT pattern loses two columns, so cannot sit inside o's.
 func (o *OPF) RebindGenOutage(gen int) (*OPF, error) {
 	t0 := time.Now()
 	if gen < 0 || gen >= len(o.Case.Gens) {

@@ -11,8 +11,8 @@ import (
 
 // parentAnalysisCostTol is the relative cost agreement asserted between
 // a converged solve on the parent's KKT analysis and the same solve on a
-// private one. Measured over every fleet below: at most 3.0e-9 (case30
-// branch 0), two to three digits inside the solver's own CostTol.
+// private one. Measured over every fleet below: at most 2.9e-9 (on
+// case57), two to three digits inside the solver's own CostTol.
 const parentAnalysisCostTol = 3e-9
 
 // fleetDrift tallies, over one outage fleet, how the solves on the
@@ -84,8 +84,8 @@ func solveBothWays(t *testing.T, name string, cls *OPF, d *fleetDrift) {
 // sampled fleet (-short, -race) stays under the same ceilings.
 var fleetIterDrift = map[string]struct{ diffs, abs int }{
 	"case9 N-1":   {0, 0},
-	"case14 N-1":  {4, 20},
-	"case14 N-2":  {45, 243},
+	"case14 N-1":  {6, 16},
+	"case14 N-2":  {44, 173},
 	"case30 N-1":  {0, 0},
 	"case57 N-1":  {1, 1},
 	"case118 N-1": {7, 10},

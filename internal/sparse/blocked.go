@@ -91,7 +91,7 @@ func (s *Symbolic) PanelStats() PanelStats {
 
 // Blocked reports whether automatic kernel selection uses the blocked
 // kernel for this pattern (a deterministic pure function of the
-// pattern, like the ordering probe in OrderAuto).
+// pattern).
 func (s *Symbolic) Blocked() bool { return s.blocked().use }
 
 func (s *Symbolic) blocked() *blockedSchedule {

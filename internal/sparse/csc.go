@@ -9,13 +9,14 @@
 //
 // The LU factorization is left-looking Gilbert–Peierls with threshold
 // partial pivoting and a fill-reducing pre-ordering (reverse
-// Cuthill–McKee by default, approximate minimum degree as OrderAMD). It
+// Cuthill–McKee, the zero value, for internal/pf's Jacobians; approximate
+// minimum degree, OrderAMD, for every KKT system opf prepares). It
 // is split into a symbolic phase and a numeric phase for the hot paths
 // that factor many matrices with one sparsity pattern — interior-point
 // KKT systems, Newton Jacobians: Analyze freezes the ordering, pivot
 // sequence and L/U patterns into a Symbolic, and Symbolic.RefactorInto
-// recomputes values only. SymbolicCache holds the pattern-pure analysis
-// of one grid's KKT systems and shares it across every solve of the
+// recomputes values only. SymbolicCache holds the one pattern-pure
+// analysis of a grid's KKT systems and shares it across every solve of the
 // grid, concurrent ones included, without coupling their numerics.
 // DESIGN.md §7 documents the design, PERFORMANCE.md the measured effect.
 package sparse

@@ -3,8 +3,9 @@ package sparse_test
 // The embedded-fleet half of the blocked-vs-scalar equivalence suite:
 // every embedded system's bordered KKT-shaped pattern goes through both
 // numeric kernels and must agree. Random-pattern and fuzz coverage live
-// in blocked_test.go (package sparse); this file runs the patterns the
-// solver actually factors in production.
+// in blocked_test.go (package sparse); this file runs grid-shaped
+// patterns at every embedded size. They are proxies, not the matrices
+// MIPS factors: see fleetKKTProxy.
 
 import (
 	"math/rand"
@@ -16,10 +17,16 @@ import (
 	"repro/internal/sparse"
 )
 
-// fleetKKTProxy assembles the bordered KKT-shaped matrix of an OPF:
-// an SPD-ish Hessian block with the inequality normal-matrix pattern,
-// bordered by the equality Jacobian — the pattern the interior-point
-// loop factors every iteration.
+// fleetKKTProxy assembles a bordered KKT-shaped matrix of an OPF: a
+// diagonal standing in for the Lagrangian Hessian plus the full
+// inequality normal-matrix pattern, bordered by the equality Jacobian.
+// It is a denser relative of the reduced KKT system the interior-point
+// loop factors — value-pivoted, its L+U is 3–5× production's
+// pivot-shaped one (case300: 132,416 under RCM, 141,774 under AMD, vs
+// 40,330; BENCH_kkt.json "production_fill") — which makes it a harder
+// kernel test, not a fill measurement. Callers analyze it under RCM,
+// what the deleted fill probe resolved to on this pattern, so the pivot
+// sequences under test are the ones this file always ran.
 func fleetKKTProxy(o *opf.OPF, vals *rand.Rand) *sparse.CSC {
 	x := o.DefaultStart()
 	_, jg := o.Equality(x)
@@ -66,7 +73,7 @@ func TestRefactorBlockedEmbeddedFleet(t *testing.T) {
 			}
 			o := opf.Prepare(c)
 			kkt := fleetKKTProxy(o, r)
-			sym, _, err := sparse.Analyze(kkt, opf.DefaultOrdering(c.NB()), 1.0)
+			sym, _, err := sparse.Analyze(kkt, sparse.OrderRCM, 1.0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +118,7 @@ func TestRefactorBlockedEmbeddedFleet(t *testing.T) {
 }
 
 // BenchmarkFleetRefactorKernels times the two numeric kernels on the
-// embedded fleet's KKT patterns (the root-level BenchmarkKKTFactor
+// embedded fleet's KKT proxies (the root-level BenchmarkKKTFactor
 // feeds BENCH_kkt.json; this one is for quick kernel iteration).
 func BenchmarkFleetRefactorKernels(b *testing.B) {
 	r := rand.New(rand.NewSource(47))
@@ -121,7 +128,7 @@ func BenchmarkFleetRefactorKernels(b *testing.B) {
 			b.Fatal(err)
 		}
 		kkt := fleetKKTProxy(opf.Prepare(c), r)
-		sym, _, err := sparse.Analyze(kkt, opf.DefaultOrdering(c.NB()), 1.0)
+		sym, _, err := sparse.Analyze(kkt, sparse.OrderRCM, 1.0)
 		if err != nil {
 			b.Fatal(err)
 		}

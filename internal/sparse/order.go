@@ -17,54 +17,13 @@ const (
 	// pattern of A+Aᵀ: at each elimination step the variable of (an upper
 	// bound on) minimum degree is eliminated, with the quotient-graph
 	// element absorption of Amestoy, Davis & Duff so no explicit fill
-	// cliques are formed. Minimum degree usually beats RCM on fill for
-	// KKT systems, at a higher one-off analysis cost — exactly the trade
-	// the symbolic/numeric split amortizes.
+	// cliques are formed. opf analyzes every KKT system under it (the
+	// measured fills are at opf.Prepare), at a higher one-off analysis
+	// cost — exactly the trade the symbolic/numeric split amortizes.
 	OrderAMD
-	// OrderAuto measures instead of assuming: it computes both the RCM
-	// and the AMD permutation, factors a surrogate matrix — the same
-	// pattern with values that are a deterministic hash of each entry's
-	// position — under each, and keeps the ordering with the smaller
-	// factor (RCM on a tie). Neither heuristic dominates across the
-	// embedded fleet (RCM beats AMD by ~2.4× of real fill on the
-	// case118 KKT, AMD wins on case57-class patterns), and a
-	// pivoting-free fill estimate is not enough: KKT matrices have a
-	// zero trailing diagonal block, so threshold pivoting leaves the
-	// diagonal and fill diverges badly from the symmetric-elimination
-	// prediction. Probing with a *pattern-derived* surrogate keeps the
-	// choice a pure function of the sparsity pattern — required for the
-	// SymbolicCache's guarantee that parallel sweeps are bit-identical
-	// regardless of which instance populates the cache — while still
-	// exercising real pivoted elimination. The probe costs two ordering
-	// computations plus two symbolic factorizations, once per sparsity
-	// pattern when used through a SymbolicCache (the opf.Prepare path);
-	// a direct FactorizeOpts call re-probes every time.
-	OrderAuto
 )
 
-// Resolve returns the concrete ordering OrderAuto selects for the
-// pattern of a; every other ordering resolves to itself. Reporting
-// layers use it to label which heuristic an auto-configured
-// factorization actually ran with.
-func (o Ordering) Resolve(a *CSC) Ordering {
-	if o != OrderAuto {
-		return o
-	}
-	fr, errR := probeFill(a, rcmOrder(a))
-	fa, errA := probeFill(a, amdOrder(a))
-	switch {
-	case errR != nil && errA == nil:
-		return OrderAMD
-	case errA != nil:
-		return OrderRCM
-	case fa < fr:
-		return OrderAMD
-	default:
-		return OrderRCM
-	}
-}
-
-// String returns the flag-style name of the ordering.
+// String returns the ordering's name as reports and BENCH_*.json spell it.
 func (o Ordering) String() string {
 	switch o {
 	case OrderNatural:
@@ -73,26 +32,8 @@ func (o Ordering) String() string {
 		return "rcm"
 	case OrderAMD:
 		return "amd"
-	case OrderAuto:
-		return "auto"
 	}
 	return fmt.Sprintf("Ordering(%d)", int(o))
-}
-
-// ParseOrdering maps a flag value ("natural", "rcm", "amd", "auto") to
-// an Ordering.
-func ParseOrdering(s string) (Ordering, error) {
-	switch s {
-	case "natural":
-		return OrderNatural, nil
-	case "rcm":
-		return OrderRCM, nil
-	case "amd":
-		return OrderAMD, nil
-	case "auto":
-		return OrderAuto, nil
-	}
-	return OrderNatural, fmt.Errorf("sparse: unknown ordering %q (want natural, rcm, amd or auto)", s)
 }
 
 // permFor computes the column pre-ordering for a square matrix. The
@@ -103,8 +44,6 @@ func permFor(a *CSC, ord Ordering) []int {
 		return rcmOrder(a)
 	case OrderAMD:
 		return amdOrder(a)
-	case OrderAuto:
-		return autoOrder(a)
 	default:
 		q := make([]int, a.NCols)
 		for i := range q {
@@ -194,17 +133,6 @@ func rcmOrder(a *CSC) []int {
 	return order
 }
 
-// autoOrder picks between the RCM and AMD permutation by probed factor
-// fill (see OrderAuto and Resolve). Both candidate orderings and the
-// probe are deterministic functions of the pattern, so the choice — and
-// with it every downstream factorization — is too.
-func autoOrder(a *CSC) []int {
-	if OrderAuto.Resolve(a) == OrderAMD {
-		return amdOrder(a)
-	}
-	return rcmOrder(a)
-}
-
 // pivotSurrogate builds a matrix with a's exact pattern and
 // pattern-derived values: stored diagonal entries get a dominant
 // magnitude (well-scaled diagonals keep threshold pivots on the
@@ -212,9 +140,9 @@ func autoOrder(a *CSC) []int {
 // hash spread over [1, 2) — avoiding the singular all-ones case and
 // systematic pivot ties. Structural zeros that matter (absent entries,
 // e.g. a KKT matrix's empty trailing diagonal block) still force
-// off-diagonal pivoting. Both the ordering probe and the SymbolicCache's
-// pivot-shaped analysis factor this surrogate, so the pivot sequences
-// they freeze are pure functions of the sparsity pattern.
+// off-diagonal pivoting. The SymbolicCache's pivot-shaped analysis
+// factors this surrogate, so the pivot sequence it freezes is a pure
+// function of the sparsity pattern.
 func pivotSurrogate(a *CSC) *CSC {
 	sur := &CSC{NRows: a.NRows, NCols: a.NCols, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: make([]float64, len(a.RowIdx))}
 	for j := 0; j < a.NCols; j++ {
@@ -230,21 +158,6 @@ func pivotSurrogate(a *CSC) *CSC {
 		}
 	}
 	return sur
-}
-
-// probeFill measures the pivoted LU fill of a's pattern under perm by
-// factorizing the pattern-derived pivot surrogate. Real values must not
-// be used: the probe's outcome is cached per pattern and shared across
-// concurrently solved instances whose values differ, so it has to be
-// value-independent — the same reason shaped symbolic analysis uses the
-// identical surrogate, which keeps the probe's fill ranking consistent
-// with the fill shaped factorizations actually see.
-func probeFill(a *CSC, perm []int) (int, error) {
-	f, err := FactorizePerm(pivotSurrogate(a), perm, 1.0)
-	if err != nil {
-		return 0, err
-	}
-	return f.NNZ(), nil
 }
 
 // amdOrder computes an approximate-minimum-degree ordering on the

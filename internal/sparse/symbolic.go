@@ -166,6 +166,9 @@ func (s *Symbolic) N() int { return s.n }
 // entries of L and U.
 func (s *Symbolic) NNZ() int { return len(s.li) + len(s.ui) }
 
+// PatternNNZ returns the stored entries of the analyzed matrix pattern.
+func (s *Symbolic) PatternNNZ() int { return len(s.pat.rowIdx) }
+
 // CacheStats counts symbolic-reuse work. Refactors/(Analyses+Refactors)
 // is the reuse rate; Fallbacks counts refactorizations abandoned for
 // numerical reasons and replaced by a fresh analysis; Orderings counts
@@ -194,12 +197,6 @@ func (s CacheStats) Sub(o CacheStats) CacheStats {
 	}
 }
 
-// symbolicCacheCap bounds how many distinct patterns one cache retains.
-// The KKT loop needs one (its pattern is invariant under the Tikhonov
-// retry); a little headroom covers callers that interleave a few
-// structures through one cache.
-const symbolicCacheCap = 4
-
 // analysis is how a cache factors the matrices of one sparsity pattern:
 // the Symbolic to refactor on and, when that Symbolic was analyzed for a
 // containing pattern of the root cache (see Derive), where each entry of
@@ -213,46 +210,16 @@ type analysis struct {
 // analysisOf wraps a Symbolic as the analysis of its own pattern.
 func analysisOf(sym *Symbolic) *analysis { return &analysis{pat: sym.pat, sym: sym} }
 
-// symList is a most-recently-used list of analyses keyed by pattern.
-type symList []*analysis
-
-// lookup returns the analysis for a's pattern, bumped to the MRU
-// position, or nil.
-func (l symList) lookup(a *CSC) *analysis {
-	for i, e := range l {
-		if e.pat.matches(a) {
-			copy(l[1:i+1], l[:i])
-			l[0] = e
-			return e
-		}
-	}
-	return nil
-}
-
-// insert places e at the MRU position, replacing an existing entry for
-// a's pattern and evicting the oldest beyond the cap.
-func (l *symList) insert(e *analysis, a *CSC) {
-	if l.lookup(a) != nil {
-		(*l)[0] = e
-		return
-	}
-	*l = append(*l, nil)
-	copy((*l)[1:], *l)
-	(*l)[0] = e
-	if len(*l) > symbolicCacheCap {
-		*l = (*l)[:symbolicCacheCap]
-	}
-}
-
-// SymbolicCache is the KKT analysis of one topology: for each sparsity
-// pattern it has seen, the fill-reducing ordering and the pivot-shaped
-// Symbolic frozen on it, plus the reuse counters of every solve that
-// went through it. Both halves of an entry are pure functions of the
-// pattern — the ordering is computed from it, and the pivot sequence is
-// frozen on the pattern-derived surrogate (pivotSurrogate), not on the
-// first matrix seen — so one cache serves every solve of a grid's load
-// variants, concurrently, without making any result depend on which
-// solve populated it. Two further consequences of shaping:
+// SymbolicCache is the KKT analysis of one topology: the fill-reducing
+// ordering of its sparsity pattern and the pivot-shaped Symbolic frozen
+// on it, plus the reuse counters of every solve that went through it.
+// One cache publishes one analysis — that of the first pattern it meets —
+// and both halves of it are pure functions of the pattern: the ordering
+// is computed from it, and the pivot sequence is frozen on the
+// pattern-derived surrogate (pivotSurrogate), not on the first matrix
+// seen. So one cache serves every solve of a grid's load variants,
+// concurrently, without making any result depend on which solve
+// populated it. Two further consequences of shaping:
 //
 //   - Diagonally grounded patterns order better. The surrogate's
 //     dominant stored diagonals keep pivots on the diagonal wherever
@@ -270,31 +237,32 @@ func (l *symList) insert(e *analysis, a *CSC) {
 type SymbolicCache struct {
 	ord  Ordering
 	root *SymbolicCache // non-nil on a derived cache (see Derive)
+	// entry is the one published analysis — pivot-shaped, or an embedding
+	// into the root's — set once by the first solve to get there.
+	entry atomic.Pointer[analysis]
 
 	mu    sync.Mutex
-	syms  symList // pivot-shaped entries and embeddings into them only
 	stats CacheStats
 }
 
-// NewSymbolicCache returns an empty cache that analyzes new patterns
-// under the given fill-reducing ordering.
+// NewSymbolicCache returns an empty cache that analyzes under ord.
 func NewSymbolicCache(ord Ordering) *SymbolicCache {
 	return &SymbolicCache{ord: ord}
 }
 
-// Derive returns an empty cache, with its own entries and counters, for
-// a variant of c's structure whose matrices are those of c with some
-// entries gone — a grid with a branch out. A pattern new to the derived
-// cache is first sought inside the analyses c holds (c's own root, when
-// c is itself derived, so chains stay one level deep): if one of the
-// same dimension has every entry of the new pattern, matrices of that
-// pattern are factored on it with the missing entries stored as explicit
-// zeros — no ordering, no analysis — and otherwise the derived cache
-// analyzes the pattern itself under c's ordering, exactly as a cache
-// from NewSymbolicCache would. Which of the two happens is read off the
-// two patterns, so it is the caller's job to have the root analysis in
-// place before the first derived factorization if results must not
-// depend on whether it was (opf does, see (*OPF).Solve).
+// Derive returns an empty cache, with its own entry and counters, for a
+// variant of c's structure whose matrices are those of c with some
+// entries gone — a grid with a branch out. The derived cache's pattern is
+// first sought inside the analysis c holds (c's own root, when c is
+// itself derived, so chains stay one level deep): if that has the same
+// dimension and every entry of the new pattern, matrices of that pattern
+// are factored on it with the missing entries stored as explicit zeros —
+// no ordering, no analysis — and otherwise the derived cache analyzes
+// the pattern itself under c's ordering, exactly as a cache from
+// NewSymbolicCache would. Which of the two happens is read off the two
+// patterns, so it is the caller's job to have the root analysis in place
+// before the first derived factorization if results must not depend on
+// whether it was (opf does, see (*OPF).Solve).
 func (c *SymbolicCache) Derive() *SymbolicCache {
 	root := c
 	if c.root != nil {
@@ -306,6 +274,16 @@ func (c *SymbolicCache) Derive() *SymbolicCache {
 // Ordering returns the fill-reducing ordering the cache analyzes with.
 func (c *SymbolicCache) Ordering() Ordering { return c.ord }
 
+// Symbolic returns the Symbolic the cache's matrices are factored on —
+// its own analysis or, for a derived cache whose pattern embedded, the
+// root's — or nil before the first factorization.
+func (c *SymbolicCache) Symbolic() *Symbolic {
+	if e := c.entry.Load(); e != nil {
+		return e.sym
+	}
+	return nil
+}
+
 // Stats returns the aggregated counters of every closed handle.
 func (c *SymbolicCache) Stats() CacheStats {
 	c.mu.Lock()
@@ -313,35 +291,14 @@ func (c *SymbolicCache) Stats() CacheStats {
 	return c.stats
 }
 
-func (c *SymbolicCache) lookup(a *CSC) *analysis {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.syms.lookup(a)
-}
-
-// insert publishes an analysis. Racing inserts of one pattern store
-// identical analyses (pure functions of the pattern and, for an
-// embedding, of the root pattern it sits in), so the replace keeps the
-// cache correct either way.
-func (c *SymbolicCache) insert(e *analysis, a *CSC) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.syms.insert(e, a)
-}
-
-// embed answers a's pattern from the first root analysis, in the root's
-// MRU order, that contains it; nil when c is not derived or none does.
-// A root holds one pattern per dimension in practice (the KKT pattern of
-// its topology), so the order decides nothing.
+// embed answers a's pattern from the root's analysis when that contains
+// it; nil when c is not derived, the root is still empty, or it does not.
 func (c *SymbolicCache) embed(a *CSC) *analysis {
 	if c.root == nil {
 		return nil
 	}
-	c.root.mu.Lock()
-	held := append(symList(nil), c.root.syms...)
-	c.root.mu.Unlock()
-	for _, r := range held {
-		if pos := r.sym.pat.locate(a); pos != nil {
+	if r := c.root.entry.Load(); r != nil {
+		if pos := r.pat.locate(a); pos != nil {
 			return &analysis{pat: patternOf(a), sym: r.sym, pos: pos}
 		}
 	}
@@ -349,18 +306,18 @@ func (c *SymbolicCache) embed(a *CSC) *analysis {
 }
 
 // Handle returns the view of c one sequential factorization stream —
-// one interior-point solve — works through. Entries the stream uses are
-// pinned in the handle, so a pattern evicted from a busy cache (a
-// parallel contingency sweep cycling more patterns than the MRU
-// retains) cannot force a mid-solve re-analysis; value-pivoted fallback
-// analyses live only here; and the stream's counters reach c when the
-// handle is closed. A handle must not be shared across goroutines.
+// one interior-point solve — works through: the cache's analysis, what
+// the stream had to analyze for itself, and the stream's counters, which
+// reach c when the handle is closed. Not for sharing across goroutines.
 func (c *SymbolicCache) Handle() *CacheHandle { return &CacheHandle{c: c} }
 
 // CacheHandle is one solve's view of a SymbolicCache (see Handle).
 type CacheHandle struct {
-	c     *SymbolicCache
-	syms  symList // pinned shared entries and local value-pivoted fallbacks
+	c *SymbolicCache
+	// own is the one analysis private to this stream: the value-pivoted
+	// replacement for pivots its values rejected, or the analysis of a
+	// pattern that is not the cache's. A newer one replaces it.
+	own   *analysis
 	stats CacheStats
 }
 
@@ -371,6 +328,18 @@ func (h *CacheHandle) Close() {
 	defer h.c.mu.Unlock()
 	h.c.stats = h.c.stats.Add(h.stats)
 	h.stats = CacheStats{}
+}
+
+// lookup returns the analysis the stream factors a's pattern on, or nil:
+// its own first — on the cache's pattern, the fallback for rejected pivots.
+func (h *CacheHandle) lookup(a *CSC) *analysis {
+	if h.own != nil && h.own.pat.matches(a) {
+		return h.own
+	}
+	if e := h.c.entry.Load(); e != nil && e.pat.matches(a) {
+		return e
+	}
+	return nil
 }
 
 // FactorSlot holds per-pattern preallocated factors and workspace for
@@ -413,28 +382,36 @@ func (sl *FactorSlot) scatter(pos []int, a *CSC) *CSC {
 // FactorizeInto returns an LU of a in slot's preallocated storage:
 // a numeric refactorization (the automatically selected kernel, scalar
 // or blocked — see Symbolic.Blocked) on the analysis of a's pattern —
-// or, through a derived cache, of a root pattern containing it — which
-// is computed and published to the cache on first sight. On the
-// steady-state path (pattern pinned, slot bound to it) it performs zero
-// allocations. The returned factors are valid until the next call.
+// or, through a derived cache, of the root pattern containing it — which
+// is computed on first sight and published if the cache is still empty;
+// a cache holds one pattern, so the analysis of another stays with this
+// handle, counted and never published. The steady-state path (slot bound
+// to the analysis) performs zero allocations. The returned factors are
+// valid until the next call.
 func (h *CacheHandle) FactorizeInto(slot *FactorSlot, a *CSC) (*LUFactors, error) {
-	e, analyzed := h.syms.lookup(a), false
+	e, analyzed := h.lookup(a), false
 	if e == nil {
-		if e = h.c.lookup(a); e == nil {
-			if e = h.c.embed(a); e == nil {
-				q := permFor(a, h.c.ord)
-				h.stats.Orderings++
-				sym, _, err := AnalyzePerm(pivotSurrogate(a), q, 1.0)
-				if err != nil {
-					return h.analyzeValue(slot, a, q)
-				}
-				sym.boost = true
-				h.stats.Analyses++
-				e, analyzed = analysisOf(sym), true
+		if e = h.c.embed(a); e == nil {
+			q := permFor(a, h.c.ord)
+			h.stats.Orderings++
+			sym, _, err := AnalyzePerm(pivotSurrogate(a), q, 1.0)
+			if err != nil {
+				return h.analyzeValue(slot, a, q)
 			}
-			h.c.insert(e, a)
+			sym.boost = true
+			h.stats.Analyses++
+			e, analyzed = analysisOf(sym), true
 		}
-		h.syms.insert(e, a)
+		// Publish unless the cache holds an analysis already. Racing first
+		// solves of one pattern offer identical ones (pure functions of it
+		// and, for an embedding, of the root's), so whichever lands serves
+		// all; another pattern's stays with this handle.
+		h.c.entry.CompareAndSwap(nil, e)
+		if pub := h.c.entry.Load(); pub.pat.matches(a) {
+			e = pub
+		} else {
+			h.own = e
+		}
 	}
 	if slot.sym != e.sym {
 		slot.bind(e.sym)
@@ -465,7 +442,7 @@ func (h *CacheHandle) analyzeValue(slot *FactorSlot, a *CSC, q []int) (*LUFactor
 		return nil, err
 	}
 	h.stats.Analyses++
-	h.syms.insert(analysisOf(sym), a)
+	h.own = analysisOf(sym)
 	// Bind the slot for the refactorizations that follow; the analyzing
 	// factors themselves are freshly allocated.
 	slot.bind(sym)

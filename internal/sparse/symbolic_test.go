@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -202,16 +203,76 @@ func TestSymbolicCacheReuseAndStats(t *testing.T) {
 	if st, want := h.stats, (CacheStats{Analyses: 1, Refactors: 2, Orderings: 1}); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
-	// A different pattern triggers a second analysis but keeps the first.
-	b, _ := randSparseSystem(r, 31)
-	if _, err := h.FactorizeInto(slot, b); err != nil {
+	if sym := c.Symbolic(); sym == nil || !sym.PatternMatches(a1) || sym.PatternNNZ() != a1.NNZ() {
+		t.Fatal("the cache should publish the analysis of the first pattern it met")
+	}
+}
+
+// A cache holds one pattern. A matrix of another pattern arriving at a
+// cache that already holds one is factored correctly on an analysis the
+// handle makes for itself — counted, never published — and neither the
+// published entry nor any handle's reuse of it is disturbed, whether the
+// handles run one after another or concurrently (the -race job).
+func TestSymbolicCacheSecondPatternStaysPrivate(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	a1, a2 := randPatternPair(r, 30)
+	other, x := randSparseSystem(r, 31)
+	rhs := other.MulVec(x)
+
+	c := NewSymbolicCache(OrderAMD)
+	h0 := c.Handle()
+	if _, err := h0.FactorizeInto(&FactorSlot{}, a1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.FactorizeInto(slot, a2); err != nil {
+	h0.Close()
+	pub := c.entry.Load()
+	if pub == nil || !pub.pat.matches(a1) {
+		t.Fatal("first pattern not published")
+	}
+
+	const streams = 4
+	var wg sync.WaitGroup
+	for g := 0; g < streams; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h, slot := c.Handle(), &FactorSlot{}
+			defer h.Close()
+			// shared, private (analyzed), shared, private (refactored)
+			for i, m := range []*CSC{a2, other, a1, other} {
+				f, err := h.FactorizeInto(slot, m)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 1 {
+					if d := f.Solve(rhs).Sub(x).NormInf(); d > 1e-8 {
+						t.Errorf("second-pattern solve off by %g", d)
+					}
+				}
+			}
+			if h.lookup(a1) != pub || h.own == nil || !h.own.pat.matches(other) {
+				t.Error("handle should reuse the published entry and keep the second pattern for itself")
+			}
+			if want := (CacheStats{Analyses: 1, Refactors: 3, Orderings: 1}); h.stats != want {
+				t.Errorf("stream stats = %+v, want %+v", h.stats, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if c.entry.Load() != pub {
+		t.Fatal("a second pattern replaced the published analysis")
+	}
+	if st, want := c.Stats(), (CacheStats{Analyses: 1 + streams, Refactors: 3 * streams, Orderings: 1 + streams}); st != want {
+		t.Fatalf("cache stats = %+v, want %+v", st, want)
+	}
+	// A later handle still finds the first pattern analyzed.
+	h := c.Handle()
+	if _, err := h.FactorizeInto(&FactorSlot{}, a2); err != nil {
 		t.Fatal(err)
 	}
-	if st, want := h.stats, (CacheStats{Analyses: 2, Refactors: 3, Orderings: 2}); st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
+	if want := (CacheStats{Refactors: 1}); h.stats != want {
+		t.Fatalf("later handle stats = %+v, want pure reuse %+v", h.stats, want)
 	}
 }
 
@@ -235,7 +296,7 @@ func TestSymbolicCacheUnstableFallback(t *testing.T) {
 	}
 	c := NewSymbolicCache(OrderNatural)
 	h := c.Handle()
-	h.syms.insert(analysisOf(sym), build(2))
+	h.own = analysisOf(sym)
 	weak := build(1e-14) // frozen (0,0) pivot is 1e-14 vs candidate 1
 	fac, err := h.FactorizeInto(&FactorSlot{}, weak)
 	if err != nil {
@@ -249,8 +310,8 @@ func TestSymbolicCacheUnstableFallback(t *testing.T) {
 	if st, want := h.stats, (CacheStats{Analyses: 1, Fallbacks: 1}); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
-	if len(h.syms) != 1 || h.syms[0].sym == sym || len(c.syms) != 0 {
-		t.Fatalf("want the re-analysis to replace the stale sequence in the handle and stay out of the cache; handle %d, cache %d", len(h.syms), len(c.syms))
+	if h.own.sym == sym || c.entry.Load() != nil {
+		t.Fatal("want the re-analysis to replace the stale sequence in the handle and stay out of the cache")
 	}
 }
 
@@ -290,8 +351,8 @@ func TestSymbolicCachePermsAndAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h1.syms[0] != h2.syms[0] || &h1.syms[0].sym.q[0] != &slot.f.q[0] {
-		t.Fatal("same pattern should pin the one cached symbolic and its permutation")
+	if h1.lookup(a1) != h2.lookup(a2) || &c.Symbolic().q[0] != &slot.f.q[0] {
+		t.Fatal("same pattern should use the one cached symbolic and its permutation")
 	}
 	if st := c.Stats(); st != (CacheStats{}) {
 		t.Fatalf("open handles already counted: %+v", st)
@@ -304,15 +365,14 @@ func TestSymbolicCachePermsAndAggregation(t *testing.T) {
 	}
 }
 
-func TestParseOrderingRoundTrip(t *testing.T) {
-	for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
-		got, err := ParseOrdering(ord.String())
-		if err != nil || got != ord {
-			t.Fatalf("round trip %v: got %v, err %v", ord, got, err)
+// The names are what CLI reports print and BENCH_kkt.json keys are built
+// from (lu_nnz_rcm, lu_nnz_amd), and OrderRCM is the ordering of a
+// zero-valued mips.Options.
+func TestOrderingNames(t *testing.T) {
+	for ord, want := range map[Ordering]string{OrderNatural: "natural", OrderRCM: "rcm", OrderAMD: "amd"} {
+		if got := ord.String(); got != want {
+			t.Errorf("Ordering(%d).String() = %q, want %q", int(ord), got, want)
 		}
-	}
-	if _, err := ParseOrdering("colamd"); err == nil {
-		t.Fatal("expected error for unknown ordering")
 	}
 	if OrderRCM != 0 {
 		t.Fatal("OrderRCM must stay the zero value: it is the default ordering of zero-valued Options")
@@ -359,7 +419,7 @@ func TestShapedFactorizeMatchesFactorizeIntoUnderBoost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := refactor(c.syms[0].sym, weak)
+	f1, err := refactor(c.Symbolic(), weak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,8 +483,8 @@ func TestDerivedCacheEmbedsSubPattern(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h1.syms[0] != h2.syms[0] || h1.syms[0].pos == nil || h1.syms[0].sym != root.syms[0].sym {
-		t.Fatal("both handles should pin the one embedding into the root's symbolic")
+	if e := h1.lookup(sub); e != h2.lookup(sub) || e.pos == nil || der.Symbolic() != root.Symbolic() {
+		t.Fatal("both handles should use the one embedding into the root's symbolic")
 	}
 	rhs := sub.MulVec(x)
 	ref, err := FactorizeOpts(sub, OrderRCM, 1.0)
