@@ -147,6 +147,7 @@ var codeSize = []struct {
 	{at: "PR 20", all: 16949, warmPath: 5679, kernel: 3331, why: "one shared model per system: `(*mtl.Model).Predict` made safe for concurrent use (immutable float32 copy behind one atomic pointer per layer); the predictor pool type in `internal/opf`, the model's replica-pool constructor and pool resolver in `internal/mtl`, serve's replica sets, sweep borrow logic, `replicaCount` and the trajectory \"no idle replica\" 503, the predictor slices of `scopf.Engine`/`horizon.Runner`, `scopf`'s `modelLayout`/`predict` and the slice form of `scale.RunParallel` deleted (CHANGES.md names them)"},
 	{at: "PR 21", all: 17256, warmPath: 5861, kernel: 3446, why: "one KKT analysis per system for the whole branch-outage space (a performance change, so the count goes up): `sparse.SymbolicCache.Derive` + the sub-pattern embedding in `CacheHandle.FactorizeInto` (+115), `opf.RebindOutage` deriving its cache and the root-first rule in `Solve`, one prediction per load draw and per-class KKT counters in `scopf`, `scopf.MatchNaive` + `Drift` replacing four copies of the bit-identity guard, the first solve on a KKT cache serialised behind a `sync.Once`; `screen_n1_mid` `latency_ms_mid` 105.0 → 68.3 ms in exchange (PERFORMANCE.md)"},
 	{at: "PR 22", all: 17100, warmPath: 5840, kernel: 3338, why: "one KKT ordering, AMD, chosen on the matrix MIPS factors: the fill-probing fourth ordering with its resolver and surrogate probe, the per-size default with its 48-bus threshold in `internal/opf`, the `-ordering` flags of `pgsim`/`scopf` and the ordering-name parser deleted (CHANGES.md names them); a `SymbolicCache` publishes one analysis through one atomic pointer — the four-entry MRU, its cap, the bump/evict logic and the handle's pin list gone, a second pattern stays private to its handle; `cmd/results` renders the production fill table and sorts its four tables with one helper"},
+	{at: "after 2e0963a", all: 16978, warmPath: 5785, kernel: 3279, why: "every branch outage has the intact KKT pattern: `grid.YMatrices.DropBranch` keeps the outaged Ybus entries as explicit zeros, so the per-class entry map, the per-factorization scatter buffer, `SymbolicCache.embed` and `(*OPF).Solve`'s root-first warming solve with its `sync.Once` and root pointer are deleted — the one analysis is made under the root cache's lock; the unused `(*OPF).problem` deleted; `mips.Options` `Xi`/`Sigma`/`Z0`/`Gamma0` and `mtl.TrainConfig` `MainWeight`/`AuxWeight`/`LogEvery` made constants"},
 }
 
 func main() {

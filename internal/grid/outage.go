@@ -12,10 +12,13 @@ import (
 // the case and its admittance matrices per scenario, Case.WithoutBranch
 // and Case.WithoutGen produce cheap views of the outaged case and
 // YMatrices.DropBranch subtracts the outaged branch's stamp from the
-// prepared matrices. All are exact: the delta'd matrices are
-// bit-identical — pattern and values — to a fresh MakeYbus of the
-// outaged case, which is what lets the screening engine pin its results
-// to the naive per-scenario rebuild (see internal/scopf). Connected and
+// prepared matrices. All are exact: every value of the delta'd matrices
+// is bit-identical to a fresh MakeYbus of the outaged case, which is what
+// lets the screening engine pin its results to the naive per-scenario
+// rebuild (see internal/scopf). Ybus alone differs, and only in pattern:
+// it keeps the intact one, storing the outaged branch's entries as
+// explicit zeros, so an outage's KKT systems share the intact system's
+// sparsity pattern and symbolic analysis (see internal/opf). Connected and
 // ConnectedWithout classify outage topologies that split the network —
 // islanding scenarios the screening engine rejects before wasting
 // solver time on a structurally infeasible AC-OPF.
@@ -124,45 +127,38 @@ func dropAt[E any](s []E, l int) []E {
 
 // DropBranch returns the admittance matrices of the case with in-service
 // branch l (an index into the Yf/Yt rows, i.e. ActiveBranches order)
-// outaged. The result is bit-identical to MakeYbus on the outaged case:
-// Yf/Yt lose row l (branch stamps are row-independent), and the only
-// Ybus columns a branch touches — its from- and to-bus columns — are
-// recompiled from the surviving stamps in MakeYbus's exact accumulation
-// order, so even the floating-point summation of parallel branches and
-// shunts matches a rebuild. Every other column is copied unchanged
-// (builder compilation is column-local). c must be the case y was built
-// from (it supplies the bus shunts and BaseMVA).
+// outaged. Yf/Yt lose row l (branch stamps are row-independent) and are
+// bit-identical to MakeYbus on the outaged case. Ybus keeps y's pattern —
+// the one deliberate difference from a rebuild: the entries the branch
+// alone stamped stay stored, as explicit zeros, so every KKT system of
+// the outaged case has the intact case's sparsity pattern and factors on
+// its analysis. Every value is a rebuild's: the only columns a branch
+// touches — its from- and to-bus columns — are recompiled from the
+// surviving stamps in MakeYbus's exact accumulation order, so even the
+// floating-point summation of parallel branches and shunts matches, and
+// every other column is copied unchanged (builder compilation is
+// column-local). c must be the case y was built from (it supplies the bus
+// shunts and BaseMVA).
 func (y *YMatrices) DropBranch(c *Case, l int) *YMatrices {
 	nl := y.Yf.NL()
 	if l < 0 || l >= nl {
 		panic(fmt.Sprintf("grid: DropBranch row %d outside %d active branches", l, nl))
 	}
-	f, t := y.Yf.F[l], y.Yf.T[l]
-	colF := y.recompileColumn(c, l, f)
-	colT := y.recompileColumn(c, l, t)
-
 	old := y.Ybus
-	nb := old.NCols
-	newPtr := make([]int, nb+1)
-	rowIdx := make([]int, 0, len(old.RowIdx))
-	vals := make([]complex128, 0, len(old.Val))
-	for j := 0; j < nb; j++ {
-		switch j {
-		case f:
-			rowIdx = append(rowIdx, colF.RowIdx...)
-			vals = append(vals, colF.Val...)
-		case t:
-			rowIdx = append(rowIdx, colT.RowIdx...)
-			vals = append(vals, colT.Val...)
-		default:
-			lo, hi := old.ColPtr[j], old.ColPtr[j+1]
-			rowIdx = append(rowIdx, old.RowIdx[lo:hi]...)
-			vals = append(vals, old.Val[lo:hi]...)
+	vals := slices.Clone(old.Val)
+	for _, j := range []int{y.Yf.F[l], y.Yf.T[l]} {
+		col := y.recompileColumn(c, l, j)
+		q := 0 // the recompiled column's rows are a sorted subset of column j's
+		for p := old.ColPtr[j]; p < old.ColPtr[j+1]; p++ {
+			vals[p] = 0
+			if q < len(col.RowIdx) && col.RowIdx[q] == old.RowIdx[p] {
+				vals[p] = col.Val[q]
+				q++
+			}
 		}
-		newPtr[j+1] = len(rowIdx)
 	}
 	return &YMatrices{
-		Ybus: &sparse.CSCComplex{NRows: nb, NCols: nb, ColPtr: newPtr, RowIdx: rowIdx, Val: vals},
+		Ybus: &sparse.CSCComplex{NRows: old.NRows, NCols: old.NCols, ColPtr: old.ColPtr, RowIdx: old.RowIdx, Val: vals},
 		Yf:   y.Yf.WithoutRow(l), Yt: y.Yt.WithoutRow(l),
 		FIdx: dropAt(y.FIdx, l), TIdx: dropAt(y.TIdx, l),
 	}

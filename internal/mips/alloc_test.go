@@ -73,12 +73,13 @@ func TestWarmStepAllocsZero(t *testing.T) {
 }
 
 // TestEmbeddedStepAllocsZero is the same pin for an outage class that
-// keeps its parent's KKT analysis: its systems are scattered into the
-// intact pattern (explicit zeros where the branch was) and refactored on
-// the intact symbolic, and the scatter buffer lives with the factor
-// slot, so the steady-state iteration still allocates nothing. A full
-// solve through the derived cache first shows the embedded path is the
-// one being measured: it refactors without ordering or analyzing.
+// keeps its parent's KKT analysis: its systems have the intact pattern
+// (explicit zeros where the branch was) and refactor on the intact
+// symbolic, so the steady-state iteration still allocates nothing. A
+// full outage solve through the derived cache first — before anything
+// has solved the intact system — and an intact solve after it show that
+// path is the one measured: the outage makes the root's analysis, and
+// the intact system finds its own pattern in it.
 func TestEmbeddedStepAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -91,15 +92,15 @@ func TestEmbeddedStepAllocsZero(t *testing.T) {
 				t.Fatal(err)
 			}
 			root := sparse.NewSymbolicCache(base.Ordering())
-			if _, err := mips.Solve(base.Problem(), base.DefaultStart(), nil, mips.Options{KKT: root}); err != nil {
-				t.Fatal(err)
-			}
 			der := root.Derive()
 			if _, err := mips.Solve(out.Problem(), out.DefaultStart(), nil, mips.Options{KKT: der}); err != nil {
 				t.Fatal(err)
 			}
-			if st := der.Stats(); st.Analyses != 0 || st.Orderings != 0 || st.Refactors == 0 {
-				t.Fatalf("outage solve did not stay on the intact analysis: %+v", st)
+			if _, err := mips.Solve(base.Problem(), base.DefaultStart(), nil, mips.Options{KKT: root}); err != nil {
+				t.Fatal(err)
+			}
+			if st, rt := der.Stats(), root.Stats(); st.Analyses != 0 || st.Orderings != 0 || st.Refactors == 0 || rt.Analyses != 1 || rt.Orderings != 1 {
+				t.Fatalf("outage solve did not refactor on the root's analysis: derived %+v, root %+v", st, rt)
 			}
 			s := warmStepperOn(t, out, der, 60)
 			if n := testing.AllocsPerRun(100, func() {
@@ -107,7 +108,7 @@ func TestEmbeddedStepAllocsZero(t *testing.T) {
 					t.Fatalf("stepper finished mid-measurement: %v", err)
 				}
 			}); n != 0 {
-				t.Errorf("embedded warm Step allocates %v times per iteration, want 0", n)
+				t.Errorf("outage-class warm Step allocates %v times per iteration, want 0", n)
 			}
 		})
 	}

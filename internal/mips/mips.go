@@ -57,14 +57,18 @@ type Problem struct {
 	XMin, XMax la.Vector
 }
 
+// The interior-point constants of MIPS (mips.m's defaults).
+const (
+	xi     = 0.99995 // step back-off
+	sigma  = 0.1     // centering parameter
+	z0     = 1       // initial slack scale
+	gamma0 = 1       // initial barrier of a cold start
+)
+
 // Options tunes the solver. Zero values take the MIPS defaults.
 type Options struct {
 	FeasTol, GradTol, CompTol, CostTol float64 // default 1e-6
 	MaxIter                            int     // default 150
-	Xi                                 float64 // step back-off, default 0.99995
-	Sigma                              float64 // centering parameter, default 0.1
-	Z0                                 float64 // initial slack scale, default 1
-	Gamma0                             float64 // initial barrier; default 1 (cold start)
 	RecordTrace                        bool    // keep per-iteration Trace
 
 	// Ordering is the fill-reducing ordering of the private cache a
@@ -97,10 +101,6 @@ func (o Options) withDefaults() Options {
 	def(&o.GradTol, 1e-6)
 	def(&o.CompTol, 1e-6)
 	def(&o.CostTol, 1e-6)
-	def(&o.Xi, 0.99995)
-	def(&o.Sigma, 0.1)
-	def(&o.Z0, 1)
-	def(&o.Gamma0, 1)
 	if o.MaxIter == 0 {
 		o.MaxIter = 150
 	}
@@ -261,16 +261,16 @@ func newStepper(p *Problem, x0 la.Vector, ws *WarmStart, opt Options, ar *Arena)
 	// Initialize slacks and multipliers (mips.m defaults).
 	s.z = make(la.Vector, s.niq)
 	s.mu = make(la.Vector, s.niq)
-	s.gamma = opt.Gamma0
+	s.gamma = gamma0
 	for k := 0; k < s.niq; k++ {
-		s.z[k] = opt.Z0
-		if s.h[k] < -opt.Z0 {
+		s.z[k] = z0
+		if s.h[k] < -z0 {
 			s.z[k] = -s.h[k]
 		}
 	}
 	for k := 0; k < s.niq; k++ {
-		s.mu[k] = opt.Z0
-		if s.gamma/s.z[k] > opt.Z0 {
+		s.mu[k] = z0
+		if s.gamma/s.z[k] > z0 {
 			s.mu[k] = s.gamma / s.z[k]
 		}
 	}
@@ -301,7 +301,7 @@ func newStepper(p *Problem, x0 la.Vector, ws *WarmStart, opt Options, ar *Arena)
 		if ws.Mu != nil && ws.Z != nil && s.niq > 0 {
 			// Barrier consistent with the supplied point; this is what
 			// lets a high-quality warm start converge in a few steps.
-			s.gamma = math.Max(opt.Sigma*s.z.Dot(s.mu)/float64(s.niq), 1e-12)
+			s.gamma = math.Max(sigma*s.z.Dot(s.mu)/float64(s.niq), 1e-12)
 		}
 	}
 
@@ -506,12 +506,12 @@ func (s *Stepper) Step() (bool, error) {
 	alphaP, alphaD := 1.0, 1.0
 	for k := 0; k < niq; k++ {
 		if dz[k] < 0 {
-			if a := opt.Xi * s.z[k] / -dz[k]; a < alphaP {
+			if a := xi * s.z[k] / -dz[k]; a < alphaP {
 				alphaP = a
 			}
 		}
 		if dmu[k] < 0 {
-			if a := opt.Xi * s.mu[k] / -dmu[k]; a < alphaD {
+			if a := xi * s.mu[k] / -dmu[k]; a < alphaD {
 				alphaD = a
 			}
 		}
@@ -522,7 +522,7 @@ func (s *Stepper) Step() (bool, error) {
 	s.lam.AddScaled(alphaD, dlam)
 	s.mu.AddScaled(alphaD, dmu)
 	if niq > 0 {
-		s.gamma = opt.Sigma * s.z.Dot(s.mu) / float64(niq)
+		s.gamma = sigma * s.z.Dot(s.mu) / float64(niq)
 	}
 	if opt.RecordTrace {
 		s.res.Trace[len(s.res.Trace)-1].StepSize = dx.NormInf() * alphaP

@@ -9,17 +9,22 @@ import (
 	"repro/internal/nn"
 )
 
+// auxWeight is the Charbonnier weight of the λ/µ/Z tasks; the X tasks
+// weigh 1.
+const auxWeight = 0.5
+
+// logEvery is the epoch period of TrainConfig.Logf's lines.
+const logEvery = 10
+
 // TrainConfig controls the optimization loop.
 type TrainConfig struct {
-	Epochs     int     // default 60
-	BatchSize  int     // default 32
-	LR         float64 // default 1e-3
-	MainWeight float64 // Charbonnier weight of the X tasks (default 1)
-	AuxWeight  float64 // Charbonnier weight of λ/µ/Z (default 0.5)
-	Seed       int64
-	// Logf, when non-nil, receives one line per LogEvery epochs.
-	Logf     func(format string, args ...any)
-	LogEvery int // default 10
+	Epochs    int     // default 60
+	BatchSize int     // default 32
+	LR        float64 // default 1e-3
+	Seed      int64
+	// Logf, when non-nil, receives one line every logEvery epochs and
+	// one for the last.
+	Logf func(format string, args ...any)
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -31,15 +36,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	}
 	if c.LR == 0 {
 		c.LR = 1e-3
-	}
-	if c.MainWeight == 0 {
-		c.MainWeight = 1
-	}
-	if c.AuxWeight == 0 {
-		c.AuxWeight = 0.5
-	}
-	if c.LogEvery == 0 {
-		c.LogEvery = 10
 	}
 	return c
 }
@@ -109,11 +105,10 @@ func Train(m *Model, phys *Physics, set *dataset.Set, cfg TrainConfig) (*History
 			ll, gl := lossMain.Eval(pred.Lam, bLam)
 			lm, gm := lossMain.Eval(pred.Mu, bMu)
 			lz, gz := lossMain.Eval(pred.Z, bZ)
-			gx.Scale(cfg.MainWeight)
-			gl.Scale(cfg.AuxWeight)
-			gm.Scale(cfg.AuxWeight)
-			gz.Scale(cfg.AuxWeight)
-			sup := cfg.MainWeight*lx + cfg.AuxWeight*(ll+lm+lz)
+			gl.Scale(auxWeight)
+			gm.Scale(auxWeight)
+			gz.Scale(auxWeight)
+			sup := lx + auxWeight*(ll+lm+lz)
 
 			phy := 0.0
 			if usePhysics {
@@ -130,7 +125,7 @@ func Train(m *Model, phys *Physics, set *dataset.Set, cfg TrainConfig) (*History
 		}
 		hist.Supervised = append(hist.Supervised, epSup/float64(nbatch))
 		hist.Physics = append(hist.Physics, epPhy/float64(nbatch))
-		if cfg.Logf != nil && (ep%cfg.LogEvery == 0 || ep == cfg.Epochs-1) {
+		if cfg.Logf != nil && (ep%logEvery == 0 || ep == cfg.Epochs-1) {
 			cfg.Logf("mtl[%s] epoch %3d/%d supervised %.5f physics %.5f",
 				m.Cfg.Variant, ep+1, cfg.Epochs, epSup/float64(nbatch), epPhy/float64(nbatch))
 		}

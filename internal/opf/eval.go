@@ -16,7 +16,7 @@ import (
 // complex sparse intermediates (Clone/DiagScale/AddScaled/T each
 // allocate and sort). The reference implementations stay as the oracle
 // — TestEvalMatchesReference pins the two paths against each other —
-// and as the exported Equality/Inequality/Hessian seams.
+// and behind the exported Equality/Inequality/CostGrad seams.
 //
 // Every matrix here has a fixed sparsity pattern per problem structure:
 // the Jacobian and Hessian patterns derive from Ybus and the branch

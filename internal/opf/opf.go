@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/grid"
@@ -94,24 +93,16 @@ type OPF struct {
 	// kkt caches the analysis of the KKT pattern — fill-reducing
 	// ordering and pivot-shaped symbolic — which is a property of the
 	// grid structure, not of the loads or of the bound values: every
-	// instance derived with Perturb/RebindRamp shares it, so the first
-	// solve of a grid analyzes and every later solve of any load variant
-	// — a whole sweep, the entire warm-start pipeline, all requests for
-	// the grid in the serving daemon — goes straight to numeric
-	// refactorization. Both halves are pure functions of the pattern, so
-	// derived instances may be solved in parallel with bit-identical
-	// results regardless of order.
+	// instance derived with Perturb/RebindRamp shares it, and every
+	// RebindOutage class derives from it, so the first solve of a grid or
+	// of any of its branch outages analyzes — once, however many race —
+	// and every later solve of any load variant or outage — a whole sweep,
+	// the entire warm-start pipeline, all requests for the grid in the
+	// serving daemon — goes straight to numeric refactorization. Both
+	// halves are pure functions of the pattern, so derived instances may
+	// be solved in parallel with bit-identical results regardless of
+	// order.
 	kkt *sparse.SymbolicCache
-	// kktFirst runs the first solve on kkt — the one that publishes the
-	// analysis — alone: made with the cache and shared with it, so solves
-	// racing on an empty cache wait for one analysis instead of each
-	// making their own, and the counters do not depend on worker count.
-	kktFirst *sync.Once
-	// kktRoot is the instance kkt was derived from (RebindOutage): its
-	// cache holds the analysis this instance's KKT systems are factored
-	// on, so Solve makes sure it is there first. Nil on an instance whose
-	// cache is its own.
-	kktRoot *OPF
 }
 
 // Prepare builds the admittance matrices, bounds and constraint layout
@@ -198,12 +189,11 @@ func Prepare(c *grid.Case) *OPF {
 // before deriving with Perturb or RebindOutage so the derived instances
 // share, or derive from, the new cache; the old analysis and counters are
 // discarded. On an instance from RebindOutage it cuts the tie to the
-// parent's analysis: the outage pattern is then ordered and analyzed
-// privately, which the containment tests compare against.
+// parent's analysis: the outage's KKT pattern — the intact one — is then
+// ordered and analyzed afresh, which the outage fleet tests require to
+// reproduce the parent's analysis bit for bit.
 func (o *OPF) SetOrdering(ord sparse.Ordering) {
 	o.kkt = sparse.NewSymbolicCache(ord)
-	o.kktFirst = new(sync.Once)
-	o.kktRoot = nil
 }
 
 // Ordering reports the KKT fill-reducing ordering this instance (and
@@ -220,8 +210,10 @@ func (o *OPF) KKTSymbolic() *sparse.Symbolic { return o.kkt.Symbolic() }
 // many fill-reducing orderings were computed, and how many full symbolic
 // analyses, numeric refactorizations and stability fallbacks the solves'
 // KKT factorizations performed. An outage class from RebindOutage counts
-// for itself — zero orderings and analyses while its pattern sits inside
-// its parent's — and adds nothing to the parent's counters.
+// its own solves' work — zero orderings, and analyses only for
+// value-pivoted fallbacks — while the one analysis of the intact pattern
+// it factors on is counted on the instance it was derived from, whichever
+// solve made it.
 func (o *OPF) KKTStats() sparse.CacheStats { return o.kkt.Stats() }
 
 // finiteBounds counts the finite entries of the two bound vectors — the
@@ -249,13 +241,12 @@ func finiteBounds(xmin, xmax la.Vector) int {
 // (NIq shrinks by 2); warm starts predicted in o's layout then need
 // ProjectionTo. The derived instance keeps o's KKT analysis: MIPS
 // factors the reduced KKT system of dimension NX + NEq, which a branch
-// outage leaves alone, so the outage pattern is o's with a few entries
-// gone and its systems are factored on o's symbolic analysis with those
-// entries as explicit zeros (sparse.SymbolicCache.Derive) — no ordering
-// and no analysis per outage, and a chain of outages (N-2) resolves to
-// the same analysis. The counters are the class's own (KKTStats), shared
-// by all its Perturb derivations; a pattern that does not embed is
-// analyzed privately under o's ordering, as before.
+// outage leaves alone, and DropBranch keeps the outaged Ybus entries as
+// explicit zeros, so every KKT system of the outage has o's pattern and
+// is factored on o's symbolic analysis (sparse.SymbolicCache.Derive) — no
+// ordering and no analysis per outage, and a chain of outages (N-2)
+// resolves to the same analysis. The counters are the class's own
+// (KKTStats), shared by all its Perturb derivations.
 func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 	t0 := time.Now()
 	if branch < 0 || branch >= len(o.Case.Branches) {
@@ -295,9 +286,6 @@ func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 		cp.ratedY = &rc
 	}
 	cp.kkt = o.kkt.Derive()
-	if o.kktRoot == nil {
-		cp.kktRoot = o
-	}
 	cp.prep = time.Since(t0)
 	return &cp, nil
 }
@@ -311,7 +299,7 @@ func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 // NX−2) and their finite-bound inequality rows. Warm starts predicted
 // in o's layout need ProjectionTo, which also performs the screening
 // redispatch. The derived instance gets its own KKT cache under o's
-// ordering: its KKT pattern loses two columns, so cannot sit inside o's.
+// ordering: its KKT pattern has two columns fewer than o's.
 func (o *OPF) RebindGenOutage(gen int) (*OPF, error) {
 	t0 := time.Now()
 	if gen < 0 || gen >= len(o.Case.Gens) {
@@ -400,34 +388,13 @@ type Options = mips.Options
 
 // Solve runs the interior-point method from the given start (nil for the
 // default cold start). The returned error wraps mips failures; the Result
-// always reports iterations and timing. The first solve on the
-// instance's KKT cache runs alone (solves arriving meanwhile wait for the
-// analysis it publishes); every later one runs freely in parallel.
-func (o *OPF) Solve(start *Start, opt Options) (res *Result, err error) {
-	if opt.KKT != nil {
-		return o.solve(start, opt)
+// always reports iterations and timing. Solves factor their KKT systems
+// through opt.KKT when set, else through the instance's cache, on which
+// racing first solves share one analysis.
+func (o *OPF) Solve(start *Start, opt Options) (*Result, error) {
+	if opt.KKT == nil {
+		opt.KKT = o.kkt
 	}
-	opt.KKT = o.kkt
-	if r := o.kktRoot; r != nil {
-		// Root first: a derived cache analyzes privately while its root
-		// holds nothing, so result bits would depend on whether the intact
-		// system happened to be solved before its outages. Unless a solve
-		// of the root already has, one iteration from its default start
-		// publishes its analysis, a function of its pattern alone
-		// (ErrMaxIter is the expected outcome, not a failure).
-		r.kktFirst.Do(func() { _, _ = r.solve(nil, Options{MaxIter: 1, KKT: r.kkt}) })
-		return o.solve(start, opt)
-	}
-	first := false
-	o.kktFirst.Do(func() { first = true; res, err = o.solve(start, opt) })
-	if first {
-		return res, err
-	}
-	return o.solve(start, opt)
-}
-
-// solve is Solve on the cache opt.KKT names.
-func (o *OPF) solve(start *Start, opt Options) (*Result, error) {
 	sc := evalPool.Get().(*evalScratch)
 	defer evalPool.Put(sc)
 	p := o.problemWith(sc)
@@ -503,29 +470,6 @@ func (o *OPF) Constraints(x la.Vector) (g, h la.Vector) {
 // the seam the solver's allocation harness drives Steppers through.
 func (o *OPF) Problem() *mips.Problem {
 	return o.problemWith(new(evalScratch))
-}
-
-// problem builds the reference evaluation path: each callback allocates
-// its results from scratch using the grid-level derivative routines.
-// Solve uses the entry-wise streaming path in eval.go instead; this one
-// remains as the oracle the equivalence tests pin that path against.
-func (o *OPF) problem() *mips.Problem {
-	return &mips.Problem{
-		NX: o.Lay.NX,
-		F:  o.costGrad,
-		G: func(x la.Vector) (la.Vector, *sparse.CSC) {
-			return o.equality(x, true)
-		},
-		H: func(x la.Vector) (la.Vector, *sparse.CSC) {
-			if o.Lay.NLRated == 0 {
-				return nil, nil
-			}
-			return o.inequality(x, true)
-		},
-		Hess: o.hessian,
-		XMin: o.xmin,
-		XMax: o.xmax,
-	}
 }
 
 func (o *OPF) voltages(x la.Vector) []complex128 {

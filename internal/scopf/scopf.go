@@ -12,12 +12,13 @@
 // opf.RebindOutage — the same structure a per-scenario rebuild produces)
 // and fans the scenarios out on the internal/batch worker pool, so every
 // scenario pays only the clone+scale+rebind derivation cost. The whole
-// branch-outage space of a system shares ONE KKT analysis: an outage's
-// reduced KKT pattern lies inside the intact system's, so every branch
-// and branch-pair class factors on the intact system's symbolic analysis
-// and only generator outages, which change the variable layout, order
-// and analyze for themselves (ClassInfo.KKT counts it per class,
-// Report.KKT per sweep). Outages of rated branches shrink the inequality
+// branch-outage space of a system shares ONE KKT analysis: DropBranch
+// keeps the outaged admittance entries as explicit zeros, so an outage's
+// reduced KKT pattern is the intact system's, every branch and
+// branch-pair class factors on the intact system's symbolic analysis —
+// made once by whichever scenario factors first — and only generator
+// outages, which change the variable layout, order and analyze for
+// themselves (ClassInfo.KKT counts it per class, Report.KKT per sweep). Outages of rated branches shrink the inequality
 // layout; the engine projects the intact-system warm-start prediction
 // onto the contingency layout (opf.Projection) instead of falling back
 // to a cold solve, and predicts once per load draw, not per scenario.
@@ -133,9 +134,9 @@ type ClassInfo struct {
 	WarmMode   string // "exact", "projected" or "cold"
 	Islanded   bool   // the outage splits the network; nothing was solved
 	// KKT counts the KKT factorization work of the class's own solves.
-	// Analyses and Orderings are zero for a branch or pair class whose
-	// pattern sits inside the intact system's analysis; a generator
-	// outage, or a pattern that does not, shows up here as > 0. Zero for
+	// Analyses and Orderings are zero for a branch or pair class, which
+	// factors on the intact system's analysis (counted on Prepared);
+	// a generator outage shows up here as > 0. Zero for
 	// the intact class: it is solved on the system's long-lived cache,
 	// whose counters (Prepared.KKTStats) every other user of the system
 	// feeds too and no sweep can call its own.

@@ -225,7 +225,7 @@ func TestRefactorBlockedUnstableFallback(t *testing.T) {
 	// TestSymbolicCacheUnstableFallback.
 	sym.blocked().use = true
 	h := NewSymbolicCache(OrderNatural).Handle()
-	h.own = analysisOf(sym)
+	h.own = sym
 	weak := build(1e-14)
 	fac, err := h.FactorizeInto(&FactorSlot{}, weak)
 	if err != nil {

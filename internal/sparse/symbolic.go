@@ -64,31 +64,6 @@ func (pt *pattern) matches(a *CSC) bool {
 	return true
 }
 
-// locate maps each stored entry of a to the position of the same
-// coordinate in pt, or returns nil when a has another dimension or an
-// entry pt lacks. One merge pass over the two sorted column structures;
-// a column of a that is not sorted ascending merely fails to embed.
-func (pt *pattern) locate(a *CSC) []int {
-	if a.NRows != pt.n || a.NCols != pt.n || len(a.RowIdx) > len(pt.rowIdx) {
-		return nil
-	}
-	pos := make([]int, len(a.RowIdx))
-	for j := 0; j < pt.n; j++ {
-		q, end := pt.colPtr[j], pt.colPtr[j+1]
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			for q < end && pt.rowIdx[q] < a.RowIdx[p] {
-				q++
-			}
-			if q == end || pt.rowIdx[q] != a.RowIdx[p] {
-				return nil
-			}
-			pos[p] = q
-			q++
-		}
-	}
-	return pos
-}
-
 // Symbolic is the reusable, value-independent-in-structure part of a
 // sparse LU: the fill-reducing column ordering, the row-pivot sequence
 // frozen by the analyzing factorization, and the exact nonzero patterns
@@ -197,29 +172,17 @@ func (s CacheStats) Sub(o CacheStats) CacheStats {
 	}
 }
 
-// analysis is how a cache factors the matrices of one sparsity pattern:
-// the Symbolic to refactor on and, when that Symbolic was analyzed for a
-// containing pattern of the root cache (see Derive), where each entry of
-// the pattern lands in it.
-type analysis struct {
-	pat pattern // the pattern this entry answers for
-	sym *Symbolic
-	pos []int // entry k of pat -> entry pos[k] of sym's pattern; nil when they are the same pattern
-}
-
-// analysisOf wraps a Symbolic as the analysis of its own pattern.
-func analysisOf(sym *Symbolic) *analysis { return &analysis{pat: sym.pat, sym: sym} }
-
 // SymbolicCache is the KKT analysis of one topology: the fill-reducing
 // ordering of its sparsity pattern and the pivot-shaped Symbolic frozen
 // on it, plus the reuse counters of every solve that went through it.
-// One cache publishes one analysis — that of the first pattern it meets —
-// and both halves of it are pure functions of the pattern: the ordering
-// is computed from it, and the pivot sequence is frozen on the
-// pattern-derived surrogate (pivotSurrogate), not on the first matrix
-// seen. So one cache serves every solve of a grid's load variants,
-// concurrently, without making any result depend on which solve
-// populated it. Two further consequences of shaping:
+// One cache publishes one analysis — that of the first pattern it, or a
+// cache derived from it, meets — and both halves of it are pure
+// functions of the pattern: the ordering is computed from it, and the
+// pivot sequence is frozen on the pattern-derived surrogate
+// (pivotSurrogate), not on the first matrix seen. So one cache serves
+// every solve of a grid's load variants, concurrently, without making
+// any result depend on which solve populated it. Two further
+// consequences of shaping:
 //
 //   - Diagonally grounded patterns order better. The surrogate's
 //     dominant stored diagonals keep pivots on the diagonal wherever
@@ -235,11 +198,13 @@ func analysisOf(sym *Symbolic) *analysis { return &analysis{pat: sym.pat, sym: s
 //
 // Solves do not call the cache directly: each takes a CacheHandle.
 type SymbolicCache struct {
-	ord  Ordering
-	root *SymbolicCache // non-nil on a derived cache (see Derive)
-	// entry is the one published analysis — pivot-shaped, or an embedding
-	// into the root's — set once by the first solve to get there.
-	entry atomic.Pointer[analysis]
+	ord Ordering
+	// root owns the analysis this cache's matrices are factored on: the
+	// cache itself, or the one it was derived from (see Derive).
+	root *SymbolicCache
+	// sym is the root's one published analysis, made under mu by the
+	// first handle of the root or of any cache derived from it.
+	sym atomic.Pointer[Symbolic]
 
 	mu    sync.Mutex
 	stats CacheStats
@@ -247,62 +212,71 @@ type SymbolicCache struct {
 
 // NewSymbolicCache returns an empty cache that analyzes under ord.
 func NewSymbolicCache(ord Ordering) *SymbolicCache {
-	return &SymbolicCache{ord: ord}
+	c := &SymbolicCache{ord: ord}
+	c.root = c
+	return c
 }
 
-// Derive returns an empty cache, with its own entry and counters, for a
-// variant of c's structure whose matrices are those of c with some
-// entries gone — a grid with a branch out. The derived cache's pattern is
-// first sought inside the analysis c holds (c's own root, when c is
-// itself derived, so chains stay one level deep): if that has the same
-// dimension and every entry of the new pattern, matrices of that pattern
-// are factored on it with the missing entries stored as explicit zeros —
-// no ordering, no analysis — and otherwise the derived cache analyzes
-// the pattern itself under c's ordering, exactly as a cache from
-// NewSymbolicCache would. Which of the two happens is read off the two
-// patterns, so it is the caller's job to have the root analysis in place
-// before the first derived factorization if results must not depend on
-// whether it was (opf does, see (*OPF).Solve).
+// Derive returns a cache with its own counters and c's analysis, for a
+// variant of c's structure whose matrices have c's sparsity pattern — a
+// grid with a branch out whose admittance entries are kept as explicit
+// zeros. A cache derived from a derived one shares the same root. The
+// root's analysis is made by whichever handle of the root or of any of
+// its derivations factors first, and counted on the root; a matrix of
+// another pattern is analyzed privately by the handle that meets it,
+// exactly as through a fresh cache, so correctness never depends on the
+// patterns matching.
 func (c *SymbolicCache) Derive() *SymbolicCache {
-	root := c
-	if c.root != nil {
-		root = c.root
-	}
-	return &SymbolicCache{ord: c.ord, root: root}
+	return &SymbolicCache{ord: c.ord, root: c.root}
 }
 
 // Ordering returns the fill-reducing ordering the cache analyzes with.
 func (c *SymbolicCache) Ordering() Ordering { return c.ord }
 
 // Symbolic returns the Symbolic the cache's matrices are factored on —
-// its own analysis or, for a derived cache whose pattern embedded, the
-// root's — or nil before the first factorization.
-func (c *SymbolicCache) Symbolic() *Symbolic {
-	if e := c.entry.Load(); e != nil {
-		return e.sym
-	}
-	return nil
-}
+// its root's analysis — or nil before the first factorization.
+func (c *SymbolicCache) Symbolic() *Symbolic { return c.root.sym.Load() }
 
-// Stats returns the aggregated counters of every closed handle.
+// Stats returns the aggregated counters of every closed handle, plus the
+// analysis the cache published as a root.
 func (c *SymbolicCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
 }
 
-// embed answers a's pattern from the root's analysis when that contains
-// it; nil when c is not derived, the root is still empty, or it does not.
-func (c *SymbolicCache) embed(a *CSC) *analysis {
-	if c.root == nil {
-		return nil
+// shaped is the pivot-shaped analysis of a's pattern under ord (see
+// pivotSurrogate), or nil and the ordering to analyze a under with its
+// own values when the surrogate is singular.
+func shaped(a *CSC, ord Ordering) (*Symbolic, []int) {
+	q := permFor(a, ord)
+	sym, _, err := AnalyzePerm(pivotSurrogate(a), q, 1.0)
+	if err != nil {
+		return nil, q
 	}
-	if r := c.root.entry.Load(); r != nil {
-		if pos := r.pat.locate(a); pos != nil {
-			return &analysis{pat: patternOf(a), sym: r.sym, pos: pos}
-		}
+	sym.boost = true
+	return sym, q
+}
+
+// publish returns the root's analysis, making it from a's pattern if the
+// root has none yet — under the root's lock, so racing first handles of
+// the root and of its derivations analyze once, and counted on the root
+// whichever came first; made reports whether this call made it. Nil when
+// the surrogate was singular, with the ordering it was tried under.
+func (c *SymbolicCache) publish(a *CSC) (sym *Symbolic, q []int, made bool) {
+	r := c.root
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if sym = r.sym.Load(); sym != nil {
+		return sym, nil, false
 	}
-	return nil
+	r.stats.Orderings++
+	if sym, q = shaped(a, r.ord); sym == nil {
+		return nil, q, false
+	}
+	r.stats.Analyses++
+	r.sym.Store(sym)
+	return sym, nil, true
 }
 
 // Handle returns the view of c one sequential factorization stream —
@@ -316,8 +290,8 @@ type CacheHandle struct {
 	c *SymbolicCache
 	// own is the one analysis private to this stream: the value-pivoted
 	// replacement for pivots its values rejected, or the analysis of a
-	// pattern that is not the cache's. A newer one replaces it.
-	own   *analysis
+	// pattern that is not the root's. A newer one replaces it.
+	own   *Symbolic
 	stats CacheStats
 }
 
@@ -331,13 +305,13 @@ func (h *CacheHandle) Close() {
 }
 
 // lookup returns the analysis the stream factors a's pattern on, or nil:
-// its own first — on the cache's pattern, the fallback for rejected pivots.
-func (h *CacheHandle) lookup(a *CSC) *analysis {
+// its own first — on the root's pattern, the fallback for rejected pivots.
+func (h *CacheHandle) lookup(a *CSC) *Symbolic {
 	if h.own != nil && h.own.pat.matches(a) {
 		return h.own
 	}
-	if e := h.c.entry.Load(); e != nil && e.pat.matches(a) {
-		return e
+	if s := h.c.root.sym.Load(); s != nil && s.pat.matches(a) {
+		return s
 	}
 	return nil
 }
@@ -351,80 +325,47 @@ type FactorSlot struct {
 	sym *Symbolic
 	f   *LUFactors
 	ws  *RefactorWorkspace
-	// wide is a matrix of sym's pattern that embedded matrices are
-	// scattered into; its values are allocated on the first embedding.
-	wide CSC
 }
 
 func (sl *FactorSlot) bind(sym *Symbolic) {
 	sl.sym = sym
 	sl.f = &LUFactors{}
 	sl.ws = sym.NewRefactorWorkspace()
-	sl.wide = CSC{NRows: sym.n, NCols: sym.n, ColPtr: sym.pat.colPtr, RowIdx: sym.pat.rowIdx}
-}
-
-// scatter returns a in the bound symbolic's pattern: value k at entry
-// pos[k], every other entry an explicit zero. The whole buffer is
-// cleared each time because the slot outlives the solve and the next
-// one may embed a different pattern into the same symbolic.
-func (sl *FactorSlot) scatter(pos []int, a *CSC) *CSC {
-	if sl.wide.Val == nil {
-		sl.wide.Val = make([]float64, len(sl.wide.RowIdx))
-	}
-	v := sl.wide.Val
-	clear(v)
-	for k, q := range pos {
-		v[q] = a.Val[k]
-	}
-	return &sl.wide
 }
 
 // FactorizeInto returns an LU of a in slot's preallocated storage:
 // a numeric refactorization (the automatically selected kernel, scalar
-// or blocked — see Symbolic.Blocked) on the analysis of a's pattern —
-// or, through a derived cache, of the root pattern containing it — which
-// is computed on first sight and published if the cache is still empty;
-// a cache holds one pattern, so the analysis of another stays with this
-// handle, counted and never published. The steady-state path (slot bound
-// to the analysis) performs zero allocations. The returned factors are
-// valid until the next call.
+// or blocked — see Symbolic.Blocked) on the root's analysis, which the
+// first factorization through the root or any of its derivations makes
+// from its pattern and publishes (see Derive); a root holds one pattern,
+// so the analysis of another stays with this handle, counted and never
+// published. The steady-state path (slot bound to the analysis) performs
+// zero allocations. The returned factors are valid until the next call.
 func (h *CacheHandle) FactorizeInto(slot *FactorSlot, a *CSC) (*LUFactors, error) {
-	e, analyzed := h.lookup(a), false
-	if e == nil {
-		if e = h.c.embed(a); e == nil {
-			q := permFor(a, h.c.ord)
+	sym, analyzed := h.lookup(a), false
+	if sym == nil {
+		var q []int
+		sym, q, analyzed = h.c.publish(a)
+		if sym != nil && !sym.pat.matches(a) {
+			// The root holds another pattern: this one is the stream's alone.
 			h.stats.Orderings++
-			sym, _, err := AnalyzePerm(pivotSurrogate(a), q, 1.0)
-			if err != nil {
-				return h.analyzeValue(slot, a, q)
+			if sym, q = shaped(a, h.c.ord); sym != nil {
+				h.stats.Analyses++
+				h.own, analyzed = sym, true
 			}
-			sym.boost = true
-			h.stats.Analyses++
-			e, analyzed = analysisOf(sym), true
 		}
-		// Publish unless the cache holds an analysis already. Racing first
-		// solves of one pattern offer identical ones (pure functions of it
-		// and, for an embedding, of the root's), so whichever lands serves
-		// all; another pattern's stays with this handle.
-		h.c.entry.CompareAndSwap(nil, e)
-		if pub := h.c.entry.Load(); pub.pat.matches(a) {
-			e = pub
-		} else {
-			h.own = e
+		if sym == nil {
+			return h.analyzeValue(slot, a, q)
 		}
 	}
-	if slot.sym != e.sym {
-		slot.bind(e.sym)
+	if slot.sym != sym {
+		slot.bind(sym)
 	}
-	m := a
-	if e.pos != nil {
-		m = slot.scatter(e.pos, a)
-	}
-	if err := e.sym.RefactorAutoInto(slot.f, slot.ws, m); err != nil {
+	if err := sym.RefactorAutoInto(slot.f, slot.ws, a); err != nil {
 		// These values reject the frozen pivots (a numerically singular
 		// column, or a stale value-pivoted sequence): re-pick them.
 		h.stats.Fallbacks++
-		return h.analyzeValue(slot, a, e.sym.q)
+		return h.analyzeValue(slot, a, sym.q)
 	}
 	if !analyzed {
 		h.stats.Refactors++
@@ -442,7 +383,7 @@ func (h *CacheHandle) analyzeValue(slot *FactorSlot, a *CSC, q []int) (*LUFactor
 		return nil, err
 	}
 	h.stats.Analyses++
-	h.own = analysisOf(sym)
+	h.own = sym
 	// Bind the slot for the refactorizations that follow; the analyzing
 	// factors themselves are freshly allocated.
 	slot.bind(sym)

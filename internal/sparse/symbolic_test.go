@@ -200,8 +200,14 @@ func TestSymbolicCacheReuseAndStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st, want := h.stats, (CacheStats{Analyses: 1, Refactors: 2, Orderings: 1}); st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
+	// The analysis is the cache's, counted there at once; the refactors
+	// are the handle's until it closes.
+	if st, want := h.stats, (CacheStats{Refactors: 2}); st != want {
+		t.Fatalf("handle stats = %+v, want %+v", st, want)
+	}
+	h.Close()
+	if st, want := c.Stats(), (CacheStats{Analyses: 1, Refactors: 2, Orderings: 1}); st != want {
+		t.Fatalf("cache stats = %+v, want %+v", st, want)
 	}
 	if sym := c.Symbolic(); sym == nil || !sym.PatternMatches(a1) || sym.PatternNNZ() != a1.NNZ() {
 		t.Fatal("the cache should publish the analysis of the first pattern it met")
@@ -225,7 +231,7 @@ func TestSymbolicCacheSecondPatternStaysPrivate(t *testing.T) {
 		t.Fatal(err)
 	}
 	h0.Close()
-	pub := c.entry.Load()
+	pub := c.Symbolic()
 	if pub == nil || !pub.pat.matches(a1) {
 		t.Fatal("first pattern not published")
 	}
@@ -260,7 +266,7 @@ func TestSymbolicCacheSecondPatternStaysPrivate(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.entry.Load() != pub {
+	if c.Symbolic() != pub {
 		t.Fatal("a second pattern replaced the published analysis")
 	}
 	if st, want := c.Stats(), (CacheStats{Analyses: 1 + streams, Refactors: 3 * streams, Orderings: 1 + streams}); st != want {
@@ -296,7 +302,7 @@ func TestSymbolicCacheUnstableFallback(t *testing.T) {
 	}
 	c := NewSymbolicCache(OrderNatural)
 	h := c.Handle()
-	h.own = analysisOf(sym)
+	h.own = sym
 	weak := build(1e-14) // frozen (0,0) pivot is 1e-14 vs candidate 1
 	fac, err := h.FactorizeInto(&FactorSlot{}, weak)
 	if err != nil {
@@ -310,7 +316,7 @@ func TestSymbolicCacheUnstableFallback(t *testing.T) {
 	if st, want := h.stats, (CacheStats{Analyses: 1, Fallbacks: 1}); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
-	if h.own.sym == sym || c.entry.Load() != nil {
+	if h.own == sym || c.Symbolic() != nil {
 		t.Fatal("want the re-analysis to replace the stale sequence in the handle and stay out of the cache")
 	}
 }
@@ -321,19 +327,22 @@ func TestSymbolicCacheSingular(t *testing.T) {
 	b.Append(0, 1, 2)
 	b.Append(1, 0, 2)
 	b.Append(1, 1, 4) // rank 1
-	h := NewSymbolicCache(OrderRCM).Handle()
+	c := NewSymbolicCache(OrderRCM)
+	h := c.Handle()
 	if _, err := h.FactorizeInto(&FactorSlot{}, b.ToCSC()); err == nil {
 		t.Fatal("expected singular error")
 	}
+	h.Close()
 	// The shaped sequence was rejected and value pivoting failed too.
-	if st, want := h.stats, (CacheStats{Analyses: 1, Fallbacks: 1, Orderings: 1}); st != want {
+	if st, want := c.Stats(), (CacheStats{Analyses: 1, Fallbacks: 1, Orderings: 1}); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 }
 
 // The analysis of a pattern — permutation and shaped symbolic — is
-// computed once per cache however many solves go through it, and the
-// cache's counters are the sum over closed handles.
+// computed once per cache however many solves go through it, and counted
+// there as it is made; the cache's other counters are the sum over closed
+// handles.
 func TestSymbolicCachePermsAndAggregation(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	a1, a2 := randPatternPair(r, 25)
@@ -354,8 +363,8 @@ func TestSymbolicCachePermsAndAggregation(t *testing.T) {
 	if h1.lookup(a1) != h2.lookup(a2) || &c.Symbolic().q[0] != &slot.f.q[0] {
 		t.Fatal("same pattern should use the one cached symbolic and its permutation")
 	}
-	if st := c.Stats(); st != (CacheStats{}) {
-		t.Fatalf("open handles already counted: %+v", st)
+	if st, want := c.Stats(), (CacheStats{Analyses: 1, Orderings: 1}); st != want {
+		t.Fatalf("stats with the handles open = %+v, want the analysis alone %+v", st, want)
 	}
 	h1.Close()
 	h2.Close()
@@ -430,144 +439,143 @@ func TestShapedFactorizeMatchesFactorizeIntoUnderBoost(t *testing.T) {
 	if got, want := f1.ux[f1.up[1]-1], boostPivotRel; got != want {
 		t.Fatalf("pivot (0,0) = %v, want the perturbed %v", got, want)
 	}
-	if st, want := h.stats, (CacheStats{Analyses: 1, Orderings: 1}); st != want {
+	h.Close()
+	if st, want := c.Stats(), (CacheStats{Analyses: 1, Orderings: 1}); st != want {
 		t.Fatalf("stats = %+v, want the shaped analysis alone (boost, no fallback)", st)
 	}
 }
 
-// subMatrix rebuilds a without the off-diagonal entries drop rejects,
-// plus the extra coordinates (value 0.5 each).
-func subMatrix(a *CSC, drop func(i, j int) bool, extra ...[2]int) *CSC {
-	b := NewBuilder(a.NRows, a.NCols)
-	for j := 0; j < a.NCols; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			if i := a.RowIdx[p]; i == j || !drop(i, j) {
-				b.Append(i, j, a.Val[p])
-			}
-		}
-	}
-	for _, e := range extra {
-		b.Append(e[0], e[1], 0.5)
-	}
-	return b.ToCSC()
-}
-
-// A derived cache factors a pattern that lies inside one its root has
-// analyzed on the root's symbolic: no ordering, no analysis, one map
-// shared by its handles, its own counters, and the same solution as a
-// from-scratch factorization of the smaller matrix. A cache derived from
-// the derived one resolves to the same root.
+// A derived cache has its own counters and embeds its patterns in its
+// root's analysis. The one pattern it embeds is the root's own (an outage
+// class keeps the intact KKT pattern): root and derived handles factor it
+// on one Symbolic, made and counted on the root by whichever handle
+// factors first — once, however many first handles race — and a reused
+// slot solves as a from-scratch factorization does.
 func TestDerivedCacheEmbedsSubPattern(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
-	full, x := randSparseSystem(r, 40)
-	sub := subMatrix(full, func(i, j int) bool { return (i+j)%3 == 0 })
-	if len(sub.RowIdx) >= len(full.RowIdx) {
-		t.Fatal("test matrix lost no entries")
+	a1, a2 := randPatternPair(r, 30)
+	x := make(la.Vector, 30)
+	for i := range x {
+		x[i] = r.NormFloat64()
 	}
-	root := NewSymbolicCache(OrderRCM)
-	rh := root.Handle()
-	if _, err := rh.FactorizeInto(&FactorSlot{}, full); err != nil {
-		t.Fatal(err)
-	}
-	rh.Close()
 
-	der := root.Derive()
-	if der.Ordering() != OrderRCM || der.Derive().root != root {
-		t.Fatal("a derived cache keeps the root's ordering, and chains resolve to the root")
-	}
-	h1, h2, slot := der.Handle(), der.Handle(), &FactorSlot{}
-	var fac *LUFactors
-	for _, h := range []*CacheHandle{h1, h2, h1} {
-		var err error
-		if fac, err = h.FactorizeInto(slot, sub); err != nil {
-			t.Fatal(err)
+	for _, derivedFirst := range []bool{true, false} {
+		root := NewSymbolicCache(OrderRCM)
+		der := root.Derive().Derive() // a chain resolves to the root
+		if der.root != root || der.Ordering() != OrderRCM {
+			t.Fatal("a derived cache keeps the root's ordering, and chains resolve to the root")
+		}
+		rh, dh := root.Handle(), der.Handle()
+		order := []*CacheHandle{rh, dh}
+		if derivedFirst {
+			order = []*CacheHandle{dh, rh}
+		}
+		slot := &FactorSlot{}
+		for _, h := range order {
+			for _, m := range []*CSC{a1, a2} {
+				fac, err := h.FactorizeInto(slot, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := FactorizeOpts(m, OrderRCM, 1.0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rhs := m.MulVec(x)
+				if d := fac.Solve(rhs).Sub(ref.Solve(rhs)).NormInf(); d > 1e-9 {
+					t.Fatalf("derived first %v: solve through the reused slot differs from FactorizeOpts by %g", derivedFirst, d)
+				}
+			}
+		}
+		if rh.lookup(a1) != dh.lookup(a2) || der.Symbolic() != root.Symbolic() || root.Symbolic() == nil {
+			t.Fatalf("derived first %v: root and derived handles should share one Symbolic", derivedFirst)
+		}
+		rh.Close()
+		dh.Close()
+		// Four factorizations: the one that made the analysis, three refactors.
+		rs, ds := root.Stats(), der.Stats()
+		if rs.Analyses != 1 || rs.Orderings != 1 || ds.Analyses != 0 || ds.Orderings != 0 || rs.Refactors+ds.Refactors != 3 {
+			t.Fatalf("derived first %v: root stats %+v, derived %+v; want the analysis on the root", derivedFirst, rs, ds)
 		}
 	}
-	if e := h1.lookup(sub); e != h2.lookup(sub) || e.pos == nil || der.Symbolic() != root.Symbolic() {
-		t.Fatal("both handles should use the one embedding into the root's symbolic")
-	}
-	rhs := sub.MulVec(x)
-	ref, err := FactorizeOpts(sub, OrderRCM, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := fac.Solve(rhs).Sub(ref.Solve(rhs)).NormInf(); d > 1e-9 {
-		t.Fatalf("embedded solve differs from FactorizeOpts by %g", d)
-	}
-	h1.Close()
-	h2.Close()
-	if st, want := der.Stats(), (CacheStats{Refactors: 3}); st != want {
-		t.Fatalf("derived stats = %+v, want %+v", st, want)
-	}
-	if st, want := root.Stats(), (CacheStats{Analyses: 1, Orderings: 1}); st != want {
-		t.Fatalf("root stats = %+v, want %+v (a derived class counts for itself)", st, want)
-	}
 
-	// The slot outlives the solve: a different sub-pattern through the
-	// same symbolic must not see the previous one's values.
-	sub2 := subMatrix(full, func(i, j int) bool { return (i+j)%3 == 1 })
-	h3 := root.Derive().Handle()
-	if fac, err = h3.FactorizeInto(slot, sub2); err != nil {
-		t.Fatal(err)
+	// Concurrent first handles of a root and of its derivations: one
+	// analysis, on the root (the -race job runs this repeatedly).
+	root := NewSymbolicCache(OrderAMD)
+	const streams = 6
+	syms := make([]*Symbolic, streams)
+	ders := make([]*SymbolicCache, streams)
+	var wg sync.WaitGroup
+	for g := range streams {
+		ders[g] = root
+		if g%2 == 1 {
+			ders[g] = root.Derive()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := ders[g].Handle()
+			defer h.Close()
+			if _, err := h.FactorizeInto(&FactorSlot{}, a1); err != nil {
+				t.Error(err)
+			}
+			syms[g] = h.lookup(a1)
+		}()
 	}
-	ref2, err := FactorizeOpts(sub2, OrderRCM, 1.0)
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	var derived CacheStats
+	for g := range streams {
+		if syms[g] != root.Symbolic() {
+			t.Fatalf("stream %d factored on another analysis than the root's", g)
+		}
+		if g%2 == 1 {
+			derived = derived.Add(ders[g].Stats())
+		}
 	}
-	rhs2 := sub2.MulVec(x)
-	if d := fac.Solve(rhs2).Sub(ref2.Solve(rhs2)).NormInf(); d > 1e-9 {
-		t.Fatalf("second embedding through a reused slot differs from FactorizeOpts by %g", d)
+	if st := root.Stats(); st.Analyses != 1 || st.Orderings != 1 || derived.Analyses != 0 || derived.Orderings != 0 {
+		t.Fatalf("racing first handles: root %+v, derivations %+v, want one analysis on the root", st, derived)
 	}
 }
 
-// Containment is read off the two patterns and nothing depends on it
-// holding: a pattern with one entry outside the root's, a pattern of
-// another dimension, and any pattern while the root is still empty are
-// analyzed privately — factors bit-identical to a fresh cache's.
+// A pattern other than the root's — of the same dimension or another —
+// is analyzed privately by the handle that meets it, bit-identical to a
+// fresh cache's factors, and leaves the root's analysis alone.
 func TestDerivedCacheAnalyzesUncontainedPattern(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	full, _ := randSparseSystem(r, 30)
-	var outside [2]int
-find:
-	for i := 0; i < 30; i++ {
-		for j := 0; j < 30; j++ {
-			if i != j && full.At(i, j) == 0 && full.At(j, i) == 0 {
-				outside = [2]int{i, j}
-				break find
-			}
-		}
+	root := NewSymbolicCache(OrderAMD)
+	if _, err := root.Handle().FactorizeInto(&FactorSlot{}, full); err != nil {
+		t.Fatal(err)
 	}
-	almost := subMatrix(full, func(i, j int) bool { return (i+j)%4 == 0 }, outside)
-	other, _ := randSparseSystem(r, 31)
+	pub := root.Symbolic()
+	if pub == nil {
+		t.Fatal("the root should publish the analysis of the first pattern it met")
+	}
 
-	private := func(a *CSC) *LUFactors {
-		f, err := NewSymbolicCache(OrderAMD).Handle().FactorizeInto(&FactorSlot{}, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	check := func(name string, der *SymbolicCache, a *CSC) {
+	check := func(name string, a *CSC, x la.Vector) {
 		t.Helper()
-		h := der.Handle()
+		h := root.Derive().Handle()
 		f, err := h.FactorizeInto(&FactorSlot{}, a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st, want := h.stats, (CacheStats{Analyses: 1, Orderings: 1}); st != want {
-			t.Fatalf("%s: stats = %+v, want the private analysis %+v", name, st, want)
+		if st, want := h.stats, (CacheStats{Analyses: 1, Orderings: 1}); st != want || h.own == nil || h.own == pub || root.Symbolic() != pub {
+			t.Fatalf("%s: stats %+v, want a private analysis %+v that leaves the root's in place", name, st, want)
 		}
-		if w := private(a); !slices.Equal(f.lx, w.lx) || !slices.Equal(f.ux, w.ux) ||
-			!slices.Equal(f.li, w.li) || !slices.Equal(f.ui, w.ui) || !slices.Equal(f.q, w.q) {
+		w, err := NewSymbolicCache(OrderAMD).Handle().FactorizeInto(&FactorSlot{}, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(f.lx, w.lx) || !slices.Equal(f.ux, w.ux) || !slices.Equal(f.li, w.li) ||
+			!slices.Equal(f.ui, w.ui) || !slices.Equal(f.q, w.q) {
 			t.Fatalf("%s: factors differ from a fresh cache's", name)
 		}
+		if d := f.Solve(a.MulVec(x)).Sub(x).NormInf(); d > 1e-8 {
+			t.Fatalf("%s: solve off by %g", name, d)
+		}
 	}
-
-	root := NewSymbolicCache(OrderAMD)
-	check("empty root", root.Derive(), almost)
-	if _, err := root.Handle().FactorizeInto(&FactorSlot{}, full); err != nil {
-		t.Fatal(err)
-	}
-	check("one entry outside", root.Derive(), almost)
-	check("other dimension", root.Derive(), other)
+	same, x := randSparseSystem(r, 30)
+	check("other pattern", same, x)
+	wider, y := randSparseSystem(r, 31)
+	check("other dimension", wider, y)
 }
