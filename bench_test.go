@@ -541,8 +541,8 @@ var screenReportOnce sync.Once
 //     and costs within the drift measured on this sweep, which is
 //     recorded) before the numbers are written.
 //   - case9 N-1, warm: every branch is rated, so the naive path silently
-//     cold-solves all outage scenarios while the engine projects the
-//     intact-system prediction onto each contingency layout — the
+//     cold-solves all outage scenarios while the engine fits the
+//     intact-system prediction to each outage (opf.AdaptStart) — the
 //     tentpole speedup, with feasibility verified identical.
 func writeScreenBenchReport(b *testing.B) {
 	b.Helper()
@@ -613,8 +613,8 @@ func writeScreenBenchReport(b *testing.B) {
 
 		// --- generator outages, per-system -------------------------------
 		// case14 cold is the structure-reuse comparison on the gen axis;
-		// case9 warm adds the layout projection (a dropped unit removes its
-		// Pg/Qg bound rows, so the naive path silently cold-solves).
+		// case9 warm adds AdaptStart (the naive path's rebuild drops the
+		// unit's Pg/Qg columns and bound rows, so it silently cold-solves).
 		gsc14 := scopf.BuildGenScenarios(benchDraws(sys14.Case.NB(), 4, 33), scopf.GenContingencies(sys14.Case))
 		var genEng, genNaive []scopf.Outcome
 		genNaiveNs, genEngineNs := measurePair(reps, func() {
@@ -622,7 +622,9 @@ func writeScreenBenchReport(b *testing.B) {
 		}, func() {
 			genEng = (&scopf.Engine{Base: sys14.Case, Workers: 1}).Run(gsc14).Outcomes
 		})
-		genDrift := mustMatchNaive("case14 gen-outage", genEng, genNaive, scopf.Drift{})
+		// The dropped unit decouples into an equivalent problem, not the
+		// same one, so cold trajectories drift as the branch sweeps do.
+		genDrift := mustMatchNaive("case14 gen-outage", genEng, genNaive, scopf.Drift{IterDiffs: 9, IterAbs: 33})
 
 		gsc9 := scopf.BuildGenScenarios(benchDraws(sys9.Case.NB(), 6, 7), scopf.GenContingencies(sys9.Case))
 		var gwEng, gwNaive []scopf.Outcome

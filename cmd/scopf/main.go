@@ -1,12 +1,12 @@
 // Command scopf runs security-constrained OPF contingency screening: a
 // tree of load draws × contingencies — N-1 branch outages, generator
 // outages and hierarchical N-2 branch pairs — each an independent
-// AC-OPF, screened on the topology-aware engine (one prepared problem
-// structure per outage topology, warm starts projected onto contingency
-// layouts, islanding outages classified without solving, scenarios
-// fanned out on the parallel worker pool). With -naive it runs the
-// per-scenario-rebuild reference path instead — the baseline the engine
-// is benchmarked against.
+// AC-OPF, screened on the topology-aware engine (every contingency a
+// value edit on the intact problem, factored on its one KKT analysis;
+// the intact-system warm start fitted to each outage, islanding outages
+// classified without solving, scenarios fanned out on the parallel
+// worker pool). With -naive it runs the per-scenario-rebuild reference
+// path instead — the baseline the engine is benchmarked against.
 //
 // Usage:
 //
@@ -49,7 +49,7 @@ func main() {
 	nDraws := flag.Int("draws", 4, "number of load draws to cross with the contingencies")
 	seed := flag.Int64("seed", 1, "load-draw sampling seed")
 	spread := flag.Float64("spread", 0.1, "half-width of the load band (0.1 = the paper's ±10 %)")
-	contingencies := flag.String("contingencies", "all", "branch outages to screen: all (connected N-1 set), none, or a comma-separated index list into the case's branch table; explicit indices must name RATED in-service branches (RateA > 0) — outages of unrated branches leave the flow-constraint layout unchanged and are not screening contingencies")
+	contingencies := flag.String("contingencies", "all", "branch outages to screen: all (connected N-1 set), none, or a comma-separated index list into the case's branch table; explicit indices must name RATED in-service branches (RateA > 0) — an unrated branch carries no flow limit, so its outage is not a screening contingency")
 	gens := flag.String("gens", "none", "generator outages to screen: all (every in-service unit), none, or a comma-separated index list into the case's generator table")
 	n2 := flag.Int("n2", 0, "hierarchical N-2 pair screening on the first draw with this top-K severity cutoff (0 = off, negative = exact exhaustive pair set); islanding pairs are always classified")
 	policy := flag.Bool("policy", false, "train a warm/cold dispatch policy on this sweep's screening log (needs -train) and re-screen with it")
@@ -59,7 +59,7 @@ func main() {
 	variantName := flag.String("variant", "mtl", "model variant for -train: sep, mtl or smartpgsim")
 	workers := flag.Int("workers", 0, "worker pool size (0 = PGSIM_WORKERS or all cores)")
 	naive := flag.Bool("naive", false, "use the per-scenario-rebuild reference path instead of the topology-aware engine")
-	noProjection := flag.Bool("no-projection", false, "disable warm-start projection onto outage layouts")
+	noProjection := flag.Bool("no-projection", false, "cold-solve the outage classes whose warm start would need adapting (a rated branch or a unit out), as -naive does")
 	jsonOut := flag.Bool("json", false, "print a machine-readable JSON summary instead of tables")
 	verbose := flag.Bool("v", false, "print one row per scenario")
 	flag.Parse()
@@ -193,7 +193,7 @@ func main() {
 	fmt.Printf("secure: %d/%d feasible, worst cost %.2f $/hr, mean %.1f iterations\n",
 		sum.Feasible, sum.Total, sum.WorstCost, sum.MeanIterations)
 	if model != nil {
-		fmt.Printf("warm starts: %d accepted (%d projected onto outage layouts), hit rate %.0f%%\n",
+		fmt.Printf("warm starts: %d accepted (%d fitted to an outage), hit rate %.0f%%\n",
 			sum.WarmConverged, sum.Projected, 100*float64(sum.WarmConverged)/float64(sum.Total))
 	}
 	if pol != nil {
@@ -211,7 +211,7 @@ func main() {
 			fmt.Printf("%-14s %10d %8d %10s\n", className(c, cl), cl.Scenarios, cl.NIq, cl.WarmMode)
 		}
 		all := kkt.Add(intactKKT)
-		fmt.Printf("KKT: %d symbolic analyses and %d orderings for %d classes — intact system %d, outage classes %d (branch outages factor on the intact system's analysis) — %d numeric refactors, %d fallbacks\n",
+		fmt.Printf("KKT: %d symbolic analyses and %d orderings for %d classes — intact system %d, outage classes %d (every outage class factors on the intact system's analysis) — %d numeric refactors, %d fallbacks\n",
 			all.Analyses, all.Orderings, len(classes), intactKKT.Analyses, kkt.Analyses, all.Refactors, all.Fallbacks)
 	}
 	if n2res != nil {
@@ -362,11 +362,11 @@ func parseGens(s string, c *grid.Case) ([]int, error) {
 // Case.Branches (the full list, not only in-service branches).
 // Explicit index lists are restricted to rated in-service branches:
 // screening exists to check flow-limit security under outages, and an
-// unrated branch's outage changes no inequality row, so naming one is
-// almost always a stale index from a different system. The error spells
+// unrated branch carries no flow limit, so naming one is almost always a
+// stale index from a different system. The error spells
 // out the branch's status and the case's rated count so the fix is
 // obvious. ("all" applies the connected-N-1 filter instead, which
-// includes unrated branches for layout-coverage parity with the tests.)
+// includes unrated branches for coverage parity with the tests.)
 func parseContingencies(s string, c *grid.Case, all func() []int) ([]int, error) {
 	switch s {
 	case "all":

@@ -166,10 +166,22 @@ func (o *OPF) evalCost(sc *evalScratch, x la.Vector) (float64, la.Vector) {
 	f := 0.0
 	for g, gen := range o.gens {
 		pmw := x[lay.PgOff+g] * base
-		f += gen.Cost.Eval(pmw)
-		df[lay.PgOff+g] = gen.Cost.Deriv(pmw) * base
+		f += o.on(g) * gen.Cost.Eval(pmw)
+		df[lay.PgOff+g] = o.on(g) * gen.Cost.Deriv(pmw) * base
 	}
 	return f, df
+}
+
+// injections writes the net injection Sbus at x into s: the loads, then
+// the dispatch of the units in service, in per unit.
+func (o *OPF) injections(s []complex128, x la.Vector) {
+	base := complex(o.Case.BaseMVA, 0)
+	for i, b := range o.Case.Buses {
+		s[i] = -complex(b.Pd, b.Qd) / base
+	}
+	for g, b := range o.gbus {
+		s[b] += complex(o.on(g)*x[o.Lay.PgOff+g], o.on(g)*x[o.Lay.QgOff+g])
+	}
 }
 
 // evalEquality streams [Re(mis); Im(mis); Va_ref − Va0] and its
@@ -185,13 +197,7 @@ func (o *OPF) evalEquality(sc *evalScratch, x la.Vector) (la.Vector, *sparse.CSC
 	lay := o.Lay
 	nb := lay.NB
 	o.prepPoint(sc, x)
-	base := complex(o.Case.BaseMVA, 0)
-	for i, b := range o.Case.Buses {
-		sc.sbus[i] = -complex(b.Pd, b.Qd) / base
-	}
-	for gi, b := range o.gbus {
-		sc.sbus[b] += complex(x[lay.PgOff+gi], x[lay.QgOff+gi])
-	}
+	o.injections(sc.sbus, x)
 	g := sc.g
 	for i := 0; i < nb; i++ {
 		mis := sc.v[i]*cmplx.Conj(sc.ibus[i]) - sc.sbus[i]
@@ -226,8 +232,8 @@ func (o *OPF) evalEquality(sc *evalScratch, x la.Vector) (la.Vector, *sparse.CSC
 		asm.Append(nb+i, lay.VmOff+i, imag(dvm))
 	}
 	for gi, b := range o.gbus {
-		asm.Append(b, lay.PgOff+gi, -1)    // dRe(mis)/dPg
-		asm.Append(nb+b, lay.QgOff+gi, -1) // dIm(mis)/dQg
+		asm.Append(b, lay.PgOff+gi, -o.on(gi))    // dRe(mis)/dPg
+		asm.Append(nb+b, lay.QgOff+gi, -o.on(gi)) // dIm(mis)/dQg
 	}
 	asm.Append(2*nb, lay.VaOff+o.refIdx, 1) // reference angle row
 	return g, asm.Finish()
@@ -320,10 +326,11 @@ func (o *OPF) evalHessian(sc *evalScratch, x la.Vector, lam, mu la.Vector) *spar
 	asm := sc.hAsm
 	asm.Begin()
 
-	// Cost block (diagonal in Pg).
+	// Cost block (diagonal in Pg). A dropped unit keeps its entry, as a
+	// stored zero, so every outage assembles the intact pattern.
 	for g, gen := range o.gens {
 		if d2 := gen.Cost.Deriv2() * base * base; d2 != 0 {
-			asm.Append(lay.PgOff+g, lay.PgOff+g, d2)
+			asm.Append(lay.PgOff+g, lay.PgOff+g, o.on(g)*d2)
 		}
 	}
 

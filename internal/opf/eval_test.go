@@ -84,41 +84,68 @@ func vecDiff(t *testing.T, what string, a, b la.Vector, tol float64) {
 	}
 }
 
+// evalInstances returns the intact instance of c plus, where c has them,
+// one rated-branch outage class and one generator outage class: the
+// decoupled rows and columns must evaluate alike on both paths.
+func evalInstances(t *testing.T, c *grid.Case) map[string]*OPF {
+	t.Helper()
+	base := Prepare(c)
+	out := map[string]*OPF{c.Name: base}
+	for b, br := range c.Branches {
+		if br.Status && br.RateA > 0 && grid.ConnectedWithout(c, []int{b}) {
+			o, err := base.RebindOutage(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[c.Name+" rated-branch outage"] = o
+			break
+		}
+	}
+	o, err := base.RebindGenOutage(base.units[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	out[c.Name+" generator outage"] = o
+	return out
+}
+
 // TestEvalMatchesReference pins the entry-wise streaming evaluation
 // path (eval.go, what Solve runs) against the reference builders in
-// opf.go on real grids at a non-trivial point. Each comparison runs
-// twice through the same scratch so both the compiling first pass and
-// the verified-stamp steady-state pass of the assemblers are covered.
+// opf.go on real grids and outage classes of them at a non-trivial
+// point. Each comparison runs twice through the same scratch so both the
+// compiling first pass and the verified-stamp steady-state pass of the
+// assemblers are covered.
 func TestEvalMatchesReference(t *testing.T) {
 	const tol = 1e-12
 	for _, c := range evalCases(t) {
-		o := Prepare(c)
-		x, lam, mu := evalTestPoint(o)
-		sc := new(evalScratch)
-		sc.ensure(o)
-		for pass := 0; pass < 2; pass++ {
-			fRef, dfRef := o.costGrad(x)
-			fNew, dfNew := o.evalCost(sc, x)
-			if math.Abs(fRef-fNew) > tol*(1+math.Abs(fRef)) {
-				t.Fatalf("%s pass %d: cost %v vs %v", c.Name, pass, fRef, fNew)
+		for name, o := range evalInstances(t, c) {
+			x, lam, mu := evalTestPoint(o)
+			sc := new(evalScratch)
+			sc.ensure(o)
+			for pass := 0; pass < 2; pass++ {
+				fRef, dfRef := o.costGrad(x)
+				fNew, dfNew := o.evalCost(sc, x)
+				if math.Abs(fRef-fNew) > tol*(1+math.Abs(fRef)) {
+					t.Fatalf("%s pass %d: cost %v vs %v", name, pass, fRef, fNew)
+				}
+				vecDiff(t, name+" df", dfRef, dfNew, tol)
+
+				gRef, jgRef := o.equality(x, true)
+				gNew, jgNew := o.evalEquality(sc, x)
+				vecDiff(t, name+" g", gRef, gNew, tol)
+				matDiff(t, name+" Jg", jgRef, jgNew, tol)
+
+				if o.Lay.NLRated > 0 {
+					hRef, jhRef := o.inequality(x, true)
+					hNew, jhNew := o.evalInequality(sc, x)
+					vecDiff(t, name+" h", hRef, hNew, tol)
+					matDiff(t, name+" Jh", jhRef, jhNew, tol)
+				}
+
+				hessRef := o.hessian(x, lam, mu)
+				hessNew := o.evalHessian(sc, x, lam, mu)
+				matDiff(t, name+" Hess", hessRef, hessNew, tol)
 			}
-			vecDiff(t, c.Name+" df", dfRef, dfNew, tol)
-
-			gRef, jgRef := o.equality(x, true)
-			gNew, jgNew := o.evalEquality(sc, x)
-			vecDiff(t, c.Name+" g", gRef, gNew, tol)
-			matDiff(t, c.Name+" Jg", jgRef, jgNew, tol)
-
-			if o.Lay.NLRated > 0 {
-				hRef, jhRef := o.inequality(x, true)
-				hNew, jhNew := o.evalInequality(sc, x)
-				vecDiff(t, c.Name+" h", hRef, hNew, tol)
-				matDiff(t, c.Name+" Jh", jhRef, jhNew, tol)
-			}
-
-			hessRef := o.hessian(x, lam, mu)
-			hessNew := o.evalHessian(sc, x, lam, mu)
-			matDiff(t, c.Name+" Hess", hessRef, hessNew, tol)
 		}
 	}
 }

@@ -30,9 +30,11 @@ import (
 )
 
 // Layout describes the variable and constraint packing of an OPF instance.
+// Instances derived from a Prepare'd one keep its layout, outages
+// included; only RebindRamp's newly finite bounds add to NIq.
 type Layout struct {
-	NB, NG  int // buses, in-service generators
-	NLRated int // branches with finite RateA
+	NB, NG  int // buses, generators in service at Prepare (the units)
+	NLRated int // in-service branches with finite RateA at Prepare
 	NX      int // 2*NB + 2*NG
 	NEq     int // 2*NB + 1 (paper's #λ)
 	NIq     int // 2*NLRated + finite bounds (paper's #µ)
@@ -63,7 +65,7 @@ type Result struct {
 	Cost       float64   // objective, $/hr
 	Va         la.Vector // radians, per bus
 	Vm         la.Vector // pu, per bus
-	Pg, Qg     la.Vector // MW / MVAr, per in-service generator
+	Pg, Qg     la.Vector // MW / MVAr, per unit; 0 for a unit an outage dropped
 
 	X   la.Vector // raw optimization vector
 	Lam la.Vector // equality multipliers [λP; λQ; λref]
@@ -83,20 +85,26 @@ type OPF struct {
 	Lay    Layout
 	ratedY *grid.YMatrices // admittances restricted to rated branches
 	rates2 la.Vector       // squared pu ratings per rated branch
-	gbus   []int           // bus index per in-service generator
+	gbus   []int           // bus index per unit
 	gens   []grid.Gen
-	xmin   la.Vector
-	xmax   la.Vector
-	refIdx int
-	refVa  float64
-	prep   time.Duration
+	// rated and units name the Case.Branches entry of every rated row (flow
+	// rows l and NLRated+l) and the Case.Gens entry of every unit (Pg/Qg
+	// column g); outRows and outUnits are the ones this instance's outages
+	// decoupled instead of deleting (RebindOutage, RebindGenOutage).
+	rated, units, outRows, outUnits []int
+	xmin                            la.Vector
+	xmax                            la.Vector
+	refIdx                          int
+	refVa                           float64
+	prep                            time.Duration
 	// kkt caches the analysis of the KKT pattern — fill-reducing
 	// ordering and pivot-shaped symbolic — which is a property of the
-	// grid structure, not of the loads or of the bound values: every
-	// instance derived with Perturb/RebindRamp shares it, and every
-	// RebindOutage class derives from it, so the first solve of a grid or
-	// of any of its branch outages analyzes — once, however many race —
-	// and every later solve of any load variant or outage — a whole sweep,
+	// grid structure, not of the loads, the bound values or the outages:
+	// every instance derived with Perturb/RebindRamp shares it, and every
+	// RebindOutage/RebindGenOutage class derives from it, so the first
+	// solve of a grid or of any of its contingencies analyzes — once,
+	// however many race — and every later solve of any load variant or
+	// contingency — a whole sweep,
 	// the entire warm-start pipeline, all requests for the grid in the
 	// serving daemon — goes straight to numeric refactorization. Both
 	// halves are pure functions of the pattern, so derived instances may
@@ -113,17 +121,28 @@ func Prepare(c *grid.Case) *OPF {
 	gens := c.ActiveGens()
 	ng := len(gens)
 	y := grid.MakeYbus(c)
+	var units []int
+	for g, gen := range c.Gens {
+		if gen.Status {
+			units = append(units, g)
+		}
+	}
 
 	// Rated-branch subset.
-	var fIdx, tIdx []int
+	var fIdx, tIdx, rated []int
 	ratedYf := &grid.BranchMat{NB: nb}
 	ratedYt := &grid.BranchMat{NB: nb}
 	var rates2 la.Vector
-	branches := c.ActiveBranches()
-	for l, br := range branches {
+	l := -1 // position among the in-service branches: the Yf/Yt row
+	for b, br := range c.Branches {
+		if !br.Status {
+			continue
+		}
+		l++
 		if br.RateA <= 0 {
 			continue
 		}
+		rated = append(rated, b)
 		fIdx = append(fIdx, y.FIdx[l])
 		tIdx = append(tIdx, y.TIdx[l])
 		ratedYf.F = append(ratedYf.F, y.Yf.F[l])
@@ -159,7 +178,7 @@ func Prepare(c *grid.Case) *OPF {
 		xmin[lay.QgOff+g] = gens[g].Qmin / c.BaseMVA
 		xmax[lay.QgOff+g] = gens[g].Qmax / c.BaseMVA
 	}
-	lay.NIq = 2*nlr + finiteBounds(xmin, xmax)
+	lay.NIq = 2*nlr + finite(xmax, 1) + finite(xmin, -1)
 
 	o := &OPF{
 		Case: c, Y: y, Lay: lay,
@@ -167,6 +186,8 @@ func Prepare(c *grid.Case) *OPF {
 		rates2: rates2,
 		gbus:   grid.GenBusIdx(c),
 		gens:   gens,
+		rated:  rated,
+		units:  units,
 		xmin:   xmin, xmax: xmax,
 		refIdx: c.RefIndex(),
 		refVa:  grid.Deg2Rad(c.Buses[c.RefIndex()].Va),
@@ -183,15 +204,14 @@ func Prepare(c *grid.Case) *OPF {
 
 // SetOrdering gives the instance a fresh, empty KKT cache of its own
 // analyzing under the given fill-reducing ordering — the one place this
-// package makes an underived cache: Prepare calls it with AMD,
-// RebindGenOutage with its parent's ordering, and the ordering-independence
-// and private-analysis tests with another. Call it on the base instance
-// before deriving with Perturb or RebindOutage so the derived instances
-// share, or derive from, the new cache; the old analysis and counters are
-// discarded. On an instance from RebindOutage it cuts the tie to the
-// parent's analysis: the outage's KKT pattern — the intact one — is then
-// ordered and analyzed afresh, which the outage fleet tests require to
-// reproduce the parent's analysis bit for bit.
+// package makes an underived cache: Prepare calls it with AMD, and the
+// ordering-independence and private-analysis tests with another. Call it
+// on the base instance before deriving with Perturb or a Rebind* so the
+// derived instances share, or derive from, the new cache; the old
+// analysis and counters are discarded. On an outage class it cuts the tie
+// to the parent's analysis: the class's KKT pattern — the intact one — is
+// then ordered and analyzed afresh, which the outage fleet tests require
+// to reproduce the parent's analysis bit for bit.
 func (o *OPF) SetOrdering(ord sparse.Ordering) {
 	o.kkt = sparse.NewSymbolicCache(ord)
 }
@@ -209,22 +229,20 @@ func (o *OPF) KKTSymbolic() *sparse.Symbolic { return o.kkt.Symbolic() }
 // every solve of this instance and the derivations sharing its cache: how
 // many fill-reducing orderings were computed, and how many full symbolic
 // analyses, numeric refactorizations and stability fallbacks the solves'
-// KKT factorizations performed. An outage class from RebindOutage counts
-// its own solves' work — zero orderings, and analyses only for
-// value-pivoted fallbacks — while the one analysis of the intact pattern
-// it factors on is counted on the instance it was derived from, whichever
-// solve made it.
+// KKT factorizations performed. An outage class from RebindOutage or
+// RebindGenOutage counts its own solves' work — zero orderings, and
+// analyses only for value-pivoted fallbacks — while the one analysis of
+// the intact pattern it factors on is counted on the instance it was
+// derived from, whichever solve made it.
 func (o *OPF) KKTStats() sparse.CacheStats { return o.kkt.Stats() }
 
-// finiteBounds counts the finite entries of the two bound vectors — the
-// linear inequality rows MIPS appends after the flow rows.
-func finiteBounds(xmin, xmax la.Vector) int {
+// finite counts the entries of v other than sign·∞: the finite bounds of
+// a bound vector (sign 1 for upper, -1 for lower), each a linear
+// inequality row MIPS appends after the flow rows.
+func finite(v la.Vector, sign int) int {
 	n := 0
-	for i := range xmin {
-		if !math.IsInf(xmin[i], -1) {
-			n++
-		}
-		if !math.IsInf(xmax[i], 1) {
+	for _, x := range v {
+		if !math.IsInf(x, sign) {
 			n++
 		}
 	}
@@ -233,20 +251,16 @@ func finiteBounds(xmin, xmax la.Vector) int {
 
 // RebindOutage derives a prepared OPF for the single-branch-outage
 // variant of the bound case: branch (an index into Case.Branches) is
-// taken out of service. The admittance matrices are delta'd with
-// grid.YMatrices.DropBranch — bit-identical to rebuilding them on the
-// outaged case — and everything the outage cannot touch (bounds,
-// generator data, reference bus, variable layout) is shared with o. If
-// the branch is rated, its two flow rows leave the inequality layout
-// (NIq shrinks by 2); warm starts predicted in o's layout then need
-// ProjectionTo. The derived instance keeps o's KKT analysis: MIPS
-// factors the reduced KKT system of dimension NX + NEq, which a branch
-// outage leaves alone, and DropBranch keeps the outaged Ybus entries as
-// explicit zeros, so every KKT system of the outage has o's pattern and
-// is factored on o's symbolic analysis (sparse.SymbolicCache.Derive) — no
-// ordering and no analysis per outage, and a chain of outages (N-2)
-// resolves to the same analysis. The counters are the class's own
-// (KKTStats), shared by all its Perturb derivations.
+// taken out of service, as a value edit on o's problem. The admittance
+// matrices are delta'd with grid.YMatrices.DropBranch — every value a
+// rebuild's, the outaged Ybus entries kept as explicit zeros — and a
+// rated branch keeps its two flow rows with zero admittances: the
+// constant h = −rate², strictly inactive, with stored-zero derivatives.
+// So the instance has o's layout and KKT pattern and factors on o's
+// analysis (sparse.SymbolicCache.Derive): no ordering and no analysis per
+// outage or chain of outages (N-2). The counters are the class's own
+// (KKTStats), shared by its Perturb derivations. AdaptStart fits a start
+// for o to the outage.
 func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 	t0 := time.Now()
 	if branch < 0 || branch >= len(o.Case.Branches) {
@@ -255,51 +269,45 @@ func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 	if !o.Case.Branches[branch].Status {
 		return nil, fmt.Errorf("opf: outage branch %d of %s is already out of service", branch, o.Case.Name)
 	}
-	// Positions of branch within ActiveBranches (the Yf/Yt rows) and
-	// within the rated subset (its |Sf|² flow row).
-	ai, rl := 0, 0
+	ai := 0 // position of branch within ActiveBranches: the Yf/Yt row
 	for _, br := range o.Case.Branches[:branch] {
 		if br.Status {
 			ai++
-			if br.RateA > 0 {
-				rl++
-			}
 		}
 	}
 	y := o.Y.DropBranch(o.Case, ai)
 	cp := *o
 	cp.Case = o.Case.WithoutBranch(branch)
 	cp.Y = y
-	if o.Case.Branches[branch].RateA > 0 {
-		cp.ratedY = &grid.YMatrices{
-			Ybus: y.Ybus,
-			Yf:   o.ratedY.Yf.WithoutRow(rl), Yt: o.ratedY.Yt.WithoutRow(rl),
-			FIdx: slices.Delete(slices.Clone(o.ratedY.FIdx), rl, rl+1),
-			TIdx: slices.Delete(slices.Clone(o.ratedY.TIdx), rl, rl+1),
-		}
-		cp.rates2 = slices.Delete(slices.Clone(o.rates2), rl, rl+1)
-		cp.Lay.NLRated--
-		cp.Lay.NIq -= 2
-	} else {
-		rc := *o.ratedY
-		rc.Ybus = y.Ybus
-		cp.ratedY = &rc
+	ry := *o.ratedY
+	ry.Ybus = y.Ybus
+	if rl := slices.Index(o.rated, branch); rl >= 0 {
+		ry.Yf, ry.Yt = zeroRow(o.ratedY.Yf, rl), zeroRow(o.ratedY.Yt, rl)
+		cp.outRows = append(slices.Clip(o.outRows), rl)
 	}
+	cp.ratedY = &ry
 	cp.kkt = o.kkt.Derive()
 	cp.prep = time.Since(t0)
 	return &cp, nil
 }
 
+// zeroRow returns a copy of m whose row l keeps its buses and stores zero
+// admittances.
+func zeroRow(m *grid.BranchMat, l int) *grid.BranchMat {
+	cp := *m
+	cp.Vf, cp.Vt = slices.Clone(m.Vf), slices.Clone(m.Vt)
+	cp.Vf[l], cp.Vt[l] = 0, 0
+	return &cp
+}
+
 // RebindGenOutage derives a prepared OPF for the generator-outage
 // variant of the bound case: generator gen (an index into Case.Gens) is
-// taken out of service. The admittance matrices are untouched — a
-// generator enters the problem only through MakeSbus and the variable
-// layout — so Y and the rated-branch subset are shared with o, while
-// the packed layout loses the generator's Pg and Qg variables (NG−1,
-// NX−2) and their finite-bound inequality rows. Warm starts predicted
-// in o's layout need ProjectionTo, which also performs the screening
-// redispatch. The derived instance gets its own KKT cache under o's
-// ordering: its KKT pattern has two columns fewer than o's.
+// taken out of service, as a value edit on o's problem like RebindOutage.
+// The unit keeps its Pg/Qg columns and bounds, but its cost is zero and
+// its injection leaves the power balance, whose Jacobian entries for it
+// are stored zeros: the variables float, decoupled, inside their bounds,
+// and Result reports the unit's dispatch as 0. The layout and KKT pattern
+// are o's, and so is the analysis the instance factors on.
 func (o *OPF) RebindGenOutage(gen int) (*OPF, error) {
 	t0 := time.Now()
 	if gen < 0 || gen >= len(o.Case.Gens) {
@@ -308,32 +316,21 @@ func (o *OPF) RebindGenOutage(gen int) (*OPF, error) {
 	if !o.Case.Gens[gen].Status {
 		return nil, fmt.Errorf("opf: outage generator %d of %s is already out of service", gen, o.Case.Name)
 	}
-	gi := 0 // position of gen within ActiveGens (the Pg/Qg variable blocks)
-	for i := 0; i < gen; i++ {
-		if o.Case.Gens[i].Status {
-			gi++
-		}
-	}
-	lay := o.Lay
-	// Delete the Qg entry first (the higher index), then the Pg entry, so
-	// the earlier offset stays valid.
-	dropVar := func(v la.Vector) la.Vector {
-		out := slices.Delete(slices.Clone(v), lay.QgOff+gi, lay.QgOff+gi+1)
-		return slices.Delete(out, lay.PgOff+gi, lay.PgOff+gi+1)
-	}
 	cp := *o
 	cp.Case = o.Case.WithoutGen(gen)
-	cp.gens = slices.Delete(slices.Clone(o.gens), gi, gi+1)
-	cp.gbus = slices.Delete(slices.Clone(o.gbus), gi, gi+1)
-	cp.xmin = dropVar(o.xmin)
-	cp.xmax = dropVar(o.xmax)
-	cp.Lay.NG = lay.NG - 1
-	cp.Lay.NX = lay.NX - 2
-	cp.Lay.QgOff = lay.QgOff - 1
-	cp.Lay.NIq = 2*lay.NLRated + finiteBounds(cp.xmin, cp.xmax)
-	cp.SetOrdering(o.Ordering())
+	cp.outUnits = append(slices.Clip(o.outUnits), slices.Index(o.units, gen))
+	cp.kkt = o.kkt.Derive()
 	cp.prep = time.Since(t0)
 	return &cp, nil
+}
+
+// on is unit g's in-service weight: 1, or 0 once RebindGenOutage dropped
+// it — the factor of the unit's cost, its injection and their derivatives.
+func (o *OPF) on(g int) float64 {
+	if slices.Contains(o.outUnits, g) {
+		return 0
+	}
+	return 1
 }
 
 // Perturb derives the OPF of a load-scaled variant of the bound case in
@@ -365,22 +362,26 @@ func (o *OPF) Perturb(factors []float64) *OPF {
 func (o *OPF) DefaultStart() la.Vector {
 	x := make(la.Vector, o.Lay.NX)
 	for i := range x {
-		lo, hi := o.xmin[i], o.xmax[i]
-		switch {
-		case math.IsInf(lo, -1) && math.IsInf(hi, 1):
-			x[i] = 0
-		case math.IsInf(lo, -1):
-			x[i] = hi
-		case math.IsInf(hi, 1):
-			x[i] = lo
-		default:
-			x[i] = (lo + hi) / 2
-		}
+		x[i] = o.interior(i)
 	}
 	for i := 0; i < o.Lay.NB; i++ {
 		x[o.Lay.VaOff+i] = o.refVa
 	}
 	return x
+}
+
+// interior is DefaultStart's value of a variable that is not an angle.
+func (o *OPF) interior(i int) float64 {
+	lo, hi := o.xmin[i], o.xmax[i]
+	switch {
+	case math.IsInf(lo, -1) && math.IsInf(hi, 1):
+		return 0
+	case math.IsInf(lo, -1):
+		return hi
+	case math.IsInf(hi, 1):
+		return lo
+	}
+	return (lo + hi) / 2
 }
 
 // Options re-exports the MIPS options for OPF callers.
@@ -431,8 +432,10 @@ func (o *OPF) extract(mr *mips.Result) *Result {
 	res.Pg = make(la.Vector, lay.NG)
 	res.Qg = make(la.Vector, lay.NG)
 	for g := 0; g < lay.NG; g++ {
-		res.Pg[g] = mr.X[lay.PgOff+g] * o.Case.BaseMVA
-		res.Qg[g] = mr.X[lay.QgOff+g] * o.Case.BaseMVA
+		if o.on(g) != 0 {
+			res.Pg[g] = mr.X[lay.PgOff+g] * o.Case.BaseMVA
+			res.Qg[g] = mr.X[lay.QgOff+g] * o.Case.BaseMVA
+		}
 	}
 	return res
 }
@@ -450,8 +453,8 @@ func (o *OPF) costGrad(x la.Vector) (float64, la.Vector) {
 	df := make(la.Vector, lay.NX)
 	for g, gen := range o.gens {
 		pmw := x[lay.PgOff+g] * base
-		f += gen.Cost.Eval(pmw)
-		df[lay.PgOff+g] = gen.Cost.Deriv(pmw) * base
+		f += o.on(g) * gen.Cost.Eval(pmw)
+		df[lay.PgOff+g] = o.on(g) * gen.Cost.Deriv(pmw) * base
 	}
 	return f, df
 }
@@ -482,7 +485,8 @@ func (o *OPF) equality(x la.Vector, wantJac bool) (la.Vector, *sparse.CSC) {
 	lay := o.Lay
 	nb := lay.NB
 	v := o.voltages(x)
-	sbus := grid.MakeSbus(o.Case, x[lay.PgOff:lay.PgOff+lay.NG], x[lay.QgOff:lay.QgOff+lay.NG])
+	sbus := make([]complex128, nb)
+	o.injections(sbus, x)
 	mis := grid.PowerMismatch(o.Y, v, sbus)
 	g := make(la.Vector, lay.NEq)
 	for i := 0; i < nb; i++ {
@@ -498,8 +502,8 @@ func (o *OPF) equality(x la.Vector, wantJac bool) (la.Vector, *sparse.CSC) {
 	appendComplexBlock(jb, dVa, 0, lay.VaOff, nb)
 	appendComplexBlock(jb, dVm, 0, lay.VmOff, nb)
 	for gi, b := range o.gbus {
-		jb.Append(b, lay.PgOff+gi, -1)    // dRe(mis)/dPg
-		jb.Append(nb+b, lay.QgOff+gi, -1) // dIm(mis)/dQg
+		jb.Append(b, lay.PgOff+gi, -o.on(gi))    // dRe(mis)/dPg
+		jb.Append(nb+b, lay.QgOff+gi, -o.on(gi)) // dIm(mis)/dQg
 	}
 	jb.Append(2*nb, lay.VaOff+o.refIdx, 1) // reference angle row
 	return g, jb.ToCSC()
@@ -571,7 +575,7 @@ func (o *OPF) hessian(x la.Vector, lam, mu la.Vector) *sparse.CSC {
 	// Cost block (diagonal in Pg).
 	for g, gen := range o.gens {
 		if d2 := gen.Cost.Deriv2() * base * base; d2 != 0 {
-			hb.Append(lay.PgOff+g, lay.PgOff+g, d2)
+			hb.Append(lay.PgOff+g, lay.PgOff+g, o.on(g)*d2)
 		}
 	}
 

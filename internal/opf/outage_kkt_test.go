@@ -22,10 +22,10 @@ func onIntactPattern(t *testing.T, name string, cls *OPF) {
 }
 
 // solveBothWays cold-solves an outage class twice — on its parent's KKT
-// analysis, as RebindOutage leaves it, and on a private analysis of its
-// own pattern (SetOrdering) — and requires the two bit-identical: the
-// pattern is the parent's, and its analysis a function of the pattern
-// alone.
+// analysis, as RebindOutage and RebindGenOutage leave it, and on a
+// private analysis of its own pattern (SetOrdering) — and requires the
+// two bit-identical: the pattern is the parent's, and its analysis a
+// function of the pattern alone.
 func solveBothWays(t *testing.T, name string, cls *OPF) {
 	t.Helper()
 	got, gerr := cls.Solve(nil, Options{})
@@ -41,42 +41,87 @@ func solveBothWays(t *testing.T, name string, cls *OPF) {
 	sameTrajectory(t, name, got, gerr, want, werr)
 }
 
-// Every connected branch outage of the embedded systems (case300 outside
-// -short), and every connected case14 branch pair, has the intact
-// system's KKT pattern: it factors on the intact analysis, which is made
-// once for the whole outage space. Up to case118 each class is also
-// solved to the end on that analysis and on a private one, bit-identical.
+// Every contingency class of the embedded systems (case300 outside
+// -short) — every connected branch outage, every generator outage, every
+// branch+generator combination and every connected case14 branch pair —
+// has the intact system's KKT pattern: it factors on the intact analysis,
+// which is made once for the whole contingency space. Up to case118 the
+// classes are also solved to the end on that analysis and on a private
+// one, bit-identical (every branch and generator class; the
+// branch+generator classes on a diagonal sample).
 func TestOutageFleetKeepsParentAnalysis(t *testing.T) {
 	cases := []*grid.Case{grid.Case9(), grid.Case14(), grid.Case30(), grid.Case57(), grid.Case118()}
-	if !testing.Short() {
+	if !testing.Short() && !raceEnabled {
 		cases = append(cases, grid.Case300())
 	}
 	for _, c := range cases {
 		base := Prepare(c)
 		// The intact analysis, for every class below to find.
 		_, _ = base.Solve(nil, Options{MaxIter: 1})
-		var connected []int
+		var connected, units []int
 		for b, br := range c.Branches {
 			if br.Status && grid.ConnectedWithout(c, []int{b}) {
 				connected = append(connected, b)
 			}
 		}
-		// The solves are serial numerics: under -short, and under the race
-		// detector (minutes for nothing it can find), sample the large
-		// fleets; case300 checks patterns alone.
-		stride := 1
-		if (testing.Short() || raceEnabled) && len(connected) > 40 {
+		for g, gen := range c.Gens {
+			if gen.Status {
+				units = append(units, g)
+			}
+		}
+		// The solves are serial numerics: under -short, sample the large
+		// fleets' solves; under the race detector (minutes for nothing it
+		// can find), sample their classes too and solve only the first of
+		// each kind. Both check only the diagonal of branch × generator
+		// patterns; case300 checks patterns alone, on that diagonal.
+		stride, sampled := 1, testing.Short() || raceEnabled
+		if sampled && len(connected) > 40 {
 			stride = 8
 		}
+		solve := func(k int) bool {
+			return k%stride == 0 && c.Name != "case300" && (!raceEnabled || k == 0)
+		}
+		for k, g := range units {
+			if raceEnabled && k%stride != 0 {
+				continue
+			}
+			cls, err := base.RebindGenOutage(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := c.Name + " gen " + strconv.Itoa(g)
+			onIntactPattern(t, name, cls)
+			if solve(k) {
+				solveBothWays(t, name, cls)
+			}
+		}
 		for k, b := range connected {
+			if raceEnabled && k%stride != 0 {
+				continue
+			}
 			cls, err := base.RebindOutage(b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			name := c.Name + " branch " + strconv.Itoa(b)
 			onIntactPattern(t, name, cls)
-			if k%stride == 0 && c.Name != "case300" {
+			if solve(k) {
 				solveBothWays(t, name, cls)
+			}
+			for u, g := range units {
+				diagonal := u == k%len(units)
+				if !diagonal && (sampled || c.Name == "case300") {
+					continue
+				}
+				bg, err := cls.RebindGenOutage(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := name + " + gen " + strconv.Itoa(g)
+				onIntactPattern(t, name, bg)
+				if diagonal && solve(k) {
+					solveBothWays(t, name, bg)
+				}
 			}
 		}
 		if c.Name == "case14" {
@@ -100,7 +145,7 @@ func TestOutageFleetKeepsParentAnalysis(t *testing.T) {
 			}
 		}
 		if st := base.KKTStats(); st.Analyses != 1 || st.Orderings != 1 {
-			t.Fatalf("%s: intact system analyzed %d times (%d orderings) for its whole outage space, want once", c.Name, st.Analyses, st.Orderings)
+			t.Fatalf("%s: intact system analyzed %d times (%d orderings) for its whole contingency space, want once", c.Name, st.Analyses, st.Orderings)
 		}
 	}
 }

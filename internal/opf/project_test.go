@@ -10,32 +10,45 @@ import (
 )
 
 // naiveLabels names every packed X entry and every inequality row of an
-// instance from first principles — the case's status flags and rating
-// data and the finiteness of the instance's bounds — independently of
-// the identity tables Projection builds. Two instances derived from one
-// base grid give the same row the same label.
-func naiveLabels(o *OPF) (x, iq []string) {
-	c := o.Case
+// instance derived from a base case c0, from first principles — c0's
+// status flags and rating data and the finiteness of the instance's
+// bounds — independently of the instance's own bookkeeping. Two
+// instances derived from one base grid give the same row the same label.
+// out holds the labels of the entries the instance's outages decoupled
+// (a branch or generator in service in c0 and out in o.Case), with the
+// value AdaptStart must give them: the X entry, or the row's z.
+func naiveLabels(c0 *grid.Case, o *OPF) (x, iq []string, out map[string]float64) {
+	out = map[string]float64{}
+	xmin, xmax := o.Bounds()
+	def := o.DefaultStart()
 	for _, kind := range []string{"Va", "Vm"} {
-		for b := range c.Buses {
+		for b := range c0.Buses {
 			x = append(x, fmt.Sprintf("%s%d", kind, b))
 		}
 	}
 	for _, kind := range []string{"Pg", "Qg"} {
-		for g, gen := range c.Gens {
+		for g, gen := range c0.Gens {
 			if gen.Status {
+				if !o.Case.Gens[g].Status {
+					out[fmt.Sprintf("%s%d", kind, g)] = def[len(x)]
+					out[fmt.Sprintf("ub:%s%d", kind, g)] = xmax[len(x)] - def[len(x)]
+					out[fmt.Sprintf("lb:%s%d", kind, g)] = def[len(x)] - xmin[len(x)]
+				}
 				x = append(x, fmt.Sprintf("%s%d", kind, g))
 			}
 		}
 	}
 	for _, end := range []string{"Sf", "St"} {
-		for l, br := range c.Branches {
+		for l, br := range c0.Branches {
 			if br.Status && br.RateA > 0 {
 				iq = append(iq, fmt.Sprintf("%s%d", end, l))
+				if !o.Case.Branches[l].Status {
+					r := br.RateA / c0.BaseMVA
+					out[iq[len(iq)-1]] = r * r
+				}
 			}
 		}
 	}
-	xmin, xmax := o.Bounds()
 	for i, v := range xmax {
 		if !math.IsInf(v, 1) {
 			iq = append(iq, "ub:"+x[i])
@@ -46,17 +59,18 @@ func naiveLabels(o *OPF) (x, iq []string) {
 			iq = append(iq, "lb:"+x[i])
 		}
 	}
-	return x, iq
+	return x, iq, out
 }
 
-// checkProjection applies src→dst to a start whose every entry is
-// unique and asserts the row-identity contract: exact target lengths,
-// carried entries bit-equal to the source entry of the same label,
-// entries with no source label seeded, and (by construction of the
-// loop over target labels) source-only labels dropped. Pg entries are
-// negative so the redispatch step, which is tested on its own, stays
-// out of the way.
-func checkProjection(t *testing.T, what string, src, dst *OPF) {
+// checkProjection applies src→dst, both derived from c0, to a start whose
+// every entry is unique and asserts the contract: exact target lengths,
+// X and λ carried, every µ/Z row carried bit-equal from the source row of
+// the same label, rows with no source label seeded, source-only labels
+// dropped (by construction of the loop over target labels) — and every
+// entry dst's outages decoupled set to the value naiveLabels derives. Pg
+// entries are negative so the redispatch step, which is tested on its
+// own, stays out of the way.
+func checkProjection(t *testing.T, what string, c0 *grid.Case, src, dst *OPF) {
 	t.Helper()
 	st := &Start{
 		X:   make(la.Vector, src.Lay.NX),
@@ -74,16 +88,13 @@ func checkProjection(t *testing.T, what string, src, dst *OPF) {
 		st.Mu[i] = float64(i) + 2.25
 		st.Z[i] = float64(i) + 2.5
 	}
-	sx, siq := naiveLabels(src)
-	dx, diq := naiveLabels(dst)
+	sx, siq, _ := naiveLabels(c0, src)
+	dx, diq, out := naiveLabels(c0, dst)
 	if len(sx) != src.Lay.NX || len(siq) != src.Lay.NIq || len(dx) != dst.Lay.NX || len(diq) != dst.Lay.NIq {
 		t.Fatalf("%s: naive labels %d/%d → %d/%d disagree with layouts %d/%d → %d/%d", what,
 			len(sx), len(siq), len(dx), len(diq), src.Lay.NX, src.Lay.NIq, dst.Lay.NX, dst.Lay.NIq)
 	}
-	xAt, iqAt := map[string]int{}, map[string]int{}
-	for i, l := range sx {
-		xAt[l] = i
-	}
+	iqAt := map[string]int{}
 	for i, l := range siq {
 		iqAt[l] = i
 	}
@@ -97,12 +108,12 @@ func checkProjection(t *testing.T, what string, src, dst *OPF) {
 			len(p.X), len(p.Lam), len(p.Mu), len(p.Z), dst.Lay.NX, dst.Lay.NEq, dst.Lay.NIq, dst.Lay.NIq)
 	}
 	for j, l := range dx {
-		i, ok := xAt[l]
+		want, ok := out[l]
 		if !ok {
-			t.Fatalf("%s: target variable %s has no source", what, l)
+			want = st.X[j]
 		}
-		if p.X[j] != st.X[i] {
-			t.Fatalf("%s: X[%d] (%s) = %v, want source entry %d = %v", what, j, l, p.X[j], i, st.X[i])
+		if p.X[j] != want {
+			t.Fatalf("%s: X[%d] (%s) = %v, want %v", what, j, l, p.X[j], want)
 		}
 	}
 	for j := range p.Lam {
@@ -110,29 +121,24 @@ func checkProjection(t *testing.T, what string, src, dst *OPF) {
 			t.Fatalf("%s: λ[%d] changed", what, j)
 		}
 	}
-	seeded, carried := 0, 0
 	for j, l := range diq {
 		wantMu, wantZ := 1.0, 1.0 // the MIPS cold default for a row that entered the layout
-		if i, ok := iqAt[l]; ok {
+		if z, ok := out[l]; ok {
+			wantMu, wantZ = 1e-10, z
+		} else if i, ok := iqAt[l]; ok {
 			wantMu, wantZ = st.Mu[i], st.Z[i]
-			carried++
-		} else {
-			seeded++
 		}
 		if p.Mu[j] != wantMu || p.Z[j] != wantZ {
 			t.Fatalf("%s: row %d (%s) µ/z = %v/%v, want %v/%v", what, j, l, p.Mu[j], p.Z[j], wantMu, wantZ)
 		}
 	}
-	if carried+seeded != dst.Lay.NIq {
-		t.Fatalf("%s: %d carried + %d seeded rows, target has %d", what, carried, seeded, dst.Lay.NIq)
-	}
 }
 
-// The projection contract over the whole derivation space the screener
-// and the trajectory stepper use: every rated-branch outage, every
-// generator outage, every N-2 pair of rated branches (islanding or not
-// — only layouts matter here) and branch+generator combinations of the
-// embedded systems, in both directions where the reverse is defined.
+// The value-edit contract over the whole derivation space the screener
+// uses: every rated-branch outage, every generator outage, every N-2 pair
+// of rated branches (islanding or not — only values matter here) and
+// branch+generator combinations of the embedded systems all keep the base
+// layout, and a start carried onto them is edited, never remapped.
 func TestProjectionRowIdentityOutages(t *testing.T) {
 	for _, c := range []*grid.Case{grid.Case9(), grid.Case14(), grid.Case30(), grid.Case57()} {
 		base := Prepare(c)
@@ -149,7 +155,7 @@ func TestProjectionRowIdentityOutages(t *testing.T) {
 				t.Fatal(err)
 			}
 			singles[l] = o
-			checkProjection(t, fmt.Sprintf("%s branch %d", c.Name, l), base, o)
+			checkProjection(t, fmt.Sprintf("%s branch %d", c.Name, l), c, base, o)
 		}
 		for g, gen := range c.Gens {
 			if !gen.Status {
@@ -159,17 +165,13 @@ func TestProjectionRowIdentityOutages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkProjection(t, fmt.Sprintf("%s gen %d", c.Name, g), base, o)
+			checkProjection(t, fmt.Sprintf("%s gen %d", c.Name, g), c, base, o)
 			if len(rated) > 0 {
 				bo, err := singles[rated[g%len(rated)]].RebindGenOutage(g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkProjection(t, fmt.Sprintf("%s branch %d + gen %d", c.Name, rated[g%len(rated)], g), base, bo)
-			}
-			// The reverse direction asks for variables the source lacks.
-			if base.ProjectionTo(o) == nil || o.ProjectionTo(base) != nil {
-				t.Fatalf("%s gen %d: projection must exist onto the outage and not back", c.Name, g)
+				checkProjection(t, fmt.Sprintf("%s branch %d + gen %d", c.Name, rated[g%len(rated)], g), c, base, bo)
 			}
 		}
 		for i, l1 := range rated {
@@ -179,8 +181,8 @@ func TestProjectionRowIdentityOutages(t *testing.T) {
 					t.Fatal(err)
 				}
 				what := fmt.Sprintf("%s pair %d,%d", c.Name, l1, l2)
-				checkProjection(t, what, base, o)
-				checkProjection(t, what+" from the first outage", singles[l1], o)
+				checkProjection(t, what, c, base, o)
+				checkProjection(t, what+" from the first outage", c, singles[l1], o)
 			}
 		}
 	}
@@ -216,15 +218,15 @@ func TestProjectionRowIdentityRamp(t *testing.T) {
 		if both.Lay.NIq != base.Lay.NIq+2 || upOnly.Lay.NIq != base.Lay.NIq+1 {
 			t.Fatalf("%s: ramp NIq %d/%d, want base %d +2/+1", c.Name, both.Lay.NIq, upOnly.Lay.NIq, base.Lay.NIq)
 		}
-		checkProjection(t, c.Name+" base→ramped", base, both)
-		checkProjection(t, c.Name+" ramped→base", both, base)
-		checkProjection(t, c.Name+" ramped→up-only", both, upOnly)
-		checkProjection(t, c.Name+" up-only→ramped", upOnly, both)
+		checkProjection(t, c.Name+" base→ramped", c, base, both)
+		checkProjection(t, c.Name+" ramped→base", c, both, base)
+		checkProjection(t, c.Name+" ramped→up-only", c, both, upOnly)
+		checkProjection(t, c.Name+" up-only→ramped", c, upOnly, both)
 		load := make([]float64, base.Lay.NB)
 		for i := range load {
 			load[i] = 1.05
 		}
-		checkProjection(t, c.Name+" perturbed step", both, upOnly.Perturb(load))
+		checkProjection(t, c.Name+" perturbed step", c, both, upOnly.Perturb(load))
 		for l, br := range c.Branches {
 			if br.Status && br.RateA > 0 {
 				o, err := base.RebindOutage(l)
@@ -235,7 +237,7 @@ func TestProjectionRowIdentityRamp(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkProjection(t, fmt.Sprintf("%s base→outage %d+ramp", c.Name, l), base, ro)
+				checkProjection(t, fmt.Sprintf("%s base→outage %d+ramp", c.Name, l), c, base, ro)
 				break
 			}
 		}

@@ -75,7 +75,7 @@ func (o *OPF) RebindRamp(prevPg, up, down la.Vector) (*OPF, error) {
 	cp := *o
 	cp.xmin = xmin
 	cp.xmax = xmax
-	cp.Lay.NIq = 2*lay.NLRated + finiteBounds(xmin, xmax)
+	cp.Lay.NIq = 2*lay.NLRated + finite(xmax, 1) + finite(xmin, -1)
 	cp.prep = time.Since(t0)
 	return &cp, nil
 }

@@ -93,10 +93,10 @@ func TestEngineScenarioOrderIndependent(t *testing.T) {
 }
 
 // A sweep reports the KKT analysis work of its outage classes, per class
-// and in total: none for branch and pair classes, which factor on the
-// intact system's analysis; one ordering and one analysis for each
-// generator outage, whose layout differs. The intact class is solved on
-// the system's own cache and counted there — once, for any worker count.
+// and in total: none for branch, pair and generator classes alike, which
+// all factor on the intact system's analysis. The intact class is solved
+// on the system's own cache and counted there — once, for any worker
+// count.
 func TestReportCountsKKTWork(t *testing.T) {
 	c := grid.Case14() // meshed: the pair below does not island
 	f := ones(c.NB())
@@ -114,17 +114,13 @@ func TestReportCountsKKTWork(t *testing.T) {
 			rep := e.Run(scenarios)
 			var sum sparse.CacheStats
 			for _, cl := range rep.Classes {
-				want := uint64(0)
-				if cl.Kind == "gen" {
-					want = 1
-				}
-				if cl.KKT.Analyses != want || cl.KKT.Orderings != want || (cl.KKT.Refactors == 0) != (cl.Kind == "intact") {
-					t.Errorf("workers=%d: %s class %+v: KKT %+v, want %d analyses and orderings", workers, cl.Kind, cl, cl.KKT, want)
+				if cl.KKT.Analyses != 0 || cl.KKT.Orderings != 0 || (cl.KKT.Refactors == 0) != (cl.Kind == "intact") {
+					t.Errorf("workers=%d: %s class %+v: KKT %+v, want no analysis and no ordering", workers, cl.Kind, cl, cl.KKT)
 				}
 				sum = sum.Add(cl.KKT)
 			}
-			if rep.KKT != sum || rep.KKT.Analyses != 1 || rep.KKT.Orderings != 1 {
-				t.Errorf("workers=%d: sweep KKT %+v, classes sum to %+v, want the generator outage's analysis alone", workers, rep.KKT, sum)
+			if rep.KKT != sum || rep.KKT.Analyses != 0 || rep.KKT.Orderings != 0 {
+				t.Errorf("workers=%d: sweep KKT %+v, classes sum to %+v, want no analysis", workers, rep.KKT, sum)
 			}
 			if st := base.KKTStats(); st.Analyses != 1 || st.Orderings != 1 {
 				t.Errorf("workers=%d sweep %d: intact system counts %+v, want one analysis and one ordering", workers, sweep, st)

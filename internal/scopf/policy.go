@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/grid"
-	"repro/internal/mtl"
 	"repro/internal/opf"
 )
 
@@ -25,7 +24,7 @@ import (
 type PolicyFeatures struct {
 	Buses     float64 // system size (bus count)
 	LoadDev   float64 // ‖factors − 1‖₂: distance of the load draw from nominal
-	DroppedIq float64 // inequality rows the outage removed (binding-set distance proxy)
+	DroppedIq float64 // inequality rows the outage decoupled (binding-set distance proxy)
 	Pair      float64 // 1 for an N-2 branch pair
 	Gen       float64 // 1 when a generator is dropped
 }
@@ -34,7 +33,7 @@ type PolicyFeatures struct {
 func featuresOf(c *grid.Case, cl *class, sc Scenario) PolicyFeatures {
 	f := PolicyFeatures{
 		Buses:     float64(c.NB()),
-		DroppedIq: float64(cl.droppedIq),
+		DroppedIq: float64(len(cl.decoupled)),
 	}
 	dev := 0.0
 	for _, x := range sc.Factors {
@@ -126,14 +125,14 @@ func CollectPolicySamples(e *Engine, scenarios []Scenario) []PolicySample {
 	coldEng := &Engine{Base: e.Base, Prepared: base, Workers: e.Workers}
 	cold := coldEng.Run(scenarios)
 
-	_, modelLay := mtl.PredictorFor(e.Model, e.Predictor, &base.Lay)
+	_, warmPred := warmEng.predictor(base)
 	classes := map[classKey]*class{}
 	var samples []PolicySample
 	for i, sc := range scenarios {
 		key := sc.key()
 		cl, ok := classes[key]
 		if !ok {
-			cl = warmEng.buildClass(base, modelLay, key)
+			cl = warmEng.buildClass(base, warmPred, key)
 			classes[key] = cl
 		}
 		if cl.err != nil || cl.islanded || cl.mode == warmCold {

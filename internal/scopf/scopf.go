@@ -7,33 +7,33 @@
 // trained on the intact system.
 //
 // Screening is topology-aware: Engine groups scenarios by topology
-// class (which branch is out), derives one prepared OPF per class from
-// the intact system's prepared structure (grid.YMatrices.DropBranch +
-// opf.RebindOutage — the same structure a per-scenario rebuild produces)
-// and fans the scenarios out on the internal/batch worker pool, so every
-// scenario pays only the clone+scale+rebind derivation cost. The whole
-// branch-outage space of a system shares ONE KKT analysis: DropBranch
-// keeps the outaged admittance entries as explicit zeros, so an outage's
-// reduced KKT pattern is the intact system's, every branch and
-// branch-pair class factors on the intact system's symbolic analysis —
-// made once by whichever scenario factors first — and only generator
-// outages, which change the variable layout, order and analyze for
-// themselves (ClassInfo.KKT counts it per class, Report.KKT per sweep). Outages of rated branches shrink the inequality
-// layout; the engine projects the intact-system warm-start prediction
-// onto the contingency layout (opf.Projection) instead of falling back
-// to a cold solve, and predicts once per load draw, not per scenario.
-// ScreenNaive keeps the per-scenario-Prepare reference path, which
-// analyzes every outage pattern privately: the engine is pinned to it by
-// MatchNaive — every verdict and iteration count exact, costs to 1e-9 —
-// in this package's tests and in BenchmarkScreen (BENCH_scopf.json),
-// whose two cold sweeps pass their measured trajectory drift as the
-// ceiling.
+// class (which branches and which generator are out), derives one
+// prepared OPF per class from the intact system's prepared structure
+// (opf.RebindOutage, opf.RebindGenOutage) and fans the scenarios out on
+// the internal/batch worker pool, so every scenario pays only the
+// clone+scale+rebind derivation cost. Every contingency is a value edit
+// on the intact problem: an outaged branch keeps its admittance entries
+// and flow rows as stored zeros, a dropped unit keeps its decoupled
+// columns. So every class — branch, pair, generator, branch+generator —
+// has the intact layout and the intact KKT pattern, and the whole
+// contingency space of a system factors on ONE symbolic analysis, made
+// once by whichever scenario factors first (ClassInfo.KKT counts each
+// class's own work, Report.KKT the sweep's: value-pivoted fallbacks
+// only). The engine predicts once per load draw, not per scenario, and
+// the class fits the intact-system prediction to its outages
+// (opf.AdaptStart) instead of falling back to a cold solve. ScreenNaive
+// keeps the per-scenario-Prepare reference path, which solves every
+// outage on its own smaller layout and analyzes it privately: the engine
+// is pinned to it by MatchNaive — every verdict exact, costs to 1e-9,
+// iteration drift within a measured ceiling — in this package's tests
+// and in BenchmarkScreen (BENCH_scopf.json).
 package scopf
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/batch"
@@ -89,7 +89,7 @@ type Outcome struct {
 	Cost       float64 // $/hr when feasible
 	Iterations int
 	WarmUsed   bool // the model warm start converged (no restart)
-	Projected  bool // the warm start was projected onto an outage layout
+	Projected  bool // the warm start was fitted to the outage (opf.AdaptStart)
 	// Islanded marks a structurally infeasible scenario: the outage
 	// topology splits the network, so no solver was invoked (the
 	// scenario is classified, not solved — Iterations stays 0).
@@ -109,8 +109,8 @@ type warmMode int
 
 const (
 	warmCold      warmMode = iota // no usable prediction: cold solve only
-	warmExact                     // layout matches the model: direct warm start
-	warmProjected                 // rated outage: project µ/Z onto the class layout
+	warmExact                     // the prediction applies as it is
+	warmProjected                 // a rated branch or a unit is out: the class fits the prediction (AdaptStart)
 )
 
 func (m warmMode) String() string {
@@ -130,16 +130,16 @@ type ClassInfo struct {
 	OutGen     int    // dropped generator, or -1
 	Kind       string // "intact", "branch", "pair", "gen" or "branch+gen"
 	Scenarios  int    // scenarios screened in this class
-	NIq        int    // inequality rows of the class layout (#µ)
+	NIq        int    // inequality rows of the class layout (#µ): the intact system's
 	WarmMode   string // "exact", "projected" or "cold"
 	Islanded   bool   // the outage splits the network; nothing was solved
 	// KKT counts the KKT factorization work of the class's own solves.
-	// Analyses and Orderings are zero for a branch or pair class, which
-	// factors on the intact system's analysis (counted on Prepared);
-	// a generator outage shows up here as > 0. Zero for
-	// the intact class: it is solved on the system's long-lived cache,
-	// whose counters (Prepared.KKTStats) every other user of the system
-	// feeds too and no sweep can call its own.
+	// Orderings are zero, and Analyses count only value-pivoted
+	// fallbacks: every outage class factors on the intact system's
+	// analysis (counted on Prepared). Zero for the intact class: it is
+	// solved on the system's long-lived cache, whose counters
+	// (Prepared.KKTStats) every other user of the system feeds too and
+	// no sweep can call its own.
 	KKT sparse.CacheStats
 }
 
@@ -170,9 +170,11 @@ type Engine struct {
 	// Workers sizes the batch pool (0 resolves through PGSIM_WORKERS,
 	// batch.SetDefaultWorkers, GOMAXPROCS; 1 is sequential).
 	Workers int
-	// NoProjection disables warm-start projection onto outage layouts,
-	// so layout-changing contingencies cold-solve exactly like the
-	// naive reference path (the bit-identity pinning mode).
+	// NoProjection cold-solves the classes whose start would need
+	// adapting (an outaged rated branch or a dropped unit) — the ones
+	// the naive reference path solves cold because their fresh Prepare
+	// has another layout — so the engine's verdicts match it (the pinning
+	// mode).
 	NoProjection bool
 	// Policy, when set, decides warm vs cold per scenario from the
 	// cheap feature vector (see PolicyFeatures) instead of always
@@ -250,16 +252,15 @@ func (k classKey) kind() string {
 
 // class is one prepared topology variant.
 type class struct {
-	opf  *opf.OPF
-	mode warmMode
-	// project maps a base-layout prediction onto the class layout; nil
-	// unless the class warm-starts in projected mode.
-	project  *opf.Projection
+	opf      *opf.OPF
+	mode     warmMode
 	islanded bool   // the outage splits the network; never solved
 	kind     string // classKey.kind()
-	// droppedIq is how many inequality rows the outage removed relative
-	// to the base layout — the binding-set-distance input of the policy.
-	droppedIq int
+	// decoupled lists the inequality rows the outage decoupled
+	// (opf.Decoupled): not constraints of the contingency, so not counted
+	// as binding, and their count is the binding-set-distance input of
+	// the policy.
+	decoupled []int
 	err       error // derivation failure (invalid outage index)
 }
 
@@ -273,7 +274,7 @@ func (e *Engine) Run(scenarios []Scenario) *Report {
 		base = opf.Prepare(e.Base)
 	}
 
-	pred, modelLay := mtl.PredictorFor(e.Model, e.Predictor, &base.Lay)
+	pred, warm := e.predictor(base)
 
 	// One prepared OPF per distinct topology, first-seen order.
 	classes := map[classKey]*class{}
@@ -285,7 +286,7 @@ func (e *Engine) Run(scenarios []Scenario) *Report {
 		if _, ok := classes[key]; ok {
 			continue
 		}
-		classes[key] = e.buildClass(base, modelLay, key)
+		classes[key] = e.buildClass(base, warm, key)
 		order = append(order, key)
 	}
 
@@ -348,11 +349,17 @@ func (d *drawStart) get(pred opf.Predictor, loaded *grid.Case) *opf.Start {
 	return d.start
 }
 
-// buildClass derives the prepared OPF, projection and warm policy of one
-// topology class. Branch outages are applied first (ascending), then the
-// generator drop; one projection, computed here once per class, maps a
-// base-layout prediction onto whatever layout the derivation ended in.
-func (e *Engine) buildClass(base *opf.OPF, modelLay *opf.Layout, key classKey) *class {
+// predictor returns the engine's warm-start source and whether its
+// predictions are laid out for the intact system, hence usable.
+func (e *Engine) predictor(base *opf.OPF) (opf.Predictor, bool) {
+	pred, lay := mtl.PredictorFor(e.Model, e.Predictor, &base.Lay)
+	return pred, pred != nil && base.Lay.Fits(*lay)
+}
+
+// buildClass derives the prepared OPF and warm policy of one topology
+// class. Branch outages are applied first (ascending), then the
+// generator drop.
+func (e *Engine) buildClass(base *opf.OPF, warm bool, key classKey) *class {
 	cl := &class{kind: key.kind()}
 	if cl.err = key.check(base.Case); cl.err != nil {
 		return cl
@@ -389,26 +396,23 @@ func (e *Engine) buildClass(base *opf.OPF, modelLay *opf.Layout, key classKey) *
 		}
 	}
 	cl.opf = cur
-	cl.droppedIq = base.Lay.NIq - cur.Lay.NIq
-
-	if modelLay == nil {
-		return cl
-	}
+	cl.decoupled = cur.Decoupled()
 	switch {
-	case cur.Lay.Fits(*modelLay):
+	case !warm: // no usable prediction: cold
+	case !cur.AdaptsStart():
 		cl.mode = warmExact
-	case !e.NoProjection && base.Lay.Fits(*modelLay):
+	case !e.NoProjection:
 		cl.mode = warmProjected
-		cl.project = base.ProjectionTo(cur)
 	}
 	return cl
 }
 
-// bindingCount counts inequality rows whose slack is at its bound.
-func bindingCount(z la.Vector) int {
+// bindingCount counts inequality rows whose slack is at its bound,
+// skipping the rows an outage decoupled.
+func bindingCount(z la.Vector, decoupled []int) int {
 	n := 0
-	for _, zi := range z {
-		if zi < opf.BindingTol {
+	for k, zi := range z {
+		if zi < opf.BindingTol && !slices.Contains(decoupled, k) {
 			n++
 		}
 	}
@@ -427,17 +431,14 @@ func screenClass(base *opf.OPF, cl *class, pred opf.Predictor, draw *drawStart, 
 	inst := cl.opf.Perturb(sc.Factors)
 	var start *opf.Start
 	coldByPolicy := false
-	if pred != nil && cl.mode != warmCold {
+	if cl.mode != warmCold {
 		if pol != nil && !pol.UseWarm(featuresOf(base.Case, cl, sc)) {
 			coldByPolicy = true
 		} else {
-			start = draw.get(pred, inst.Case)
-			if cl.mode == warmProjected {
-				start = cl.project.Apply(start)
-			}
+			start = inst.AdaptStart(draw.get(pred, inst.Case))
 		}
 	}
-	out := solveOutcome(inst, sc, start, cl.mode == warmProjected)
+	out := solveOutcome(inst, sc, start, cl.mode == warmProjected, cl.decoupled)
 	out.ColdByPolicy = coldByPolicy
 	return out
 }
@@ -446,7 +447,7 @@ func screenClass(base *opf.OPF, cl *class, pred opf.Predictor, draw *drawStart, 
 // (opf.SolveWarm) and reports it. Both the engine and the naive
 // reference path report through it, so their accounting is identical by
 // construction.
-func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool) Outcome {
+func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool, decoupled []int) Outcome {
 	res := Outcome{Scenario: sc}
 	out := inst.SolveWarm(start, opf.Options{})
 	if out.Err != nil {
@@ -459,7 +460,7 @@ func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool) 
 		res.Iterations = r.Iterations
 		res.WarmUsed = out.WarmAccepted
 		res.Projected = projected && out.WarmAccepted
-		res.Binding = bindingCount(r.Z)
+		res.Binding = bindingCount(r.Z, decoupled)
 	}
 	return res
 }
@@ -467,12 +468,12 @@ func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool) 
 // ScreenNaive is the reference screening path: every scenario deep-clones
 // the case, re-Normalizes, rebuilds the admittance matrices and layout
 // with a fresh opf.Prepare, and warm-starts only when the contingency
-// preserves the model's constraint layout (layout-changing outages fall
-// back to cold). It mirrors the Engine's full contingency-space
+// preserves the model's constraint layout (outages of rated branches and
+// of units fall back to cold). It mirrors the Engine's full contingency-space
 // semantics — validation order, islanding classification, generator and
 // N-2 pair outages — and exists as the pinning target and benchmark
 // baseline for the Engine, which must agree with it (MatchNaive) when
-// projection is disabled.
+// NoProjection is set.
 func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers int) []Outcome {
 	out := make([]Outcome, len(scenarios))
 	_ = batch.Run(len(scenarios), batch.Options{Workers: workers}, func(t *batch.Task) error {
@@ -508,7 +509,7 @@ func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers in
 		if m != nil && o.Lay.Fits(m.Lay) {
 			start = m.Predict(dataset.InputVector(o.Case))
 		}
-		out[t.Index] = solveOutcome(o, sc, start, false)
+		out[t.Index] = solveOutcome(o, sc, start, false, nil)
 		return nil
 	})
 	return out
@@ -522,13 +523,14 @@ const NaiveCostTol = 1e-9
 
 // Drift measures how far an engine sweep sits from the ScreenNaive
 // outcomes of the same scenarios in the two quantities that are not
-// verdicts. The engine factors every outage on the intact system's
-// analysis, the reference on a private one — two elimination orders of
-// the same Newton systems — and a trajectory started far from the central
-// path (a cold start, most of all under N-2) can amplify the rounding
-// difference into another iteration count on the way to the same optimum
-// (PERFORMANCE.md, "One KKT analysis per system", lists every such
-// scenario measured).
+// verdicts. The engine solves every outage as a value edit on the intact
+// problem and factors it on the intact system's analysis; the reference
+// solves the outaged case's own smaller problem on a private analysis.
+// The two are equivalent problems, not the same one — the decoupled rows
+// and columns of the engine's take part in every Newton step and in the
+// convergence tests — so a trajectory, cold ones most of all, can take
+// another iteration count on the way to the same optimum (PERFORMANCE.md,
+// "Every contingency is a value edit", lists what was measured).
 type Drift struct {
 	IterDiffs  int     // scenarios that took a different number of iterations
 	IterAbs    int     // Σ |iterations − reference iterations| over them

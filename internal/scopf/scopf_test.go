@@ -149,24 +149,27 @@ func sameOutcomes(t *testing.T, got, want []Outcome) {
 }
 
 // matchesNaive requires engine outcomes to agree with the ScreenNaive
-// reference with no drift allowed: MatchNaive's exact fields, the same
-// iteration counts, costs equal to 1e-9 relative.
-func matchesNaive(t *testing.T, got, ref []Outcome) {
+// reference: MatchNaive's exact fields, costs equal to 1e-9 relative, and
+// iteration drift within allow — the drift measured on the sweep, pinned
+// as its ceiling (the zero Drift: the same iteration counts).
+func matchesNaive(t *testing.T, got, ref []Outcome, allow Drift) {
 	t.Helper()
-	if _, err := MatchNaive(got, ref, Drift{}); err != nil {
+	if _, err := MatchNaive(got, ref, allow); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // The engine must reproduce the naive per-scenario-Prepare path on a
-// cold N-1 sweep — case9's branches are all rated, so this covers
-// layout-shrinking outages.
+// cold N-1 sweep — case9's branches are all rated, so every outage is
+// solved with decoupled flow rows, an equivalent problem to the rebuild's
+// smaller one: 3 of the 14 scenarios take one iteration more or fewer
+// (the measured drift, pinned as the ceiling).
 func TestEngineMatchesNaiveCold(t *testing.T) {
 	c := grid.Case9()
 	draws := loadDraws(c.NB(), 2, 3)
 	scenarios := BuildScenarios(draws, Contingencies(c))
 	e := &Engine{Base: c, Workers: 4}
-	matchesNaive(t, e.Run(scenarios).Outcomes, ScreenNaive(c, nil, scenarios, 4))
+	matchesNaive(t, e.Run(scenarios).Outcomes, ScreenNaive(c, nil, scenarios, 4), Drift{IterDiffs: 3, IterAbs: 3})
 }
 
 // Warm screening on case14 (unrated: every outage keeps the layout) must
@@ -178,11 +181,11 @@ func TestEngineMatchesNaiveWarm(t *testing.T) {
 	draws := loadDraws(c.NB(), 2, 6)
 	scenarios := BuildScenarios(draws, Contingencies(c)[:4])
 	e := &Engine{Base: c, Model: m, Workers: 4, NoProjection: true}
-	matchesNaive(t, e.Run(scenarios).Outcomes, ScreenNaive(c, m, scenarios, 4))
-	// Projection has nothing to project on an unrated system: the default
+	matchesNaive(t, e.Run(scenarios).Outcomes, ScreenNaive(c, m, scenarios, 4), Drift{})
+	// An unrated system's outages have nothing to adapt: the default
 	// engine must produce the same outcomes.
 	e2 := &Engine{Base: c, Model: m, Workers: 4}
-	matchesNaive(t, e2.Run(scenarios).Outcomes, ScreenNaive(c, m, scenarios, 4))
+	matchesNaive(t, e2.Run(scenarios).Outcomes, ScreenNaive(c, m, scenarios, 4), Drift{})
 }
 
 // Sequential and parallel engine runs must be bit-identical (the batch
@@ -201,7 +204,7 @@ func TestEngineSeqParallelIdentical(t *testing.T) {
 	}
 }
 
-// On a rated system the projection makes outage scenarios warm-startable;
+// On a rated system AdaptStart makes outage scenarios warm-startable;
 // the naive path cold-solves them. Feasibility must agree exactly and
 // secure-dispatch costs to optimizer precision, while the engine records
 // projected warm hits.

@@ -155,7 +155,7 @@ type ScreenClass struct {
 	OutGen     int    `json:"out_gen"`     // dropped generator, -1 = none
 	Kind       string `json:"kind"`        // "intact", "branch", "pair", "gen" or "branch+gen"
 	Scenarios  int    `json:"scenarios"`
-	NMu        int    `json:"nmu"`       // inequality rows of the class layout
+	NMu        int    `json:"nmu"`       // inequality rows: the intact system's, for every class
 	WarmMode   string `json:"warm_mode"` // "exact", "projected" or "cold"
 	Islanded   bool   `json:"islanded,omitempty"`
 }
@@ -169,7 +169,7 @@ type ScreenOutcome struct {
 	Feasible     bool    `json:"feasible"`
 	Cost         float64 `json:"cost"`
 	Iterations   int     `json:"iterations"`
-	Binding      int     `json:"binding"` // active inequality rows at the solution
+	Binding      int     `json:"binding"` // active inequality rows at the solution (decoupled outage rows excluded)
 	Warm         bool    `json:"warm"`
 	Projected    bool    `json:"projected"`
 	Islanded     bool    `json:"islanded,omitempty"`

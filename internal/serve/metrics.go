@@ -171,12 +171,12 @@ func newMetrics() *metrics {
 		screenScenarios:  newCounter("pgsimd_screen_scenarios_total", "Scenarios screened per system.", "system"),
 		screenFeasible:   newCounter("pgsimd_screen_feasible_total", "Scenarios that admitted a secure dispatch.", "system"),
 		screenWarm:       newCounter("pgsimd_screen_warm_total", "Scenarios accepted on a model warm start (hit rate = warm/scenarios).", "system"),
-		screenProjected:  newCounter("pgsimd_screen_projected_total", "Warm starts accepted after projection onto an outage layout.", "system"),
+		screenProjected:  newCounter("pgsimd_screen_projected_total", "Warm starts accepted after the prediction was fitted to an outage class (a rated branch or a unit out).", "system"),
 		screenIslanded:   newCounter("pgsimd_screen_islanded_total", "Scenarios classified as islanding outages (no solver invoked).", "system"),
 		screenPolicyCold: newCounter("pgsimd_screen_policy_cold_total", "Warm starts skipped by the dispatch policy.", "system"),
 		screenErrors:     newCounter("pgsimd_screen_errors_total", "Scenarios whose solve or derivation errored.", "system"),
 		screenClasses:    newCounter("pgsimd_screen_classes_total", "Topology classes prepared (prepare reuse = scenarios/classes).", "system"),
-		screenAnalyses:   newCounter("pgsimd_screen_kkt_analyses_total", "KKT symbolic analyses made by the outage classes of screening sweeps (0 while every outage pattern embeds in the intact system's analysis, which pgsimd_kkt_symbolic_analyses_total counts; generator outages analyze privately).", "system"),
+		screenAnalyses:   newCounter("pgsimd_screen_kkt_analyses_total", "KKT symbolic analyses made by the outage classes of screening sweeps: every outage class factors on the intact system's analysis, which pgsimd_kkt_symbolic_analyses_total counts, so only value-pivoted fallbacks count here.", "system"),
 		screenLatency:    newHistogram(screenLatencyBuckets),
 
 		trajectories:          newCounter("pgsimd_trajectory_streams_total", "Completed /v1/trajectory streams by system and warm-start mode.", "system", "mode"),

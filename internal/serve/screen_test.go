@@ -120,9 +120,10 @@ func TestScreenColdMatchesEngine(t *testing.T) {
 	}
 }
 
-// A warm sweep on case9 (every branch rated) must project the model's
-// intact-layout prediction onto the outage layouts — no silent cold
-// fallbacks — while leaving feasibility identical to a cold sweep.
+// A warm sweep on case9 (every branch rated) must fit the model's
+// intact-system prediction to every outage class (warm mode
+// "projected") — no silent cold fallbacks — while leaving feasibility
+// identical to a cold sweep.
 func TestScreenWarmProjection(t *testing.T) {
 	sys, m := loadFixture(t)
 	s := newTestServer(t, Config{Workers: 2}, sys, m)
@@ -253,13 +254,14 @@ func TestScreenMetricsAndBusy(t *testing.T) {
 		}
 	}
 
-	// Generator outages change the layout: each class analyzes once.
+	// Generator outages are value edits on the intact problem too: the
+	// all-generator sweep factors on the same analysis.
 	if code, body := postScreen(t, h, `{"system":"case9","contingencies":[1],"all_gen_outages":true}`); code != http.StatusOK {
 		t.Fatalf("screen = %d (%s)", code, body)
 	}
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	if want := `pgsimd_screen_kkt_analyses_total{system="case9"} 3`; !strings.Contains(rec.Body.String(), want) {
+	if want := `pgsimd_screen_kkt_analyses_total{system="case9"} 0`; !strings.Contains(rec.Body.String(), want) {
 		t.Fatalf("metrics missing %q:\n%s", want, rec.Body.String())
 	}
 
