@@ -90,13 +90,16 @@ type OPF struct {
 	// rated and units name the Case.Branches entry of every rated row (flow
 	// rows l and NLRated+l) and the Case.Gens entry of every unit (Pg/Qg
 	// column g); outRows and outUnits are the ones this instance's outages
-	// decoupled instead of deleting (RebindOutage, RebindGenOutage).
-	rated, units, outRows, outUnits []int
-	xmin                            la.Vector
-	xmax                            la.Vector
-	refIdx                          int
-	refVa                           float64
-	prep                            time.Duration
+	// decoupled instead of deleting (RebindOutage, RebindGenOutage), and
+	// decRows and decZ the inequality rows that leaves decoupled, ascending,
+	// with their slacks at AdaptStart's start (decouple).
+	rated, units, outRows, outUnits, decRows []int
+	decZ                                     la.Vector
+	xmin                                     la.Vector
+	xmax                                     la.Vector
+	refIdx                                   int
+	refVa                                    float64
+	prep                                     time.Duration
 	// kkt caches the analysis of the KKT pattern — fill-reducing
 	// ordering and pivot-shaped symbolic — which is a property of the
 	// grid structure, not of the loads, the bound values or the outages:
@@ -284,6 +287,7 @@ func (o *OPF) RebindOutage(branch int) (*OPF, error) {
 	if rl := slices.Index(o.rated, branch); rl >= 0 {
 		ry.Yf, ry.Yt = zeroRow(o.ratedY.Yf, rl), zeroRow(o.ratedY.Yt, rl)
 		cp.outRows = append(slices.Clip(o.outRows), rl)
+		cp.decouple()
 	}
 	cp.ratedY = &ry
 	cp.kkt = o.kkt.Derive()
@@ -319,6 +323,7 @@ func (o *OPF) RebindGenOutage(gen int) (*OPF, error) {
 	cp := *o
 	cp.Case = o.Case.WithoutGen(gen)
 	cp.outUnits = append(slices.Clip(o.outUnits), slices.Index(o.units, gen))
+	cp.decouple()
 	cp.kkt = o.kkt.Derive()
 	cp.prep = time.Since(t0)
 	return &cp, nil

@@ -51,7 +51,7 @@ func solveBothWays(t *testing.T, name string, cls *OPF) {
 // branch+generator classes on a diagonal sample).
 func TestOutageFleetKeepsParentAnalysis(t *testing.T) {
 	cases := []*grid.Case{grid.Case9(), grid.Case14(), grid.Case30(), grid.Case57(), grid.Case118()}
-	if !testing.Short() && !raceEnabled {
+	if !testing.Short() {
 		cases = append(cases, grid.Case300())
 	}
 	for _, c := range cases {
@@ -69,22 +69,18 @@ func TestOutageFleetKeepsParentAnalysis(t *testing.T) {
 				units = append(units, g)
 			}
 		}
-		// The solves are serial numerics: under -short, sample the large
-		// fleets' solves; under the race detector (minutes for nothing it
-		// can find), sample their classes too and solve only the first of
-		// each kind. Both check only the diagonal of branch × generator
-		// patterns; case300 checks patterns alone, on that diagonal.
+		// The solves are serial numerics: under -short, and under the race
+		// detector (minutes for nothing it can find), sample the large
+		// fleets' solves — the race detector solves only the first class of
+		// each kind — and check only the diagonal of branch × generator
+		// patterns; case300 checks patterns alone, on that diagonal. Every
+		// branch and generator class's pattern is checked in every mode.
 		stride, sampled := 1, testing.Short() || raceEnabled
 		if sampled && len(connected) > 40 {
 			stride = 8
 		}
-		solve := func(k int) bool {
-			return k%stride == 0 && c.Name != "case300" && (!raceEnabled || k == 0)
-		}
+		solve := func(k int) bool { return k%stride == 0 && c.Name != "case300" && (!raceEnabled || k == 0) }
 		for k, g := range units {
-			if raceEnabled && k%stride != 0 {
-				continue
-			}
 			cls, err := base.RebindGenOutage(g)
 			if err != nil {
 				t.Fatal(err)
@@ -96,9 +92,6 @@ func TestOutageFleetKeepsParentAnalysis(t *testing.T) {
 			}
 		}
 		for k, b := range connected {
-			if raceEnabled && k%stride != 0 {
-				continue
-			}
 			cls, err := base.RebindOutage(b)
 			if err != nil {
 				t.Fatal(err)

@@ -216,8 +216,9 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // solvesLikeRebuild cold-solves the outage class got on its default cache
 // — the parent's analysis, with no ordering or analysis of its own — and
 // on a private one, which must be bit-identical (the pattern is the
-// parent's), and requires the rebuild want to reach the same verdict and,
-// converged, the same optimum to rebuildCostTol. It returns got's result.
+// parent's), and requires the rebuild want to reach the same verdict in
+// the same number of iterations and, converged, the same optimum to
+// rebuildCostTol. It returns got's result.
 func solvesLikeRebuild(t *testing.T, name string, got, want *OPF) *Result {
 	t.Helper()
 	gr, gerr := got.Solve(nil, Options{})
@@ -227,7 +228,7 @@ func solvesLikeRebuild(t *testing.T, name string, got, want *OPF) *Result {
 	pr, perr := got.Solve(nil, Options{KKT: sparse.NewSymbolicCache(got.Ordering())})
 	sameTrajectory(t, name+" (private analysis)", pr, perr, gr, gerr)
 	wr, werr := want.Solve(nil, Options{})
-	if (gerr == nil) != (werr == nil) || gr.Converged != wr.Converged {
+	if (gerr == nil) != (werr == nil) || gr.Converged != wr.Converged || gr.Iterations != wr.Iterations {
 		t.Fatalf("%s: value edit (%v,%v,%d), rebuild (%v,%v,%d)",
 			name, gerr, gr.Converged, gr.Iterations, werr, wr.Converged, wr.Iterations)
 	}

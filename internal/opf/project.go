@@ -20,19 +20,14 @@ func (o *OPF) AdaptsStart() bool { return len(o.outRows)+len(o.outUnits) > 0 }
 // outages decoupled: both flow rows of every outaged rated branch and the
 // finite bound rows of every dropped unit. A fresh Prepare of the outaged
 // case has none of them, so none is a binding constraint of the outage.
-func (o *OPF) Decoupled() []int {
-	var rows []int
-	for r := range o.slacks() {
-		rows = append(rows, r)
-	}
-	slices.Sort(rows)
-	return rows
-}
+// The slice is o's own; callers must not modify it.
+func (o *OPF) Decoupled() []int { return o.decRows }
 
-// slacks maps every decoupled inequality row to its slack z at
-// AdaptStart's start: rate² for a flow row, the constant h = −rate²; the
-// distance to the bound at DefaultStart's value for a unit's bound row.
-func (o *OPF) slacks() map[int]float64 {
+// decouple records, once per derivation, the rows Decoupled lists and
+// their slack z at AdaptStart's start: rate² for a flow row, the constant
+// h = −rate²; the distance to the bound at DefaultStart's value for a
+// unit's bound row.
+func (o *OPF) decouple() {
 	z := map[int]float64{}
 	for _, l := range o.outRows {
 		z[l], z[o.Lay.NLRated+l] = o.rates2[l], o.rates2[l]
@@ -48,13 +43,20 @@ func (o *OPF) slacks() map[int]float64 {
 			}
 		}
 	}
-	return z
+	o.decRows, o.decZ = make([]int, 0, len(z)), make(la.Vector, len(z))
+	for r := range z {
+		o.decRows = append(o.decRows, r)
+	}
+	slices.Sort(o.decRows)
+	for k, r := range o.decRows {
+		o.decZ[k] = z[r]
+	}
 }
 
 // AdaptStart fits a start in the intact problem's terms — an MTL
 // prediction, or a solution of an instance without o's outages — to o's
 // outages by editing values, never positions. Every decoupled row gets
-// its slack (slacks) and µ at the mips floor. A dropped unit's Pg and Qg
+// its recorded slack (decouple) and µ at the mips floor. A dropped unit's Pg and Qg
 // restart at DefaultStart's values, and its predicted real dispatch is
 // spread over the remaining units in proportion to their upward headroom,
 // clipped at Pmax — the screening redispatch convention (DESIGN.md §8) —
@@ -70,8 +72,8 @@ func (o *OPF) AdaptStart(st *Start) *Start {
 	out := *st
 	if len(st.Mu) == lay.NIq && len(st.Z) == lay.NIq {
 		out.Mu, out.Z = st.Mu.Clone(), st.Z.Clone()
-		for r, z := range o.slacks() {
-			out.Mu[r], out.Z[r] = floorMu, z
+		for k, r := range o.decRows {
+			out.Mu[r], out.Z[r] = floorMu, o.decZ[k]
 		}
 	}
 	if len(o.outUnits) > 0 && len(st.X) == lay.NX {
@@ -113,9 +115,10 @@ func (o *OPF) redispatch(x la.Vector, lost float64) {
 // X, λ and the flow rows pass as they are, µ/Z bound rows are matched by
 // the variable they bound — a row RebindRamp made finite enters seeded
 // with the mips cold default (seedRow), a row made infinite again leaves
-// — and then the target fits the start to its outages (AdaptStart). The
-// trajectory stepper chains ramped steps through it. A Projection is
-// immutable and safe for concurrent use.
+// — RebindRamp's newly finite rows being the only change of layout. It
+// carries no outage edit: a target with outages fits the carried start
+// itself (AdaptStart). The trajectory stepper chains ramped steps through
+// it. A Projection is immutable and safe for concurrent use.
 type Projection struct{ src, dst *OPF }
 
 // seedRow is the µ and z value of an inequality row with no source row
@@ -153,7 +156,7 @@ func (p *Projection) Apply(st *Start) *Start {
 	if len(st.Mu) == lay.NIq && len(st.Z) == lay.NIq {
 		out.Mu, out.Z = p.rows(st.Mu), p.rows(st.Z)
 	}
-	return p.dst.AdaptStart(out)
+	return out
 }
 
 // rows carries a µ or z vector onto the target's inequality rows; v

@@ -62,15 +62,15 @@ func naiveLabels(c0 *grid.Case, o *OPF) (x, iq []string, out map[string]float64)
 	return x, iq, out
 }
 
-// checkProjection applies src→dst, both derived from c0, to a start whose
-// every entry is unique and asserts the contract: exact target lengths,
-// X and λ carried, every µ/Z row carried bit-equal from the source row of
-// the same label, rows with no source label seeded, source-only labels
-// dropped (by construction of the loop over target labels) — and every
-// entry dst's outages decoupled set to the value naiveLabels derives. Pg
-// entries are negative so the redispatch step, which is tested on its
-// own, stays out of the way.
-func checkProjection(t *testing.T, what string, c0 *grid.Case, src, dst *OPF) {
+// checkProjection applies carry — the map from src's starts to dst's,
+// both derived from c0 — to a start whose every entry is unique and
+// asserts the contract: exact target lengths, X and λ carried, every µ/Z
+// row carried bit-equal from the source row of the same label, rows with
+// no source label seeded, source-only labels dropped (by construction of
+// the loop over target labels) — and every entry dst's outages decoupled
+// set to the value naiveLabels derives. Pg entries are negative so the
+// redispatch step, which is tested on its own, stays out of the way.
+func checkProjection(t *testing.T, what string, c0 *grid.Case, src, dst *OPF, carry func(*Start) *Start) {
 	t.Helper()
 	st := &Start{
 		X:   make(la.Vector, src.Lay.NX),
@@ -99,9 +99,9 @@ func checkProjection(t *testing.T, what string, c0 *grid.Case, src, dst *OPF) {
 		iqAt[l] = i
 	}
 
-	p := src.ProjectionTo(dst).Apply(st)
+	p := carry(st)
 	if p == nil {
-		t.Fatalf("%s: no projection between instances of one base grid", what)
+		t.Fatalf("%s: no start carried between instances of one base grid", what)
 	}
 	if len(p.X) != dst.Lay.NX || len(p.Lam) != dst.Lay.NEq || len(p.Mu) != dst.Lay.NIq || len(p.Z) != dst.Lay.NIq {
 		t.Fatalf("%s: projected lengths X %d λ %d µ %d z %d, want %d/%d/%d/%d", what,
@@ -138,7 +138,8 @@ func checkProjection(t *testing.T, what string, c0 *grid.Case, src, dst *OPF) {
 // uses: every rated-branch outage, every generator outage, every N-2 pair
 // of rated branches (islanding or not — only values matter here) and
 // branch+generator combinations of the embedded systems all keep the base
-// layout, and a start carried onto them is edited, never remapped.
+// layout, and the target edits a start carried onto it (AdaptStart),
+// never remaps it.
 func TestProjectionRowIdentityOutages(t *testing.T) {
 	for _, c := range []*grid.Case{grid.Case9(), grid.Case14(), grid.Case30(), grid.Case57()} {
 		base := Prepare(c)
@@ -155,7 +156,7 @@ func TestProjectionRowIdentityOutages(t *testing.T) {
 				t.Fatal(err)
 			}
 			singles[l] = o
-			checkProjection(t, fmt.Sprintf("%s branch %d", c.Name, l), c, base, o)
+			checkProjection(t, fmt.Sprintf("%s branch %d", c.Name, l), c, base, o, o.AdaptStart)
 		}
 		for g, gen := range c.Gens {
 			if !gen.Status {
@@ -165,13 +166,13 @@ func TestProjectionRowIdentityOutages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkProjection(t, fmt.Sprintf("%s gen %d", c.Name, g), c, base, o)
+			checkProjection(t, fmt.Sprintf("%s gen %d", c.Name, g), c, base, o, o.AdaptStart)
 			if len(rated) > 0 {
 				bo, err := singles[rated[g%len(rated)]].RebindGenOutage(g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkProjection(t, fmt.Sprintf("%s branch %d + gen %d", c.Name, rated[g%len(rated)], g), c, base, bo)
+				checkProjection(t, fmt.Sprintf("%s branch %d + gen %d", c.Name, rated[g%len(rated)], g), c, base, bo, bo.AdaptStart)
 			}
 		}
 		for i, l1 := range rated {
@@ -181,8 +182,8 @@ func TestProjectionRowIdentityOutages(t *testing.T) {
 					t.Fatal(err)
 				}
 				what := fmt.Sprintf("%s pair %d,%d", c.Name, l1, l2)
-				checkProjection(t, what, c, base, o)
-				checkProjection(t, what+" from the first outage", c, singles[l1], o)
+				checkProjection(t, what, c, base, o, o.AdaptStart)
+				checkProjection(t, what+" from the first outage", c, singles[l1], o, o.AdaptStart)
 			}
 		}
 	}
@@ -191,7 +192,8 @@ func TestProjectionRowIdentityOutages(t *testing.T) {
 // Ramp targets: tightening turns infinite Pg bounds finite (rows enter
 // the layout and are seeded), a later step with that direction
 // unconstrained turns them infinite again (rows leave), and a step can
-// follow an outage-derived instance. Every case gets one unit with an
+// follow a branch- or generator-outage instance, which edits the
+// projected start for its outage. Every case gets one unit with an
 // unbounded range so all three happen.
 func TestProjectionRowIdentityRamp(t *testing.T) {
 	for _, c := range []*grid.Case{grid.Case9(), grid.Case14(), grid.Case30(), grid.Case57()} {
@@ -218,15 +220,16 @@ func TestProjectionRowIdentityRamp(t *testing.T) {
 		if both.Lay.NIq != base.Lay.NIq+2 || upOnly.Lay.NIq != base.Lay.NIq+1 {
 			t.Fatalf("%s: ramp NIq %d/%d, want base %d +2/+1", c.Name, both.Lay.NIq, upOnly.Lay.NIq, base.Lay.NIq)
 		}
-		checkProjection(t, c.Name+" base→ramped", c, base, both)
-		checkProjection(t, c.Name+" ramped→base", c, both, base)
-		checkProjection(t, c.Name+" ramped→up-only", c, both, upOnly)
-		checkProjection(t, c.Name+" up-only→ramped", c, upOnly, both)
+		checkProjection(t, c.Name+" base→ramped", c, base, both, base.ProjectionTo(both).Apply)
+		checkProjection(t, c.Name+" ramped→base", c, both, base, both.ProjectionTo(base).Apply)
+		checkProjection(t, c.Name+" ramped→up-only", c, both, upOnly, both.ProjectionTo(upOnly).Apply)
+		checkProjection(t, c.Name+" up-only→ramped", c, upOnly, both, upOnly.ProjectionTo(both).Apply)
 		load := make([]float64, base.Lay.NB)
 		for i := range load {
 			load[i] = 1.05
 		}
-		checkProjection(t, c.Name+" perturbed step", c, both, upOnly.Perturb(load))
+		step := upOnly.Perturb(load)
+		checkProjection(t, c.Name+" perturbed step", c, both, step, both.ProjectionTo(step).Apply)
 		for l, br := range c.Branches {
 			if br.Status && br.RateA > 0 {
 				o, err := base.RebindOutage(l)
@@ -237,9 +240,22 @@ func TestProjectionRowIdentityRamp(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkProjection(t, fmt.Sprintf("%s base→outage %d+ramp", c.Name, l), c, base, ro)
+				checkProjection(t, fmt.Sprintf("%s base→outage %d+ramp", c.Name, l), c, base, ro,
+					func(st *Start) *Start { return ro.AdaptStart(base.ProjectionTo(ro).Apply(st)) })
 				break
 			}
 		}
+		// Unit 0's new Pmax row lands before unit 1's bound rows, so the
+		// ramp must move the rows unit 1's outage decoupled.
+		o, err := base.RebindGenOutage(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rg, err := o.RebindRamp(anchor, finite, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkProjection(t, c.Name+" base→gen 1 out+ramp", c, base, rg,
+			func(st *Start) *Start { return rg.AdaptStart(base.ProjectionTo(rg).Apply(st)) })
 	}
 }

@@ -76,6 +76,7 @@ func (o *OPF) RebindRamp(prevPg, up, down la.Vector) (*OPF, error) {
 	cp.xmin = xmin
 	cp.xmax = xmax
 	cp.Lay.NIq = 2*lay.NLRated + finite(xmax, 1) + finite(xmin, -1)
+	cp.decouple() // a dropped unit's bound rows move with the bounds
 	cp.prep = time.Since(t0)
 	return &cp, nil
 }

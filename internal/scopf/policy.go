@@ -33,7 +33,7 @@ type PolicyFeatures struct {
 func featuresOf(c *grid.Case, cl *class, sc Scenario) PolicyFeatures {
 	f := PolicyFeatures{
 		Buses:     float64(c.NB()),
-		DroppedIq: float64(len(cl.decoupled)),
+		DroppedIq: float64(len(cl.opf.Decoupled())),
 	}
 	dev := 0.0
 	for _, x := range sc.Factors {

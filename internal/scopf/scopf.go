@@ -33,7 +33,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/batch"
@@ -256,12 +255,7 @@ type class struct {
 	mode     warmMode
 	islanded bool   // the outage splits the network; never solved
 	kind     string // classKey.kind()
-	// decoupled lists the inequality rows the outage decoupled
-	// (opf.Decoupled): not constraints of the contingency, so not counted
-	// as binding, and their count is the binding-set-distance input of
-	// the policy.
-	decoupled []int
-	err       error // derivation failure (invalid outage index)
+	err      error  // derivation failure (invalid outage index)
 }
 
 // Run screens every scenario and returns outcomes in scenario order.
@@ -396,7 +390,6 @@ func (e *Engine) buildClass(base *opf.OPF, warm bool, key classKey) *class {
 		}
 	}
 	cl.opf = cur
-	cl.decoupled = cur.Decoupled()
 	switch {
 	case !warm: // no usable prediction: cold
 	case !cur.AdaptsStart():
@@ -408,11 +401,14 @@ func (e *Engine) buildClass(base *opf.OPF, warm bool, key classKey) *class {
 }
 
 // bindingCount counts inequality rows whose slack is at its bound,
-// skipping the rows an outage decoupled.
+// skipping the rows an outage decoupled (ascending, as opf.Decoupled
+// lists them).
 func bindingCount(z la.Vector, decoupled []int) int {
 	n := 0
 	for k, zi := range z {
-		if zi < opf.BindingTol && !slices.Contains(decoupled, k) {
+		if len(decoupled) > 0 && decoupled[0] == k {
+			decoupled = decoupled[1:]
+		} else if zi < opf.BindingTol {
 			n++
 		}
 	}
@@ -438,7 +434,7 @@ func screenClass(base *opf.OPF, cl *class, pred opf.Predictor, draw *drawStart, 
 			start = inst.AdaptStart(draw.get(pred, inst.Case))
 		}
 	}
-	out := solveOutcome(inst, sc, start, cl.mode == warmProjected, cl.decoupled)
+	out := solveOutcome(inst, sc, start, cl.mode == warmProjected)
 	out.ColdByPolicy = coldByPolicy
 	return out
 }
@@ -447,7 +443,7 @@ func screenClass(base *opf.OPF, cl *class, pred opf.Predictor, draw *drawStart, 
 // (opf.SolveWarm) and reports it. Both the engine and the naive
 // reference path report through it, so their accounting is identical by
 // construction.
-func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool, decoupled []int) Outcome {
+func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool) Outcome {
 	res := Outcome{Scenario: sc}
 	out := inst.SolveWarm(start, opf.Options{})
 	if out.Err != nil {
@@ -460,7 +456,7 @@ func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool, 
 		res.Iterations = r.Iterations
 		res.WarmUsed = out.WarmAccepted
 		res.Projected = projected && out.WarmAccepted
-		res.Binding = bindingCount(r.Z, decoupled)
+		res.Binding = bindingCount(r.Z, inst.Decoupled())
 	}
 	return res
 }
@@ -509,7 +505,7 @@ func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers in
 		if m != nil && o.Lay.Fits(m.Lay) {
 			start = m.Predict(dataset.InputVector(o.Case))
 		}
-		out[t.Index] = solveOutcome(o, sc, start, false, nil)
+		out[t.Index] = solveOutcome(o, sc, start, false)
 		return nil
 	})
 	return out
