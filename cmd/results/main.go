@@ -149,6 +149,7 @@ var codeSize = []struct {
 	{at: "PR 22", all: 17100, warmPath: 5840, kernel: 3338, why: "one KKT ordering, AMD, chosen on the matrix MIPS factors: the fill-probing fourth ordering with its resolver and surrogate probe, the per-size default with its 48-bus threshold in `internal/opf`, the `-ordering` flags of `pgsim`/`scopf` and the ordering-name parser deleted (CHANGES.md names them); a `SymbolicCache` publishes one analysis through one atomic pointer — the four-entry MRU, its cap, the bump/evict logic and the handle's pin list gone, a second pattern stays private to its handle; `cmd/results` renders the production fill table and sorts its four tables with one helper"},
 	{at: "after 2e0963a", all: 16978, warmPath: 5785, kernel: 3279, why: "every branch outage has the intact KKT pattern: `grid.YMatrices.DropBranch` keeps the outaged Ybus entries as explicit zeros, so the per-class entry map, the per-factorization scatter buffer, `SymbolicCache.embed` and `(*OPF).Solve`'s root-first warming solve with its `sync.Once` and root pointer are deleted — the one analysis is made under the root cache's lock; the unused `(*OPF).problem` deleted; `mips.Options` `Xi`/`Sigma`/`Z0`/`Gamma0` and `mtl.TrainConfig` `MainWeight`/`AuxWeight`/`LogEvery` made constants"},
 	{at: "after a93fd24", all: 16977, warmPath: 5783, kernel: 3279, why: "every contingency is a value edit on the intact problem: an outaged rated branch keeps its flow rows (zero admittances), a dropped unit its Pg/Qg columns (weight 0 on cost and injection), so every outage class has the intact layout and `Derive()`s its KKT cache — the layout surgery of `RebindOutage`/`RebindGenOutage`, `opf.Projection`'s x/iq index maps (`present`, `unlessIdentity`, `gather`) and scopf's per-class `Layout.Fits` routing and projection field deleted; the warm start is fitted by the target instance (`opf.AdaptStart`, reading the decoupled rows and slacks recorded once per derivation), `Projection` maps only `RebindRamp`'s newly finite bound rows"},
+	{at: "after 1c4db34", all: 17046, warmPath: 5799, kernel: 3327, why: "a third failure verdict (a performance change, so the count goes up): `mips.ErrStalled` ends a solve whose best primal feasibility has not halved in 65 iterations, with its window of bests on the `Stepper` (+48 in `mips`, most of it the documented calibration); `scopf.Summary` splits its errors by verdict, `pgsimd_screen_stalled_total` and `cmd/scopf`'s error split read it; `screen_n1_mid`'s check pass runs 7,661 → 4,893 iterations (PERFORMANCE.md)"},
 }
 
 func main() {

@@ -203,7 +203,8 @@ func main() {
 		fmt.Printf("islanding: %d scenarios classified without solving\n", sum.Islanded)
 	}
 	if sum.Errors > 0 {
-		fmt.Printf("errors: %d scenarios failed to solve cleanly\n", sum.Errors)
+		fmt.Printf("errors: %d scenarios failed to solve cleanly — %d stalled, %d iteration limit, %d numeric\n",
+			sum.Errors, sum.Stalled, sum.IterLimit, sum.Numeric)
 	}
 	if len(classes) > 0 {
 		fmt.Printf("\n%-14s %10s %8s %10s\n", "outage", "scenarios", "#µ", "warm")
@@ -291,6 +292,9 @@ func printJSON(name string, naive bool, sum scopf.Summary, classes []scopf.Class
 		"islanded":          sum.Islanded,
 		"policy_cold":       sum.PolicyCold,
 		"errors":            sum.Errors,
+		"stalled":           sum.Stalled,
+		"iteration_limit":   sum.IterLimit,
+		"numeric":           sum.Numeric,
 		"mean_iterations":   sum.MeanIterations,
 		"worst_cost":        sum.WorstCost,
 		"elapsed_us":        elapsed.Microseconds(),

@@ -12,6 +12,18 @@
 // slack vector Z cover both nonlinear constraints and bounds — the
 // objects the Smart-PGSim network predicts.
 //
+// A solve that does not converge ends on one of three verdicts, tested
+// in this order after the convergence test of each iteration: ErrMaxIter
+// at Options.MaxIter, ErrNumeric on NaN iterates (or a KKT system no
+// regularization can factor), and ErrStalled when the best primal
+// feasibility seen has not halved over the last 65 iterations. The stall
+// rule only ends solves, it never changes an iterate: a solve it leaves
+// alone takes exactly the iterations and reaches exactly the point it
+// would without it. The rule has a floor: feasibility already within ten
+// times FeasTol is never "stalled", because a solve stuck there is
+// feasible and waiting on the gradient or complementarity conditions,
+// which a feasibility trend says nothing about.
+//
 // The per-iteration Newton KKT system is the solver's hot path. Its
 // sparsity pattern is fixed across all iterations of a solve, so Solve
 // performs one symbolic factorization (fill-reducing ordering, pattern
@@ -63,6 +75,20 @@ const (
 	sigma  = 0.1     // centering parameter
 	z0     = 1       // initial slack scale
 	gamma0 = 1       // initial barrier of a cold start
+)
+
+// The stall rule: a solve whose best feasibility condition has not
+// halved in stallWindow iterations, while still above stallFloor·FeasTol
+// and stallFloorMin, ends with ErrStalled. The window is 25 % above the
+// longest such stretch of a converging solve in the calibration corpus,
+// 52 iterations (PERFORMANCE.md, "Stalled feasibility ends a solve").
+// stallFloorMin keeps rounding-level feasibility (≈1e-15 at a fixed
+// point, where callers with unreachable tolerances keep iterating) from
+// counting as stalled.
+const (
+	stallWindow   = 65
+	stallFloor    = 10
+	stallFloorMin = 1e-10
 )
 
 // Options tunes the solver. Zero values take the MIPS defaults.
@@ -165,6 +191,13 @@ const kktStaticReg = 1e-8
 // ErrMaxIter is returned when the iteration limit is reached.
 var ErrMaxIter = errors.New("mips: maximum iterations reached without convergence")
 
+// ErrStalled is returned when primal feasibility stops improving (see
+// the package doc and stallWindow). A solve that wanders at one
+// feasibility level for longer than the window and then converges ends
+// here too: PERFORMANCE.md's scan found 3 in 13,200 cold case9/case14
+// outage solves, and none in the calibration corpus.
+var ErrStalled = errors.New("mips: primal feasibility stalled")
+
 // Solve runs the primal–dual interior-point iteration from x0 (or the
 // warm start, if ws is non-nil). It is a Stepper run to completion,
 // drawing its Arena from a package-level pool: a worker goroutine
@@ -212,6 +245,12 @@ type Stepper struct {
 	df            la.Vector
 	gamma, regKKT float64
 
+	// best is the smallest feasibility condition seen so far; bests[i %
+	// stallWindow] holds its value at iteration i for the last
+	// stallWindow iterations (the stall rule).
+	best  float64
+	bests [stallWindow]float64
+
 	kkt  *sparse.CacheHandle
 	res  *Result
 	iter int
@@ -232,7 +271,7 @@ func newStepper(p *Problem, x0 la.Vector, ws *WarmStart, opt Options, ar *Arena)
 	if len(x0) != nx {
 		panic(fmt.Sprintf("mips: x0 length %d != NX %d", len(x0), nx))
 	}
-	s := &Stepper{p: p, opt: opt, ar: ar, nx: nx}
+	s := &Stepper{p: p, opt: opt, ar: ar, nx: nx, best: math.Inf(1)}
 
 	// Index the finite bounds once; they become linear inequality rows.
 	for i := 0; i < nx; i++ {
@@ -412,6 +451,15 @@ func (s *Stepper) Step() (bool, error) {
 	if s.x.HasNaN() || s.lam.HasNaN() || s.mu.HasNaN() {
 		return s.finish(fmt.Errorf("%w: NaN in iterates at iteration %d", ErrNumeric, s.iter))
 	}
+	if feas < s.best {
+		s.best = feas
+	}
+	slot := &s.bests[s.iter%stallWindow]
+	if s.iter >= stallWindow && s.best > *slot/2 && s.best > math.Max(stallFloor*opt.FeasTol, stallFloorMin) {
+		return s.finish(fmt.Errorf("%w: best feasibility %.3g at iteration %d, %.3g %d iterations before",
+			ErrStalled, s.best, s.iter, *slot, stallWindow))
+	}
+	*slot = s.best
 
 	// Newton KKT system, assembled in one compiled pass: the (1,1)
 	// block JhᵀWJh + ∇²L + regKKT·I, the Jg borders, and the grounded

@@ -175,15 +175,13 @@ func TestNaNObjectiveFailsCleanly(t *testing.T) {
 	}
 }
 
-// Failure injection: an infeasible equality set must hit ErrMaxIter (or a
-// numeric error), not claim success.
-func TestInfeasibleEqualities(t *testing.T) {
-	// x = 0 and x = 1 simultaneously.
+// infeasibleEqualities asks for x = 0 and x = 1 simultaneously.
+func infeasibleEqualities() *Problem {
 	b := sparse.NewBuilder(2, 1)
 	b.Append(0, 0, 1)
 	b.Append(1, 0, 1)
 	jac := b.ToCSC()
-	p := &Problem{
+	return &Problem{
 		NX: 1,
 		F: func(x la.Vector) (float64, la.Vector) {
 			return x[0] * x[0], la.Vector{2 * x[0]}
@@ -195,11 +193,31 @@ func TestInfeasibleEqualities(t *testing.T) {
 			return sparse.Identity(1).Scale(2)
 		},
 	}
-	res, err := Solve(p, la.Vector{0.5}, nil, Options{MaxIter: 25})
+}
+
+// Failure injection: an infeasible equality set must end in one of the
+// failure verdicts, not claim success.
+func TestInfeasibleEqualities(t *testing.T) {
+	res, err := Solve(infeasibleEqualities(), la.Vector{0.5}, nil, Options{MaxIter: 25})
 	if err == nil && res.Converged {
 		t.Fatal("infeasible problem reported as converged")
 	}
-	if err != nil && !errors.Is(err, ErrMaxIter) && !errors.Is(err, ErrNumeric) {
+	if err != nil && !errors.Is(err, ErrMaxIter) && !errors.Is(err, ErrNumeric) && !errors.Is(err, ErrStalled) {
 		t.Fatalf("unexpected error type: %v", err)
+	}
+}
+
+// TestStallVerdict: with the default iteration limit, the infeasible
+// equality set ends on the stalled-feasibility rule, not after 150
+// iterations. Its feasibility condition max(|x|, |x−1|)/(1+|x|) is never
+// below 1/3, its value at the start x = ½, so the best value is flat from
+// the first iterate and the rule fires as soon as the window is full.
+func TestStallVerdict(t *testing.T) {
+	res, err := Solve(infeasibleEqualities(), la.Vector{0.5}, nil, Options{})
+	if !errors.Is(err, ErrStalled) {
+		t.Fatalf("err = %v, want ErrStalled", err)
+	}
+	if res.Converged || res.Iterations != stallWindow {
+		t.Fatalf("stalled after %d iterations (converged %v), want %d", res.Iterations, res.Converged, stallWindow)
 	}
 }

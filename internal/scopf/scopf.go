@@ -31,6 +31,7 @@ package scopf
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -39,6 +40,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/grid"
 	"repro/internal/la"
+	"repro/internal/mips"
 	"repro/internal/mtl"
 	"repro/internal/opf"
 	"repro/internal/sparse"
@@ -668,8 +670,12 @@ type Summary struct {
 	Islanded                       int // scenarios classified as islanding, never solved
 	PolicyCold                     int // warm starts skipped by the dispatch policy
 	Errors                         int // scenarios whose solve/derivation errored
-	MeanIterations                 float64
-	WorstCost                      float64 // highest secure-dispatch cost
+	// Stalled, IterLimit and Numeric split Errors by the terminal solve's
+	// verdict (mips.ErrStalled, ErrMaxIter, ErrNumeric); a derivation
+	// error is in none of them.
+	Stalled, IterLimit, Numeric int
+	MeanIterations              float64
+	WorstCost                   float64 // highest secure-dispatch cost
 }
 
 // Summarize reduces outcomes to the operator-facing numbers.
@@ -699,6 +705,14 @@ func Summarize(outs []Outcome) Summary {
 		}
 		if o.Err != nil {
 			s.Errors++
+		}
+		switch {
+		case errors.Is(o.Err, mips.ErrStalled):
+			s.Stalled++
+		case errors.Is(o.Err, mips.ErrMaxIter):
+			s.IterLimit++
+		case errors.Is(o.Err, mips.ErrNumeric):
+			s.Numeric++
 		}
 	}
 	if s.Feasible > 0 {

@@ -1,12 +1,14 @@
 package scopf
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/grid"
 	"repro/internal/la"
+	"repro/internal/mips"
 	"repro/internal/mtl"
 	"repro/internal/opf"
 )
@@ -275,9 +277,20 @@ func TestOutcomeErrors(t *testing.T) {
 			t.Fatalf("invalid outage not reported as error: %+v", outs[1])
 		}
 		sum := Summarize(outs)
-		if sum.Errors != 1 || sum.Feasible != 1 {
+		if sum.Errors != 1 || sum.Feasible != 1 || sum.Stalled+sum.IterLimit+sum.Numeric != 0 {
 			t.Fatalf("summary %+v", sum)
 		}
+	}
+
+	// A solver failure is split by its verdict: case30 without branch 9
+	// cannot be made feasible, and its cold solve ends on the stall rule.
+	c30 := grid.Case30()
+	outs := (&Engine{Base: c30, Workers: 1}).Run([]Scenario{{Factors: ones(c30.NB()), OutBranch: 9}}).Outcomes
+	if !errors.Is(outs[0].Err, mips.ErrStalled) {
+		t.Fatalf("case30 branch 9: err = %v, want mips.ErrStalled", outs[0].Err)
+	}
+	if sum := Summarize(outs); sum.Errors != 1 || sum.Stalled != 1 || sum.IterLimit+sum.Numeric != 0 {
+		t.Fatalf("summary %+v", sum)
 	}
 }
 

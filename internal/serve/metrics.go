@@ -135,8 +135,8 @@ type metrics struct {
 	// classes prepared (scenarios/classes is the prepare-reuse factor;
 	// warm/scenarios the screening warm-hit rate).
 	screens, screenScenarios, screenFeasible, screenWarm, screenProjected *counter
-	screenIslanded, screenPolicyCold, screenErrors, screenClasses         *counter
-	screenAnalyses                                                        *counter
+	screenIslanded, screenPolicyCold, screenErrors, screenStalled         *counter
+	screenClasses, screenAnalyses                                         *counter
 	screenLatency                                                         *histogram
 
 	// Trajectory counters: streams completed, steps and warm-accepted
@@ -175,6 +175,7 @@ func newMetrics() *metrics {
 		screenIslanded:   newCounter("pgsimd_screen_islanded_total", "Scenarios classified as islanding outages (no solver invoked).", "system"),
 		screenPolicyCold: newCounter("pgsimd_screen_policy_cold_total", "Warm starts skipped by the dispatch policy.", "system"),
 		screenErrors:     newCounter("pgsimd_screen_errors_total", "Scenarios whose solve or derivation errored.", "system"),
+		screenStalled:    newCounter("pgsimd_screen_stalled_total", "Errored scenarios ended early because primal feasibility stalled (mips.ErrStalled).", "system"),
 		screenClasses:    newCounter("pgsimd_screen_classes_total", "Topology classes prepared (prepare reuse = scenarios/classes).", "system"),
 		screenAnalyses:   newCounter("pgsimd_screen_kkt_analyses_total", "KKT symbolic analyses made by the outage classes of screening sweeps: every outage class factors on the intact system's analysis, which pgsimd_kkt_symbolic_analyses_total counts, so only value-pivoted fallbacks count here.", "system"),
 		screenLatency:    newHistogram(screenLatencyBuckets),
@@ -215,6 +216,7 @@ func (m *metrics) recordScreen(system string, sum scopf.Summary, rep *scopf.Repo
 	m.screenIslanded.add(int64(sum.Islanded), system)
 	m.screenPolicyCold.add(int64(sum.PolicyCold), system)
 	m.screenErrors.add(int64(sum.Errors), system)
+	m.screenStalled.add(int64(sum.Stalled), system)
 	m.screenClasses.add(int64(len(rep.Classes)), system)
 	m.screenAnalyses.add(int64(rep.KKT.Analyses), system)
 	m.screenLatency.observe(latency.Seconds())
@@ -294,7 +296,7 @@ func (m *metrics) render(w io.Writer, queueDepth int, kkt []kktStat, lcs []lcSta
 
 	for _, c := range []*counter{
 		m.screens, m.screenScenarios, m.screenFeasible, m.screenWarm, m.screenProjected,
-		m.screenIslanded, m.screenPolicyCold, m.screenErrors, m.screenClasses, m.screenAnalyses,
+		m.screenIslanded, m.screenPolicyCold, m.screenErrors, m.screenStalled, m.screenClasses, m.screenAnalyses,
 	} {
 		c.render(w)
 	}

@@ -243,6 +243,7 @@ func TestScreenMetricsAndBusy(t *testing.T) {
 		`pgsimd_screen_warm_total{system="case9"}`,
 		`pgsimd_screen_projected_total{system="case9"}`,
 		`pgsimd_screen_errors_total{system="case9"} 0`,
+		`pgsimd_screen_stalled_total{system="case9"} 0`,
 		// Branch outages factor on the intact system's analysis, on a
 		// server that had solved nothing before as on any other.
 		`pgsimd_screen_kkt_analyses_total{system="case9"} 0`,
