@@ -639,9 +639,7 @@ func writeScreenBenchReport(b *testing.B) {
 		}
 
 		// --- N-2 branch pairs, per-system --------------------------------
-		// case14 exhaustive pair set, engine vs naive (MatchNaive); then
-		// the hierarchical top-K screen against the exhaustive reference,
-		// re-verifying that every severe pair survives the pruning. case9 is
+		// case14 exhaustive pair set, engine vs naive (MatchNaive). case9 is
 		// the islanding regime: every branch pair disconnects the 6-branch
 		// ring, so the whole pair set is classified without a single solve.
 		f14 := make(la.Vector, sys14.Case.NB())
@@ -658,33 +656,6 @@ func writeScreenBenchReport(b *testing.B) {
 		})
 		pairDrift := mustMatchNaive("case14 N-2 pair", pairEng, pairNaive, scopf.Drift{IterDiffs: 16, IterAbs: 71, MaxRelCost: 1e-8})
 
-		const topK = 17 // smallest K retaining every solver-severe case14 pair (TestHierarchicalN2Sound)
-		var exh, pruned *scopf.N2Result
-		exhNs, prunedNs := measurePair(1, func() {
-			exh = (&scopf.Engine{Base: sys14.Case, Workers: 1}).ScreenPairsTopK(f14, 0)
-		}, func() {
-			pruned = (&scopf.Engine{Base: sys14.Case, Workers: 1}).ScreenPairsTopK(f14, topK)
-		})
-		prunedOut := make(map[[2]int]scopf.Outcome, len(pruned.Pairs))
-		for i, p := range pruned.Pairs {
-			prunedOut[p] = pruned.Report.Outcomes[i]
-		}
-		severe := 0
-		for i, p := range exh.Pairs {
-			o := exh.Report.Outcomes[i]
-			if o.Err == nil && o.Feasible && !o.Islanded {
-				continue // not severe
-			}
-			severe++
-			kept, ok := prunedOut[p]
-			if !ok {
-				b.Fatalf("hierarchical N-2 pruned away severe pair %v", p)
-			}
-			if kept.Feasible != o.Feasible || kept.Cost != o.Cost || kept.Iterations != o.Iterations || kept.Islanded != o.Islanded {
-				b.Fatalf("hierarchical N-2 pair %v: pruned outcome differs from exhaustive: %+v vs %+v", p, kept, o)
-			}
-		}
-
 		pairSc9 := scopf.BuildPairScenarios(benchDraws(sys9.Case.NB(), 1, 7), scopf.AllPairs(scopf.Contingencies(sys9.Case)))
 		t0 := time.Now()
 		islOuts := (&scopf.Engine{Base: sys9.Case, Workers: 1}).Run(pairSc9).Outcomes
@@ -693,108 +664,6 @@ func writeScreenBenchReport(b *testing.B) {
 		if sumIsl.Islanded != len(pairSc9) {
 			b.Fatalf("case9 N-2: expected all %d pairs to island, got %d", len(pairSc9), sumIsl.Islanded)
 		}
-
-		// --- warm/cold dispatch policy, per-system -----------------------
-		// Each system trains its policy on its own screening log and is
-		// re-screened with it against the cold baseline. The per-scenario
-		// iteration guard is the acceptance invariant: the policy never
-		// selects a mode slower than cold (this is what turns the case30
-		// warm counter-regime from a hidden average into a dispatch
-		// decision). On warm-favourable systems the conservative threshold
-		// must not squander the headline speedup, so each row also reports
-		// the in-sample policy cost against the always-warm baseline;
-		// maxVsWarm > 0 enforces a ceiling on that ratio (1.05 on case57:
-		// within 5 % of the recorded warm speedup).
-		policyRow := func(name string, sys *core.System, m *mtl.Model, scenarios []scopf.Scenario, maxVsWarm float64) map[string]any {
-			samples := scopf.CollectPolicySamples(&scopf.Engine{Base: sys.Case, Model: m, Workers: 1}, scenarios)
-			pol := scopf.TrainPolicy(samples)
-			if pol == nil {
-				b.Fatalf("%s policy: screening log produced no samples", name)
-			}
-			hurts, winners, retained := 0, 0, 0
-			policyCost, warmCost := 0, 0
-			for _, s := range samples {
-				if pol.UseWarm(s.Feat) {
-					policyCost += s.WarmIters
-				} else {
-					policyCost += s.ColdIters
-				}
-				warmCost += s.WarmIters
-				switch {
-				case s.WarmHurts():
-					hurts++
-					if pol.UseWarm(s.Feat) {
-						b.Fatalf("%s policy: accepts a warm start measured slower than cold", name)
-					}
-				case s.WarmWins():
-					winners++
-					if pol.UseWarm(s.Feat) {
-						retained++
-					}
-				}
-			}
-			var polOuts, coldOuts []scopf.Outcome
-			coldNs, polNs := measurePair(1, func() {
-				coldOuts = (&scopf.Engine{Base: sys.Case, Workers: 1}).Run(scenarios).Outcomes
-			}, func() {
-				polOuts = (&scopf.Engine{Base: sys.Case, Model: m, Workers: 1, Policy: pol}).Run(scenarios).Outcomes
-			})
-			polIters, coldIters := 0, 0
-			for i := range polOuts {
-				p, cd := polOuts[i], coldOuts[i]
-				if p.Err == nil && cd.Err == nil && cd.Feasible && p.Iterations > cd.Iterations {
-					b.Fatalf("%s policy: scenario %d slower than cold (%d > %d iterations)", name, i, p.Iterations, cd.Iterations)
-				}
-				polIters += p.Iterations
-				coldIters += cd.Iterations
-			}
-			vsWarm := float64(policyCost) / float64(warmCost)
-			if maxVsWarm > 0 && vsWarm > maxVsWarm {
-				b.Fatalf("%s policy: in-sample cost is %.2fx the always-warm baseline (ceiling %.2fx)", name, vsWarm, maxVsWarm)
-			}
-			sumPol := scopf.Summarize(polOuts)
-			row := map[string]any{
-				"scenarios":              len(scenarios),
-				"samples":                len(samples),
-				"warm_losses":            hurts,
-				"warm_wins":              winners,
-				"warm_wins_retained":     retained,
-				"threshold":              pol.Threshold,
-				"policy_cold":            sumPol.PolicyCold,
-				"policy_iterations":      polIters,
-				"cold_iterations":        coldIters,
-				"iteration_speedup":      float64(coldIters) / float64(polIters),
-				"wall_speedup":           coldNs / polNs,
-				"cost_vs_always_warm":    vsWarm,
-				"never_slower_than_cold": true, // per-scenario guard above, b.Fatal otherwise
-			}
-			return row
-		}
-
-		trainSystem := func(name string, nSamples, epochs int, seed int64) (*core.System, *mtl.Model) {
-			sys := core.MustLoadSystem(name)
-			set, err := sys.GenerateData(nSamples, seed)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, err := sys.TrainModel(mtl.VariantMTL, set, epochs, seed, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return sys, m
-		}
-
-		policy9 := policyRow("case9", sys9, m, sc9, 0)
-
-		sys30, m30 := trainSystem("case30", 60, 150, 30)
-		draws30 := benchDraws(sys30.Case.NB(), 3, 31)
-		sc30 := scopf.BuildScenarios(draws30, scopf.Contingencies(sys30.Case)[:10])
-		sc30 = append(sc30, scopf.BuildGenScenarios(draws30, scopf.GenContingencies(sys30.Case))...)
-		policy30 := policyRow("case30", sys30, m30, sc30, 0)
-
-		sys57, m57 := trainSystem("case57", 150, 150, 57)
-		sc57 := scopf.BuildScenarios(benchDraws(sys57.Case.NB(), 2, 58), scopf.Contingencies(sys57.Case)[:6])
-		policy57 := policyRow("case57", sys57, m57, sc57, 1.05)
 
 		perScen := func(ns float64, n int) float64 { return ns / float64(n) }
 		report := map[string]any{
@@ -858,28 +727,12 @@ func writeScreenBenchReport(b *testing.B) {
 					"iteration_drift_total":  pairDrift.IterAbs,
 					"max_rel_cost_diff":      pairDrift.MaxRelCost,
 				},
-				"case14_hierarchical": map[string]any{
-					"top_k":           topK,
-					"exhaustive_ns":   exhNs,
-					"pruned_ns":       prunedNs,
-					"prune_speedup":   exhNs / prunedNs,
-					"pairs_total":     len(exh.Pairs),
-					"pairs_screened":  len(pruned.Pairs),
-					"pairs_skipped":   pruned.Skipped,
-					"severe_pairs":    severe,
-					"severe_retained": true, // verified above, b.Fatal otherwise
-				},
 				"case9_islanding": map[string]any{
 					"pairs":          len(pairSc9),
 					"islanded":       sumIsl.Islanded,
 					"ns_per_pair":    perScen(islNs, len(pairSc9)),
 					"solver_invoked": false, // all pairs classified by the connectivity check
 				},
-			},
-			"policy": map[string]any{
-				"case9":  policy9,
-				"case30": policy30,
-				"case57": policy57,
 			},
 			"warm_speedup": warmNaiveNs / warmEngineNs, // unitless ratio (naive/engine wall clock)
 		}
@@ -893,11 +746,8 @@ func writeScreenBenchReport(b *testing.B) {
 		fmt.Printf("BENCH_scopf.json: warm N-1 screen %.2fx naive (projection: %d/%d warm vs %d/%d), cold case14 %.2fx verdicts match\n",
 			warmNaiveNs/warmEngineNs, sumEng.WarmConverged, len(sc9), sumNaive.WarmConverged, len(sc9),
 			naiveNs/engineNs)
-		fmt.Printf("BENCH_scopf.json: gen-outage %.2fx (case14 cold) %.2fx (case9 warm); N-2 pairs %.2fx, hierarchy prunes %d/%d pairs (%.2fx, %d severe retained)\n",
-			genNaiveNs/genEngineNs, gwNaiveNs/gwEngineNs, pairNaiveNs/pairEngineNs,
-			pruned.Skipped, len(exh.Pairs), exhNs/prunedNs, severe)
-		fmt.Printf("BENCH_scopf.json: policy case30 %.2fx vs cold (%v dispatched cold), case9/case57 keep their warm wins\n",
-			policy30["iteration_speedup"], policy30["policy_cold"])
+		fmt.Printf("BENCH_scopf.json: gen-outage %.2fx (case14 cold) %.2fx (case9 warm); N-2 pairs %.2fx\n",
+			genNaiveNs/genEngineNs, gwNaiveNs/gwEngineNs, pairNaiveNs/pairEngineNs)
 	})
 }
 

@@ -1,6 +1,6 @@
 // Command scopf runs security-constrained OPF contingency screening: a
 // tree of load draws × contingencies — N-1 branch outages, generator
-// outages and hierarchical N-2 branch pairs — each an independent
+// outages and N-2 branch pairs — each an independent
 // AC-OPF, screened on the topology-aware engine (every contingency a
 // value edit on the intact problem, factored on its one KKT analysis;
 // the intact-system warm start fitted to each outage, islanding outages
@@ -14,8 +14,7 @@
 //	scopf -case case9 -draws 4 -train 60 -epochs 150     # warm-start screening
 //	scopf -case case57 -contingencies 0,3,7 -workers 8   # explicit RATED branches only
 //	scopf -case case30 -draws 8 -gens all                # generator N-1 axis
-//	scopf -case case14 -draws 1 -n2 8                    # hierarchical N-2 pairs (top-8)
-//	scopf -case case30 -draws 8 -train 80 -policy        # learned warm/cold dispatch
+//	scopf -case case14 -draws 1 -n2                      # every N-2 pair of the branch list
 //	scopf -case case30 -draws 16 -json > screen.json
 //	scopf -case case14 -draws 8 -naive                   # reference baseline
 package main
@@ -51,8 +50,7 @@ func main() {
 	spread := flag.Float64("spread", 0.1, "half-width of the load band (0.1 = the paper's ±10 %)")
 	contingencies := flag.String("contingencies", "all", "branch outages to screen: all (connected N-1 set), none, or a comma-separated index list into the case's branch table; explicit indices must name RATED in-service branches (RateA > 0) — an unrated branch carries no flow limit, so its outage is not a screening contingency")
 	gens := flag.String("gens", "none", "generator outages to screen: all (every in-service unit), none, or a comma-separated index list into the case's generator table")
-	n2 := flag.Int("n2", 0, "hierarchical N-2 pair screening on the first draw with this top-K severity cutoff (0 = off, negative = exact exhaustive pair set); islanding pairs are always classified")
-	policy := flag.Bool("policy", false, "train a warm/cold dispatch policy on this sweep's screening log (needs -train) and re-screen with it")
+	n2 := flag.Bool("n2", false, "also screen every pair of the branch outages as an N-2 contingency, per draw; pairs that island the network are classified without solving")
 	skipIntact := flag.Bool("skip-intact", false, "drop the no-outage scenario of each draw")
 	trainN := flag.Int("train", 0, "train a warm-start model on this many intact-system samples first (0 = cold screening)")
 	epochs := flag.Int("epochs", 0, "training epochs for -train (0 = per-system default, see core.TrainingDefaults)")
@@ -63,6 +61,13 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print a machine-readable JSON summary instead of tables")
 	verbose := flag.Bool("v", false, "print one row per scenario")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops at the first non-flag argument, so every flag after a
+		// stray one would be dropped without a word.
+		fmt.Fprintf(os.Stderr, "scopf: unexpected argument %q (scopf takes flags only; -n2 takes no value)\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	batch.SetDefaultWorkers(*workers)
 
 	c, err := casegen.Paper(*caseName)
@@ -102,6 +107,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var pairs [][2]int
+	if *n2 {
+		pairs = scopf.AllPairs(cons)
+	}
 	draws := sampleDraws(c.NB(), *nDraws, *seed, *spread)
 	var scenarios []scopf.Scenario
 	for _, f := range draws {
@@ -114,35 +123,13 @@ func main() {
 		for _, g := range genCons {
 			scenarios = append(scenarios, scopf.GenScenario(f, g))
 		}
+		for _, p := range pairs {
+			scenarios = append(scenarios, scopf.PairScenario(f, p[0], p[1]))
+		}
 	}
 	if len(scenarios) == 0 {
 		log.Fatal("nothing to screen (no draws or no topologies)")
 	}
-	if *policy && (*naive || model == nil) {
-		log.Fatal("-policy needs a warm-start model (-train) and the topology-aware engine (no -naive)")
-	}
-
-	// The dispatch policy is trained on this sweep's own screening log
-	// (warm and cold iteration counts per scenario) before the timed run.
-	var pol *scopf.Policy
-	if *policy {
-		samples := scopf.CollectPolicySamples(&scopf.Engine{
-			Base: c, Prepared: base, Model: model,
-			Workers: *workers, NoProjection: *noProjection,
-		}, scenarios)
-		pol = scopf.TrainPolicy(samples)
-		if pol == nil {
-			log.Fatal("-policy: the sweep produced no warm/cold sample pairs to train on")
-		}
-		losses := 0
-		for _, s := range samples {
-			if s.WarmHurts() {
-				losses++
-			}
-		}
-		log.Printf("policy: trained on %d samples (%d warm losses), threshold %.4f", len(samples), losses, pol.Threshold)
-	}
-
 	t0 := time.Now()
 	var outs []scopf.Outcome
 	var classes []scopf.ClassInfo
@@ -152,7 +139,7 @@ func main() {
 	} else {
 		eng := &scopf.Engine{
 			Base: c, Prepared: base, Model: model,
-			Workers: *workers, NoProjection: *noProjection, Policy: pol,
+			Workers: *workers, NoProjection: *noProjection,
 		}
 		kkt0 := base.KKTStats()
 		rep := eng.Run(scenarios)
@@ -162,26 +149,11 @@ func main() {
 	elapsed := time.Since(t0)
 	sum := scopf.Summarize(outs)
 
-	// Hierarchical N-2 stage: rank the first draw's N-1 outcomes by
-	// severity, screen the top-K pair block plus every islanding pair.
-	var n2res *scopf.N2Result
-	if *n2 != 0 {
-		k := *n2
-		if k < 0 {
-			k = 0 // exhaustive reference mode
-		}
-		eng := &scopf.Engine{
-			Base: c, Prepared: base, Model: model,
-			Workers: *workers, NoProjection: *noProjection, Policy: pol,
-		}
-		n2res = eng.ScreenPairsTopK(draws[0], k)
-	}
-
 	if *jsonOut {
-		printJSON(c.Name, *naive, sum, classes, kkt.Add(intactKKT), elapsed, pol, n2res)
+		printJSON(c.Name, *naive, sum, classes, kkt.Add(intactKKT), elapsed)
 		return
 	}
-	perDraw := len(cons) + len(genCons) + boolInt(!*skipIntact)
+	perDraw := len(cons) + len(genCons) + len(pairs) + boolInt(!*skipIntact)
 	fmt.Printf("case %s: screened %d scenarios (%d draws × %d topologies) in %v — %.1f scenarios/s\n",
 		c.Name, sum.Total, len(draws), perDraw, elapsed.Round(time.Millisecond),
 		float64(sum.Total)/elapsed.Seconds())
@@ -195,9 +167,6 @@ func main() {
 	if model != nil {
 		fmt.Printf("warm starts: %d accepted (%d fitted to an outage), hit rate %.0f%%\n",
 			sum.WarmConverged, sum.Projected, 100*float64(sum.WarmConverged)/float64(sum.Total))
-	}
-	if pol != nil {
-		fmt.Printf("policy: dispatched %d scenarios cold (threshold %.4f)\n", sum.PolicyCold, pol.Threshold)
 	}
 	if sum.Islanded > 0 {
 		fmt.Printf("islanding: %d scenarios classified without solving\n", sum.Islanded)
@@ -215,15 +184,8 @@ func main() {
 		fmt.Printf("KKT: %d symbolic analyses and %d orderings for %d classes — intact system %d, outage classes %d (every outage class factors on the intact system's analysis) — %d numeric refactors, %d fallbacks\n",
 			all.Analyses, all.Orderings, len(classes), intactKKT.Analyses, kkt.Analyses, all.Refactors, all.Fallbacks)
 	}
-	if n2res != nil {
-		sumN2 := scopf.Summarize(n2res.Report.Outcomes)
-		fmt.Printf("\nN-2 (first draw): %d candidate pairs screened (%d pruned), %d islanded, %d/%d feasible\n",
-			len(n2res.Pairs), n2res.Skipped, sumN2.Islanded, sumN2.Feasible, sumN2.Total)
-		fmt.Printf("severity ranking (worst first): %v\n", n2res.Ranked)
-	}
 	if *verbose {
 		fmt.Printf("\n%6s %8s %10s %14s %6s %6s\n", "draw", "outage", "status", "cost ($/hr)", "iters", "warm")
-		per := len(cons) + len(genCons) + boolInt(!*skipIntact)
 		for i, o := range outs {
 			status := "secure"
 			switch {
@@ -238,6 +200,8 @@ func main() {
 			switch {
 			case o.Scenario.OutagedGen() >= 0:
 				outage = "g" + strconv.Itoa(o.Scenario.OutagedGen())
+			case o.Scenario.SecondBranch() >= 0:
+				outage = strconv.Itoa(o.Scenario.OutBranch) + "+" + strconv.Itoa(o.Scenario.SecondBranch())
 			case o.Scenario.OutBranch >= 0:
 				outage = strconv.Itoa(o.Scenario.OutBranch)
 			}
@@ -248,7 +212,7 @@ func main() {
 					warm = "proj"
 				}
 			}
-			fmt.Printf("%6d %8s %10s %14.2f %6d %6s\n", i/per, outage, status, o.Cost, o.Iterations, warm)
+			fmt.Printf("%6d %8s %10s %14.2f %6d %6s\n", i/perDraw, outage, status, o.Cost, o.Iterations, warm)
 		}
 	}
 }
@@ -277,7 +241,7 @@ func className(c *grid.Case, cl scopf.ClassInfo) string {
 
 // printJSON emits the machine-readable summary (the cmd-line analogue of
 // POST /v1/screen's response).
-func printJSON(name string, naive bool, sum scopf.Summary, classes []scopf.ClassInfo, kkt sparse.CacheStats, elapsed time.Duration, pol *scopf.Policy, n2res *scopf.N2Result) {
+func printJSON(name string, naive bool, sum scopf.Summary, classes []scopf.ClassInfo, kkt sparse.CacheStats, elapsed time.Duration) {
 	path := "engine"
 	if naive {
 		path = "naive"
@@ -290,7 +254,6 @@ func printJSON(name string, naive bool, sum scopf.Summary, classes []scopf.Class
 		"warm_converged":    sum.WarmConverged,
 		"projected":         sum.Projected,
 		"islanded":          sum.Islanded,
-		"policy_cold":       sum.PolicyCold,
 		"errors":            sum.Errors,
 		"stalled":           sum.Stalled,
 		"iteration_limit":   sum.IterLimit,
@@ -313,21 +276,6 @@ func printJSON(name string, naive bool, sum scopf.Summary, classes []scopf.Class
 		report["classes"] = cls
 		report["kkt_analyses"] = kkt.Analyses
 		report["kkt_orderings"] = kkt.Orderings
-	}
-	if pol != nil {
-		// The policy object round-trips into POST /v1/screen's "policy" field.
-		report["policy"] = pol
-	}
-	if n2res != nil {
-		sumN2 := scopf.Summarize(n2res.Report.Outcomes)
-		report["n2"] = map[string]any{
-			"ranked":    n2res.Ranked,
-			"pairs":     len(n2res.Pairs),
-			"skipped":   n2res.Skipped,
-			"islanded":  sumN2.Islanded,
-			"feasible":  sumN2.Feasible,
-			"scenarios": sumN2.Total,
-		}
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

@@ -69,7 +69,7 @@ func Connected(c *Case) bool {
 // service on top of the case's own Status flags. A nil/empty skip set
 // checks the case as-is; duplicate or already-inactive skip entries are
 // harmless. This is the multi-outage primitive behind N-1 bridge
-// filtering and hierarchical N-2 islanding classification.
+// filtering and N-2 islanding classification.
 func ConnectedWithout(c *Case, skip []int) bool {
 	nb := c.NB()
 	if nb == 0 {

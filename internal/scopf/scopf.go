@@ -96,13 +96,10 @@ type Outcome struct {
 	// scenario is classified, not solved — Iterations stays 0).
 	Islanded bool
 	// Binding counts the active inequality rows at the accepted solution
-	// (slack below bindingTol) — the severity signal hierarchical N-2
-	// pruning and the dispatch policy both consume.
+	// (slack below opf.BindingTol); /v1/screen reports it per outcome as
+	// "binding".
 	Binding int
-	// ColdByPolicy marks a scenario whose warm start was available but
-	// where the dispatch policy chose the cold path.
-	ColdByPolicy bool
-	Err          error // solver/derivation error; nil for a clean infeasible
+	Err     error // solver/derivation error; nil for a clean infeasible
 }
 
 // warmMode is the per-class warm-start policy.
@@ -177,12 +174,6 @@ type Engine struct {
 	// has another layout — so the engine's verdicts match it (the pinning
 	// mode).
 	NoProjection bool
-	// Policy, when set, decides warm vs cold per scenario from the
-	// cheap feature vector (see PolicyFeatures) instead of always
-	// taking an available warm start — the dispatch policy that turns
-	// warm-start counter-regimes (case30, BENCH_paper.json) into an
-	// explicit "go cold here" decision.
-	Policy *Policy
 }
 
 // classKey identifies one topology class: the canonicalized outage
@@ -262,8 +253,8 @@ type class struct {
 
 // Run screens every scenario and returns outcomes in scenario order.
 // Results are bit-identical for any worker count and scenario order,
-// and — warm-start policy aside (see NoProjection, Policy) — agree with
-// the ScreenNaive reference as MatchNaive defines.
+// and — outage warm starts aside (see NoProjection) — agree with the
+// ScreenNaive reference as MatchNaive defines.
 func (e *Engine) Run(scenarios []Scenario) *Report {
 	base := e.Prepared
 	if base == nil {
@@ -309,7 +300,7 @@ func (e *Engine) Run(scenarios []Scenario) *Report {
 	out := make([]Outcome, len(scenarios))
 	_ = batch.Run(len(scenarios), batch.Options{Workers: e.Workers}, func(t *batch.Task) error {
 		sc := scenarios[t.Index]
-		out[t.Index] = screenClass(base, classes[sc.key()], pred, starts[t.Index], e.Policy, sc)
+		out[t.Index] = screenClass(classes[sc.key()], pred, starts[t.Index], sc)
 		return nil
 	})
 
@@ -352,7 +343,7 @@ func (e *Engine) predictor(base *opf.OPF) (opf.Predictor, bool) {
 	return pred, pred != nil && base.Lay.Fits(*lay)
 }
 
-// buildClass derives the prepared OPF and warm policy of one topology
+// buildClass derives the prepared OPF and warm mode of one topology
 // class. Branch outages are applied first (ascending), then the
 // generator drop.
 func (e *Engine) buildClass(base *opf.OPF, warm bool, key classKey) *class {
@@ -418,7 +409,7 @@ func bindingCount(z la.Vector, decoupled []int) int {
 }
 
 // screenClass solves one scenario on its class's prepared structure.
-func screenClass(base *opf.OPF, cl *class, pred opf.Predictor, draw *drawStart, pol *Policy, sc Scenario) Outcome {
+func screenClass(cl *class, pred opf.Predictor, draw *drawStart, sc Scenario) Outcome {
 	if cl.err != nil {
 		return Outcome{Scenario: sc, Err: cl.err}
 	}
@@ -428,17 +419,10 @@ func screenClass(base *opf.OPF, cl *class, pred opf.Predictor, draw *drawStart, 
 	}
 	inst := cl.opf.Perturb(sc.Factors)
 	var start *opf.Start
-	coldByPolicy := false
 	if cl.mode != warmCold {
-		if pol != nil && !pol.UseWarm(featuresOf(base.Case, cl, sc)) {
-			coldByPolicy = true
-		} else {
-			start = inst.AdaptStart(draw.get(pred, inst.Case))
-		}
+		start = inst.AdaptStart(draw.get(pred, inst.Case))
 	}
-	out := solveOutcome(inst, sc, start, cl.mode == warmProjected)
-	out.ColdByPolicy = coldByPolicy
-	return out
+	return solveOutcome(inst, sc, start, cl.mode == warmProjected)
 }
 
 // solveOutcome runs one scenario through the warm→cold chain
@@ -538,7 +522,7 @@ type Drift struct {
 // MatchNaive is the one pin of the engine to the ScreenNaive reference,
 // for the package tests and BenchmarkScreen alike. It fails unless every
 // outcome agrees exactly in Feasible, WarmUsed, Projected, Islanded,
-// Binding, ColdByPolicy and error presence, and the sweep's drift stays
+// Binding and error presence, and the sweep's drift stays
 // within allow. The zero Drift allows none: every iteration count equal,
 // every cost within NaiveCostTol (allow.MaxRelCost below that is read as
 // NaiveCostTol). A sweep known to drift passes the drift measured on it,
@@ -570,8 +554,7 @@ func MatchNaive(got, ref []Outcome, allow Drift) (Drift, error) {
 func sameVerdict(got, ref Outcome) bool {
 	return got.Feasible == ref.Feasible && got.WarmUsed == ref.WarmUsed &&
 		got.Projected == ref.Projected && got.Islanded == ref.Islanded &&
-		got.Binding == ref.Binding && got.ColdByPolicy == ref.ColdByPolicy &&
-		(got.Err != nil) == (ref.Err != nil)
+		got.Binding == ref.Binding && (got.Err != nil) == (ref.Err != nil)
 }
 
 // relCostDiff is |got.Cost − ref.Cost| relative to the larger of the
@@ -663,12 +646,28 @@ func BuildPairScenarios(draws []la.Vector, pairs [][2]int) []Scenario {
 	return out
 }
 
+// AllPairs enumerates every branch pair of the contingency list in
+// canonical (low, high) order — the N-2 pair set BuildPairScenarios
+// crosses with the load draws.
+func AllPairs(contingencies []int) [][2]int {
+	var out [][2]int
+	for i := 0; i < len(contingencies); i++ {
+		for j := i + 1; j < len(contingencies); j++ {
+			a, b := contingencies[i], contingencies[j]
+			if b < a {
+				a, b = b, a
+			}
+			out = append(out, [2]int{a, b})
+		}
+	}
+	return out
+}
+
 // Summary aggregates screening outcomes.
 type Summary struct {
 	Total, Feasible, WarmConverged int
 	Projected                      int // warm starts accepted on a projected layout
 	Islanded                       int // scenarios classified as islanding, never solved
-	PolicyCold                     int // warm starts skipped by the dispatch policy
 	Errors                         int // scenarios whose solve/derivation errored
 	// Stalled, IterLimit and Numeric split Errors by the terminal solve's
 	// verdict (mips.ErrStalled, ErrMaxIter, ErrNumeric); a derivation
@@ -699,9 +698,6 @@ func Summarize(outs []Outcome) Summary {
 		}
 		if o.Islanded {
 			s.Islanded++
-		}
-		if o.ColdByPolicy {
-			s.PolicyCold++
 		}
 		if o.Err != nil {
 			s.Errors++

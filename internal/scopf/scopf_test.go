@@ -117,6 +117,50 @@ func TestScreenWarmStart(t *testing.T) {
 	}
 }
 
+// The screen takes every available warm start, so it must never cost
+// more than cold where it matters: on case30 — the system whose warm
+// path loses wall-clock ground in BENCH_paper.json — every scenario the
+// cold screen solves takes no more iterations warm, and the warm sweep
+// takes fewer in total.
+func TestWarmScreenNeverSlowerThanCold(t *testing.T) {
+	c := grid.Case30()
+	m := trainModel(t, c, 30)
+	draws := loadDraws(c.NB(), 4, 31)
+	scenarios := BuildScenarios(draws, Contingencies(c)[:3])
+	scenarios = append(scenarios, BuildGenScenarios(draws[:2], GenContingencies(c)[:2])...)
+
+	warm := (&Engine{Base: c, Model: m, Workers: 8}).Run(scenarios).Outcomes
+	cold := (&Engine{Base: c, Workers: 8}).Run(scenarios).Outcomes
+	totWarm, totCold := 0, 0
+	for i := range warm {
+		w, cd := warm[i], cold[i]
+		if w.Err != nil || cd.Err != nil || !cd.Feasible {
+			continue
+		}
+		if w.Iterations > cd.Iterations {
+			t.Errorf("scenario %d: warm screen took %d iterations, cold %d", i, w.Iterations, cd.Iterations)
+		}
+		totWarm += w.Iterations
+		totCold += cd.Iterations
+	}
+	if totWarm >= totCold {
+		t.Errorf("warm screen spent %d total iterations, cold %d", totWarm, totCold)
+	}
+}
+
+func TestAllPairs(t *testing.T) {
+	got := AllPairs([]int{4, 1, 3})
+	want := [][2]int{{1, 4}, {3, 4}, {1, 3}}
+	if len(got) != len(want) {
+		t.Fatalf("AllPairs %v want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("AllPairs %v want %v", got, want)
+		}
+	}
+}
+
 // trainModel builds a small warm-start model for a case, mirroring the
 // offline pipeline the screening tests warm-start from.
 func trainModel(t *testing.T, c *grid.Case, seed int64) *mtl.Model {

@@ -136,10 +136,6 @@ type ScreenRequest struct {
 	// single-outage contingencies. Pairs that island the network are
 	// legal: the engine classifies them without solving.
 	Pairs [][2]int `json:"pairs,omitempty"`
-	// Policy supplies a trained warm/cold dispatch policy (weights and
-	// threshold as produced by scopf.TrainPolicy, e.g. from
-	// `scopf -policy -json`) applied per scenario during the sweep.
-	Policy *scopf.Policy `json:"policy,omitempty"`
 	// SkipIntact drops the no-outage scenario of each draw.
 	SkipIntact bool `json:"skip_intact,omitempty"`
 	// Cold forces cold-start screening even when a model is loaded.
@@ -162,19 +158,18 @@ type ScreenClass struct {
 
 // ScreenOutcome is one scenario's result in a ScreenResponse.
 type ScreenOutcome struct {
-	Draw         int     `json:"draw"`
-	OutBranch    int     `json:"out_branch"`
-	OutBranch2   int     `json:"out_branch2"` // -1 = none
-	OutGen       int     `json:"out_gen"`     // -1 = none
-	Feasible     bool    `json:"feasible"`
-	Cost         float64 `json:"cost"`
-	Iterations   int     `json:"iterations"`
-	Binding      int     `json:"binding"` // active inequality rows at the solution (decoupled outage rows excluded)
-	Warm         bool    `json:"warm"`
-	Projected    bool    `json:"projected"`
-	Islanded     bool    `json:"islanded,omitempty"`
-	ColdByPolicy bool    `json:"cold_by_policy,omitempty"`
-	Err          string  `json:"err,omitempty"`
+	Draw       int     `json:"draw"`
+	OutBranch  int     `json:"out_branch"`
+	OutBranch2 int     `json:"out_branch2"` // -1 = none
+	OutGen     int     `json:"out_gen"`     // -1 = none
+	Feasible   bool    `json:"feasible"`
+	Cost       float64 `json:"cost"`
+	Iterations int     `json:"iterations"`
+	Binding    int     `json:"binding"` // active inequality rows at the solution (decoupled outage rows excluded)
+	Warm       bool    `json:"warm"`
+	Projected  bool    `json:"projected"`
+	Islanded   bool    `json:"islanded,omitempty"`
+	Err        string  `json:"err,omitempty"`
 }
 
 // ScreenResponse is the body of a successful POST /v1/screen.
@@ -185,8 +180,7 @@ type ScreenResponse struct {
 	Feasible        int             `json:"feasible"`
 	WarmConverged   int             `json:"warm_converged"`
 	Projected       int             `json:"projected"`
-	Islanded        int             `json:"islanded"`    // scenarios classified as islanding, never solved
-	PolicyCold      int             `json:"policy_cold"` // warm starts skipped by the dispatch policy
+	Islanded        int             `json:"islanded"` // scenarios classified as islanding, never solved
 	Errors          int             `json:"errors"`
 	MeanIterations  float64         `json:"mean_iterations"`
 	WorstCost       float64         `json:"worst_cost"`

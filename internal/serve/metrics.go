@@ -135,7 +135,7 @@ type metrics struct {
 	// classes prepared (scenarios/classes is the prepare-reuse factor;
 	// warm/scenarios the screening warm-hit rate).
 	screens, screenScenarios, screenFeasible, screenWarm, screenProjected *counter
-	screenIslanded, screenPolicyCold, screenErrors, screenStalled         *counter
+	screenIslanded, screenErrors, screenStalled                           *counter
 	screenClasses, screenAnalyses                                         *counter
 	screenLatency                                                         *histogram
 
@@ -167,18 +167,17 @@ func newMetrics() *metrics {
 		warmConverged: newCounter("pgsimd_warm_converged_total", "Warm starts that converged without restart (hit rate numerator)."),
 		coldRestarts:  newCounter("pgsimd_cold_restarts_total", "Cold fallbacks after a non-convergent warm start."),
 
-		screens:          newCounter("pgsimd_screen_sweeps_total", "Completed /v1/screen contingency sweeps per system.", "system"),
-		screenScenarios:  newCounter("pgsimd_screen_scenarios_total", "Scenarios screened per system.", "system"),
-		screenFeasible:   newCounter("pgsimd_screen_feasible_total", "Scenarios that admitted a secure dispatch.", "system"),
-		screenWarm:       newCounter("pgsimd_screen_warm_total", "Scenarios accepted on a model warm start (hit rate = warm/scenarios).", "system"),
-		screenProjected:  newCounter("pgsimd_screen_projected_total", "Warm starts accepted after the prediction was fitted to an outage class (a rated branch or a unit out).", "system"),
-		screenIslanded:   newCounter("pgsimd_screen_islanded_total", "Scenarios classified as islanding outages (no solver invoked).", "system"),
-		screenPolicyCold: newCounter("pgsimd_screen_policy_cold_total", "Warm starts skipped by the dispatch policy.", "system"),
-		screenErrors:     newCounter("pgsimd_screen_errors_total", "Scenarios whose solve or derivation errored.", "system"),
-		screenStalled:    newCounter("pgsimd_screen_stalled_total", "Errored scenarios ended early because primal feasibility stalled (mips.ErrStalled).", "system"),
-		screenClasses:    newCounter("pgsimd_screen_classes_total", "Topology classes prepared (prepare reuse = scenarios/classes).", "system"),
-		screenAnalyses:   newCounter("pgsimd_screen_kkt_analyses_total", "KKT symbolic analyses made by the outage classes of screening sweeps: every outage class factors on the intact system's analysis, which pgsimd_kkt_symbolic_analyses_total counts, so only value-pivoted fallbacks count here.", "system"),
-		screenLatency:    newHistogram(screenLatencyBuckets),
+		screens:         newCounter("pgsimd_screen_sweeps_total", "Completed /v1/screen contingency sweeps per system.", "system"),
+		screenScenarios: newCounter("pgsimd_screen_scenarios_total", "Scenarios screened per system.", "system"),
+		screenFeasible:  newCounter("pgsimd_screen_feasible_total", "Scenarios that admitted a secure dispatch.", "system"),
+		screenWarm:      newCounter("pgsimd_screen_warm_total", "Scenarios accepted on a model warm start (hit rate = warm/scenarios).", "system"),
+		screenProjected: newCounter("pgsimd_screen_projected_total", "Warm starts accepted after the prediction was fitted to an outage class (a rated branch or a unit out).", "system"),
+		screenIslanded:  newCounter("pgsimd_screen_islanded_total", "Scenarios classified as islanding outages (no solver invoked).", "system"),
+		screenErrors:    newCounter("pgsimd_screen_errors_total", "Scenarios whose solve or derivation errored.", "system"),
+		screenStalled:   newCounter("pgsimd_screen_stalled_total", "Errored scenarios ended early because primal feasibility stalled (mips.ErrStalled).", "system"),
+		screenClasses:   newCounter("pgsimd_screen_classes_total", "Topology classes prepared (prepare reuse = scenarios/classes).", "system"),
+		screenAnalyses:  newCounter("pgsimd_screen_kkt_analyses_total", "KKT symbolic analyses made by the outage classes of screening sweeps: every outage class factors on the intact system's analysis, which pgsimd_kkt_symbolic_analyses_total counts, so only value-pivoted fallbacks count here.", "system"),
+		screenLatency:   newHistogram(screenLatencyBuckets),
 
 		trajectories:          newCounter("pgsimd_trajectory_streams_total", "Completed /v1/trajectory streams by system and warm-start mode.", "system", "mode"),
 		trajectorySteps:       newCounter("pgsimd_trajectory_steps_total", "Trajectory steps streamed by system and warm-start mode.", "system", "mode"),
@@ -214,7 +213,6 @@ func (m *metrics) recordScreen(system string, sum scopf.Summary, rep *scopf.Repo
 	m.screenWarm.add(int64(sum.WarmConverged), system)
 	m.screenProjected.add(int64(sum.Projected), system)
 	m.screenIslanded.add(int64(sum.Islanded), system)
-	m.screenPolicyCold.add(int64(sum.PolicyCold), system)
 	m.screenErrors.add(int64(sum.Errors), system)
 	m.screenStalled.add(int64(sum.Stalled), system)
 	m.screenClasses.add(int64(len(rep.Classes)), system)
@@ -296,7 +294,7 @@ func (m *metrics) render(w io.Writer, queueDepth int, kkt []kktStat, lcs []lcSta
 
 	for _, c := range []*counter{
 		m.screens, m.screenScenarios, m.screenFeasible, m.screenWarm, m.screenProjected,
-		m.screenIslanded, m.screenPolicyCold, m.screenErrors, m.screenStalled, m.screenClasses, m.screenAnalyses,
+		m.screenIslanded, m.screenErrors, m.screenStalled, m.screenClasses, m.screenAnalyses,
 	} {
 		c.render(w)
 	}

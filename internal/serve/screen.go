@@ -45,7 +45,6 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		Prepared:  st.sys.OPF,
 		Predictor: pred,
 		Workers:   s.cfg.Workers,
-		Policy:    req.Policy,
 	}
 	t0 := time.Now()
 	rep := eng.Run(scenarios)
@@ -60,7 +59,6 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		WarmConverged:  sum.WarmConverged,
 		Projected:      sum.Projected,
 		Islanded:       sum.Islanded,
-		PolicyCold:     sum.PolicyCold,
 		Errors:         sum.Errors,
 		MeanIterations: sum.MeanIterations,
 		WorstCost:      sum.WorstCost,
@@ -87,7 +85,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 				OutBranch2: o.Scenario.SecondBranch(), OutGen: o.Scenario.OutagedGen(),
 				Feasible: o.Feasible, Cost: o.Cost, Iterations: o.Iterations,
 				Binding: o.Binding, Warm: o.WarmUsed, Projected: o.Projected,
-				Islanded: o.Islanded, ColdByPolicy: o.ColdByPolicy,
+				Islanded: o.Islanded,
 			}
 			if o.Err != nil {
 				so.Err = o.Err.Error()

@@ -165,9 +165,9 @@ func TestScreenWarmProjection(t *testing.T) {
 
 // The full contingency space is reachable over the API: generator
 // outages, explicit N-2 pairs (including islanding pairs, classified
-// without solving) and a client-supplied dispatch policy, all reported
-// through the extended class/outcome/summary fields and bit-identical
-// to the engine run directly.
+// without solving), all reported through the extended
+// class/outcome/summary fields and bit-identical to the engine run
+// directly.
 func TestScreenFullContingencySpace(t *testing.T) {
 	sys, m := loadFixture(t)
 	s := newTestServer(t, Config{Workers: 2}, sys, m)
@@ -210,16 +210,12 @@ func TestScreenFullContingencySpace(t *testing.T) {
 		}
 	}
 
-	// A maximally conservative policy (threshold above any sigmoid
-	// score) must push every warm-startable scenario to cold and report
-	// the count.
+	// The screen takes every warm start it has; "cold" is the one way to
+	// decline them, and a dispatch-policy field is an unknown field.
 	code, raw = postScreen(t, h, `{"system":"case9","n_draws":2,"seed":4,"policy":{"weights":[0,0,0,0,0,0],"threshold":2}}`)
-	if code != http.StatusOK {
-		t.Fatalf("policy status = %d (%s)", code, raw)
-	}
-	pol := decodeScreen(t, raw)
-	if pol.WarmConverged != 0 || pol.PolicyCold != pol.Scenarios {
-		t.Fatalf("conservative policy did not cold-dispatch everything: %+v", pol)
+	var er ErrorResponse
+	if code != http.StatusBadRequest || json.Unmarshal(raw, &er) != nil || !strings.Contains(er.Error, `unknown field "policy"`) {
+		t.Fatalf("policy request = %d (%s), want 400 naming the unknown field", code, raw)
 	}
 }
 
