@@ -151,6 +151,7 @@ var codeSize = []struct {
 	{at: "after a93fd24", all: 16977, warmPath: 5783, kernel: 3279, why: "every contingency is a value edit on the intact problem: an outaged rated branch keeps its flow rows (zero admittances), a dropped unit its Pg/Qg columns (weight 0 on cost and injection), so every outage class has the intact layout and `Derive()`s its KKT cache — the layout surgery of `RebindOutage`/`RebindGenOutage`, `opf.Projection`'s x/iq index maps (`present`, `unlessIdentity`, `gather`) and scopf's per-class `Layout.Fits` routing and projection field deleted; the warm start is fitted by the target instance (`opf.AdaptStart`, reading the decoupled rows and slacks recorded once per derivation), `Projection` maps only `RebindRamp`'s newly finite bound rows"},
 	{at: "after 1c4db34", all: 17046, warmPath: 5799, kernel: 3327, why: "a third failure verdict (a performance change, so the count goes up): `mips.ErrStalled` ends a solve whose best primal feasibility has not halved in 65 iterations, with its window of bests on the `Stepper` (+48 in `mips`, most of it the documented calibration); `scopf.Summary` splits its errors by verdict, `pgsimd_screen_stalled_total` and `cmd/scopf`'s error split read it; `screen_n1_mid`'s check pass runs 7,661 → 4,893 iterations (PERFORMANCE.md)"},
 	{at: "after 1e05057", all: 16623, warmPath: 5427, kernel: 3327, why: "screening takes every warm start and screens every pair it is given: the learned warm/cold dispatch policy (`scopf/policy.go`, `Engine.Policy`, `Outcome.ColdByPolicy`, `Summary.PolicyCold`, `cmd/scopf -policy`, `/v1/screen`'s `policy` field and `policy_cold`/`cold_by_policy`, `pgsimd_screen_policy_cold_total`) and the severity-ranked top-K N-2 screen (`scopf/n2.go` but `AllPairs`, `cmd/scopf`'s separate N-2 stage; `-n2` is a bool) deleted — neither changed a decision on any measured fixture (PERFORMANCE.md, \"Screening extras that never fired\")"},
+	{at: "after c4a31ad", all: 16676, warmPath: 5536, kernel: 3265, why: "the Newton system compiled once per grid (a performance change; the count goes up by 53): `sparse.Assembler` and its verify/recompile protocol (−167) replaced by `sparse.CompileSlots` and slot-map stamps — `opf`'s shared `evalProgram` records each evaluator's entry order once (+90 in `eval.go`), the `mips` arena keys its inequality and KKT slot maps on input patterns (+130 in `arena.go`, −25 in `mips.go`); `scopf.Outcome.Spent` and `error_iterations` (+13); `mtl.Model.Load` decodes in place (+5); `serve_cold_mid` `latency_ms_mid` 21.00 → 14.00 ms (PERFORMANCE.md)"},
 }
 
 func main() {

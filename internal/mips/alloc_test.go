@@ -11,7 +11,7 @@ import (
 
 // This file is the allocation-regression harness of the zero-allocation
 // contract (DESIGN.md §11): once a solve's first iterations have
-// compiled the assemblers and bound the factor slot, a warm interior-
+// compiled the slot maps and bound the factor slot, a warm interior-
 // point iteration — constraint evaluation, KKT assembly, numeric
 // refactorization, triangular solves, step updates — performs zero heap
 // allocations. The harness drives real AC-OPF problems (case14 and
@@ -24,8 +24,9 @@ import (
 
 // warmStepper builds a Stepper over the real AC-OPF of c and runs it
 // past the point where every lazily-built structure exists: the
-// equality/inequality/Hessian assembly programs, the KKT assembly
-// program, the inequality-Jacobian row view, and the LU factor slot.
+// equality/inequality/Hessian evaluation program, the KKT and
+// inequality slot maps, the inequality-Jacobian row view, and the LU
+// factor slot.
 func warmStepper(tb testing.TB, c *grid.Case, warmup int) *mips.Stepper {
 	tb.Helper()
 	return warmStepperOn(tb, opf.Prepare(c), nil, warmup)

@@ -62,6 +62,12 @@ type Problem struct {
 	// (lam for G rows, mu for H rows). May be nil only if F is quadratic
 	// and G/H are nil (then a finite-difference fallback is NOT provided;
 	// callers must supply Hess whenever G or H is set).
+	//
+	// G, H and Hess may return the same matrix on every call with fresh
+	// values; the solver compiles its assembly per pattern and recognizes
+	// a pattern by its ColPtr/RowIdx arrays, so those must not be
+	// rewritten in place once returned — a changed pattern comes in new
+	// arrays.
 	Hess func(x la.Vector, lam, mu la.Vector) *sparse.CSC
 
 	// XMin and XMax are variable bounds; nil means unbounded. Use
@@ -202,7 +208,7 @@ var ErrStalled = errors.New("mips: primal feasibility stalled")
 // warm start, if ws is non-nil). It is a Stepper run to completion,
 // drawing its Arena from a package-level pool: a worker goroutine
 // sweeping many instances of one grid keeps reusing the same compiled
-// assembly programs and factor storage, so every solve after the first
+// slot maps and factor storage, so every solve after the first
 // runs its iterations allocation-free.
 func Solve(p *Problem, x0 la.Vector, ws *WarmStart, opt Options) (*Result, error) {
 	ar := arenaPool.Get().(*Arena)
@@ -461,54 +467,7 @@ func (s *Stepper) Step() (bool, error) {
 	}
 	*slot = s.best
 
-	// Newton KKT system, assembled in one compiled pass: the (1,1)
-	// block JhᵀWJh + ∇²L + regKKT·I, the Jg borders, and the grounded
-	// diagonal. The append sequence is identical every iteration —
-	// regKKT·I is stamped even at regKKT = 0 (it doubles as the primal
-	// block's structural-diagonal grounding), and W = µ/Z is strictly
-	// positive so no product row is ever skipped — which keeps the
-	// assembler on its verified O(nnz) stamp path.
-	lxx := s.hessOrZero()
-	w := ar.w
-	for k := 0; k < niq; k++ {
-		w[k] = s.mu[k] / s.z[k]
-	}
-	ar.jhView.update(s.jh)
-	view := &ar.jhView
-	asm := ar.kktAsm
-	asm.Begin()
-	jhVal := s.jh.Val
-	for r := 0; r < niq; r++ {
-		lo, hi := view.rowPtr[r], view.rowPtr[r+1]
-		rv := ar.outerVals[:hi-lo]
-		for t, p := 0, lo; p < hi; p, t = p+1, t+1 {
-			rv[t] = jhVal[view.valPos[p]]
-		}
-		asm.AppendOuter(w[r], view.colIdx[lo:hi], rv)
-	}
-	asm.AppendCSC(0, 0, 1, lxx)
-	for i := 0; i < nx; i++ {
-		asm.Append(i, i, s.regKKT)
-	}
-	if s.jg != nil {
-		asm.AppendCSC(nx, 0, 1, s.jg)
-		for j := 0; j < s.jg.NCols; j++ {
-			for q := s.jg.ColPtr[j]; q < s.jg.ColPtr[j+1]; q++ {
-				asm.Append(j, nx+s.jg.RowIdx[q], s.jg.Val[q])
-			}
-		}
-	}
-	// Ground the dual diagonal with the static −δ regularization: the
-	// quasi-definite diagonal keeps shaped pivot sequences on the
-	// diagonal, where minimum-degree fill predictions hold —
-	// severalfold less fill than pivoting off an empty dual diagonal —
-	// and makes the pattern invariant under the Tikhonov retry, so one
-	// symbolic analysis covers every iteration of every solve. δ only
-	// perturbs the step O(δ·‖Δ‖), far below the convergence tolerances.
-	for i := 0; i < neq; i++ {
-		asm.Append(nx+i, nx+i, -kktStaticReg)
-	}
-	kkt := asm.Finish()
+	kkt := s.newtonKKT()
 
 	rhs := ar.rhs
 	for k := 0; k < niq; k++ {
@@ -583,10 +542,50 @@ func (s *Stepper) Step() (bool, error) {
 	return false, nil
 }
 
+// newtonKKT evaluates the Hessian at the current iterate and assembles
+// the Newton KKT system: the (1,1) block JhᵀWJh + ∇²L + regKKT·I, the
+// Jg borders, and the grounded dual diagonal, stamped through slot maps
+// compiled once per pattern triple (Jh, Hessian, Jg). regKKT·I is
+// stamped even at regKKT = 0: it doubles as the primal block's
+// structural-diagonal grounding. The dual diagonal carries the static
+// −δ regularization: the quasi-definite diagonal keeps shaped pivot
+// sequences on the diagonal, where minimum-degree fill predictions hold
+// — severalfold less fill than pivoting off an empty dual diagonal —
+// and makes the pattern invariant under the Tikhonov retry, so one
+// symbolic analysis covers every iteration of every solve. δ only
+// perturbs the step O(δ·‖Δ‖), far below the convergence tolerances.
+func (s *Stepper) newtonKKT() *sparse.CSC {
+	ar := s.ar
+	var hess *sparse.CSC
+	if s.p.Hess != nil {
+		// Only the nonlinear inequality multipliers reach the Hessian.
+		hess = s.p.Hess(s.x, s.lam, s.mu[:s.nh])
+	}
+	w := ar.w
+	for k := range w {
+		w[k] = s.mu[k] / s.z[k]
+	}
+	ar.kkt.bind(&ar.ineq, hess, s.jg, s.nx, s.neq)
+	return ar.kkt.stamp(&ar.ineq, w, hess, s.jg, s.regKKT)
+}
+
+// Assemble re-evaluates the problem at the current iterate — objective,
+// constraints, Hessian — and assembles the Newton KKT matrix the next
+// Step factors, leaving the solve's state as it was: the same
+// evaluations at the same point reproduce the same values. It is the
+// metering seam of one iteration's evaluation and assembly work without
+// the factorization. The returned matrix is the arena's, read-only and
+// valid until the next Step or Assemble.
+func (s *Stepper) Assemble() *sparse.CSC {
+	s.f, s.df = s.p.F(s.x)
+	s.evalGH()
+	return s.newtonKKT()
+}
+
 // evalGH evaluates the nonlinear constraints and assembles the full
 // inequality system — nonlinear h rows first, then upper- and
-// lower-bound rows — into the arena's compiled assembler and residual
-// buffer.
+// lower-bound rows — into the arena's residual buffer and inequality
+// Jacobian, stamped through its slot map.
 func (s *Stepper) evalGH() {
 	var h la.Vector
 	var jh *sparse.CSC
@@ -599,56 +598,32 @@ func (s *Stepper) evalGH() {
 	nh := len(h)
 	niq := nh + len(s.upperIdx) + len(s.lowerIdx)
 	ar := s.ar
-	ar.ensureIneq(niq, s.nx)
+	ar.ensureIneq(niq)
 	copy(ar.hFull, h)
-	asm := ar.jhAsm
-	asm.Begin()
-	if jh != nil {
-		asm.AppendCSC(0, 0, 1, jh)
-	}
 	for k, i := range s.upperIdx {
 		ar.hFull[nh+k] = s.x[i] - s.p.XMax[i]
-		asm.Append(nh+k, i, 1)
 	}
 	off := nh + len(s.upperIdx)
 	for k, i := range s.lowerIdx {
 		ar.hFull[off+k] = s.p.XMin[i] - s.x[i]
-		asm.Append(off+k, i, -1)
+	}
+	sys := &ar.ineq
+	sys.bind(jh, s.nx, s.upperIdx, s.lowerIdx)
+	v, pos := sys.m.Val, sys.pos
+	clear(v)
+	n := nnz(jh)
+	for q, p := range pos[:n] {
+		v[p] += jh.Val[q]
+	}
+	pos = pos[n:]
+	for k := range s.upperIdx {
+		v[pos[k]] += 1
+	}
+	for k := range s.lowerIdx {
+		v[pos[len(s.upperIdx)+k]] += -1
 	}
 	s.h = ar.hFull
-	s.jh = asm.Finish()
-}
-
-func (s *Stepper) hessOrZero() *sparse.CSC {
-	if s.p.Hess == nil {
-		return s.ar.zeroHess
-	}
-	// Only the nonlinear inequality multipliers reach the Hessian.
-	return s.p.Hess(s.x, s.lam, s.mu[:s.nh])
-}
-
-// jtDiagJ computes Jᵀ·diag(w)·J for a row-per-constraint Jacobian. It
-// is the reference implementation the tests pin the arena's view-based
-// KKT assembly against; the solver itself streams the product straight
-// into its compiled assembler (see Step).
-func jtDiagJ(j *sparse.CSC, w la.Vector) *sparse.CSC {
-	// Work row-wise: columns of Jᵀ are rows of J.
-	jt := j.T() // nx × niq: column r holds row r of J
-	nx := j.NCols
-	b := sparse.NewBuilder(nx, nx)
-	for r := 0; r < jt.NCols; r++ {
-		wr := w[r]
-		if wr == 0 {
-			continue
-		}
-		lo, hi := jt.ColPtr[r], jt.ColPtr[r+1]
-		for p1 := lo; p1 < hi; p1++ {
-			for p2 := lo; p2 < hi; p2++ {
-				b.Append(jt.RowIdx[p1], jt.RowIdx[p2], wr*jt.Val[p1]*jt.Val[p2])
-			}
-		}
-	}
-	return b.ToCSC()
+	s.jh = sys.m
 }
 
 func clipBounds(x, xmin, xmax la.Vector) {

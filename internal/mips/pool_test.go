@@ -45,7 +45,7 @@ func requireSameIterates(t *testing.T, gotName string, got *mips.Result, refName
 // Arena's reuse promise ("size or pattern changes are absorbed
 // transparently"): a solve through mips.Solve, whose pooled arena the
 // solve of a different grid has just left full of the wrong sizes,
-// compiled assembly programs and bound factors, must walk the exact
+// slot maps and bound factors, must walk the exact
 // iterate sequence of a Stepper on a fresh Arena — same iteration count,
 // same objective, X/λ/µ/Z equal bit for bit. case30 follows case118
 // (everything shrinks) and case118 follows case30 (everything regrows).

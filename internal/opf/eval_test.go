@@ -112,9 +112,9 @@ func evalInstances(t *testing.T, c *grid.Case) map[string]*OPF {
 // TestEvalMatchesReference pins the entry-wise streaming evaluation
 // path (eval.go, what Solve runs) against the reference builders in
 // opf.go on real grids and outage classes of them at a non-trivial
-// point. Each comparison runs twice through the same scratch so both the
-// compiling first pass and the verified-stamp steady-state pass of the
-// assemblers are covered.
+// point. Each comparison runs twice through the same scratch, so both
+// the first pass and a pass on the cached point and reused values are
+// covered.
 func TestEvalMatchesReference(t *testing.T) {
 	const tol = 1e-12
 	for _, c := range evalCases(t) {

@@ -114,6 +114,10 @@ type OPF struct {
 	// be solved in parallel with bit-identical results regardless of
 	// order.
 	kkt *sparse.SymbolicCache
+	// prog holds the evaluation program of the grid's Jacobian and
+	// Hessian patterns (eval.go), compiled on the first evaluation of any
+	// instance sharing it: every derivation keeps the intact patterns.
+	prog *programCell
 }
 
 // Prepare builds the admittance matrices, bounds and constraint layout
@@ -194,6 +198,7 @@ func Prepare(c *grid.Case) *OPF {
 		xmin:   xmin, xmax: xmax,
 		refIdx: c.RefIndex(),
 		refVa:  grid.Deg2Rad(c.Buses[c.RefIndex()].Va),
+		prog:   new(programCell),
 	}
 	// One ordering for every KKT system: minimum degree, the textbook
 	// choice for a quasi-definite matrix (Vanderbei 1995) and the measured

@@ -88,9 +88,13 @@ type Outcome struct {
 	Scenario   Scenario
 	Feasible   bool    // the scenario admits a secure dispatch
 	Cost       float64 // $/hr when feasible
-	Iterations int
-	WarmUsed   bool // the model warm start converged (no restart)
-	Projected  bool // the warm start was fitted to the outage (opf.AdaptStart)
+	Iterations int     // the accepted solve's, when feasible
+	// Spent is every interior-point iteration the scenario cost: a
+	// rejected warm attempt's plus the terminal solve's, errored
+	// scenarios included (0 when nothing was solved).
+	Spent     int
+	WarmUsed  bool // the model warm start converged (no restart)
+	Projected bool // the warm start was fitted to the outage (opf.AdaptStart)
 	// Islanded marks a structurally infeasible scenario: the outage
 	// topology splits the network, so no solver was invoked (the
 	// scenario is classified, not solved — Iterations stays 0).
@@ -432,6 +436,10 @@ func screenClass(cl *class, pred opf.Predictor, draw *drawStart, sc Scenario) Ou
 func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool) Outcome {
 	res := Outcome{Scenario: sc}
 	out := inst.SolveWarm(start, opf.Options{})
+	res.Spent = out.Result.Iterations
+	if out.Warm != nil {
+		res.Spent += out.Warm.Iterations
+	}
 	if out.Err != nil {
 		res.Err = out.Err
 		return res
@@ -673,8 +681,11 @@ type Summary struct {
 	// verdict (mips.ErrStalled, ErrMaxIter, ErrNumeric); a derivation
 	// error is in none of them.
 	Stalled, IterLimit, Numeric int
-	MeanIterations              float64
-	WorstCost                   float64 // highest secure-dispatch cost
+	// ErrorIterations is the iterations the errored scenarios burnt
+	// (Σ Outcome.Spent over them).
+	ErrorIterations int
+	MeanIterations  float64
+	WorstCost       float64 // highest secure-dispatch cost
 }
 
 // Summarize reduces outcomes to the operator-facing numbers.
@@ -701,6 +712,7 @@ func Summarize(outs []Outcome) Summary {
 		}
 		if o.Err != nil {
 			s.Errors++
+			s.ErrorIterations += o.Spent
 		}
 		switch {
 		case errors.Is(o.Err, mips.ErrStalled):

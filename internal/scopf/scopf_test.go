@@ -320,22 +320,63 @@ func TestOutcomeErrors(t *testing.T) {
 		if outs[1].Err == nil || outs[1].Feasible {
 			t.Fatalf("invalid outage not reported as error: %+v", outs[1])
 		}
+		if outs[1].Spent != 0 {
+			t.Fatalf("a derivation error spent %d iterations", outs[1].Spent)
+		}
 		sum := Summarize(outs)
-		if sum.Errors != 1 || sum.Feasible != 1 || sum.Stalled+sum.IterLimit+sum.Numeric != 0 {
+		if sum.Errors != 1 || sum.Feasible != 1 || sum.Stalled+sum.IterLimit+sum.Numeric != 0 || sum.ErrorIterations != 0 {
 			t.Fatalf("summary %+v", sum)
 		}
 	}
 
 	// A solver failure is split by its verdict: case30 without branch 9
 	// cannot be made feasible, and its cold solve ends on the stall rule.
+	// Warm-started from the intact optimum, the warm attempt stalls as
+	// well, and the outcome charges both attempts' iterations.
 	c30 := grid.Case30()
-	outs := (&Engine{Base: c30, Workers: 1}).Run([]Scenario{{Factors: ones(c30.NB()), OutBranch: 9}}).Outcomes
-	if !errors.Is(outs[0].Err, mips.ErrStalled) {
-		t.Fatalf("case30 branch 9: err = %v, want mips.ErrStalled", outs[0].Err)
+	base := opf.Prepare(c30)
+	nominal, err := base.Solve(nil, opf.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sum := Summarize(outs); sum.Errors != 1 || sum.Stalled != 1 || sum.IterLimit+sum.Numeric != 0 {
-		t.Fatalf("summary %+v", sum)
+	sc := Scenario{Factors: ones(c30.NB()), OutBranch: 9}
+	for _, pred := range []opf.Predictor{nil, fixedStart{nominal}} {
+		outs := (&Engine{Base: c30, Predictor: pred, Workers: 1}).Run([]Scenario{sc}).Outcomes
+		if !errors.Is(outs[0].Err, mips.ErrStalled) {
+			t.Fatalf("case30 branch 9: err = %v, want mips.ErrStalled", outs[0].Err)
+		}
+		// The same chain by hand: the class, its start, its two attempts.
+		cl, err := base.RebindOutage(9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := cl.Perturb(sc.Factors)
+		var start *opf.Start
+		if pred != nil {
+			start = inst.AdaptStart(pred.Predict(nil))
+		}
+		want := inst.SolveWarm(start, opf.Options{})
+		spent := want.Result.Iterations // a stall ends at iteration 65 or later
+		if pred != nil {
+			if want.Warm == nil || want.Warm.Iterations < 65 {
+				t.Fatalf("warm chain by hand: %+v", want)
+			}
+			spent += want.Warm.Iterations
+		}
+		if outs[0].Spent != spent || want.Result.Iterations < 65 {
+			t.Fatalf("case30 branch 9 (warm %v): spent %d iterations, want %d", pred != nil, outs[0].Spent, spent)
+		}
+		if sum := Summarize(outs); sum.Errors != 1 || sum.Stalled != 1 || sum.IterLimit+sum.Numeric != 0 || sum.ErrorIterations != spent {
+			t.Fatalf("summary %+v", sum)
+		}
 	}
+}
+
+// fixedStart predicts the same start for every input.
+type fixedStart struct{ r *opf.Result }
+
+func (p fixedStart) Predict(la.Vector) *opf.Start {
+	return &opf.Start{X: p.r.X, Lam: p.r.Lam, Mu: p.r.Mu, Z: p.r.Z}
 }
 
 func ones(n int) la.Vector {

@@ -182,6 +182,7 @@ type ScreenResponse struct {
 	Projected       int             `json:"projected"`
 	Islanded        int             `json:"islanded"` // scenarios classified as islanding, never solved
 	Errors          int             `json:"errors"`
+	ErrorIterations int             `json:"error_iterations"` // iterations the errored scenarios burnt, warm attempts included
 	MeanIterations  float64         `json:"mean_iterations"`
 	WorstCost       float64         `json:"worst_cost"`
 	WarmHitRate     float64         `json:"warm_hit_rate"`

@@ -52,17 +52,18 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 
 	sum := scopf.Summarize(rep.Outcomes)
 	resp := &ScreenResponse{
-		System:         st.sys.Name,
-		Scenarios:      sum.Total,
-		Classes:        len(rep.Classes),
-		Feasible:       sum.Feasible,
-		WarmConverged:  sum.WarmConverged,
-		Projected:      sum.Projected,
-		Islanded:       sum.Islanded,
-		Errors:         sum.Errors,
-		MeanIterations: sum.MeanIterations,
-		WorstCost:      sum.WorstCost,
-		ElapsedUS:      usec(elapsed),
+		System:          st.sys.Name,
+		Scenarios:       sum.Total,
+		Classes:         len(rep.Classes),
+		Feasible:        sum.Feasible,
+		WarmConverged:   sum.WarmConverged,
+		Projected:       sum.Projected,
+		Islanded:        sum.Islanded,
+		Errors:          sum.Errors,
+		ErrorIterations: sum.ErrorIterations,
+		MeanIterations:  sum.MeanIterations,
+		WorstCost:       sum.WorstCost,
+		ElapsedUS:       usec(elapsed),
 	}
 	if sum.Total > 0 {
 		resp.WarmHitRate = float64(sum.WarmConverged) / float64(sum.Total)

@@ -98,9 +98,9 @@ func TestScreenColdMatchesEngine(t *testing.T) {
 	if resp.Classes != len(cons)+1 || len(resp.ClassStats) != resp.Classes {
 		t.Fatalf("classes = %d (%d stats), want %d", resp.Classes, len(resp.ClassStats), len(cons)+1)
 	}
-	if resp.Feasible != sum.Feasible || resp.Errors != sum.Errors || resp.WorstCost != sum.WorstCost {
-		t.Fatalf("summary (%d feasible, %d errors, worst %v) != engine (%d, %d, %v)",
-			resp.Feasible, resp.Errors, resp.WorstCost, sum.Feasible, sum.Errors, sum.WorstCost)
+	if resp.Feasible != sum.Feasible || resp.Errors != sum.Errors || resp.ErrorIterations != sum.ErrorIterations || resp.WorstCost != sum.WorstCost {
+		t.Fatalf("summary (%d feasible, %d errors in %d iterations, worst %v) != engine (%d, %d, %d, %v)",
+			resp.Feasible, resp.Errors, resp.ErrorIterations, resp.WorstCost, sum.Feasible, sum.Errors, sum.ErrorIterations, sum.WorstCost)
 	}
 	if resp.WarmConverged != 0 || resp.Projected != 0 {
 		t.Fatalf("cold sweep reported warm starts: %+v", resp)

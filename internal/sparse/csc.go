@@ -96,7 +96,7 @@ func (b *Builder) ToCSC() *CSC {
 		next[j]++
 	}
 	// Sort rows within each column (stably, so duplicates sum in append
-	// order — matching Assembler semantics) and sum duplicates.
+	// order — matching a CompileSlots stamp) and sum duplicates.
 	outRows := rows[:0]
 	outVals := vals[:0]
 	colStart := 0
