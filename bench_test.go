@@ -26,6 +26,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/horizon"
 	"repro/internal/la"
+	"repro/internal/mips"
 	"repro/internal/mtl"
 	"repro/internal/opf"
 	"repro/internal/scale"
@@ -840,36 +841,6 @@ func benchPaperSystem(b *testing.B, name string) {
 	}
 }
 
-// kktProxyFor assembles a bordered KKT-shaped matrix of an OPF
-// instance: Hessian-proxy diagonal plus JhᵀJh on the (1,1) block,
-// bordered by the equality Jacobian. It is a kernel workload, not the
-// matrix MIPS factors: without the Lagrangian Hessian's blocks and
-// value-pivoted, its L+U is 3–5× the production analysis's (case300:
-// 141,774 under AMD vs 40,330 — the "production_fill" section of
-// BENCH_kkt.json is the real one).
-func kktProxyFor(o *opf.OPF) *sparse.CSC {
-	x := o.DefaultStart()
-	_, jg := o.Equality(x)
-	_, jh := o.FullInequality(x)
-	nx, neq := o.Lay.NX, o.Lay.NEq
-	kb := sparse.NewBuilder(nx+neq, nx+neq)
-	for i := 0; i < nx; i++ {
-		kb.Append(i, i, 4)
-	}
-	jt := jh.T() // column r of jt is inequality row r
-	for r := 0; r < jt.NCols; r++ {
-		lo, hi := jt.ColPtr[r], jt.ColPtr[r+1]
-		for p1 := lo; p1 < hi; p1++ {
-			for p2 := lo; p2 < hi; p2++ {
-				kb.Append(jt.RowIdx[p1], jt.RowIdx[p2], jt.Val[p1]*jt.Val[p2])
-			}
-		}
-	}
-	kb.AppendCSC(nx, 0, 1, jg)
-	kb.AppendCSC(0, nx, 1, jg.T())
-	return kb.ToCSC()
-}
-
 // writePaperBenchReport merges one system's row into BENCH_paper.json.
 // Rows already on disk are kept (fresh measurements override their own
 // system only), so a filtered run — CI's case57-only smoke, say — never
@@ -994,10 +965,13 @@ func writeKKTBenchReport(b *testing.B) {
 
 // productionFill is the "production_fill" section of BENCH_kkt.json:
 // per embedded system, the KKT matrix MIPS really factors — the reduced
-// system of dimension NX + NEq, unlike the proxies above — and its L+U
-// under RCM and AMD, read from the pivot-shaped analysis a one-iteration
-// cold solve publishes to the instance's cache. RESULTS.md "KKT fill by
-// ordering" renders it; opf's TestKKTOrderingFill asserts it.
+// system of dimension NX + NEq — and its stored factor entries under RCM
+// and AMD, read from the analysis a one-iteration cold solve publishes
+// to the instance's cache: nnz(L)+n of the LDLᵀ, and 2·(nnz(L)+n), the
+// L+U of an LU of the same elimination (the identity BenchmarkLDLvsLU
+// pins on a real LU), which is what the KKT path stored before the
+// LDLᵀ. RESULTS.md "KKT fill by ordering" renders it; opf's
+// TestKKTOrderingFill asserts it.
 func productionFill(b *testing.B) map[string]any {
 	systems := map[string]any{}
 	for _, name := range casegen.EmbeddedNames() {
@@ -1018,12 +992,14 @@ func productionFill(b *testing.B) map[string]any {
 				b.Fatalf("%s %v: the first iteration published no analysis", name, ord)
 			}
 			row["kkt_n"], row["kkt_nnz"] = sym.N(), sym.PatternNNZ()
-			row["lu_nnz_"+ord.String()] = sym.NNZ()
+			row["ldl_nnz_"+ord.String()] = sym.NNZ()
+			row["lu_nnz_"+ord.String()] = 2 * sym.NNZ()
 		}
 		systems[name] = row
 	}
 	return map[string]any{
-		"pattern": "reduced KKT system of a MaxIter: 1 cold solve, pivot-shaped analysis (opf.KKTSymbolic)",
+		"pattern": "reduced KKT system of a MaxIter: 1 cold solve, LDLᵀ analysis (opf.KKTSymbolic); " +
+			"ldl_nnz = nnz(L)+n, lu_nnz = 2·(nnz(L)+n), the L+U of the same elimination",
 		"systems": systems,
 	}
 }
@@ -1072,107 +1048,134 @@ func mergeKKTReport(b *testing.B, sections map[string]any) {
 	}
 }
 
-var blockedReportOnce sync.Once
+var kernelReportOnce sync.Once
 
-// BenchmarkRefactorBlocked races the blocked panel LU kernel against
-// the scalar column kernel on the bordered KKT proxies of the three
-// largest embedded systems (case118, case300, case1354) and writes the
-// "blocked_kernel" section of BENCH_kkt.json. Two invariants are
-// enforced with b.Fatal rather than merely reported: both kernels must
-// produce factors with identical fill whose solves agree to 1e-9 on a
-// deterministic RHS, and both warm RefactorInto paths must run
-// allocation-free. The b.N loop itself times the headline case300
-// blocked refactorization.
-func BenchmarkRefactorBlocked(b *testing.B) {
-	blockedReportOnce.Do(func() { writeBlockedKernelReport(b) })
-	sys := core.MustLoadSystem("case300")
-	kkt := kktProxyFor(sys.OPF)
-	sym, _, err := sparse.Analyze(kkt, sparse.OrderAMD, 1.0)
+// productionKKT returns the reduced KKT matrix a cold solve of the
+// embedded system name factors after steps interior-point iterations —
+// the production pattern and values, assembled by a mips.Stepper on the
+// instance's own ordering — and the number of primal variables: rows
+// from nx on are dual.
+func productionKKT(b *testing.B, name string, steps int) (kkt *sparse.CSC, nx int) {
+	b.Helper()
+	c, err := casegen.Paper(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := &sparse.LUFactors{}
-	ws := sym.NewRefactorWorkspace()
+	o := opf.Prepare(c)
+	s := mips.NewStepper(o.Problem(), o.DefaultStart(), nil, mips.Options{Ordering: o.Ordering()})
+	for i := 0; i < steps; i++ {
+		if done, err := s.Step(); done {
+			b.Fatalf("%s: the solve finished after %d iterations: %v", name, i, err)
+		}
+	}
+	return s.Assemble().Clone(), o.Lay.NX
+}
+
+// BenchmarkLDLvsLU races the supernodal LDLᵀ the KKT path factors with
+// against the scalar LU internal/pf keeps, on the production KKT
+// matrices of case118, case300 and case1354 at iteration 10 of a cold
+// solve, both under AMD and with diagonal pivots — the elimination the
+// KKT path refactored with LU before — and writes the "ldl_kernel"
+// section of BENCH_kkt.json. The LU refactorization rejects a pivot
+// below 1e-10 of its column, which the −δ dual pivots AMD orders ahead
+// of their primal neighbours are, and it has no static boost; so the
+// race runs on the iterate's matrix with its dual diagonal deepened to
+// −1. Both kernels do the same flops on any values of one pattern. Four
+// invariants are enforced with b.Fatal rather than merely reported: the
+// LU's L+U is 2·(nnz(L)+n) of the LDLᵀ (the same elimination), the two
+// solves agree (see backwardError), the LDLᵀ factors the untouched
+// production matrix, boost included, to a backward error below 1e-9,
+// and warm factorizations allocate nothing. The b.N loop itself times
+// the headline case300 LDLᵀ on the untouched matrix.
+func BenchmarkLDLvsLU(b *testing.B) {
+	kernelReportOnce.Do(func() { writeKernelReport(b) })
+	kkt, _ := productionKKT(b, "case300", 10)
+	sym := sparse.AnalyzeLDL(kkt, sparse.OrderAMD)
+	f := &sparse.LDLFactors{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sym.RefactorBlockedInto(f, ws, kkt); err != nil {
+		if err := sym.FactorInto(f, kkt); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// writeBlockedKernelReport self-times scalar vs blocked refactorization
-// over fixed repetition counts (independent of -benchtime) and merges
-// the per-system rows into BENCH_kkt.json.
-func writeBlockedKernelReport(b *testing.B) {
+// backwardError is the normwise backward error ‖a·x − rhs‖∞ /
+// (max|a|·‖x‖∞ + ‖rhs‖∞) of a solve. The race compares backward errors,
+// not solutions: at an interior-point iterate the barrier terms make the
+// matrix so ill-conditioned that two stable factorizations differ in
+// the fourth digit of the solution.
+func backwardError(a *sparse.CSC, x, rhs la.Vector) float64 {
+	var norm float64
+	for _, v := range a.Val {
+		norm = math.Max(norm, math.Abs(v))
+	}
+	return a.MulVec(x).Sub(rhs).NormInf() / (norm*x.NormInf() + rhs.NormInf())
+}
+
+// writeKernelReport self-times the LDLᵀ against the LU over fixed
+// repetition counts (independent of -benchtime) and merges the
+// per-system rows into BENCH_kkt.json.
+func writeKernelReport(b *testing.B) {
 	b.Helper()
-	reps := map[string]int{"case118": 100, "case300": 40, "case1354": 10}
+	reps := map[string]int{"case118": 200, "case300": 60, "case1354": 6}
 	names := []string{"case118", "case300", "case1354"}
 	if benchSkipLarge() {
 		names = names[:2]
-		fmt.Println("BENCH_kkt.json: blocked_kernel case1354 row gated by -short/PGSIM_BENCH_SKIP_LARGE (on-disk row preserved)")
+		fmt.Println("BENCH_kkt.json: ldl_kernel case1354 row gated by -short/PGSIM_BENCH_SKIP_LARGE (on-disk row preserved)")
 	}
 	systems := map[string]any{}
 	for _, name := range names {
-		sys := core.MustLoadSystem(name)
-		kkt := kktProxyFor(sys.OPF)
-		sym, _, err := sparse.Analyze(kkt, sparse.OrderAMD, 1.0)
+		raw, nx := productionKKT(b, name, 10)
+		kkt := raw.Clone()
+		for j := nx; j < kkt.NCols; j++ {
+			for p := kkt.ColPtr[j]; p < kkt.ColPtr[j+1]; p++ {
+				if kkt.RowIdx[p] == j {
+					kkt.Val[p] = -1
+				}
+			}
+		}
+		sym := sparse.AnalyzeLDL(kkt, sparse.OrderAMD)
+		fl := &sparse.LDLFactors{}
+		lu, fu, err := sparse.Analyze(kkt, sparse.OrderAMD, 1e-12) // keeps every diagonal pivot
 		if err != nil {
 			b.Fatal(err)
 		}
-		ps := sym.PanelStats()
-
-		fScalar := &sparse.LUFactors{}
-		wsScalar := sym.NewRefactorWorkspace()
-		fBlocked := &sparse.LUFactors{}
-		wsBlocked := sym.NewRefactorWorkspace()
-		if err := sym.RefactorInto(fScalar, wsScalar, kkt); err != nil {
-			b.Fatal(err)
+		ws := lu.NewRefactorWorkspace()
+		if err := lu.RefactorInto(fu, ws, kkt); err != nil {
+			b.Fatalf("%s: LU refactorization: %v", name, err)
 		}
-		if err := sym.RefactorBlockedInto(fBlocked, wsBlocked, kkt); err != nil {
-			b.Fatal(err)
-		}
-
-		// Equivalence pin: identical fill, and solves that agree on a
-		// deterministic RHS to 1e-9 relative — the blocked kernel must
-		// be a pure reimplementation, not an approximation.
-		if fScalar.NNZ() != fBlocked.NNZ() {
-			b.Fatalf("%s: scalar fill %d != blocked fill %d", name, fScalar.NNZ(), fBlocked.NNZ())
+		if lu.NNZ() != 2*sym.NNZ() {
+			b.Fatalf("%s: LU L+U %d is not 2·(nnz(L)+n) = %d: the two eliminations differ", name, lu.NNZ(), 2*sym.NNZ())
 		}
 		r := rand.New(rand.NewSource(42))
 		rhs := make(la.Vector, kkt.NRows)
 		for i := range rhs {
 			rhs[i] = r.NormFloat64()
 		}
-		x1, x2 := fScalar.Solve(rhs), fBlocked.Solve(rhs)
-		var scale float64
-		for i := range x1 {
-			if a := math.Abs(x1[i]); a > scale {
-				scale = a
-			}
+		if err := sym.FactorInto(fl, raw); err != nil {
+			b.Fatalf("%s: LDLᵀ of the production matrix: %v", name, err)
 		}
-		for i := range x1 {
-			if d := math.Abs(x1[i] - x2[i]); d > 1e-9*scale {
-				b.Fatalf("%s: scalar and blocked solves diverge at %d: %v vs %v (|x|∞=%v)",
-					name, i, x1[i], x2[i], scale)
-			}
+		beRaw := backwardError(raw, fl.Solve(rhs), rhs)
+		if err := sym.FactorInto(fl, kkt); err != nil {
+			b.Fatal(err)
 		}
-
-		// Warm-path allocation pin: after the first refactorization both
-		// kernels must reuse their factors and workspace exactly.
-		scalarAllocs := testing.AllocsPerRun(5, func() {
-			if err := sym.RefactorInto(fScalar, wsScalar, kkt); err != nil {
+		beL, beU := backwardError(kkt, fl.Solve(rhs), rhs), backwardError(kkt, fu.Solve(rhs), rhs)
+		if beRaw > 1e-9 || beL > 100*beU+1e-15 {
+			b.Fatalf("%s: backward errors: LDLᵀ %.3g (production matrix %.3g), LU %.3g", name, beL, beRaw, beU)
+		}
+		ldlAllocs := testing.AllocsPerRun(3, func() {
+			if err := sym.FactorInto(fl, kkt); err != nil {
 				b.Fatal(err)
 			}
 		})
-		blockedAllocs := testing.AllocsPerRun(5, func() {
-			if err := sym.RefactorBlockedInto(fBlocked, wsBlocked, kkt); err != nil {
+		luAllocs := testing.AllocsPerRun(3, func() {
+			if err := lu.RefactorInto(fu, ws, kkt); err != nil {
 				b.Fatal(err)
 			}
 		})
-		if scalarAllocs != 0 || blockedAllocs != 0 {
-			b.Fatalf("%s: warm refactor allocates (scalar %.0f, blocked %.0f allocs/op)",
-				name, scalarAllocs, blockedAllocs)
+		if ldlAllocs != 0 || luAllocs != 0 {
+			b.Fatalf("%s: warm factorization allocates (LDLᵀ %.0f, LU %.0f allocs/op)", name, ldlAllocs, luAllocs)
 		}
 
 		n := reps[name]
@@ -1185,34 +1188,41 @@ func writeBlockedKernelReport(b *testing.B) {
 			}
 			return float64(time.Since(t0).Nanoseconds()) / float64(n)
 		}
-		scalarNs := timeIt(func() error { return sym.RefactorInto(fScalar, wsScalar, kkt) })
-		blockedNs := timeIt(func() error { return sym.RefactorBlockedInto(fBlocked, wsBlocked, kkt) })
-
-		systems[name] = map[string]any{
-			"kkt_n":         kkt.NRows,
-			"kkt_nnz":       kkt.NNZ(),
-			"lu_nnz":        fScalar.NNZ(),
-			"scalar_ns":     scalarNs,
-			"blocked_ns":    blockedNs,
-			"speedup":       scalarNs / blockedNs,
-			"ops":           n,
-			"supernodes":    ps.Supernodes,
-			"panel_cols":    ps.PanelCols,
-			"max_width":     ps.MaxWidth,
-			"panel_frac":    ps.PanelFrac,
-			"auto_blocked":  ps.Blocked,
-			"scalar_allocs": scalarAllocs,
-			"warm_allocs":   blockedAllocs,
+		// Interleaved rounds, minimum of each, so a noisy neighbour
+		// slows both kernels alike.
+		ldlNs, luNs := math.Inf(1), math.Inf(1)
+		for round := 0; round < 3; round++ {
+			ldlNs = math.Min(ldlNs, timeIt(func() error { return sym.FactorInto(fl, kkt) }))
+			luNs = math.Min(luNs, timeIt(func() error { return lu.RefactorInto(fu, ws, kkt) }))
 		}
-		fmt.Printf("BENCH_kkt.json: %s blocked refactor %.2fx vs scalar (%.2f ms vs %.2f ms, %d supernodes, %.0f%% panel flops)\n",
-			name, scalarNs/blockedNs, blockedNs/1e6, scalarNs/1e6, ps.Supernodes, 100*ps.PanelFrac)
+		supernodes, panelCols := sym.Supernodes()
+		systems[name] = map[string]any{
+			"kkt_n":                         kkt.NRows,
+			"kkt_nnz":                       kkt.NNZ(),
+			"lu_nnz":                        lu.NNZ(),
+			"ldl_nnz":                       sym.NNZ(),
+			"lu_ns":                         luNs,
+			"ldl_ns":                        ldlNs,
+			"speedup":                       luNs / ldlNs,
+			"ops":                           n,
+			"supernodes":                    supernodes,
+			"panel_cols":                    panelCols,
+			"ldl_allocs":                    ldlAllocs,
+			"ldl_backward_error":            beL,
+			"lu_backward_error":             beU,
+			"ldl_backward_error_production": beRaw,
+			"lu_allocs":                     luAllocs,
+		}
+		fmt.Printf("BENCH_kkt.json: %s LDLᵀ %.2fx vs LU (%.3f ms vs %.3f ms; stored %d vs %d entries)\n",
+			name, luNs/ldlNs, ldlNs/1e6, luNs/1e6, sym.NNZ(), lu.NNZ())
 	}
 	mergeKKTReport(b, map[string]any{
-		"blocked_kernel": map[string]any{
-			"produced_by": "go test -run '^$' -bench BenchmarkRefactorBlocked -benchtime 1x . " +
-				"(self-timed section; equivalence and zero-alloc pins enforced with b.Fatal)",
-			"ordering": "amd",
-			"systems":  systems,
+		"ldl_kernel": map[string]any{
+			"produced_by": "go test -run '^$' -bench BenchmarkLDLvsLU -benchtime 1x . " +
+				"(self-timed, minimum of 3 interleaved rounds; solve agreement and zero-alloc pins enforced with b.Fatal)",
+			"matrix": "reduced KKT system at iteration 10 of a cold solve (mips.Stepper.Assemble), ordering amd, " +
+				"dual diagonal deepened to -1 for the race (ldl_backward_error_production: the untouched matrix)",
+			"systems": systems,
 		},
 	})
 }

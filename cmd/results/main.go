@@ -68,17 +68,14 @@ type trajReport struct {
 }
 
 type kernelRow struct {
-	KKTN        int     `json:"kkt_n"`
-	KKTNnz      int     `json:"kkt_nnz"`
-	LUNnz       int     `json:"lu_nnz"`
-	ScalarNs    float64 `json:"scalar_ns"`
-	BlockedNs   float64 `json:"blocked_ns"`
-	Speedup     float64 `json:"speedup"`
-	Supernodes  int     `json:"supernodes"`
-	PanelCols   int     `json:"panel_cols"`
-	MaxWidth    int     `json:"max_width"`
-	PanelFrac   float64 `json:"panel_frac"`
-	AutoBlocked bool    `json:"auto_blocked"`
+	KKTN       int     `json:"kkt_n"`
+	LUNnz      int     `json:"lu_nnz"`
+	LDLNnz     int     `json:"ldl_nnz"`
+	LUNs       float64 `json:"lu_ns"`
+	LDLNs      float64 `json:"ldl_ns"`
+	Speedup    float64 `json:"speedup"`
+	Supernodes int     `json:"supernodes"`
+	PanelCols  int     `json:"panel_cols"`
 }
 
 type fillRow struct {
@@ -86,6 +83,8 @@ type fillRow struct {
 	KKTNnz int `json:"kkt_nnz"`
 	RCM    int `json:"lu_nnz_rcm"`
 	AMD    int `json:"lu_nnz_amd"`
+	LDLRCM int `json:"ldl_nnz_rcm"`
+	LDLAMD int `json:"ldl_nnz_amd"`
 }
 
 type kktReport struct {
@@ -95,10 +94,9 @@ type kktReport struct {
 	ProductionFill           struct {
 		Systems map[string]fillRow `json:"systems"`
 	} `json:"production_fill"`
-	BlockedKernel struct {
-		Ordering string               `json:"ordering"`
-		Systems  map[string]kernelRow `json:"systems"`
-	} `json:"blocked_kernel"`
+	LDLKernel struct {
+		Systems map[string]kernelRow `json:"systems"`
+	} `json:"ldl_kernel"`
 }
 
 type lifecycleReport struct {
@@ -152,6 +150,7 @@ var codeSize = []struct {
 	{at: "after 1c4db34", all: 17046, warmPath: 5799, kernel: 3327, why: "a third failure verdict (a performance change, so the count goes up): `mips.ErrStalled` ends a solve whose best primal feasibility has not halved in 65 iterations, with its window of bests on the `Stepper` (+48 in `mips`, most of it the documented calibration); `scopf.Summary` splits its errors by verdict, `pgsimd_screen_stalled_total` and `cmd/scopf`'s error split read it; `screen_n1_mid`'s check pass runs 7,661 → 4,893 iterations (PERFORMANCE.md)"},
 	{at: "after 1e05057", all: 16623, warmPath: 5427, kernel: 3327, why: "screening takes every warm start and screens every pair it is given: the learned warm/cold dispatch policy (`scopf/policy.go`, `Engine.Policy`, `Outcome.ColdByPolicy`, `Summary.PolicyCold`, `cmd/scopf -policy`, `/v1/screen`'s `policy` field and `policy_cold`/`cold_by_policy`, `pgsimd_screen_policy_cold_total`) and the severity-ranked top-K N-2 screen (`scopf/n2.go` but `AllPairs`, `cmd/scopf`'s separate N-2 stage; `-n2` is a bool) deleted — neither changed a decision on any measured fixture (PERFORMANCE.md, \"Screening extras that never fired\")"},
 	{at: "after c4a31ad", all: 16676, warmPath: 5536, kernel: 3265, why: "the Newton system compiled once per grid (a performance change; the count goes up by 53): `sparse.Assembler` and its verify/recompile protocol (−167) replaced by `sparse.CompileSlots` and slot-map stamps — `opf`'s shared `evalProgram` records each evaluator's entry order once (+90 in `eval.go`), the `mips` arena keys its inequality and KKT slot maps on input patterns (+130 in `arena.go`, −25 in `mips.go`); `scopf.Outcome.Spent` and `error_iterations` (+13); `mtl.Model.Load` decodes in place (+5); `serve_cold_mid` `latency_ms_mid` 21.00 → 14.00 ms (PERFORMANCE.md)"},
+	{at: "after 12caeba", all: 16616, warmPath: 5535, kernel: 3205, why: "one supernodal LDLᵀ for every KKT system (a performance change; the count goes down by 60): `internal/sparse/ldl.go` (+502: `AnalyzeLDL`'s elimination tree, column patterns, supernodes and update ops, and the one `FactorInto` kernel with its `panelUpdate`) replaces `blocked.go` (−546: the blocked LU schedule, kernel, auto-selector and `PanelStats`), the pivot surrogate in `order.go`, the shaped/value-pivoted paths of `symbolic.go` and the unused `AnalyzePerm`; the scalar LU refactorization moved into `lu.go` for `internal/pf`"},
 }
 
 func main() {
@@ -245,7 +244,7 @@ func main() {
 	if kbuf, err := os.ReadFile(*kkt); err == nil {
 		renderKernel(w, *kkt, kbuf)
 	} else {
-		log.Printf("note: %s absent, kernel section skipped (run the BenchmarkRefactorBlocked recipe in PERFORMANCE.md)", *kkt)
+		log.Printf("note: %s absent, kernel section skipped (run the BenchmarkLDLvsLU recipe in PERFORMANCE.md)", *kkt)
 	}
 
 	if tbuf, err := os.ReadFile(*traj); err == nil {
@@ -294,10 +293,10 @@ func bySize[T any](m map[string]T, size func(T) int) []string {
 
 // renderKernel appends the KKT-fill and numeric-kernel sections from
 // BENCH_kkt.json (production fill and symbolic reuse written by
-// BenchmarkKKTFactor/BenchmarkMIPSSolve, blocked-kernel rows by
-// BenchmarkRefactorBlocked). Any part may be absent — a filtered bench
-// run regenerates only its own section — so each table renders only
-// when its rows exist.
+// BenchmarkKKTFactor/BenchmarkMIPSSolve, the LDLᵀ-vs-LU race by
+// BenchmarkLDLvsLU). Any part may be absent — a filtered bench run
+// regenerates only its own section — so each table renders only when
+// its rows exist.
 func renderKernel(w func(string, ...any), path string, buf []byte) {
 	var k kktReport
 	if err := json.Unmarshal(buf, &k); err != nil {
@@ -306,25 +305,28 @@ func renderKernel(w func(string, ...any), path string, buf []byte) {
 	if fill := k.ProductionFill.Systems; len(fill) > 0 {
 		w("## KKT fill by ordering (why every system is analyzed under AMD)")
 		w("")
-		w("L+U nonzeros of the matrix MIPS factors — the reduced KKT system,")
-		w("pivot-shaped, as a one-iteration cold solve analyzes it under each")
-		w("ordering (`production_fill` in `%s`). `opf.Prepare` uses AMD on", path)
-		w("every system; `TestKKTOrderingFill` holds it to 1.05× RCM's fill")
-		w("(DESIGN.md §9).")
+		w("Stored factor entries of the matrix MIPS factors — the reduced KKT")
+		w("system, as a one-iteration cold solve analyzes it under each")
+		w("ordering (`production_fill` in `%s`). The KKT path factors it", path)
+		w("with LDLᵀ and stores nnz(L)+n; the L+U columns are what an LU of")
+		w("the same elimination stores, 2·(nnz(L)+n), which the KKT path")
+		w("stored before (BenchmarkLDLvsLU pins the identity on a real LU).")
+		w("`opf.Prepare` uses AMD on every system; `TestKKTOrderingFill`")
+		w("holds it to 1.05× RCM's fill (DESIGN.md §9).")
 		w("")
-		w("| system | KKT n | nnz(KKT) | L+U rcm | L+U amd | amd / rcm |")
-		w("|---|---|---|---|---|---|")
+		w("| system | KKT n | nnz(KKT) | L+U rcm | L+U amd | nnz(L)+n amd | amd / rcm |")
+		w("|---|---|---|---|---|---|---|")
 		for _, n := range bySize(fill, func(f fillRow) int { return f.KKTN }) {
 			f := fill[n]
-			w("| %s | %d | %d | %d | %d | %.2f |", n, f.KKTN, f.KKTNnz, f.RCM, f.AMD, float64(f.AMD)/float64(f.RCM))
+			w("| %s | %d | %d | %d | %d | %d | %.2f |", n, f.KKTN, f.KKTNnz, f.RCM, f.AMD, f.LDLAMD, float64(f.AMD)/float64(f.RCM))
 		}
 		w("")
 	}
-	if k.Case == "" && len(k.BlockedKernel.Systems) == 0 {
+	if k.Case == "" && len(k.LDLKernel.Systems) == 0 {
 		log.Printf("note: %s has no kernel sections, skipped", path)
 		return
 	}
-	w("## Numeric kernel: symbolic reuse and the blocked LU")
+	w("## Numeric kernel: symbolic reuse and the supernodal LDLᵀ")
 	w("")
 	w("Self-timed sections of `%s` — the factorization layer under every", path)
 	w("MIPS iteration above. Regenerate with the recipes in PERFORMANCE.md.")
@@ -334,20 +336,19 @@ func renderKernel(w func(string, ...any), path string, buf []byte) {
 		w("refactorization %.1f× faster than a fresh analyze+factor.", k.SpeedupRefactorVsAnalyze)
 		w("")
 	}
-	if len(k.BlockedKernel.Systems) > 0 {
-		w("The blocked panel kernel batches supernodal columns of the %s-", k.BlockedKernel.Ordering)
-		w("ordered KKT factor so the hot update loop runs over dense panels")
-		w("(DESIGN.md §11). Equivalence with the scalar kernel (identical")
-		w("fill, solves agreeing to 1e-9) and zero warm-path allocations are")
-		w("pinned with `b.Fatal` inside the benchmark itself:")
+	if len(k.LDLKernel.Systems) > 0 {
+		w("The supernodal LDLᵀ every KKT system goes through, against the")
+		w("scalar LU of the same elimination, on the production KKT matrix at")
+		w("iteration 10 of a cold solve under AMD (DESIGN.md §11). The fill")
+		w("identity, agreeing backward errors and zero warm-path allocations")
+		w("are pinned with `b.Fatal` inside the benchmark itself:")
 		w("")
-		w("| system | KKT n | nnz(LU) | scalar ms | blocked ms | speedup | supernodes | panel cols | panel flops | auto-selected |")
-		w("|---|---|---|---|---|---|---|---|---|---|")
-		for _, n := range bySize(k.BlockedKernel.Systems, func(s kernelRow) int { return s.KKTN }) {
-			s := k.BlockedKernel.Systems[n]
-			w("| %s | %d | %d | %.2f | %.2f | **%.2f×** | %d | %d | %.0f%% | %v |",
-				n, s.KKTN, s.LUNnz, s.ScalarNs/1e6, s.BlockedNs/1e6, s.Speedup,
-				s.Supernodes, s.PanelCols, 100*s.PanelFrac, s.AutoBlocked)
+		w("| system | KKT n | L+U | nnz(L)+n | LU ms | LDLᵀ ms | speedup | supernodes | panel cols |")
+		w("|---|---|---|---|---|---|---|---|---|")
+		for _, n := range bySize(k.LDLKernel.Systems, func(s kernelRow) int { return s.KKTN }) {
+			s := k.LDLKernel.Systems[n]
+			w("| %s | %d | %d | %d | %.3f | %.3f | **%.2f×** | %d | %d |",
+				n, s.KKTN, s.LUNnz, s.LDLNnz, s.LUNs/1e6, s.LDLNs/1e6, s.Speedup, s.Supernodes, s.PanelCols)
 		}
 		w("")
 	}

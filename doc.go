@@ -4,8 +4,8 @@
 //
 // The implementation lives under internal/: the power-grid model and AC
 // power-flow algebra (internal/grid), dense and sparse linear algebra
-// (internal/la; internal/sparse, whose supernodal blocked LU
-// refactorization carries the 1000+ bus systems — DESIGN.md §11), the
+// (internal/la; internal/sparse, whose supernodal LDLᵀ factors every
+// interior-point KKT system — DESIGN.md §7, §11), the
 // Newton power flow (internal/pf), the MIPS primal–dual interior-point
 // solver with its zero-allocation warm loop (internal/mips), the AC-OPF
 // assembly (internal/opf), the neural-network framework and multitask

@@ -1,6 +1,6 @@
 // Package horizon solves multi-period AC-OPF trajectories: sequences of
 // load points at a fixed dispatch interval where per-generator ramp
-// limits couple step t to step t−1's dispatch (ROADMAP item 3 — the
+// limits couple step t to step t−1's dispatch (DESIGN.md §10 — the
 // paper's workload is i.i.d. draws; real operators solve forecasts).
 //
 // Each step is a load perturbation of one prepared base instance

@@ -12,7 +12,7 @@ import (
 // dense work vectors, the full inequality Jacobian and the Newton KKT
 // matrix with the slot maps their values are stamped through (see
 // sparse.CompileSlots), the row-major view of the inequality Jacobian,
-// and the factor slot holding preallocated LU storage. The slot maps are
+// and the factor slot holding preallocated LDLᵀ storage. The slot maps are
 // compiled from the patterns of the problem's Jacobians and Hessian the
 // first time a solve sees them; after that, and once the slot is bound,
 // a Step performs zero heap allocations — everything the hot loop

@@ -112,9 +112,11 @@ type Options struct {
 	// KKT pattern (see sparse.SymbolicCache): the solve consults it
 	// through a per-solve handle before analyzing, so repeat solves of
 	// the same pattern — the whole warm-start pipeline — skip ordering
-	// and symbolic analysis entirely. Ordering and shaped pivot sequence
-	// are pure functions of the sparsity pattern, a property of the
-	// problem structure and not of its values, so one cache safely
+	// and symbolic analysis entirely. The analysis — ordering,
+	// elimination tree, supernodes — is a pure function of the sparsity
+	// pattern, a property of the problem structure and not of its
+	// values, and the LDLᵀ keeps every pivot on the diagonal, so one
+	// cache safely
 	// serves all solves of load-perturbed instances of one grid —
 	// concurrently and deterministically (opf threads its per-grid cache
 	// through here). The solve's reuse counters are folded into the
@@ -187,11 +189,11 @@ var ErrNumeric = errors.New("mips: numerical failure in KKT solve")
 // kktStaticReg is the static regularization −δ placed on the equality
 // block's diagonal, making the KKT matrix symmetric quasi-definite
 // (Vanderbei 1995): every diagonal pivot order then exists, which is
-// what lets the shaped symbolic analysis freeze diagonal pivots and the
+// what lets the LDLᵀ keep its pivots on the diagonal and the
 // minimum-degree ordering deliver its predicted fill. The value is far
-// below the solver tolerances; the pivot-decay guard plus value-pivoted
-// re-analysis fallback covers the rare iterate that still rejects a
-// diagonal sequence.
+// below the solver tolerances; the LDLᵀ's static pivot boost covers the
+// iterate whose pivot still decays, and a column that collapses is
+// rejected (sparse.ErrSingular) into the Tikhonov retry.
 const kktStaticReg = 1e-8
 
 // ErrMaxIter is returned when the iteration limit is reached.
@@ -360,12 +362,11 @@ func newStepper(p *Problem, x0 la.Vector, ws *WarmStart, opt Options, ar *Arena)
 	// One symbolic analysis serves every iteration of this solve: the
 	// KKT pattern is fixed — the static dual regularization keeps the
 	// full diagonal structurally present, so even the Tikhonov-retry
-	// variant reuses the same pattern. Analysis is pivot-shaped (frozen
-	// pivots come from the pattern-derived surrogate, not this solve's
-	// values), which keeps results independent of solve order and lets
-	// a shared opt.KKT cache amortize the analysis across the whole
-	// warm-start pipeline; without one, a private cache reproduces the
-	// same pivot sequences from scratch.
+	// variant reuses the same pattern. The analysis reads no values,
+	// which keeps results independent of solve order and lets a shared
+	// opt.KKT cache amortize it across the whole warm-start pipeline;
+	// without one, a private cache reproduces the same analysis from
+	// scratch.
 	kkt := opt.KKT
 	if kkt == nil {
 		kkt = sparse.NewSymbolicCache(opt.Ordering)
@@ -548,8 +549,8 @@ func (s *Stepper) Step() (bool, error) {
 // compiled once per pattern triple (Jh, Hessian, Jg). regKKT·I is
 // stamped even at regKKT = 0: it doubles as the primal block's
 // structural-diagonal grounding. The dual diagonal carries the static
-// −δ regularization: the quasi-definite diagonal keeps shaped pivot
-// sequences on the diagonal, where minimum-degree fill predictions hold
+// −δ regularization: the quasi-definite diagonal keeps the LDLᵀ's
+// pivots on the diagonal, where minimum-degree fill predictions hold
 // — severalfold less fill than pivoting off an empty dual diagonal —
 // and makes the pattern invariant under the Tikhonov retry, so one
 // symbolic analysis covers every iteration of every solve. δ only

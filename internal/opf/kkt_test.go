@@ -10,8 +10,8 @@ import (
 
 // TestKKTCacheSharedAcrossPerturbations pins the cross-solve seam: all
 // instances derived from one Prepare share its KKT cache, so a sweep
-// computes the fill-reducing ordering and the pivot-shaped symbolic
-// analysis once — every iteration after the very first across the whole
+// computes the fill-reducing ordering and the LDLᵀ symbolic analysis
+// once — every iteration after the very first across the whole
 // sweep is a numeric refactorization.
 func TestKKTCacheSharedAcrossPerturbations(t *testing.T) {
 	base := Prepare(grid.Case9())

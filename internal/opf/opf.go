@@ -101,7 +101,7 @@ type OPF struct {
 	refVa                                    float64
 	prep                                     time.Duration
 	// kkt caches the analysis of the KKT pattern — fill-reducing
-	// ordering and pivot-shaped symbolic — which is a property of the
+	// ordering and LDLᵀ elimination structure — which is a property of the
 	// grid structure, not of the loads, the bound values or the outages:
 	// every instance derived with Perturb/RebindRamp shares it, and every
 	// RebindOutage/RebindGenOutage class derives from it, so the first
@@ -231,15 +231,15 @@ func (o *OPF) Ordering() sparse.Ordering { return o.kkt.Ordering() }
 
 // KKTSymbolic returns the symbolic analysis this instance's KKT systems
 // are factored on — the production fill — or nil before its first solve.
-func (o *OPF) KKTSymbolic() *sparse.Symbolic { return o.kkt.Symbolic() }
+func (o *OPF) KKTSymbolic() *sparse.LDLSymbolic { return o.kkt.Symbolic() }
 
 // KKTStats reports the KKT reuse counters for this grid, aggregated over
 // every solve of this instance and the derivations sharing its cache: how
-// many fill-reducing orderings were computed, and how many full symbolic
-// analyses, numeric refactorizations and stability fallbacks the solves'
-// KKT factorizations performed. An outage class from RebindOutage or
-// RebindGenOutage counts its own solves' work — zero orderings, and
-// analyses only for value-pivoted fallbacks — while the one analysis of
+// many fill-reducing orderings were computed, and how many symbolic
+// analyses, numeric factorizations and rejected (numerically singular)
+// factorizations the solves' KKT factorizations counted. An outage class
+// from RebindOutage or RebindGenOutage counts its own solves' work —
+// zero orderings and zero analyses — while the one analysis of
 // the intact pattern it factors on is counted on the instance it was
 // derived from, whichever solve made it.
 func (o *OPF) KKTStats() sparse.CacheStats { return o.kkt.Stats() }

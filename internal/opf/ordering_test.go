@@ -9,8 +9,8 @@ import (
 )
 
 // productionFill returns the analysis a real cold solve of c publishes
-// under ord: the reduced KKT pattern MIPS factors, pivot-shaped.
-func productionFill(t *testing.T, c *grid.Case, ord sparse.Ordering) *sparse.Symbolic {
+// under ord: the LDLᵀ analysis of the reduced KKT pattern MIPS factors.
+func productionFill(t *testing.T, c *grid.Case, ord sparse.Ordering) *sparse.LDLSymbolic {
 	t.Helper()
 	o := Prepare(c)
 	o.SetOrdering(ord)

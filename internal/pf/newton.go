@@ -158,7 +158,7 @@ func Solve(c *grid.Case, opt Options) (*Result, error) {
 		appendBlock(dVa, true, posM, npv, posA, 0)   // dQ/dVa
 		appendBlock(dVm, true, posM, npv, posM, npv) // dQ/dVm
 		jac := jb.ToCSC()
-		if sym == nil || sym.RefactorAutoInto(fac, ws, jac) != nil {
+		if sym == nil || sym.RefactorInto(fac, ws, jac) != nil {
 			// First iteration, or a frozen pivot has decayed: re-pick them.
 			var err error
 			if sym, fac, err = sparse.Analyze(jac, sparse.OrderRCM, 1.0); err != nil {

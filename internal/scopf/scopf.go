@@ -18,8 +18,8 @@
 // has the intact layout and the intact KKT pattern, and the whole
 // contingency space of a system factors on ONE symbolic analysis, made
 // once by whichever scenario factors first (ClassInfo.KKT counts each
-// class's own work, Report.KKT the sweep's: value-pivoted fallbacks
-// only). The engine predicts once per load draw, not per scenario, and
+// class's own work, Report.KKT the sweep's: factorizations only, no
+// analysis). The engine predicts once per load draw, not per scenario, and
 // the class fits the intact-system prediction to its outages
 // (opf.AdaptStart) instead of falling back to a cold solve. ScreenNaive
 // keeps the per-scenario-Prepare reference path, which solves every
@@ -136,9 +136,8 @@ type ClassInfo struct {
 	WarmMode   string // "exact", "projected" or "cold"
 	Islanded   bool   // the outage splits the network; nothing was solved
 	// KKT counts the KKT factorization work of the class's own solves.
-	// Orderings are zero, and Analyses count only value-pivoted
-	// fallbacks: every outage class factors on the intact system's
-	// analysis (counted on Prepared). Zero for the intact class: it is
+	// Orderings and Analyses are zero: every outage class factors on
+	// the intact system's analysis (counted on Prepared). Zero for the intact class: it is
 	// solved on the system's long-lived cache, whose counters
 	// (Prepared.KKTStats) every other user of the system feeds too and
 	// no sweep can call its own.

@@ -329,45 +329,61 @@ func TestOutcomeErrors(t *testing.T) {
 		}
 	}
 
-	// A solver failure is split by its verdict: case30 without branch 9
-	// cannot be made feasible, and its cold solve ends on the stall rule.
-	// Warm-started from the intact optimum, the warm attempt stalls as
-	// well, and the outcome charges both attempts' iterations.
-	c30 := grid.Case30()
-	base := opf.Prepare(c30)
-	nominal, err := base.Solve(nil, opf.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := Scenario{Factors: ones(c30.NB()), OutBranch: 9}
-	for _, pred := range []opf.Predictor{nil, fixedStart{nominal}} {
-		outs := (&Engine{Base: c30, Predictor: pred, Workers: 1}).Run([]Scenario{sc}).Outcomes
-		if !errors.Is(outs[0].Err, mips.ErrStalled) {
-			t.Fatalf("case30 branch 9: err = %v, want mips.ErrStalled", outs[0].Err)
-		}
-		// The same chain by hand: the class, its start, its two attempts.
-		cl, err := base.RebindOutage(9)
+	// A solver failure is split by its verdict, and the outcome charges
+	// both attempts' iterations. case118 without branch 89 cannot be made
+	// feasible: its cold solve ends on the stall rule, and warm-started
+	// from the intact optimum the warm attempt stalls as well. case30
+	// without branch 9 fails too, but on a KKT column the LDLᵀ finds
+	// collapsed (the numeric verdict) before the stall rule can fire.
+	for _, tc := range []struct {
+		c      *grid.Case
+		branch int
+		want   error
+	}{
+		{grid.Case118(), 89, mips.ErrStalled},
+		{grid.Case30(), 9, mips.ErrNumeric},
+	} {
+		base := opf.Prepare(tc.c)
+		nominal, err := base.Solve(nil, opf.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst := cl.Perturb(sc.Factors)
-		var start *opf.Start
-		if pred != nil {
-			start = inst.AdaptStart(pred.Predict(nil))
-		}
-		want := inst.SolveWarm(start, opf.Options{})
-		spent := want.Result.Iterations // a stall ends at iteration 65 or later
-		if pred != nil {
-			if want.Warm == nil || want.Warm.Iterations < 65 {
-				t.Fatalf("warm chain by hand: %+v", want)
+		sc := Scenario{Factors: ones(tc.c.NB()), OutBranch: tc.branch}
+		for _, pred := range []opf.Predictor{nil, fixedStart{nominal}} {
+			outs := (&Engine{Base: tc.c, Predictor: pred, Workers: 1}).Run([]Scenario{sc}).Outcomes
+			if !errors.Is(outs[0].Err, tc.want) {
+				t.Fatalf("%s branch %d: err = %v, want %v", tc.c.Name, tc.branch, outs[0].Err, tc.want)
 			}
-			spent += want.Warm.Iterations
-		}
-		if outs[0].Spent != spent || want.Result.Iterations < 65 {
-			t.Fatalf("case30 branch 9 (warm %v): spent %d iterations, want %d", pred != nil, outs[0].Spent, spent)
-		}
-		if sum := Summarize(outs); sum.Errors != 1 || sum.Stalled != 1 || sum.IterLimit+sum.Numeric != 0 || sum.ErrorIterations != spent {
-			t.Fatalf("summary %+v", sum)
+			// The same chain by hand: the class, its start, its two attempts.
+			cl, err := base.RebindOutage(tc.branch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst := cl.Perturb(sc.Factors)
+			var start *opf.Start
+			if pred != nil {
+				start = inst.AdaptStart(pred.Predict(nil))
+			}
+			want := inst.SolveWarm(start, opf.Options{})
+			minIters := 1
+			if tc.want == mips.ErrStalled {
+				minIters = 65 // a stall ends at iteration 65 or later
+			}
+			spent := want.Result.Iterations
+			if pred != nil {
+				if want.Warm == nil || want.Warm.Iterations < minIters {
+					t.Fatalf("warm chain by hand: %+v", want)
+				}
+				spent += want.Warm.Iterations
+			}
+			if outs[0].Spent != spent || want.Result.Iterations < minIters {
+				t.Fatalf("%s branch %d (warm %v): spent %d iterations, want %d", tc.c.Name, tc.branch, pred != nil, outs[0].Spent, spent)
+			}
+			sum := Summarize(outs)
+			verdicts := map[error]int{mips.ErrStalled: sum.Stalled, mips.ErrNumeric: sum.Numeric, mips.ErrMaxIter: sum.IterLimit}
+			if sum.Errors != 1 || verdicts[tc.want] != 1 || sum.Stalled+sum.Numeric+sum.IterLimit != 1 || sum.ErrorIterations != spent {
+				t.Fatalf("%s branch %d: summary %+v", tc.c.Name, tc.branch, sum)
+			}
 		}
 	}
 }

@@ -176,7 +176,7 @@ func newMetrics() *metrics {
 		screenErrors:    newCounter("pgsimd_screen_errors_total", "Scenarios whose solve or derivation errored.", "system"),
 		screenStalled:   newCounter("pgsimd_screen_stalled_total", "Errored scenarios ended early because primal feasibility stalled (mips.ErrStalled).", "system"),
 		screenClasses:   newCounter("pgsimd_screen_classes_total", "Topology classes prepared (prepare reuse = scenarios/classes).", "system"),
-		screenAnalyses:  newCounter("pgsimd_screen_kkt_analyses_total", "KKT symbolic analyses made by the outage classes of screening sweeps: every outage class factors on the intact system's analysis, which pgsimd_kkt_symbolic_analyses_total counts, so only value-pivoted fallbacks count here.", "system"),
+		screenAnalyses:  newCounter("pgsimd_screen_kkt_analyses_total", "KKT symbolic analyses made by the outage classes of screening sweeps: every outage class factors on the intact system's analysis, which pgsimd_kkt_symbolic_analyses_total counts, so it stays zero while outages keep the intact KKT pattern.", "system"),
 		screenLatency:   newHistogram(screenLatencyBuckets),
 
 		trajectories:          newCounter("pgsimd_trajectory_streams_total", "Completed /v1/trajectory streams by system and warm-start mode.", "system", "mode"),
@@ -314,11 +314,11 @@ func (m *metrics) render(w io.Writer, queueDepth int, kkt []kktStat, lcs []lcSta
 		name, help string
 		pick       func(sparse.CacheStats) uint64
 	}{
-		{"pgsimd_kkt_symbolic_analyses_total", "Full KKT factorizations (ordering + pattern analysis + pivoting) per grid.",
+		{"pgsimd_kkt_symbolic_analyses_total", "KKT symbolic analyses (ordering, elimination tree, supernodes) per grid.",
 			func(s sparse.CacheStats) uint64 { return s.Analyses }},
-		{"pgsimd_kkt_numeric_refactors_total", "Numeric-only KKT refactorizations on the cached symbolic analysis per grid.",
+		{"pgsimd_kkt_numeric_refactors_total", "Numeric KKT factorizations on the cached symbolic analysis per grid.",
 			func(s sparse.CacheStats) uint64 { return s.Refactors }},
-		{"pgsimd_kkt_refactor_fallbacks_total", "Refactorizations abandoned for stability and replaced by a fresh analysis per grid.",
+		{"pgsimd_kkt_refactor_fallbacks_total", "KKT factorizations rejected as numerically singular (a collapsed column; the solve retries with Tikhonov regularization) per grid.",
 			func(s sparse.CacheStats) uint64 { return s.Fallbacks }},
 	} {
 		header(w, f.name, "counter", f.help)

@@ -1,5 +1,5 @@
 // Package sparse implements the compressed sparse-column matrices and the
-// sparse LU factorization that back the power-grid admittance algebra and
+// sparse factorizations that back the power-grid admittance algebra and
 // the interior-point KKT solves in Smart-PGSim.
 //
 // Real matrices are CSC (compressed sparse column); complex matrices mirror
@@ -7,17 +7,22 @@
 // Builder so duplicate entries sum, which makes assembling Jacobians,
 // Hessians and admittance matrices a sequence of Append calls.
 //
-// The LU factorization is left-looking Gilbert–Peierls with threshold
-// partial pivoting and a fill-reducing pre-ordering (reverse
-// Cuthill–McKee, the zero value, for internal/pf's Jacobians; approximate
-// minimum degree, OrderAMD, for every KKT system opf prepares). It
-// is split into a symbolic phase and a numeric phase for the hot paths
-// that factor many matrices with one sparsity pattern — interior-point
-// KKT systems, Newton Jacobians: Analyze freezes the ordering, pivot
-// sequence and L/U patterns into a Symbolic, and Symbolic.RefactorInto
-// recomputes values only. SymbolicCache holds the one pattern-pure
-// analysis of a grid's KKT systems and shares it across every solve of the
-// grid, concurrent ones included, without coupling their numerics.
+// Two factorizations, each split into a symbolic and a numeric phase for
+// the hot paths that factor many matrices of one sparsity pattern:
+//
+//   - LU, left-looking Gilbert–Peierls with threshold partial pivoting,
+//     for internal/pf's unsymmetric Newton Jacobians (under reverse
+//     Cuthill–McKee, the zero Ordering): Analyze freezes the ordering,
+//     pivot sequence and L/U patterns into a Symbolic, and
+//     Symbolic.RefactorInto recomputes values only.
+//   - LDLᵀ, left-looking and supernodal with diagonal pivots, for every
+//     symmetric quasi-definite KKT system of the interior point (under
+//     approximate minimum degree, OrderAMD): AnalyzeLDL is a pure
+//     function of the pattern, LDLSymbolic.FactorInto the numeric half.
+//     SymbolicCache holds the one analysis of a grid's KKT systems and
+//     shares it across every solve of the grid, concurrent ones
+//     included, without coupling their numerics.
+//
 // DESIGN.md §7 documents the design, PERFORMANCE.md the measured effect.
 package sparse
 

@@ -1,149 +1,206 @@
 package sparse_test
 
-// The embedded-fleet half of the blocked-vs-scalar equivalence suite:
-// every embedded system's bordered KKT-shaped pattern goes through both
-// numeric kernels and must agree. Random-pattern and fuzz coverage live
-// in blocked_test.go (package sparse); this file runs grid-shaped
-// patterns at every embedded size. They are proxies, not the matrices
-// MIPS factors: see fleetKKTProxy.
+// The embedded-fleet half of the LDLᵀ kernel tests: the reduced KKT
+// matrices MIPS really factors, assembled by a mips.Stepper at real
+// interior-point iterates of every embedded system. Random-pattern and
+// fuzz coverage live in ldl_test.go (package sparse).
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/casegen"
 	"repro/internal/la"
+	"repro/internal/mips"
 	"repro/internal/opf"
 	"repro/internal/sparse"
 )
 
-// fleetKKTProxy assembles a bordered KKT-shaped matrix of an OPF: a
-// diagonal standing in for the Lagrangian Hessian plus the full
-// inequality normal-matrix pattern, bordered by the equality Jacobian.
-// It is a denser relative of the reduced KKT system the interior-point
-// loop factors — value-pivoted, its L+U is 3–5× production's
-// pivot-shaped one (case300: 132,416 under RCM, 141,774 under AMD, vs
-// 40,330; BENCH_kkt.json "production_fill") — which makes it a harder
-// kernel test, not a fill measurement. Callers analyze it under RCM,
-// what the deleted fill probe resolved to on this pattern, so the pivot
-// sequences under test are the ones this file always ran.
-func fleetKKTProxy(o *opf.OPF, vals *rand.Rand) *sparse.CSC {
-	x := o.DefaultStart()
-	_, jg := o.Equality(x)
-	_, jh := o.FullInequality(x)
-	nx, neq := o.Lay.NX, o.Lay.NEq
-	kb := sparse.NewBuilder(nx+neq, nx+neq)
-	for i := 0; i < nx; i++ {
-		kb.Append(i, i, 4+vals.Float64())
+// productionKKT returns the reduced KKT matrix of a cold solve of the
+// embedded system name after each of the given numbers of steps
+// (ascending) — the matrix the solver factors there, one pattern for
+// all — and the number of primal variables: rows from nx on are dual.
+func productionKKT(tb testing.TB, name string, iters ...int) (kkts []*sparse.CSC, nx int) {
+	tb.Helper()
+	c, err := casegen.Paper(name)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	jt := jh.T()
-	for r := 0; r < jt.NCols; r++ {
-		lo, hi := jt.ColPtr[r], jt.ColPtr[r+1]
-		for p1 := lo; p1 < hi; p1++ {
-			for p2 := lo; p2 < hi; p2++ {
-				kb.Append(jt.RowIdx[p1], jt.RowIdx[p2], jt.Val[p1]*jt.Val[p2])
+	o := opf.Prepare(c)
+	s := mips.NewStepper(o.Problem(), o.DefaultStart(), nil, mips.Options{Ordering: o.Ordering()})
+	it := 0
+	for _, want := range iters {
+		for ; it < want; it++ {
+			if done, err := s.Step(); done {
+				tb.Fatalf("%s: the solve finished at iteration %d before iteration %d: %v", name, it, want, err)
 			}
 		}
+		kkts = append(kkts, s.Assemble().Clone())
 	}
-	kb.AppendCSC(nx, 0, 1, jg)
-	kb.AppendCSC(0, nx, 1, jg.T())
-	return kb.ToCSC()
+	return kkts, o.Lay.NX
 }
 
-// skipLargeInShort gates the 1354-bus fleet subtests: their analyses
-// and refactorizations dominate the package's test time, so -short
-// (CI's default tier) runs the paper-scale systems only. A full
+// skipLargeInShort gates the 1354-bus fleet subtests: their solves and
+// factorizations dominate the package's test time, so -short (CI's
+// default tier) runs the paper-scale systems only. A full
 // `go test ./internal/sparse` still covers every embedded system.
 func skipLargeInShort(t *testing.T, name string) {
 	t.Helper()
 	if testing.Short() && name == "case1354" {
-		t.Skip("1354-bus fleet refactors are slow; run without -short for full coverage")
+		t.Skip("1354-bus fleet factorizations are slow; run without -short for full coverage")
 	}
 }
 
+// onPattern returns a symmetric quasi-definite matrix on m's pattern:
+// off-diagonal values drawn from N(0,1), each primal diagonal entry
+// dominating its row, the dual diagonal −1.
+func onPattern(r *rand.Rand, m *sparse.CSC, nx int) *sparse.CSC {
+	c := m.Clone()
+	rowSum := make([]float64, c.NRows)
+	for j := 0; j < c.NCols; j++ {
+		for p := c.ColPtr[j]; p < c.ColPtr[j+1]; p++ {
+			if i := c.RowIdx[p]; i > j {
+				v := r.NormFloat64()
+				c.Val[p] = v
+				rowSum[i] += math.Abs(v)
+				rowSum[j] += math.Abs(v)
+			}
+		}
+	}
+	for j := 0; j < c.NCols; j++ {
+		for p := c.ColPtr[j]; p < c.ColPtr[j+1]; p++ {
+			switch i := c.RowIdx[p]; {
+			case i < j:
+				c.Val[p] = c.At(j, i)
+			case i == j && j < nx:
+				c.Val[p] = 1 + rowSum[j]
+			case i == j:
+				c.Val[p] = -1
+			}
+		}
+	}
+	return c
+}
+
+// The supernodal LDLᵀ solves systems on every embedded grid's
+// production KKT pattern — the pattern MIPS factors, taken at a real
+// iterate, with its supernode structure — as the scalar threshold-pivoting
+// LU (FactorizeOpts) does, to 1e-9 relative: analyzed once, factoring
+// two value draws. The values are well-conditioned quasi-definite draws
+// so that the comparison measures the kernel; at real iterates the
+// barrier terms make the system so ill-conditioned that two stable
+// factorizations already differ in the fourth digit (the production
+// values are covered by TestLDLFactorsSlotIndependent and by every
+// solver test above this package).
 func TestRefactorBlockedEmbeddedFleet(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	for _, name := range casegen.EmbeddedNames() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			skipLargeInShort(t, name)
-			c, err := casegen.Paper(name)
-			if err != nil {
-				t.Fatal(err)
+			kkts, nx := productionKKT(t, name, 2)
+			sym := sparse.AnalyzeLDL(kkts[0], sparse.OrderAMD)
+			f := &sparse.LDLFactors{}
+			for draw := 0; draw < 2; draw++ {
+				m := onPattern(r, kkts[0], nx)
+				if err := sym.FactorInto(f, m); err != nil {
+					t.Fatal(err)
+				}
+				// Threshold 0.1: full partial pivoting (1.0) picks
+				// off-diagonal pivots that fill case1354's factor to 7.5M
+				// entries and take half a minute.
+				lu, err := sparse.FactorizeOpts(m, sparse.OrderAMD, 0.1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rhs := make(la.Vector, m.NRows)
+				for i := range rhs {
+					rhs[i] = r.NormFloat64()
+				}
+				xl, xu := f.Solve(rhs), lu.Solve(rhs)
+				if d := xl.Clone().Sub(xu).NormInf(); d > 1e-9*xu.NormInf() {
+					t.Fatalf("%s: LDLᵀ and LU solves differ by %v (|x|∞ %v)", name, d, xu.NormInf())
+				}
 			}
-			o := opf.Prepare(c)
-			kkt := fleetKKTProxy(o, r)
-			sym, _, err := sparse.Analyze(kkt, sparse.OrderRCM, 1.0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Fresh values on the frozen pattern, both kernels.
-			m := kkt.Clone()
-			for p := range m.Val {
-				m.Val[p] *= 1 + 0.1*r.NormFloat64()
-			}
-			fs, fb, ws := &sparse.LUFactors{}, &sparse.LUFactors{}, sym.NewRefactorWorkspace()
-			if err := sym.RefactorInto(fs, ws, m); err != nil {
-				t.Fatal(err)
-			}
-			if err := sym.RefactorBlockedInto(fb, ws, m); err != nil {
-				t.Fatal(err)
-			}
-			rhs := make(la.Vector, m.NRows)
-			for i := range rhs {
-				rhs[i] = r.NormFloat64()
-			}
-			xs, xb := fs.Solve(rhs), fb.Solve(rhs)
-			if d := xs.Clone().Sub(xb).NormInf(); d > 1e-8*(1+xs.NormInf()) {
-				t.Fatalf("%s: blocked vs scalar solve differ by %v", name, d)
-			}
-			// Residual check pins the blocked kernel to the matrix
-			// itself, not just to the scalar kernel. The bound is
-			// relative to the scalar kernel's residual: both refactor m
-			// on pivots frozen for kkt's values, so the achievable
-			// residual is set by that pivot growth (which climbs with
-			// system size — production refactors reject such factors via
-			// the pivot-decay check), and the kernel-equivalence claim is
-			// that blocked loses nothing beyond summation order.
-			resS := m.MulVec(xs).Sub(rhs).NormInf()
-			resB := m.MulVec(xb).Sub(rhs).NormInf()
-			if resB > 10*resS+1e-6*(1+rhs.NormInf()) {
-				t.Fatalf("%s: blocked solve residual %v (scalar %v)", name, resB, resS)
-			}
-			st := sym.PanelStats()
-			t.Logf("%s: n=%d supernodes=%d panelCols=%d maxWidth=%d panelFrac=%.3f blocked=%v",
-				name, kkt.NRows, st.Supernodes, st.PanelCols, st.MaxWidth, st.PanelFrac, st.Blocked)
+			count, panelCols := sym.Supernodes()
+			t.Logf("%s: n=%d nnz(L)+n=%d supernodes=%d panelCols=%d", name, sym.N(), sym.NNZ(), count, panelCols)
 		})
 	}
 }
 
-// BenchmarkFleetRefactorKernels times the two numeric kernels on the
-// embedded fleet's KKT proxies (the root-level BenchmarkKKTFactor
-// feeds BENCH_kkt.json; this one is for quick kernel iteration).
+// Factors are a pure function of the pattern and the values: two slots
+// factoring one matrix hold the same bits, and a pooled slot that
+// alternates between grids (case118 → case300 → case118, as a mips
+// arena reused across systems does) reproduces them and, once grown,
+// allocates nothing.
+func TestLDLFactorsSlotIndependent(t *testing.T) {
+	k118s, _ := productionKKT(t, "case118", 6)
+	k300s, _ := productionKKT(t, "case300", 6)
+	k118, k300 := k118s[0], k300s[0]
+	c118, c300 := sparse.NewSymbolicCache(sparse.OrderAMD), sparse.NewSymbolicCache(sparse.OrderAMD)
+	factor := func(c *sparse.SymbolicCache, slot *sparse.FactorSlot, m *sparse.CSC) (l, d []float64) {
+		t.Helper()
+		f, err := c.Handle().FactorizeInto(slot, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, d = sparse.FactorValues(f)
+		return slices.Clone(l), slices.Clone(d)
+	}
+	want118l, want118d := factor(c118, &sparse.FactorSlot{}, k118)
+	want300l, want300d := factor(c300, &sparse.FactorSlot{}, k300)
+	pooled := &sparse.FactorSlot{}
+	for i, step := range []struct {
+		c      *sparse.SymbolicCache
+		m      *sparse.CSC
+		wl, wd []float64
+	}{{c118, k118, want118l, want118d}, {c300, k300, want300l, want300d}, {c118, k118, want118l, want118d}} {
+		l, d := factor(step.c, pooled, step.m)
+		if !slices.Equal(l, step.wl) || !slices.Equal(d, step.wd) {
+			t.Fatalf("step %d: the pooled slot's factors differ from a fresh slot's", i)
+		}
+	}
+	if sparse.RaceEnabled {
+		return
+	}
+	h := c118.Handle()
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := h.FactorizeInto(pooled, k118); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("FactorizeInto on the grown pooled slot allocates %v times, want 0", n)
+	}
+}
+
+// BenchmarkFleetRefactorKernels times the LDLᵀ against the LU of the
+// same elimination (diagonal pivots, the AMD order) on the production
+// KKT patterns of case118 and case300, for quick kernel iteration; the
+// root-level BenchmarkLDLvsLU feeds BENCH_kkt.json. The values are
+// onPattern's: the LU, without a static boost, would reject its own
+// decayed dual pivots at a real iterate.
 func BenchmarkFleetRefactorKernels(b *testing.B) {
-	r := rand.New(rand.NewSource(47))
 	for _, name := range []string{"case118", "case300"} {
-		c, err := casegen.Paper(name)
+		kkts, nx := productionKKT(b, name, 10)
+		kkt := onPattern(rand.New(rand.NewSource(47)), kkts[0], nx)
+		sym := sparse.AnalyzeLDL(kkt, sparse.OrderAMD)
+		f := &sparse.LDLFactors{}
+		lu, _, err := sparse.Analyze(kkt, sparse.OrderAMD, 1e-12) // keeps every diagonal pivot
 		if err != nil {
 			b.Fatal(err)
 		}
-		kkt := fleetKKTProxy(opf.Prepare(c), r)
-		sym, _, err := sparse.Analyze(kkt, sparse.OrderRCM, 1.0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f := &sparse.LUFactors{}
-		ws := sym.NewRefactorWorkspace()
-		b.Run(name+"/scalar", func(b *testing.B) {
+		fl, ws := &sparse.LUFactors{}, lu.NewRefactorWorkspace()
+		b.Run(name+"/ldl", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := sym.RefactorInto(f, ws, kkt); err != nil {
+				if err := sym.FactorInto(f, kkt); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(name+"/blocked", func(b *testing.B) {
+		b.Run(name+"/lu", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := sym.RefactorBlockedInto(f, ws, kkt); err != nil {
+				if err := lu.RefactorInto(fl, ws, kkt); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,8 +7,180 @@ import (
 	"repro/internal/la"
 )
 
-// ErrSingular is returned when sparse LU meets a zero pivot column.
+// ErrSingular is returned when a factorization meets a numerically zero
+// pivot column.
 var ErrSingular = errors.New("sparse: matrix is singular to working precision")
+
+// ErrPatternChanged is returned by RefactorInto and FactorInto when the
+// matrix does not have the sparsity pattern its analysis was made for.
+var ErrPatternChanged = errors.New("sparse: matrix pattern differs from the analyzed pattern")
+
+// ErrRefactorUnstable is returned by RefactorInto when a frozen pivot
+// has decayed below the stability floor for the new numeric values. The
+// pattern is still valid; callers should fall back to a fresh Analyze,
+// which re-picks pivots.
+var ErrRefactorUnstable = errors.New("sparse: frozen pivot sequence unstable for these values")
+
+// refactorPivotFloor is the minimum acceptable ratio of a frozen pivot's
+// magnitude to the largest candidate in its column. A fresh threshold
+// factorization guarantees ratio ≥ tol; refactorization accepts decay
+// down to this floor before declaring the pivot sequence stale.
+const refactorPivotFloor = 1e-10
+
+// Symbolic is the reusable, value-independent-in-structure part of a
+// sparse LU: the fill-reducing column ordering, the row-pivot sequence
+// frozen by the analyzing factorization, and the exact nonzero patterns
+// of L and U (each U column stored in a valid elimination order). It is
+// immutable after Analyze and safe to share; RefactorInto redoes only
+// the numeric work — no ordering, no DFS, no pivot search, no index
+// allocation.
+//
+// Because the pivot sequence was chosen for the analyzed matrix's
+// values, reusing a Symbolic across solves would make results depend on
+// which matrix was analyzed first; internal/pf keeps each one to one
+// Newton solve. The KKT systems of the interior-point solver go through
+// LDLSymbolic instead, whose analysis is a pure function of the pattern.
+type Symbolic struct {
+	n       int
+	q, pinv []int
+	lp, up  []int
+	li, ui  []int // row indices in pivot coordinates
+	tol     float64
+	pat     pattern
+}
+
+// Analyze computes a full LU factorization of a and extracts its symbolic
+// skeleton for reuse. The returned factors are exactly those of
+// FactorizeOpts(a, ord, tol); the Symbolic shares their index structure.
+func Analyze(a *CSC, ord Ordering, tol float64) (*Symbolic, *LUFactors, error) {
+	f, err := FactorizeOpts(a, ord, tol)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := &Symbolic{
+		n: f.n, q: f.q, pinv: f.pinv,
+		lp: f.lp, up: f.up, li: f.li, ui: f.ui,
+		tol: tol,
+		pat: patternOf(a),
+	}
+	return s, f, nil
+}
+
+// PatternMatches reports whether a has exactly the sparsity pattern this
+// Symbolic was analyzed for.
+func (s *Symbolic) PatternMatches(a *CSC) bool { return s.pat.matches(a) }
+
+// NNZ returns the fill of the analyzed factorization: total stored
+// entries of L and U.
+func (s *Symbolic) NNZ() int { return len(s.li) + len(s.ui) }
+
+// RefactorWorkspace holds the dense accumulator of RefactorInto so a
+// steady-state refactorization loop allocates nothing. It must not be
+// shared across goroutines.
+type RefactorWorkspace struct {
+	x []float64 // kept all-zero between calls
+}
+
+// NewRefactorWorkspace returns a workspace sized for this Symbolic.
+func (s *Symbolic) NewRefactorWorkspace() *RefactorWorkspace {
+	return &RefactorWorkspace{x: make([]float64, s.n)}
+}
+
+// bindFactors points f at the symbolic index structure and sizes its
+// value storage.
+func (s *Symbolic) bindFactors(f *LUFactors) {
+	f.n, f.q, f.pinv = s.n, s.q, s.pinv
+	f.lp, f.up = s.lp, s.up
+	f.li, f.ui = s.li, s.ui
+	f.lnzTotal = len(s.li) + len(s.ui)
+	f.pivotTolND = s.tol
+	f.lx = resize(f.lx, len(s.li))
+	f.ux = resize(f.ux, len(s.ui))
+}
+
+// clearColumn zeroes the accumulator rows column k may have touched,
+// restoring the workspace's all-zero invariant on error paths.
+func (s *Symbolic) clearColumn(x []float64, k int) {
+	x[k] = 0
+	for p := s.lp[k] + 1; p < s.lp[k+1]; p++ {
+		x[s.li[p]] = 0
+	}
+}
+
+// refactorColumn runs destination column k — gather, ordered
+// consumption, pivot check, L/U write — against the workspace
+// accumulator x (all-zero on entry, restored on every exit path).
+func (s *Symbolic) refactorColumn(f *LUFactors, x []float64, a *CSC, k int) error {
+	col := s.q[k]
+	for p := a.ColPtr[col]; p < a.ColPtr[col+1]; p++ {
+		x[s.pinv[a.RowIdx[p]]] = a.Val[p]
+	}
+	d := s.up[k+1] - 1
+	for p := s.up[k]; p < d; p++ {
+		j := s.ui[p]
+		xj := x[j]
+		f.ux[p] = xj
+		x[j] = 0
+		if xj == 0 {
+			continue
+		}
+		for pl := s.lp[j] + 1; pl < s.lp[j+1]; pl++ {
+			x[s.li[pl]] -= f.lx[pl] * xj
+		}
+	}
+	pivot := x[k]
+	apiv := math.Abs(pivot)
+	amax := apiv
+	for p := s.lp[k] + 1; p < s.lp[k+1]; p++ {
+		if t := math.Abs(x[s.li[p]]); t > amax {
+			amax = t
+		}
+	}
+	if math.IsNaN(pivot) || pivot == 0 {
+		s.clearColumn(x, k)
+		return ErrSingular
+	}
+	if apiv < refactorPivotFloor*amax {
+		s.clearColumn(x, k)
+		return ErrRefactorUnstable
+	}
+	x[k] = 0
+	f.ux[d] = pivot
+	f.lx[s.lp[k]] = 1
+	for p := s.lp[k] + 1; p < s.lp[k+1]; p++ {
+		i := s.li[p]
+		f.lx[p] = x[i] / pivot
+		x[i] = 0
+	}
+	return nil
+}
+
+// RefactorInto computes a numeric LU of a on the frozen symbolic
+// structure: same ordering, same pivot sequence, same L/U patterns,
+// values recomputed for a. A single left-looking sweep with no graph
+// traversal and no pivot search, writing into preallocated factors with
+// an external workspace: zero allocations per call once f has been
+// through one. f is rebound to the symbolic structure (a zero LUFactors
+// will do); ws must come from NewRefactorWorkspace. Refactoring the
+// analyzed matrix itself reproduces the analyzing factorization bit for
+// bit.
+//
+// Returns ErrPatternChanged if a's pattern differs from the analyzed
+// one, and ErrRefactorUnstable (or ErrSingular) when the frozen pivots
+// are no longer numerically acceptable for a's values; both are cues to
+// re-Analyze.
+func (s *Symbolic) RefactorInto(f *LUFactors, ws *RefactorWorkspace, a *CSC) error {
+	if !s.PatternMatches(a) {
+		return ErrPatternChanged
+	}
+	s.bindFactors(f)
+	for k := 0; k < s.n; k++ {
+		if err := s.refactorColumn(f, ws.x, a, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // LUFactors holds a sparse LU factorization P·A·Q = L·U produced by
 // FactorizeOpts, where P comes from partial pivoting and Q from the

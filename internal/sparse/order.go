@@ -2,8 +2,8 @@ package sparse
 
 import "fmt"
 
-// Ordering selects the fill-reducing column/row pre-ordering for LU. The
-// zero value is OrderRCM, the library-wide default.
+// Ordering selects the fill-reducing symmetric pre-ordering of a
+// factorization. The zero value is OrderRCM, the library-wide default.
 type Ordering int
 
 const (
@@ -131,33 +131,6 @@ func rcmOrder(a *CSC) []int {
 		order[i], order[j] = order[j], order[i]
 	}
 	return order
-}
-
-// pivotSurrogate builds a matrix with a's exact pattern and
-// pattern-derived values: stored diagonal entries get a dominant
-// magnitude (well-scaled diagonals keep threshold pivots on the
-// diagonal, as in the KKT's Hessian block) and off-diagonals a position
-// hash spread over [1, 2) — avoiding the singular all-ones case and
-// systematic pivot ties. Structural zeros that matter (absent entries,
-// e.g. a KKT matrix's empty trailing diagonal block) still force
-// off-diagonal pivoting. The SymbolicCache's pivot-shaped analysis
-// factors this surrogate, so the pivot sequence it freezes is a pure
-// function of the sparsity pattern.
-func pivotSurrogate(a *CSC) *CSC {
-	sur := &CSC{NRows: a.NRows, NCols: a.NCols, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: make([]float64, len(a.RowIdx))}
-	for j := 0; j < a.NCols; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			if i == j {
-				sur.Val[p] = float64(2 * a.NRows)
-				continue
-			}
-			h := uint32(i)*2654435761 + uint32(j)*40503
-			h ^= h >> 13
-			sur.Val[p] = 1 + float64(h%1024)/1024
-		}
-	}
-	return sur
 }
 
 // amdOrder computes an approximate-minimum-degree ordering on the

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -192,7 +193,7 @@ func TestAMDReducesFill(t *testing.T) {
 
 func TestSymbolicCacheReuseAndStats(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	a1, a2 := randPatternPair(r, 30)
+	a1, a2 := randQuasiDefPair(r, 30)
 	c := NewSymbolicCache(OrderRCM)
 	h, slot := c.Handle(), &FactorSlot{}
 	for _, m := range []*CSC{a1, a2, a1} {
@@ -221,8 +222,8 @@ func TestSymbolicCacheReuseAndStats(t *testing.T) {
 // handles run one after another or concurrently (the -race job).
 func TestSymbolicCacheSecondPatternStaysPrivate(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	a1, a2 := randPatternPair(r, 30)
-	other, x := randSparseSystem(r, 31)
+	a1, a2 := randQuasiDefPair(r, 30)
+	other, x := randQuasiDefSystem(r, 31)
 	rhs := other.MulVec(x)
 
 	c := NewSymbolicCache(OrderAMD)
@@ -282,42 +283,33 @@ func TestSymbolicCacheSecondPatternStaysPrivate(t *testing.T) {
 	}
 }
 
-// A value-pivoted sequence exists only inside a handle, as the
-// replacement for shaped pivots its values rejected. When new values
-// make one of its frozen pivots collapse, the handle must notice and
-// fall back to a fresh analysis that re-picks pivots — still return a
-// correct factorization, and still publish nothing value-derived.
+// A factorization whose column collapses is rejected, not repaired: the
+// handle returns ErrSingular and counts a fallback, the published
+// analysis stays (there is nothing value-derived to redo), and the next
+// matrix factors on it as a plain refactorization.
 func TestSymbolicCacheUnstableFallback(t *testing.T) {
-	build := func(d float64) *CSC {
-		b := NewBuilder(2, 2)
-		b.Append(0, 0, d)
-		b.Append(0, 1, 1)
-		b.Append(1, 0, 1)
-		b.Append(1, 1, d)
-		return b.ToCSC()
-	}
-	sym, _, err := Analyze(build(2), OrderNatural, 1.0) // freezes diagonal pivots
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := NewSymbolicCache(OrderNatural)
 	h := c.Handle()
-	h.own = sym
-	weak := build(1e-14) // frozen (0,0) pivot is 1e-14 vs candidate 1
-	fac, err := h.FactorizeInto(&FactorSlot{}, weak)
+	if _, err := h.FactorizeInto(&FactorSlot{}, collapsing(7, 1.3)); !errors.Is(err, ErrSingular) {
+		t.Fatalf("collapsed column: %v, want ErrSingular", err)
+	}
+	pub := c.Symbolic()
+	if st, want := h.stats, (CacheStats{Fallbacks: 1}); st != want || pub == nil {
+		t.Fatalf("handle stats = %+v, want %+v and the analysis published", st, want)
+	}
+	good := collapsing(7, 1.3)
+	good.Val[3] += 1
+	fac, err := h.FactorizeInto(&FactorSlot{}, good)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := fac.Solve(la.Vector{1, 2})
-	res := weak.MulVec(x).Sub(la.Vector{1, 2})
-	if res.NormInf() > 1e-9 {
-		t.Fatalf("fallback solve residual %v", res.NormInf())
+	if res := good.MulVec(x).Sub(la.Vector{1, 2}).NormInf(); res > 1e-9 {
+		t.Fatalf("solve residual %v", res)
 	}
-	if st, want := h.stats, (CacheStats{Analyses: 1, Fallbacks: 1}); st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
-	}
-	if h.own == sym || c.Symbolic() != nil {
-		t.Fatal("want the re-analysis to replace the stale sequence in the handle and stay out of the cache")
+	h.Close()
+	if st, want := c.Stats(), (CacheStats{Analyses: 1, Refactors: 1, Fallbacks: 1, Orderings: 1}); st != want || c.Symbolic() != pub || h.own != nil {
+		t.Fatalf("cache stats = %+v, want %+v on the one published analysis", st, want)
 	}
 }
 
@@ -333,19 +325,19 @@ func TestSymbolicCacheSingular(t *testing.T) {
 		t.Fatal("expected singular error")
 	}
 	h.Close()
-	// The shaped sequence was rejected and value pivoting failed too.
+	// The analysis is made from the pattern; the values reject it.
 	if st, want := c.Stats(), (CacheStats{Analyses: 1, Fallbacks: 1, Orderings: 1}); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 }
 
-// The analysis of a pattern — permutation and shaped symbolic — is
+// The analysis of a pattern — permutation and elimination structure — is
 // computed once per cache however many solves go through it, and counted
 // there as it is made; the cache's other counters are the sum over closed
 // handles.
 func TestSymbolicCachePermsAndAggregation(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	a1, a2 := randPatternPair(r, 25)
+	a1, a2 := randQuasiDefPair(r, 25)
 	c := NewSymbolicCache(OrderAMD)
 	if c.Ordering() != OrderAMD {
 		t.Fatalf("ordering = %v", c.Ordering())
@@ -360,7 +352,7 @@ func TestSymbolicCachePermsAndAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h1.lookup(a1) != h2.lookup(a2) || &c.Symbolic().q[0] != &slot.f.q[0] {
+	if h1.lookup(a1) != h2.lookup(a2) || c.Symbolic() != slot.f.sym {
 		t.Fatal("same pattern should use the one cached symbolic and its permutation")
 	}
 	if st, want := c.Stats(), (CacheStats{Analyses: 1, Orderings: 1}); st != want {
@@ -412,11 +404,11 @@ func TestRefactorSingularValues(t *testing.T) {
 // The cache keeps its pattern-derived diagonal pivot sequence when a
 // value collapses a pivot, applying the static pivot perturbation
 // instead of re-analyzing — through the handle exactly as through the
-// kernel called directly on the cached symbolic, and without counting a
+// kernel called directly on the cached analysis, and without counting a
 // fallback.
 func TestShapedFactorizeMatchesFactorizeIntoUnderBoost(t *testing.T) {
 	b := NewBuilder(2, 2)
-	b.Append(0, 0, 1e-14) // shaped pivot, far below boostPivotRel of its column
+	b.Append(0, 0, 1e-14) // diagonal pivot, far below boostPivotRel of its column
 	b.Append(0, 1, 1)
 	b.Append(1, 0, 1)
 	b.Append(1, 1, 3)
@@ -428,20 +420,19 @@ func TestShapedFactorizeMatchesFactorizeIntoUnderBoost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := refactor(c.Symbolic(), weak)
+	f1, err := factorLDL(c.Symbolic(), weak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(f1.lx, f2.lx) || !slices.Equal(f1.ux, f2.ux) ||
-		!slices.Equal(f1.li, f2.li) || !slices.Equal(f1.ui, f2.ui) || !slices.Equal(f1.pinv, f2.pinv) {
-		t.Fatalf("RefactorInto and FactorizeInto diverge on a boosted pivot:\n L %v vs %v\n U %v vs %v", f1.lx, f2.lx, f1.ux, f2.ux)
+	if !slices.Equal(f1.lx, f2.lx) || !slices.Equal(f1.d, f2.d) || f1.sym != f2.sym {
+		t.Fatalf("FactorInto and FactorizeInto diverge on a boosted pivot:\n L %v vs %v\n D %v vs %v", f1.lx, f2.lx, f1.d, f2.d)
 	}
-	if got, want := f1.ux[f1.up[1]-1], boostPivotRel; got != want {
+	if got, want := f1.d[0], boostPivotRel; got != want {
 		t.Fatalf("pivot (0,0) = %v, want the perturbed %v", got, want)
 	}
 	h.Close()
 	if st, want := c.Stats(), (CacheStats{Analyses: 1, Orderings: 1}); st != want {
-		t.Fatalf("stats = %+v, want the shaped analysis alone (boost, no fallback)", st)
+		t.Fatalf("stats = %+v, want the analysis alone (boost, no fallback)", st)
 	}
 }
 
@@ -453,7 +444,7 @@ func TestShapedFactorizeMatchesFactorizeIntoUnderBoost(t *testing.T) {
 // slot solves as a from-scratch factorization does.
 func TestDerivedCacheEmbedsSubPattern(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
-	a1, a2 := randPatternPair(r, 30)
+	a1, a2 := randQuasiDefPair(r, 30)
 	x := make(la.Vector, 30)
 	for i := range x {
 		x[i] = r.NormFloat64()
@@ -503,7 +494,7 @@ func TestDerivedCacheEmbedsSubPattern(t *testing.T) {
 	// analysis, on the root (the -race job runs this repeatedly).
 	root := NewSymbolicCache(OrderAMD)
 	const streams = 6
-	syms := make([]*Symbolic, streams)
+	syms := make([]*LDLSymbolic, streams)
 	ders := make([]*SymbolicCache, streams)
 	var wg sync.WaitGroup
 	for g := range streams {
@@ -542,7 +533,7 @@ func TestDerivedCacheEmbedsSubPattern(t *testing.T) {
 // fresh cache's factors, and leaves the root's analysis alone.
 func TestDerivedCacheAnalyzesUncontainedPattern(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
-	full, _ := randSparseSystem(r, 30)
+	full, _ := randQuasiDefSystem(r, 30)
 	root := NewSymbolicCache(OrderAMD)
 	if _, err := root.Handle().FactorizeInto(&FactorSlot{}, full); err != nil {
 		t.Fatal(err)
@@ -566,16 +557,16 @@ func TestDerivedCacheAnalyzesUncontainedPattern(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(f.lx, w.lx) || !slices.Equal(f.ux, w.ux) || !slices.Equal(f.li, w.li) ||
-			!slices.Equal(f.ui, w.ui) || !slices.Equal(f.q, w.q) {
+		if !slices.Equal(f.lx, w.lx) || !slices.Equal(f.d, w.d) || !slices.Equal(f.sym.li, w.sym.li) ||
+			!slices.Equal(f.sym.q, w.sym.q) {
 			t.Fatalf("%s: factors differ from a fresh cache's", name)
 		}
 		if d := f.Solve(a.MulVec(x)).Sub(x).NormInf(); d > 1e-8 {
 			t.Fatalf("%s: solve off by %g", name, d)
 		}
 	}
-	same, x := randSparseSystem(r, 30)
+	same, x := randQuasiDefSystem(r, 30)
 	check("other pattern", same, x)
-	wider, y := randSparseSystem(r, 31)
+	wider, y := randQuasiDefSystem(r, 31)
 	check("other dimension", wider, y)
 }
