@@ -26,13 +26,14 @@
 //
 // The per-iteration Newton KKT system is the solver's hot path. Its
 // sparsity pattern is fixed across all iterations of a solve, so Solve
-// performs one symbolic factorization (fill-reducing ordering, pattern
-// analysis, pivoting) on the first iteration and numeric-only
-// refactorizations after — see sparse.SymbolicCache and DESIGN.md §7.
-// The analysis is a function of the pattern alone, so Options.KKT
-// extends that reuse across every solve that shares a problem
-// structure; without one, Options.Ordering picks the fill-reducing
-// ordering of a cache private to the solve.
+// performs one symbolic analysis (fill-reducing ordering, elimination
+// tree, column patterns, supernodes) on the first iteration and
+// numeric-only LDLᵀ factorizations after, with diagonal pivots in the
+// analysis order — see sparse.SymbolicCache and DESIGN.md §7. No value
+// enters the analysis, it is a function of the pattern alone, so
+// Options.KKT extends that reuse across every solve that shares a
+// problem structure; without one, Options.Ordering picks the
+// fill-reducing ordering of a cache private to the solve.
 package mips
 
 import (
@@ -116,10 +117,9 @@ type Options struct {
 	// elimination tree, supernodes — is a pure function of the sparsity
 	// pattern, a property of the problem structure and not of its
 	// values, and the LDLᵀ keeps every pivot on the diagonal, so one
-	// cache safely
-	// serves all solves of load-perturbed instances of one grid —
-	// concurrently and deterministically (opf threads its per-grid cache
-	// through here). The solve's reuse counters are folded into the
+	// cache safely serves all solves of load-perturbed instances of one
+	// grid — concurrently and deterministically (opf threads its
+	// per-grid cache through here). The solve's reuse counters are folded into the
 	// cache when it finishes. Nil gives the solve a private cache, which
 	// reproduces the same analysis from scratch.
 	KKT *sparse.SymbolicCache

@@ -408,10 +408,9 @@ func (m *Model) Clone() *Model {
 // sigmoid heads already keep them nonnegative.
 //
 // Prediction runs on the float32 serving path (nn.Sequential.Infer):
-// the forward pass is a chain of single-row matvecs bounded by memory
-// traffic over the weights, and float32 halves it at precision far
-// beyond what a warm start needs. Training and the batch Forward stay
-// float64.
+// a chain of single-row matvecs over column-major float32 weights that
+// skip every zero activation, at precision far beyond what a warm start
+// needs. Training and the batch Forward stay float64.
 //
 // Predict is safe for concurrent use: it allocates its activations per
 // call and reads the weights through each layer's immutable float32 copy
@@ -420,6 +419,12 @@ func (m *Model) Clone() *Model {
 // Model from all its goroutines. Only mutating the weights (Train, Load)
 // excludes concurrent prediction.
 func (m *Model) Predict(input la.Vector) *opf.Start {
+	return m.predict(input, (*nn.Sequential).Infer)
+}
+
+// predict is Predict with each network's float32 forward pass supplied
+// by the caller, so a test can run the same chain on a reference kernel.
+func (m *Model) predict(input la.Vector, infer func(*nn.Sequential, []float32) []float32) *opf.Start {
 	lay := m.Lay
 	norm := m.Norm.In.NormalizeVec(input)
 	in32 := make([]float32, len(norm))
@@ -428,7 +433,7 @@ func (m *Model) Predict(input la.Vector) *opf.Start {
 	}
 	trunkOut := make([][]float32, len(m.trunks))
 	for i, tr := range m.trunks {
-		trunkOut[i] = tr.Infer(in32)
+		trunkOut[i] = infer(tr, in32)
 	}
 	get := func(t taskID) []float32 {
 		if m.shared() {
@@ -443,19 +448,19 @@ func (m *Model) Predict(input la.Vector) *opf.Start {
 	}{
 		{taskVa, lay.VaOff}, {taskVm, lay.VmOff}, {taskPg, lay.PgOff}, {taskQg, lay.QgOff},
 	} {
-		copy(xhat[h.off:], m.heads[h.t].Infer(get(h.t)))
+		copy(xhat[h.off:], infer(m.heads[h.t], get(h.t)))
 	}
-	lam32 := m.heads[taskLam].Infer(get(taskLam))
+	lam32 := infer(m.heads[taskLam], get(taskLam))
 	zin := get(taskZ)
 	if m.hier() {
 		zin = append(append(make([]float32, 0, len(zin)+len(xhat)), zin...), xhat...)
 	}
-	z32 := m.heads[taskZ].Infer(zin)
+	z32 := infer(m.heads[taskZ], zin)
 	muin := get(taskMu)
 	if m.hier() {
 		muin = append(append(make([]float32, 0, len(muin)+len(z32)), muin...), z32...)
 	}
-	mu32 := m.heads[taskMu].Infer(muin)
+	mu32 := infer(m.heads[taskMu], muin)
 
 	to64 := func(v []float32) la.Vector {
 		out := make(la.Vector, len(v))

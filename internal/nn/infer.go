@@ -1,15 +1,26 @@
 package nn
 
 // Serving-path inference. Training runs in float64 (nn.go), but the
-// serving forward pass is a chain of single-row matvecs whose cost is
-// pure memory traffic over the weight matrices — at case300 scale the
-// model streams ~27 MiB of float32 weights per prediction. Mainstream DL
-// frameworks (including the one behind the original Smart-PGSim model)
-// serve in float32, so Infer streams a float32 copy of each Linear's
-// weights: half the traffic of the float64 masters, and precision far
-// beyond what a warm-start prediction needs — the interior-point solver
-// corrects the iterate, and a cold restart guards divergence. The
-// float64 master weights stay the source of truth: each Linear
+// serving forward pass is a chain of single-row matvecs, and mainstream
+// DL frameworks (including the one behind the original Smart-PGSim
+// model) serve in float32. So Infer runs on a float32 copy of each
+// Linear's weights: half the bytes of the float64 masters, at precision
+// far beyond what a warm-start prediction needs — the interior-point
+// solver corrects the iterate, and a cold restart guards divergence.
+//
+// The copy is stored column-major, one contiguous column per input
+// feature, because most inputs of a served model are exact zeros: every
+// layer after the first is fed by a ReLU, and on the trained case300
+// model 70–95 % of those activations are zero. A matvec over columns
+// skips a zero input's whole column, so a prediction reads the weights
+// of its active features only. Each output still accumulates b + Σ W[o][i]·x[i] in
+// ascending i, in float32, exactly as a row-by-row dot product would;
+// the skipped terms are ±0, which can change only the sign of a sum
+// that is exactly zero. That sign aside, outputs are bit-identical to
+// the dense row-major matvec's (infer_test.go keeps it as the
+// reference).
+//
+// The float64 master weights stay the source of truth: each Linear
 // materializes its float32 copy on first use and revalidates it against
 // the owning Params' Version counters, which every mutation path
 // (optimizer steps, snapshot loads, weight copies) bumps.
@@ -24,11 +35,19 @@ package nn
 import "math"
 
 // weights32 is one immutable float32 conversion of a Linear's weights,
-// tagged with the Param versions it was converted from.
+// tagged with the Param versions it was converted from. wt holds W
+// column-major: input feature i's weights are wt[i*Out : (i+1)*Out].
 type weights32 struct {
-	w, b []float32
-	ver  uint64 // W.Version + B.Version at conversion
+	wt, b []float32
+	ver   uint64 // W.Version + B.Version at conversion
 }
+
+// transposeTile is the block edge of the conversion's transpose. Each
+// column's run of 16 float32 outputs fills one 64-byte cache line, and
+// the 16 lines of a block stay in L1 even when Out is a power of two
+// (2 KiB apart at Out = 512, they share sets); 32 thrashed there and
+// took 2.7× as long on the 512-output layers.
+const transposeTile = 16
 
 // ensure32 returns the float32 weight copy, converting afresh when
 // there is none yet or the master weights changed since it was made.
@@ -37,9 +56,17 @@ func (l *Linear) ensure32() *weights32 {
 	if c := l.w32.Load(); c != nil && c.ver == ver {
 		return c
 	}
-	c := &weights32{w: make([]float32, len(l.W.Val)), b: make([]float32, len(l.B.Val)), ver: ver}
-	for i, v := range l.W.Val {
-		c.w[i] = float32(v)
+	in, out := l.In, l.Out
+	c := &weights32{wt: make([]float32, len(l.W.Val)), b: make([]float32, len(l.B.Val)), ver: ver}
+	for o0 := 0; o0 < out; o0 += transposeTile {
+		for i0 := 0; i0 < in; i0 += transposeTile {
+			for o := o0; o < min(o0+transposeTile, out); o++ {
+				row := l.W.Val[o*in : o*in+in]
+				for i := i0; i < min(i0+transposeTile, in); i++ {
+					c.wt[i*out+o] = float32(row[i])
+				}
+			}
+		}
 	}
 	for i, v := range l.B.Val {
 		c.b[i] = float32(v)
@@ -48,40 +75,64 @@ func (l *Linear) ensure32() *weights32 {
 	return c
 }
 
-// infer32 is the single-sample float32 matvec y = W·x + b, unrolled
-// four outputs per pass like Forward so each loaded input feature feeds
-// four accumulators.
+// colsPerPass is how many weight columns infer32 adds into y per sweep
+// over it: each output is loaded and stored once per eight products.
+const colsPerPass = 8
+
+// infer32 is the single-sample float32 matvec y = W·x + b over the
+// nonzero inputs only: y starts at b and takes x[i]·W(:,i) for every
+// x[i] ≠ 0 in ascending i, colsPerPass columns at a time with the
+// remainder one column at a time.
 func (l *Linear) infer32(x []float32) []float32 {
 	if len(x) != l.In {
 		panic("nn: Linear infer input width mismatch")
 	}
 	c := l.ensure32()
-	in := l.In
 	y := make([]float32, l.Out)
-	o := 0
-	for ; o+4 <= l.Out; o += 4 {
-		w0 := c.w[o*in : o*in+in]
-		w1 := c.w[(o+1)*in : (o+1)*in+in]
-		w2 := c.w[(o+2)*in : (o+2)*in+in]
-		w3 := c.w[(o+3)*in : (o+3)*in+in]
-		s0, s1, s2, s3 := c.b[o], c.b[o+1], c.b[o+2], c.b[o+3]
-		for i, xi := range x {
-			s0 += w0[i] * xi
-			s1 += w1[i] * xi
-			s2 += w2[i] * xi
-			s3 += w3[i] * xi
+	copy(y, c.b)
+	var nz [colsPerPass]int
+	n := 0
+	for i, xi := range x {
+		if xi == 0 {
+			continue
 		}
-		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
+		nz[n] = i
+		n++
+		if n == colsPerPass {
+			c.addCols8(y, x, &nz)
+			n = 0
+		}
 	}
-	for ; o < l.Out; o++ {
-		w := c.w[o*in : o*in+in]
-		s := c.b[o]
-		for i, xi := range x {
-			s += w[i] * xi
+	for _, i := range nz[:n] {
+		xi, w := x[i], c.col(i, len(y))
+		for o := range y {
+			y[o] += xi * w[o]
 		}
-		y[o] = s
 	}
 	return y
+}
+
+// col returns input feature i's weight column.
+func (c *weights32) col(i, out int) []float32 { return c.wt[i*out:][:out] }
+
+// addCols8 adds the eight columns nz names, in order, into y.
+func (c *weights32) addCols8(y, x []float32, nz *[colsPerPass]int) {
+	out := len(y)
+	w0, w1, w2, w3 := c.col(nz[0], out), c.col(nz[1], out), c.col(nz[2], out), c.col(nz[3], out)
+	w4, w5, w6, w7 := c.col(nz[4], out), c.col(nz[5], out), c.col(nz[6], out), c.col(nz[7], out)
+	a0, a1, a2, a3 := x[nz[0]], x[nz[1]], x[nz[2]], x[nz[3]]
+	a4, a5, a6, a7 := x[nz[4]], x[nz[5]], x[nz[6]], x[nz[7]]
+	for o, s := range y {
+		s += a0 * w0[o]
+		s += a1 * w1[o]
+		s += a2 * w2[o]
+		s += a3 * w3[o]
+		s += a4 * w4[o]
+		s += a5 * w5[o]
+		s += a6 * w6[o]
+		s += a7 * w7[o]
+		y[o] = s
+	}
 }
 
 // Materialize32 eagerly builds the float32 weight copy of every Linear

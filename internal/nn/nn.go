@@ -79,9 +79,9 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 
 // Forward computes y = x·Wᵀ + b. The output loop is unrolled four
 // neurons at a time so each loaded input feature feeds four independent
-// accumulators — serving-path inference is a single-row matvec whose
-// cost is pure memory traffic over W, and the unroll keeps the x row in
-// registers instead of re-streaming it per output.
+// accumulators instead of re-streaming the x row per output. (Serving
+// does not come through here: Infer runs the float32 column kernel of
+// infer.go.)
 func (l *Linear) Forward(x *la.Matrix) *la.Matrix {
 	if x.Cols != l.In {
 		panic(fmt.Sprintf("nn: Linear expects %d features, got %d", l.In, x.Cols))
