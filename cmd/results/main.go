@@ -152,6 +152,7 @@ var codeSize = []struct {
 	{at: "after c4a31ad", all: 16676, warmPath: 5536, kernel: 3265, why: "the Newton system compiled once per grid (a performance change; the count goes up by 53): `sparse.Assembler` and its verify/recompile protocol (−167) replaced by `sparse.CompileSlots` and slot-map stamps — `opf`'s shared `evalProgram` records each evaluator's entry order once (+90 in `eval.go`), the `mips` arena keys its inequality and KKT slot maps on input patterns (+130 in `arena.go`, −25 in `mips.go`); `scopf.Outcome.Spent` and `error_iterations` (+13); `mtl.Model.Load` decodes in place (+5); `serve_cold_mid` `latency_ms_mid` 21.00 → 14.00 ms (PERFORMANCE.md)"},
 	{at: "after 12caeba", all: 16616, warmPath: 5535, kernel: 3205, why: "one supernodal LDLᵀ for every KKT system (a performance change; the count goes down by 60): `internal/sparse/ldl.go` (+502: `AnalyzeLDL`'s elimination tree, column patterns, supernodes and update ops, and the one `FactorInto` kernel with its `panelUpdate`) replaces `blocked.go` (−546: the blocked LU schedule, kernel, auto-selector and `PanelStats`), the pivot surrogate in `order.go`, the shaped/value-pivoted paths of `symbolic.go` and the unused `AnalyzePerm`; the scalar LU refactorization moved into `lu.go` for `internal/pf`"},
 	{at: "after f0e2663", all: 16673, warmPath: 5535, kernel: 3205, why: "inference multiplies only the nonzero activations (a performance change; the count goes up by 57): `nn` keeps each layer's float32 weights column-major, built by a tiled transpose, and `infer32` adds the weight columns of nonzero inputs eight per pass, replacing the row-major four-output kernel (+51 in `infer.go`); `mtl.Model.Predict` runs through `predict`, which takes each network's forward pass so a test can substitute the row-major reference (+5); `serve_warm_large` `latency_ms_mid` 12.97 → 9.92 ms (PERFORMANCE.md)"},
+	{at: "after 8e71d89", all: 16810, warmPath: 5535, kernel: 3205, why: "a served model boots in one streamed pass (a performance change; the count goes up by 137): `nn/serialize.go`'s gob `SaveParams`/`LoadParams` became the raw tensor-stream codec every model file uses — magic/version header, every tensor's length, raw little-endian float64 through one 32 KiB buffer, three named errors (+117); `mtl` builds `Load`'s and `Clone`'s networks without an init draw and writes the normalizer as ten tensors of the stream, its gob `snapshot` type deleted (+22); `nn.Param.Grad` allocated by training's first use (+12); `examples/transfer`'s save/load clone replaced by `Clone` (−15); `serve_warm_large` `rss_peak_mb` 478.3 → 192.4 MiB (PERFORMANCE.md)"},
 }
 
 func main() {

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 
@@ -59,7 +58,7 @@ func main() {
 	// Fine-tune the base model briefly on the new topology. The physics
 	// losses rebuild around the outaged admittance matrix.
 	phys := mtl.NewPhysics(outSys.OPF, dataset.InputVector(outCase))
-	fineTuned := cloneModel(model)
+	fineTuned := model.Clone()
 	if _, err := mtl.Train(fineTuned, phys, outTrain, mtl.TrainConfig{Epochs: 40, BatchSize: 8, LR: 5e-4, Seed: 4}); err != nil {
 		log.Fatal(err)
 	}
@@ -89,18 +88,4 @@ func report(sys *core.System, label string, m *mtl.Model, val *dataset.Set) {
 	}
 	n := len(val.Samples)
 	fmt.Printf("%-28s %9.0f%% %12.1f\n", label, 100*float64(ok)/float64(n), float64(iters)/float64(n))
-}
-
-// cloneModel duplicates a model (architecture + weights + normalizer)
-// through its serialization round trip.
-func cloneModel(m *mtl.Model) *mtl.Model {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		log.Fatal(err)
-	}
-	c := mtl.New(m.Lay, m.Cfg)
-	if err := c.Load(&buf); err != nil {
-		log.Fatal(err)
-	}
-	return c
 }

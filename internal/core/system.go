@@ -109,8 +109,8 @@ func ModelConfig(variant mtl.Variant, seed int64) mtl.Config {
 // cmd/train output format) into a model configured for this system and
 // variant.
 func (s *System) LoadModel(variant mtl.Variant, r io.Reader) (*mtl.Model, error) {
-	m := mtl.New(s.OPF.Lay, ModelConfig(variant, 0))
-	if err := m.Load(r); err != nil {
+	m, err := mtl.Load(s.OPF.Lay, ModelConfig(variant, 0), r)
+	if err != nil {
 		return nil, fmt.Errorf("core: loading %s model for %s: %w", variant, s.Name, err)
 	}
 	return m, nil

@@ -48,8 +48,8 @@ func reloaded(t *testing.T, m *Model) *Model {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	l := New(m.Lay, m.Cfg)
-	if err := l.Load(&buf); err != nil {
+	l, err := Load(m.Lay, m.Cfg, &buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return l

@@ -2,7 +2,6 @@ package mtl
 
 import (
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -144,9 +143,16 @@ type Model struct {
 	headOut   [numTasks]*la.Matrix
 }
 
-// New builds a model for the given problem layout.
+// New builds a model for the given problem layout, its weights drawn
+// He-uniform from cfg.Seed.
 func New(lay opf.Layout, cfg Config) *Model {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	return build(lay, cfg, rand.New(rand.NewSource(cfg.Seed)))
+}
+
+// build wires the network for lay and cfg, drawing its init from rng. A
+// nil rng leaves every weight zero, for Load and Clone, which overwrite
+// them.
+func build(lay opf.Layout, cfg Config, rng *rand.Rand) *Model {
 	in := 2 * lay.NB
 	widths := cfg.TrunkWidths
 	if widths == nil {
@@ -388,7 +394,7 @@ func (m *Model) Params() []*nn.Param {
 // Backward cache activations on the model) is the one use that needs a
 // private copy; prediction does not — see Predict.
 func (m *Model) Clone() *Model {
-	c := New(m.Lay, m.Cfg)
+	c := build(m.Lay, m.Cfg, nil)
 	c.Norm = m.Norm
 	src := m.Params()
 	dst := c.Params()
@@ -490,9 +496,8 @@ func (m *Model) predict(input la.Vector, infer func(*nn.Sequential, []float32) [
 // inside the first prediction. It is an optimisation, never an
 // obligation — an unwarmed model converts on first use, race-free — and
 // it has two callers: Train ends with it, and the serving daemon calls
-// it at registration. Load deliberately does not: a daemon fingerprints
-// the model right after loading it, and holding the float32 copy through
-// that gob encode raised the case300 boot's peak RSS by 13 %.
+// it at registration. Load leaves it to them, so a model loaded only to
+// be hashed, saved or retrained never builds the float32 copy.
 func (m *Model) Warmup() {
 	for _, tr := range m.trunks {
 		tr.Materialize32()
@@ -520,52 +525,69 @@ func PredictorFor(m *Model, explicit opf.Predictor, base *opf.Layout) (opf.Predi
 	return nil, nil
 }
 
-// snapshot is the on-disk model format: normalization state plus the
-// parameter tensors in Params order.
-type snapshot struct {
-	Norm Normalizer
-	Vals [][]float64
-}
-
-// Save writes the model weights and normalization state.
+// Save writes the model as one tensor snapshot (nn.SaveParams): the
+// normalizer's ten vectors, then the weights in Params order.
 func (m *Model) Save(w io.Writer) error {
-	ps := m.Params()
-	s := snapshot{Norm: m.Norm, Vals: make([][]float64, len(ps))}
-	for i, p := range ps {
-		s.Vals[i] = p.Val
-	}
-	return gob.NewEncoder(w).Encode(s)
-}
-
-// Load restores weights and normalization into an identically configured
-// model. The snapshot decodes straight into the model's tensors — gob
-// fills a slice of sufficient capacity in place — so loading keeps no
-// decoded copy of the weights (56 MB on case300). After an error the
-// weights are unspecified.
-func (m *Model) Load(r io.Reader) error {
-	ps := m.Params()
-	s := snapshot{Vals: make([][]float64, len(ps))}
-	for i, p := range ps {
-		s.Vals[i] = p.Val[:0:len(p.Val)]
-		p.Version++
-	}
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
+	norm := m.Norm // normParams fills this copy's unset vectors, not m's
+	ps, err := normParams(&norm, m.Lay)
+	if err != nil {
 		return err
 	}
-	if len(s.Vals) != len(ps) {
-		return fmt.Errorf("mtl: snapshot has %d tensors, model has %d", len(s.Vals), len(ps))
+	return nn.SaveParams(w, append(ps, m.Params()...))
+}
+
+// Load builds a model for lay and cfg from a snapshot written by Save.
+// Its tensors are allocated zero, with no init drawn, and filled in
+// place. A snapshot of another format or version, a truncated one, or
+// one shaped for another layout or configuration is rejected with nn's
+// named errors (nn.ErrSnapshotFormat, nn.ErrSnapshotTruncated,
+// nn.ErrSnapshotShape).
+func Load(lay opf.Layout, cfg Config, r io.Reader) (*Model, error) {
+	m := build(lay, cfg, nil)
+	if err := m.load(r); err != nil {
+		return nil, err
 	}
-	for i, p := range ps {
-		if len(s.Vals[i]) != len(p.Val) {
-			return fmt.Errorf("mtl: tensor %d has %d values, model expects %d", i, len(s.Vals[i]), len(p.Val))
-		}
+	return m, nil
+}
+
+// load reads a snapshot into m's own tensors through nn.LoadParams'
+// one buffer: it allocates the normalizer's vectors and nothing the size
+// of a weight tensor. After an error m's weights are unspecified.
+func (m *Model) load(r io.Reader) error {
+	var norm Normalizer
+	ps, _ := normParams(&norm, m.Lay) // all unset: cannot fail
+	if err := nn.LoadParams(r, append(ps, m.Params()...)); err != nil {
+		return err
 	}
-	m.Norm = s.Norm
+	m.Norm = norm
 	return nil
 }
 
+// normParams lists n's ten vectors in snapshot order as tensors of the
+// lengths lay gives them. An unset vector (a model never trained) is
+// set to zeros of its length; one of another length is an error.
+func normParams(n *Normalizer, lay opf.Layout) ([]*nn.Param, error) {
+	var ps []*nn.Param
+	for _, r := range []struct {
+		rng *Range
+		n   int
+	}{{&n.In, 2 * lay.NB}, {&n.X, lay.NX}, {&n.Lam, lay.NEq}, {&n.Mu, lay.NIq}, {&n.Z, lay.NIq}} {
+		for _, v := range []*la.Vector{&r.rng.Min, &r.rng.Max} {
+			if *v == nil {
+				*v = make(la.Vector, r.n)
+			}
+			if len(*v) != r.n {
+				return nil, fmt.Errorf("mtl: normalizer vector %d has %d values, layout wants %d", len(ps), len(*v), r.n)
+			}
+			ps = append(ps, &nn.Param{Name: "normalizer", Val: *v})
+		}
+	}
+	return ps, nil
+}
+
 // Fingerprint returns the sha256 content hash of the model's serialized
-// state (weights + normalization, the exact bytes Save writes). Two
+// state (weights + normalization, the exact bytes Save writes, streamed
+// through Save's one buffer into the hash, so nothing is copied). Two
 // models with identical weights fingerprint identically regardless of
 // how they were produced, so the lifecycle registry uses it as the
 // version identity and the canary harness uses it to recognize an
@@ -573,8 +595,8 @@ func (m *Model) Load(r io.Reader) error {
 func (m *Model) Fingerprint() string {
 	h := sha256.New()
 	if err := m.Save(h); err != nil {
-		// gob encoding into a hash cannot fail for a well-formed model;
-		// a failure here means the model is structurally broken.
+		// Writing into a hash cannot fail; Save fails only on a
+		// normalizer shaped for another layout, a broken model.
 		panic(fmt.Sprintf("mtl: fingerprinting model: %v", err))
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -345,9 +345,8 @@ func TestSaveLoadModel(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m2 := New(o.Lay, cfg)
-	m2.Norm = m.Norm
-	if err := m2.Load(&buf); err != nil {
+	m2, err := Load(o.Lay, cfg, &buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	a := m.Predict(set.Samples[0].Input)

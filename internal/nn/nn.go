@@ -17,7 +17,9 @@ import (
 	"repro/internal/la"
 )
 
-// Param is one learnable tensor with its gradient accumulator.
+// Param is one learnable tensor with its gradient accumulator. Grad is
+// nil until training first touches it (Backward, ZeroGrad or an
+// optimizer step), so a model that only predicts holds no gradients.
 type Param struct {
 	Name string
 	Val  []float64
@@ -30,11 +32,15 @@ type Param struct {
 	Version uint64
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() {
-	for i := range p.Grad {
-		p.Grad[i] = 0
+// ZeroGrad clears the gradient accumulator, allocating it on first use.
+func (p *Param) ZeroGrad() { clear(p.grad()) }
+
+// grad returns the gradient accumulator, allocated zero on first use.
+func (p *Param) grad() []float64 {
+	if p.Grad == nil {
+		p.Grad = make([]float64, len(p.Val))
 	}
+	return p.Grad
 }
 
 // Module is a differentiable block.
@@ -63,12 +69,17 @@ type Linear struct {
 }
 
 // NewLinear creates a dense layer with He-uniform initialization drawn
-// from rng (pass a deterministic source for reproducible models).
+// from rng (pass a deterministic source for reproducible models). A nil
+// rng leaves the weights zero, for a layer whose values are about to be
+// loaded or copied.
 func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	l := &Linear{
 		In: in, Out: out,
-		W: &Param{Name: fmt.Sprintf("linear%dx%d.W", out, in), Val: make([]float64, in*out), Grad: make([]float64, in*out)},
-		B: &Param{Name: fmt.Sprintf("linear%dx%d.b", out, in), Val: make([]float64, out), Grad: make([]float64, out)},
+		W: &Param{Name: fmt.Sprintf("linear%dx%d.W", out, in), Val: make([]float64, in*out)},
+		B: &Param{Name: fmt.Sprintf("linear%dx%d.b", out, in), Val: make([]float64, out)},
+	}
+	if rng == nil {
+		return l
 	}
 	bound := math.Sqrt(6.0 / float64(in))
 	for i := range l.W.Val {
@@ -129,6 +140,7 @@ func (l *Linear) Backward(gradOut *la.Matrix) *la.Matrix {
 		panic("nn: Linear.Backward shape mismatch")
 	}
 	gin := la.NewMatrix(x.Rows, l.In)
+	bGrad, wGrad := l.B.grad(), l.W.grad()
 	for r := 0; r < x.Rows; r++ {
 		xr := x.Row(r)
 		gr := gradOut.Row(r)
@@ -138,9 +150,9 @@ func (l *Linear) Backward(gradOut *la.Matrix) *la.Matrix {
 			if g == 0 {
 				continue
 			}
-			l.B.Grad[o] += g
+			bGrad[o] += g
 			w := l.W.Val[o*l.In : (o+1)*l.In]
-			dw := l.W.Grad[o*l.In : (o+1)*l.In]
+			dw := wGrad[o*l.In : (o+1)*l.In]
 			for i, xi := range xr {
 				dw[i] += g * xi
 				gi[i] += g * w[i]
@@ -252,7 +264,7 @@ func (s *Sequential) Params() []*Param {
 // layer is linear (no activation) unless sigmoidOut is set. The output
 // layer's weights are initialized small so a sigmoid output starts near
 // 0.5 (un-saturated) instead of pinned at 0/1 where its gradient
-// vanishes.
+// vanishes. A nil rng builds the chain with zero weights (see NewLinear).
 func MLP(rng *rand.Rand, sigmoidOut bool, widths ...int) *Sequential {
 	if len(widths) < 2 {
 		panic("nn: MLP needs at least input and output widths")
@@ -260,7 +272,7 @@ func MLP(rng *rand.Rand, sigmoidOut bool, widths ...int) *Sequential {
 	var mods []Module
 	for i := 0; i+1 < len(widths); i++ {
 		lin := NewLinear(widths[i], widths[i+1], rng)
-		if i+2 == len(widths) {
+		if i+2 == len(widths) && rng != nil {
 			for k := range lin.W.Val {
 				lin.W.Val[k] *= 0.1
 			}

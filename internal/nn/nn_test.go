@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -273,9 +274,48 @@ func TestLoadParamsShapeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := MLP(rng, false, 3, 9, 2)
-	if err := LoadParams(&buf, other.Params()); err == nil {
-		t.Fatal("shape mismatch accepted")
+	if err := LoadParams(&buf, other.Params()); !errors.Is(err, ErrSnapshotShape) {
+		t.Fatalf("shape mismatch: got %v, want %v", err, ErrSnapshotShape)
 	}
+}
+
+// TestGradientsAllocatedByTraining: a layer holds no gradient until
+// training touches it — Backward, ZeroGrad or an optimizer step.
+func TestGradientsAllocatedByTraining(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	fresh := func() *Linear {
+		l := NewLinear(3, 2, rng)
+		for _, p := range l.Params() {
+			if p.Grad != nil {
+				t.Fatalf("new %s holds a gradient", p.Name)
+			}
+		}
+		return l
+	}
+	allocated := func(how string, l *Linear) {
+		for _, p := range l.Params() {
+			if len(p.Grad) != len(p.Val) {
+				t.Errorf("%s: %s has %d gradient values for %d weights", how, p.Name, len(p.Grad), len(p.Val))
+			}
+		}
+	}
+	l := fresh()
+	NewSequential(l).Infer([]float32{1, 2, 3})
+	for _, p := range l.Params() {
+		if p.Grad != nil {
+			t.Fatalf("Infer allocated %s's gradient", p.Name)
+		}
+	}
+	l.Backward(l.Forward(randBatch(rng, 2, 3)))
+	allocated("Backward", l)
+
+	l = fresh()
+	ZeroGrads(l.Params())
+	allocated("ZeroGrads", l)
+
+	l = fresh()
+	NewAdam(l.Params(), 0).Step()
+	allocated("Adam.Step", l)
 }
 
 func TestNumParams(t *testing.T) {

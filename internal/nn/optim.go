@@ -35,10 +35,10 @@ func (a *Adam) Step() {
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for i, p := range a.params {
-		m, v := a.m[i], a.v[i]
+		m, v, grad := a.m[i], a.v[i], p.grad()
 		p.Version++
 		for k := range p.Val {
-			g := p.Grad[k]
+			g := grad[k]
 			if a.WeightDecay != 0 {
 				g += a.WeightDecay * p.Val[k]
 			}
@@ -71,10 +71,10 @@ func NewSGD(params []*Param, lr, momentum float64) *SGD {
 // Step applies one update.
 func (s *SGD) Step() {
 	for i, p := range s.params {
-		v := s.vel[i]
+		v, grad := s.vel[i], p.grad()
 		p.Version++
 		for k := range p.Val {
-			v[k] = s.Momentum*v[k] - s.LR*p.Grad[k]
+			v[k] = s.Momentum*v[k] - s.LR*grad[k]
 			p.Val[k] += v[k]
 		}
 	}
