@@ -146,13 +146,14 @@ var codeSize = []struct {
 	{at: "PR 21", all: 17256, warmPath: 5861, kernel: 3446, why: "one KKT analysis per system for the whole branch-outage space (a performance change, so the count goes up): `sparse.SymbolicCache.Derive` + the sub-pattern embedding in `CacheHandle.FactorizeInto` (+115), `opf.RebindOutage` deriving its cache and the root-first rule in `Solve`, one prediction per load draw and per-class KKT counters in `scopf`, `scopf.MatchNaive` + `Drift` replacing four copies of the bit-identity guard, the first solve on a KKT cache serialised behind a `sync.Once`; `screen_n1_mid` `latency_ms_mid` 105.0 → 68.3 ms in exchange (PERFORMANCE.md)"},
 	{at: "PR 22", all: 17100, warmPath: 5840, kernel: 3338, why: "one KKT ordering, AMD, chosen on the matrix MIPS factors: the fill-probing fourth ordering with its resolver and surrogate probe, the per-size default with its 48-bus threshold in `internal/opf`, the `-ordering` flags of `pgsim`/`scopf` and the ordering-name parser deleted (CHANGES.md names them); a `SymbolicCache` publishes one analysis through one atomic pointer — the four-entry MRU, its cap, the bump/evict logic and the handle's pin list gone, a second pattern stays private to its handle; `cmd/results` renders the production fill table and sorts its four tables with one helper"},
 	{at: "after 2e0963a", all: 16978, warmPath: 5785, kernel: 3279, why: "every branch outage has the intact KKT pattern: `grid.YMatrices.DropBranch` keeps the outaged Ybus entries as explicit zeros, so the per-class entry map, the per-factorization scatter buffer, `SymbolicCache.embed` and `(*OPF).Solve`'s root-first warming solve with its `sync.Once` and root pointer are deleted — the one analysis is made under the root cache's lock; the unused `(*OPF).problem` deleted; `mips.Options` `Xi`/`Sigma`/`Z0`/`Gamma0` and `mtl.TrainConfig` `MainWeight`/`AuxWeight`/`LogEvery` made constants"},
-	{at: "after a93fd24", all: 16977, warmPath: 5783, kernel: 3279, why: "every contingency is a value edit on the intact problem: an outaged rated branch keeps its flow rows (zero admittances), a dropped unit its Pg/Qg columns (weight 0 on cost and injection), so every outage class has the intact layout and `Derive()`s its KKT cache — the layout surgery of `RebindOutage`/`RebindGenOutage`, `opf.Projection`'s x/iq index maps (`present`, `unlessIdentity`, `gather`) and scopf's per-class `Layout.Fits` routing and projection field deleted; the warm start is fitted by the target instance (`opf.AdaptStart`, reading the decoupled rows and slacks recorded once per derivation), `Projection` maps only `RebindRamp`'s newly finite bound rows"},
+	{at: "after a93fd24", all: 16977, warmPath: 5783, kernel: 3279, why: "every contingency is a value edit on the intact problem: an outaged rated branch keeps its flow rows (zero admittances), a dropped unit its Pg/Qg columns (weight 0 on cost and injection), so every outage class has the intact layout and `Derive()`s its KKT cache — the layout surgery of `RebindOutage`/`RebindGenOutage`, `Projection`'s x/iq index maps (`present`, `unlessIdentity`, `gather`) and scopf's per-class `Layout.Fits` routing and projection field deleted; the warm start is fitted by the target instance (`opf.AdaptStart`, reading the decoupled rows and slacks recorded once per derivation), `Projection` maps only `RebindRamp`'s newly finite bound rows"},
 	{at: "after 1c4db34", all: 17046, warmPath: 5799, kernel: 3327, why: "a third failure verdict (a performance change, so the count goes up): `mips.ErrStalled` ends a solve whose best primal feasibility has not halved in 65 iterations, with its window of bests on the `Stepper` (+48 in `mips`, most of it the documented calibration); `scopf.Summary` splits its errors by verdict, `pgsimd_screen_stalled_total` and `cmd/scopf`'s error split read it; `screen_n1_mid`'s check pass runs 7,661 → 4,893 iterations (PERFORMANCE.md)"},
 	{at: "after 1e05057", all: 16623, warmPath: 5427, kernel: 3327, why: "screening takes every warm start and screens every pair it is given: the learned warm/cold dispatch policy (`scopf/policy.go`, `Engine.Policy`, `Outcome.ColdByPolicy`, `Summary.PolicyCold`, `cmd/scopf -policy`, `/v1/screen`'s `policy` field and `policy_cold`/`cold_by_policy`, `pgsimd_screen_policy_cold_total`) and the severity-ranked top-K N-2 screen (`scopf/n2.go` but `AllPairs`, `cmd/scopf`'s separate N-2 stage; `-n2` is a bool) deleted — neither changed a decision on any measured fixture (PERFORMANCE.md, \"Screening extras that never fired\")"},
 	{at: "after c4a31ad", all: 16676, warmPath: 5536, kernel: 3265, why: "the Newton system compiled once per grid (a performance change; the count goes up by 53): `sparse.Assembler` and its verify/recompile protocol (−167) replaced by `sparse.CompileSlots` and slot-map stamps — `opf`'s shared `evalProgram` records each evaluator's entry order once (+90 in `eval.go`), the `mips` arena keys its inequality and KKT slot maps on input patterns (+130 in `arena.go`, −25 in `mips.go`); `scopf.Outcome.Spent` and `error_iterations` (+13); `mtl.Model.Load` decodes in place (+5); `serve_cold_mid` `latency_ms_mid` 21.00 → 14.00 ms (PERFORMANCE.md)"},
 	{at: "after 12caeba", all: 16616, warmPath: 5535, kernel: 3205, why: "one supernodal LDLᵀ for every KKT system (a performance change; the count goes down by 60): `internal/sparse/ldl.go` (+502: `AnalyzeLDL`'s elimination tree, column patterns, supernodes and update ops, and the one `FactorInto` kernel with its `panelUpdate`) replaces `blocked.go` (−546: the blocked LU schedule, kernel, auto-selector and `PanelStats`), the pivot surrogate in `order.go`, the shaped/value-pivoted paths of `symbolic.go` and the unused `AnalyzePerm`; the scalar LU refactorization moved into `lu.go` for `internal/pf`"},
 	{at: "after f0e2663", all: 16673, warmPath: 5535, kernel: 3205, why: "inference multiplies only the nonzero activations (a performance change; the count goes up by 57): `nn` keeps each layer's float32 weights column-major, built by a tiled transpose, and `infer32` adds the weight columns of nonzero inputs eight per pass, replacing the row-major four-output kernel (+51 in `infer.go`); `mtl.Model.Predict` runs through `predict`, which takes each network's forward pass so a test can substitute the row-major reference (+5); `serve_warm_large` `latency_ms_mid` 12.97 → 9.92 ms (PERFORMANCE.md)"},
 	{at: "after 8e71d89", all: 16810, warmPath: 5535, kernel: 3205, why: "a served model boots in one streamed pass (a performance change; the count goes up by 137): `nn/serialize.go`'s gob `SaveParams`/`LoadParams` became the raw tensor-stream codec every model file uses — magic/version header, every tensor's length, raw little-endian float64 through one 32 KiB buffer, three named errors (+117); `mtl` builds `Load`'s and `Clone`'s networks without an init draw and writes the normalizer as ten tensors of the stream, its gob `snapshot` type deleted (+22); `nn.Param.Grad` allocated by training's first use (+12); `examples/transfer`'s save/load clone replaced by `Clone` (−15); `serve_warm_large` `rss_peak_mb` 478.3 → 192.4 MiB (PERFORMANCE.md)"},
+	{at: "after d00f7c1", all: 16645, warmPath: 5459, kernel: 3205, why: "one layout per grid: `RebindRamp` only tightens bounds that are already finite and rejects a finite limit on an infinite side, so its NIq recount, the ramp-row start projection of `internal/opf` (its type, constructor, apply and row map and the seed constant; −77) and the trajectory stepper's previous-instance field and two projection calls are deleted; `horizon.Runner` rejects a model laid out for another grid (+4); `examples/scaling` and `examples/sensitivity`, their CLIs with fixed flags, deleted (−90)"},
 }
 
 func main() {

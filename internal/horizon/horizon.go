@@ -8,8 +8,8 @@
 // opf.RebindRamp, and is warm-started per the runner's Mode:
 //
 //   - ModeChain:   step t starts from step t−1's full primal/dual
-//     solution, projected onto step t's layout with an
-//     opf.Projection — solver-to-solver chaining, no model.
+//     solution as it is — every step has the base instance's layout —
+//     solver-to-solver chaining, no model.
 //   - ModePredict: the MTL model predicts a start for every step — the
 //     i.i.d. serving behaviour applied per step.
 //   - ModeCold:    every step solves from the interior default.
@@ -17,8 +17,9 @@
 // A trajectory is inherently sequential (step t needs step t−1), so
 // parallelism fans across trajectories on internal/batch with the
 // engine's bit-identical seq-vs-parallel guarantee: each trajectory
-// consumes only its own chained state and its own predictor replica,
-// so results are invariant under worker count and scheduling order.
+// consumes only its own chained state and the one shared predictor,
+// which holds no per-call state, so results are invariant under worker
+// count and scheduling order.
 // The serving layer streams steps one at a time through the same
 // Stepper the runner uses, which pins offline and served trajectories
 // bit-identical by construction (see internal/serve's /v1/trajectory).
@@ -194,8 +195,8 @@ func summarize(mode Mode, steps []StepResult) *Result {
 }
 
 // Stepper advances one trajectory a step at a time, holding the chained
-// state (the previous step's accepted solution and its instance). It is
-// the single implementation both the offline Runner and the streaming
+// state (the previous step's accepted solution). It is the single
+// implementation both the offline Runner and the streaming
 // /v1/trajectory endpoint drive, which is what makes served replays
 // bit-identical to offline runs by construction. A Stepper is not safe
 // for concurrent use: its chained state stays on one goroutine, the
@@ -207,7 +208,6 @@ type Stepper struct {
 	pred     opf.Predictor
 	up, down la.Vector
 	prev     *opf.Result
-	prevInst *opf.OPF
 	step     int
 }
 
@@ -285,16 +285,13 @@ func (s *Stepper) Step(factors []float64) StepResult {
 	var start *opf.Start
 	switch s.mode {
 	case ModeChain:
-		if s.prev != nil && s.prevInst != nil {
-			start = s.prevInst.ProjectionTo(cur).Apply(&opf.Start{
-				X: s.prev.X, Lam: s.prev.Lam, Mu: s.prev.Mu, Z: s.prev.Z,
-			})
+		if s.prev != nil {
+			start = &opf.Start{X: s.prev.X, Lam: s.prev.Lam, Mu: s.prev.Mu, Z: s.prev.Z}
 		}
 	case ModePredict:
 		t1 := time.Now()
-		st := s.pred.Predict(dataset.InputVector(cur.Case))
+		start = s.pred.Predict(dataset.InputVector(cur.Case))
 		sr.InferTime = time.Since(t1)
-		start = s.base.ProjectionTo(cur).Apply(st)
 	}
 
 	out := cur.SolveWarm(start, opf.Options{})
@@ -312,7 +309,6 @@ func (s *Stepper) Step(factors []float64) StepResult {
 	sr.Result = acc
 	sr.RampBinding = rampBinding(s.base, cur, acc.X)
 	s.prev = acc
-	s.prevInst = cur
 	return sr
 }
 
@@ -373,7 +369,11 @@ func (r *Runner) RunBatch(trajs []*Trajectory) ([]*Result, error) {
 		}
 	}
 	// nil when neither is set; NewStepper then rejects ModePredict.
-	pred, _ := mtl.PredictorFor(r.Model, r.Predictor, &base.Lay)
+	pred, lay := mtl.PredictorFor(r.Model, r.Predictor, &base.Lay)
+	if pred != nil && !base.Lay.Fits(*lay) {
+		return nil, fmt.Errorf("horizon: model laid out for NX/NEq/NIq %d/%d/%d, %s has %d/%d/%d",
+			lay.NX, lay.NEq, lay.NIq, base.Case.Name, base.Lay.NX, base.Lay.NEq, base.Lay.NIq)
+	}
 	results := make([]*Result, len(trajs))
 	err = batch.Run(len(trajs), batch.Options{Workers: r.Workers}, func(t *batch.Task) error {
 		st, err := NewStepper(base, r.Mode, pred, r.RampUp, r.RampDown)

@@ -5,8 +5,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/la"
+	"repro/internal/mtl"
 	"repro/internal/opf"
 )
 
@@ -145,9 +147,7 @@ func TestHorizonChainMatchesSingleShotWarm(t *testing.T) {
 				if !sameVec(xmin, rmin) || !sameVec(xmax, rmax) {
 					t.Fatalf("step %d: inactive ramp limits changed the bounds", s)
 				}
-				start := ramped.ProjectionTo(ramped).Apply(&opf.Start{
-					X: prev.X, Lam: prev.Lam, Mu: prev.Mu, Z: prev.Z,
-				})
+				start := &opf.Start{X: prev.X, Lam: prev.Lam, Mu: prev.Mu, Z: prev.Z}
 				// The same warm→cold pipeline the Stepper runs.
 				single, err := ramped.Solve(start, opf.Options{})
 				warm := err == nil && single.Converged
@@ -320,6 +320,38 @@ func TestHorizonRampCouplingBinds(t *testing.T) {
 	}
 	if binding == 0 {
 		t.Fatal("tight ramp window never bound — coupling is inert")
+	}
+}
+
+// TestHorizonRunnerRejectsForeignModel: a model laid out for another
+// grid is an error before any step, in either direction, never a panic
+// inside the network; on its own grid the same model runs.
+func TestHorizonRunnerRejectsForeignModel(t *testing.T) {
+	sys := map[string]*core.System{}
+	models := map[string]*mtl.Model{}
+	for _, name := range []string{"case9", "case14"} {
+		sys[name] = core.MustLoadSystem(name)
+		set, err := sys[name].GenerateData(8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if models[name], err = sys[name].TrainModel(mtl.VariantSmartPGSim, set, 1, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pair := range [][2]string{{"case9", "case14"}, {"case14", "case9"}} {
+		for _, on := range pair {
+			base := sys[on].OPF
+			traj, err := Synthetic(base.Lay.NB, 2, 1, 0.05, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := &Runner{Prepared: base, Mode: ModePredict, Model: models[pair[0]], Workers: 1}
+			_, err = r.Run(traj)
+			if own := on == pair[0]; own != (err == nil) {
+				t.Errorf("%s model on %s: error %v", pair[0], on, err)
+			}
+		}
 	}
 }
 

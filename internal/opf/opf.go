@@ -30,8 +30,9 @@ import (
 )
 
 // Layout describes the variable and constraint packing of an OPF instance.
-// Instances derived from a Prepare'd one keep its layout, outages
-// included; only RebindRamp's newly finite bounds add to NIq.
+// Every instance derived from a Prepare'd one — Perturb, every Rebind*
+// and their compositions — keeps its layout, so a start in the base
+// grid's terms fits each of them.
 type Layout struct {
 	NB, NG  int // buses, generators in service at Prepare (the units)
 	NLRated int // in-service branches with finite RateA at Prepare

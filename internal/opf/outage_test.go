@@ -489,17 +489,12 @@ func TestRebindOutageRejectsBadBranch(t *testing.T) {
 	if _, err := Prepare(cc).RebindOutage(2); err == nil {
 		t.Error("already-outaged branch accepted")
 	}
-	// case14 is unrated: outages keep the inequality layout, and the
-	// projection onto them passes every component through.
+	// case14 is unrated: outages keep the inequality layout.
 	o, err := base.RebindOutage(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.Lay != base.Lay {
 		t.Error("unrated outage changed the layout")
-	}
-	st := markedStart(base)
-	if p := base.ProjectionTo(o).Apply(st); &p.Mu[0] != &st.Mu[0] || &p.X[0] != &st.X[0] {
-		t.Error("unrated outage projection copied an unchanged start")
 	}
 }

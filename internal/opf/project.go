@@ -110,80 +110,3 @@ func (o *OPF) redispatch(x la.Vector, lost float64) {
 		}
 	}
 }
-
-// Projection carries a start from one instance of a base grid to another:
-// X, λ and the flow rows pass as they are, µ/Z bound rows are matched by
-// the variable they bound — a row RebindRamp made finite enters seeded
-// with the mips cold default (seedRow), a row made infinite again leaves
-// — RebindRamp's newly finite rows being the only change of layout. It
-// carries no outage edit: a target with outages fits the carried start
-// itself (AdaptStart). The trajectory stepper chains ramped steps through
-// it. A Projection is immutable and safe for concurrent use.
-type Projection struct{ src, dst *OPF }
-
-// seedRow is the µ and z value of an inequality row with no source row
-// to carry: mips.Solve floors warm µ and z at 1e-10 and recomputes the
-// barrier from z·µ, so the cold defaults blend safely with carried rows.
-const seedRow = 1.0
-
-// ProjectionTo returns the projection from o onto dst, or nil — apply it
-// and the start is cold — when the two instances are not derived from one
-// base grid (different bus, generator or branch tables, or layouts).
-func (o *OPF) ProjectionTo(dst *OPF) *Projection {
-	if dst == nil || dst.Lay.NB != o.Lay.NB || dst.Lay.NX != o.Lay.NX || dst.Lay.NLRated != o.Lay.NLRated ||
-		len(dst.Case.Gens) != len(o.Case.Gens) || len(dst.Case.Branches) != len(o.Case.Branches) {
-		return nil
-	}
-	return &Projection{o, dst}
-}
-
-// Apply maps st onto the target. A nil projection or a nil start yields
-// nil (a cold start). Malformed components of st — wrong length for the
-// source layout — are dropped, degrading to a partial start: MIPS
-// requires exact lengths of whatever it is given. Components nothing
-// changes are passed through, not copied.
-func (p *Projection) Apply(st *Start) *Start {
-	if p == nil || st == nil {
-		return nil
-	}
-	lay, out := p.src.Lay, &Start{}
-	if len(st.X) == lay.NX {
-		out.X = st.X
-	}
-	if len(st.Lam) == lay.NEq {
-		out.Lam = st.Lam
-	}
-	if len(st.Mu) == lay.NIq && len(st.Z) == lay.NIq {
-		out.Mu, out.Z = p.rows(st.Mu), p.rows(st.Z)
-	}
-	return out
-}
-
-// rows carries a µ or z vector onto the target's inequality rows; v
-// itself when both instances bound the same variables.
-func (p *Projection) rows(v la.Vector) la.Vector {
-	n := 2 * p.src.Lay.NLRated
-	out, from, moved := slices.Clone(v[:n]), n, false
-	for _, side := range []struct {
-		src, dst la.Vector
-		inf      int
-	}{{p.src.xmax, p.dst.xmax, 1}, {p.src.xmin, p.dst.xmin, -1}} {
-		for i := range side.src {
-			inSrc, inDst := !math.IsInf(side.src[i], side.inf), !math.IsInf(side.dst[i], side.inf)
-			switch {
-			case inSrc && inDst:
-				out = append(out, v[from])
-			case inDst:
-				out = append(out, seedRow)
-			}
-			if inSrc {
-				from++
-			}
-			moved = moved || inSrc != inDst
-		}
-	}
-	if !moved {
-		return v
-	}
-	return out
-}

@@ -62,16 +62,18 @@ func naiveLabels(c0 *grid.Case, o *OPF) (x, iq []string, out map[string]float64)
 	return x, iq, out
 }
 
-// checkProjection applies carry — the map from src's starts to dst's,
-// both derived from c0 — to a start whose every entry is unique and
-// asserts the contract: exact target lengths, X and λ carried, every µ/Z
-// row carried bit-equal from the source row of the same label, rows with
-// no source label seeded, source-only labels dropped (by construction of
-// the loop over target labels) — and every entry dst's outages decoupled
-// set to the value naiveLabels derives. Pg entries are negative so the
-// redispatch step, which is tested on its own, stays out of the way.
-func checkProjection(t *testing.T, what string, c0 *grid.Case, src, dst *OPF, carry func(*Start) *Start) {
+// checkProjection fits, with dst.AdaptStart, a start laid out for src —
+// both derived from c0 — whose every entry is unique, and asserts the
+// contract: one layout, X and λ carried, every µ/Z row carried bit-equal
+// from the source row of the same label — and every entry dst's outages
+// decoupled set to the value naiveLabels derives. Pg entries are
+// negative so the redispatch step, which is tested on its own, stays out
+// of the way.
+func checkProjection(t *testing.T, what string, c0 *grid.Case, src, dst *OPF) {
 	t.Helper()
+	if src.Lay != dst.Lay {
+		t.Fatalf("%s: layout %+v, want the source's %+v", what, dst.Lay, src.Lay)
+	}
 	st := &Start{
 		X:   make(la.Vector, src.Lay.NX),
 		Lam: make(la.Vector, src.Lay.NEq),
@@ -99,10 +101,7 @@ func checkProjection(t *testing.T, what string, c0 *grid.Case, src, dst *OPF, ca
 		iqAt[l] = i
 	}
 
-	p := carry(st)
-	if p == nil {
-		t.Fatalf("%s: no start carried between instances of one base grid", what)
-	}
+	p := dst.AdaptStart(st)
 	if len(p.X) != dst.Lay.NX || len(p.Lam) != dst.Lay.NEq || len(p.Mu) != dst.Lay.NIq || len(p.Z) != dst.Lay.NIq {
 		t.Fatalf("%s: projected lengths X %d λ %d µ %d z %d, want %d/%d/%d/%d", what,
 			len(p.X), len(p.Lam), len(p.Mu), len(p.Z), dst.Lay.NX, dst.Lay.NEq, dst.Lay.NIq, dst.Lay.NIq)
@@ -122,11 +121,13 @@ func checkProjection(t *testing.T, what string, c0 *grid.Case, src, dst *OPF, ca
 		}
 	}
 	for j, l := range diq {
-		wantMu, wantZ := 1.0, 1.0 // the MIPS cold default for a row that entered the layout
+		i, ok := iqAt[l]
+		if !ok {
+			t.Fatalf("%s: row %d (%s) has no source row", what, j, l)
+		}
+		wantMu, wantZ := st.Mu[i], st.Z[i]
 		if z, ok := out[l]; ok {
 			wantMu, wantZ = 1e-10, z
-		} else if i, ok := iqAt[l]; ok {
-			wantMu, wantZ = st.Mu[i], st.Z[i]
 		}
 		if p.Mu[j] != wantMu || p.Z[j] != wantZ {
 			t.Fatalf("%s: row %d (%s) µ/z = %v/%v, want %v/%v", what, j, l, p.Mu[j], p.Z[j], wantMu, wantZ)
@@ -156,7 +157,7 @@ func TestProjectionRowIdentityOutages(t *testing.T) {
 				t.Fatal(err)
 			}
 			singles[l] = o
-			checkProjection(t, fmt.Sprintf("%s branch %d", c.Name, l), c, base, o, o.AdaptStart)
+			checkProjection(t, fmt.Sprintf("%s branch %d", c.Name, l), c, base, o)
 		}
 		for g, gen := range c.Gens {
 			if !gen.Status {
@@ -166,13 +167,13 @@ func TestProjectionRowIdentityOutages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkProjection(t, fmt.Sprintf("%s gen %d", c.Name, g), c, base, o, o.AdaptStart)
+			checkProjection(t, fmt.Sprintf("%s gen %d", c.Name, g), c, base, o)
 			if len(rated) > 0 {
 				bo, err := singles[rated[g%len(rated)]].RebindGenOutage(g)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkProjection(t, fmt.Sprintf("%s branch %d + gen %d", c.Name, rated[g%len(rated)], g), c, base, bo, bo.AdaptStart)
+				checkProjection(t, fmt.Sprintf("%s branch %d + gen %d", c.Name, rated[g%len(rated)], g), c, base, bo)
 			}
 		}
 		for i, l1 := range rated {
@@ -182,19 +183,18 @@ func TestProjectionRowIdentityOutages(t *testing.T) {
 					t.Fatal(err)
 				}
 				what := fmt.Sprintf("%s pair %d,%d", c.Name, l1, l2)
-				checkProjection(t, what, c, base, o, o.AdaptStart)
-				checkProjection(t, what+" from the first outage", c, singles[l1], o, o.AdaptStart)
+				checkProjection(t, what, c, base, o)
+				checkProjection(t, what+" from the first outage", c, singles[l1], o)
 			}
 		}
 	}
 }
 
-// Ramp targets: tightening turns infinite Pg bounds finite (rows enter
-// the layout and are seeded), a later step with that direction
-// unconstrained turns them infinite again (rows leave), and a step can
-// follow a branch- or generator-outage instance, which edits the
-// projected start for its outage. Every case gets one unit with an
-// unbounded range so all three happen.
+// Ramp targets: a ramp step can follow a branch- or generator-outage
+// instance, whose start fit (AdaptStart) must then read the decoupled
+// slacks at the tightened bounds. Every case gets one unit with an
+// unbounded Pmax and one with an unbounded Pmin, which a ramp leaves
+// unbounded (+Inf limits on those sides).
 func TestProjectionRowIdentityRamp(t *testing.T) {
 	for _, c := range []*grid.Case{grid.Case9(), grid.Case14(), grid.Case30(), grid.Case57()} {
 		c.Gens[0].Pmax = math.Inf(1)
@@ -202,60 +202,36 @@ func TestProjectionRowIdentityRamp(t *testing.T) {
 		base := Prepare(c)
 		ng := base.Lay.NG
 		anchor := make(la.Vector, ng)
-		finite := make(la.Vector, ng)
-		open := make(la.Vector, ng)
+		up := make(la.Vector, ng)
+		down := make(la.Vector, ng)
 		for g := range anchor {
-			anchor[g] = 0.1
-			finite[g] = 0.05
-			open[g] = math.Inf(1)
+			anchor[g], up[g], down[g] = 0.1, 0.05, 0.05
 		}
-		both, err := base.RebindRamp(anchor, finite, finite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		upOnly, err := base.RebindRamp(anchor, finite, open)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if both.Lay.NIq != base.Lay.NIq+2 || upOnly.Lay.NIq != base.Lay.NIq+1 {
-			t.Fatalf("%s: ramp NIq %d/%d, want base %d +2/+1", c.Name, both.Lay.NIq, upOnly.Lay.NIq, base.Lay.NIq)
-		}
-		checkProjection(t, c.Name+" base→ramped", c, base, both, base.ProjectionTo(both).Apply)
-		checkProjection(t, c.Name+" ramped→base", c, both, base, both.ProjectionTo(base).Apply)
-		checkProjection(t, c.Name+" ramped→up-only", c, both, upOnly, both.ProjectionTo(upOnly).Apply)
-		checkProjection(t, c.Name+" up-only→ramped", c, upOnly, both, upOnly.ProjectionTo(both).Apply)
-		load := make([]float64, base.Lay.NB)
-		for i := range load {
-			load[i] = 1.05
-		}
-		step := upOnly.Perturb(load)
-		checkProjection(t, c.Name+" perturbed step", c, both, step, both.ProjectionTo(step).Apply)
+		up[0], down[1] = math.Inf(1), math.Inf(1)
 		for l, br := range c.Branches {
 			if br.Status && br.RateA > 0 {
 				o, err := base.RebindOutage(l)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ro, err := o.RebindRamp(anchor, finite, nil)
+				ro, err := o.RebindRamp(anchor, up, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkProjection(t, fmt.Sprintf("%s base→outage %d+ramp", c.Name, l), c, base, ro,
-					func(st *Start) *Start { return ro.AdaptStart(base.ProjectionTo(ro).Apply(st)) })
+				checkProjection(t, fmt.Sprintf("%s base→outage %d+ramp", c.Name, l), c, base, ro)
 				break
 			}
 		}
-		// Unit 0's new Pmax row lands before unit 1's bound rows, so the
-		// ramp must move the rows unit 1's outage decoupled.
-		o, err := base.RebindGenOutage(1)
+		// Unit 2 has both bounds finite, so the ramp moves the slacks
+		// its outage decoupled.
+		o, err := base.RebindGenOutage(2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rg, err := o.RebindRamp(anchor, finite, nil)
+		rg, err := o.RebindRamp(anchor, up, down)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkProjection(t, c.Name+" base→gen 1 out+ramp", c, base, rg,
-			func(st *Start) *Start { return rg.AdaptStart(base.ProjectionTo(rg).Apply(st)) })
+		checkProjection(t, c.Name+" base→gen 2 out+ramp", c, base, rg)
 	}
 }

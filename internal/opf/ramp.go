@@ -16,25 +16,20 @@ import (
 // instance is the step-t load perturbation with RebindRamp(step t−1's
 // dispatch) applied.
 //
-// Ramp limits are pure bound tightening, so the derived instance shares
-// everything structural with o: admittance matrices, rated-branch
-// subset, layout offsets, and o's KKT cache itself. A ramp limit that
-// turns an infinite bound finite grows NIq (the new bound becomes an
-// inequality row in MIPS's FullInequality order; warm starts in o's
-// layout then need ProjectionTo), but MIPS factors the reduced KKT of
-// dimension NX + NEq, where a bound row on variable i contributes only
-// to the (i, i) diagonal entry that is always stamped — so the pattern,
-// and with it o's analysis, is shared by construction whichever bounds
-// are finite. Finiteness is monotone under tightening — min(finite, ·)
-// stays finite — so NIq never shrinks and NIq unchanged ⇔ identical
-// bound pattern.
+// Ramp limits are pure bound tightening of bounds that are already
+// finite, so the derived instance shares everything structural with o:
+// admittance matrices, rated-branch subset, layout, and o's KKT cache
+// itself. A start in o's layout is a start in the derived one. A finite
+// up (down) limit for a unit whose Pmax (Pmin) is infinite would add an
+// inequality row, and is rejected; RampFromRange in internal/horizon
+// gives such a unit +Inf.
 //
 // The anchor is clamped into the static box first, so the tightened
 // window is never empty even for an anchor from a non-converged step;
 // up[g] or down[g] may be +Inf (direction unconstrained) and either
 // vector may be nil (that direction unconstrained for every unit).
 // Negative or NaN entries are rejected. A zero limit freezes the unit
-// at its anchor (equal bounds — both rows finite).
+// at its anchor (equal bounds).
 func (o *OPF) RebindRamp(prevPg, up, down la.Vector) (*OPF, error) {
 	t0 := time.Now()
 	lay := o.Lay
@@ -62,11 +57,17 @@ func (o *OPF) RebindRamp(prevPg, up, down la.Vector) (*OPF, error) {
 			anchor = hi
 		}
 		if down != nil && !math.IsInf(down[g], 1) {
+			if math.IsInf(lo, -1) {
+				return nil, fmt.Errorf("opf: ramp down limit [%d] = %v for a unit with Pmin = -Inf would add a bound row", g, down[g])
+			}
 			if l := anchor - down[g]; l > lo {
 				xmin[lay.PgOff+g] = l
 			}
 		}
 		if up != nil && !math.IsInf(up[g], 1) {
+			if math.IsInf(hi, 1) {
+				return nil, fmt.Errorf("opf: ramp up limit [%d] = %v for a unit with Pmax = +Inf would add a bound row", g, up[g])
+			}
 			if h := anchor + up[g]; h < hi {
 				xmax[lay.PgOff+g] = h
 			}
@@ -75,8 +76,7 @@ func (o *OPF) RebindRamp(prevPg, up, down la.Vector) (*OPF, error) {
 	cp := *o
 	cp.xmin = xmin
 	cp.xmax = xmax
-	cp.Lay.NIq = 2*lay.NLRated + finite(xmax, 1) + finite(xmin, -1)
-	cp.decouple() // a dropped unit's bound rows move with the bounds
+	cp.decouple() // a dropped unit's bound-row slacks follow the tightened bounds
 	cp.prep = time.Since(t0)
 	return &cp, nil
 }

@@ -49,10 +49,9 @@ func TestRebindRampTightensBounds(t *testing.T) {
 			t.Fatalf("gen %d window [%v, %v], want [%v, %v]", g, cmin[i], cmax[i], wantLo, wantHi)
 		}
 	}
-	// Pg bounds of case9 are finite already: tightening changes no
-	// finiteness, so the layout is unchanged; the KKT cache is shared.
-	if ro.Lay.NIq != o.Lay.NIq {
-		t.Fatalf("NIq changed %d -> %d with no newly-finite bound", o.Lay.NIq, ro.Lay.NIq)
+	// Tightening keeps the layout; the KKT cache is shared.
+	if ro.Lay != o.Lay {
+		t.Fatalf("layout changed %+v -> %+v", o.Lay, ro.Lay)
 	}
 	if ro.kkt != o.kkt {
 		t.Fatal("RebindRamp must share the KKT cache")
@@ -75,38 +74,39 @@ func TestRebindRampTightensBounds(t *testing.T) {
 	}
 }
 
-func TestRebindRampGrowsLayoutForInfiniteBound(t *testing.T) {
+// A finite ramp limit on an infinite side would add an inequality row,
+// so RebindRamp rejects it; +Inf limits on those sides keep the layout,
+// and the ramp solve shares the base grid's KKT analysis.
+func TestRebindRampRejectsFiniteLimitOnInfiniteBound(t *testing.T) {
 	c := grid.Case9()
-	c.Gens[1].Pmax = math.Inf(1) // unbounded unit: its upper bound leaves NIq
+	c.Gens[1].Pmax = math.Inf(1)
+	c.Gens[2].Pmin = math.Inf(-1)
 	o := Prepare(c)
 	r := rampSolved(t, o)
 	prev := prevDispatch(o, r)
-	up := make(la.Vector, o.Lay.NG)
-	for g := range up {
-		up[g] = 0.5
+	finite := la.Vector{0.5, 0.5, 0.5}
+	if _, err := o.RebindRamp(prev, finite, nil); err == nil {
+		t.Error("finite up limit on a Pmax = +Inf unit accepted")
 	}
-	ro, err := o.RebindRamp(prev, up, nil)
+	if _, err := o.RebindRamp(prev, nil, finite); err == nil {
+		t.Error("finite down limit on a Pmin = -Inf unit accepted")
+	}
+	up := la.Vector{0.5, math.Inf(1), 0.5}
+	down := la.Vector{0.5, 0.5, math.Inf(1)}
+	ro, err := o.RebindRamp(prev, up, down)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ro.Lay.NIq != o.Lay.NIq+1 {
-		t.Fatalf("NIq = %d, want %d (one newly-finite upper bound)", ro.Lay.NIq, o.Lay.NIq+1)
+	if ro.Lay != o.Lay {
+		t.Fatalf("layout %+v, want the base's %+v", ro.Lay, o.Lay)
 	}
-	// The new bound row lands on the always-stamped diagonal of the
-	// reduced KKT, so the pattern — and the base's analysis — is shared.
 	if ro.kkt != o.kkt {
-		t.Fatal("RebindRamp must share the KKT cache even when NIq grows")
-	}
-	// A warm start in the base layout projects to exactly the grown NIq
-	// and solves without the length panic.
-	st := o.ProjectionTo(ro).Apply(&Start{X: r.X, Lam: r.Lam, Mu: r.Mu, Z: r.Z})
-	if len(st.Mu) != ro.Lay.NIq || len(st.Z) != ro.Lay.NIq {
-		t.Fatalf("projected µ/z lengths %d/%d, want %d", len(st.Mu), len(st.Z), ro.Lay.NIq)
+		t.Fatal("RebindRamp must share the KKT cache")
 	}
 	before := o.KKTStats()
-	rr, err := ro.Solve(st, Options{})
+	rr, err := ro.Solve(&Start{X: r.X, Lam: r.Lam, Mu: r.Mu, Z: r.Z}, Options{})
 	if err != nil || !rr.Converged {
-		t.Fatalf("projected warm solve failed: %v", err)
+		t.Fatalf("warm ramp solve failed: %v", err)
 	}
 	// The ramp solve only refactors, and is counted on the base grid.
 	want := before
@@ -140,80 +140,36 @@ func TestRebindRampValidation(t *testing.T) {
 	}
 }
 
-func TestProjectionStepSharedPattern(t *testing.T) {
-	o := Prepare(grid.Case9())
-	r := rampSolved(t, o)
-	prev := prevDispatch(o, r)
-	up := la.Vector{0.3, 0.3, 0.3}
-	ro, err := o.RebindRamp(prev, up, up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &Start{X: r.X, Lam: r.Lam, Mu: r.Mu, Z: r.Z}
-	ps := o.ProjectionTo(ro).Apply(st)
-	// Identical bound pattern: µ/Z pass through untouched.
-	if &ps.Mu[0] != &st.Mu[0] || &ps.Z[0] != &st.Z[0] {
-		t.Fatal("pattern-preserving projection must pass µ/Z through")
-	}
-	rr, err := ro.Solve(ps, Options{})
-	if err != nil || !rr.Converged {
-		t.Fatalf("chained warm solve failed: %v", err)
-	}
-	if rr.Iterations >= r.Iterations {
-		t.Logf("note: chained solve took %d iterations vs cold %d", rr.Iterations, r.Iterations)
-	}
-}
-
-func TestProjectionShapeMismatch(t *testing.T) {
-	o := Prepare(grid.Case9())
-	o2 := Prepare(grid.Case14())
-	r := rampSolved(t, o)
-	st := &Start{X: r.X, Lam: r.Lam, Mu: r.Mu, Z: r.Z}
-	if got := o.ProjectionTo(o2).Apply(st); got != nil {
-		t.Fatal("projection across grids must return nil (cold)")
-	}
-	if got := o.ProjectionTo(o).Apply(nil); got != nil {
-		t.Fatal("nil start must project to nil")
-	}
-	// Malformed µ/Z degrade to an X/λ-only start.
-	got := o.ProjectionTo(o).Apply(&Start{X: r.X, Lam: r.Lam, Mu: r.Mu[:3], Z: r.Z[:3]})
-	if got == nil || got.X == nil || got.Mu != nil || got.Z != nil {
-		t.Fatalf("malformed µ/Z must drop to X/λ-only, got %+v", got)
-	}
-}
-
 // FuzzRebindRamp drives random ramp windows — zero, finite and +Inf
-// limits over randomized anchors — through RebindRamp and a bounded
-// solve. The invariants: the derived NIq reconciles exactly with the
-// count of newly-finite bounds, projection always produces µ/Z of the
-// derived length (MIPS panics otherwise), and the solve either
-// converges or fails gracefully (Refactor's pivot-decay fallback may
-// reject degenerate windows, e.g. frozen dispatch, but must not panic)
-// — and deterministically.
+// limits over randomized anchors, on a base whose first unit may have an
+// infinite Pmax — through RebindRamp and a bounded solve. The
+// invariants: RebindRamp errors exactly when a finite limit meets an
+// infinite side, the derived layout is the base's, the window is never
+// empty, and the solve from the base solution either converges or fails
+// gracefully (a degenerate window, e.g. frozen dispatch, may end on a
+// numeric error but must not panic) — and deterministically.
 func FuzzRebindRamp(f *testing.F) {
 	o := Prepare(grid.Case9())
 	r, err := o.Solve(nil, Options{})
 	if err != nil || !r.Converged {
 		f.Fatalf("case9 base solve failed: %v", err)
 	}
-	prev := prevDispatch(o, r)
 	f.Add(int64(1), uint8(0b00), false)
 	f.Add(int64(2), uint8(0b01), true)  // zero up limits: frozen upward
 	f.Add(int64(3), uint8(0b10), false) // +Inf up limits
 	f.Add(int64(4), uint8(0b11), true)
 	f.Fuzz(func(t *testing.T, seed int64, sel uint8, unboundPmax bool) {
-		base := o
-		anchor := prev
+		base, rb := o, r
 		if unboundPmax {
 			c := grid.Case9()
 			c.Gens[0].Pmax = math.Inf(1)
 			base = Prepare(c)
-			rb, err := base.Solve(nil, Options{})
-			if err != nil || !rb.Converged {
+			var err error
+			if rb, err = base.Solve(nil, Options{}); err != nil || !rb.Converged {
 				t.Skip("unbounded base did not converge")
 			}
-			anchor = prevDispatch(base, rb)
 		}
+		anchor := prevDispatch(base, rb)
 		rng := rand.New(rand.NewSource(seed))
 		lay := base.Lay
 		limits := func(kind uint8) la.Vector {
@@ -237,32 +193,26 @@ func FuzzRebindRamp(f *testing.F) {
 		}
 		up := limits(sel & 0b11)
 		down := limits((sel >> 2) & 0b11)
-		ro, err := base.RebindRamp(anchor, up, down)
-		if err != nil {
-			t.Fatalf("valid limits rejected: %v", err)
-		}
-
-		// Accounting: NIq grows by exactly the newly-finite bounds.
 		bmin, bmax := base.Bounds()
-		cmin, cmax := ro.Bounds()
-		grown := 0
-		for i := range bmin {
-			if math.IsInf(bmax[i], 1) && !math.IsInf(cmax[i], 1) {
-				grown++
-			}
-			if math.IsInf(bmin[i], -1) && !math.IsInf(cmin[i], -1) {
-				grown++
-			}
-			if !math.IsInf(bmax[i], 1) && math.IsInf(cmax[i], 1) ||
-				!math.IsInf(bmin[i], -1) && math.IsInf(cmin[i], -1) {
-				t.Fatalf("bound %d lost finiteness", i)
-			}
+		meets := false // a finite limit on an infinite side
+		for g := 0; g < lay.NG; g++ {
+			i := lay.PgOff + g
+			meets = meets || up != nil && !math.IsInf(up[g], 1) && math.IsInf(bmax[i], 1) ||
+				down != nil && !math.IsInf(down[g], 1) && math.IsInf(bmin[i], -1)
 		}
-		if ro.Lay.NIq != base.Lay.NIq+grown {
-			t.Fatalf("NIq = %d, want %d + %d newly finite", ro.Lay.NIq, base.Lay.NIq, grown)
+		ro, err := base.RebindRamp(anchor, up, down)
+		if (err != nil) != meets {
+			t.Fatalf("RebindRamp error %v, want one: %v", err, meets)
+		}
+		if err != nil {
+			return
+		}
+		if ro.Lay != base.Lay {
+			t.Fatalf("layout %+v, want the base's %+v", ro.Lay, base.Lay)
 		}
 
 		// The window is never empty.
+		cmin, cmax := ro.Bounds()
 		for g := 0; g < lay.NG; g++ {
 			i := lay.PgOff + g
 			if cmin[i] > cmax[i] {
@@ -270,19 +220,10 @@ func FuzzRebindRamp(f *testing.F) {
 			}
 		}
 
-		// Projection always matches the derived length.
-		rb := r
-		if unboundPmax {
-			rb, _ = base.Solve(nil, Options{})
-		}
-		st := base.ProjectionTo(ro).Apply(&Start{X: rb.X, Lam: rb.Lam, Mu: rb.Mu, Z: rb.Z})
-		if len(st.Mu) != ro.Lay.NIq || len(st.Z) != ro.Lay.NIq {
-			t.Fatalf("projected µ/z lengths %d/%d, want %d", len(st.Mu), len(st.Z), ro.Lay.NIq)
-		}
-
 		// Bounded solves must terminate gracefully (converged, iteration
-		// cap, or a clean numeric error from the pivot-decay fallback) and
-		// bit-identically across repeats.
+		// cap, or a clean numeric error) and bit-identically across
+		// repeats.
+		st := &Start{X: rb.X, Lam: rb.Lam, Mu: rb.Mu, Z: rb.Z}
 		opt := Options{MaxIter: 8}
 		r1, err1 := ro.Solve(st, opt)
 		r2, err2 := ro.Solve(st, opt)
