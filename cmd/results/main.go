@@ -154,6 +154,7 @@ var codeSize = []struct {
 	{at: "after f0e2663", all: 16673, warmPath: 5535, kernel: 3205, why: "inference multiplies only the nonzero activations (a performance change; the count goes up by 57): `nn` keeps each layer's float32 weights column-major, built by a tiled transpose, and `infer32` adds the weight columns of nonzero inputs eight per pass, replacing the row-major four-output kernel (+51 in `infer.go`); `mtl.Model.Predict` runs through `predict`, which takes each network's forward pass so a test can substitute the row-major reference (+5); `serve_warm_large` `latency_ms_mid` 12.97 → 9.92 ms (PERFORMANCE.md)"},
 	{at: "after 8e71d89", all: 16810, warmPath: 5535, kernel: 3205, why: "a served model boots in one streamed pass (a performance change; the count goes up by 137): `nn/serialize.go`'s gob `SaveParams`/`LoadParams` became the raw tensor-stream codec every model file uses — magic/version header, every tensor's length, raw little-endian float64 through one 32 KiB buffer, three named errors (+117); `mtl` builds `Load`'s and `Clone`'s networks without an init draw and writes the normalizer as ten tensors of the stream, its gob `snapshot` type deleted (+22); `nn.Param.Grad` allocated by training's first use (+12); `examples/transfer`'s save/load clone replaced by `Clone` (−15); `serve_warm_large` `rss_peak_mb` 478.3 → 192.4 MiB (PERFORMANCE.md)"},
 	{at: "after d00f7c1", all: 16645, warmPath: 5459, kernel: 3205, why: "one layout per grid: `RebindRamp` only tightens bounds that are already finite and rejects a finite limit on an infinite side, so its NIq recount, the ramp-row start projection of `internal/opf` (its type, constructor, apply and row map and the seed constant; −77) and the trajectory stepper's previous-instance field and two projection calls are deleted; `horizon.Runner` rejects a model laid out for another grid (+4); `examples/scaling` and `examples/sensitivity`, their CLIs with fixed flags, deleted (−90)"},
+	{at: "after 8cc4a8f", all: 16781, warmPath: 5479, kernel: 3313, why: "the stepper corrects the KKT inertia while the barrier is large (a performance change; the count goes up by 136): `mips.Stepper.factorKKT` is the one routine that factors and regularizes, with the δ_w ladder in `correctInertia`, its documented constants and the reg-slot save/shift in the arena (+94 in `mips`), `sparse.LDLFactors.NegativePivots` (+14), the correction count through `opf.Result`, `core.WarmOutcome` and `pgsimd_kkt_inertia_corrections_total` (+20), RESULTS.md's note on the MIPS-faithful cold column and this row (+8); `serve_cold_mid` `latency_ms_mid` 9.12 → 8.01 ms (PERFORMANCE.md)"},
 }
 
 func main() {
@@ -234,6 +235,13 @@ func main() {
 	w("Table II-scale reconstruction, not the original case file. A larger")
 	w("corpus (core.TrainingDefaults or the EXPERIMENTS.md full-sweep")
 	w("recipe) pushes the success rate — and with it the speedup — up.")
+	w("")
+	w("The cold column is the MIPS-faithful one: `%s` was recorded", *in)
+	w("before the solver corrected the KKT inertia while the barrier is")
+	w("large (DESIGN.md §7), which shortens the cold solves of wrong-inertia")
+	w("systems (case118 at nominal load: 34 → 17 iterations) and so shrinks")
+	w("the speedup measured against them. The file is not regenerated here")
+	w("(ROADMAP item 8a).")
 	w("")
 	w("## Per-system solve cost and offline profile")
 	w("")

@@ -196,6 +196,10 @@ type WarmOutcome struct {
 	PrepTime    time.Duration
 	Cost        float64
 	Result      *opf.Result
+
+	// InertiaCorrections counts the KKT inertia corrections of the warm
+	// attempt and of its restart, if one ran.
+	InertiaCorrections int
 }
 
 // SolveWarm executes predict→warm-solve→(fallback restart).
@@ -213,8 +217,10 @@ func (s *System) SolveWarmInstance(m opf.Predictor, o *opf.OPF, input []float64)
 	infer := time.Since(t0)
 	out := o.SolveWarm(start, opf.Options{})
 	first, r := out.Result, out.Result
+	corrections := r.InertiaCorrections
 	if out.Restarted {
 		first = out.Warm
+		corrections += first.InertiaCorrections
 		if out.Err != nil || !r.Converged {
 			r = out.Warm // neither attempt converged: the warm one is reported
 		}
@@ -230,5 +236,7 @@ func (s *System) SolveWarmInstance(m opf.Predictor, o *opf.OPF, input []float64)
 		Iterations:  r.Iterations,
 		Cost:        r.Cost,
 		Result:      r,
+
+		InertiaCorrections: corrections,
 	}
 }

@@ -25,23 +25,28 @@ import (
 // CI.
 //
 // The run is bounded: past the fixed point the barrier weights grow
-// without limit, and within some 50 iterations on case118 a KKT column
-// collapses below the factorization's singularity threshold and the
-// solve ends (ErrNumeric). The measured run ends well before that.
+// without limit, and some 30 iterations into a cold case118 solve a KKT
+// column collapses below the factorization's singularity threshold and
+// the solve ends (ErrNumeric). The measured run ends before that, and
+// it starts early enough to hold the inertia-corrected steps of the
+// first iterations, where the barrier is still large: their saved
+// primal diagonal and repeated factorizations must not allocate either.
 
-// Warm-up and measured Steps of the harness: by iteration warmSteps
-// every lazily built structure exists, and warmSteps+measuredSteps stays
-// short of case118's collapse at the fixed point.
+// Warm-up and measured Steps of the harness: the first Step builds
+// every lazily built structure, and warmSteps+measuredSteps stays short
+// of case118's collapse at the fixed point.
 const (
-	warmSteps     = 20
+	warmSteps     = 1
 	measuredSteps = 20
 )
 
 // stepAllocs runs n Steps of s and returns the heap allocations they
-// made, failing if the stepper finishes.
+// made, failing if the stepper finishes or if no Step of the window
+// corrected the KKT inertia.
 func stepAllocs(tb testing.TB, s *mips.Stepper, n int) uint64 {
 	tb.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	before := s.Result().InertiaCorrections
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < n; i++ {
@@ -50,6 +55,9 @@ func stepAllocs(tb testing.TB, s *mips.Stepper, n int) uint64 {
 		}
 	}
 	runtime.ReadMemStats(&m1)
+	if s.Result().InertiaCorrections == before {
+		tb.Fatalf("no inertia correction in the %d measured Steps", n)
+	}
 	return m1.Mallocs - m0.Mallocs
 }
 
@@ -114,7 +122,7 @@ func TestEmbeddedStepAllocsZero(t *testing.T) {
 	for _, c := range []*grid.Case{grid.Case14(), grid.Case118()} {
 		t.Run(c.Name, func(t *testing.T) {
 			base := opf.Prepare(c)
-			out, err := base.RebindOutage(0) // meshed on both systems
+			out, err := base.RebindOutage(1) // meshed on both systems; corrects inertia at step 1
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,6 +35,9 @@ type Arena struct {
 	w, tmpNiq, dz, dmu, jdx la.Vector
 	hFull                   la.Vector
 	rhs, dxdlam, solveWork  la.Vector
+	// regBase holds the nx primal-diagonal KKT values an inertia
+	// correction shifts (kktSystem.saveReg).
+	regBase la.Vector
 
 	ineq ineqSystem
 	kkt  kktSystem
@@ -72,6 +75,7 @@ func (a *Arena) ensureKKT(nx, neq int) {
 	a.rhs = grow(a.rhs, n)
 	a.dxdlam = grow(a.dxdlam, n)
 	a.solveWork = grow(a.solveWork, n)
+	a.regBase = grow(a.regBase, nx)
 }
 
 // patternKey remembers the sparsity pattern a slot map was compiled
@@ -289,4 +293,20 @@ func (s *kktSystem) stamp(in *ineqSystem, w []float64, hess, jg *sparse.CSC, reg
 		v[p] += -kktStaticReg
 	}
 	return s.m
+}
+
+// saveReg copies the values of the primal-diagonal slots into base.
+func (s *kktSystem) saveReg(base []float64) {
+	for i, p := range s.reg {
+		base[i] = s.m.Val[p]
+	}
+}
+
+// shiftReg writes base + dw into the primal-diagonal slots. reg is the
+// last contribution stamp sums into them, so after a stamp at reg 0 and
+// saveReg this gives the values a stamp at reg = dw would, bit for bit.
+func (s *kktSystem) shiftReg(base []float64, dw float64) {
+	for i, p := range s.reg {
+		s.m.Val[p] = base[i] + dw
+	}
 }

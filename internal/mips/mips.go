@@ -12,6 +12,15 @@
 // slack vector Z cover both nonlinear constraints and bounds — the
 // objects the Smart-PGSim network predicts.
 //
+// The one departure from mips.m: while the barrier γ is above 1e-4, a
+// KKT factor of wrong inertia — other than neq negative pivots, so the
+// (1,1) block is not positive definite on the null space of the
+// equality Jacobian — is refactored with δ_w·I added to that block
+// (Wächter & Biegler 2006, §3.1; see inertiaGamma). Cold solves that
+// meet such factors converge in fewer iterations (case118 at nominal
+// load: 17 against 34); warm starts begin far below the threshold and
+// take mips.m's steps.
+//
 // A solve that does not converge ends on one of three verdicts, tested
 // in this order after the convergence test of each iteration: ErrMaxIter
 // at Options.MaxIter, ErrNumeric on NaN iterates (or a KKT system no
@@ -181,6 +190,11 @@ type Result struct {
 	NIqNonlin int
 	// UpperIdx/LowerIdx give the variable index of each bound row.
 	UpperIdx, LowerIdx []int
+	// InertiaCorrections counts the KKT refactorizations made to correct
+	// the factor's inertia (see inertiaGamma): a solve factors its KKT
+	// system Iterations + InertiaCorrections times, Tikhonov retries
+	// included.
+	InertiaCorrections int
 }
 
 // ErrNumeric is returned when the KKT system cannot be solved.
@@ -195,6 +209,23 @@ var ErrNumeric = errors.New("mips: numerical failure in KKT solve")
 // iterate whose pivot still decays, and a column that collapses is
 // rejected (sparse.ErrSingular) into the Tikhonov retry.
 const kktStaticReg = 1e-8
+
+// The inertia correction of factorKKT. While γ > inertiaGamma, a factor
+// with other than neq negative pivots is refactored with δ_w·I on the
+// (1,1) block: δ_w starts at dwLast/3 (at least dwMin), or at dwFirst
+// in a solve without an earlier correction, and grows ×dwUpLast
+// (×dwUpFirst without one); past dwMax the solve ends with ErrNumeric.
+// Below inertiaGamma, where every warm start begins, the factor is used
+// as it is (PERFORMANCE.md, "Inertia correction while the barrier is
+// large").
+const (
+	inertiaGamma = 1e-4
+	dwFirst      = 1e-4
+	dwMin        = 1e-20
+	dwMax        = 1e40
+	dwUpFirst    = 100
+	dwUpLast     = 8
+)
 
 // ErrMaxIter is returned when the iteration limit is reached.
 var ErrMaxIter = errors.New("mips: maximum iterations reached without convergence")
@@ -252,6 +283,8 @@ type Stepper struct {
 	f, f0         float64
 	df            la.Vector
 	gamma, regKKT float64
+	// dwLast is the last δ_w an inertia correction accepted (0: none yet).
+	dwLast float64
 
 	// best is the smallest feasibility condition seen so far; bests[i %
 	// stallWindow] holds its value at iteration i for the last
@@ -482,18 +515,11 @@ func (s *Stepper) Step() (bool, error) {
 		rhs[nx+i] = -s.g[i]
 	}
 
-	fac, ferr := s.kkt.FactorizeInto(&ar.slot, kkt)
-	if ferr != nil {
-		// Retry the same iterate with escalating Tikhonov
-		// regularization on the (1,1) block.
-		if s.regKKT == 0 {
-			s.regKKT = 1e-8
-		} else {
-			s.regKKT *= 100
-		}
-		if s.regKKT > 1e-2 {
-			return s.finish(fmt.Errorf("%w: %v", ErrNumeric, ferr))
-		}
+	fac, err := s.factorKKT(kkt)
+	if err != nil {
+		return s.finish(err)
+	}
+	if fac == nil {
 		s.iter++
 		return false, nil
 	}
@@ -541,6 +567,54 @@ func (s *Stepper) Step() (bool, error) {
 	s.evalGH()
 	s.iter++
 	return false, nil
+}
+
+// factorKKT factors the Newton KKT system and decides how it is
+// regularized; no other code does. A collapsed column
+// (sparse.ErrSingular) rejects the factorization: the iterate is retried
+// on the next Step with escalating Tikhonov regularization regKKT on the
+// (1,1) block, and factorKKT returns nil factors, or ErrNumeric once
+// regKKT would pass 1e-2. A factor of wrong inertia at a large barrier
+// is corrected.
+func (s *Stepper) factorKKT(kkt *sparse.CSC) (*sparse.LDLFactors, error) {
+	fac, err := s.kkt.FactorizeInto(&s.ar.slot, kkt)
+	if err != nil {
+		if s.regKKT == 0 {
+			s.regKKT = 1e-8
+		} else {
+			s.regKKT *= 100
+		}
+		if s.regKKT > 1e-2 {
+			return nil, fmt.Errorf("%w: %v", ErrNumeric, err)
+		}
+		return nil, nil
+	}
+	if s.gamma <= inertiaGamma || fac.NegativePivots() == s.neq {
+		return fac, nil
+	}
+	return s.correctInertia(kkt)
+}
+
+// correctInertia refactors kkt up the δ_w ladder until its factor has
+// neq negative pivots. δ_w goes into the primal-diagonal slots the stamp
+// already carries, on the same analysis and without a new Hessian; a
+// collapsed column on the way counts as wrong inertia.
+func (s *Stepper) correctInertia(kkt *sparse.CSC) (*sparse.LDLFactors, error) {
+	ar := s.ar
+	ar.kkt.saveReg(ar.regBase)
+	dw, up := dwFirst, float64(dwUpFirst)
+	if s.dwLast > 0 {
+		dw, up = math.Max(s.dwLast/3, dwMin), dwUpLast
+	}
+	for ; dw <= dwMax; dw *= up {
+		ar.kkt.shiftReg(ar.regBase, dw)
+		s.res.InertiaCorrections++
+		if fac, err := s.kkt.FactorizeInto(&ar.slot, kkt); err == nil && fac.NegativePivots() == s.neq {
+			s.dwLast = dw
+			return fac, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: no δ_w up to %g corrects the KKT inertia at iteration %d", ErrNumeric, dwMax, s.iter)
 }
 
 // newtonKKT evaluates the Hessian at the current iterate and assembles

@@ -14,8 +14,9 @@ import (
 // iterations and ended on the same objective, X, λ, µ and Z bit for bit.
 func requireSameIterates(t *testing.T, gotName string, got *mips.Result, refName string, ref *mips.Result) {
 	t.Helper()
-	if got.Iterations != ref.Iterations {
-		t.Errorf("%s took %d iterations, %s %d", gotName, got.Iterations, refName, ref.Iterations)
+	if got.Iterations != ref.Iterations || got.InertiaCorrections != ref.InertiaCorrections {
+		t.Errorf("%s took %d iterations and %d inertia corrections, %s %d and %d", gotName,
+			got.Iterations, got.InertiaCorrections, refName, ref.Iterations, ref.InertiaCorrections)
 	}
 	if math.Float64bits(got.F) != math.Float64bits(ref.F) {
 		t.Errorf("%s objective %v, %s %v", gotName, got.F, refName, ref.F)
@@ -120,18 +121,21 @@ func TestPrivateCacheMatchesSharedCache(t *testing.T) {
 				}
 				ref := s.Result()
 
-				want := sparse.CacheStats{Analyses: 1, Orderings: 1, Refactors: uint64(ref.Iterations - 1)}
+				// One factorization per iteration and one per inertia
+				// correction; the first makes the analysis.
+				factors := uint64(ref.Iterations + ref.InertiaCorrections)
+				want := sparse.CacheStats{Analyses: 1, Orderings: 1, Refactors: factors - 1}
 				for _, pass := range []string{"analyzing", "refactor-only"} {
 					r, err := inst.Solve(start, opf.Options{})
 					if err != nil {
 						t.Fatalf("%s shared-cache solve failed: %v", pass, err)
 					}
-					got := &mips.Result{Iterations: r.Iterations, F: r.Cost, X: r.X, Lam: r.Lam, Mu: r.Mu, Z: r.Z}
+					got := &mips.Result{Iterations: r.Iterations, InertiaCorrections: r.InertiaCorrections, F: r.Cost, X: r.X, Lam: r.Lam, Mu: r.Mu, Z: r.Z}
 					requireSameIterates(t, pass+" shared-cache solve", got, "private-cache stepper", ref)
 					if st := base.KKTStats(); st != want {
 						t.Errorf("after the %s solve the grid's KKT stats are %+v, want %+v", pass, st, want)
 					}
-					want.Refactors += uint64(ref.Iterations)
+					want.Refactors += factors
 				}
 			})
 		}

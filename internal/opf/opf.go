@@ -76,6 +76,10 @@ type Result struct {
 	PrepTime  time.Duration // problem construction
 	SolveTime time.Duration // interior-point iterations
 	Trace     []mips.IterStat
+
+	// InertiaCorrections counts the KKT refactorizations beyond one per
+	// iteration (mips.Result).
+	InertiaCorrections int
 }
 
 // OPF is a prepared AC-OPF instance, reusable across solves with
@@ -439,6 +443,8 @@ func (o *OPF) extract(mr *mips.Result) *Result {
 		Trace:      mr.Trace,
 		Va:         mr.X[lay.VaOff : lay.VaOff+lay.NB].Clone(),
 		Vm:         mr.X[lay.VmOff : lay.VmOff+lay.NB].Clone(),
+
+		InertiaCorrections: mr.InertiaCorrections,
 	}
 	res.Pg = make(la.Vector, lay.NG)
 	res.Qg = make(la.Vector, lay.NG)

@@ -107,6 +107,7 @@ func (s *Server) execute(j *job) *SolveResponse {
 	inst := j.st.sys.OPF.Perturb(j.factors)
 	var input []float64
 	var r *opf.Result
+	var corrections int
 	if mv := j.st.model(); mv != nil && !j.cold {
 		// The model version is loaded once per request and the request
 		// predicts only with it, so a concurrent hot swap can neither drop
@@ -120,7 +121,7 @@ func (s *Server) execute(j *job) *SolveResponse {
 		}
 		input = dataset.InputVector(inst.Case)
 		w := j.st.sys.SolveWarmInstance(mv.pred, inst, input)
-		r = w.Result
+		r, corrections = w.Result, w.InertiaCorrections
 		resp.Path = "warm"
 		resp.WarmConverged = w.Converged
 		if !w.Converged {
@@ -148,7 +149,7 @@ func (s *Server) execute(j *job) *SolveResponse {
 			input = dataset.InputVector(inst.Case)
 		}
 		out := inst.SolveWarm(nil, opf.Options{}) // a solver error reports as Converged=false
-		r = out.Result
+		r, corrections = out.Result, out.Result.InertiaCorrections
 		resp.Timing = Timing{PrepUS: usec(r.PrepTime), SolveUS: usec(out.SolveTime)}
 	}
 	resp.Converged = r.Converged
@@ -158,6 +159,6 @@ func (s *Server) execute(j *job) *SolveResponse {
 	s.lifecycleObserve(j.st, j.factors, input, resp, r)
 	total := time.Since(t0)
 	resp.Timing.TotalUS = usec(total)
-	s.met.recordSolve(resp, total)
+	s.met.recordSolve(resp, corrections, total)
 	return resp
 }

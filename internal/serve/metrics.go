@@ -129,6 +129,7 @@ type metrics struct {
 
 	requests, solves, iterations              *counter
 	warmAttempts, warmConverged, coldRestarts *counter
+	kktCorrections                            *counter
 
 	// Screening counters, per system: sweeps completed, scenarios
 	// screened, feasible/warm/projected/error outcomes, and topology
@@ -166,6 +167,8 @@ func newMetrics() *metrics {
 		warmAttempts:  newCounter("pgsimd_warm_attempts_total", "Warm-start attempts (requests served with a model)."),
 		warmConverged: newCounter("pgsimd_warm_converged_total", "Warm starts that converged without restart (hit rate numerator)."),
 		coldRestarts:  newCounter("pgsimd_cold_restarts_total", "Cold fallbacks after a non-convergent warm start."),
+		kktCorrections: newCounter("pgsimd_kkt_inertia_corrections_total",
+			"KKT refactorizations of /v1/solve solves (warm attempts and their restarts) made to correct the factor's inertia while the barrier is large.", "system"),
 
 		screens:         newCounter("pgsimd_screen_sweeps_total", "Completed /v1/screen contingency sweeps per system.", "system"),
 		screenScenarios: newCounter("pgsimd_screen_scenarios_total", "Scenarios screened per system.", "system"),
@@ -232,11 +235,12 @@ func (m *metrics) recordTrajectoryStep(system, mode string, warm bool, latency t
 	m.trajectoryStepLatency.observe(latency.Seconds())
 }
 
-func (m *metrics) recordSolve(resp *SolveResponse, latency time.Duration) {
+func (m *metrics) recordSolve(resp *SolveResponse, corrections int, latency time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.solves.add(1, resp.System, resp.Path)
 	m.iterations.add(int64(resp.Iterations), resp.System, resp.Path)
+	m.kktCorrections.add(int64(corrections), resp.System)
 	if resp.Path != "cold" {
 		m.warmAttempts.add(1)
 		if resp.WarmConverged {
@@ -326,6 +330,7 @@ func (m *metrics) render(w io.Writer, queueDepth int, kkt []kktStat, lcs []lcSta
 			fmt.Fprintf(w, "%s{system=%q} %d\n", f.name, k.system, f.pick(k.stats))
 		}
 	}
+	m.kktCorrections.render(w)
 
 	for _, c := range []*counter{m.lcSwaps, m.lcDrift, m.lcCanarySolves, m.lcDecisions} {
 		c.render(w)

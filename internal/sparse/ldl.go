@@ -412,6 +412,20 @@ func (s *LDLSymbolic) factor(f *LDLFactors, a *CSC) error {
 	return nil
 }
 
+// NegativePivots returns the number of negative pivots in D. By
+// Sylvester's law of inertia it is the number of negative eigenvalues of
+// the factored matrix: the static pivot boost changes a pivot's
+// magnitude, never its sign.
+func (f *LDLFactors) NegativePivots() int {
+	neg := 0
+	for _, v := range f.d {
+		if v < 0 {
+			neg++
+		}
+	}
+	return neg
+}
+
 // panelUpdate adds −Σ L(k,j)·d_j·L(rows,j) over the member columns j =
 // j0..e of one supernode into acc, which is aligned with the trailing
 // len(acc) rows of every member column (the first of them row k). Four

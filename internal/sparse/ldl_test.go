@@ -442,3 +442,55 @@ func FuzzRefactorBlockedEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// TestNegativePivotsCountInertia pins NegativePivots to Sylvester's law
+// on matrices of known inertia, under every ordering. The bordered
+// system [H Jᵀ; J −δ] with H = diag(h1, h2) and J = [1 1] has one
+// negative eigenvalue when H is positive on J's null space (h1 + h2 > 0)
+// and two when it is not, whatever H's own signs; a random symmetric
+// quasi-definite matrix has exactly as many as it has dual rows.
+func TestNegativePivotsCountInertia(t *testing.T) {
+	bordered := func(h1, h2 float64) *CSC {
+		b := NewBuilder(3, 3)
+		b.Append(0, 0, h1)
+		b.Append(1, 1, h2)
+		b.Append(2, 2, -1e-8)
+		for _, j := range []int{0, 1} {
+			b.Append(2, j, 1)
+			b.Append(j, 2, 1)
+		}
+		return b.ToCSC()
+	}
+	r := rand.New(rand.NewSource(3))
+	type fixture struct {
+		name string
+		a    *CSC
+		neg  int
+	}
+	fixtures := []fixture{
+		{"H positive definite", bordered(2, 1), 1},
+		{"H indefinite, positive on null(J)", bordered(2, -1), 1},
+		{"H negative on null(J)", bordered(1, -2), 2},
+	}
+	for k := 0; k < 5; k++ {
+		qp := randQuasiDefPattern(r, 40)
+		dual := 0
+		for _, d := range qp.dual {
+			if d {
+				dual++
+			}
+		}
+		fixtures = append(fixtures, fixture{"quasi-definite", qp.build(r), dual})
+	}
+	for _, fx := range fixtures {
+		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
+			var f LDLFactors
+			if err := AnalyzeLDL(fx.a, ord).FactorInto(&f, fx.a); err != nil {
+				t.Fatalf("%s, %v: %v", fx.name, ord, err)
+			}
+			if got := f.NegativePivots(); got != fx.neg {
+				t.Errorf("%s, %v: %d negative pivots, want %d", fx.name, ord, got, fx.neg)
+			}
+		}
+	}
+}
