@@ -1207,6 +1207,8 @@ func writeKernelReport(b *testing.B) {
 			"ops":                           n,
 			"supernodes":                    supernodes,
 			"panel_cols":                    panelCols,
+			"updates":                       sym.Updates(),
+			"flops":                         sym.Flops(),
 			"ldl_allocs":                    ldlAllocs,
 			"ldl_backward_error":            beL,
 			"lu_backward_error":             beU,

@@ -76,6 +76,7 @@ type kernelRow struct {
 	Speedup    float64 `json:"speedup"`
 	Supernodes int     `json:"supernodes"`
 	PanelCols  int     `json:"panel_cols"`
+	Updates    int     `json:"updates"`
 }
 
 type fillRow struct {
@@ -155,6 +156,7 @@ var codeSize = []struct {
 	{at: "after 8e71d89", all: 16810, warmPath: 5535, kernel: 3205, why: "a served model boots in one streamed pass (a performance change; the count goes up by 137): `nn/serialize.go`'s gob `SaveParams`/`LoadParams` became the raw tensor-stream codec every model file uses — magic/version header, every tensor's length, raw little-endian float64 through one 32 KiB buffer, three named errors (+117); `mtl` builds `Load`'s and `Clone`'s networks without an init draw and writes the normalizer as ten tensors of the stream, its gob `snapshot` type deleted (+22); `nn.Param.Grad` allocated by training's first use (+12); `examples/transfer`'s save/load clone replaced by `Clone` (−15); `serve_warm_large` `rss_peak_mb` 478.3 → 192.4 MiB (PERFORMANCE.md)"},
 	{at: "after d00f7c1", all: 16645, warmPath: 5459, kernel: 3205, why: "one layout per grid: `RebindRamp` only tightens bounds that are already finite and rejects a finite limit on an infinite side, so its NIq recount, the ramp-row start projection of `internal/opf` (its type, constructor, apply and row map and the seed constant; −77) and the trajectory stepper's previous-instance field and two projection calls are deleted; `horizon.Runner` rejects a model laid out for another grid (+4); `examples/scaling` and `examples/sensitivity`, their CLIs with fixed flags, deleted (−90)"},
 	{at: "after 8cc4a8f", all: 16781, warmPath: 5479, kernel: 3313, why: "the stepper corrects the KKT inertia while the barrier is large (a performance change; the count goes up by 136): `mips.Stepper.factorKKT` is the one routine that factors and regularizes, with the δ_w ladder in `correctInertia`, its documented constants and the reg-slot save/shift in the arena (+94 in `mips`), `sparse.LDLFactors.NegativePivots` (+14), the correction count through `opf.Result`, `core.WarmOutcome` and `pgsimd_kkt_inertia_corrections_total` (+20), RESULTS.md's note on the MIPS-faithful cold column and this row (+8); `serve_cold_mid` `latency_ms_mid` 9.12 → 8.01 ms (PERFORMANCE.md)"},
+	{at: "after 287227f", all: 17062, warmPath: 5488, kernel: 3583, why: "the LDLᵀ factors by destination supernode (a performance change; the count goes up by 281): in `internal/sparse/ldl.go` (+270) `AnalyzeLDL` compiles one update program per supernode, with relative indices and block gather offsets, in place of the per-column op list, `maxPanel` and the n-length accumulator, and the kernel gathers a packed block, applies one- and two-column sources directly and wider ones through the two-target `panelUpdate`, finishes its own columns in pairs and tests collapse against one bound per factorization; `LDLSymbolic.Updates`/`Flops`; the column kernel moved to a test-only reference; `scopf.Outcome.InertiaCorrections` counted on `/v1/screen` (+9); an `updates` column in RESULTS.md's kernel table (+2); `serve_cold_mid` `latency_ms_mid` 8.58 → 7.26 ms (PERFORMANCE.md)"},
 }
 
 func main() {
@@ -354,12 +356,12 @@ func renderKernel(w func(string, ...any), path string, buf []byte) {
 		w("identity, agreeing backward errors and zero warm-path allocations")
 		w("are pinned with `b.Fatal` inside the benchmark itself:")
 		w("")
-		w("| system | KKT n | L+U | nnz(L)+n | LU ms | LDLᵀ ms | speedup | supernodes | panel cols |")
-		w("|---|---|---|---|---|---|---|---|---|")
+		w("| system | KKT n | L+U | nnz(L)+n | LU ms | LDLᵀ ms | speedup | supernodes | panel cols | supernode updates |")
+		w("|---|---|---|---|---|---|---|---|---|---|")
 		for _, n := range bySize(k.LDLKernel.Systems, func(s kernelRow) int { return s.KKTN }) {
 			s := k.LDLKernel.Systems[n]
-			w("| %s | %d | %d | %d | %.3f | %.3f | **%.2f×** | %d | %d |",
-				n, s.KKTN, s.LUNnz, s.LDLNnz, s.LUNs/1e6, s.LDLNs/1e6, s.Speedup, s.Supernodes, s.PanelCols)
+			w("| %s | %d | %d | %d | %.3f | %.3f | **%.2f×** | %d | %d | %d |",
+				n, s.KKTN, s.LUNnz, s.LDLNnz, s.LUNs/1e6, s.LDLNs/1e6, s.Speedup, s.Supernodes, s.PanelCols, s.Updates)
 		}
 		w("")
 	}

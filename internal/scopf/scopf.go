@@ -92,9 +92,12 @@ type Outcome struct {
 	// Spent is every interior-point iteration the scenario cost: a
 	// rejected warm attempt's plus the terminal solve's, errored
 	// scenarios included (0 when nothing was solved).
-	Spent     int
-	WarmUsed  bool // the model warm start converged (no restart)
-	Projected bool // the warm start was fitted to the outage (opf.AdaptStart)
+	Spent int
+	// InertiaCorrections counts the KKT inertia corrections of the same
+	// solves: the rejected warm attempt's plus the terminal solve's.
+	InertiaCorrections int
+	WarmUsed           bool // the model warm start converged (no restart)
+	Projected          bool // the warm start was fitted to the outage (opf.AdaptStart)
 	// Islanded marks a structurally infeasible scenario: the outage
 	// topology splits the network, so no solver was invoked (the
 	// scenario is classified, not solved — Iterations stays 0).
@@ -435,9 +438,10 @@ func screenClass(cl *class, pred opf.Predictor, draw *drawStart, sc Scenario) Ou
 func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool) Outcome {
 	res := Outcome{Scenario: sc}
 	out := inst.SolveWarm(start, opf.Options{})
-	res.Spent = out.Result.Iterations
+	res.Spent, res.InertiaCorrections = out.Result.Iterations, out.Result.InertiaCorrections
 	if out.Warm != nil {
 		res.Spent += out.Warm.Iterations
+		res.InertiaCorrections += out.Warm.InertiaCorrections
 	}
 	if out.Err != nil {
 		res.Err = out.Err

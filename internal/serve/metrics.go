@@ -168,7 +168,7 @@ func newMetrics() *metrics {
 		warmConverged: newCounter("pgsimd_warm_converged_total", "Warm starts that converged without restart (hit rate numerator)."),
 		coldRestarts:  newCounter("pgsimd_cold_restarts_total", "Cold fallbacks after a non-convergent warm start."),
 		kktCorrections: newCounter("pgsimd_kkt_inertia_corrections_total",
-			"KKT refactorizations of /v1/solve solves (warm attempts and their restarts) made to correct the factor's inertia while the barrier is large.", "system"),
+			"KKT refactorizations of /v1/solve and /v1/screen solves (warm attempts and their restarts) made to correct the factor's inertia while the barrier is large.", "system"),
 
 		screens:         newCounter("pgsimd_screen_sweeps_total", "Completed /v1/screen contingency sweeps per system.", "system"),
 		screenScenarios: newCounter("pgsimd_screen_scenarios_total", "Scenarios screened per system.", "system"),
@@ -220,6 +220,11 @@ func (m *metrics) recordScreen(system string, sum scopf.Summary, rep *scopf.Repo
 	m.screenStalled.add(int64(sum.Stalled), system)
 	m.screenClasses.add(int64(len(rep.Classes)), system)
 	m.screenAnalyses.add(int64(rep.KKT.Analyses), system)
+	corrections := 0
+	for _, o := range rep.Outcomes {
+		corrections += o.InertiaCorrections
+	}
+	m.kktCorrections.add(int64(corrections), system)
 	m.screenLatency.observe(latency.Seconds())
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -117,6 +118,35 @@ func TestScreenColdMatchesEngine(t *testing.T) {
 		if o.Draw != i/(len(cons)+1) || o.OutBranch != r.Scenario.OutBranch {
 			t.Fatalf("outcome %d mislabeled: %+v", i, o)
 		}
+	}
+}
+
+// A screening sweep's KKT inertia corrections reach the counter
+// /v1/solve feeds: it reads the sum over the sweep's outcomes (rejected
+// warm attempts and terminal solves), which a cold case9 sweep makes
+// nonzero.
+func TestScreenCountsInertiaCorrections(t *testing.T) {
+	sys, _ := loadFixture(t)
+	s := newTestServer(t, Config{Workers: 2}, sys, nil)
+	h := s.Handler()
+	if code, body := postScreen(t, h, `{"system":"case9","n_draws":2,"seed":4}`); code != http.StatusOK {
+		t.Fatalf("status = %d (%s)", code, body)
+	}
+	_, scenarios, _, err := s.validateScreen(&ScreenRequest{System: "case9", NDraws: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrections := 0
+	for _, o := range (&scopf.Engine{Base: sys.Case, Prepared: sys.OPF, Workers: 2}).Run(scenarios).Outcomes {
+		corrections += o.InertiaCorrections
+	}
+	if corrections == 0 {
+		t.Fatal("the cold case9 sweep made no inertia correction: the check would be vacuous")
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := fmt.Sprintf(`pgsimd_kkt_inertia_corrections_total{system="case9"} %d`, corrections); !strings.Contains(rec.Body.String(), want+"\n") {
+		t.Fatalf("metrics missing %q:\n%s", want, rec.Body.String())
 	}
 }
 

@@ -6,9 +6,14 @@ package sparse_test
 // fuzz coverage live in ldl_test.go (package sparse).
 
 import (
+	"flag"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/casegen"
@@ -129,6 +134,81 @@ func TestRefactorBlockedEmbeddedFleet(t *testing.T) {
 	}
 }
 
+// The target-supernode kernel computes every entry of L and D with the
+// operation sequence of the column-at-a-time kernel it replaced: bit for
+// bit the same factors, negative-pivot count and ErrSingular verdict, on
+// the package's synthetic fixtures under every ordering and on every
+// embedded system's production KKT at iterations 0, 3 and 10, as
+// assembled and with an inertia correction's δ_w on its primal diagonal.
+func TestLDLMatchesColumnKernel(t *testing.T) {
+	t.Run("fixtures", func(t *testing.T) {
+		for _, fx := range sparse.KernelFixtures(59) {
+			for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM, sparse.OrderAMD} {
+				if err := sparse.MatchColumnKernel(sparse.AnalyzeLDL(fx.A, ord), fx.A); err != nil {
+					t.Errorf("%s, %v: %v", fx.Name, ord, err)
+				}
+			}
+		}
+	})
+	for _, name := range casegen.EmbeddedNames() {
+		t.Run(name, func(t *testing.T) {
+			skipLargeInShort(t, name)
+			kkts, nx := productionKKT(t, name, 0, 3, 10)
+			sym := sparse.AnalyzeLDL(kkts[0], sparse.OrderAMD)
+			for i, m := range kkts {
+				shifted := m.Clone()
+				for j := 0; j < nx; j++ {
+					for p := shifted.ColPtr[j]; p < shifted.ColPtr[j+1]; p++ {
+						if shifted.RowIdx[p] == j {
+							shifted.Val[p] += 1e-4
+						}
+					}
+				}
+				if err := sparse.MatchColumnKernel(sym, m); err != nil {
+					t.Errorf("KKT %d: %v", i, err)
+				}
+				if err := sparse.MatchColumnKernel(sym, shifted); err != nil {
+					t.Errorf("KKT %d with δ_w: %v", i, err)
+				}
+			}
+		})
+	}
+}
+
+var updateWork = flag.Bool("update-work", false, "rewrite testdata/ldl_work.txt from the current analysis")
+
+const workPath = "testdata/ldl_work.txt"
+
+// TestLDLWorkPinned pins the work of factoring every embedded system's
+// production KKT pattern — dimension, stored entries nnz(L)+n,
+// supernodes, source→destination updates and flops, all pure functions
+// of the analysis — to testdata/ldl_work.txt. A change to the ordering,
+// the supernode partition or the update programs shows here as a diff;
+// regenerate with -update-work when that is the change's purpose.
+func TestLDLWorkPinned(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("# name n nnz(L)+n supernodes updates flops; written by go test ./internal/sparse -run TestLDLWorkPinned -update-work\n")
+	for _, name := range casegen.EmbeddedNames() {
+		kkts, _ := productionKKT(t, name, 0)
+		sym := sparse.AnalyzeLDL(kkts[0], sparse.OrderAMD)
+		count, _ := sym.Supernodes()
+		fmt.Fprintf(&b, "%s %d %d %d %d %d\n", name, sym.N(), sym.NNZ(), count, sym.Updates(), sym.Flops())
+	}
+	if *updateWork {
+		if err := os.WriteFile(workPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(workPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("LDLᵀ work differs from %s:\ngot:\n%swant:\n%s", workPath, got, want)
+	}
+}
+
 // Factors are a pure function of the pattern and the values: two slots
 // factoring one matrix hold the same bits, and a pooled slot that
 // alternates between grids (case118 → case300 → case118, as a mips
@@ -171,6 +251,39 @@ func TestLDLFactorsSlotIndependent(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("FactorizeInto on the grown pooled slot allocates %v times, want 0", n)
+	}
+}
+
+// A FactorSlot pooled across grids, as mips pools them, keeps the
+// LDLFactors promise: once grown by case300's factorization it factors
+// case30's KKT and case300's again without allocating, block workspace
+// included. Mallocs are read around the two calls themselves, with no
+// warm-up run to hide the first.
+func TestPooledSlotAllocFree(t *testing.T) {
+	if sparse.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	k300s, _ := productionKKT(t, "case300", 3)
+	k30s, _ := productionKKT(t, "case30", 3)
+	k300, k30 := k300s[0], k30s[0]
+	h300 := sparse.NewSymbolicCache(sparse.OrderAMD).Handle()
+	h30 := sparse.NewSymbolicCache(sparse.OrderAMD).Handle()
+	factor := func(h *sparse.CacheHandle, slot *sparse.FactorSlot, m *sparse.CSC) {
+		t.Helper()
+		if _, err := h.FactorizeInto(slot, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	factor(h30, &sparse.FactorSlot{}, k30) // publishes case30's analysis
+	pooled := &sparse.FactorSlot{}
+	factor(h300, pooled, k300)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	factor(h30, pooled, k30)
+	factor(h300, pooled, k300)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("the pooled slot allocated %d times factoring case30 then case300, want 0", n)
 	}
 }
 

@@ -16,17 +16,27 @@ import (
 // of the sparsity pattern, and the factor stores L once — about half the
 // entries and flops of an LU, which stores L and U.
 //
-// The numeric kernel computes one column of L at a time. Column k is
-// gathered from (A+Aᵀ)/2, updated by every earlier column j with
-// L(k,j) ≠ 0, then scaled by its pivot. The updating columns come in supernodes:
-// runs of consecutive columns with nested patterns, below(j) = {j+1} ∪
-// below(j+1). With each column's rows stored ascending, the rows at or
-// below k of every member of a supernode form one contiguous trailing
-// segment of the same length and the same row list. So a supernode's
-// whole contribution to column k is a dense rank-m update of
-// contiguous slices, accumulated in place when those rows are
-// consecutive, else once in a panel buffer scattered once. A width-1
-// supernode is the scalar case of the same loop.
+// Columns come in supernodes: runs of consecutive columns with nested
+// patterns, below(j) = {j+1} ∪ below(j+1). With each column's rows
+// stored ascending, a supernode T = [f..l] has one row list R_T = {f..l}
+// ∪ below(l), and column k of T holds the rows of R_T from k on. The
+// numeric kernel factors one destination supernode at a time (the
+// supernode–supernode update of Ng & Peyton 1993): T's columns are
+// gathered from (A+Aᵀ)/2 into a dense column-major block, every earlier
+// source supernode with rows in T is applied once to every column of T
+// it reaches — two target columns per pass, so each loaded L segment
+// feeds both — and T's own columns are then finished left-looking, with
+// the same pairing. A source's rows at or below T's first column are one
+// trailing segment of each of its member columns, mapped into R_T by a
+// relative index the analysis records.
+//
+// Every entry keeps the operation sequence of a column-at-a-time kernel
+// (the tests' reference, factorColumns), so the factors do not depend on
+// the blocking: sources in ascending order, each member group of
+// panelUpdate in turn, and per (source, target column) one of three
+// accumulations — in place when the rows the source updates there are
+// consecutive, directly when the source is one column wide, else through
+// a zeroed buffer added once.
 
 // boostPivotRel is the static pivot perturbation scale of the LDLᵀ
 // kernel: a pivot that decays below boostPivotRel of its column's
@@ -54,7 +64,7 @@ const singularRel = 1e-16
 
 // LDLSymbolic is the analysis of a symmetric sparsity pattern for
 // LDLᵀ: the fill-reducing permutation, the elimination tree's column
-// patterns of L, the supernode partition, and each column's update
+// patterns of L, the supernode partition, and each supernode's update
 // program. It is a pure function of the pattern, immutable after
 // AnalyzeLDL and safe to share across goroutines.
 //
@@ -65,6 +75,10 @@ const singularRel = 1e-16
 // assembled matrix as an LU of it would be (reading one triangle alone
 // cost a case30 solve on the cold corpus of PERFORMANCE.md "One
 // supernodal LDLᵀ").
+//
+// A supernode's block holds column jj (0-based within the supernode) at
+// blk[blockBase(jj, nr)+pos] for the positions pos = jj..nr-1 of its row
+// list, nr long: the lower trapezoid, packed column by column.
 type LDLSymbolic struct {
 	n       int
 	q, pinv []int // C = A(q,q); pinv[q[k]] = k
@@ -73,38 +87,44 @@ type LDLSymbolic struct {
 	lp, li []int
 	// snStart[s] is the first column of supernode s; snStart[len-1] = n.
 	snStart []int
-	// Column k takes A's diagonal entry at gdiag[k] (-1: none), adds half
-	// of each entry gpos[gptr[k]:gptr[k+1]] of A's values into the
-	// accumulator rows grow[...] (its lower part: both triangles' entries
-	// land there), and is then updated by the ops[opPtr[k]:opPtr[k+1]].
+	// Column k takes A's diagonal entry at gdiag[k] (-1: none) and half
+	// of each entry gpos[gptr[k]:gptr[k+1]] of A's values, added at the
+	// offsets gblk[...] of its supernode's block (its lower part: both
+	// triangles' entries land there).
 	gdiag      []int32
 	gptr       []int
-	gpos, grow []int32
-	opPtr      []int
-	ops        []ldlOp
-	// maxPanel is the longest segment an indirect multi-column update
-	// accumulates: the size of a factor's panel buffer.
-	maxPanel int
-	pat      pattern
+	gpos, gblk []int32
+	// upd[updPtr[t]:updPtr[t+1]] is supernode t's update program: its
+	// sources in ascending supernode order.
+	updPtr []int
+	upd    []ldlUpdate
+	// rel holds the update programs' relative indices into their
+	// destinations' row lists.
+	rel []int32
+	// maxBlock and maxRows are the largest block and row list of a
+	// supernode: the sizes of a factor's workspace.
+	maxBlock, maxRows int
+	pat               pattern
 }
 
-// ldlOp is one update of a column k by a source supernode: its member
-// columns c0..e (e is the supernode's last column, or k-1 when k lies
-// inside it), each over its trailing ln rows — rows k and below, the
-// same row list for every member — which end at lx[end] of column e.
-type ldlOp struct {
-	c0, e, end, ln int32
-	kind           uint8
+// ldlUpdate is one source supernode's update of a destination T: its
+// member columns c0..e, each over its trailing ln rows — the source's
+// rows at or below T's first column, one row list for every member,
+// whose positions in T's row list are rel[rel:rel+ln]. The first m of
+// those rows are the columns of T the source reaches; target i updates
+// rows i..ln-1, which are consecutive, so accumulate in place, for every
+// i ≥ dense.
+type ldlUpdate struct {
+	c0, e, ln, m, dense, rel int32
 }
 
-// Op kinds: the rows are consecutive (update the accumulator in place),
-// the supernode is one column wide, or neither (accumulate the panel,
-// then scatter it).
-const (
-	opDense uint8 = iota
-	opScalar
-	opPanel
-)
+// negZero is −0, the additive identity: −0 + x is x for every x, where
+// +0 + x turns x = −0 into +0.
+var negZero = math.Copysign(0, -1)
+
+// blockBase is the offset of column jj's position 0 in the packed block
+// of a supernode with an nr-row list.
+func blockBase(jj, nr int) int { return jj*nr - jj*(jj+1)/2 }
 
 // AnalyzeLDL computes the LDLᵀ analysis of a's pattern under ord. It
 // reads no values and cannot fail.
@@ -142,7 +162,7 @@ func AnalyzeLDL(a *CSC, ord Ordering) *LDLSymbolic {
 		rp[k+1] += rp[k]
 	}
 	s.gpos = make([]int32, s.gptr[n])
-	s.grow = make([]int32, s.gptr[n])
+	grow := make([]int, s.gptr[n])
 	rc := make([]int, rp[n])
 	next := slices.Clone(s.gptr[:n])
 	nextR := slices.Clone(rp[:n])
@@ -150,7 +170,7 @@ func AnalyzeLDL(a *CSC, ord Ordering) *LDLSymbolic {
 		for p := a.ColPtr[c]; p < a.ColPtr[c+1]; p++ {
 			if i, k := s.pinv[a.RowIdx[p]], s.pinv[c]; i != k {
 				i, k = max(i, k), min(i, k)
-				s.gpos[next[k]], s.grow[next[k]] = int32(p), int32(i)
+				s.gpos[next[k]], grow[next[k]] = int32(p), i
 				next[k]++
 				rc[nextR[i]] = k
 				nextR[i]++
@@ -214,55 +234,89 @@ func AnalyzeLDL(a *CSC, ord Ordering) *LDLSymbolic {
 	// Supernodes: j-1 extends j's run when j is its parent and its
 	// column is j's plus row j — by the etree structure theorem,
 	// below(j-1) \ {j} ⊆ below(j), so equal counts make the sets nest.
+	// snOf (reusing mark) is each column's supernode.
 	for j := 0; j < n; j++ {
 		if j == 0 || parent[j-1] != j || cnt[j-1] != cnt[j]+1 {
 			s.snStart = append(s.snStart, j)
 		}
 	}
 	s.snStart = append(s.snStart, n)
-
-	// Update programs. Supernode [c0..e] with shared rows S = below(e)
-	// updates each of its own columns k in (c0, e] over rows {k..e} ∪ S,
-	// and every k ∈ S over the rows of S from k on. Sources are listed
-	// in ascending supernode order.
 	ns := len(s.snStart) - 1
-	s.opPtr = make([]int, n+1)
+	snOf := mark
 	for sn := 0; sn < ns; sn++ {
+		for k := s.snStart[sn]; k < s.snStart[sn+1]; k++ {
+			snOf[k] = sn
+		}
+	}
+
+	// Update programs. Source [c0..e] with shared rows S = below(e)
+	// reaches destination t through the run of S that are t's columns,
+	// and updates each of them over the rows of S from it on: the run's
+	// first row and all after it are the source's rows at or below t's
+	// first column. Sweeping sources in ascending order lists each
+	// program's sources ascending.
+	runs := func(visit func(sn, t, t0, m int)) {
+		for sn := 0; sn < ns; sn++ {
+			e := s.snStart[sn+1] - 1
+			shared := s.li[s.lp[e]:s.lp[e+1]]
+			for t0 := 0; t0 < len(shared); {
+				t, m := snOf[shared[t0]], 1
+				for t0+m < len(shared) && snOf[shared[t0+m]] == t {
+					m++
+				}
+				visit(sn, t, t0, m)
+				t0 += m
+			}
+		}
+	}
+	s.updPtr = make([]int, ns+1)
+	runs(func(_, t, _, _ int) { s.updPtr[t+1]++ })
+	for t := 0; t < ns; t++ {
+		s.updPtr[t+1] += s.updPtr[t]
+	}
+	s.upd = make([]ldlUpdate, s.updPtr[ns])
+	copy(next, s.updPtr[:ns])
+	runs(func(sn, t, t0, m int) {
 		c0, e := s.snStart[sn], s.snStart[sn+1]-1
-		for k := c0 + 1; k <= e; k++ {
-			s.opPtr[k+1]++
+		rows := s.li[s.lp[e]+t0 : s.lp[e+1]]
+		ln, dense := len(rows), m
+		for dense > 0 && rows[ln-1]-rows[dense-1] == ln-dense {
+			dense--
 		}
-		for _, k := range s.li[s.lp[e]:s.lp[e+1]] {
-			s.opPtr[k+1]++
+		s.upd[next[t]] = ldlUpdate{c0: int32(c0), e: int32(e), ln: int32(ln), m: int32(m), dense: int32(dense)}
+		next[t]++
+	})
+
+	// Resolve the programs' rows and the gather map to positions in each
+	// destination's row list (pos, reusing cnt).
+	pos := cnt
+	s.gblk = make([]int32, len(s.gpos))
+	for t := 0; t < ns; t++ {
+		c0, c1 := s.snStart[t], s.snStart[t+1]
+		w := c1 - c0
+		for k := c0; k < c1; k++ {
+			pos[k] = k - c0
 		}
-	}
-	for k := 0; k < n; k++ {
-		s.opPtr[k+1] += s.opPtr[k]
-	}
-	s.ops = make([]ldlOp, s.opPtr[n])
-	copy(next, s.opPtr[:n])
-	add := func(k, c0, e, ln int) {
-		end := s.lp[e+1]
-		op := ldlOp{c0: int32(c0), e: int32(e), end: int32(end), ln: int32(ln), kind: opPanel}
-		switch rows := s.li[end-ln : end]; {
-		case rows[ln-1]-rows[0] == ln-1:
-			op.kind = opDense
-		case c0 == e:
-			op.kind = opScalar
-		default:
-			s.maxPanel = max(s.maxPanel, ln)
+		below := s.li[s.lp[c1-1]:s.lp[c1]]
+		for p, r := range below {
+			pos[r] = w + p
 		}
-		s.ops[next[k]] = op
-		next[k]++
-	}
-	for sn := 0; sn < ns; sn++ {
-		c0, e := s.snStart[sn], s.snStart[sn+1]-1
-		shared := s.li[s.lp[e]:s.lp[e+1]]
-		for k := c0 + 1; k <= e; k++ {
-			add(k, c0, k-1, e-k+1+len(shared))
+		nr := w + len(below)
+		s.maxRows = max(s.maxRows, nr)
+		s.maxBlock = max(s.maxBlock, blockBase(w, nr)+w)
+		for k := c0; k < c1; k++ {
+			base := blockBase(k-c0, nr)
+			for g := s.gptr[k]; g < s.gptr[k+1]; g++ {
+				s.gblk[g] = int32(base + pos[grow[g]])
+			}
 		}
-		for t, k := range shared {
-			add(k, c0, e, len(shared)-t)
+		for u := s.updPtr[t]; u < s.updPtr[t+1]; u++ {
+			up := &s.upd[u]
+			up.rel = int32(len(s.rel))
+			end := s.lp[up.e+1]
+			for _, r := range s.li[end-int(up.ln) : end] {
+				s.rel = append(s.rel, int32(pos[r]))
+			}
 		}
 	}
 	return s
@@ -293,18 +347,35 @@ func (s *LDLSymbolic) Supernodes() (count, panelCols int) {
 	return count, panelCols
 }
 
+// Updates returns the number of source→destination supernode updates
+// one factorization applies: the entries of every update program.
+func (s *LDLSymbolic) Updates() int { return len(s.upd) }
+
+// Flops returns the floating-point operations of one factorization:
+// column j with c entries below its pivot updates the c(c+1)/2 entries
+// at and below each of them, a multiply and an add per entry, and
+// divides its c entries by the pivot — c(c+2) — summed over the columns.
+func (s *LDLSymbolic) Flops() int {
+	flops := 0
+	for j := 0; j < s.n; j++ {
+		c := s.lp[j+1] - s.lp[j]
+		flops += c * (c + 2)
+	}
+	return flops
+}
+
 // LDLFactors holds a numeric factorization S(q,q) = L·D·Lᵀ of the
 // symmetric part S = (A+Aᵀ)/2 of a matrix A, on an LDLSymbolic, with
-// the workspace that computes it. A zero value is
-// ready for FactorInto; it keeps its storage across calls, so
-// refactoring on the same analysis — or on one no larger — allocates
-// nothing.
+// the workspace that computes it. A zero value is ready for FactorInto;
+// it keeps its storage across calls, so refactoring on the same analysis
+// — or on one whose factor, largest supernode block and row list are no
+// larger — allocates nothing.
 type LDLFactors struct {
 	sym *LDLSymbolic
 	lx  []float64 // strict L, aligned with sym.li
 	d   []float64 // the pivots
-	x   []float64 // dense column accumulator, all-zero between calls
-	tmp []float64 // panel accumulator
+	blk []float64 // the destination supernode's block
+	tmp []float64 // two buffered accumulations, maxRows each
 }
 
 func resize(v []float64, n int) []float64 {
@@ -321,9 +392,8 @@ func (f *LDLFactors) bind(s *LDLSymbolic) {
 	f.sym = s
 	f.lx = resize(f.lx, len(s.li))
 	f.d = resize(f.d, s.n)
-	f.x = resize(f.x, s.n)
-	clear(f.x)
-	f.tmp = resize(f.tmp, s.maxPanel)
+	f.blk = resize(f.blk, s.maxBlock)
+	f.tmp = resize(f.tmp, 2*s.maxRows)
 }
 
 // FactorInto computes the LDLᵀ factorization of a into f. Pivots stay on
@@ -345,71 +415,243 @@ func (s *LDLSymbolic) FactorInto(f *LDLFactors, a *CSC) error {
 // pattern.
 func (s *LDLSymbolic) factor(f *LDLFactors, a *CSC) error {
 	f.bind(s)
-	x, lx, d, li, lp := f.x, f.lx, f.d, s.li, s.lp
-	for k := 0; k < s.n; k++ {
-		colMax := 0.0
-		for _, v := range a.Val[a.ColPtr[s.q[k]]:a.ColPtr[s.q[k]+1]] {
-			if t := math.Abs(v); t > colMax {
-				colMax = t
+	lx, d, lp := f.lx, f.d, s.lp
+	// One bound on every column's largest entry: a column whose updated
+	// entries clear it cannot have collapsed, so only the rest rescan
+	// their own matrix column.
+	aMax := 0.0
+	for _, v := range a.Val {
+		if t := math.Abs(v); t > aMax {
+			aMax = t
+		}
+	}
+	tmp1, tmp2 := f.tmp[:s.maxRows], f.tmp[s.maxRows:]
+	for t := 0; t+1 < len(s.snStart); t++ {
+		c0, c1 := s.snStart[t], s.snStart[t+1]
+		w := c1 - c0
+		nr := w + lp[c1] - lp[c1-1]
+		blk := f.blk[:blockBase(w, nr)+w]
+		clear(blk)
+		for k := c0; k < c1; k++ {
+			if p := s.gdiag[k]; p >= 0 {
+				blk[blockBase(k-c0, nr)+k-c0] = a.Val[p]
 			}
 		}
-		if p := s.gdiag[k]; p >= 0 {
-			x[k] = a.Val[p]
+		for g := s.gptr[c0]; g < s.gptr[c1]; g++ {
+			blk[s.gblk[g]] += 0.5 * a.Val[s.gpos[g]]
 		}
-		for g := s.gptr[k]; g < s.gptr[k+1]; g++ {
-			x[s.grow[g]] += 0.5 * a.Val[s.gpos[g]]
+		upd := s.upd[s.updPtr[t]:s.updPtr[t+1]]
+		for i := range upd {
+			if u := &upd[i]; u.e-u.c0 < 2 {
+				f.applyDirect(blk, nr, u)
+			} else {
+				f.applyPanel(blk, nr, u)
+			}
 		}
-		for _, op := range s.ops[s.opPtr[k]:s.opPtr[k+1]] {
-			c0, e, end, ln := int(op.c0), int(op.e), int(op.end), int(op.ln)
-			rows := li[end-ln : end]
-			switch op.kind {
-			case opDense:
-				panelUpdate(x[rows[0]:rows[0]+ln], lx, lp, d, c0, e)
-			case opScalar:
-				seg := lx[end-ln : end]
-				u := -d[e] * seg[0]
-				seg = seg[:len(rows)]
-				for t, r := range rows {
-					x[r] += seg[t] * u
+
+		// T's own columns, left-looking: column k takes members c0..k-1
+		// over its rows from k on, consecutive in the block. It
+		// accumulates in place when they are consecutive in the matrix
+		// too, or when at most one member makes it a direct update. A
+		// pair (k, k+1) shares the groups of four both columns have; each
+		// column's remaining groups follow, k's before its pivot.
+		consec := nr == w || s.li[lp[c1]-1]-c0 == nr-1
+		for k := c0; k < c1; k += 2 {
+			col1, acc1 := ownColumn(blk, nr, k-c0, consec || k <= c0+1, tmp1)
+			if k+1 == c1 {
+				if k > c0 {
+					panelUpdate(acc1, nil, lx, lp, d, c0, k-1)
 				}
-			default:
-				tmp := f.tmp[:ln]
-				clear(tmp)
-				panelUpdate(tmp, lx, lp, d, c0, e)
-				tmp = tmp[:len(rows)]
-				for t, r := range rows {
-					x[r] += tmp[t]
+				if err := s.pivot(f, a, k, col1, acc1, aMax); err != nil {
+					return err
 				}
+				break
 			}
-		}
-		dk := x[k]
-		x[k] = 0
-		rows := li[lp[k]:lp[k+1]]
-		amax := math.Abs(dk)
-		for _, r := range rows {
-			if t := math.Abs(x[r]); t > amax {
-				amax = t
+			col2, acc2 := ownColumn(blk, nr, k+1-c0, consec || k == c0, tmp2)
+			q := c0 + (k-c0)/4*4
+			if q > c0 {
+				panelUpdate(acc1, acc2, lx, lp, d, c0, q-1)
 			}
-		}
-		if math.IsNaN(dk) || !(amax > singularRel*colMax) {
-			for _, r := range rows {
-				x[r] = 0
+			if q < k {
+				panelUpdate(acc1, nil, lx, lp, d, q, k-1)
 			}
-			return ErrSingular
-		}
-		if math.Abs(dk) < boostPivotRel*amax {
-			dk = math.Copysign(boostPivotRel*amax, dk)
-		}
-		d[k] = dk
-		inv := 1 / dk
-		lk := lx[lp[k]:lp[k+1]]
-		lk = lk[:len(rows)]
-		for t, r := range rows {
-			lk[t] = x[r] * inv
-			x[r] = 0
+			if err := s.pivot(f, a, k, col1, acc1, aMax); err != nil {
+				return err
+			}
+			panelUpdate(acc2, nil, lx, lp, d, q, k)
+			if err := s.pivot(f, a, k+1, col2, acc2, aMax); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// ownColumn returns column jj of a block with an nr-row list, from its
+// pivot down, and the accumulator its own supernode's update goes to:
+// the column itself in place, else buf zeroed.
+func ownColumn(blk []float64, nr, jj int, inPlace bool, buf []float64) (col, acc []float64) {
+	base := blockBase(jj, nr)
+	col = blk[base+jj : base+nr]
+	if inPlace {
+		return col, col
+	}
+	acc = buf[:len(col)]
+	clear(acc)
+	return col, acc
+}
+
+// pivot finishes column k from its block column col (pivot first) once
+// acc, its buffered accumulation when it is not col itself, is added:
+// it checks for collapse, boosts a small pivot and scales the column
+// into L.
+func (s *LDLSymbolic) pivot(f *LDLFactors, a *CSC, k int, col, acc []float64, aMax float64) error {
+	if &acc[0] != &col[0] {
+		for t, v := range acc {
+			col[t] += v
+		}
+	}
+	dk := col[0]
+	amax := math.Abs(dk)
+	for _, v := range col[1:] {
+		if t := math.Abs(v); t > amax {
+			amax = t
+		}
+	}
+	if math.IsNaN(dk) || !(amax > singularRel*aMax) && !(amax > singularRel*columnMax(a, s.q[k])) {
+		return ErrSingular
+	}
+	if math.Abs(dk) < boostPivotRel*amax {
+		dk = math.Copysign(boostPivotRel*amax, dk)
+	}
+	f.d[k] = dk
+	inv := 1 / dk
+	lk := f.lx[s.lp[k]:s.lp[k+1]]
+	for t, v := range col[1:] {
+		lk[t] = v * inv
+	}
+	return nil
+}
+
+// columnMax is the largest magnitude in column c of a.
+func columnMax(a *CSC, c int) float64 {
+	m := 0.0
+	for _, v := range a.Val[a.ColPtr[c]:a.ColPtr[c+1]] {
+		if t := math.Abs(v); t > m {
+			m = t
+		}
+	}
+	return m
+}
+
+// applyDirect adds the update u of a source supernode one or two
+// columns wide — one member group — to every column of the destination
+// block (nr rows) it reaches, two columns per pass, without a buffer.
+// A one-column source adds s·u; a two-column one adds z + Σ s·u, where
+// z = +0 reproduces the zeroed buffer's 0 + Σ s·u of a scattered target
+// and z = −0 the in-place Σ s·u.
+func (f *LDLFactors) applyDirect(blk []float64, nr int, u *ldlUpdate) {
+	c0, e, ln, m, dense := int(u.c0), int(u.e), int(u.ln), int(u.m), int(u.dense)
+	lp := f.sym.lp
+	rel := f.sym.rel[u.rel : int(u.rel)+ln]
+	s1 := f.lx[lp[e+1]-ln : lp[e+1]]
+	s1 = s1[:len(rel)]
+	if c0 == e {
+		d1 := -f.d[e]
+		for i := 0; i < m; i += 2 {
+			b1, u1 := blockBase(int(rel[i]), nr), d1*s1[i]
+			if i+1 == m {
+				for t, r := range rel[i:] {
+					blk[b1+int(r)] += s1[i+t] * u1
+				}
+				return
+			}
+			b2, u2 := blockBase(int(rel[i+1]), nr), d1*s1[i+1]
+			blk[b1+int(rel[i])] += s1[i] * u1
+			for t, r := range rel[i+1:] {
+				x := s1[i+1+t]
+				blk[b1+int(r)] += x * u1
+				blk[b2+int(r)] += x * u2
+			}
+		}
+		return
+	}
+	s0 := f.lx[lp[c0+1]-ln : lp[c0+1]]
+	s0 = s0[:len(rel)]
+	d0, d1 := -f.d[c0], -f.d[e]
+	zero := func(i int) float64 {
+		if i < dense {
+			return 0
+		}
+		return negZero
+	}
+	for i := 0; i < m; i += 2 {
+		b1, z1 := blockBase(int(rel[i]), nr), zero(i)
+		u0, u1 := d0*s0[i], d1*s1[i]
+		if i+1 == m {
+			for t, r := range rel[i:] {
+				blk[b1+int(r)] += z1 + (s0[i+t]*u0 + s1[i+t]*u1)
+			}
+			return
+		}
+		b2, z2 := blockBase(int(rel[i+1]), nr), zero(i+1)
+		v0, v1 := d0*s0[i+1], d1*s1[i+1]
+		blk[b1+int(rel[i])] += z1 + (s0[i]*u0 + s1[i]*u1)
+		for t, r := range rel[i+1:] {
+			x0, x1 := s0[i+1+t], s1[i+1+t]
+			blk[b1+int(r)] += z1 + (x0*u0 + x1*u1)
+			blk[b2+int(r)] += z2 + (x0*v0 + x1*v1)
+		}
+	}
+}
+
+// applyPanel adds the update u of a wider source supernode to every
+// column of the destination block (nr rows) it reaches, two columns per
+// pass through panelUpdate.
+func (f *LDLFactors) applyPanel(blk []float64, nr int, u *ldlUpdate) {
+	s := f.sym
+	lx, lp, d := f.lx, s.lp, f.d
+	c0, e, ln, m, dense := int(u.c0), int(u.e), int(u.ln), int(u.m), int(u.dense)
+	rel := s.rel[u.rel : int(u.rel)+ln]
+	tmp1, tmp2 := f.tmp[:s.maxRows], f.tmp[s.maxRows:]
+	for i := 0; i < m; i += 2 {
+		b1, acc1 := target(blk, nr, rel, i, i >= dense, tmp1)
+		if i+1 == m {
+			panelUpdate(acc1, nil, lx, lp, d, c0, e)
+			scatter(blk, b1, rel[i:], acc1, i >= dense)
+			break
+		}
+		b2, acc2 := target(blk, nr, rel, i+1, i+1 >= dense, tmp2)
+		panelUpdate(acc1, acc2, lx, lp, d, c0, e)
+		scatter(blk, b1, rel[i:], acc1, i >= dense)
+		scatter(blk, b2, rel[i+1:], acc2, i+1 >= dense)
+	}
+}
+
+// target returns the block base of the destination column at rel[i] and
+// the accumulator of its update over the rows rel[i:]: the block column
+// itself when it updates in place, else buf zeroed.
+func target(blk []float64, nr int, rel []int32, i int, inPlace bool, buf []float64) (base int, acc []float64) {
+	jj := int(rel[i])
+	base = blockBase(jj, nr)
+	if inPlace {
+		return base, blk[base+jj : base+jj+len(rel)-i]
+	}
+	acc = buf[:len(rel)-i]
+	clear(acc)
+	return base, acc
+}
+
+// scatter adds a buffered accumulation over the rows rel into the block
+// column at base; an in-place one is already there.
+func scatter(blk []float64, base int, rel []int32, acc []float64, inPlace bool) {
+	if inPlace {
+		return
+	}
+	rel = rel[:len(acc)]
+	for t, v := range acc {
+		blk[base+int(rel[t])] += v
+	}
 }
 
 // NegativePivots returns the number of negative pivots in D. By
@@ -427,39 +669,67 @@ func (f *LDLFactors) NegativePivots() int {
 }
 
 // panelUpdate adds −Σ L(k,j)·d_j·L(rows,j) over the member columns j =
-// j0..e of one supernode into acc, which is aligned with the trailing
-// len(acc) rows of every member column (the first of them row k). Four
-// members per pass: acc is read and written once per four L-segment
-// streams.
-func panelUpdate(acc, lx []float64, lp []int, d []float64, j, e int) {
-	ln := len(acc)
+// j0..e of one supernode into acc1, which is aligned with the trailing
+// len(acc1) rows of every member column (the first of them row k), and
+// likewise into acc2 for the target column k2 at the first of acc2's
+// rows, aligned with the trailing len(acc2) of acc1's; acc2 may be
+// empty. Four members per pass: each target is read and written once
+// per four L-segment streams, and each loaded L entry feeds both.
+func panelUpdate(acc1, acc2, lx []float64, lp []int, d []float64, j, e int) {
+	ln := len(acc1)
+	off := ln - len(acc2)
+	v := min(off, ln-1) // the multipliers' row, in range when acc2 is empty
+	head, tail := acc1[:off], acc1[off:]
 	for ; j+3 <= e; j += 4 {
 		s0 := lx[lp[j+1]-ln : lp[j+1]]
 		s1 := lx[lp[j+2]-ln : lp[j+2]]
 		s2 := lx[lp[j+3]-ln : lp[j+3]]
 		s3 := lx[lp[j+4]-ln : lp[j+4]]
 		u0, u1, u2, u3 := -d[j]*s0[0], -d[j+1]*s1[0], -d[j+2]*s2[0], -d[j+3]*s3[0]
-		s0, s1, s2, s3 = s0[:len(acc)], s1[:len(acc)], s2[:len(acc)], s3[:len(acc)]
-		for t := range acc {
-			acc[t] += s0[t]*u0 + s1[t]*u1 + s2[t]*u2 + s3[t]*u3
+		v0, v1, v2, v3 := -d[j]*s0[v], -d[j+1]*s1[v], -d[j+2]*s2[v], -d[j+3]*s3[v]
+		for t := range head {
+			head[t] += s0[t]*u0 + s1[t]*u1 + s2[t]*u2 + s3[t]*u3
+		}
+		s0, s1, s2, s3 = s0[off:], s1[off:], s2[off:], s3[off:]
+		s0, s1, s2, s3 = s0[:len(tail)], s1[:len(tail)], s2[:len(tail)], s3[:len(tail)]
+		acc2 := acc2[:len(tail)]
+		for t := range tail {
+			x0, x1, x2, x3 := s0[t], s1[t], s2[t], s3[t]
+			tail[t] += x0*u0 + x1*u1 + x2*u2 + x3*u3
+			acc2[t] += x0*v0 + x1*v1 + x2*v2 + x3*v3
 		}
 	}
 	if j+1 <= e {
 		s0 := lx[lp[j+1]-ln : lp[j+1]]
 		s1 := lx[lp[j+2]-ln : lp[j+2]]
 		u0, u1 := -d[j]*s0[0], -d[j+1]*s1[0]
-		s0, s1 = s0[:len(acc)], s1[:len(acc)]
-		for t := range acc {
-			acc[t] += s0[t]*u0 + s1[t]*u1
+		v0, v1 := -d[j]*s0[v], -d[j+1]*s1[v]
+		for t := range head {
+			head[t] += s0[t]*u0 + s1[t]*u1
+		}
+		s0, s1 = s0[off:], s1[off:]
+		s0, s1 = s0[:len(tail)], s1[:len(tail)]
+		acc2 := acc2[:len(tail)]
+		for t := range tail {
+			x0, x1 := s0[t], s1[t]
+			tail[t] += x0*u0 + x1*u1
+			acc2[t] += x0*v0 + x1*v1
 		}
 		j += 2
 	}
 	if j == e {
 		s0 := lx[lp[j+1]-ln : lp[j+1]]
-		u0 := -d[j] * s0[0]
-		s0 = s0[:len(acc)]
-		for t := range acc {
-			acc[t] += s0[t] * u0
+		u0, v0 := -d[j]*s0[0], -d[j]*s0[v]
+		for t := range head {
+			head[t] += s0[t] * u0
+		}
+		s0 = s0[off:]
+		s0 = s0[:len(tail)]
+		acc2 := acc2[:len(tail)]
+		for t := range tail {
+			x0 := s0[t]
+			tail[t] += x0 * u0
+			acc2[t] += x0 * v0
 		}
 	}
 }
