@@ -5,8 +5,8 @@
 // value edit on the intact problem, factored on its one KKT analysis;
 // the intact-system warm start fitted to each outage, islanding outages
 // classified without solving, scenarios fanned out on the parallel
-// worker pool). With -naive it runs the per-scenario-rebuild reference
-// path instead — the baseline the engine is benchmarked against.
+// worker pool). The per-scenario-rebuild reference the engine is pinned
+// to (scopf.ScreenNaive) is not selectable here; BenchmarkScreen runs it.
 //
 // Usage:
 //
@@ -16,7 +16,6 @@
 //	scopf -case case30 -draws 8 -gens all                # generator N-1 axis
 //	scopf -case case14 -draws 1 -n2                      # every N-2 pair of the branch list
 //	scopf -case case30 -draws 16 -json > screen.json
-//	scopf -case case14 -draws 8 -naive                   # reference baseline
 package main
 
 import (
@@ -56,8 +55,6 @@ func main() {
 	epochs := flag.Int("epochs", 0, "training epochs for -train (0 = per-system default, see core.TrainingDefaults)")
 	variantName := flag.String("variant", "mtl", "model variant for -train: sep, mtl or smartpgsim")
 	workers := flag.Int("workers", 0, "worker pool size (0 = PGSIM_WORKERS or all cores)")
-	naive := flag.Bool("naive", false, "use the per-scenario-rebuild reference path instead of the topology-aware engine")
-	noProjection := flag.Bool("no-projection", false, "cold-solve the outage classes whose warm start would need adapting (a rated branch or a unit out), as -naive does")
 	jsonOut := flag.Bool("json", false, "print a machine-readable JSON summary instead of tables")
 	verbose := flag.Bool("v", false, "print one row per scenario")
 	flag.Parse()
@@ -131,37 +128,24 @@ func main() {
 		log.Fatal("nothing to screen (no draws or no topologies)")
 	}
 	t0 := time.Now()
-	var outs []scopf.Outcome
-	var classes []scopf.ClassInfo
-	var kkt, intactKKT sparse.CacheStats // outage classes'; the intact system's own, on base
-	if *naive {
-		outs = scopf.ScreenNaive(c, model, scenarios, *workers)
-	} else {
-		eng := &scopf.Engine{
-			Base: c, Prepared: base, Model: model,
-			Workers: *workers, NoProjection: *noProjection,
-		}
-		kkt0 := base.KKTStats()
-		rep := eng.Run(scenarios)
-		outs, classes, kkt = rep.Outcomes, rep.Classes, rep.KKT
-		intactKKT = base.KKTStats().Sub(kkt0)
-	}
+	eng := &scopf.Engine{Base: c, Prepared: base, Model: model, Workers: *workers}
+	kkt0 := base.KKTStats()
+	rep := eng.Run(scenarios)
+	// rep.KKT is the outage classes' work; the intact system's own is on base.
+	outs, classes, kkt := rep.Outcomes, rep.Classes, rep.KKT
+	intactKKT := base.KKTStats().Sub(kkt0)
 	elapsed := time.Since(t0)
 	sum := scopf.Summarize(outs)
 
 	if *jsonOut {
-		printJSON(c.Name, *naive, sum, classes, kkt.Add(intactKKT), elapsed)
+		printJSON(c.Name, sum, classes, kkt.Add(intactKKT), elapsed)
 		return
 	}
 	perDraw := len(cons) + len(genCons) + len(pairs) + boolInt(!*skipIntact)
 	fmt.Printf("case %s: screened %d scenarios (%d draws × %d topologies) in %v — %.1f scenarios/s\n",
 		c.Name, sum.Total, len(draws), perDraw, elapsed.Round(time.Millisecond),
 		float64(sum.Total)/elapsed.Seconds())
-	mode := "topology-aware engine"
-	if *naive {
-		mode = "naive per-scenario rebuild"
-	}
-	fmt.Printf("path: %s, %s ordering, %d workers\n", mode, base.Ordering(), batch.Workers(*workers))
+	fmt.Printf("path: topology-aware engine, %s ordering, %d workers\n", base.Ordering(), batch.Workers(*workers))
 	fmt.Printf("secure: %d/%d feasible, worst cost %.2f $/hr, mean %.1f iterations\n",
 		sum.Feasible, sum.Total, sum.WorstCost, sum.MeanIterations)
 	if model != nil {
@@ -175,15 +159,13 @@ func main() {
 		fmt.Printf("errors: %d scenarios failed to solve cleanly — %d stalled, %d iteration limit, %d numeric\n",
 			sum.Errors, sum.Stalled, sum.IterLimit, sum.Numeric)
 	}
-	if len(classes) > 0 {
-		fmt.Printf("\n%-14s %10s %8s %10s\n", "outage", "scenarios", "#µ", "warm")
-		for _, cl := range classes {
-			fmt.Printf("%-14s %10d %8d %10s\n", className(c, cl), cl.Scenarios, cl.NIq, cl.WarmMode)
-		}
-		all := kkt.Add(intactKKT)
-		fmt.Printf("KKT: %d symbolic analyses and %d orderings for %d classes — intact system %d, outage classes %d (every outage class factors on the intact system's analysis) — %d numeric refactors, %d fallbacks\n",
-			all.Analyses, all.Orderings, len(classes), intactKKT.Analyses, kkt.Analyses, all.Refactors, all.Fallbacks)
+	fmt.Printf("\n%-14s %10s %8s %10s\n", "outage", "scenarios", "#µ", "warm")
+	for _, cl := range classes {
+		fmt.Printf("%-14s %10d %8d %10s\n", className(c, cl), cl.Scenarios, cl.NIq, cl.WarmMode)
 	}
+	all := kkt.Add(intactKKT)
+	fmt.Printf("KKT: %d symbolic analyses and %d orderings for %d classes — intact system %d, outage classes %d (every outage class factors on the intact system's analysis) — %d numeric refactors, %d fallbacks\n",
+		all.Analyses, all.Orderings, len(classes), intactKKT.Analyses, kkt.Analyses, all.Refactors, all.Fallbacks)
 	if *verbose {
 		fmt.Printf("\n%6s %8s %10s %14s %6s %6s\n", "draw", "outage", "status", "cost ($/hr)", "iters", "warm")
 		for i, o := range outs {
@@ -241,14 +223,18 @@ func className(c *grid.Case, cl scopf.ClassInfo) string {
 
 // printJSON emits the machine-readable summary (the cmd-line analogue of
 // POST /v1/screen's response).
-func printJSON(name string, naive bool, sum scopf.Summary, classes []scopf.ClassInfo, kkt sparse.CacheStats, elapsed time.Duration) {
-	path := "engine"
-	if naive {
-		path = "naive"
+func printJSON(name string, sum scopf.Summary, classes []scopf.ClassInfo, kkt sparse.CacheStats, elapsed time.Duration) {
+	cls := make([]map[string]any, 0, len(classes))
+	for _, cl := range classes {
+		cls = append(cls, map[string]any{
+			"out_branch": cl.OutBranch, "out_branch2": cl.OutBranch2,
+			"out_gen": cl.OutGen, "kind": cl.Kind, "scenarios": cl.Scenarios,
+			"nmu": cl.NIq, "warm_mode": cl.WarmMode, "islanded": cl.Islanded,
+			"kkt_analyses": cl.KKT.Analyses,
+		})
 	}
 	report := map[string]any{
 		"case":              name,
-		"path":              path,
 		"scenarios":         sum.Total,
 		"feasible":          sum.Feasible,
 		"warm_converged":    sum.WarmConverged,
@@ -262,20 +248,9 @@ func printJSON(name string, naive bool, sum scopf.Summary, classes []scopf.Class
 		"worst_cost":        sum.WorstCost,
 		"elapsed_us":        elapsed.Microseconds(),
 		"scenarios_per_sec": float64(sum.Total) / elapsed.Seconds(),
-	}
-	if !naive {
-		cls := make([]map[string]any, 0, len(classes))
-		for _, cl := range classes {
-			cls = append(cls, map[string]any{
-				"out_branch": cl.OutBranch, "out_branch2": cl.OutBranch2,
-				"out_gen": cl.OutGen, "kind": cl.Kind, "scenarios": cl.Scenarios,
-				"nmu": cl.NIq, "warm_mode": cl.WarmMode, "islanded": cl.Islanded,
-				"kkt_analyses": cl.KKT.Analyses,
-			})
-		}
-		report["classes"] = cls
-		report["kkt_analyses"] = kkt.Analyses
-		report["kkt_orderings"] = kkt.Orderings
+		"classes":           cls,
+		"kkt_analyses":      kkt.Analyses,
+		"kkt_orderings":     kkt.Orderings,
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

@@ -153,3 +153,72 @@ func TestCodeSizeRecorded(t *testing.T) {
 			"add this change's row to codeSize in cmd/results and re-render (go run ./cmd/results)", lines, recorded)
 	}
 }
+
+// docCommand matches a command line the docs tell a reader to run —
+// `go run ./cmd/<name>`, or `/tmp/bin/<name>` where the verify notes
+// build the binaries — and the arguments after it up to the end of the
+// code span, a comment, a pipe or a shell operator.
+var docCommand = regexp.MustCompile("(?:go run \\./cmd/|/tmp/bin/)([a-z0-9]+)([^`#|&;>]*)")
+
+// docFlag matches a flag argument (-name, --name, -name=value) and
+// captures its name; a negative number such as -0.5 is a value, not a
+// flag.
+var docFlag = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=.*)?$`)
+
+// cmdFlagDef matches a flag definition on the standard flag package:
+// flag.String("name", …), flag.Var(v, "name", …), flag.IntVar(&v, "name", …).
+var cmdFlagDef = regexp.MustCompile(`flag\.\w+\(\s*(?:&?\w+,\s*)?"([\w-]+)"`)
+
+// TestDocsCommandLinesValid: every CLI line in README.md, EXPERIMENTS.md
+// and the verify skill must name an existing cmd/ directory and pass
+// only flags that command defines, so a deleted command or flag cannot
+// live on in a recipe. A line ending in a backslash continues on the
+// next.
+func TestDocsCommandLinesValid(t *testing.T) {
+	flagsOf := map[string]map[string]bool{} // command name → the flags its main package defines
+	srcs, err := filepath.Glob(filepath.Join("cmd", "*", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range srcs {
+		if strings.HasSuffix(src, "_test.go") {
+			continue
+		}
+		name := filepath.Base(filepath.Dir(src))
+		if flagsOf[name] == nil {
+			flagsOf[name] = map[string]bool{}
+		}
+		for _, m := range cmdFlagDef.FindAllStringSubmatch(mustRead(t, src), -1) {
+			flagsOf[name][m[1]] = true
+		}
+	}
+
+	checked := 0
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+		lines := strings.Split(mustRead(t, doc), "\n")
+		for i := 0; i < len(lines); i++ {
+			line, at := lines[i], i+1
+			for strings.HasSuffix(strings.TrimSpace(line), `\`) && i+1 < len(lines) {
+				i++
+				line = strings.TrimSuffix(strings.TrimSpace(line), `\`) + " " + lines[i]
+			}
+			for _, m := range docCommand.FindAllStringSubmatch(line, -1) {
+				checked++
+				name := m[1]
+				fl, ok := flagsOf[name]
+				if !ok {
+					t.Errorf("%s:%d runs cmd/%s, which does not exist", doc, at, name)
+					continue
+				}
+				for _, arg := range strings.Fields(m[2]) {
+					if f := docFlag.FindStringSubmatch(arg); f != nil && !fl[f[1]] {
+						t.Errorf("%s:%d passes -%s to cmd/%s, which defines no such flag", doc, at, f[1], name)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no command lines in the docs; the pattern is out of date")
+	}
+}

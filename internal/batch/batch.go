@@ -1,8 +1,8 @@
 // Package batch is the parallel batch-execution engine behind every
 // embarrassingly-parallel stage of the reproduction: dataset generation,
 // the train/test evaluation sweeps, the Table I ablation grid, the
-// synthetic-system construction of casegen and the scaling study all fan
-// their per-case work out through this worker pool.
+// synthetic-system construction of casegen and contingency screening all
+// fan their per-case work out through this worker pool.
 //
 // The engine is built for reproducibility first and throughput second:
 //

@@ -62,27 +62,6 @@ func (v Vector) Dot(w Vector) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 {
-	// Scaled to avoid overflow on extreme inputs.
-	var scale, ssq float64 = 0, 1
-	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
 // NormInf returns the maximum absolute value in v (0 for empty v).
 func (v Vector) NormInf() float64 {
 	var m float64
@@ -92,15 +71,6 @@ func (v Vector) NormInf() float64 {
 		}
 	}
 	return m
-}
-
-// Norm1 returns the sum of absolute values of v.
-func (v Vector) Norm1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
 }
 
 // Min returns the smallest element of v. Panics on empty input.
@@ -148,19 +118,6 @@ func (v Vector) HasNaN() bool {
 		}
 	}
 	return false
-}
-
-// Concat returns the concatenation of the given vectors as a new vector.
-func Concat(vs ...Vector) Vector {
-	n := 0
-	for _, v := range vs {
-		n += len(v)
-	}
-	out := make(Vector, 0, n)
-	for _, v := range vs {
-		out = append(out, v...)
-	}
-	return out
 }
 
 func checkLen(a, b int) {

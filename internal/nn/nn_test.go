@@ -205,19 +205,6 @@ func TestAdamOptimizesQuadratic(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumOptimizes(t *testing.T) {
-	p := &Param{Val: []float64{5}, Grad: []float64{0}}
-	opt := NewSGD([]*Param{p}, 0.05, 0.9)
-	for it := 0; it < 500; it++ {
-		p.ZeroGrad()
-		p.Grad[0] = 2 * p.Val[0]
-		opt.Step()
-	}
-	if math.Abs(p.Val[0]) > 1e-3 {
-		t.Fatalf("SGD did not converge: %v", p.Val[0])
-	}
-}
-
 func TestTrainSineRegression(t *testing.T) {
 	// End-to-end: a small MLP fits sin(x) on [-2, 2].
 	rng := rand.New(rand.NewSource(7))

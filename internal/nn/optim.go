@@ -48,34 +48,3 @@ func (a *Adam) Step() {
 		}
 	}
 }
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	params []*Param
-	vel    [][]float64
-}
-
-// NewSGD binds the optimizer to the parameter list.
-func NewSGD(params []*Param, lr, momentum float64) *SGD {
-	s := &SGD{LR: lr, Momentum: momentum, params: params}
-	s.vel = make([][]float64, len(params))
-	for i, p := range params {
-		s.vel[i] = make([]float64, len(p.Val))
-	}
-	return s
-}
-
-// Step applies one update.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		v, grad := s.vel[i], p.grad()
-		p.Version++
-		for k := range p.Val {
-			v[k] = s.Momentum*v[k] - s.LR*grad[k]
-			p.Val[k] += v[k]
-		}
-	}
-}

@@ -26,7 +26,8 @@
 // outage on its own smaller layout and analyzes it privately: the engine
 // is pinned to it by MatchNaive — every verdict exact, costs to 1e-9,
 // iteration drift within a measured ceiling — in this package's tests
-// and in BenchmarkScreen (BENCH_scopf.json).
+// and in BenchmarkScreen (BENCH_scopf.json). It and Engine.NoProjection
+// are that reference only; no command selects them.
 package scopf
 
 import (
