@@ -158,6 +158,7 @@ var codeSize = []struct {
 	{at: "after 8cc4a8f", all: 16781, warmPath: 5479, kernel: 3313, why: "the stepper corrects the KKT inertia while the barrier is large (a performance change; the count goes up by 136): `mips.Stepper.factorKKT` is the one routine that factors and regularizes, with the δ_w ladder in `correctInertia`, its documented constants and the reg-slot save/shift in the arena (+94 in `mips`), `sparse.LDLFactors.NegativePivots` (+14), the correction count through `opf.Result`, `core.WarmOutcome` and `pgsimd_kkt_inertia_corrections_total` (+20), RESULTS.md's note on the MIPS-faithful cold column and this row (+8); `serve_cold_mid` `latency_ms_mid` 9.12 → 8.01 ms (PERFORMANCE.md)"},
 	{at: "after 287227f", all: 17062, warmPath: 5488, kernel: 3583, why: "the LDLᵀ factors by destination supernode (a performance change; the count goes up by 281): in `internal/sparse/ldl.go` (+270) `AnalyzeLDL` compiles one update program per supernode, with relative indices and block gather offsets, in place of the per-column op list, `maxPanel` and the n-length accumulator, and the kernel gathers a packed block, applies one- and two-column sources directly and wider ones through the two-target `panelUpdate`, finishes its own columns in pairs and tests collapse against one bound per factorization; `LDLSymbolic.Updates`/`Flops`; the column kernel moved to a test-only reference; `scopf.Outcome.InertiaCorrections` counted on `/v1/screen` (+9); an `updates` column in RESULTS.md's kernel table (+2); `serve_cold_mid` `latency_ms_mid` 8.58 → 7.26 ms (PERFORMANCE.md)"},
 	{at: "after c721c56", all: 16738, warmPath: 5489, kernel: 3583, why: "the modelled Figure 9 deleted: `internal/scale`, which extrapolated a 128-GPU cluster from one CPU inference time and hand-set constants (−164), and `cmd/scaling` (−67), with the root benchmark that printed its curves; `cmd/scopf`'s `-naive` and `-no-projection` switches and the `path` field of its `-json` report (−25; `scopf.ScreenNaive` and `Engine.NoProjection` stay as the tests' and `BenchmarkScreen`'s reference); `nn.SGD`, `la.Concat`, `Vector.Norm1` and `Vector.Norm2`, which only their own tests called (−74); RESULTS.md's note that Fig 9 is not reproduced and this row (+5)"},
+	{at: "after 202e913", all: 16871, warmPath: 5492, kernel: 3607, why: "a served model is resident once (a performance change; the count goes up by 133): `mtl.Model.Release` and `nn.Sequential.Release` drop every layer's float64 weights once its float32 copy is built, and `nn.ErrReleased` names what then fails (`SaveParams`, `Clone`, `Forward`, a post-mutation rebuild); `mtl.Load` hashes the snapshot as it streams and `Fingerprint` answers with it until a weight changes; parameter counts come from layer shapes (`Sequential.NumParams`, `Model.NumParams` replace `nn.NumParams`) — `nn` +50, `mtl` +55, most of it doc comments; the KKT `CacheHandle` remembers the pattern arrays it last factored (`sparse` +24); `serve_warm_large` `rss_peak_mb` 192.5 → 100.5 MiB (PERFORMANCE.md)"},
 }
 
 func main() {

@@ -136,6 +136,11 @@ type Model struct {
 	trunks []*nn.Sequential // len 1 (shared) or numTasks (separate)
 	heads  [numTasks]*nn.Sequential
 
+	// loaded is the sha256 of the snapshot Load read the model from,
+	// valid while the weights' Version sum is still loadedVer.
+	loaded    string
+	loadedVer uint64
+
 	// forward caches for backward
 	in        *la.Matrix
 	trunkOut  []*la.Matrix
@@ -377,26 +382,44 @@ func (m *Model) Backward(g *Pred, detach bool) {
 	}
 }
 
+// nets lists the model's networks, trunks first, in Params order.
+func (m *Model) nets() []*nn.Sequential {
+	return append(append([]*nn.Sequential(nil), m.trunks...), m.heads[:]...)
+}
+
 // Params returns every learnable parameter of the model.
 func (m *Model) Params() []*nn.Param {
 	var ps []*nn.Param
-	for _, tr := range m.trunks {
-		ps = append(ps, tr.Params()...)
-	}
-	for _, h := range m.heads {
-		ps = append(ps, h.Params()...)
+	for _, s := range m.nets() {
+		ps = append(ps, s.Params()...)
 	}
 	return ps
+}
+
+// NumParams counts the model's learnable scalars from its layer shapes,
+// so a released model (Release) counts the weights it serves.
+func (m *Model) NumParams() int {
+	n := 0
+	for _, s := range m.nets() {
+		n += s.NumParams()
+	}
+	return n
 }
 
 // Clone returns an independent trainable copy with the same
 // configuration, weights and normalization state. Training (Forward and
 // Backward cache activations on the model) is the one use that needs a
-// private copy; prediction does not — see Predict.
+// private copy; prediction does not — see Predict. Cloning a released
+// model panics with nn.ErrReleased: its float64 weights are gone.
 func (m *Model) Clone() *Model {
+	src := m.Params()
+	for _, p := range src {
+		if p.Released() {
+			panic(fmt.Errorf("mtl: Clone: %w: %s", nn.ErrReleased, p.Name))
+		}
+	}
 	c := build(m.Lay, m.Cfg, nil)
 	c.Norm = m.Norm
-	src := m.Params()
 	dst := c.Params()
 	if len(src) != len(dst) {
 		panic("mtl: Clone parameter count mismatch")
@@ -495,15 +518,26 @@ func (m *Model) predict(input la.Vector, infer func(*nn.Sequential, []float32) [
 // Warmup builds the float32 serving copy of every layer now instead of
 // inside the first prediction. It is an optimisation, never an
 // obligation — an unwarmed model converts on first use, race-free — and
-// it has two callers: Train ends with it, and the serving daemon calls
-// it at registration. Load leaves it to them, so a model loaded only to
-// be hashed, saved or retrained never builds the float32 copy.
+// Train ends with it. Load leaves it to the caller, so a model loaded
+// only to be hashed, saved or retrained never builds the float32 copy.
 func (m *Model) Warmup() {
-	for _, tr := range m.trunks {
-		tr.Materialize32()
+	for _, s := range m.nets() {
+		s.Materialize32()
 	}
-	for _, h := range m.heads {
-		h.Materialize32()
+}
+
+// Release builds the float32 serving copy of every layer and then drops
+// the float64 weight matrices and any gradients (nn.Sequential.Release):
+// the model predicts bit for bit as before from 4 bytes a weight, and
+// its normalizer and biases stay. It is for a model that will only
+// predict — the serving daemon releases every model it registers. From
+// then on Save fails with nn.ErrReleased, and Clone, Train and any
+// rebuild of the float32 copy after a weight mutation panic with it;
+// Fingerprint still answers for a model read by Load (the hash of the
+// snapshot it streamed) and fails like Save otherwise.
+func (m *Model) Release() {
+	for _, s := range m.nets() {
+		s.Release()
 	}
 }
 
@@ -552,15 +586,29 @@ func Load(lay opf.Layout, cfg Config, r io.Reader) (*Model, error) {
 
 // load reads a snapshot into m's own tensors through nn.LoadParams'
 // one buffer: it allocates the normalizer's vectors and nothing the size
-// of a weight tensor. After an error m's weights are unspecified.
+// of a weight tensor. The bytes are hashed as they stream past, which
+// is Fingerprint's answer until a weight changes. After an error m's
+// weights are unspecified.
 func (m *Model) load(r io.Reader) error {
 	var norm Normalizer
 	ps, _ := normParams(&norm, m.Lay) // all unset: cannot fail
-	if err := nn.LoadParams(r, append(ps, m.Params()...)); err != nil {
+	h := sha256.New()
+	if err := nn.LoadParams(io.TeeReader(r, h), append(ps, m.Params()...)); err != nil {
 		return err
 	}
 	m.Norm = norm
+	m.loaded, m.loadedVer = hex.EncodeToString(h.Sum(nil)), m.weightsVersion()
 	return nil
+}
+
+// weightsVersion sums the weights' Version counters: it moves whenever
+// any of them is rewritten.
+func (m *Model) weightsVersion() uint64 {
+	var v uint64
+	for _, p := range m.Params() {
+		v += p.Version
+	}
+	return v
 }
 
 // normParams lists n's ten vectors in snapshot order as tensors of the
@@ -586,18 +634,24 @@ func normParams(n *Normalizer, lay opf.Layout) ([]*nn.Param, error) {
 }
 
 // Fingerprint returns the sha256 content hash of the model's serialized
-// state (weights + normalization, the exact bytes Save writes, streamed
-// through Save's one buffer into the hash, so nothing is copied). Two
+// state (weights + normalization, the exact bytes Save writes). A model
+// read by Load answers with the hash of the snapshot it streamed while
+// no weight has changed since; otherwise Save's bytes are streamed
+// through its one buffer into the hash, so nothing is copied. Two
 // models with identical weights fingerprint identically regardless of
 // how they were produced, so the lifecycle registry uses it as the
 // version identity and the canary harness uses it to recognize an
 // identical-weights candidate.
 func (m *Model) Fingerprint() string {
+	if m.loaded != "" && m.weightsVersion() == m.loadedVer {
+		return m.loaded
+	}
 	h := sha256.New()
 	if err := m.Save(h); err != nil {
-		// Writing into a hash cannot fail; Save fails only on a
-		// normalizer shaped for another layout, a broken model.
-		panic(fmt.Sprintf("mtl: fingerprinting model: %v", err))
+		// Writing into a hash cannot fail; Save fails on a released
+		// model (nn.ErrReleased) or on a normalizer shaped for another
+		// layout, a broken model.
+		panic(fmt.Errorf("mtl: fingerprinting model: %w", err))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

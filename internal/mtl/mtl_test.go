@@ -88,8 +88,8 @@ func TestSeparateVariantHasMoreParams(t *testing.T) {
 	_, o, _ := case9Data(t, 4)
 	cfgSep := Config{Variant: VariantSeparate, Seed: 1}
 	cfgMTL := Config{Variant: VariantMTL, Hierarchy: true, Seed: 1}
-	sep := nn.NumParams(New(o.Lay, cfgSep).Params())
-	shared := nn.NumParams(New(o.Lay, cfgMTL).Params())
+	sep := New(o.Lay, cfgSep).NumParams()
+	shared := New(o.Lay, cfgMTL).NumParams()
 	if sep <= shared {
 		t.Fatalf("separate %d params should exceed shared %d", sep, shared)
 	}

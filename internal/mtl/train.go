@@ -69,6 +69,7 @@ func Train(m *Model, phys *Physics, set *dataset.Set, cfg TrainConfig) (*History
 		In: FitRange(inputs), X: FitRange(xs), Lam: FitRange(lams),
 		Mu: FitRange(mus), Z: FitRange(zs),
 	}
+	m.loaded = "" // the normalizer moved, whether or not a weight does
 	inN := m.Norm.In.Normalize(inputs)
 	xN := m.Norm.X.Normalize(xs)
 	lamN := m.Norm.Lam.Normalize(lams)

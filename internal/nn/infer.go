@@ -23,7 +23,10 @@ package nn
 // The float64 master weights stay the source of truth: each Linear
 // materializes its float32 copy on first use and revalidates it against
 // the owning Params' Version counters, which every mutation path
-// (optimizer steps, snapshot loads, weight copies) bumps.
+// (optimizer steps, snapshot loads, weight copies) bumps. A chain that
+// only serves drops the masters once its copies are built (Release):
+// from then on the copy is the weights, and a mutation that would need
+// it rebuilt fails with ErrReleased.
 //
 // Unlike Forward, Infer is safe for concurrent use on one module
 // instance: activations are allocated per call, and the float32 copy is
@@ -32,7 +35,10 @@ package nn
 // wins. What stays excluded is inferring while the weights are being
 // mutated (training, Load): Version is a plain counter.
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // weights32 is one immutable float32 conversion of a Linear's weights,
 // tagged with the Param versions it was converted from. wt holds W
@@ -55,6 +61,9 @@ func (l *Linear) ensure32() *weights32 {
 	ver := l.W.Version + l.B.Version
 	if c := l.w32.Load(); c != nil && c.ver == ver {
 		return c
+	}
+	if l.W.released {
+		panic(fmt.Errorf("%w: %s changed after its release", ErrReleased, l.W.Name))
 	}
 	in, out := l.In, l.Out
 	c := &weights32{wt: make([]float32, len(l.W.Val)), b: make([]float32, len(l.B.Val)), ver: ver}
@@ -142,6 +151,22 @@ func (s *Sequential) Materialize32() {
 	for _, m := range s.Mods {
 		if l, ok := m.(*Linear); ok {
 			l.ensure32()
+		}
+	}
+}
+
+// Release builds every Linear's float32 copy, then drops its float64
+// weight matrix and every gradient, so a chain that only serves holds
+// its weights once, at 4 bytes each; the biases (Out values a layer)
+// stay. Infer answers bit for bit as before. Training, saving or
+// copying the chain, or rebuilding a copy after a weight mutation, fails
+// with ErrReleased from then on. Releasing twice is a no-op.
+func (s *Sequential) Release() {
+	for _, m := range s.Mods {
+		if l, ok := m.(*Linear); ok {
+			l.ensure32()
+			l.W.Val, l.W.Grad, l.W.released = nil, nil, true
+			l.B.Grad = nil
 		}
 	}
 }

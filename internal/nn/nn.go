@@ -9,6 +9,7 @@
 package nn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -30,7 +31,19 @@ type Param struct {
 	// float32 weight caches (infer.go) revalidate against it, so every
 	// code path that mutates Val must increment it.
 	Version uint64
+
+	// released is set when Sequential.Release dropped Val: the tensor
+	// lives on only in its layer's float32 copy.
+	released bool
 }
+
+// ErrReleased is what reading released float64 master values fails with
+// (Sequential.Release): saving or copying them, training on them, or
+// rebuilding a float32 copy after a weight mutation.
+var ErrReleased = errors.New("nn: float64 master weights released")
+
+// Released reports whether Sequential.Release dropped the values.
+func (p *Param) Released() bool { return p.released }
 
 // ZeroGrad clears the gradient accumulator, allocating it on first use.
 func (p *Param) ZeroGrad() { clear(p.grad()) }
@@ -96,6 +109,9 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 func (l *Linear) Forward(x *la.Matrix) *la.Matrix {
 	if x.Cols != l.In {
 		panic(fmt.Sprintf("nn: Linear expects %d features, got %d", l.In, x.Cols))
+	}
+	if l.W.released {
+		panic(fmt.Errorf("%w: Forward through %s", ErrReleased, l.W.Name))
 	}
 	l.xCache = x
 	y := la.NewMatrix(x.Rows, l.Out)
@@ -295,11 +311,14 @@ func ZeroGrads(params []*Param) {
 	}
 }
 
-// NumParams counts scalar learnables.
-func NumParams(params []*Param) int {
+// NumParams counts the chain's scalar learnables from its layer shapes,
+// so a released chain counts the weights it serves in float32.
+func (s *Sequential) NumParams() int {
 	n := 0
-	for _, p := range params {
-		n += len(p.Val)
+	for _, m := range s.Mods {
+		if l, ok := m.(*Linear); ok {
+			n += l.In*l.Out + l.Out
+		}
 	}
 	return n
 }

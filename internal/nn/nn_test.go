@@ -308,9 +308,14 @@ func TestGradientsAllocatedByTraining(t *testing.T) {
 func TestNumParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	net := MLP(rng, false, 4, 10, 3)
-	// 4*10+10 + 10*3+3 = 83.
-	if n := NumParams(net.Params()); n != 83 {
+	// 4*10+10 + 10*3+3 = 83, counted from the shapes: the same once
+	// the float64 weights are released.
+	if n := net.NumParams(); n != 83 {
 		t.Fatalf("NumParams = %d want 83", n)
+	}
+	net.Release()
+	if n := net.NumParams(); n != 83 {
+		t.Fatalf("NumParams after Release = %d want 83", n)
 	}
 }
 

@@ -40,8 +40,14 @@ var (
 )
 
 // SaveParams writes the parameter values (not gradients) in list order
-// as one tensor snapshot.
+// as one tensor snapshot. A list holding released values (ErrReleased)
+// writes nothing.
 func SaveParams(w io.Writer, params []*Param) error {
+	for _, p := range params {
+		if p.released {
+			return fmt.Errorf("%w: %s", ErrReleased, p.Name)
+		}
+	}
 	c := chunkWriter{w: w, buf: make([]byte, 0, chunkBytes)}
 	c.buf = append(c.buf, snapshotMagic...)
 	c.buf = binary.LittleEndian.AppendUint32(c.buf, snapshotVersion)

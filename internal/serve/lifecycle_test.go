@@ -442,7 +442,8 @@ func TestCanaryIdenticalWeightsBitIdentical(t *testing.T) {
 	if err := s.AttachLifecycle(sys.Name, mgr, false); err != nil {
 		t.Fatal(err)
 	}
-	candID, err := mgr.BeginCanaryWith(m.Clone(), "identical weights")
+	_, twin := loadFixture(t) // m was handed to the server: a second load is the identical candidate
+	candID, err := mgr.BeginCanaryWith(twin, "identical weights")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,15 +478,16 @@ func TestWarmLoopAllocsZeroAfterSwap(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	sys, m := loadFixture(t)
+	_, twin := loadFixture(t)
 	s := newTestServer(t, Config{}, sys, m)
-	if err := s.SwapModel(sys.Name, m.Clone(), "v-post-swap"); err != nil {
+	if err := s.SwapModel(sys.Name, twin, "v-post-swap"); err != nil {
 		t.Fatal(err)
 	}
 
 	p := s.systems[sys.Name].model().pred
 	inst := sys.OPF.Perturb(uniform(sys.Case.NB(), 1.02))
 	in := dataset.InputVector(inst.Case)
-	// Registration built the never-used clone's float32 weights: its
+	// Registration built the never-used twin's float32 weights: its
 	// first prediction pays no build (three objects per layer; stray
 	// background allocations stay well under one per layer).
 	mallocs := func() uint64 {

@@ -188,8 +188,9 @@ func New(cfg Config) *Server {
 }
 
 // AddSystem registers a base grid, with m (may be nil for cold-only
-// serving) as the warm-start model every worker shares. Not safe to call
-// once the handler is serving traffic.
+// serving) as the warm-start model every worker shares. The server takes
+// m over and releases its float64 weights (see newModelVersion): save or
+// clone it before. Not safe to call once the handler is serving traffic.
 func (s *Server) AddSystem(sys *core.System, m *mtl.Model) {
 	s.AddSystemVersion(sys, m, "")
 }
@@ -221,9 +222,11 @@ func (s *Server) addSystem(sys *core.System, mv *modelVersion) {
 
 // newModelVersion tags a model for serving. An empty version tags it
 // with the model's content fingerprint; a nil model gives no version
-// (cold-only serving). The model itself is served, not a copy, with its
-// float32 serving weights built here (a no-op for a model out of Train)
-// so the first request pays no conversion.
+// (cold-only serving). The model itself is served, not a copy: its
+// float32 serving weights are built here, so the first request pays no
+// conversion, and its float64 masters released (mtl.Model.Release), so
+// it is resident once. The caller hands the model over: it can no
+// longer save, clone or train it.
 func newModelVersion(m *mtl.Model, version string) *modelVersion {
 	if m == nil {
 		return nil
@@ -231,7 +234,7 @@ func newModelVersion(m *mtl.Model, version string) *modelVersion {
 	if version == "" {
 		version = "m-" + m.Fingerprint()[:12]
 	}
-	m.Warmup()
+	m.Release()
 	return &modelVersion{version: version, pred: m}
 }
 

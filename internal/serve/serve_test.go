@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,15 +20,18 @@ import (
 	"repro/internal/opf"
 )
 
-// fixture shares one loaded system and one trained model across tests
-// (training dominates the suite's runtime).
+// fixture shares one loaded system and one trained model's snapshot
+// across tests (training dominates the suite's runtime).
 var fixture struct {
 	once sync.Once
 	sys  *core.System
-	m    *mtl.Model
+	snap []byte
 	err  error
 }
 
+// loadFixture returns the shared system and a model freshly loaded from
+// the shared snapshot, as the daemon loads one: registering a model
+// with a server releases its float64 weights, so no two tests share one.
 func loadFixture(t *testing.T) (*core.System, *mtl.Model) {
 	t.Helper()
 	fixture.once.Do(func() {
@@ -46,12 +51,19 @@ func loadFixture(t *testing.T) (*core.System, *mtl.Model) {
 			fixture.err = err
 			return
 		}
-		fixture.sys, fixture.m = sys, m
+		var buf bytes.Buffer
+		if fixture.err = m.Save(&buf); fixture.err == nil {
+			fixture.sys, fixture.snap = sys, buf.Bytes()
+		}
 	})
 	if fixture.err != nil {
 		t.Fatal(fixture.err)
 	}
-	return fixture.sys, fixture.m
+	m, err := fixture.sys.LoadModel(mtl.VariantSmartPGSim, bytes.NewReader(fixture.snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fixture.sys, m
 }
 
 func newTestServer(t *testing.T, cfg Config, sys *core.System, m *mtl.Model) *Server {
@@ -246,6 +258,35 @@ func TestWarmMatchesOffline(t *testing.T) {
 	if d := resp.Cost/cold.Cost - 1; d > 1e-6 || d < -1e-6 {
 		t.Fatalf("warm cost %v deviates from cold optimum %v", resp.Cost, cold.Cost)
 	}
+}
+
+// TestRegisteredModelHoldsFloat32Only: registering a model releases its
+// float64 weights, so a case118-shaped model keeps its float32 copy
+// alone live — at most 5 bytes a weight after a collection (4 for the
+// copy, the biases and normalizer beside it), where float64 masters
+// beside the copy would keep 12.
+func TestRegisteredModelHoldsFloat32Only(t *testing.T) {
+	sys, err := core.LoadSystem("case118")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	t.Cleanup(s.Close)
+	live := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	m := mtl.New(sys.OPF.Lay, core.ModelConfig(mtl.VariantSmartPGSim, 1))
+	s.AddSystem(sys, m)
+	perWeight := float64(live()-before) / float64(m.NumParams())
+	t.Logf("%d weights, %.2f bytes a weight live", m.NumParams(), perWeight)
+	if perWeight > 5 {
+		t.Fatalf("a registered model of %d weights keeps %.1f bytes a weight live, want at most 5", m.NumParams(), perWeight)
+	}
+	runtime.KeepAlive(s)
 }
 
 // stubPredictor forces a specific warm-start point regardless of input.

@@ -160,6 +160,12 @@ type CacheHandle struct {
 	// to this stream. A newer one replaces it.
 	own   *LDLSymbolic
 	stats CacheStats
+	// last is the analysis the stream's last matrix was factored on, and
+	// lastColPtr/lastRowIdx that matrix's pattern arrays: a matrix that
+	// comes back with the same arrays has the same pattern (see
+	// FactorizeInto), so it is not compared again.
+	last                   *LDLSymbolic
+	lastColPtr, lastRowIdx []int
 }
 
 // Close folds the stream's counters into the cache. Calling it again
@@ -173,6 +179,10 @@ func (h *CacheHandle) Close() {
 
 // lookup returns the analysis the stream factors a's pattern on, or nil.
 func (h *CacheHandle) lookup(a *CSC) *LDLSymbolic {
+	if h.last != nil && a.NRows == h.last.pat.n && a.NCols == h.last.pat.n &&
+		sameArray(a.ColPtr, h.lastColPtr) && sameArray(a.RowIdx, h.lastRowIdx) {
+		return h.last
+	}
 	if h.own != nil && h.own.pat.matches(a) {
 		return h.own
 	}
@@ -180,6 +190,12 @@ func (h *CacheHandle) lookup(a *CSC) *LDLSymbolic {
 		return s
 	}
 	return nil
+}
+
+// sameArray reports whether a and b are the same array: the same length
+// and, when not empty, the same first element.
+func sameArray(a, b []int) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // FactorSlot holds preallocated factors and workspace for FactorizeInto.
@@ -200,6 +216,13 @@ type FactorSlot struct {
 // ErrSingular and is counted in Fallbacks. The steady-state path (slot
 // bound to the analysis, or to a larger one before) performs zero
 // allocations. The returned factors are valid until the next call.
+//
+// A's ColPtr and RowIdx must never be rewritten in place once a has
+// been factored through the handle: the handle remembers the arrays of
+// the last matrix it factored and takes a matrix that comes back with
+// the same ones (same first element, same length) as holding the
+// pattern they held, without comparing it again. Values may change
+// freely; a new pattern comes in new arrays.
 func (h *CacheHandle) FactorizeInto(slot *FactorSlot, a *CSC) (*LDLFactors, error) {
 	sym, analyzed := h.lookup(a), false
 	if sym == nil {
@@ -213,6 +236,7 @@ func (h *CacheHandle) FactorizeInto(slot *FactorSlot, a *CSC) (*LDLFactors, erro
 		}
 	}
 	// Every path above matched a's pattern to sym's.
+	h.last, h.lastColPtr, h.lastRowIdx = sym, a.ColPtr, a.RowIdx
 	if err := sym.factor(&slot.f, a); err != nil {
 		h.stats.Fallbacks++
 		return nil, err

@@ -283,6 +283,34 @@ func TestSymbolicCacheSecondPatternStaysPrivate(t *testing.T) {
 	}
 }
 
+// A handle takes a matrix that comes back with the arrays it last
+// factored as that pattern without comparing it; a matrix with equal
+// but distinct arrays is compared, matched and remembered in their
+// place, and factors to the same bits.
+func TestHandleRemembersLastPatternArrays(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	a1, a2 := randQuasiDefPair(r, 30)
+	twin := &CSC{NRows: a1.NRows, NCols: a1.NCols, ColPtr: slices.Clone(a1.ColPtr), RowIdx: slices.Clone(a1.RowIdx), Val: a1.Val}
+	h, slot := NewSymbolicCache(OrderAMD).Handle(), &FactorSlot{}
+	var bits [][]float64
+	for i, m := range []*CSC{a1, a1, a2, twin} {
+		f, err := h.FactorizeInto(slot, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameArray(h.lastColPtr, m.ColPtr) || !sameArray(h.lastRowIdx, m.RowIdx) || h.last != h.c.Symbolic() {
+			t.Fatalf("factorization %d: the handle does not remember the matrix it factored", i)
+		}
+		bits = append(bits, append(slices.Clone(f.lx), f.d...))
+	}
+	if !slices.Equal(bits[0], bits[1]) || !slices.Equal(bits[0], bits[3]) {
+		t.Fatal("the same values factored to different bits")
+	}
+	if want := (CacheStats{Refactors: 3}); h.stats != want {
+		t.Fatalf("handle stats = %+v, want %+v", h.stats, want)
+	}
+}
+
 // A factorization whose column collapses is rejected, not repaired: the
 // handle returns ErrSingular and counts a fallback, the published
 // analysis stays (there is nothing value-derived to redo), and the next
