@@ -422,7 +422,7 @@ func BenchmarkKKTFactor(b *testing.B) {
 			}
 		}
 	})
-	for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM, sparse.OrderAMD} {
+	for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM, sparse.OrderMinDegree} {
 		b.Run("ordering/"+ord.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := sparse.FactorizeOpts(kkt, ord, 1.0); err != nil {
@@ -892,7 +892,7 @@ func writeKKTBenchReport(b *testing.B) {
 		refactorNs := timeIt(facReps, func() error { return sym.RefactorInto(f, ws, kkt) })
 
 		fill := map[string]int{}
-		for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM, sparse.OrderAMD} {
+		for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM, sparse.OrderMinDegree} {
 			f, err := sparse.FactorizeOpts(kkt, ord, 1.0)
 			if err != nil {
 				b.Fatal(err)
@@ -935,13 +935,14 @@ func writeKKTBenchReport(b *testing.B) {
 
 // productionFill is the "production_fill" section of BENCH_kkt.json:
 // per embedded system, the KKT matrix MIPS really factors — the reduced
-// system of dimension NX + NEq — and its stored factor entries under RCM
-// and AMD, read from the analysis a one-iteration cold solve publishes
-// to the instance's cache: nnz(L)+n of the LDLᵀ, and 2·(nnz(L)+n), the
-// L+U of an LU of the same elimination (the identity BenchmarkLDLvsLU
-// pins on a real LU), which is what the KKT path stored before the
-// LDLᵀ. RESULTS.md "KKT fill by ordering" renders it; opf's
-// TestKKTOrderingFill asserts it.
+// system of dimension NX + NEq — and its stored factor entries and
+// factorization flops under RCM and minimum degree, read from the
+// analysis a one-iteration cold solve publishes to the instance's cache:
+// nnz(L)+n of the LDLᵀ, 2·(nnz(L)+n), the L+U of an LU of the same
+// elimination (the identity BenchmarkLDLvsLU pins on a real LU), which is
+// what the KKT path stored before the LDLᵀ, and the floating-point
+// operations of one factorization. RESULTS.md "KKT fill by ordering"
+// renders it; opf's TestKKTOrderingFill asserts it.
 func productionFill(b *testing.B) map[string]any {
 	systems := map[string]any{}
 	for _, name := range casegen.EmbeddedNames() {
@@ -953,7 +954,7 @@ func productionFill(b *testing.B) map[string]any {
 			b.Fatal(err)
 		}
 		row := map[string]any{}
-		for _, ord := range []sparse.Ordering{sparse.OrderRCM, sparse.OrderAMD} {
+		for _, ord := range []sparse.Ordering{sparse.OrderRCM, sparse.OrderMinDegree} {
 			o := opf.Prepare(c)
 			o.SetOrdering(ord)
 			_, _ = o.Solve(nil, opf.Options{MaxIter: 1}) // never converges; the analysis is what is wanted
@@ -964,12 +965,13 @@ func productionFill(b *testing.B) map[string]any {
 			row["kkt_n"], row["kkt_nnz"] = sym.N(), sym.PatternNNZ()
 			row["ldl_nnz_"+ord.String()] = sym.NNZ()
 			row["lu_nnz_"+ord.String()] = 2 * sym.NNZ()
+			row["flops_"+ord.String()] = sym.Flops()
 		}
 		systems[name] = row
 	}
 	return map[string]any{
 		"pattern": "reduced KKT system of a MaxIter: 1 cold solve, LDLᵀ analysis (opf.KKTSymbolic); " +
-			"ldl_nnz = nnz(L)+n, lu_nnz = 2·(nnz(L)+n), the L+U of the same elimination",
+			"ldl_nnz = nnz(L)+n, lu_nnz = 2·(nnz(L)+n), the L+U of the same elimination, flops = LDLSymbolic.Flops()",
 		"systems": systems,
 	}
 }
@@ -1044,10 +1046,10 @@ func productionKKT(b *testing.B, name string, steps int) (kkt *sparse.CSC, nx in
 // BenchmarkLDLvsLU races the supernodal LDLᵀ the KKT path factors with
 // against the scalar LU internal/pf keeps, on the production KKT
 // matrices of case118, case300 and case1354 at iteration 10 of a cold
-// solve, both under AMD and with diagonal pivots — the elimination the
+// solve, both under minimum degree and with diagonal pivots — the elimination the
 // KKT path refactored with LU before — and writes the "ldl_kernel"
 // section of BENCH_kkt.json. The LU refactorization rejects a pivot
-// below 1e-10 of its column, which the −δ dual pivots AMD orders ahead
+// below 1e-10 of its column, which the −δ dual pivots the ordering puts ahead
 // of their primal neighbours are, and it has no static boost; so the
 // race runs on the iterate's matrix with its dual diagonal deepened to
 // −1. Both kernels do the same flops on any values of one pattern. Four
@@ -1060,7 +1062,7 @@ func productionKKT(b *testing.B, name string, steps int) (kkt *sparse.CSC, nx in
 func BenchmarkLDLvsLU(b *testing.B) {
 	kernelReportOnce.Do(func() { writeKernelReport(b) })
 	kkt, _ := productionKKT(b, "case300", 10)
-	sym := sparse.AnalyzeLDL(kkt, sparse.OrderAMD)
+	sym := sparse.AnalyzeLDL(kkt, sparse.OrderMinDegree)
 	f := &sparse.LDLFactors{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1105,9 +1107,9 @@ func writeKernelReport(b *testing.B) {
 				}
 			}
 		}
-		sym := sparse.AnalyzeLDL(kkt, sparse.OrderAMD)
+		sym := sparse.AnalyzeLDL(kkt, sparse.OrderMinDegree)
 		fl := &sparse.LDLFactors{}
-		lu, fu, err := sparse.Analyze(kkt, sparse.OrderAMD, 1e-12) // keeps every diagonal pivot
+		lu, fu, err := sparse.Analyze(kkt, sparse.OrderMinDegree, 1e-12) // keeps every diagonal pivot
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1192,7 +1194,7 @@ func writeKernelReport(b *testing.B) {
 		"ldl_kernel": map[string]any{
 			"produced_by": "go test -run '^$' -bench BenchmarkLDLvsLU -benchtime 1x . " +
 				"(self-timed, minimum of 3 interleaved rounds; solve agreement and zero-alloc pins enforced with b.Fatal)",
-			"matrix": "reduced KKT system at iteration 10 of a cold solve (mips.Stepper.Assemble), ordering amd, " +
+			"matrix": "reduced KKT system at iteration 10 of a cold solve (mips.Stepper.Assemble), ordering mindegree, " +
 				"dual diagonal deepened to -1 for the race (ldl_backward_error_production: the untouched matrix)",
 			"systems": systems,
 		},

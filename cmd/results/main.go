@@ -80,12 +80,13 @@ type kernelRow struct {
 }
 
 type fillRow struct {
-	KKTN   int `json:"kkt_n"`
-	KKTNnz int `json:"kkt_nnz"`
-	RCM    int `json:"lu_nnz_rcm"`
-	AMD    int `json:"lu_nnz_amd"`
-	LDLRCM int `json:"ldl_nnz_rcm"`
-	LDLAMD int `json:"ldl_nnz_amd"`
+	KKTN     int `json:"kkt_n"`
+	KKTNnz   int `json:"kkt_nnz"`
+	RCM      int `json:"lu_nnz_rcm"`
+	MD       int `json:"lu_nnz_mindegree"`
+	LDLMD    int `json:"ldl_nnz_mindegree"`
+	FlopsRCM int `json:"flops_rcm"`
+	FlopsMD  int `json:"flops_mindegree"`
 }
 
 type kktReport struct {
@@ -159,6 +160,7 @@ var codeSize = []struct {
 	{at: "after 287227f", all: 17062, warmPath: 5488, kernel: 3583, why: "the LDLᵀ factors by destination supernode (a performance change; the count goes up by 281): in `internal/sparse/ldl.go` (+270) `AnalyzeLDL` compiles one update program per supernode, with relative indices and block gather offsets, in place of the per-column op list, `maxPanel` and the n-length accumulator, and the kernel gathers a packed block, applies one- and two-column sources directly and wider ones through the two-target `panelUpdate`, finishes its own columns in pairs and tests collapse against one bound per factorization; `LDLSymbolic.Updates`/`Flops`; the column kernel moved to a test-only reference; `scopf.Outcome.InertiaCorrections` counted on `/v1/screen` (+9); an `updates` column in RESULTS.md's kernel table (+2); `serve_cold_mid` `latency_ms_mid` 8.58 → 7.26 ms (PERFORMANCE.md)"},
 	{at: "after c721c56", all: 16738, warmPath: 5489, kernel: 3583, why: "the modelled Figure 9 deleted: `internal/scale`, which extrapolated a 128-GPU cluster from one CPU inference time and hand-set constants (−164), and `cmd/scaling` (−67), with the root benchmark that printed its curves; `cmd/scopf`'s `-naive` and `-no-projection` switches and the `path` field of its `-json` report (−25; `scopf.ScreenNaive` and `Engine.NoProjection` stay as the tests' and `BenchmarkScreen`'s reference); `nn.SGD`, `la.Concat`, `Vector.Norm1` and `Vector.Norm2`, which only their own tests called (−74); RESULTS.md's note that Fig 9 is not reproduced and this row (+5)"},
 	{at: "after 202e913", all: 16871, warmPath: 5492, kernel: 3607, why: "a served model is resident once (a performance change; the count goes up by 133): `mtl.Model.Release` and `nn.Sequential.Release` drop every layer's float64 weights once its float32 copy is built, and `nn.ErrReleased` names what then fails (`SaveParams`, `Clone`, `Forward`, a post-mutation rebuild); `mtl.Load` hashes the snapshot as it streams and `Fingerprint` answers with it until a weight changes; parameter counts come from layer shapes (`Sequential.NumParams`, `Model.NumParams` replace `nn.NumParams`) — `nn` +50, `mtl` +55, most of it doc comments; the KKT `CacheHandle` remembers the pattern arrays it last factored (`sparse` +24); `serve_warm_large` `rss_peak_mb` 192.5 → 100.5 MiB (PERFORMANCE.md)"},
+	{at: "after e52dd13", all: 16832, warmPath: 5493, kernel: 3562, why: "every KKT system is ordered by exact minimum degree (a performance change; the count goes down by 39): `sparse.amdOrder`, the quotient-graph approximate minimum degree (−103), is replaced by `minDegreeOrder` (+54), one bitset row per variable with the fill clique formed by row ORs and degrees by popcount, and `OrderAMD` is renamed `OrderMinDegree` (`String` \"mindegree\"); case118's factorization does 52,471 flops instead of 126,922, and `screen_n1_mid` throughput rose ≈28 % (PERFORMANCE.md)"},
 }
 
 func main() {
@@ -322,22 +324,24 @@ func renderKernel(w func(string, ...any), path string, buf []byte) {
 		log.Fatalf("parsing %s: %v", path, err)
 	}
 	if fill := k.ProductionFill.Systems; len(fill) > 0 {
-		w("## KKT fill by ordering (why every system is analyzed under AMD)")
+		w("## KKT fill by ordering (why every system is analyzed under minimum degree)")
 		w("")
 		w("Stored factor entries of the matrix MIPS factors — the reduced KKT")
 		w("system, as a one-iteration cold solve analyzes it under each")
 		w("ordering (`production_fill` in `%s`). The KKT path factors it", path)
 		w("with LDLᵀ and stores nnz(L)+n; the L+U columns are what an LU of")
 		w("the same elimination stores, 2·(nnz(L)+n), which the KKT path")
-		w("stored before (BenchmarkLDLvsLU pins the identity on a real LU).")
-		w("`opf.Prepare` uses AMD on every system; `TestKKTOrderingFill`")
-		w("holds it to 1.05× RCM's fill (DESIGN.md §9).")
+		w("stored before (BenchmarkLDLvsLU pins the identity on a real LU),")
+		w("and the flops are one factorization's (`LDLSymbolic.Flops`).")
+		w("`opf.Prepare` uses exact minimum degree on every system;")
+		w("`TestKKTOrderingFill` holds its fill and flops below RCM's (DESIGN.md §9).")
 		w("")
-		w("| system | KKT n | nnz(KKT) | L+U rcm | L+U amd | nnz(L)+n amd | amd / rcm |")
-		w("|---|---|---|---|---|---|---|")
+		w("| system | KKT n | nnz(KKT) | L+U rcm | L+U mindegree | nnz(L)+n mindegree | mindegree / rcm | flops rcm | flops mindegree |")
+		w("|---|---|---|---|---|---|---|---|---|")
 		for _, n := range bySize(fill, func(f fillRow) int { return f.KKTN }) {
 			f := fill[n]
-			w("| %s | %d | %d | %d | %d | %d | %.2f |", n, f.KKTN, f.KKTNnz, f.RCM, f.AMD, f.LDLAMD, float64(f.AMD)/float64(f.RCM))
+			w("| %s | %d | %d | %d | %d | %d | %.2f | %d | %d |", n, f.KKTN, f.KKTNnz, f.RCM, f.MD, f.LDLMD,
+				float64(f.MD)/float64(f.RCM), f.FlopsRCM, f.FlopsMD)
 		}
 		w("")
 	}
@@ -358,7 +362,8 @@ func renderKernel(w func(string, ...any), path string, buf []byte) {
 	if len(k.LDLKernel.Systems) > 0 {
 		w("The supernodal LDLᵀ every KKT system goes through, against the")
 		w("scalar LU of the same elimination, on the production KKT matrix at")
-		w("iteration 10 of a cold solve under AMD (DESIGN.md §11). The fill")
+		w("iteration 10 of a cold solve (DESIGN.md §11), under the ordering")
+		w("the section's `matrix` field names. The fill")
 		w("identity, agreeing backward errors and zero warm-path allocations")
 		w("are pinned with `b.Fatal` inside the benchmark itself:")
 		w("")

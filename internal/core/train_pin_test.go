@@ -14,7 +14,7 @@ import (
 // little-endian in Params order, after the seeded run of
 // TestTrainedWeightsPinned. It changes only with a change meant to move
 // training: the init draw, the loss, the optimizer or the data.
-const trainedWeightsSHA256 = "25034ac70a440b356940b6fd41ef15ece5a725b0cd9223d248d958c33e27088f"
+const trainedWeightsSHA256 = "f73c780d5318905616631701f31c4c6bde981d2594efcfc16e560a61ad7993ab"
 
 // TestTrainedWeightsPinned pins a short seeded Smart-PGSim training run
 // (physics losses, hierarchy, detach steps) bit for bit, so how the

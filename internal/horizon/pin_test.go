@@ -16,8 +16,8 @@ import (
 // ramped case30 trajectory of TestTrajectoryPinned. It changes only with
 // a change meant to move answers: the solver, the warm start or the ramp.
 var trajectorySHA256 = map[Mode]string{
-	ModeChain:   "3781f74970c145d59288d0d892ca04a16b4f7379d7b6e7f8ff256e6959cebd3c",
-	ModePredict: "e416345b976fc051c978b1d07202591c0d20eb29ae1d8e4b676c1081e74ef5dc",
+	ModeChain:   "1ba491a8c836a0ac2adf594862a20a9ba2db36fb29d7ea89e25145d20915539f",
+	ModePredict: "518e65fef265480b6e13362d143a92b030e2d50abf0daa361e1a2f74c9f2dd59",
 }
 
 // TestTrajectoryPinned pins a ramp-coupled case30 trajectory bit for bit

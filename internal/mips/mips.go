@@ -116,7 +116,8 @@ type Options struct {
 	// Ordering is the fill-reducing ordering of the private cache a
 	// solve without KKT analyzes under (zero value sparse.OrderRCM);
 	// ignored when KKT is set. To reproduce a solve on opf's shared
-	// cache privately, pass (*opf.OPF).Ordering(), which is AMD.
+	// cache privately, pass (*opf.OPF).Ordering(), which is
+	// sparse.OrderMinDegree.
 	Ordering sparse.Ordering
 	// KKT, when non-nil, is the shared analysis cache of the problem's
 	// KKT pattern (see sparse.SymbolicCache): the solve consults it

@@ -351,7 +351,7 @@ func TestGammaShrinks(t *testing.T) {
 // ordering: the ordering changes the factorization, not the solution.
 func TestKKTOrderingsConverge(t *testing.T) {
 	want := la.Vector{1.58114, 2.23607, 1.58114}
-	for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM, sparse.OrderAMD} {
+	for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM, sparse.OrderMinDegree} {
 		r, err := Solve(mipsExampleProblem(), la.Vector{1, 1, 1}, nil, Options{Ordering: ord})
 		if err != nil {
 			t.Fatalf("%v: %v", ord, err)

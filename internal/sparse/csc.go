@@ -17,7 +17,7 @@
 //     Symbolic.RefactorInto recomputes values only.
 //   - LDLᵀ, left-looking and supernodal with diagonal pivots, for every
 //     symmetric quasi-definite KKT system of the interior point (under
-//     approximate minimum degree, OrderAMD): AnalyzeLDL is a pure
+//     exact minimum degree, OrderMinDegree): AnalyzeLDL is a pure
 //     function of the pattern, LDLSymbolic.FactorInto the numeric half.
 //     SymbolicCache holds the one analysis of a grid's KKT systems and
 //     shares it across every solve of the grid, concurrent ones

@@ -15,3 +15,11 @@ func MatchColumnKernel(s *LDLSymbolic, a *CSC) error { return matchColumnKernel(
 
 // KernelFixtures returns the package tests' named synthetic matrices.
 func KernelFixtures(seed int64) []kernelFixture { return kernelFixtures(seed) }
+
+// MatchMinDegree compares the minimum-degree permutation of a with the
+// map-based reference ordering and describes their first difference,
+// nil when they are identical.
+func MatchMinDegree(a *CSC) error { return matchMinDegree(a) }
+
+// MinDegreeFixtures returns the random patterns the ordering tests run on.
+func MinDegreeFixtures(seed int64) []kernelFixture { return minDegreeFixtures(seed) }

@@ -105,7 +105,7 @@ func TestRefactorBlockedEmbeddedFleet(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			skipLargeInShort(t, name)
 			kkts, nx := productionKKT(t, name, 2)
-			sym := sparse.AnalyzeLDL(kkts[0], sparse.OrderAMD)
+			sym := sparse.AnalyzeLDL(kkts[0], sparse.OrderMinDegree)
 			f := &sparse.LDLFactors{}
 			for draw := 0; draw < 2; draw++ {
 				m := onPattern(r, kkts[0], nx)
@@ -115,7 +115,7 @@ func TestRefactorBlockedEmbeddedFleet(t *testing.T) {
 				// Threshold 0.1: full partial pivoting (1.0) picks
 				// off-diagonal pivots that fill case1354's factor to 7.5M
 				// entries and take half a minute.
-				lu, err := sparse.FactorizeOpts(m, sparse.OrderAMD, 0.1)
+				lu, err := sparse.FactorizeOpts(m, sparse.OrderMinDegree, 0.1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,7 +143,7 @@ func TestRefactorBlockedEmbeddedFleet(t *testing.T) {
 func TestLDLMatchesColumnKernel(t *testing.T) {
 	t.Run("fixtures", func(t *testing.T) {
 		for _, fx := range sparse.KernelFixtures(59) {
-			for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM, sparse.OrderAMD} {
+			for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM, sparse.OrderMinDegree} {
 				if err := sparse.MatchColumnKernel(sparse.AnalyzeLDL(fx.A, ord), fx.A); err != nil {
 					t.Errorf("%s, %v: %v", fx.Name, ord, err)
 				}
@@ -154,7 +154,7 @@ func TestLDLMatchesColumnKernel(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			skipLargeInShort(t, name)
 			kkts, nx := productionKKT(t, name, 0, 3, 10)
-			sym := sparse.AnalyzeLDL(kkts[0], sparse.OrderAMD)
+			sym := sparse.AnalyzeLDL(kkts[0], sparse.OrderMinDegree)
 			for i, m := range kkts {
 				shifted := m.Clone()
 				for j := 0; j < nx; j++ {
@@ -175,6 +175,28 @@ func TestLDLMatchesColumnKernel(t *testing.T) {
 	}
 }
 
+// The bitset minimum-degree ordering gives the permutation of the
+// map-based reference (order_test.go) on random patterns and on every
+// embedded system's production KKT.
+func TestMinDegreeMatchesReference(t *testing.T) {
+	t.Run("fixtures", func(t *testing.T) {
+		for _, fx := range sparse.MinDegreeFixtures(61) {
+			if err := sparse.MatchMinDegree(fx.A); err != nil {
+				t.Errorf("%s: %v", fx.Name, err)
+			}
+		}
+	})
+	for _, name := range casegen.EmbeddedNames() {
+		t.Run(name, func(t *testing.T) {
+			skipLargeInShort(t, name)
+			kkts, _ := productionKKT(t, name, 0)
+			if err := sparse.MatchMinDegree(kkts[0]); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 var updateWork = flag.Bool("update-work", false, "rewrite testdata/ldl_work.txt from the current analysis")
 
 const workPath = "testdata/ldl_work.txt"
@@ -190,7 +212,7 @@ func TestLDLWorkPinned(t *testing.T) {
 	b.WriteString("# name n nnz(L)+n supernodes updates flops; written by go test ./internal/sparse -run TestLDLWorkPinned -update-work\n")
 	for _, name := range casegen.EmbeddedNames() {
 		kkts, _ := productionKKT(t, name, 0)
-		sym := sparse.AnalyzeLDL(kkts[0], sparse.OrderAMD)
+		sym := sparse.AnalyzeLDL(kkts[0], sparse.OrderMinDegree)
 		count, _ := sym.Supernodes()
 		fmt.Fprintf(&b, "%s %d %d %d %d %d\n", name, sym.N(), sym.NNZ(), count, sym.Updates(), sym.Flops())
 	}
@@ -218,7 +240,7 @@ func TestLDLFactorsSlotIndependent(t *testing.T) {
 	k118s, _ := productionKKT(t, "case118", 6)
 	k300s, _ := productionKKT(t, "case300", 6)
 	k118, k300 := k118s[0], k300s[0]
-	c118, c300 := sparse.NewSymbolicCache(sparse.OrderAMD), sparse.NewSymbolicCache(sparse.OrderAMD)
+	c118, c300 := sparse.NewSymbolicCache(sparse.OrderMinDegree), sparse.NewSymbolicCache(sparse.OrderMinDegree)
 	factor := func(c *sparse.SymbolicCache, slot *sparse.FactorSlot, m *sparse.CSC) (l, d []float64) {
 		t.Helper()
 		f, err := c.Handle().FactorizeInto(slot, m)
@@ -266,8 +288,8 @@ func TestPooledSlotAllocFree(t *testing.T) {
 	k300s, _ := productionKKT(t, "case300", 3)
 	k30s, _ := productionKKT(t, "case30", 3)
 	k300, k30 := k300s[0], k30s[0]
-	h300 := sparse.NewSymbolicCache(sparse.OrderAMD).Handle()
-	h30 := sparse.NewSymbolicCache(sparse.OrderAMD).Handle()
+	h300 := sparse.NewSymbolicCache(sparse.OrderMinDegree).Handle()
+	h30 := sparse.NewSymbolicCache(sparse.OrderMinDegree).Handle()
 	factor := func(h *sparse.CacheHandle, slot *sparse.FactorSlot, m *sparse.CSC) {
 		t.Helper()
 		if _, err := h.FactorizeInto(slot, m); err != nil {
@@ -288,18 +310,18 @@ func TestPooledSlotAllocFree(t *testing.T) {
 }
 
 // BenchmarkFleetRefactorKernels times the LDLᵀ against the LU of the
-// same elimination (diagonal pivots, the AMD order) on the production
-// KKT patterns of case118 and case300, for quick kernel iteration; the
-// root-level BenchmarkLDLvsLU feeds BENCH_kkt.json. The values are
-// onPattern's: the LU, without a static boost, would reject its own
-// decayed dual pivots at a real iterate.
+// same elimination (diagonal pivots, the minimum-degree order) on the
+// production KKT patterns of case118 and case300, for quick kernel
+// iteration; the root-level BenchmarkLDLvsLU feeds BENCH_kkt.json. The
+// values are onPattern's: the LU, without a static boost, would reject
+// its own decayed dual pivots at a real iterate.
 func BenchmarkFleetRefactorKernels(b *testing.B) {
 	for _, name := range []string{"case118", "case300"} {
 		kkts, nx := productionKKT(b, name, 10)
 		kkt := onPattern(rand.New(rand.NewSource(47)), kkts[0], nx)
-		sym := sparse.AnalyzeLDL(kkt, sparse.OrderAMD)
+		sym := sparse.AnalyzeLDL(kkt, sparse.OrderMinDegree)
 		f := &sparse.LDLFactors{}
-		lu, _, err := sparse.Analyze(kkt, sparse.OrderAMD, 1e-12) // keeps every diagonal pivot
+		lu, _, err := sparse.Analyze(kkt, sparse.OrderMinDegree, 1e-12) // keeps every diagonal pivot
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -316,6 +338,21 @@ func BenchmarkFleetRefactorKernels(b *testing.B) {
 				if err := lu.RefactorInto(fl, ws, kkt); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkAnalyzeLDL times the whole symbolic analysis — ordering,
+// elimination tree, column patterns, supernodes and update programs — of
+// every embedded system's production KKT pattern, the one-off cost a
+// grid pays before its first factorization. Recorded, not asserted.
+func BenchmarkAnalyzeLDL(b *testing.B) {
+	for _, name := range casegen.EmbeddedNames() {
+		kkts, _ := productionKKT(b, name, 0)
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sparse.AnalyzeLDL(kkts[0], sparse.OrderMinDegree)
 			}
 		})
 	}

@@ -215,7 +215,7 @@ func TestRefactorBlockedMatchesScalarRandom(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 3 + r.Intn(60)
 		a1, a2 := randQuasiDefPair(r, n)
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
+		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
 			compareLDL(t, AnalyzeLDL(a1, ord), a2, r, 1e-9)
 		}
 		return true
@@ -233,7 +233,7 @@ func TestRefactorBlockedDenseTailPanels(t *testing.T) {
 		n := 40 + r.Intn(80)
 		tail := 6 + r.Intn(10)
 		a := denseTailSystem(r, n, tail)
-		sym := AnalyzeLDL(a, OrderAMD)
+		sym := AnalyzeLDL(a, OrderMinDegree)
 		if w, _ := widestPanel(sym); w < tail {
 			t.Fatalf("trial %d: dense tail of %d made no supernode that wide (widest %d)", trial, tail, w)
 		}
@@ -318,7 +318,7 @@ func TestRefactorIntoMatchesRefactor(t *testing.T) {
 	}
 	f := &LUFactors{}
 	ws := sym.NewRefactorWorkspace()
-	ldl := AnalyzeLDL(a, OrderAMD)
+	ldl := AnalyzeLDL(a, OrderMinDegree)
 	g := &LDLFactors{}
 	for trial := 0; trial < 4; trial++ {
 		m := withFreshValues(r, a)
@@ -355,14 +355,14 @@ func TestRefactorIntoAllocFree(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(41))
 	a := denseTailSystem(r, 120, 12)
-	sym, _, err := Analyze(a, OrderAMD, 1.0)
+	sym, _, err := Analyze(a, OrderMinDegree, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := withFreshValues(r, a)
 	f := &LUFactors{}
 	ws := sym.NewRefactorWorkspace()
-	ldl := AnalyzeLDL(a, OrderAMD)
+	ldl := AnalyzeLDL(a, OrderMinDegree)
 	g := &LDLFactors{}
 	rhs := make(la.Vector, a.NRows)
 	for i := range rhs {
@@ -401,7 +401,7 @@ func TestRefactorIntoAllocFree(t *testing.T) {
 
 	// And through a cache handle and slot: the full factorization path
 	// of a warm iteration loop.
-	cache := NewSymbolicCache(OrderAMD).Handle()
+	cache := NewSymbolicCache(OrderMinDegree).Handle()
 	slot := &FactorSlot{}
 	if _, err := cache.FactorizeInto(slot, m); err != nil {
 		t.Fatal(err)
@@ -432,7 +432,7 @@ func FuzzRefactorBlockedEquivalence(f *testing.F) {
 		if extraRaw%2 == 0 {
 			if tail := 3 + int(extraRaw)%13; tail < n {
 				d := denseTailSystem(r, n, tail)
-				compareLDL(t, AnalyzeLDL(d, OrderAMD), withFreshValues(r, d), r, 1e-8)
+				compareLDL(t, AnalyzeLDL(d, OrderMinDegree), withFreshValues(r, d), r, 1e-8)
 			}
 		}
 	})
@@ -461,7 +461,7 @@ func FuzzLDLMatchesColumnKernel(f *testing.F) {
 		default:
 			a = denseTailSystem(r, max(n, 4), 1+min(int(kind/3)%16, max(n, 4)-2))
 		}
-		ord := []Ordering{OrderNatural, OrderRCM, OrderAMD}[int(kind/3)%3]
+		ord := []Ordering{OrderNatural, OrderRCM, OrderMinDegree}[int(kind/3)%3]
 		if err := matchColumnKernel(AnalyzeLDL(a, ord), withFreshValues(r, a)); err != nil {
 			t.Fatal(err)
 		}
@@ -508,7 +508,7 @@ func TestNegativePivotsCountInertia(t *testing.T) {
 		fixtures = append(fixtures, fixture{"quasi-definite", qp.build(r), dual})
 	}
 	for _, fx := range fixtures {
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
+		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
 			var f LDLFactors
 			if err := AnalyzeLDL(fx.a, ord).FactorInto(&f, fx.a); err != nil {
 				t.Fatalf("%s, %v: %v", fx.name, ord, err)

@@ -73,7 +73,7 @@ func TestRefactorAgainstDenseReference(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 3 + r.Intn(50)
 		a1, a2 := randPatternPair(r, n)
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
+		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
 			sym, _, err := Analyze(a1, ord, 1.0)
 			if err != nil {
 				return false
@@ -128,7 +128,7 @@ func TestOrderingPermutationRoundTrip(t *testing.T) {
 		n := 2 + r.Intn(50)
 		a, x := randSparseSystem(r, n)
 		rhs := a.MulVec(x)
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderAMD} {
+		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
 			q := permFor(a, ord)
 			if len(q) != n {
 				return false
@@ -155,7 +155,7 @@ func TestOrderingPermutationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAMDReducesFill(t *testing.T) {
+func TestMinDegreeReducesFill(t *testing.T) {
 	// A randomly permuted 2D Laplacian: minimum degree should produce
 	// far less fill than the natural order of the shuffled matrix.
 	side := 12
@@ -182,12 +182,12 @@ func TestAMDReducesFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa, err := FactorizeOpts(a, OrderAMD, 1.0)
+	fa, err := FactorizeOpts(a, OrderMinDegree, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fa.NNZ() >= fn.NNZ() {
-		t.Fatalf("AMD fill %d >= natural fill %d", fa.NNZ(), fn.NNZ())
+		t.Fatalf("minimum-degree fill %d >= natural fill %d", fa.NNZ(), fn.NNZ())
 	}
 }
 
@@ -226,7 +226,7 @@ func TestSymbolicCacheSecondPatternStaysPrivate(t *testing.T) {
 	other, x := randQuasiDefSystem(r, 31)
 	rhs := other.MulVec(x)
 
-	c := NewSymbolicCache(OrderAMD)
+	c := NewSymbolicCache(OrderMinDegree)
 	h0 := c.Handle()
 	if _, err := h0.FactorizeInto(&FactorSlot{}, a1); err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestHandleRemembersLastPatternArrays(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	a1, a2 := randQuasiDefPair(r, 30)
 	twin := &CSC{NRows: a1.NRows, NCols: a1.NCols, ColPtr: slices.Clone(a1.ColPtr), RowIdx: slices.Clone(a1.RowIdx), Val: a1.Val}
-	h, slot := NewSymbolicCache(OrderAMD).Handle(), &FactorSlot{}
+	h, slot := NewSymbolicCache(OrderMinDegree).Handle(), &FactorSlot{}
 	var bits [][]float64
 	for i, m := range []*CSC{a1, a1, a2, twin} {
 		f, err := h.FactorizeInto(slot, m)
@@ -366,8 +366,8 @@ func TestSymbolicCacheSingular(t *testing.T) {
 func TestSymbolicCachePermsAndAggregation(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	a1, a2 := randQuasiDefPair(r, 25)
-	c := NewSymbolicCache(OrderAMD)
-	if c.Ordering() != OrderAMD {
+	c := NewSymbolicCache(OrderMinDegree)
+	if c.Ordering() != OrderMinDegree {
 		t.Fatalf("ordering = %v", c.Ordering())
 	}
 	h1, h2 := c.Handle(), c.Handle()
@@ -395,10 +395,10 @@ func TestSymbolicCachePermsAndAggregation(t *testing.T) {
 }
 
 // The names are what CLI reports print and BENCH_kkt.json keys are built
-// from (lu_nnz_rcm, lu_nnz_amd), and OrderRCM is the ordering of a
+// from (lu_nnz_rcm, lu_nnz_mindegree), and OrderRCM is the ordering of a
 // zero-valued mips.Options.
 func TestOrderingNames(t *testing.T) {
-	for ord, want := range map[Ordering]string{OrderNatural: "natural", OrderRCM: "rcm", OrderAMD: "amd"} {
+	for ord, want := range map[Ordering]string{OrderNatural: "natural", OrderRCM: "rcm", OrderMinDegree: "mindegree"} {
 		if got := ord.String(); got != want {
 			t.Errorf("Ordering(%d).String() = %q, want %q", int(ord), got, want)
 		}
@@ -520,7 +520,7 @@ func TestDerivedCacheEmbedsSubPattern(t *testing.T) {
 
 	// Concurrent first handles of a root and of its derivations: one
 	// analysis, on the root (the -race job runs this repeatedly).
-	root := NewSymbolicCache(OrderAMD)
+	root := NewSymbolicCache(OrderMinDegree)
 	const streams = 6
 	syms := make([]*LDLSymbolic, streams)
 	ders := make([]*SymbolicCache, streams)
@@ -562,7 +562,7 @@ func TestDerivedCacheEmbedsSubPattern(t *testing.T) {
 func TestDerivedCacheAnalyzesUncontainedPattern(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	full, _ := randQuasiDefSystem(r, 30)
-	root := NewSymbolicCache(OrderAMD)
+	root := NewSymbolicCache(OrderMinDegree)
 	if _, err := root.Handle().FactorizeInto(&FactorSlot{}, full); err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestDerivedCacheAnalyzesUncontainedPattern(t *testing.T) {
 		if st, want := h.stats, (CacheStats{Analyses: 1, Orderings: 1}); st != want || h.own == nil || h.own == pub || root.Symbolic() != pub {
 			t.Fatalf("%s: stats %+v, want a private analysis %+v that leaves the root's in place", name, st, want)
 		}
-		w, err := NewSymbolicCache(OrderAMD).Handle().FactorizeInto(&FactorSlot{}, a)
+		w, err := NewSymbolicCache(OrderMinDegree).Handle().FactorizeInto(&FactorSlot{}, a)
 		if err != nil {
 			t.Fatal(err)
 		}
