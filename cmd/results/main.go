@@ -161,6 +161,7 @@ var codeSize = []struct {
 	{at: "after c721c56", all: 16738, warmPath: 5489, kernel: 3583, why: "the modelled Figure 9 deleted: `internal/scale`, which extrapolated a 128-GPU cluster from one CPU inference time and hand-set constants (−164), and `cmd/scaling` (−67), with the root benchmark that printed its curves; `cmd/scopf`'s `-naive` and `-no-projection` switches and the `path` field of its `-json` report (−25; `scopf.ScreenNaive` and `Engine.NoProjection` stay as the tests' and `BenchmarkScreen`'s reference); `nn.SGD`, `la.Concat`, `Vector.Norm1` and `Vector.Norm2`, which only their own tests called (−74); RESULTS.md's note that Fig 9 is not reproduced and this row (+5)"},
 	{at: "after 202e913", all: 16871, warmPath: 5492, kernel: 3607, why: "a served model is resident once (a performance change; the count goes up by 133): `mtl.Model.Release` and `nn.Sequential.Release` drop every layer's float64 weights once its float32 copy is built, and `nn.ErrReleased` names what then fails (`SaveParams`, `Clone`, `Forward`, a post-mutation rebuild); `mtl.Load` hashes the snapshot as it streams and `Fingerprint` answers with it until a weight changes; parameter counts come from layer shapes (`Sequential.NumParams`, `Model.NumParams` replace `nn.NumParams`) — `nn` +50, `mtl` +55, most of it doc comments; the KKT `CacheHandle` remembers the pattern arrays it last factored (`sparse` +24); `serve_warm_large` `rss_peak_mb` 192.5 → 100.5 MiB (PERFORMANCE.md)"},
 	{at: "after e52dd13", all: 16832, warmPath: 5493, kernel: 3562, why: "every KKT system is ordered by exact minimum degree (a performance change; the count goes down by 39): `sparse.amdOrder`, the quotient-graph approximate minimum degree (−103), is replaced by `minDegreeOrder` (+54), one bitset row per variable with the fill clique formed by row ORs and degrees by popcount, and `OrderAMD` is renamed `OrderMinDegree` (`String` \"mindegree\"); case118's factorization does 52,471 flops instead of 126,922, and `screen_n1_mid` throughput rose ≈28 % (PERFORMANCE.md)"},
+	{at: "after dfb491f", all: 16952, warmPath: 5493, kernel: 3562, why: "eight weight columns per SSE2 pass (a performance change; the count goes up by 120, and from here on it counts `.s` files): `nn`'s float32 column loops became one amd64 assembly routine, `addcols_amd64.s` (+86, four outputs per `MULPS`/`ADDPS` step, a scalar tail), declared in `addcols_amd64.go` (+11), with the former Go loop kept for every other architecture in `addcols_other.go` (+33); `infer.go` −13 (the loops −26, the kernel's doc comment +13); this table's note (+3); a case300 prediction takes ≈0.99 ms instead of ≈1.85 ms with every bit unchanged (PERFORMANCE.md)"},
 }
 
 func main() {
@@ -278,12 +279,14 @@ func main() {
 
 	w("## Code size")
 	w("")
-	w("Non-test, non-data Go lines, tracked because the same behaviour from")
-	w("less code is a goal in its own right (ROADMAP item 6). A PR that moves")
-	w("the number adds its row to `codeSize` in `cmd/results`; the counts are")
+	w("Non-test, non-data Go and assembly lines, tracked because the same")
+	w("behaviour from less code is a goal in its own right (ROADMAP item 6). A")
+	w("PR that moves the number adds its row to `codeSize` in `cmd/results`;")
+	w("the counts are (the rows up to `after e52dd13` counted `.go` files")
+	w("alone; the tree had no assembly until then)")
 	w("")
 	w("```sh")
-	w("find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './internal/grid/cases*.go' | xargs cat | wc -l")
+	w("find . \\( -name '*.go' -o -name '*.s' \\) ! -name '*_test.go' ! -path './bench/*' ! -path './internal/grid/cases*.go' | xargs cat | wc -l")
 	w("ls internal/{opf,core,scopf,horizon,serve}/*.go | grep -v _test | xargs cat | wc -l")
 	w("ls internal/{sparse,mips,batch}/*.go | grep -v _test | xargs cat | wc -l")
 	w("```")

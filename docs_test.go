@@ -95,7 +95,7 @@ func TestLifecycleDocsCoverage(t *testing.T) {
 }
 
 // TestCodeSizeRecorded is the code-size ratchet: the tree may not hold
-// more non-test, non-data Go lines than the last row of RESULTS.md's
+// more non-test, non-data Go and assembly lines than the last row of RESULTS.md's
 // "Code size" table records, so growth is always a written-down
 // decision (add a row to codeSize in cmd/results and re-render) and a
 // deletion that forgets its row only leaves slack. The walk counts what
@@ -113,7 +113,7 @@ func TestCodeSizeRecorded(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, ".s") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		if isData, _ := filepath.Match("internal/grid/cases*.go", filepath.ToSlash(path)); isData {
@@ -127,7 +127,7 @@ func TestCodeSizeRecorded(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("counting Go lines: %v", err)
+		t.Fatalf("counting code lines: %v", err)
 	}
 
 	_, table, ok := strings.Cut(mustRead(t, "RESULTS.md"), "## Code size")
@@ -149,7 +149,7 @@ func TestCodeSizeRecorded(t *testing.T) {
 		t.Fatalf("RESULTS.md code-size row %q: all-packages column is not a count: %v", last, err)
 	}
 	if lines > recorded {
-		t.Errorf("tree has %d non-test, non-data Go lines but the last RESULTS.md code-size row records %d: "+
+		t.Errorf("tree has %d non-test, non-data Go and assembly lines but the last RESULTS.md code-size row records %d: "+
 			"add this change's row to codeSize in cmd/results and re-render (go run ./cmd/results)", lines, recorded)
 	}
 }

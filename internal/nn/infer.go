@@ -20,6 +20,19 @@ package nn
 // the dense row-major matvec's (infer_test.go keeps it as the
 // reference).
 //
+// The columns are added by addCols, eight per pass over y. On amd64 it
+// is one SSE2 routine (addcols_amd64.s) that takes four outputs per
+// MULPS/ADDPS step and the last Out mod 4 with MULSS/ADDSS; a remainder
+// of fewer than eight columns takes the same routine's shorter pass.
+// Each output still receives y[o] += a·w[o] term by term in ascending
+// input order, the product rounded to float32 before the add, which is
+// the sequence the portable Go loop (addcols_other.go) runs — so no
+// prediction changes by a bit. A fused multiply-add would skip that
+// rounding and move the last bits. SSE2 is baseline amd64, so there is
+// no CPU dispatch: a case300 head layer's weights come from L3, which
+// the SSE2 pass already reads at about twice the Go loop's rate and an
+// AVX2 pass no faster; AVX2 gains only on layers held in L2.
+//
 // The float64 master weights stay the source of truth: each Linear
 // materializes its float32 copy on first use and revalidates it against
 // the owning Params' Version counters, which every mutation path
@@ -90,58 +103,32 @@ const colsPerPass = 8
 
 // infer32 is the single-sample float32 matvec y = W·x + b over the
 // nonzero inputs only: y starts at b and takes x[i]·W(:,i) for every
-// x[i] ≠ 0 in ascending i, colsPerPass columns at a time with the
-// remainder one column at a time.
+// x[i] ≠ 0 in ascending i, colsPerPass columns per addCols pass and the
+// remainder in one shorter pass.
 func (l *Linear) infer32(x []float32) []float32 {
 	if len(x) != l.In {
 		panic("nn: Linear infer input width mismatch")
 	}
 	c := l.ensure32()
-	y := make([]float32, l.Out)
+	out := l.Out
+	y := make([]float32, out)
 	copy(y, c.b)
-	var nz [colsPerPass]int
+	var w [colsPerPass][]float32
+	var a [colsPerPass]float32
 	n := 0
 	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
-		nz[n] = i
+		w[n], a[n] = c.wt[i*out:][:out], xi
 		n++
 		if n == colsPerPass {
-			c.addCols8(y, x, &nz)
+			addCols(y, &w, &a, n)
 			n = 0
 		}
 	}
-	for _, i := range nz[:n] {
-		xi, w := x[i], c.col(i, len(y))
-		for o := range y {
-			y[o] += xi * w[o]
-		}
-	}
+	addCols(y, &w, &a, n)
 	return y
-}
-
-// col returns input feature i's weight column.
-func (c *weights32) col(i, out int) []float32 { return c.wt[i*out:][:out] }
-
-// addCols8 adds the eight columns nz names, in order, into y.
-func (c *weights32) addCols8(y, x []float32, nz *[colsPerPass]int) {
-	out := len(y)
-	w0, w1, w2, w3 := c.col(nz[0], out), c.col(nz[1], out), c.col(nz[2], out), c.col(nz[3], out)
-	w4, w5, w6, w7 := c.col(nz[4], out), c.col(nz[5], out), c.col(nz[6], out), c.col(nz[7], out)
-	a0, a1, a2, a3 := x[nz[0]], x[nz[1]], x[nz[2]], x[nz[3]]
-	a4, a5, a6, a7 := x[nz[4]], x[nz[5]], x[nz[6]], x[nz[7]]
-	for o, s := range y {
-		s += a0 * w0[o]
-		s += a1 * w1[o]
-		s += a2 * w2[o]
-		s += a3 * w3[o]
-		s += a4 * w4[o]
-		s += a5 * w5[o]
-		s += a6 * w6[o]
-		s += a7 * w7[o]
-		y[o] = s
-	}
 }
 
 // Materialize32 eagerly builds the float32 weight copy of every Linear

@@ -2,6 +2,7 @@ package opf
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -21,14 +22,33 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_so
 
 const goldenPath = "testdata/golden_solves.txt"
 
-// goldenSolve is one pinned solve: the iteration count and an FNV-1a
-// hash of the float64 bits of X, λ, µ and Z.
+// goldenSolve is one pinned solve: the iteration count, an FNV-1a hash
+// of the float64 bits of X, λ, µ and Z, and how the solve ended.
 type goldenSolve struct {
-	iters int
-	hash  uint64
+	iters   int
+	hash    uint64
+	verdict string // converged, numeric, stalled or maxiter
 }
 
-func (g goldenSolve) String() string { return fmt.Sprintf("%d %016x", g.iters, g.hash) }
+func (g goldenSolve) String() string { return fmt.Sprintf("%d %016x %s", g.iters, g.hash, g.verdict) }
+
+// verdictOf names how a solve ended: converged, or the mips error that
+// stopped it.
+func verdictOf(t *testing.T, r *Result, err error) string {
+	t.Helper()
+	switch {
+	case err == nil && r.Converged:
+		return "converged"
+	case errors.Is(err, mips.ErrNumeric):
+		return "numeric"
+	case errors.Is(err, mips.ErrStalled):
+		return "stalled"
+	case errors.Is(err, mips.ErrMaxIter):
+		return "maxiter"
+	}
+	t.Fatalf("solve ended with converged=%v and an error no verdict names: %v", r.Converged, err)
+	return ""
+}
 
 func pin(iters int, x, lam, mu, z la.Vector) goldenSolve {
 	h := fnv.New64a()
@@ -43,7 +63,7 @@ func pin(iters int, x, lam, mu, z la.Vector) goldenSolve {
 		}
 		h.Write([]byte{0xff}) // vector boundary
 	}
-	return goldenSolve{iters, h.Sum64()}
+	return goldenSolve{iters: iters, hash: h.Sum64()}
 }
 
 func pinResult(r *Result) goldenSolve { return pin(r.Iterations, r.X, r.Lam, r.Mu, r.Z) }
@@ -128,7 +148,7 @@ func readGolden(t *testing.T) map[string]goldenSolve {
 		}
 		var name string
 		var g goldenSolve
-		if _, err := fmt.Sscanf(line, "%s %d %x", &name, &g.iters, &g.hash); err != nil {
+		if _, err := fmt.Sscanf(line, "%s %d %x %s", &name, &g.iters, &g.hash, &g.verdict); err != nil {
 			t.Fatalf("%s: bad line %q: %v", goldenPath, line, err)
 		}
 		out[name] = g
@@ -140,20 +160,23 @@ func readGolden(t *testing.T) map[string]goldenSolve {
 }
 
 // TestGoldenSolvesBitIdentical pins cold solves of the corpus to the
-// iteration counts and bit patterns recorded in testdata: any change to
-// the evaluation, assembly or factorization order that moves one bit of
-// an iterate fails here. Regenerate with -update-golden only for a
-// change meant to move answers.
+// iteration counts, bit patterns and verdicts recorded in testdata: any
+// change to the evaluation, assembly or factorization order that moves
+// one bit of an iterate fails here, and so does a solve that ends
+// another way (case30/ramp, for one, ends on a collapsed KKT column).
+// Regenerate with -update-golden only for a change meant to move answers.
 func TestGoldenSolvesBitIdentical(t *testing.T) {
 	names, insts := goldenInstances(t)
 	got := map[string]goldenSolve{}
 	for _, name := range names {
-		r, _ := insts[name].Solve(nil, Options{}) // a failed solve is pinned too
-		got[name] = pinResult(r)
+		r, err := insts[name].Solve(nil, Options{}) // a failed solve is pinned too
+		g := pinResult(r)
+		g.verdict = verdictOf(t, r, err)
+		got[name] = g
 	}
 	if *updateGolden {
 		var b strings.Builder
-		b.WriteString("# name iterations fnv64a(X, Lam, Mu, Z bits); written by go test -run TestGoldenSolvesBitIdentical -update-golden\n")
+		b.WriteString("# name iterations fnv64a(X, Lam, Mu, Z bits) verdict; written by go test -run TestGoldenSolvesBitIdentical -update-golden\n")
 		for _, name := range names {
 			fmt.Fprintf(&b, "%s %s\n", name, got[name])
 		}
