@@ -318,42 +318,6 @@ func BenchmarkAblationDetach(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationKKTOrdering compares the sparse LU fill-reducing
-// ordering on an OPF-sized KKT matrix (the solver kernel choice).
-func BenchmarkAblationKKTOrdering(b *testing.B) {
-	f := getFixture(b)
-	// Assemble a representative KKT-like matrix: the equality Jacobian
-	// bordered system of case14.
-	o := f.sys14.OPF
-	x := o.DefaultStart()
-	_, jg := o.Equality(x)
-	nx := o.Lay.NX
-	neq := o.Lay.NEq
-	kb := sparse.NewBuilder(nx+neq, nx+neq)
-	for i := 0; i < nx; i++ {
-		kb.Append(i, i, 4)
-	}
-	kb.AppendCSC(nx, 0, 1, jg)
-	kb.AppendCSC(0, nx, 1, jg.T())
-	kkt := kb.ToCSC()
-	printReport("ablKKT", func() {
-		fn, err1 := sparse.FactorizeOpts(kkt, sparse.OrderNatural, 1)
-		fr, err2 := sparse.FactorizeOpts(kkt, sparse.OrderRCM, 1)
-		if err1 != nil || err2 != nil {
-			fmt.Println("ablation error:", err1, err2)
-			return
-		}
-		fmt.Printf("Ablation KKT ordering (case14, %dx%d): natural fill=%d RCM fill=%d\n",
-			nx+neq, nx+neq, fn.NNZ(), fr.NNZ())
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sparse.FactorizeOpts(kkt, sparse.OrderRCM, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Solver-kernel benchmarks (PERFORMANCE.md). These are fixture-free — no
 // dataset generation or model training — so the CI bench smoke job can run
@@ -397,40 +361,29 @@ func kktBenchMatrix() *sparse.CSC {
 }
 
 // BenchmarkKKTFactor times the two halves of the symbolic/numeric split
-// on the case14 KKT matrix: a full analysis (ordering + pattern DFS +
-// pivot search) versus a numeric refactorization on the cached symbolic.
+// on the case14 KKT matrix: a fresh LDLᵀ analysis (minimum-degree
+// ordering, elimination tree, supernodes) plus factorization, versus a
+// numeric refactorization on the cached analysis.
 func BenchmarkKKTFactor(b *testing.B) {
 	kkt := kktBenchMatrix()
 	writeKKTBenchReport(b)
 	b.Run("analyze", func(b *testing.B) {
+		f := &sparse.LDLFactors{}
 		for i := 0; i < b.N; i++ {
-			if _, err := sparse.FactorizeOpts(kkt, sparse.OrderRCM, 1.0); err != nil {
+			if err := sparse.AnalyzeLDL(kkt).FactorInto(f, kkt); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("refactor", func(b *testing.B) {
-		sym, f, err := sparse.Analyze(kkt, sparse.OrderRCM, 1.0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ws := sym.NewRefactorWorkspace()
+		sym, f := sparse.AnalyzeLDL(kkt), &sparse.LDLFactors{}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sym.RefactorInto(f, ws, kkt); err != nil {
+			if err := sym.FactorInto(f, kkt); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM, sparse.OrderMinDegree} {
-		b.Run("ordering/"+ord.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sparse.FactorizeOpts(kkt, ord, 1.0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkMIPSSolve times a cold case14 AC-OPF solve through the
@@ -880,25 +833,10 @@ func writeKKTBenchReport(b *testing.B) {
 		}
 
 		const facReps = 200
-		analyzeNs := timeIt(facReps, func() error {
-			_, err := sparse.FactorizeOpts(kkt, sparse.OrderRCM, 1.0)
-			return err
-		})
-		sym, f, err := sparse.Analyze(kkt, sparse.OrderRCM, 1.0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ws := sym.NewRefactorWorkspace()
-		refactorNs := timeIt(facReps, func() error { return sym.RefactorInto(f, ws, kkt) })
-
-		fill := map[string]int{}
-		for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM, sparse.OrderMinDegree} {
-			f, err := sparse.FactorizeOpts(kkt, ord, 1.0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fill[ord.String()] = f.NNZ()
-		}
+		f := &sparse.LDLFactors{}
+		analyzeNs := timeIt(facReps, func() error { return sparse.AnalyzeLDL(kkt).FactorInto(f, kkt) })
+		sym := sparse.AnalyzeLDL(kkt)
+		refactorNs := timeIt(facReps, func() error { return sym.FactorInto(f, kkt) })
 
 		sys := core.MustLoadSystem("case14")
 		fac := make([]float64, sys.Case.NB())
@@ -924,7 +862,6 @@ func writeKKTBenchReport(b *testing.B) {
 				{"name": "KKTFactor/refactor", "ns_per_op": refactorNs, "ops": facReps},
 				{"name": "MIPSSolve/reuse", "ns_per_op": reuseNs, "ops": solveReps},
 			},
-			"fill_by_ordering":            fill,
 			"speedup_refactor_vs_analyze": analyzeNs / refactorNs,
 			"production_fill":             productionFill(b),
 		})
@@ -936,13 +873,14 @@ func writeKKTBenchReport(b *testing.B) {
 // productionFill is the "production_fill" section of BENCH_kkt.json:
 // per embedded system, the KKT matrix MIPS really factors — the reduced
 // system of dimension NX + NEq — and its stored factor entries and
-// factorization flops under RCM and minimum degree, read from the
-// analysis a one-iteration cold solve publishes to the instance's cache:
-// nnz(L)+n of the LDLᵀ, 2·(nnz(L)+n), the L+U of an LU of the same
-// elimination (the identity BenchmarkLDLvsLU pins on a real LU), which is
-// what the KKT path stored before the LDLᵀ, and the floating-point
-// operations of one factorization. RESULTS.md "KKT fill by ordering"
-// renders it; opf's TestKKTOrderingFill asserts it.
+// factorization flops under minimum degree, read from the analysis a
+// one-iteration cold solve publishes to the instance's cache: nnz(L)+n
+// of the LDLᵀ, 2·(nnz(L)+n), the L+U of an LU of the same elimination,
+// which is what the KKT path stored before the LDLᵀ, and the
+// floating-point operations of one factorization. The *_rcm columns on
+// disk are history, kept by mergeKKTReport: reverse Cuthill–McKee's fill
+// before it was deleted, which opf's TestKKTOrderingFill holds minimum
+// degree below. RESULTS.md "KKT fill by ordering" renders the section.
 func productionFill(b *testing.B) map[string]any {
 	systems := map[string]any{}
 	for _, name := range casegen.EmbeddedNames() {
@@ -953,25 +891,21 @@ func productionFill(b *testing.B) map[string]any {
 		if err != nil {
 			b.Fatal(err)
 		}
-		row := map[string]any{}
-		for _, ord := range []sparse.Ordering{sparse.OrderRCM, sparse.OrderMinDegree} {
-			o := opf.Prepare(c)
-			o.SetOrdering(ord)
-			_, _ = o.Solve(nil, opf.Options{MaxIter: 1}) // never converges; the analysis is what is wanted
-			sym := o.KKTSymbolic()
-			if sym == nil {
-				b.Fatalf("%s %v: the first iteration published no analysis", name, ord)
-			}
-			row["kkt_n"], row["kkt_nnz"] = sym.N(), sym.PatternNNZ()
-			row["ldl_nnz_"+ord.String()] = sym.NNZ()
-			row["lu_nnz_"+ord.String()] = 2 * sym.NNZ()
-			row["flops_"+ord.String()] = sym.Flops()
+		o := opf.Prepare(c)
+		_, _ = o.Solve(nil, opf.Options{MaxIter: 1}) // never converges; the analysis is what is wanted
+		sym := o.KKTSymbolic()
+		if sym == nil {
+			b.Fatalf("%s: the first iteration published no analysis", name)
 		}
-		systems[name] = row
+		systems[name] = map[string]any{
+			"kkt_n": sym.N(), "kkt_nnz": sym.PatternNNZ(),
+			"ldl_nnz_mindegree": sym.NNZ(), "lu_nnz_mindegree": 2 * sym.NNZ(), "flops_mindegree": sym.Flops(),
+		}
 	}
 	return map[string]any{
 		"pattern": "reduced KKT system of a MaxIter: 1 cold solve, LDLᵀ analysis (opf.KKTSymbolic); " +
-			"ldl_nnz = nnz(L)+n, lu_nnz = 2·(nnz(L)+n), the L+U of the same elimination, flops = LDLSymbolic.Flops()",
+			"ldl_nnz = nnz(L)+n, lu_nnz = 2·(nnz(L)+n), the L+U of the same elimination, flops = LDLSymbolic.Flops(); " +
+			"the *_rcm columns are reverse Cuthill–McKee's, recorded before it was deleted",
 		"systems": systems,
 	}
 }
@@ -980,12 +914,14 @@ var kktReportMu sync.Mutex
 
 // mergeKKTReport read-modify-writes BENCH_kkt.json: the given keys
 // overwrite their own top-level entries and everything else already on
-// disk is preserved, so the symbolic-reuse and blocked-kernel sections
-// regenerate independently without truncating each other (the same
-// convention writePaperBenchReport uses for per-system rows). Within a
-// section, per-system rows already on disk survive a run that measured
-// fewer systems (a gated or smoke run), so partial regeneration never
-// loses the case1354 row.
+// disk is preserved, so a section this harness no longer writes — the
+// ldl_kernel race against the deleted LU, the LU fill_by_ordering —
+// stays as history (the same convention writePaperBenchReport uses for
+// per-system rows). Within a section, per-system rows already on disk
+// survive a run that measured fewer systems (a gated or smoke run), so
+// partial regeneration never loses the case1354 row, and within a row
+// the columns a run no longer measures (production_fill's *_rcm) survive
+// beside the fresh ones.
 func mergeKKTReport(b *testing.B, sections map[string]any) {
 	b.Helper()
 	kktReportMu.Lock()
@@ -1002,8 +938,15 @@ func mergeKKTReport(b *testing.B, sections map[string]any) {
 				oldSys, okOld := oldSec["systems"].(map[string]any)
 				if okNew && okOld {
 					for name, row := range oldSys {
-						if _, fresh := newSys[name]; !fresh {
+						fresh, ok := newSys[name].(map[string]any)
+						if !ok {
 							newSys[name] = row
+							continue
+						}
+						for col, v := range row.(map[string]any) {
+							if _, measured := fresh[col]; !measured {
+								fresh[col] = v
+							}
 						}
 					}
 				}
@@ -1020,13 +963,10 @@ func mergeKKTReport(b *testing.B, sections map[string]any) {
 	}
 }
 
-var kernelReportOnce sync.Once
-
 // productionKKT returns the reduced KKT matrix a cold solve of the
 // embedded system name factors after steps interior-point iterations —
-// the production pattern and values, assembled by a mips.Stepper on the
-// instance's own ordering — and the number of primal variables: rows
-// from nx on are dual.
+// the production pattern and values, assembled by a mips.Stepper — and
+// the number of primal variables: rows from nx on are dual.
 func productionKKT(b *testing.B, name string, steps int) (kkt *sparse.CSC, nx int) {
 	b.Helper()
 	c, err := casegen.Paper(name)
@@ -1034,7 +974,7 @@ func productionKKT(b *testing.B, name string, steps int) (kkt *sparse.CSC, nx in
 		b.Fatal(err)
 	}
 	o := opf.Prepare(c)
-	s := mips.NewStepper(o.Problem(), o.DefaultStart(), nil, mips.Options{Ordering: o.Ordering()})
+	s := mips.NewStepper(o.Problem(), o.DefaultStart(), nil, mips.Options{})
 	for i := 0; i < steps; i++ {
 		if done, err := s.Step(); done {
 			b.Fatalf("%s: the solve finished after %d iterations: %v", name, i, err)
@@ -1043,27 +983,45 @@ func productionKKT(b *testing.B, name string, steps int) (kkt *sparse.CSC, nx in
 	return s.Assemble().Clone(), o.Lay.NX
 }
 
-// BenchmarkLDLvsLU races the supernodal LDLᵀ the KKT path factors with
-// against the scalar LU internal/pf keeps, on the production KKT
-// matrices of case118, case300 and case1354 at iteration 10 of a cold
-// solve, both under minimum degree and with diagonal pivots — the elimination the
-// KKT path refactored with LU before — and writes the "ldl_kernel"
-// section of BENCH_kkt.json. The LU refactorization rejects a pivot
-// below 1e-10 of its column, which the −δ dual pivots the ordering puts ahead
-// of their primal neighbours are, and it has no static boost; so the
-// race runs on the iterate's matrix with its dual diagonal deepened to
-// −1. Both kernels do the same flops on any values of one pattern. Four
-// invariants are enforced with b.Fatal rather than merely reported: the
-// LU's L+U is 2·(nnz(L)+n) of the LDLᵀ (the same elimination), the two
-// solves agree (see backwardError), the LDLᵀ factors the untouched
-// production matrix, boost included, to a backward error below 1e-9,
-// and warm factorizations allocate nothing. The b.N loop itself times
-// the headline case300 LDLᵀ on the untouched matrix.
-func BenchmarkLDLvsLU(b *testing.B) {
-	kernelReportOnce.Do(func() { writeKernelReport(b) })
+// BenchmarkLDLFactor factors the production KKT matrices of case118,
+// case300 and case1354 at iteration 10 of a cold solve with the
+// supernodal LDLᵀ every KKT system goes through, and enforces two
+// invariants with b.Fatal rather than merely reporting them: the solve's
+// backward error on the untouched production matrix, static pivot boost
+// included, is below 1e-9 (see backwardError), and a warm factorization
+// allocates nothing. The b.N loop times the headline case300
+// factorization. It writes no BENCH file: BENCH_kkt.json's ldl_kernel
+// section is the committed record of its race against the LU it
+// replaced.
+func BenchmarkLDLFactor(b *testing.B) {
+	names := []string{"case118", "case300", "case1354"}
+	if benchSkipLarge() {
+		names = names[:2]
+	}
+	for _, name := range names {
+		kkt, _ := productionKKT(b, name, 10)
+		sym, f := sparse.AnalyzeLDL(kkt), &sparse.LDLFactors{}
+		if err := sym.FactorInto(f, kkt); err != nil {
+			b.Fatalf("%s: LDLᵀ of the production matrix: %v", name, err)
+		}
+		r := rand.New(rand.NewSource(42))
+		rhs := make(la.Vector, kkt.NRows)
+		for i := range rhs {
+			rhs[i] = r.NormFloat64()
+		}
+		if be := backwardError(kkt, f.Solve(rhs), rhs); be > 1e-9 {
+			b.Fatalf("%s: LDLᵀ backward error %.3g on the production matrix, want ≤ 1e-9", name, be)
+		}
+		if allocs := testing.AllocsPerRun(3, func() {
+			if err := sym.FactorInto(f, kkt); err != nil {
+				b.Fatal(err)
+			}
+		}); allocs != 0 {
+			b.Fatalf("%s: warm factorization allocates %.0f times", name, allocs)
+		}
+	}
 	kkt, _ := productionKKT(b, "case300", 10)
-	sym := sparse.AnalyzeLDL(kkt, sparse.OrderMinDegree)
-	f := &sparse.LDLFactors{}
+	sym, f := sparse.AnalyzeLDL(kkt), &sparse.LDLFactors{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := sym.FactorInto(f, kkt); err != nil {
@@ -1073,132 +1031,16 @@ func BenchmarkLDLvsLU(b *testing.B) {
 }
 
 // backwardError is the normwise backward error ‖a·x − rhs‖∞ /
-// (max|a|·‖x‖∞ + ‖rhs‖∞) of a solve. The race compares backward errors,
-// not solutions: at an interior-point iterate the barrier terms make the
-// matrix so ill-conditioned that two stable factorizations differ in
-// the fourth digit of the solution.
+// (max|a|·‖x‖∞ + ‖rhs‖∞) of a solve. BenchmarkLDLFactor bounds backward
+// errors, not solution errors: at an interior-point iterate the barrier
+// terms make the matrix so ill-conditioned that two stable
+// factorizations differ in the fourth digit of the solution.
 func backwardError(a *sparse.CSC, x, rhs la.Vector) float64 {
 	var norm float64
 	for _, v := range a.Val {
 		norm = math.Max(norm, math.Abs(v))
 	}
 	return a.MulVec(x).Sub(rhs).NormInf() / (norm*x.NormInf() + rhs.NormInf())
-}
-
-// writeKernelReport self-times the LDLᵀ against the LU over fixed
-// repetition counts (independent of -benchtime) and merges the
-// per-system rows into BENCH_kkt.json.
-func writeKernelReport(b *testing.B) {
-	b.Helper()
-	reps := map[string]int{"case118": 200, "case300": 60, "case1354": 6}
-	names := []string{"case118", "case300", "case1354"}
-	if benchSkipLarge() {
-		names = names[:2]
-		fmt.Println("BENCH_kkt.json: ldl_kernel case1354 row gated by -short/PGSIM_BENCH_SKIP_LARGE (on-disk row preserved)")
-	}
-	systems := map[string]any{}
-	for _, name := range names {
-		raw, nx := productionKKT(b, name, 10)
-		kkt := raw.Clone()
-		for j := nx; j < kkt.NCols; j++ {
-			for p := kkt.ColPtr[j]; p < kkt.ColPtr[j+1]; p++ {
-				if kkt.RowIdx[p] == j {
-					kkt.Val[p] = -1
-				}
-			}
-		}
-		sym := sparse.AnalyzeLDL(kkt, sparse.OrderMinDegree)
-		fl := &sparse.LDLFactors{}
-		lu, fu, err := sparse.Analyze(kkt, sparse.OrderMinDegree, 1e-12) // keeps every diagonal pivot
-		if err != nil {
-			b.Fatal(err)
-		}
-		ws := lu.NewRefactorWorkspace()
-		if err := lu.RefactorInto(fu, ws, kkt); err != nil {
-			b.Fatalf("%s: LU refactorization: %v", name, err)
-		}
-		if lu.NNZ() != 2*sym.NNZ() {
-			b.Fatalf("%s: LU L+U %d is not 2·(nnz(L)+n) = %d: the two eliminations differ", name, lu.NNZ(), 2*sym.NNZ())
-		}
-		r := rand.New(rand.NewSource(42))
-		rhs := make(la.Vector, kkt.NRows)
-		for i := range rhs {
-			rhs[i] = r.NormFloat64()
-		}
-		if err := sym.FactorInto(fl, raw); err != nil {
-			b.Fatalf("%s: LDLᵀ of the production matrix: %v", name, err)
-		}
-		beRaw := backwardError(raw, fl.Solve(rhs), rhs)
-		if err := sym.FactorInto(fl, kkt); err != nil {
-			b.Fatal(err)
-		}
-		beL, beU := backwardError(kkt, fl.Solve(rhs), rhs), backwardError(kkt, fu.Solve(rhs), rhs)
-		if beRaw > 1e-9 || beL > 100*beU+1e-15 {
-			b.Fatalf("%s: backward errors: LDLᵀ %.3g (production matrix %.3g), LU %.3g", name, beL, beRaw, beU)
-		}
-		ldlAllocs := testing.AllocsPerRun(3, func() {
-			if err := sym.FactorInto(fl, kkt); err != nil {
-				b.Fatal(err)
-			}
-		})
-		luAllocs := testing.AllocsPerRun(3, func() {
-			if err := lu.RefactorInto(fu, ws, kkt); err != nil {
-				b.Fatal(err)
-			}
-		})
-		if ldlAllocs != 0 || luAllocs != 0 {
-			b.Fatalf("%s: warm factorization allocates (LDLᵀ %.0f, LU %.0f allocs/op)", name, ldlAllocs, luAllocs)
-		}
-
-		n := reps[name]
-		timeIt := func(f func() error) float64 {
-			t0 := time.Now()
-			for i := 0; i < n; i++ {
-				if err := f(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			return float64(time.Since(t0).Nanoseconds()) / float64(n)
-		}
-		// Interleaved rounds, minimum of each, so a noisy neighbour
-		// slows both kernels alike.
-		ldlNs, luNs := math.Inf(1), math.Inf(1)
-		for round := 0; round < 3; round++ {
-			ldlNs = math.Min(ldlNs, timeIt(func() error { return sym.FactorInto(fl, kkt) }))
-			luNs = math.Min(luNs, timeIt(func() error { return lu.RefactorInto(fu, ws, kkt) }))
-		}
-		supernodes, panelCols := sym.Supernodes()
-		systems[name] = map[string]any{
-			"kkt_n":                         kkt.NRows,
-			"kkt_nnz":                       kkt.NNZ(),
-			"lu_nnz":                        lu.NNZ(),
-			"ldl_nnz":                       sym.NNZ(),
-			"lu_ns":                         luNs,
-			"ldl_ns":                        ldlNs,
-			"speedup":                       luNs / ldlNs,
-			"ops":                           n,
-			"supernodes":                    supernodes,
-			"panel_cols":                    panelCols,
-			"updates":                       sym.Updates(),
-			"flops":                         sym.Flops(),
-			"ldl_allocs":                    ldlAllocs,
-			"ldl_backward_error":            beL,
-			"lu_backward_error":             beU,
-			"ldl_backward_error_production": beRaw,
-			"lu_allocs":                     luAllocs,
-		}
-		fmt.Printf("BENCH_kkt.json: %s LDLᵀ %.2fx vs LU (%.3f ms vs %.3f ms; stored %d vs %d entries)\n",
-			name, luNs/ldlNs, ldlNs/1e6, luNs/1e6, sym.NNZ(), lu.NNZ())
-	}
-	mergeKKTReport(b, map[string]any{
-		"ldl_kernel": map[string]any{
-			"produced_by": "go test -run '^$' -bench BenchmarkLDLvsLU -benchtime 1x . " +
-				"(self-timed, minimum of 3 interleaved rounds; solve agreement and zero-alloc pins enforced with b.Fatal)",
-			"matrix": "reduced KKT system at iteration 10 of a cold solve (mips.Stepper.Assemble), ordering mindegree, " +
-				"dual diagonal deepened to -1 for the race (ldl_backward_error_production: the untouched matrix)",
-			"systems": systems,
-		},
-	})
 }
 
 // ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ var codeSize = []struct {
 	{at: "after 1c4db34", all: 17046, warmPath: 5799, kernel: 3327, why: "a third failure verdict (a performance change, so the count goes up): `mips.ErrStalled` ends a solve whose best primal feasibility has not halved in 65 iterations, with its window of bests on the `Stepper` (+48 in `mips`, most of it the documented calibration); `scopf.Summary` splits its errors by verdict, `pgsimd_screen_stalled_total` and `cmd/scopf`'s error split read it; `screen_n1_mid`'s check pass runs 7,661 → 4,893 iterations (PERFORMANCE.md)"},
 	{at: "after 1e05057", all: 16623, warmPath: 5427, kernel: 3327, why: "screening takes every warm start and screens every pair it is given: the learned warm/cold dispatch policy (`scopf/policy.go`, `Engine.Policy`, `Outcome.ColdByPolicy`, `Summary.PolicyCold`, `cmd/scopf -policy`, `/v1/screen`'s `policy` field and `policy_cold`/`cold_by_policy`, `pgsimd_screen_policy_cold_total`) and the severity-ranked top-K N-2 screen (`scopf/n2.go` but `AllPairs`, `cmd/scopf`'s separate N-2 stage; `-n2` is a bool) deleted — neither changed a decision on any measured fixture (PERFORMANCE.md, \"Screening extras that never fired\")"},
 	{at: "after c4a31ad", all: 16676, warmPath: 5536, kernel: 3265, why: "the Newton system compiled once per grid (a performance change; the count goes up by 53): `sparse.Assembler` and its verify/recompile protocol (−167) replaced by `sparse.CompileSlots` and slot-map stamps — `opf`'s shared `evalProgram` records each evaluator's entry order once (+90 in `eval.go`), the `mips` arena keys its inequality and KKT slot maps on input patterns (+130 in `arena.go`, −25 in `mips.go`); `scopf.Outcome.Spent` and `error_iterations` (+13); `mtl.Model.Load` decodes in place (+5); `serve_cold_mid` `latency_ms_mid` 21.00 → 14.00 ms (PERFORMANCE.md)"},
-	{at: "after 12caeba", all: 16616, warmPath: 5535, kernel: 3205, why: "one supernodal LDLᵀ for every KKT system (a performance change; the count goes down by 60): `internal/sparse/ldl.go` (+502: `AnalyzeLDL`'s elimination tree, column patterns, supernodes and update ops, and the one `FactorInto` kernel with its `panelUpdate`) replaces `blocked.go` (−546: the blocked LU schedule, kernel, auto-selector and `PanelStats`), the pivot surrogate in `order.go`, the shaped/value-pivoted paths of `symbolic.go` and the unused `AnalyzePerm`; the scalar LU refactorization moved into `lu.go` for `internal/pf`"},
+	{at: "after 12caeba", all: 16616, warmPath: 5535, kernel: 3205, why: "one supernodal LDLᵀ for every KKT system (a performance change; the count goes down by 60): `internal/sparse/ldl.go` (+502: `AnalyzeLDL`'s elimination tree, column patterns, supernodes and update ops, and the one `FactorInto` kernel with its `panelUpdate`) replaces `blocked.go` (−546: the blocked LU schedule, kernel, auto-selector and `PanelStats`), the pivot surrogate in `order.go`, the shaped/value-pivoted paths of `symbolic.go` and the unused `AnalyzePerm`; the scalar LU refactorization moved into `lu.go` for the Newton power flow"},
 	{at: "after f0e2663", all: 16673, warmPath: 5535, kernel: 3205, why: "inference multiplies only the nonzero activations (a performance change; the count goes up by 57): `nn` keeps each layer's float32 weights column-major, built by a tiled transpose, and `infer32` adds the weight columns of nonzero inputs eight per pass, replacing the row-major four-output kernel (+51 in `infer.go`); `mtl.Model.Predict` runs through `predict`, which takes each network's forward pass so a test can substitute the row-major reference (+5); `serve_warm_large` `latency_ms_mid` 12.97 → 9.92 ms (PERFORMANCE.md)"},
 	{at: "after 8e71d89", all: 16810, warmPath: 5535, kernel: 3205, why: "a served model boots in one streamed pass (a performance change; the count goes up by 137): `nn/serialize.go`'s gob `SaveParams`/`LoadParams` became the raw tensor-stream codec every model file uses — magic/version header, every tensor's length, raw little-endian float64 through one 32 KiB buffer, three named errors (+117); `mtl` builds `Load`'s and `Clone`'s networks without an init draw and writes the normalizer as ten tensors of the stream, its gob `snapshot` type deleted (+22); `nn.Param.Grad` allocated by training's first use (+12); `examples/transfer`'s save/load clone replaced by `Clone` (−15); `serve_warm_large` `rss_peak_mb` 478.3 → 192.4 MiB (PERFORMANCE.md)"},
 	{at: "after d00f7c1", all: 16645, warmPath: 5459, kernel: 3205, why: "one layout per grid: `RebindRamp` only tightens bounds that are already finite and rejects a finite limit on an infinite side, so its NIq recount, the ramp-row start projection of `internal/opf` (its type, constructor, apply and row map and the seed constant; −77) and the trajectory stepper's previous-instance field and two projection calls are deleted; `horizon.Runner` rejects a model laid out for another grid (+4); `examples/scaling` and `examples/sensitivity`, their CLIs with fixed flags, deleted (−90)"},
@@ -162,6 +162,7 @@ var codeSize = []struct {
 	{at: "after 202e913", all: 16871, warmPath: 5492, kernel: 3607, why: "a served model is resident once (a performance change; the count goes up by 133): `mtl.Model.Release` and `nn.Sequential.Release` drop every layer's float64 weights once its float32 copy is built, and `nn.ErrReleased` names what then fails (`SaveParams`, `Clone`, `Forward`, a post-mutation rebuild); `mtl.Load` hashes the snapshot as it streams and `Fingerprint` answers with it until a weight changes; parameter counts come from layer shapes (`Sequential.NumParams`, `Model.NumParams` replace `nn.NumParams`) — `nn` +50, `mtl` +55, most of it doc comments; the KKT `CacheHandle` remembers the pattern arrays it last factored (`sparse` +24); `serve_warm_large` `rss_peak_mb` 192.5 → 100.5 MiB (PERFORMANCE.md)"},
 	{at: "after e52dd13", all: 16832, warmPath: 5493, kernel: 3562, why: "every KKT system is ordered by exact minimum degree (a performance change; the count goes down by 39): `sparse.amdOrder`, the quotient-graph approximate minimum degree (−103), is replaced by `minDegreeOrder` (+54), one bitset row per variable with the fill clique formed by row ORs and degrees by popcount, and `OrderAMD` is renamed `OrderMinDegree` (`String` \"mindegree\"); case118's factorization does 52,471 flops instead of 126,922, and `screen_n1_mid` throughput rose ≈28 % (PERFORMANCE.md)"},
 	{at: "after dfb491f", all: 16952, warmPath: 5493, kernel: 3562, why: "eight weight columns per SSE2 pass (a performance change; the count goes up by 120, and from here on it counts `.s` files): `nn`'s float32 column loops became one amd64 assembly routine, `addcols_amd64.s` (+86, four outputs per `MULPS`/`ADDPS` step, a scalar tail), declared in `addcols_amd64.go` (+11), with the former Go loop kept for every other architecture in `addcols_other.go` (+33); `infer.go` −13 (the loops −26, the kernel's doc comment +13); this table's note (+3); a case300 prediction takes ≈0.99 ms instead of ≈1.85 ms with every bit unchanged (PERFORMANCE.md)"},
+	{at: "after 67b9708", all: 16175, warmPath: 5478, kernel: 3035, why: "one sparse factorization (−777): the Gilbert–Peierls LU with its frozen-pivot refactor (`sparse/lu.go`, −421), the Newton power flow that was its one caller (package `pf`, −206), reverse Cuthill–McKee, `symAdjacency`, the natural ordering and `permFor` (`order.go` −109), `(*OPF).SetOrdering` (−15), `SymbolicCache`'s ordering field and `Ordering` method; `AnalyzeLDL` and `NewSymbolicCache` take no ordering, and `sparse.Ordering` keeps one value, `OrderMinDegree`, now the zero value; `casegen` certifies a synthesized system with one cold solve of its unrated OPF and stores the optimum (−13), so `internal/grid/gen` drops its own re-anchor (−22); `sparse`'s package comment and `grid.MakeSbus`'s say what is left"},
 }
 
 func main() {
@@ -317,10 +318,10 @@ func bySize[T any](m map[string]T, size func(T) int) []string {
 
 // renderKernel appends the KKT-fill and numeric-kernel sections from
 // BENCH_kkt.json (production fill and symbolic reuse written by
-// BenchmarkKKTFactor/BenchmarkMIPSSolve, the LDLᵀ-vs-LU race by
-// BenchmarkLDLvsLU). Any part may be absent — a filtered bench run
-// regenerates only its own section — so each table renders only when
-// its rows exist.
+// BenchmarkKKTFactor/BenchmarkMIPSSolve; the RCM fill columns and the
+// LDLᵀ-vs-LU race are history, recorded before RCM and the LU were
+// deleted). Any part may be absent, so each table renders only when its
+// rows exist.
 func renderKernel(w func(string, ...any), path string, buf []byte) {
 	var k kktReport
 	if err := json.Unmarshal(buf, &k); err != nil {
@@ -334,10 +335,11 @@ func renderKernel(w func(string, ...any), path string, buf []byte) {
 		w("ordering (`production_fill` in `%s`). The KKT path factors it", path)
 		w("with LDLᵀ and stores nnz(L)+n; the L+U columns are what an LU of")
 		w("the same elimination stores, 2·(nnz(L)+n), which the KKT path")
-		w("stored before (BenchmarkLDLvsLU pins the identity on a real LU),")
-		w("and the flops are one factorization's (`LDLSymbolic.Flops`).")
-		w("`opf.Prepare` uses exact minimum degree on every system;")
-		w("`TestKKTOrderingFill` holds its fill and flops below RCM's (DESIGN.md §9).")
+		w("stored before, and the flops are one factorization's")
+		w("(`LDLSymbolic.Flops`). Every analysis uses exact minimum degree;")
+		w("the RCM columns are history, recorded before reverse Cuthill–McKee")
+		w("was deleted, and `TestKKTOrderingFill` holds minimum degree's fill")
+		w("and flops below them (DESIGN.md §9).")
 		w("")
 		w("| system | KKT n | nnz(KKT) | L+U rcm | L+U mindegree | nnz(L)+n mindegree | mindegree / rcm | flops rcm | flops mindegree |")
 		w("|---|---|---|---|---|---|---|---|---|")
@@ -363,12 +365,12 @@ func renderKernel(w func(string, ...any), path string, buf []byte) {
 		w("")
 	}
 	if len(k.LDLKernel.Systems) > 0 {
-		w("The supernodal LDLᵀ every KKT system goes through, against the")
-		w("scalar LU of the same elimination, on the production KKT matrix at")
-		w("iteration 10 of a cold solve (DESIGN.md §11), under the ordering")
-		w("the section's `matrix` field names. The fill")
-		w("identity, agreeing backward errors and zero warm-path allocations")
-		w("are pinned with `b.Fatal` inside the benchmark itself:")
+		w("History: the supernodal LDLᵀ every KKT system goes through, raced")
+		w("against the scalar LU of the same elimination on the production KKT")
+		w("matrix at iteration 10 of a cold solve (DESIGN.md §11), under the")
+		w("ordering the section's `matrix` field names — recorded by")
+		w("BenchmarkLDLvsLU before the LU was deleted. BenchmarkLDLFactor keeps")
+		w("its backward-error and zero-allocation pins on the LDLᵀ alone:")
 		w("")
 		w("| system | KKT n | L+U | nnz(L)+n | LU ms | LDLᵀ ms | speedup | supernodes | panel cols | supernode updates |")
 		w("|---|---|---|---|---|---|---|---|---|---|")

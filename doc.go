@@ -6,8 +6,8 @@
 // power-flow algebra (internal/grid), dense and sparse linear algebra
 // (internal/la; internal/sparse, whose supernodal LDLᵀ factors every
 // interior-point KKT system — DESIGN.md §7, §11), the
-// Newton power flow (internal/pf), the MIPS primal–dual interior-point
-// solver with its zero-allocation warm loop (internal/mips), the AC-OPF
+// synthesis of OPF-certified systems (internal/casegen), the MIPS
+// primal–dual interior-point solver with its zero-allocation warm loop (internal/mips), the AC-OPF
 // assembly (internal/opf), the neural-network framework and multitask
 // model (internal/nn, internal/mtl), dataset generation
 // (internal/dataset), the Smart-PGSim pipeline and experiment drivers

@@ -11,9 +11,11 @@
 // PEGASE element counts and frozen the same way as case300). case39 —
 // and any ad-hoc size — is synthesized here: Generate builds deterministic
 // systems with the requested bus/generator/branch counts and realistic
-// parameter ranges, then runs a Newton power flow to certify that the
-// base operating point is solvable — exactly the property the paper's
-// ±10 % load-sampling workload depends on. See DESIGN.md §9 and
+// parameter ranges, then certifies each with one cold solve of its
+// unrated AC-OPF: the optimum exists, within the [0.94, 1.06] pu voltage
+// band the bus bounds enforce — exactly the property the paper's ±10 %
+// load-sampling workload depends on — and becomes the stored operating
+// point the rated branches are rated from. See DESIGN.md §9
 // ("Substitutions").
 package casegen
 
@@ -24,7 +26,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/grid"
-	"repro/internal/pf"
+	"repro/internal/opf"
 )
 
 // Spec sizes a synthetic system.
@@ -74,8 +76,8 @@ func BeyondPaperSpecs() map[string]Spec {
 }
 
 // Generate builds a synthetic case from the spec. The result is
-// normalized and certified: a Newton power flow at the embedded operating
-// point converges with all voltages in [0.94, 1.06] pu.
+// normalized and certified: its unrated OPF converges from a cold start,
+// and the stored operating point is that optimum (see certify).
 func Generate(spec Spec) (*grid.Case, error) {
 	if spec.Buses < 2 {
 		return nil, fmt.Errorf("casegen: need at least 2 buses, got %d", spec.Buses)
@@ -91,8 +93,8 @@ func Generate(spec Spec) (*grid.Case, error) {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 
-	// Retry with progressively lighter loading until the power flow
-	// certifies the operating point.
+	// Retry with progressively lighter loading until the OPF certifies
+	// the system.
 	level := spec.LoadLevel
 	for attempt := 0; attempt < 6; attempt++ {
 		c := build(spec, rng, level)
@@ -303,15 +305,15 @@ func build(spec Spec, rng *rand.Rand, loadLevel float64) *grid.Case {
 	}
 
 	// Dispatch generators proportionally to capacity to cover the load;
-	// the slack absorbs losses.
+	// certify replaces it with the OPF's dispatch.
 	for g := range c.Gens {
 		c.Gens[g].Pg = totalLoad * caps[g] / totalCap
 	}
 
-	// Branch ratings: assigned after the certifying power flow (see
-	// certify) per the fleet-wide rated-branch convention
-	// (grid.RatedHeadroom × base-case flow) so the base point is
-	// feasible but the limits bind under load growth.
+	// Branch ratings: assigned after the certifying OPF (see certify) per
+	// the fleet-wide rated-branch convention (grid.RatedHeadroom ×
+	// base-case flow) so the base point is feasible but the limits bind
+	// under load growth.
 	if spec.RatedBranches > 0 {
 		// Temporary marker; real values set in certify.
 		for l := 0; l < len(c.Branches) && l < spec.RatedBranches; l++ {
@@ -324,60 +326,45 @@ func build(spec Spec, rng *rand.Rand, loadLevel float64) *grid.Case {
 	return c
 }
 
-// certify runs a Newton power flow; on success it finalizes branch
-// ratings from the solved flows and returns true.
+// certify solves the unrated OPF of c from a cold start. On convergence
+// it anchors c's stored operating point (Vm, Va, Pg, Qg and each unit's
+// voltage setpoint Vg) at the optimum, rates the branches build marked
+// from the optimum's flows by grid.RateBranches' convention, and returns
+// true. The OPF's bus bounds hold every voltage in [Vmin, Vmax]; its
+// generator bounds hold the dispatch within capacity.
 func certify(c *grid.Case) bool {
-	// Clear rating markers for the PF (RateA is metadata only for PF).
-	marked := make([]bool, len(c.Branches))
+	var marked []int
 	for l := range c.Branches {
 		if c.Branches[l].RateA < 0 {
-			marked[l] = true
+			marked = append(marked, l)
 			c.Branches[l].RateA = 0
 		}
 	}
-	r, err := pf.Solve(c, pf.Options{})
+	r, err := opf.Prepare(c).Solve(nil, opf.Options{})
 	if err != nil || !r.Converged {
 		return false
 	}
-	for _, vm := range r.Vm {
-		if vm < 0.94 || vm > 1.06 {
-			return false
-		}
-	}
-	// Note: no reactive-headroom check here. Holding many PV buses at a
-	// common setpoint circulates VArs between nearby machines, which the
-	// OPF (the actual workload) resolves by optimizing the voltage
-	// profile; requiring PF-level Q feasibility rejects perfectly good
-	// systems. OPF solvability is covered by the package tests.
-
-	// Finalize ratings per the shared convention (grid.RateBranches'
-	// constants); only the spec-marked subset gets limits.
-	y := grid.MakeYbus(c)
-	v := grid.Voltage(r.Vm, r.Va)
-	sf, st := grid.BranchFlows(y, v)
-	li := 0
-	for l := range c.Branches {
-		if !c.Branches[l].Status {
-			continue
-		}
-		if marked[l] {
-			flow := math.Max(cAbs(sf[li]), cAbs(st[li])) * c.BaseMVA
-			c.Branches[l].RateA = math.Max(grid.RatedHeadroom*flow, grid.RatedFloorMVA)
-		}
-		li++
-	}
-	// Anchor the case's stored operating point to the certified solution.
+	gbus := grid.GenBusIdx(c)
 	for i := range c.Buses {
 		c.Buses[i].Vm = r.Vm[i]
 		c.Buses[i].Va = grid.Rad2Deg(r.Va[i])
 	}
-	for gi := range c.Gens {
-		c.Gens[gi].Pg = r.Pg[gi] * c.BaseMVA
-		c.Gens[gi].Qg = r.Qg[gi] * c.BaseMVA
+	gi := 0
+	for g := range c.Gens {
+		if !c.Gens[g].Status {
+			continue
+		}
+		c.Gens[g].Pg = r.Pg[gi]
+		c.Gens[g].Qg = r.Qg[gi]
+		c.Gens[g].Vg = r.Vm[gbus[gi]]
+		gi++
+	}
+	// RateBranches rates every unrated branch; only the marked ones keep
+	// their rating.
+	rated := c.Clone()
+	grid.RateBranches(rated)
+	for _, l := range marked {
+		c.Branches[l].RateA = rated.Branches[l].RateA
 	}
 	return true
-}
-
-func cAbs(x complex128) float64 {
-	return math.Hypot(real(x), imag(x))
 }

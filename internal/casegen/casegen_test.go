@@ -1,14 +1,55 @@
 package casegen
 
 import (
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/grid"
 	"repro/internal/opf"
-	"repro/internal/pf"
 )
+
+// storedMismatch is the largest power-balance mismatch, in per unit, of
+// c's stored operating point: grid.PowerMismatch at the stored voltages
+// and the stored dispatch's injections (grid.MakeSbus), an evaluation
+// independent of the OPF that produced the point.
+func storedMismatch(c *grid.Case) float64 {
+	vm := make([]float64, c.NB())
+	va := make([]float64, c.NB())
+	for i, b := range c.Buses {
+		vm[i], va[i] = b.Vm, grid.Deg2Rad(b.Va)
+	}
+	var pg, qg []float64
+	for _, g := range c.ActiveGens() {
+		pg = append(pg, g.Pg/c.BaseMVA)
+		qg = append(qg, g.Qg/c.BaseMVA)
+	}
+	worst := 0.0
+	for _, m := range grid.PowerMismatch(grid.MakeYbus(c), grid.Voltage(vm, va), grid.MakeSbus(c, pg, qg)) {
+		worst = math.Max(worst, cmplx.Abs(m))
+	}
+	return worst
+}
+
+// certifiedTol bounds storedMismatch of a certified system. The OPF
+// converges once its power-balance residual is below mips' FeasTol, 1e-6,
+// relative to 1 + max(‖x‖∞, ‖z‖∞) — a scale of a few per unit here. The
+// paper and beyond-paper specs measure at most 8e-10 (case39), 3,000
+// random TestGenerateProperty specs at most 1.9e-6.
+const certifiedTol = 1e-5
+
+// inBand reports whether every stored voltage magnitude lies within its
+// bus's [Vmin, Vmax].
+func inBand(c *grid.Case) bool {
+	for _, b := range c.Buses {
+		if b.Vm < b.Vmin || b.Vm > b.Vmax {
+			return false
+		}
+	}
+	return true
+}
 
 func TestPaperSpecsMatchTableII(t *testing.T) {
 	specs := PaperSpecs()
@@ -54,15 +95,17 @@ func TestGenerateCountsAndDeterminism(t *testing.T) {
 	}
 }
 
+// The stored operating point of every certified paper system — its
+// certifying OPF optimum — solves the power-flow equations and keeps its
+// voltages in band.
 func TestGeneratedSystemsSolvePowerFlow(t *testing.T) {
 	for name, spec := range PaperSpecs() {
 		c, err := Generate(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		r, err := pf.Solve(c, pf.Options{})
-		if err != nil || !r.Converged {
-			t.Fatalf("%s: certified case does not solve: %v", name, err)
+		if m := storedMismatch(c); m > certifiedTol || !inBand(c) {
+			t.Fatalf("%s: stored point mismatch %.3g pu (tolerance %g), voltages in band %v", name, m, certifiedTol, inBand(c))
 		}
 	}
 }
@@ -139,8 +182,8 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// Property: random small specs produce connected, normalized, PF-solvable
-// cases.
+// Property: random small specs produce connected, normalized cases
+// whose stored point solves the power flow within the voltage band.
 func TestGenerateProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -152,15 +195,12 @@ func TestGenerateProperty(t *testing.T) {
 			RatedBranches: nl / 2, Seed: seed,
 		})
 		if err != nil {
-			// Some tiny seeds may legitimately fail all retries; treat
-			// inability as failure only if systematic.
-			return true
+			return false // none of 3,000 random specs failed certification
 		}
 		if c.NB() != nb || c.NG() != ng || c.NL() != nl {
 			return false
 		}
-		res, err := pf.Solve(c, pf.Options{})
-		if err != nil || !res.Converged {
+		if storedMismatch(c) > certifiedTol || !inBand(c) {
 			return false
 		}
 		// Connectivity: every bus reachable from bus 0.
@@ -193,18 +233,35 @@ func TestGenerateProperty(t *testing.T) {
 	}
 }
 
+// The stored operating point is the certifying OPF's optimum: a cold
+// solve of the certified system with its ratings cleared and its angles
+// back at build's 0 (the cold start takes the reference bus's stored
+// angle) — the problem certify solved — lands on the stored Vm, Pg, Qg
+// and Vg bit for bit, and on Va up to its degree round trip.
 func TestCertifiedOperatingPointStored(t *testing.T) {
 	c := MustGenerate(PaperSpecs()["case30"])
-	// The stored Vm/Va must reproduce a near-zero mismatch power flow in
-	// at most a couple of Newton steps.
-	r, err := pf.Solve(c, pf.Options{})
+	unrated := c.Clone()
+	for l := range unrated.Branches {
+		unrated.Branches[l].RateA = 0
+	}
+	for i := range unrated.Buses {
+		unrated.Buses[i].Va = 0
+	}
+	r, err := opf.Prepare(unrated).Solve(nil, opf.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Iterations > 3 {
-		t.Errorf("stored operating point needed %d Newton iterations", r.Iterations)
+	for i, b := range c.Buses {
+		if b.Vm != r.Vm[i] || math.Abs(grid.Deg2Rad(b.Va)-r.Va[i]) > 1e-15 {
+			t.Fatalf("bus %d: stored %v∠%v°, optimum %v∠%v rad", i, b.Vm, b.Va, r.Vm[i], r.Va[i])
+		}
 	}
-	var _ = grid.Deg2Rad // keep import
+	gbus := grid.GenBusIdx(c)
+	for g, gen := range c.ActiveGens() {
+		if gen.Pg != r.Pg[g] || gen.Qg != r.Qg[g] || gen.Vg != r.Vm[gbus[g]] {
+			t.Fatalf("unit %d: stored Pg %v Qg %v Vg %v, optimum %v %v %v", g, gen.Pg, gen.Qg, gen.Vg, r.Pg[g], r.Qg[g], r.Vm[gbus[g]])
+		}
+	}
 }
 
 // TestThousandBusCertification extends the certification suite to the
@@ -214,7 +271,7 @@ func TestCertifiedOperatingPointStored(t *testing.T) {
 // magnitude past the paper's evaluation.
 func TestThousandBusCertification(t *testing.T) {
 	if testing.Short() {
-		t.Skip("1000+ bus synthesis runs full Newton certifications")
+		t.Skip("1000+ bus synthesis runs full OPF certifications")
 	}
 	specs := []Spec{
 		{Name: "cert1000", Buses: 1000, Gens: 180, Branches: 1500, RatedBranches: 400, Seed: 1000},
@@ -254,16 +311,19 @@ func TestThousandBusCertification(t *testing.T) {
 					t.Fatalf("gen %d not deterministic", i)
 				}
 			}
-			// Rating feasibility: the certified operating point must respect
-			// every assigned rating (casegen assigns RatedHeadroom× the
-			// certified flow, floored), and the ratings respect the floor.
-			r, err := pf.Solve(c1, pf.Options{})
-			if err != nil || !r.Converged {
-				t.Fatalf("certified point does not re-solve: %v", err)
+			// The certified operating point solves the power flow in band
+			// and respects every assigned rating (casegen assigns
+			// RatedHeadroom× the certified flow, floored), and the ratings
+			// respect the floor.
+			if m := storedMismatch(c1); m > certifiedTol || !inBand(c1) {
+				t.Fatalf("stored point mismatch %.3g pu (tolerance %g), voltages in band %v", m, certifiedTol, inBand(c1))
 			}
-			y := grid.MakeYbus(c1)
-			v := grid.Voltage(r.Vm, r.Va)
-			sf, st := grid.BranchFlows(y, v)
+			vm := make([]float64, c1.NB())
+			va := make([]float64, c1.NB())
+			for i, b := range c1.Buses {
+				vm[i], va[i] = b.Vm, grid.Deg2Rad(b.Va)
+			}
+			sf, st := grid.BranchFlows(grid.MakeYbus(c1), grid.Voltage(vm, va))
 			li := 0
 			for l, br := range c1.Branches {
 				if !br.Status {
@@ -286,8 +346,5 @@ func TestThousandBusCertification(t *testing.T) {
 }
 
 func maxAbsFlow(a, b complex128) float64 {
-	if cAbs(a) > cAbs(b) {
-		return cAbs(a)
-	}
-	return cAbs(b)
+	return math.Max(cmplx.Abs(a), cmplx.Abs(b))
 }

@@ -8,9 +8,10 @@ import "math"
 // MW/MVAr on the case's MVA base, impedances and line charging in per
 // unit on that base, voltages in per unit, angles in degrees, and
 // transformer taps as the off-nominal Ratio on the from side (0 means a
-// plain line). Each case stores a solved operating point (bus Vm/Va and
-// generator dispatch), so the Newton power flow started from the case
-// data reconverges in a handful of iterations.
+// plain line). Each case stores an operating point (bus Vm/Va and
+// generator dispatch): the source file's printed solution, or for
+// case300 and case1354 the certifying OPF optimum of their synthesis,
+// which balances power to rounding.
 //
 // Provenance by case:
 //

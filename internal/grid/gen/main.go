@@ -1,18 +1,25 @@
-// Command gen regenerates the embedded synthesized case tables
-// (internal/grid/cases300.go, cases1354.go): it runs the certified
-// synthesis procedure of internal/casegen for the selected profile and
-// freezes the result as embedded static data (the original IEEE and
-// PEGASE case files are not redistributable). The output is
+// Command gen prints an embedded synthesized case table
+// (internal/grid/cases300.go, cases1354.go): casegen.Generate of the
+// selected profile — a certified synthesis whose stored operating point
+// is its unrated OPF optimum — written out as static data (the original
+// IEEE and PEGASE case files are not redistributable). The output is
 // deterministic for a fixed casegen algorithm; the point of freezing it
 // is that the embedded system can no longer drift when the generator
 // evolves. Branch ratings are NOT emitted — the Case constructors
-// derive them with grid.RateBranches from the anchored operating point,
+// derive them with grid.RateBranches from the stored operating point,
 // the same convention casegen certifies with.
+//
+// The committed tables are frozen and this command no longer reproduces
+// them: its case300 and case1354 output is byte for byte what the
+// generator printed while casegen certified with a Newton power flow and
+// this command re-anchored at the OPF optimum itself, and that output
+// already differed from both committed tables in every bus row. Nothing
+// regenerates them.
 //
 // Usage (from the repository root):
 //
-//	go run ./internal/grid/gen > internal/grid/cases300.go && gofmt -w internal/grid/cases300.go
-//	go run ./internal/grid/gen -case case1354 > internal/grid/cases1354.go && gofmt -w internal/grid/cases1354.go
+//	go run ./internal/grid/gen | gofmt
+//	go run ./internal/grid/gen -case case1354 | gofmt
 package main
 
 import (
@@ -21,8 +28,6 @@ import (
 	"log"
 
 	"repro/internal/casegen"
-	"repro/internal/grid"
-	"repro/internal/opf"
 )
 
 // profiles describes each emittable case: where its spec lives and the
@@ -57,33 +62,6 @@ func main() {
 	c, err := casegen.Generate(spec)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	// Re-anchor the stored operating point at the unrated OPF optimum.
-	// casegen certifies a power-flow point with capacity-proportional
-	// dispatch; the OPF redispatches economically, which in a large
-	// meshed network reroutes corridor flows by far more than the
-	// rated-branch headroom. Deriving ratings from the economic dispatch
-	// instead keeps the RateBranches convention (2.2× base flow)
-	// feasible AND binding under load growth.
-	r, err := opf.Prepare(c).Solve(nil, opf.Options{})
-	if err != nil || !r.Converged {
-		log.Fatalf("anchor OPF did not converge: %v", err)
-	}
-	gbus := grid.GenBusIdx(c)
-	for i := range c.Buses {
-		c.Buses[i].Vm = r.Vm[i]
-		c.Buses[i].Va = grid.Rad2Deg(r.Va[i])
-	}
-	gi := 0
-	for g := range c.Gens {
-		if !c.Gens[g].Status {
-			continue
-		}
-		c.Gens[g].Pg = r.Pg[gi]
-		c.Gens[g].Qg = r.Qg[gi]
-		c.Gens[g].Vg = r.Vm[gbus[gi]]
-		gi++
 	}
 
 	n := *name

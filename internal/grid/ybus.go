@@ -112,7 +112,11 @@ func Voltage(vm, va []float64) []complex128 {
 
 // MakeSbus returns the net complex power injection at each bus in per
 // unit: (Cg·Sg − Sd)/baseMVA, with pg/qg the per-unit dispatch of the
-// in-service generators in ActiveGens order.
+// in-service generators in ActiveGens order. The OPF evaluates its
+// injections through its own compiled program; MakeSbus is the
+// independent evaluation the tests check a stored or solved operating
+// point against (with PowerMismatch), and the one an answer certificate
+// would use.
 func MakeSbus(c *Case, pg, qg []float64) []complex128 {
 	nb := c.NB()
 	s := make([]complex128, nb)

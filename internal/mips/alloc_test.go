@@ -126,7 +126,7 @@ func TestEmbeddedStepAllocsZero(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			root := sparse.NewSymbolicCache(base.Ordering())
+			root := sparse.NewSymbolicCache()
 			der := root.Derive()
 			if _, err := mips.Solve(out.Problem(), out.DefaultStart(), nil, mips.Options{KKT: der}); err != nil {
 				t.Fatal(err)

@@ -113,11 +113,10 @@ type Options struct {
 	MaxIter                            int     // default 150
 	RecordTrace                        bool    // keep per-iteration Trace
 
-	// Ordering is the fill-reducing ordering of the private cache a
-	// solve without KKT analyzes under (zero value sparse.OrderRCM);
-	// ignored when KKT is set. To reproduce a solve on opf's shared
-	// cache privately, pass (*opf.OPF).Ordering(), which is
-	// sparse.OrderMinDegree.
+	// Ordering has one value, sparse.OrderMinDegree (the zero value):
+	// every KKT analysis, shared or private, orders by exact minimum
+	// degree, and the field is ignored. It is kept only because the
+	// benchmark harness under bench/ sets it.
 	Ordering sparse.Ordering
 	// KKT, when non-nil, is the shared analysis cache of the problem's
 	// KKT pattern (see sparse.SymbolicCache): the solve consults it
@@ -403,7 +402,7 @@ func newStepper(p *Problem, x0 la.Vector, ws *WarmStart, opt Options, ar *Arena)
 	// scratch.
 	kkt := opt.KKT
 	if kkt == nil {
-		kkt = sparse.NewSymbolicCache(opt.Ordering)
+		kkt = sparse.NewSymbolicCache()
 	}
 	s.kkt = kkt.Handle()
 	return s

@@ -347,27 +347,12 @@ func TestGammaShrinks(t *testing.T) {
 	}
 }
 
-// TestKKTOrderingsConverge runs the doc example under every fill-reducing
-// ordering: the ordering changes the factorization, not the solution.
-func TestKKTOrderingsConverge(t *testing.T) {
-	want := la.Vector{1.58114, 2.23607, 1.58114}
-	for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM, sparse.OrderMinDegree} {
-		r, err := Solve(mipsExampleProblem(), la.Vector{1, 1, 1}, nil, Options{Ordering: ord})
-		if err != nil {
-			t.Fatalf("%v: %v", ord, err)
-		}
-		if r.X.Clone().Sub(want).NormInf() > 1e-4 {
-			t.Fatalf("%v: x = %v want %v", ord, r.X, want)
-		}
-	}
-}
-
 // TestKKTSolveStatsReported pins the reuse accounting: a solve wired to
 // a shared SymbolicCache folds its per-iteration counters in, with one
 // ordering and one analysis per pattern and refactors for the remaining
 // iterations.
 func TestKKTSolveStatsReported(t *testing.T) {
-	c := sparse.NewSymbolicCache(sparse.OrderRCM)
+	c := sparse.NewSymbolicCache()
 	r, err := Solve(mipsExampleProblem(), la.Vector{1, 1, 1}, nil, Options{KKT: c})
 	if err != nil {
 		t.Fatal(err)

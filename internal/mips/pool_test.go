@@ -112,7 +112,7 @@ func TestPrivateCacheMatchesSharedCache(t *testing.T) {
 				if start != nil {
 					ws = &mips.WarmStart{X: start.X, Lam: start.Lam, Mu: start.Mu, Z: start.Z}
 				}
-				s := mips.NewStepper(inst.Problem(), inst.DefaultStart(), ws, mips.Options{Ordering: inst.Ordering()})
+				s := mips.NewStepper(inst.Problem(), inst.DefaultStart(), ws, mips.Options{})
 				for done := false; !done; {
 					var err error
 					if done, err = s.Step(); err != nil {

@@ -219,7 +219,7 @@ func TestGoldenPooledMatchesFresh(t *testing.T) {
 	seq = append(seq, c118, out)
 	for i, o := range seq {
 		r, _ := o.Solve(nil, Options{})
-		s := mips.NewStepper(o.Problem(), o.DefaultStart(), nil, mips.Options{Ordering: o.Ordering()})
+		s := mips.NewStepper(o.Problem(), o.DefaultStart(), nil, mips.Options{})
 		for done := false; !done; {
 			done, _ = s.Step()
 		}

@@ -1,11 +1,9 @@
 package opf
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/grid"
-	"repro/internal/sparse"
 )
 
 // TestKKTCacheSharedAcrossPerturbations pins the cross-solve seam: all
@@ -41,31 +39,5 @@ func TestKKTCacheSharedAcrossPerturbations(t *testing.T) {
 	}
 	if st.Fallbacks != 0 {
 		t.Fatalf("fallbacks = %d, want 0", st.Fallbacks)
-	}
-}
-
-// TestKKTOrderingChoices: the solution must not depend on the
-// fill-reducing ordering.
-func TestKKTOrderingChoices(t *testing.T) {
-	ref, err := Prepare(grid.Case9()).Solve(nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ord := range []sparse.Ordering{sparse.OrderNatural, sparse.OrderRCM} {
-		o := Prepare(grid.Case9())
-		o.SetOrdering(ord)
-		r, err := o.Solve(nil, Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", ord, err)
-		}
-		if !r.Converged {
-			t.Fatalf("%v: did not converge", ord)
-		}
-		if d := math.Abs(r.Cost-ref.Cost) / (1 + math.Abs(ref.Cost)); d > 1e-7 {
-			t.Fatalf("%v: cost %v differs from the default ordering's %v", ord, r.Cost, ref.Cost)
-		}
-		if got := o.KKTStats().Orderings; got != 1 {
-			t.Fatalf("%v: orderings = %d, want 1", ord, got)
-		}
 	}
 }

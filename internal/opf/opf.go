@@ -205,35 +205,20 @@ func Prepare(c *grid.Case) *OPF {
 		refVa:  grid.Deg2Rad(c.Buses[c.RefIndex()].Va),
 		prog:   new(programCell),
 	}
-	// One ordering for every KKT system: exact minimum degree, the
-	// textbook choice for a quasi-definite matrix (Vanderbei 1995) and the
-	// measured one — on the reduced KKT patterns MIPS factors its
+	// Every KKT system is analyzed under exact minimum degree, the
+	// textbook choice for a quasi-definite matrix (Vanderbei 1995) and
+	// the measured one — on the reduced KKT patterns MIPS factors its
 	// nnz(L)+n is 0.79–0.88× RCM's up to case30 and 0.60/0.65/0.45/0.22×
 	// of it on case57/118/300/1354, with fewer flops on every system
 	// (TestKKTOrderingFill, RESULTS.md).
-	o.SetOrdering(sparse.OrderMinDegree)
+	o.kkt = sparse.NewSymbolicCache()
 	o.prep = time.Since(t0)
 	return o
 }
 
-// SetOrdering gives the instance a fresh, empty KKT cache of its own
-// analyzing under the given fill-reducing ordering — the one place this
-// package makes an underived cache: Prepare calls it with minimum
-// degree, and the ordering-independence and private-analysis tests with
-// another. Call it on the base instance before deriving with Perturb or
-// a Rebind* so the derived instances share, or derive from, the new
-// cache; the old analysis and counters are discarded. On an outage class
-// it cuts the tie to the parent's analysis: the class's KKT pattern — the
-// intact one — is then ordered and analyzed afresh, which the outage
-// fleet tests require to reproduce the parent's analysis bit for bit.
-func (o *OPF) SetOrdering(ord sparse.Ordering) {
-	o.kkt = sparse.NewSymbolicCache(ord)
-}
-
-// Ordering reports the KKT fill-reducing ordering this instance (and
-// every derivation sharing its cache) analyzes with: sparse.OrderMinDegree
-// unless a test's SetOrdering replaced it.
-func (o *OPF) Ordering() sparse.Ordering { return o.kkt.Ordering() }
+// Ordering reports the KKT fill-reducing ordering of every analysis:
+// sparse.OrderMinDegree.
+func (o *OPF) Ordering() sparse.Ordering { return sparse.OrderMinDegree }
 
 // KKTSymbolic returns the symbolic analysis this instance's KKT systems
 // are factored on — the production fill — or nil before its first solve.

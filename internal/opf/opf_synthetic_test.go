@@ -1,73 +1,10 @@
 package opf
 
 import (
-	"math"
 	"testing"
 
-	"repro/internal/casegen"
 	"repro/internal/grid"
 )
-
-// The warm-start acceleration must hold on the synthetic Table II
-// systems, not only on the embedded IEEE cases (case30 is embedded now,
-// so case39 carries the rated synthetic profile here).
-func TestWarmStartSyntheticSystems(t *testing.T) {
-	names := []string{"case39", "case57"}
-	if !testing.Short() {
-		names = append(names, "case118")
-	}
-	for _, name := range names {
-		c, err := casegen.Paper(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		o := Prepare(c)
-		cold, err := o.Solve(nil, Options{})
-		if err != nil {
-			t.Fatalf("%s cold: %v", name, err)
-		}
-		warm, err := o.Solve(&Start{X: cold.X, Lam: cold.Lam, Mu: cold.Mu, Z: cold.Z}, Options{})
-		if err != nil {
-			t.Fatalf("%s warm: %v", name, err)
-		}
-		if warm.Iterations*3 > cold.Iterations {
-			t.Errorf("%s: warm %d vs cold %d iterations", name, warm.Iterations, cold.Iterations)
-		}
-		if math.Abs(warm.Cost-cold.Cost)/cold.Cost > 1e-6 {
-			t.Errorf("%s: warm cost drifted %.6f vs %.6f", name, warm.Cost, cold.Cost)
-		}
-	}
-}
-
-// Rated synthetic systems must respect their flow limits at the optimum.
-func TestSyntheticFlowLimits(t *testing.T) {
-	c, err := casegen.Paper("case39")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := Prepare(c)
-	r, err := o.Solve(nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := grid.MakeYbus(c)
-	v := grid.Voltage(r.Vm, r.Va)
-	sf, st := grid.BranchFlows(y, v)
-	for l, br := range c.ActiveBranches() {
-		if br.RateA <= 0 {
-			continue
-		}
-		lim := br.RateA / c.BaseMVA
-		if fl := cAbs(sf[l]); fl > lim+1e-5 {
-			t.Errorf("branch %d from-flow %.4f exceeds %.4f", l, fl, lim)
-		}
-		if fl := cAbs(st[l]); fl > lim+1e-5 {
-			t.Errorf("branch %d to-flow %.4f exceeds %.4f", l, fl, lim)
-		}
-	}
-}
-
-func cAbs(x complex128) float64 { return math.Hypot(real(x), imag(x)) }
 
 // Load growth drives cost up monotonically (economic sanity of the
 // solver across the paper's sampling range).

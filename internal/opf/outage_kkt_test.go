@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/sparse"
 )
 
 // onIntactPattern fails unless one iteration of cls factors its KKT
@@ -23,7 +24,7 @@ func onIntactPattern(t *testing.T, name string, cls *OPF) {
 
 // solveBothWays cold-solves an outage class twice — on its parent's KKT
 // analysis, as RebindOutage and RebindGenOutage leave it, and on a
-// private analysis of its own pattern (SetOrdering) — and requires the
+// private analysis of its own pattern (a fresh cache) — and requires the
 // two bit-identical: the pattern is the parent's, and its analysis a
 // function of the pattern alone.
 func solveBothWays(t *testing.T, name string, cls *OPF) {
@@ -33,7 +34,7 @@ func solveBothWays(t *testing.T, name string, cls *OPF) {
 		t.Fatalf("%s: solve left the parent's analysis: %+v", name, st)
 	}
 	private := *cls
-	private.SetOrdering(cls.Ordering())
+	private.kkt = sparse.NewSymbolicCache()
 	want, werr := private.Solve(nil, Options{})
 	if st := private.KKTStats(); st.Analyses == 0 || st.Orderings != 1 {
 		t.Fatalf("%s: reference path did not analyze privately: %+v", name, st)

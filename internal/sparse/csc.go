@@ -7,21 +7,14 @@
 // Builder so duplicate entries sum, which makes assembling Jacobians,
 // Hessians and admittance matrices a sequence of Append calls.
 //
-// Two factorizations, each split into a symbolic and a numeric phase for
-// the hot paths that factor many matrices of one sparsity pattern:
-//
-//   - LU, left-looking Gilbert–Peierls with threshold partial pivoting,
-//     for internal/pf's unsymmetric Newton Jacobians (under reverse
-//     Cuthill–McKee, the zero Ordering): Analyze freezes the ordering,
-//     pivot sequence and L/U patterns into a Symbolic, and
-//     Symbolic.RefactorInto recomputes values only.
-//   - LDLᵀ, left-looking and supernodal with diagonal pivots, for every
-//     symmetric quasi-definite KKT system of the interior point (under
-//     exact minimum degree, OrderMinDegree): AnalyzeLDL is a pure
-//     function of the pattern, LDLSymbolic.FactorInto the numeric half.
-//     SymbolicCache holds the one analysis of a grid's KKT systems and
-//     shares it across every solve of the grid, concurrent ones
-//     included, without coupling their numerics.
+// One factorization, split into a symbolic and a numeric phase for the
+// hot path that factors many matrices of one sparsity pattern: a
+// left-looking supernodal LDLᵀ with diagonal pivots for every symmetric
+// quasi-definite KKT system of the interior point, under exact minimum
+// degree. AnalyzeLDL is a pure function of the pattern,
+// LDLSymbolic.FactorInto the numeric half. SymbolicCache holds the one
+// analysis of a grid's KKT systems and shares it across every solve of
+// the grid, concurrent ones included, without coupling their numerics.
 //
 // DESIGN.md §7 documents the design, PERFORMANCE.md the measured effect.
 package sparse

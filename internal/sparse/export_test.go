@@ -13,6 +13,13 @@ const RaceEnabled = raceEnabled
 // difference, nil when the factors are bit-identical.
 func MatchColumnKernel(s *LDLSymbolic, a *CSC) error { return matchColumnKernel(s, a) }
 
+// Analyses returns the analyses of a under the elimination orders of
+// testAnalyses: natural, a permutation drawn from seed, minimum degree.
+func Analyses(a *CSC, seed int64) []*LDLSymbolic { return testAnalyses(a, seed) }
+
+// OrderNames names the orders of Analyses, in its order.
+var OrderNames = orderNames
+
 // KernelFixtures returns the package tests' named synthetic matrices.
 func KernelFixtures(seed int64) []kernelFixture { return kernelFixtures(seed) }
 

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"errors"
 	"math"
 	"slices"
 
@@ -37,6 +38,14 @@ import (
 // accumulations — in place when the rows the source updates there are
 // consecutive, directly when the source is one column wide, else through
 // a zeroed buffer added once.
+
+// ErrSingular is returned when a factorization meets a numerically
+// singular pivot column (see singularRel).
+var ErrSingular = errors.New("sparse: matrix is singular to working precision")
+
+// ErrPatternChanged is returned by FactorInto when the matrix does not
+// have the sparsity pattern its analysis was made for.
+var ErrPatternChanged = errors.New("sparse: matrix pattern differs from the analyzed pattern")
 
 // boostPivotRel is the static pivot perturbation scale of the LDLᵀ
 // kernel: a pivot that decays below boostPivotRel of its column's
@@ -126,14 +135,20 @@ var negZero = math.Copysign(0, -1)
 // of a supernode with an nr-row list.
 func blockBase(jj, nr int) int { return jj*nr - jj*(jj+1)/2 }
 
-// AnalyzeLDL computes the LDLᵀ analysis of a's pattern under ord. It
-// reads no values and cannot fail.
-func AnalyzeLDL(a *CSC, ord Ordering) *LDLSymbolic {
+// AnalyzeLDL computes the LDLᵀ analysis of a's pattern under the exact
+// minimum-degree ordering. It reads no values and cannot fail.
+func AnalyzeLDL(a *CSC) *LDLSymbolic {
 	if a.NRows != a.NCols {
 		panic("sparse: AnalyzeLDL of non-square matrix")
 	}
+	return analyzeLDLPerm(a, minDegreeOrder(a))
+}
+
+// analyzeLDLPerm is AnalyzeLDL under the elimination order q, which
+// lists a's columns in the order they are eliminated.
+func analyzeLDLPerm(a *CSC, q []int) *LDLSymbolic {
 	n := a.NRows
-	s := &LDLSymbolic{n: n, q: permFor(a, ord), pinv: make([]int, n), pat: patternOf(a)}
+	s := &LDLSymbolic{n: n, q: q, pinv: make([]int, n), pat: patternOf(a)}
 	for k, c := range s.q {
 		s.pinv[c] = k
 	}

@@ -167,31 +167,46 @@ func factorLDL(s *LDLSymbolic, a *CSC) (*LDLFactors, error) {
 	return f, nil
 }
 
-// compareLDL factors a on sym and checks its solve against the scalar
-// partial-pivoting LU of a (FactorizeOpts) to tol relative, and against
-// the dense reference.
+// compareLDL factors a on sym and checks its solve against the dense
+// partial-pivoting reference (la.Solve) to tol relative.
 func compareLDL(t *testing.T, sym *LDLSymbolic, a *CSC, r *rand.Rand, tol float64) {
 	t.Helper()
 	f, err := factorLDL(sym, a)
 	if err != nil {
 		t.Fatalf("LDLᵀ: %v", err)
 	}
-	lu, err := FactorizeOpts(a, OrderNatural, 1.0)
-	if err != nil {
-		t.Fatalf("LU: %v", err)
-	}
 	rhs := make(la.Vector, a.NRows)
 	for i := range rhs {
 		rhs[i] = r.NormFloat64()
 	}
-	xl, xu := f.Solve(rhs), lu.Solve(rhs)
-	if d := xl.Clone().Sub(xu).NormInf(); d > tol*(1+xu.NormInf()) {
-		t.Fatalf("LDLᵀ vs LU solve: |Δx|∞ = %v (|x|∞ = %v)", d, xu.NormInf())
-	}
 	xd, err := la.Solve(a.ToDense(), rhs)
-	if err == nil && xl.Clone().Sub(xd).NormInf() > 1e-6*(1+la.Vector(xd).NormInf()) {
-		t.Fatalf("LDLᵀ vs dense reference: %v", xl.Clone().Sub(xd).NormInf())
+	if err != nil {
+		t.Fatalf("dense reference: %v", err)
 	}
+	if d := f.Solve(rhs).Sub(xd).NormInf(); d > tol*(1+xd.NormInf()) {
+		t.Fatalf("LDLᵀ vs dense reference: |Δx|∞ = %v (|x|∞ = %v)", d, xd.NormInf())
+	}
+}
+
+// orderNames names the elimination orders of testAnalyses, in its order.
+var orderNames = []string{"natural", "random", "mindegree"}
+
+// testAnalyses analyzes a under three elimination orders: the natural
+// one, a permutation drawn from seed, and exact minimum degree — the
+// production analysis and two orders it never produces, so the kernel
+// tests cover supernode shapes minimum degree does not make.
+func testAnalyses(a *CSC, seed int64) []*LDLSymbolic {
+	random := rand.New(rand.NewSource(seed)).Perm(a.NCols)
+	return []*LDLSymbolic{analyzeLDLPerm(a, naturalOrder(a.NCols)), analyzeLDLPerm(a, random), AnalyzeLDL(a)}
+}
+
+// naturalOrder is the identity elimination order 0, 1, …, n-1.
+func naturalOrder(n int) []int {
+	q := make([]int, n)
+	for i := range q {
+		q[i] = i
+	}
+	return q
 }
 
 // widestPanel returns the widest supernode of s and the largest shared
@@ -207,16 +222,16 @@ func widestPanel(s *LDLSymbolic) (width, below int) {
 	return width, below
 }
 
-// Property: on random quasi-definite patterns, under every ordering, the
-// supernodal LDLᵀ of values the analysis never saw agrees with the
-// scalar partial-pivoting LU and the dense reference.
+// Property: on random quasi-definite patterns, under every elimination
+// order of testAnalyses, the supernodal LDLᵀ of values the analysis
+// never saw agrees with the dense reference.
 func TestRefactorBlockedMatchesScalarRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 3 + r.Intn(60)
 		a1, a2 := randQuasiDefPair(r, n)
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
-			compareLDL(t, AnalyzeLDL(a1, ord), a2, r, 1e-9)
+		for _, sym := range testAnalyses(a1, seed) {
+			compareLDL(t, sym, a2, r, 1e-9)
 		}
 		return true
 	}
@@ -226,14 +241,14 @@ func TestRefactorBlockedMatchesScalarRandom(t *testing.T) {
 }
 
 // Dense trailing blocks must actually form supernodes, and the panel
-// updates must agree with the scalar LU on them.
+// updates must agree with the dense reference on them.
 func TestRefactorBlockedDenseTailPanels(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
 		n := 40 + r.Intn(80)
 		tail := 6 + r.Intn(10)
 		a := denseTailSystem(r, n, tail)
-		sym := AnalyzeLDL(a, OrderMinDegree)
+		sym := AnalyzeLDL(a)
 		if w, _ := widestPanel(sym); w < tail {
 			t.Fatalf("trial %d: dense tail of %d made no supernode that wide (widest %d)", trial, tail, w)
 		}
@@ -244,14 +259,14 @@ func TestRefactorBlockedDenseTailPanels(t *testing.T) {
 
 // Mid-elimination supernodes with a nonempty shared below-row set: the
 // panel update of rows outside the supernode (not just its dense
-// triangle) must run and agree with the scalar LU.
+// triangle) must run and agree with the dense reference.
 func TestRefactorBlockedMidPanels(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 8; trial++ {
 		n := 30 + r.Intn(60)
 		w := 4 + r.Intn(8)
 		a := panelSystem(r, n, w)
-		sym := AnalyzeLDL(a, OrderNatural)
+		sym := analyzeLDLPerm(a, naturalOrder(n))
 		if width, below := widestPanel(sym); width < 2 || below == 0 || compileColumns(sym).maxPanel == 0 {
 			t.Fatalf("trial %d (n=%d w=%d): no below-coupled supernode (width %d, below %d)", trial, n, w, width, below)
 		}
@@ -283,7 +298,7 @@ func TestRefactorBlockedUnstableFallback(t *testing.T) {
 	if residue == 0 || math.Abs(residue) > singularRel*math.Abs(b) {
 		t.Fatalf("fixture: residue %v is not a nonzero rounding residue below the threshold", residue)
 	}
-	sym := AnalyzeLDL(weak, OrderNatural)
+	sym := AnalyzeLDL(weak)
 	f := &LDLFactors{}
 	if err := sym.FactorInto(f, weak); !errors.Is(err, ErrSingular) {
 		t.Fatalf("collapsed column: %v, want ErrSingular", err)
@@ -307,46 +322,29 @@ func TestRefactorBlockedUnstableFallback(t *testing.T) {
 }
 
 // One factors value reused across matrices must rebind cleanly: every
-// result matches, bit for bit, the same kernel run on fresh storage —
-// for the LU (internal/pf's refactorization) and for the LDLᵀ.
+// result matches, bit for bit, the same kernel run on fresh storage.
 func TestRefactorIntoMatchesRefactor(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	a := denseTailSystem(r, 60, 8)
-	sym, _, err := Analyze(a, OrderRCM, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &LUFactors{}
-	ws := sym.NewRefactorWorkspace()
-	ldl := AnalyzeLDL(a, OrderMinDegree)
+	ldl := AnalyzeLDL(a)
 	g := &LDLFactors{}
 	for trial := 0; trial < 4; trial++ {
 		m := withFreshValues(r, a)
-		want, err := refactor(sym, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sym.RefactorInto(f, ws, m); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(want.lx, f.lx) || !slices.Equal(want.ux, f.ux) {
-			t.Fatalf("trial %d: reused RefactorInto differs from fresh", trial)
-		}
-		wantL, err := factorLDL(ldl, m)
+		want, err := factorLDL(ldl, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := ldl.FactorInto(g, m); err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(wantL.lx, g.lx) || !slices.Equal(wantL.d, g.d) {
+		if !slices.Equal(want.lx, g.lx) || !slices.Equal(want.d, g.d) {
 			t.Fatalf("trial %d: reused LDLᵀ FactorInto differs from fresh", trial)
 		}
 	}
 }
 
-// The steady-state numeric loop — factorization plus triangular solves,
-// LU and LDLᵀ — must allocate nothing. This is the kernel half of the
+// The steady-state numeric loop — factorization plus triangular solves —
+// must allocate nothing. This is the kernel half of the
 // allocation-regression harness; the MIPS-loop half lives in
 // internal/mips.
 func TestRefactorIntoAllocFree(t *testing.T) {
@@ -355,14 +353,8 @@ func TestRefactorIntoAllocFree(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(41))
 	a := denseTailSystem(r, 120, 12)
-	sym, _, err := Analyze(a, OrderMinDegree, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := withFreshValues(r, a)
-	f := &LUFactors{}
-	ws := sym.NewRefactorWorkspace()
-	ldl := AnalyzeLDL(a, OrderMinDegree)
+	ldl := AnalyzeLDL(a)
 	g := &LDLFactors{}
 	rhs := make(la.Vector, a.NRows)
 	for i := range rhs {
@@ -370,9 +362,6 @@ func TestRefactorIntoAllocFree(t *testing.T) {
 	}
 	dst := make(la.Vector, a.NRows)
 	work := make(la.Vector, a.NRows)
-	if err := sym.RefactorInto(f, ws, m); err != nil {
-		t.Fatal(err)
-	}
 	if err := ldl.FactorInto(g, m); err != nil {
 		t.Fatal(err)
 	}
@@ -380,12 +369,6 @@ func TestRefactorIntoAllocFree(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"RefactorInto", func() {
-			if err := sym.RefactorInto(f, ws, m); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"SolveInto", func() { f.SolveInto(dst, rhs, work) }},
 		{"LDL FactorInto", func() {
 			if err := ldl.FactorInto(g, m); err != nil {
 				t.Fatal(err)
@@ -401,7 +384,7 @@ func TestRefactorIntoAllocFree(t *testing.T) {
 
 	// And through a cache handle and slot: the full factorization path
 	// of a warm iteration loop.
-	cache := NewSymbolicCache(OrderMinDegree).Handle()
+	cache := NewSymbolicCache().Handle()
 	slot := &FactorSlot{}
 	if _, err := cache.FactorizeInto(slot, m); err != nil {
 		t.Fatal(err)
@@ -416,8 +399,9 @@ func TestRefactorIntoAllocFree(t *testing.T) {
 }
 
 // Fuzz: arbitrary byte streams become quasi-definite (pattern, values)
-// pairs, and dense-tail systems; the supernodal LDLᵀ must agree with the
-// scalar LU on whatever comes out. Run with
+// pairs, and dense-tail systems; the supernodal LDLᵀ, under a random
+// elimination order and under minimum degree, must agree with the dense
+// reference on whatever comes out. Run with
 // `go test -fuzz FuzzRefactorBlocked ./internal/sparse` to explore; the
 // seed corpus below runs as a normal test in CI.
 func FuzzRefactorBlockedEquivalence(f *testing.F) {
@@ -428,18 +412,18 @@ func FuzzRefactorBlockedEquivalence(f *testing.F) {
 		n := 2 + int(nRaw)%96
 		r := rand.New(rand.NewSource(seed))
 		a1, a2 := randQuasiDefPair(r, n)
-		compareLDL(t, AnalyzeLDL(a1, OrderRCM), a2, r, 1e-8)
+		compareLDL(t, testAnalyses(a1, seed)[1], a2, r, 1e-8)
 		if extraRaw%2 == 0 {
 			if tail := 3 + int(extraRaw)%13; tail < n {
 				d := denseTailSystem(r, n, tail)
-				compareLDL(t, AnalyzeLDL(d, OrderMinDegree), withFreshValues(r, d), r, 1e-8)
+				compareLDL(t, AnalyzeLDL(d), withFreshValues(r, d), r, 1e-8)
 			}
 		}
 	})
 }
 
 // Fuzz: arbitrary byte streams become quasi-definite, panel and
-// dense-tail systems under every ordering, with values the analysis
+// dense-tail systems under every elimination order of testAnalyses, with values the analysis
 // never saw; FactorInto must reproduce the column kernel bit for bit
 // (matchColumnKernel). The seed corpus runs as a normal test; explore
 // with `go test -run '^$' -fuzz '^FuzzLDLMatchesColumnKernel$' ./internal/sparse`.
@@ -461,15 +445,16 @@ func FuzzLDLMatchesColumnKernel(f *testing.F) {
 		default:
 			a = denseTailSystem(r, max(n, 4), 1+min(int(kind/3)%16, max(n, 4)-2))
 		}
-		ord := []Ordering{OrderNatural, OrderRCM, OrderMinDegree}[int(kind/3)%3]
-		if err := matchColumnKernel(AnalyzeLDL(a, ord), withFreshValues(r, a)); err != nil {
+		sym := testAnalyses(a, seed)[int(kind/3)%3]
+		if err := matchColumnKernel(sym, withFreshValues(r, a)); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
 // TestNegativePivotsCountInertia pins NegativePivots to Sylvester's law
-// on matrices of known inertia, under every ordering. The bordered
+// on matrices of known inertia, under every elimination order of
+// testAnalyses. The bordered
 // system [H Jᵀ; J −δ] with H = diag(h1, h2) and J = [1 1] has one
 // negative eigenvalue when H is positive on J's null space (h1 + h2 > 0)
 // and two when it is not, whatever H's own signs; a random symmetric
@@ -508,13 +493,13 @@ func TestNegativePivotsCountInertia(t *testing.T) {
 		fixtures = append(fixtures, fixture{"quasi-definite", qp.build(r), dual})
 	}
 	for _, fx := range fixtures {
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
+		for k, sym := range testAnalyses(fx.a, 5) {
 			var f LDLFactors
-			if err := AnalyzeLDL(fx.a, ord).FactorInto(&f, fx.a); err != nil {
-				t.Fatalf("%s, %v: %v", fx.name, ord, err)
+			if err := sym.FactorInto(&f, fx.a); err != nil {
+				t.Fatalf("%s, %s: %v", fx.name, orderNames[k], err)
 			}
 			if got := f.NegativePivots(); got != fx.neg {
-				t.Errorf("%s, %v: %d negative pivots, want %d", fx.name, ord, got, fx.neg)
+				t.Errorf("%s, %s: %d negative pivots, want %d", fx.name, orderNames[k], got, fx.neg)
 			}
 		}
 	}

@@ -52,7 +52,7 @@ func minDegreeReference(a *CSC) []int {
 // minimum-degree permutation of a differs from the reference's, nil when
 // they are identical.
 func matchMinDegree(a *CSC) error {
-	got, want := permFor(a, OrderMinDegree), minDegreeReference(a)
+	got, want := minDegreeOrder(a), minDegreeReference(a)
 	if len(got) != len(want) {
 		return fmt.Errorf("permutation length %d, reference %d", len(got), len(want))
 	}

@@ -2,9 +2,7 @@ package sparse
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/la"
 )
@@ -133,155 +131,6 @@ func TestToDenseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLUSolveSmall(t *testing.T) {
-	a := buildSmall(t)
-	b := la.Vector{1, 2, 3}
-	f, err := FactorizeOpts(a, OrderRCM, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := a.MulVec(f.Solve(b)).Sub(b)
-	if r.NormInf() > 1e-12 {
-		t.Fatalf("residual %v", r.NormInf())
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	b := NewBuilder(2, 2)
-	b.Append(0, 0, 1)
-	b.Append(1, 0, 1) // second column empty -> structurally singular
-	if _, err := FactorizeOpts(b.ToCSC(), OrderRCM, 1.0); err == nil {
-		t.Fatal("expected ErrSingular")
-	}
-}
-
-func TestLUNeedsPivoting(t *testing.T) {
-	// Zero diagonal forces row exchanges.
-	b := NewBuilder(2, 2)
-	b.Append(0, 1, 1)
-	b.Append(1, 0, 1)
-	a := b.ToCSC()
-	f, err := FactorizeOpts(a, OrderRCM, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := f.Solve(la.Vector{3, 7})
-	if math.Abs(x[0]-7) > 1e-14 || math.Abs(x[1]-3) > 1e-14 {
-		t.Fatalf("x = %v", x)
-	}
-}
-
-func randSparseSystem(r *rand.Rand, n int) (*CSC, la.Vector) {
-	b := NewBuilder(n, n)
-	for i := 0; i < n; i++ {
-		b.Append(i, i, 5+r.Float64()*5)
-		for k := 0; k < 3; k++ {
-			j := r.Intn(n)
-			b.Append(i, j, r.NormFloat64())
-		}
-	}
-	x := make(la.Vector, n)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	return b.ToCSC(), x
-}
-
-// Property: sparse LU solves random diagonally-dominant systems for every
-// ordering choice.
-func TestLUSolveProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(60)
-		a, x := randSparseSystem(r, n)
-		rhs := a.MulVec(x)
-		for _, ord := range []Ordering{OrderNatural, OrderRCM} {
-			fac, err := FactorizeOpts(a, ord, 1.0)
-			if err != nil {
-				return false
-			}
-			got := fac.Solve(rhs)
-			if got.Clone().Sub(x).NormInf() > 1e-8 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: threshold pivoting (tol<1) still yields accurate solves on
-// well-conditioned systems.
-func TestLUThresholdPivotProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(40)
-		a, x := randSparseSystem(r, n)
-		rhs := a.MulVec(x)
-		fac, err := FactorizeOpts(a, OrderRCM, 0.1)
-		if err != nil {
-			return false
-		}
-		got := fac.Solve(rhs)
-		return got.Clone().Sub(x).NormInf() < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLUAgainstDense(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	a, _ := randSparseSystem(r, 25)
-	rhs := make(la.Vector, 25)
-	for i := range rhs {
-		rhs[i] = r.NormFloat64()
-	}
-	f, err := FactorizeOpts(a, OrderRCM, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := f.Solve(rhs)
-	xd, err := la.Solve(a.ToDense(), rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xs.Clone().Sub(xd).NormInf() > 1e-9 {
-		t.Fatalf("sparse vs dense differ: %v", xs.Clone().Sub(xd).NormInf())
-	}
-}
-
-func TestRCMReducesFill(t *testing.T) {
-	// A 1D Laplacian permuted randomly: RCM should restore a narrow band
-	// and produce no more fill than the natural order of the shuffled
-	// matrix.
-	n := 120
-	r := rand.New(rand.NewSource(5))
-	perm := r.Perm(n)
-	b := NewBuilder(n, n)
-	for i := 0; i < n; i++ {
-		b.Append(perm[i], perm[i], 4)
-		if i+1 < n {
-			b.Append(perm[i], perm[i+1], -1)
-			b.Append(perm[i+1], perm[i], -1)
-		}
-	}
-	a := b.ToCSC()
-	fn, err := FactorizeOpts(a, OrderNatural, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := FactorizeOpts(a, OrderRCM, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.NNZ() > fn.NNZ() {
-		t.Fatalf("RCM fill %d > natural fill %d", fr.NNZ(), fn.NNZ())
-	}
-}
-
 func TestComplexBuilderAndOps(t *testing.T) {
 	b := NewBuilderC(2, 2)
 	b.Append(0, 0, 1+2i)
@@ -355,35 +204,5 @@ func TestComplexMulVecT(t *testing.T) {
 	y := a.MulVecT([]complex128{1, 1i})
 	if y[0] != 1i || y[1] != 0 || y[2] != 2i {
 		t.Fatalf("MulVecT = %v", y)
-	}
-}
-
-func BenchmarkSparseLUKKTLike(b *testing.B) {
-	// Pattern similar to a power-grid KKT matrix: banded plus random
-	// off-diagonal couplings.
-	n := 1200
-	r := rand.New(rand.NewSource(11))
-	bd := NewBuilder(n, n)
-	for i := 0; i < n; i++ {
-		bd.Append(i, i, 10)
-		if i+1 < n {
-			bd.Append(i, i+1, -1)
-			bd.Append(i+1, i, -1)
-		}
-		j := r.Intn(n)
-		bd.Append(i, j, 0.5)
-	}
-	a := bd.ToCSC()
-	rhs := make(la.Vector, n)
-	for i := range rhs {
-		rhs[i] = r.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := FactorizeOpts(a, OrderRCM, 1.0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = f.Solve(rhs)
 	}
 }

@@ -82,7 +82,6 @@ func (s CacheStats) Sub(o CacheStats) CacheStats {
 //
 // Solves do not call the cache directly: each takes a CacheHandle.
 type SymbolicCache struct {
-	ord Ordering
 	// root owns the analysis this cache's matrices are factored on: the
 	// cache itself, or the one it was derived from (see Derive).
 	root *SymbolicCache
@@ -94,9 +93,9 @@ type SymbolicCache struct {
 	stats CacheStats
 }
 
-// NewSymbolicCache returns an empty cache that analyzes under ord.
-func NewSymbolicCache(ord Ordering) *SymbolicCache {
-	c := &SymbolicCache{ord: ord}
+// NewSymbolicCache returns an empty cache.
+func NewSymbolicCache() *SymbolicCache {
+	c := &SymbolicCache{}
 	c.root = c
 	return c
 }
@@ -111,11 +110,8 @@ func NewSymbolicCache(ord Ordering) *SymbolicCache {
 // exactly as through a fresh cache, so correctness never depends on the
 // patterns matching.
 func (c *SymbolicCache) Derive() *SymbolicCache {
-	return &SymbolicCache{ord: c.ord, root: c.root}
+	return &SymbolicCache{root: c.root}
 }
-
-// Ordering returns the fill-reducing ordering the cache analyzes with.
-func (c *SymbolicCache) Ordering() Ordering { return c.ord }
 
 // Symbolic returns the analysis the cache's matrices are factored on —
 // its root's — or nil before the first factorization.
@@ -140,7 +136,7 @@ func (c *SymbolicCache) publish(a *CSC) (sym *LDLSymbolic, made bool) {
 	if sym = r.sym.Load(); sym != nil {
 		return sym, false
 	}
-	sym = AnalyzeLDL(a, r.ord)
+	sym = AnalyzeLDL(a)
 	r.stats.Orderings++
 	r.stats.Analyses++
 	r.sym.Store(sym)
@@ -229,7 +225,7 @@ func (h *CacheHandle) FactorizeInto(slot *FactorSlot, a *CSC) (*LDLFactors, erro
 		sym, analyzed = h.c.publish(a)
 		if !sym.pat.matches(a) {
 			// The root holds another pattern: this one is the stream's alone.
-			sym, analyzed = AnalyzeLDL(a, h.c.ord), true
+			sym, analyzed = AnalyzeLDL(a), true
 			h.stats.Orderings++
 			h.stats.Analyses++
 			h.own = sym

@@ -37,19 +37,25 @@ func randPatternPair(r *rand.Rand, n int) (*CSC, *CSC) {
 	return build(), build()
 }
 
-// Refactoring the analyzed matrix itself must reproduce the analyzing
-// factorization bit for bit: same elimination sequence, same arithmetic.
+// Factoring the analyzed matrix again must reproduce its first
+// factorization bit for bit — on factors that held another matrix in
+// between, and on a second analysis of the same pattern: the factors are
+// a function of the pattern and the values alone.
 func TestRefactorSameMatrixBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
 		n := 5 + r.Intn(40)
-		a, _ := randSparseSystem(r, n)
-		sym, f0, err := Analyze(a, OrderRCM, 1.0)
+		a, _ := randQuasiDefSystem(r, n)
+		sym := AnalyzeLDL(a)
+		f0, err := factorLDL(sym, a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f1, err := refactor(sym, a)
+		f1, err := factorLDL(AnalyzeLDL(a), withFreshValues(r, a))
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f1.sym.FactorInto(f1, a); err != nil {
 			t.Fatal(err)
 		}
 		rhs := make(la.Vector, n)
@@ -66,32 +72,30 @@ func TestRefactorSameMatrixBitIdentical(t *testing.T) {
 }
 
 // The symbolic-reuse path on new numeric values must agree with the
-// dense reference solver: analyze one matrix, refactor a second with the
-// same pattern, and check the refactored solve against la.Solve.
+// dense reference solver: analyze one matrix, factor a second with the
+// same pattern — unsymmetric, with duplicate entries, so what is
+// factored is its symmetric part (A+Aᵀ)/2 — under every elimination
+// order of testAnalyses, and check the solve against la.Solve of that
+// symmetric part.
 func TestRefactorAgainstDenseReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 3 + r.Intn(50)
 		a1, a2 := randPatternPair(r, n)
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
-			sym, _, err := Analyze(a1, ord, 1.0)
+		rhs := make(la.Vector, n)
+		for i := range rhs {
+			rhs[i] = r.NormFloat64()
+		}
+		xd, err := la.Solve(symmetrize(a2).ToDense(), rhs)
+		if err != nil {
+			return false
+		}
+		for _, sym := range testAnalyses(a1, seed) {
+			fac, err := factorLDL(sym, a2)
 			if err != nil {
 				return false
 			}
-			fac, err := refactor(sym, a2)
-			if err != nil {
-				return false
-			}
-			rhs := make(la.Vector, n)
-			for i := range rhs {
-				rhs[i] = r.NormFloat64()
-			}
-			xs := fac.Solve(rhs)
-			xd, err := la.Solve(a2.ToDense(), rhs)
-			if err != nil {
-				return false
-			}
-			if xs.Clone().Sub(xd).NormInf() > 1e-8 {
+			if fac.Solve(rhs).Sub(xd).NormInf() > 1e-9*(1+xd.NormInf()) {
 				return false
 			}
 		}
@@ -106,41 +110,38 @@ func TestRefactorRejectsPatternChange(t *testing.T) {
 	b := NewBuilder(2, 2)
 	b.Append(0, 0, 2)
 	b.Append(1, 1, 3)
-	sym, _, err := Analyze(b.ToCSC(), OrderNatural, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sym := AnalyzeLDL(b.ToCSC())
 	b2 := NewBuilder(2, 2)
 	b2.Append(0, 0, 2)
 	b2.Append(1, 0, 1)
 	b2.Append(1, 1, 3)
-	if _, err := refactor(sym, b2.ToCSC()); err != ErrPatternChanged {
+	if _, err := factorLDL(sym, b2.ToCSC()); err != ErrPatternChanged {
 		t.Fatalf("want ErrPatternChanged, got %v", err)
 	}
 }
 
-// Property: every ordering yields a valid permutation of the columns, and
-// a factorization under it solves the system (round trip through the
-// permutation and its inverse application in Solve).
+// Property: every elimination order of testAnalyses — minimum degree's
+// included — is a permutation of the columns, and a factorization under
+// it solves the system (a round trip through the permutation and its
+// inverse application in Solve).
 func TestOrderingPermutationRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(50)
-		a, x := randSparseSystem(r, n)
+		a, x := randQuasiDefSystem(r, n)
 		rhs := a.MulVec(x)
-		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
-			q := permFor(a, ord)
-			if len(q) != n {
+		for _, sym := range testAnalyses(a, seed) {
+			if len(sym.q) != n {
 				return false
 			}
 			seen := make([]bool, n)
-			for _, v := range q {
+			for _, v := range sym.q {
 				if v < 0 || v >= n || seen[v] {
 					return false
 				}
 				seen[v] = true
 			}
-			fac, err := FactorizePerm(a, q, 1.0)
+			fac, err := factorLDL(sym, a)
 			if err != nil {
 				return false
 			}
@@ -178,23 +179,16 @@ func TestMinDegreeReducesFill(t *testing.T) {
 		}
 	}
 	a := b.ToCSC()
-	fn, err := FactorizeOpts(a, OrderNatural, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa, err := FactorizeOpts(a, OrderMinDegree, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fa.NNZ() >= fn.NNZ() {
-		t.Fatalf("minimum-degree fill %d >= natural fill %d", fa.NNZ(), fn.NNZ())
+	natural, md := analyzeLDLPerm(a, naturalOrder(n)), AnalyzeLDL(a)
+	if md.NNZ() >= natural.NNZ() {
+		t.Fatalf("minimum-degree nnz(L)+n %d >= natural %d", md.NNZ(), natural.NNZ())
 	}
 }
 
 func TestSymbolicCacheReuseAndStats(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	a1, a2 := randQuasiDefPair(r, 30)
-	c := NewSymbolicCache(OrderRCM)
+	c := NewSymbolicCache()
 	h, slot := c.Handle(), &FactorSlot{}
 	for _, m := range []*CSC{a1, a2, a1} {
 		if _, err := h.FactorizeInto(slot, m); err != nil {
@@ -226,7 +220,7 @@ func TestSymbolicCacheSecondPatternStaysPrivate(t *testing.T) {
 	other, x := randQuasiDefSystem(r, 31)
 	rhs := other.MulVec(x)
 
-	c := NewSymbolicCache(OrderMinDegree)
+	c := NewSymbolicCache()
 	h0 := c.Handle()
 	if _, err := h0.FactorizeInto(&FactorSlot{}, a1); err != nil {
 		t.Fatal(err)
@@ -291,7 +285,7 @@ func TestHandleRemembersLastPatternArrays(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	a1, a2 := randQuasiDefPair(r, 30)
 	twin := &CSC{NRows: a1.NRows, NCols: a1.NCols, ColPtr: slices.Clone(a1.ColPtr), RowIdx: slices.Clone(a1.RowIdx), Val: a1.Val}
-	h, slot := NewSymbolicCache(OrderMinDegree).Handle(), &FactorSlot{}
+	h, slot := NewSymbolicCache().Handle(), &FactorSlot{}
 	var bits [][]float64
 	for i, m := range []*CSC{a1, a1, a2, twin} {
 		f, err := h.FactorizeInto(slot, m)
@@ -316,7 +310,7 @@ func TestHandleRemembersLastPatternArrays(t *testing.T) {
 // analysis stays (there is nothing value-derived to redo), and the next
 // matrix factors on it as a plain refactorization.
 func TestSymbolicCacheUnstableFallback(t *testing.T) {
-	c := NewSymbolicCache(OrderNatural)
+	c := NewSymbolicCache()
 	h := c.Handle()
 	if _, err := h.FactorizeInto(&FactorSlot{}, collapsing(7, 1.3)); !errors.Is(err, ErrSingular) {
 		t.Fatalf("collapsed column: %v, want ErrSingular", err)
@@ -347,7 +341,7 @@ func TestSymbolicCacheSingular(t *testing.T) {
 	b.Append(0, 1, 2)
 	b.Append(1, 0, 2)
 	b.Append(1, 1, 4) // rank 1
-	c := NewSymbolicCache(OrderRCM)
+	c := NewSymbolicCache()
 	h := c.Handle()
 	if _, err := h.FactorizeInto(&FactorSlot{}, b.ToCSC()); err == nil {
 		t.Fatal("expected singular error")
@@ -366,10 +360,7 @@ func TestSymbolicCacheSingular(t *testing.T) {
 func TestSymbolicCachePermsAndAggregation(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	a1, a2 := randQuasiDefPair(r, 25)
-	c := NewSymbolicCache(OrderMinDegree)
-	if c.Ordering() != OrderMinDegree {
-		t.Fatalf("ordering = %v", c.Ordering())
-	}
+	c := NewSymbolicCache()
 	h1, h2 := c.Handle(), c.Handle()
 	if _, err := h1.FactorizeInto(&FactorSlot{}, a1); err != nil {
 		t.Fatal(err)
@@ -394,38 +385,34 @@ func TestSymbolicCachePermsAndAggregation(t *testing.T) {
 	}
 }
 
-// The names are what CLI reports print and BENCH_kkt.json keys are built
-// from (lu_nnz_rcm, lu_nnz_mindegree), and OrderRCM is the ordering of a
+// The name is what CLI reports print and BENCH_kkt.json keys are built
+// from (ldl_nnz_mindegree), and OrderMinDegree is the ordering of a
 // zero-valued mips.Options.
 func TestOrderingNames(t *testing.T) {
-	for ord, want := range map[Ordering]string{OrderNatural: "natural", OrderRCM: "rcm", OrderMinDegree: "mindegree"} {
-		if got := ord.String(); got != want {
-			t.Errorf("Ordering(%d).String() = %q, want %q", int(ord), got, want)
-		}
+	if got := OrderMinDegree.String(); got != "mindegree" {
+		t.Errorf("OrderMinDegree.String() = %q, want %q", got, "mindegree")
 	}
-	if OrderRCM != 0 {
-		t.Fatal("OrderRCM must stay the zero value: it is the default ordering of zero-valued Options")
+	var zero Ordering
+	if zero != OrderMinDegree {
+		t.Fatal("OrderMinDegree must stay the zero value: it is the ordering of zero-valued Options")
 	}
 }
 
 func TestRefactorSingularValues(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	a, _ := randSparseSystem(r, 12)
-	sym, _, err := Analyze(a, OrderRCM, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := randQuasiDefSystem(r, 12)
+	sym := AnalyzeLDL(a)
 	zero := a.Clone()
 	for i := range zero.Val {
 		zero.Val[i] = 0
 	}
-	if _, err := refactor(sym, zero); err == nil {
-		t.Fatal("expected singular error for all-zero values")
+	if _, err := factorLDL(sym, zero); !errors.Is(err, ErrSingular) {
+		t.Fatalf("all-zero values: %v, want ErrSingular", err)
 	}
 	nan := a.Clone()
 	nan.Val[0] = math.NaN()
-	if _, err := refactor(sym, nan); err == nil {
-		t.Fatal("expected error for NaN values")
+	if _, err := factorLDL(sym, nan); !errors.Is(err, ErrSingular) {
+		t.Fatalf("NaN values: %v, want ErrSingular", err)
 	}
 }
 
@@ -442,7 +429,7 @@ func TestShapedFactorizeMatchesFactorizeIntoUnderBoost(t *testing.T) {
 	b.Append(1, 1, 3)
 	weak := b.ToCSC()
 
-	c := NewSymbolicCache(OrderNatural)
+	c := NewSymbolicCache()
 	h := c.Handle()
 	f2, err := h.FactorizeInto(&FactorSlot{}, weak)
 	if err != nil {
@@ -479,10 +466,10 @@ func TestDerivedCacheEmbedsSubPattern(t *testing.T) {
 	}
 
 	for _, derivedFirst := range []bool{true, false} {
-		root := NewSymbolicCache(OrderRCM)
+		root := NewSymbolicCache()
 		der := root.Derive().Derive() // a chain resolves to the root
-		if der.root != root || der.Ordering() != OrderRCM {
-			t.Fatal("a derived cache keeps the root's ordering, and chains resolve to the root")
+		if der.root != root {
+			t.Fatal("a chain of derived caches resolves to the root")
 		}
 		rh, dh := root.Handle(), der.Handle()
 		order := []*CacheHandle{rh, dh}
@@ -496,13 +483,8 @@ func TestDerivedCacheEmbedsSubPattern(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := FactorizeOpts(m, OrderRCM, 1.0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rhs := m.MulVec(x)
-				if d := fac.Solve(rhs).Sub(ref.Solve(rhs)).NormInf(); d > 1e-9 {
-					t.Fatalf("derived first %v: solve through the reused slot differs from FactorizeOpts by %g", derivedFirst, d)
+				if d := fac.Solve(m.MulVec(x)).Sub(x).NormInf(); d > 1e-9 {
+					t.Fatalf("derived first %v: solve through the reused slot is off by %g", derivedFirst, d)
 				}
 			}
 		}
@@ -520,7 +502,7 @@ func TestDerivedCacheEmbedsSubPattern(t *testing.T) {
 
 	// Concurrent first handles of a root and of its derivations: one
 	// analysis, on the root (the -race job runs this repeatedly).
-	root := NewSymbolicCache(OrderMinDegree)
+	root := NewSymbolicCache()
 	const streams = 6
 	syms := make([]*LDLSymbolic, streams)
 	ders := make([]*SymbolicCache, streams)
@@ -562,7 +544,7 @@ func TestDerivedCacheEmbedsSubPattern(t *testing.T) {
 func TestDerivedCacheAnalyzesUncontainedPattern(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	full, _ := randQuasiDefSystem(r, 30)
-	root := NewSymbolicCache(OrderMinDegree)
+	root := NewSymbolicCache()
 	if _, err := root.Handle().FactorizeInto(&FactorSlot{}, full); err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +563,7 @@ func TestDerivedCacheAnalyzesUncontainedPattern(t *testing.T) {
 		if st, want := h.stats, (CacheStats{Analyses: 1, Orderings: 1}); st != want || h.own == nil || h.own == pub || root.Symbolic() != pub {
 			t.Fatalf("%s: stats %+v, want a private analysis %+v that leaves the root's in place", name, st, want)
 		}
-		w, err := NewSymbolicCache(OrderMinDegree).Handle().FactorizeInto(&FactorSlot{}, a)
+		w, err := NewSymbolicCache().Handle().FactorizeInto(&FactorSlot{}, a)
 		if err != nil {
 			t.Fatal(err)
 		}
