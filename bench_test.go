@@ -980,7 +980,8 @@ func productionKKT(b *testing.B, name string, steps int) (kkt *sparse.CSC, nx in
 			b.Fatalf("%s: the solve finished after %d iterations: %v", name, i, err)
 		}
 	}
-	return s.Assemble().Clone(), o.Lay.NX
+	s.Assemble()
+	return s.KKT(), o.Lay.NX
 }
 
 // BenchmarkLDLFactor factors the production KKT matrices of case118,

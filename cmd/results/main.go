@@ -163,6 +163,7 @@ var codeSize = []struct {
 	{at: "after e52dd13", all: 16832, warmPath: 5493, kernel: 3562, why: "every KKT system is ordered by exact minimum degree (a performance change; the count goes down by 39): `sparse.amdOrder`, the quotient-graph approximate minimum degree (−103), is replaced by `minDegreeOrder` (+54), one bitset row per variable with the fill clique formed by row ORs and degrees by popcount, and `OrderAMD` is renamed `OrderMinDegree` (`String` \"mindegree\"); case118's factorization does 52,471 flops instead of 126,922, and `screen_n1_mid` throughput rose ≈28 % (PERFORMANCE.md)"},
 	{at: "after dfb491f", all: 16952, warmPath: 5493, kernel: 3562, why: "eight weight columns per SSE2 pass (a performance change; the count goes up by 120, and from here on it counts `.s` files): `nn`'s float32 column loops became one amd64 assembly routine, `addcols_amd64.s` (+86, four outputs per `MULPS`/`ADDPS` step, a scalar tail), declared in `addcols_amd64.go` (+11), with the former Go loop kept for every other architecture in `addcols_other.go` (+33); `infer.go` −13 (the loops −26, the kernel's doc comment +13); this table's note (+3); a case300 prediction takes ≈0.99 ms instead of ≈1.85 ms with every bit unchanged (PERFORMANCE.md)"},
 	{at: "after 67b9708", all: 16175, warmPath: 5478, kernel: 3035, why: "one sparse factorization (−777): the Gilbert–Peierls LU with its frozen-pivot refactor (`sparse/lu.go`, −421), the Newton power flow that was its one caller (package `pf`, −206), reverse Cuthill–McKee, `symAdjacency`, the natural ordering and `permFor` (`order.go` −109), `(*OPF).SetOrdering` (−15), `SymbolicCache`'s ordering field and `Ordering` method; `AnalyzeLDL` and `NewSymbolicCache` take no ordering, and `sparse.Ordering` keeps one value, `OrderMinDegree`, now the zero value; `casegen` certifies a synthesized system with one cold solve of its unrated OPF and stores the optimum (−13), so `internal/grid/gen` drops its own re-anchor (−22); `sparse`'s package comment and `grid.MakeSbus`'s say what is left"},
+	{at: "after 5d4c336", all: 16178, warmPath: 5478, kernel: 3158, why: "the KKT stamped once per symmetric pair, straight into the LDLᵀ's packed blocks (a performance change; the count goes up by 3): `internal/grid/gen`, which regenerated nothing, is deleted (−121); in the kernel (+123) `LDLSymbolic.Slots`, `FactorPacked`, the collapse scan's row slots and the CSC loader replace the symmetrizing gather map (`ldl.go` +41), `CacheHandle.Analysis`/`FactorizePacked` split analysis from factorization (`symbolic.go` +20), the mips arena compiles the lower stamp against the cache's analysis with no Jgᵀ map (`arena.go` +41) and `Stepper.Factor`/`KKT` serve the inertia loop and the tests (`mips.go` +19), `sparse`'s package comment (+2); `serve_cold_mid` `latency_ms_mid` 8.23 → 7.02 ms in exchange (PERFORMANCE.md)"},
 }
 
 func main() {

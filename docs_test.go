@@ -69,6 +69,22 @@ func TestEmbeddedNamesResolve(t *testing.T) {
 	}
 }
 
+// TestFrozenTablesNameNoGenerator: the synthesized case tables are
+// frozen data that no command regenerates, so their headers point at
+// cases.go's provenance and no document sends a reader to a generator.
+func TestFrozenTablesNameNoGenerator(t *testing.T) {
+	for _, table := range []string{"internal/grid/cases300.go", "internal/grid/cases1354.go"} {
+		if src := mustRead(t, table); !mentions(src, "Frozen synthesis, see cases.go") || mentions(src, "regenerate") {
+			t.Errorf("%s does not say it is a frozen synthesis that nothing regenerates", table)
+		}
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		if mentions(mustRead(t, doc), "internal/grid/gen") {
+			t.Errorf("%s names internal/grid/gen, which no longer exists", doc)
+		}
+	}
+}
+
 // TestLifecycleDocsCoverage: the online model lifecycle (DESIGN.md §13)
 // must stay documented end to end — the pgsimd flags in README.md, the
 // closed-loop recipe in EXPERIMENTS.md, and the BENCH_lifecycle.json

@@ -25,9 +25,13 @@ import "math"
 //     embedded in cases300.go as a frozen, deterministic 300-bus grid
 //     with the IEEE 300-bus system's size profile (300 buses, 69
 //     generators, 411 branches). The original case300 file is not
-//     redistributed here; the data was produced once by the certified
-//     synthesis procedure of internal/casegen and is now static, so it
-//     cannot drift with the generator.
+//     redistributed here; the data was produced once by an earlier
+//     version of the certified synthesis procedure of internal/casegen
+//     and is now static, so it cannot drift with the generator. The
+//     current casegen no longer reproduces it, and nothing regenerates
+//     it.
+//   - Case1354: the beyond-paper scaling system in cases1354.go, frozen
+//     the same way (the PEGASE 1354-bus element counts).
 //
 // Rated-branch convention: the paper's inequality set includes branch
 // MVA flow limits, but the IEEE 57/118/300-bus case files carry no

@@ -16,8 +16,8 @@ import (
 // ramped case30 trajectory of TestTrajectoryPinned. It changes only with
 // a change meant to move answers: the solver, the warm start or the ramp.
 var trajectorySHA256 = map[Mode]string{
-	ModeChain:   "1ba491a8c836a0ac2adf594862a20a9ba2db36fb29d7ea89e25145d20915539f",
-	ModePredict: "518e65fef265480b6e13362d143a92b030e2d50abf0daa361e1a2f74c9f2dd59",
+	ModeChain:   "2a57fe2a53f57d435c620348c2683d7102d86cf6499ccf37c5292184f1322b84",
+	ModePredict: "d97e47db66e9ff259154c10ac6ede4a2fa793581a8ae4c972ebb927da79e412f",
 }
 
 // TestTrajectoryPinned pins a ramp-coupled case30 trajectory bit for bit

@@ -194,76 +194,111 @@ func (s *ineqSystem) bind(jh *sparse.CSC, nx int, upper, lower []int) {
 	}
 }
 
-// kktSystem is the Newton KKT matrix of Step, (nx+neq)², with one slot
-// map per contribution in stamping order: the JhᵀWJh outer products row
-// by row of the inequality Jacobian, the Hessian's entries, the nx
-// primal-diagonal regularization entries, Jg's entries, Jgᵀ's, and the
-// neq dual-diagonal ones. It recompiles when the inequality Jacobian,
-// the Hessian or Jg has a pattern other than the compiled one.
+// kktSystem is the Newton KKT matrix of Step, (nx+neq)², stamped once
+// per symmetric pair straight into the packed layout of its LDLᵀ
+// analysis (see sparse.LDLSymbolic): v holds the lower triangle, one
+// value per slot. bind compiles the matrix's symmetric pattern, from
+// which the cache makes or finds the analysis, and address then maps
+// each contribution to its packed slot, in stamping order: the JhᵀWJh
+// outer products row by row of the inequality Jacobian, each pair of a
+// row's entries once, the Hessian's entries on and below the diagonal,
+// the nx primal-diagonal regularization entries, Jg's entries and the
+// neq dual-diagonal ones. The pattern recompiles when the inequality
+// Jacobian, the Hessian or Jg has a pattern other than the compiled
+// one, the slots when the analysis changes.
 type kktSystem struct {
-	jh, hess, jg                             patternKey
-	m                                        *sparse.CSC
-	outer, hessPos, reg, jgPos, jgTPos, dual []int32
+	jh, hess, jg patternKey
+	// pat is the symmetric pattern of the matrix, both triangles, and
+	// pos each contribution's entry in it, in stamping order.
+	pat *sparse.CSC
+	pos []int32
+	// hessQ lists the Hessian entries stamped, those on and below the
+	// diagonal; nOuter, nx and ng count the outer products, the primal
+	// diagonal and Jg's entries among the contributions.
+	hessQ          []int32
+	nOuter, nx, ng int
+	// sym is the analysis the slot maps address, slot the packed offset
+	// of each of pat's entries.
+	sym                              *sparse.LDLSymbolic
+	slot                             []int32
+	outer, hessPos, reg, jgPos, dual []int32
+	v                                []float64
 }
 
-// bind makes the system's slot maps fit the inequality system and the
+// bind makes the system's pattern fit the inequality system and the
 // Hessian and Jg patterns (either may be nil).
 func (s *kktSystem) bind(in *ineqSystem, hess, jg *sparse.CSC, nx, neq int) {
-	if s.m != nil && s.jh.matches(in.m) && s.hess.matches(hess) && s.jg.matches(jg) {
+	if s.pat != nil && s.jh.matches(in.m) && s.hess.matches(hess) && s.jg.matches(jg) {
 		return
 	}
 	var rows, cols []int32
 	add := func(i, j int) { rows, cols = append(rows, int32(i)), append(cols, int32(j)) }
 	for r := 0; r < in.m.NRows; r++ {
 		row := in.colIdx[in.rowPtr[r]:in.rowPtr[r+1]]
-		for _, a := range row {
-			for _, b := range row {
+		for p, a := range row {
+			for _, b := range row[:p+1] {
 				add(int(a), int(b))
 			}
 		}
 	}
-	nOuter := len(rows)
+	s.hessQ = s.hessQ[:0]
 	for j := 0; hess != nil && j < hess.NCols; j++ {
 		for p := hess.ColPtr[j]; p < hess.ColPtr[j+1]; p++ {
-			add(hess.RowIdx[p], j)
+			if i := hess.RowIdx[p]; i >= j {
+				s.hessQ = append(s.hessQ, int32(p))
+				add(i, j)
+			}
 		}
 	}
+	s.nOuter, s.nx, s.ng = len(rows)-len(s.hessQ), nx, nnz(jg)
 	for i := 0; i < nx; i++ {
 		add(i, i)
 	}
-	for _, transpose := range []bool{false, true} {
-		for j := 0; jg != nil && j < jg.NCols; j++ {
-			for q := jg.ColPtr[j]; q < jg.ColPtr[j+1]; q++ {
-				if transpose {
-					add(j, nx+jg.RowIdx[q])
-				} else {
-					add(nx+jg.RowIdx[q], j)
-				}
-			}
+	for j := 0; jg != nil && j < jg.NCols; j++ {
+		for q := jg.ColPtr[j]; q < jg.ColPtr[j+1]; q++ {
+			add(nx+jg.RowIdx[q], j)
 		}
 	}
 	for i := 0; i < neq; i++ {
 		add(nx+i, nx+i)
 	}
+	// The mirrors complete the symmetric pattern the analysis is made of.
+	n := len(rows)
+	rows, cols = append(rows, cols...), append(cols, rows...)
 	var pos []int32
-	s.m, pos = sparse.CompileSlots(nx+neq, nx+neq, rows, cols)
-	nh, ng := nnz(hess), nnz(jg)
-	s.outer, pos = pos[:nOuter], pos[nOuter:]
-	s.hessPos, pos = pos[:nh], pos[nh:]
-	s.reg, pos = pos[:nx], pos[nx:]
-	s.jgPos, pos = pos[:ng], pos[ng:]
-	s.jgTPos, s.dual = pos[:ng], pos[ng:]
+	s.pat, pos = sparse.CompileSlots(nx+neq, nx+neq, rows, cols)
+	s.pos = pos[:n]
+	s.sym = nil
 	s.jh.remember(in.m)
 	s.hess.remember(hess)
 	s.jg.remember(jg)
 }
 
-// stamp writes the KKT values for the bound patterns: the w-weighted
+// address maps the bound pattern's contributions to their slots in
+// sym's packed layout; sym must be an analysis of pat.
+func (s *kktSystem) address(sym *sparse.LDLSymbolic) {
+	if s.sym == sym {
+		return
+	}
+	s.sym, s.slot = sym, sym.Slots(s.pat)
+	packed := make([]int32, len(s.pos))
+	for k, p := range s.pos {
+		packed[k] = s.slot[p]
+	}
+	s.outer, packed = packed[:s.nOuter], packed[s.nOuter:]
+	s.hessPos, packed = packed[:len(s.hessQ)], packed[len(s.hessQ):]
+	s.reg, packed = packed[:s.nx], packed[s.nx:]
+	s.jgPos, s.dual = packed[:s.ng], packed[s.ng:]
+	s.v = make([]float64, sym.NNZ())
+}
+
+// stamp writes the KKT values into the packed layout: the w-weighted
 // outer products of the inequality Jacobian's rows, the Hessian, reg on
-// the primal diagonal, Jg and Jgᵀ, and −kktStaticReg on the dual
-// diagonal — each slot's contributions summed in that order.
-func (s *kktSystem) stamp(in *ineqSystem, w []float64, hess, jg *sparse.CSC, reg float64) *sparse.CSC {
-	v := s.m.Val
+// the primal diagonal, Jg, and −kktStaticReg on the dual diagonal —
+// each slot's contributions summed in that order. The pair of a row's
+// columns a ≥ b gets (w·J_a)·J_b.
+func (s *kktSystem) stamp(in *ineqSystem, w []float64, hess, jg *sparse.CSC, reg float64) {
+	v := s.v
 	clear(v)
 	outer, rowPtr, valPos, jhVal := s.outer, in.rowPtr, in.valPos, in.m.Val
 	t := 0
@@ -271,14 +306,14 @@ func (s *kktSystem) stamp(in *ineqSystem, w []float64, hess, jg *sparse.CSC, reg
 		lo, hi := rowPtr[r], rowPtr[r+1]
 		for p1 := lo; p1 < hi; p1++ {
 			v1 := wr * jhVal[valPos[p1]]
-			for p2 := lo; p2 < hi; p2++ {
+			for p2 := lo; p2 <= p1; p2++ {
 				v[outer[t]] += v1 * jhVal[valPos[p2]]
 				t++
 			}
 		}
 	}
-	for q, p := range s.hessPos {
-		v[p] += hess.Val[q]
+	for k, p := range s.hessPos {
+		v[p] += hess.Val[s.hessQ[k]]
 	}
 	for _, p := range s.reg {
 		v[p] += reg
@@ -286,19 +321,15 @@ func (s *kktSystem) stamp(in *ineqSystem, w []float64, hess, jg *sparse.CSC, reg
 	for q, p := range s.jgPos {
 		v[p] += jg.Val[q]
 	}
-	for q, p := range s.jgTPos {
-		v[p] += jg.Val[q]
-	}
 	for _, p := range s.dual {
 		v[p] += -kktStaticReg
 	}
-	return s.m
 }
 
 // saveReg copies the values of the primal-diagonal slots into base.
 func (s *kktSystem) saveReg(base []float64) {
 	for i, p := range s.reg {
-		base[i] = s.m.Val[p]
+		base[i] = s.v[p]
 	}
 }
 
@@ -307,6 +338,16 @@ func (s *kktSystem) saveReg(base []float64) {
 // saveReg this gives the values a stamp at reg = dw would, bit for bit.
 func (s *kktSystem) shiftReg(base []float64, dw float64) {
 	for i, p := range s.reg {
-		s.m.Val[p] = base[i] + dw
+		s.v[p] = base[i] + dw
 	}
+}
+
+// matrix returns the stamped system as a new CSC matrix on the full
+// symmetric pattern, each pair's value in both triangles.
+func (s *kktSystem) matrix() *sparse.CSC {
+	m := s.pat.Clone()
+	for p, k := range s.slot {
+		m.Val[p] = s.v[k]
+	}
+	return m
 }

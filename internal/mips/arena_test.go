@@ -3,6 +3,7 @@ package mips
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/la"
@@ -72,7 +73,9 @@ func TestJhViewStreamedProductMatchesReference(t *testing.T) {
 			ar.ineq.bind(j, nx, nil, nil)
 			copy(ar.ineq.m.Val, j.Val)
 			ar.kkt.bind(&ar.ineq, nil, nil, nx, 0)
-			got := ar.kkt.stamp(&ar.ineq, w, nil, nil, 0)
+			ar.kkt.address(sparse.AnalyzeLDL(ar.kkt.pat))
+			ar.kkt.stamp(&ar.ineq, w, nil, nil, 0)
+			got := ar.kkt.matrix()
 			for i := 0; i < nx; i++ {
 				for k := 0; k < nx; k++ {
 					if d := math.Abs(got.At(i, k) - want.At(i, k)); d > 1e-13 {
@@ -106,5 +109,62 @@ func TestKKTSlotMapsFollowPatterns(t *testing.T) {
 	k.remember(nil)
 	if !k.matches(nil) || k.matches(a) {
 		t.Fatal("the nil pattern key is wrong")
+	}
+}
+
+// TestRegularizationTouchesOnlyDiagonalSlots checks the two ways a step
+// changes the primal diagonal without a new stamp of everything else:
+// an inertia shift (saveReg, shiftReg) writes exactly the values a
+// stamp at δ_w writes, and both it and a Tikhonov retry's stamp differ
+// from the stamp at 0 in the primal-diagonal slots alone.
+func TestRegularizationTouchesOnlyDiagonalSlots(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 4; trial++ {
+		nx, neq := 4+r.Intn(12), 1+r.Intn(4)
+		ar := new(Arena)
+		jh := randJacobian(r, 3+r.Intn(15), nx, 0.3)
+		jg := randJacobian(r, neq, nx, 0.4)
+		ones := make(la.Vector, nx)
+		for k := range ones {
+			ones[k] = 1
+		}
+		hess := jtDiagJ(randJacobian(r, nx, nx, 0.2), ones) // a symmetric pattern
+		for k := range hess.Val {
+			hess.Val[k] = r.NormFloat64()
+		}
+		ar.ineq.bind(jh, nx, nil, nil)
+		copy(ar.ineq.m.Val, jh.Val)
+		w := make([]float64, jh.NRows)
+		for k := range w {
+			w[k] = 0.1 + r.Float64()
+		}
+		k := &ar.kkt
+		k.bind(&ar.ineq, hess, jg, nx, neq)
+		k.address(sparse.AnalyzeLDL(k.pat))
+		stampAt := func(reg float64) []float64 {
+			k.stamp(&ar.ineq, w, hess, jg, reg)
+			return slices.Clone(k.v)
+		}
+		base := stampAt(0)
+		diag := map[int32]bool{}
+		for _, p := range k.reg {
+			diag[p] = true
+		}
+		saved := make([]float64, nx)
+		k.saveReg(saved)
+		for _, dw := range []float64{1e-4, 3.7} {
+			k.v = slices.Clone(base)
+			k.shiftReg(saved, dw)
+			shifted := slices.Clone(k.v)
+			retry := stampAt(dw)
+			for p := range base {
+				if math.Float64bits(shifted[p]) != math.Float64bits(retry[p]) {
+					t.Fatalf("trial %d, δ %g: slot %d shifted to %v, stamped at δ %v", trial, dw, p, shifted[p], retry[p])
+				}
+				if changed := base[p] != retry[p]; changed != diag[int32(p)] {
+					t.Fatalf("trial %d, δ %g: slot %d (primal diagonal %v) changed %v: %v → %v", trial, dw, p, diag[int32(p)], changed, base[p], retry[p])
+				}
+			}
+		}
 	}
 }

@@ -71,7 +71,10 @@ type Problem struct {
 	// Hess evaluates the Lagrangian Hessian for the given multipliers
 	// (lam for G rows, mu for H rows). May be nil only if F is quadratic
 	// and G/H are nil (then a finite-difference fallback is NOT provided;
-	// callers must supply Hess whenever G or H is set).
+	// callers must supply Hess whenever G or H is set). The Hessian is
+	// symmetric, and the solver reads the entries on and below its
+	// diagonal: an entry above the diagonal is ignored, so a pattern
+	// must hold the lower one of each off-diagonal pair.
 	//
 	// G, H and Hess may return the same matrix on every call with fresh
 	// values; the solver compiles its assembly per pattern and recognizes
@@ -501,7 +504,7 @@ func (s *Stepper) Step() (bool, error) {
 	}
 	*slot = s.best
 
-	kkt := s.newtonKKT()
+	s.newtonKKT()
 
 	rhs := ar.rhs
 	for k := 0; k < niq; k++ {
@@ -515,7 +518,7 @@ func (s *Stepper) Step() (bool, error) {
 		rhs[nx+i] = -s.g[i]
 	}
 
-	fac, err := s.factorKKT(kkt)
+	fac, err := s.factorKKT()
 	if err != nil {
 		return s.finish(err)
 	}
@@ -576,8 +579,8 @@ func (s *Stepper) Step() (bool, error) {
 // (1,1) block, and factorKKT returns nil factors, or ErrNumeric once
 // regKKT would pass 1e-2. A factor of wrong inertia at a large barrier
 // is corrected.
-func (s *Stepper) factorKKT(kkt *sparse.CSC) (*sparse.LDLFactors, error) {
-	fac, err := s.kkt.FactorizeInto(&s.ar.slot, kkt)
+func (s *Stepper) factorKKT() (*sparse.LDLFactors, error) {
+	fac, err := s.Factor()
 	if err != nil {
 		if s.regKKT == 0 {
 			s.regKKT = 1e-8
@@ -592,14 +595,14 @@ func (s *Stepper) factorKKT(kkt *sparse.CSC) (*sparse.LDLFactors, error) {
 	if s.gamma <= inertiaGamma || fac.NegativePivots() == s.neq {
 		return fac, nil
 	}
-	return s.correctInertia(kkt)
+	return s.correctInertia()
 }
 
-// correctInertia refactors kkt up the δ_w ladder until its factor has
-// neq negative pivots. δ_w goes into the primal-diagonal slots the stamp
-// already carries, on the same analysis and without a new Hessian; a
-// collapsed column on the way counts as wrong inertia.
-func (s *Stepper) correctInertia(kkt *sparse.CSC) (*sparse.LDLFactors, error) {
+// correctInertia refactors the KKT system up the δ_w ladder until its
+// factor has neq negative pivots. δ_w goes into the primal-diagonal
+// slots the stamp already carries, on the same analysis and without a
+// new Hessian; a collapsed column on the way counts as wrong inertia.
+func (s *Stepper) correctInertia() (*sparse.LDLFactors, error) {
 	ar := s.ar
 	ar.kkt.saveReg(ar.regBase)
 	dw, up := dwFirst, float64(dwUpFirst)
@@ -609,7 +612,7 @@ func (s *Stepper) correctInertia(kkt *sparse.CSC) (*sparse.LDLFactors, error) {
 	for ; dw <= dwMax; dw *= up {
 		ar.kkt.shiftReg(ar.regBase, dw)
 		s.res.InertiaCorrections++
-		if fac, err := s.kkt.FactorizeInto(&ar.slot, kkt); err == nil && fac.NegativePivots() == s.neq {
+		if fac, err := s.Factor(); err == nil && fac.NegativePivots() == s.neq {
 			s.dwLast = dw
 			return fac, nil
 		}
@@ -619,17 +622,19 @@ func (s *Stepper) correctInertia(kkt *sparse.CSC) (*sparse.LDLFactors, error) {
 
 // newtonKKT evaluates the Hessian at the current iterate and assembles
 // the Newton KKT system: the (1,1) block JhᵀWJh + ∇²L + regKKT·I, the
-// Jg borders, and the grounded dual diagonal, stamped through slot maps
-// compiled once per pattern triple (Jh, Hessian, Jg). regKKT·I is
-// stamped even at regKKT = 0: it doubles as the primal block's
-// structural-diagonal grounding. The dual diagonal carries the static
-// −δ regularization: the quasi-definite diagonal keeps the LDLᵀ's
-// pivots on the diagonal, where minimum-degree fill predictions hold
-// — severalfold less fill than pivoting off an empty dual diagonal —
-// and makes the pattern invariant under the Tikhonov retry, so one
-// symbolic analysis covers every iteration of every solve. δ only
-// perturbs the step O(δ·‖Δ‖), far below the convergence tolerances.
-func (s *Stepper) newtonKKT() *sparse.CSC {
+// Jg border, and the grounded dual diagonal, each symmetric pair
+// stamped once, straight into the packed layout of the LDLᵀ analysis
+// the cache holds for the pattern (compiled once per pattern triple Jh,
+// Hessian, Jg). regKKT·I is stamped even at regKKT = 0: it doubles as
+// the primal block's structural-diagonal grounding. The dual diagonal
+// carries the static −δ regularization: the quasi-definite diagonal
+// keeps the LDLᵀ's pivots on the diagonal, where minimum-degree fill
+// predictions hold — severalfold less fill than pivoting off an empty
+// dual diagonal — and makes the pattern invariant under the Tikhonov
+// retry, so one symbolic analysis covers every iteration of every
+// solve. δ only perturbs the step O(δ·‖Δ‖), far below the convergence
+// tolerances.
+func (s *Stepper) newtonKKT() {
 	ar := s.ar
 	var hess *sparse.CSC
 	if s.p.Hess != nil {
@@ -641,20 +646,34 @@ func (s *Stepper) newtonKKT() *sparse.CSC {
 		w[k] = s.mu[k] / s.z[k]
 	}
 	ar.kkt.bind(&ar.ineq, hess, s.jg, s.nx, s.neq)
-	return ar.kkt.stamp(&ar.ineq, w, hess, s.jg, s.regKKT)
+	ar.kkt.address(s.kkt.Analysis(ar.kkt.pat))
+	ar.kkt.stamp(&ar.ineq, w, hess, s.jg, s.regKKT)
 }
 
 // Assemble re-evaluates the problem at the current iterate — objective,
-// constraints, Hessian — and assembles the Newton KKT matrix the next
+// constraints, Hessian — and assembles the Newton KKT system the next
 // Step factors, leaving the solve's state as it was: the same
 // evaluations at the same point reproduce the same values. It is the
 // metering seam of one iteration's evaluation and assembly work without
-// the factorization. The returned matrix is the arena's, read-only and
-// valid until the next Step or Assemble.
-func (s *Stepper) Assemble() *sparse.CSC {
+// the factorization.
+func (s *Stepper) Assemble() {
 	s.f, s.df = s.p.F(s.x)
 	s.evalGH()
-	return s.newtonKKT()
+	s.newtonKKT()
+}
+
+// KKT returns the system the last Assemble or Step stamped as a new CSC
+// matrix, each symmetric pair's value in both triangles: the matrix Step
+// factors, for tests and benchmarks that factor it themselves.
+func (s *Stepper) KKT() *sparse.CSC { return s.ar.kkt.matrix() }
+
+// Factor factors the system the last Assemble or Step stamped, through
+// the solve's KKT cache handle, as Step does before its inertia check.
+// The factors are the arena's, valid until the next Step, Assemble or
+// Factor.
+func (s *Stepper) Factor() (*sparse.LDLFactors, error) {
+	k := &s.ar.kkt
+	return s.kkt.FactorizePacked(&s.ar.slot, k.sym, k.v)
 }
 
 // evalGH evaluates the nonlinear constraints and assembles the full

@@ -1,7 +1,6 @@
 package opf
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/grid"
@@ -12,7 +11,9 @@ import (
 // program: once any instance of a grid has compiled it, a fresh
 // Problem() — of the grid or of an outage class of it — binds its
 // scratch up front, so the first objective, constraint and Hessian calls
-// allocate nothing.
+// allocate nothing. Every run of the window evaluates through a Problem
+// built before it and not used yet, the warm-up run included, so each
+// counted evaluation is a first one.
 func TestFreshProblemFirstEvalAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -25,30 +26,37 @@ func TestFreshProblemFirstEvalAllocsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const runs = 5
 	for name, o := range map[string]*OPF{"intact": base, "outage": out} {
-		p := o.Problem()
+		fresh := make([]*mips.Problem, runs+1) // AllocsPerRun warms up with one run
+		for i := range fresh {
+			fresh[i] = o.Problem()
+		}
 		x, lam, mu := evalTestPoint(o)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		p.F(x)
-		p.G(x)
-		p.H(x)
-		p.Hess(x, lam, mu)
-		runtime.ReadMemStats(&m1)
-		if n := m1.Mallocs - m0.Mallocs; n != 0 {
-			t.Errorf("%s: the first evaluations through a fresh Problem() allocate %d times, want 0", name, n)
+		n := testing.AllocsPerRun(runs, func() {
+			p := fresh[0]
+			fresh = fresh[1:]
+			p.F(x)
+			p.G(x)
+			p.H(x)
+			p.Hess(x, lam, mu)
+		})
+		if n != 0 {
+			t.Errorf("%s: the first evaluations through a fresh Problem() allocate %v times, want 0", name, n)
 		}
 	}
 }
 
 // BenchmarkNewtonSystem meters one interior-point iteration's
 // evaluation and assembly work on case118 and case300 — objective,
-// constraints with their Jacobians, Hessian, and the Newton KKT matrix —
-// through a real Stepper held near its fixed point (unreachable
-// tolerances, as the allocation harness does), without the
-// factorization. The point cache is dropped before every pass so each
-// one recomputes the per-point quantities as an iteration at a new
-// iterate does. Any allocation in the steady pass fails the benchmark.
+// constraints with their Jacobians, Hessian, and the Newton KKT matrix
+// stamped into its factor's packed layout — through a real Stepper held
+// near its fixed point (unreachable tolerances, as the allocation
+// harness does): "assemble" without the factorization, "factor" with
+// it, as Step factors before its inertia check. The point cache is
+// dropped before every pass so each one recomputes the per-point
+// quantities as an iteration at a new iterate does. Any allocation in
+// a steady pass fails the benchmark.
 func BenchmarkNewtonSystem(b *testing.B) {
 	for _, c := range []*grid.Case{grid.Case118(), grid.Case300()} {
 		b.Run(c.Name, func(b *testing.B) {
@@ -59,23 +67,61 @@ func BenchmarkNewtonSystem(b *testing.B) {
 				MaxIter: 1 << 20, KKT: o.kkt,
 			}
 			s := mips.NewStepper(o.problemWith(sc), o.DefaultStart(), nil, opt)
-			for i := 0; i < 30; i++ {
+			for i := 0; i < 12; i++ {
 				if done, err := s.Step(); done {
 					b.Fatalf("stepper finished during warm-up (iteration %d): %v", i, err)
 				}
 			}
-			pass := func() {
+			assemble := func() {
 				sc.xAt = sc.xAt[:0]
 				s.Assemble()
 			}
-			if !raceEnabled {
-				if n := testing.AllocsPerRun(10, pass); n != 0 {
-					b.Fatalf("a steady evaluation and assembly pass allocates %v times, want 0", n)
+			factor := func() {
+				assemble()
+				if _, err := s.Factor(); err != nil {
+					b.Fatal(err)
 				}
+			}
+			for _, pass := range []struct {
+				name string
+				run  func()
+			}{{"assemble", assemble}, {"factor", factor}} {
+				b.Run(pass.name, func(b *testing.B) {
+					if !raceEnabled {
+						if n := testing.AllocsPerRun(10, pass.run); n != 0 {
+							b.Fatalf("a steady %s pass allocates %v times, want 0", pass.name, n)
+						}
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						pass.run()
+					}
+				})
+			}
+		})
+	}
+}
+
+// BenchmarkColdSolve times one cold solve of case118 and case300 at
+// 1.02× nominal load through the grid's shared KKT cache — the
+// in-process number PERFORMANCE.md compares across kernel changes
+// (run it with GOMAXPROCS=1, alternating builds).
+func BenchmarkColdSolve(b *testing.B) {
+	for _, c := range []*grid.Case{grid.Case118(), grid.Case300()} {
+		b.Run(c.Name, func(b *testing.B) {
+			o := Prepare(c)
+			fac := make([]float64, c.NB())
+			for i := range fac {
+				fac[i] = 1.02
+			}
+			if _, err := o.Perturb(fac).Solve(nil, Options{}); err != nil {
+				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pass()
+				if _, err := o.Perturb(fac).Solve(nil, Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -12,7 +12,9 @@
 // left-looking supernodal LDLᵀ with diagonal pivots for every symmetric
 // quasi-definite KKT system of the interior point, under exact minimum
 // degree. AnalyzeLDL is a pure function of the pattern,
-// LDLSymbolic.FactorInto the numeric half. SymbolicCache holds the one
+// LDLSymbolic.FactorPacked the numeric half, on the matrix's lower
+// triangle stamped into the factor's packed layout (FactorInto loads a
+// CSC matrix into it). SymbolicCache holds the one
 // analysis of a grid's KKT systems and shares it across every solve of
 // the grid, concurrent ones included, without coupling their numerics.
 //

@@ -42,7 +42,8 @@ func productionKKT(tb testing.TB, name string, iters ...int) (kkts []*sparse.CSC
 				tb.Fatalf("%s: the solve finished at iteration %d before iteration %d: %v", name, it, want, err)
 			}
 		}
-		kkts = append(kkts, s.Assemble().Clone())
+		s.Assemble()
+		kkts = append(kkts, s.KKT())
 	}
 	return kkts, o.Lay.NX
 }
@@ -315,16 +316,26 @@ func TestPooledSlotAllocFree(t *testing.T) {
 // BenchmarkFleetRefactorKernels times the LDLᵀ factorization of the
 // production KKT patterns of case118 and case300, for quick kernel
 // iteration; the root-level BenchmarkLDLFactor pins its backward error
-// and allocations. The values are onPattern's.
+// and allocations. The values are onPattern's, stamped once per pair
+// into the packed layout as mips stamps them, so the loop times the
+// kernel from its input.
 func BenchmarkFleetRefactorKernels(b *testing.B) {
 	for _, name := range []string{"case118", "case300"} {
 		kkts, nx := productionKKT(b, name, 10)
 		kkt := onPattern(rand.New(rand.NewSource(47)), kkts[0], nx)
 		sym := sparse.AnalyzeLDL(kkt)
+		packed := make([]float64, sym.NNZ())
+		for j, slots := 0, sym.Slots(kkt); j < kkt.NCols; j++ {
+			for p := kkt.ColPtr[j]; p < kkt.ColPtr[j+1]; p++ {
+				if kkt.RowIdx[p] >= j {
+					packed[slots[p]] = kkt.Val[p]
+				}
+			}
+		}
 		f := &sparse.LDLFactors{}
 		b.Run(name+"/ldl", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := sym.FactorInto(f, kkt); err != nil {
+				if err := sym.FactorPacked(f, packed); err != nil {
 					b.Fatal(err)
 				}
 			}

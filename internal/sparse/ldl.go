@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/la"
 )
@@ -23,7 +24,8 @@ import (
 // ∪ below(l), and column k of T holds the rows of R_T from k on. The
 // numeric kernel factors one destination supernode at a time (the
 // supernode–supernode update of Ng & Peyton 1993): T's columns are
-// gathered from (A+Aᵀ)/2 into a dense column-major block, every earlier
+// copied into a dense column-major block from the packed matrix, which
+// is stored in the blocks' own layout (see LDLSymbolic), every earlier
 // source supernode with rows in T is applied once to every column of T
 // it reaches — two target columns per pass, so each loaded L segment
 // feeds both — and T's own columns are then finished left-looking, with
@@ -77,17 +79,18 @@ const singularRel = 1e-16
 // program. It is a pure function of the pattern, immutable after
 // AnalyzeLDL and safe to share across goroutines.
 //
-// What is factored is the symmetric part (A+Aᵀ)/2 of the matrix given,
-// on the union of its two triangles' patterns. A KKT matrix is symmetric
-// in exact arithmetic, but its assembly leaves the two triangles a
-// rounding apart; averaging them keeps the factorization as close to the
-// assembled matrix as an LU of it would be (reading one triangle alone
-// cost a case30 solve on the cold corpus of PERFORMANCE.md "One
-// supernodal LDLᵀ").
-//
-// A supernode's block holds column jj (0-based within the supernode) at
-// blk[blockBase(jj, nr)+pos] for the positions pos = jj..nr-1 of its row
-// list, nr long: the lower trapezoid, packed column by column.
+// What is factored is an exactly symmetric matrix, given by the values
+// of its lower triangle in the packed layout of the factor: column k of
+// C = A(q,q), from its diagonal down over the rows of L's column k, at
+// offsets lp[k]+k .. lp[k+1]+k, the fill positions holding zeros. A
+// supernode's columns are then one contiguous segment, and the segment
+// is its block: column jj (0-based within the supernode) at
+// blockBase(jj, nr)+pos for the positions pos = jj..nr-1 of its row
+// list, nr long — the lower trapezoid, packed column by column. Slots
+// maps a matrix's entries to their packed offsets; a caller that stamps
+// the values there (mips stamps each symmetric pair of its KKT matrix
+// once) hands the factorization its input without a gather. FactorInto
+// loads a CSC matrix into the layout, as its symmetric part (A+Aᵀ)/2.
 type LDLSymbolic struct {
 	n       int
 	q, pinv []int // C = A(q,q); pinv[q[k]] = k
@@ -96,13 +99,11 @@ type LDLSymbolic struct {
 	lp, li []int
 	// snStart[s] is the first column of supernode s; snStart[len-1] = n.
 	snStart []int
-	// Column k takes A's diagonal entry at gdiag[k] (-1: none) and half
-	// of each entry gpos[gptr[k]:gptr[k+1]] of A's values, added at the
-	// offsets gblk[...] of its supernode's block (its lower part: both
-	// triangles' entries land there).
-	gdiag      []int32
-	gptr       []int
-	gpos, gblk []int32
+	// rowSlot[rowPtr[k]:rowPtr[k+1]] are the packed slots of row k's
+	// entries left of the diagonal, the half of a symmetric column the
+	// collapse test's scan finds outside the packed column.
+	rowPtr  []int
+	rowSlot []int32
 	// upd[updPtr[t]:updPtr[t+1]] is supernode t's update program: its
 	// sources in ascending supernode order.
 	updPtr []int
@@ -114,6 +115,10 @@ type LDLSymbolic struct {
 	// supernode: the sizes of a factor's workspace.
 	maxBlock, maxRows int
 	pat               pattern
+	// loadSlots are the slots of pat's entries, made by the first
+	// FactorInto.
+	loadOnce  sync.Once
+	loadSlots []int32
 }
 
 // ldlUpdate is one source supernode's update of a destination T: its
@@ -153,42 +158,27 @@ func analyzeLDLPerm(a *CSC, q []int) *LDLSymbolic {
 		s.pinv[c] = k
 	}
 
-	// Gather map of (A+Aᵀ)/2, and the rows of its strict lower triangle:
-	// for row i, the columns k < i holding an entry (a column listed
-	// twice when both triangles store the pair).
-	s.gdiag = make([]int32, n)
-	for k := range s.gdiag {
-		s.gdiag[k] = -1
-	}
-	s.gptr = make([]int, n+1)
+	// The rows of the strict lower triangle of A+Aᵀ: for row i, the
+	// columns k < i holding an entry (a column listed twice when both
+	// triangles store the pair).
 	rp := make([]int, n+1)
 	for c := 0; c < n; c++ {
 		for p := a.ColPtr[c]; p < a.ColPtr[c+1]; p++ {
-			if i, k := s.pinv[a.RowIdx[p]], s.pinv[c]; i == k {
-				s.gdiag[k] = int32(p)
-			} else {
-				s.gptr[min(i, k)+1]++
+			if i, k := s.pinv[a.RowIdx[p]], s.pinv[c]; i != k {
 				rp[max(i, k)+1]++
 			}
 		}
 	}
 	for k := 0; k < n; k++ {
-		s.gptr[k+1] += s.gptr[k]
 		rp[k+1] += rp[k]
 	}
-	s.gpos = make([]int32, s.gptr[n])
-	grow := make([]int, s.gptr[n])
 	rc := make([]int, rp[n])
-	next := slices.Clone(s.gptr[:n])
-	nextR := slices.Clone(rp[:n])
+	next := slices.Clone(rp[:n])
 	for c := 0; c < n; c++ {
 		for p := a.ColPtr[c]; p < a.ColPtr[c+1]; p++ {
 			if i, k := s.pinv[a.RowIdx[p]], s.pinv[c]; i != k {
-				i, k = max(i, k), min(i, k)
-				s.gpos[next[k]], grow[next[k]] = int32(p), i
-				next[k]++
-				rc[nextR[i]] = k
-				nextR[i]++
+				rc[next[max(i, k)]] = min(i, k)
+				next[max(i, k)]++
 			}
 		}
 	}
@@ -244,6 +234,15 @@ func analyzeLDLPerm(a *CSC, q []int) *LDLSymbolic {
 			s.li[next[j]] = i
 			next[j]++
 		})
+	}
+
+	s.rowPtr, s.rowSlot = rp, make([]int32, len(rc))
+	for i := 0; i < n; i++ {
+		for p := rp[i]; p < rp[i+1]; p++ {
+			k := rc[p]
+			t, _ := slices.BinarySearch(s.li[s.lp[k]:s.lp[k+1]], i)
+			s.rowSlot[p] = int32(s.lp[k] + k + 1 + t)
+		}
 	}
 
 	// Supernodes: j-1 extends j's run when j is its parent and its
@@ -302,10 +301,9 @@ func analyzeLDLPerm(a *CSC, q []int) *LDLSymbolic {
 		next[t]++
 	})
 
-	// Resolve the programs' rows and the gather map to positions in each
-	// destination's row list (pos, reusing cnt).
+	// Resolve the programs' rows to positions in each destination's row
+	// list (pos, reusing cnt).
 	pos := cnt
-	s.gblk = make([]int32, len(s.gpos))
 	for t := 0; t < ns; t++ {
 		c0, c1 := s.snStart[t], s.snStart[t+1]
 		w := c1 - c0
@@ -319,12 +317,6 @@ func analyzeLDLPerm(a *CSC, q []int) *LDLSymbolic {
 		nr := w + len(below)
 		s.maxRows = max(s.maxRows, nr)
 		s.maxBlock = max(s.maxBlock, blockBase(w, nr)+w)
-		for k := c0; k < c1; k++ {
-			base := blockBase(k-c0, nr)
-			for g := s.gptr[k]; g < s.gptr[k+1]; g++ {
-				s.gblk[g] = int32(base + pos[grow[g]])
-			}
-		}
 		for u := s.updPtr[t]; u < s.updPtr[t+1]; u++ {
 			up := &s.upd[u]
 			up.rel = int32(len(s.rel))
@@ -341,8 +333,33 @@ func analyzeLDLPerm(a *CSC, q []int) *LDLSymbolic {
 func (s *LDLSymbolic) N() int { return s.n }
 
 // NNZ returns the stored entries of a factorization: strict L plus the
-// n pivots of D.
+// n pivots of D. It is also the length of the packed matrix a
+// factorization reads (see LDLSymbolic).
 func (s *LDLSymbolic) NNZ() int { return len(s.li) + s.n }
+
+// Slots returns the packed offset of each stored entry of a, in CSC
+// order: entry (i, j) and its mirror (j, i) share one. Every entry of
+// the analyzed pattern has a slot; Slots panics on one outside the
+// factor's pattern.
+func (s *LDLSymbolic) Slots(a *CSC) []int32 {
+	slots := make([]int32, a.ColPtr[a.NCols])
+	for j := 0; j < a.NCols; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			i, k := s.pinv[a.RowIdx[p]], s.pinv[j]
+			i, k = max(i, k), min(i, k)
+			slot := s.lp[k] + k
+			if i != k {
+				t, ok := slices.BinarySearch(s.li[s.lp[k]:s.lp[k+1]], i)
+				if !ok {
+					panic("sparse: Slots of an entry outside the factor's pattern")
+				}
+				slot += 1 + t
+			}
+			slots[p] = int32(slot)
+		}
+	}
+	return slots
+}
 
 // PatternNNZ returns the stored entries of the analyzed matrix pattern.
 func (s *LDLSymbolic) PatternNNZ() int { return len(s.pat.rowIdx) }
@@ -379,11 +396,11 @@ func (s *LDLSymbolic) Flops() int {
 	return flops
 }
 
-// LDLFactors holds a numeric factorization S(q,q) = L·D·Lᵀ of the
-// symmetric part S = (A+Aᵀ)/2 of a matrix A, on an LDLSymbolic, with
-// the workspace that computes it. A zero value is ready for FactorInto;
-// it keeps its storage across calls, so refactoring on the same analysis
-// — or on one whose factor, largest supernode block and row list are no
+// LDLFactors holds a numeric factorization S(q,q) = L·D·Lᵀ of a
+// symmetric matrix S, on an LDLSymbolic, with the workspace that
+// computes it. A zero value is ready for FactorPacked or FactorInto; it
+// keeps its storage across calls, so refactoring on the same analysis —
+// or on one whose factor, largest supernode block and row list are no
 // larger — allocates nothing.
 type LDLFactors struct {
 	sym *LDLSymbolic
@@ -391,6 +408,8 @@ type LDLFactors struct {
 	d   []float64 // the pivots
 	blk []float64 // the destination supernode's block
 	tmp []float64 // two buffered accumulations, maxRows each
+	// packed is FactorInto's: the matrix loaded into the packed layout.
+	packed []float64
 }
 
 func resize(v []float64, n int) []float64 {
@@ -411,32 +430,60 @@ func (f *LDLFactors) bind(s *LDLSymbolic) {
 	f.tmp = resize(f.tmp, 2*s.maxRows)
 }
 
-// FactorInto computes the LDLᵀ factorization of a into f. Pivots stay on
-// the diagonal: a pivot below boostPivotRel of its column's largest
-// updated entry is raised to ±boostPivotRel times that entry (static
-// pivot perturbation, bounding element growth), and a column whose
-// updated entries all collapse below singularRel of its matrix column
-// returns ErrSingular. ErrPatternChanged when a does not have the
-// analyzed pattern. After an error f holds no factorization but stays
-// usable. The factors are a pure function of the pattern and values.
+// FactorInto computes the LDLᵀ factorization of the symmetric part
+// (A+Aᵀ)/2 of a into f: it loads a into the packed layout — a diagonal
+// entry as it is, an off-diagonal one as half its value, added to its
+// mirror's half in CSC order — and factors that with FactorPacked.
+// ErrPatternChanged when a does not have the analyzed pattern.
 func (s *LDLSymbolic) FactorInto(f *LDLFactors, a *CSC) error {
 	if !s.pat.matches(a) {
 		return ErrPatternChanged
 	}
-	return s.factor(f, a)
+	return s.FactorPacked(f, f.load(s, a))
 }
 
-// factor is FactorInto on a matrix already known to have the analyzed
-// pattern.
-func (s *LDLSymbolic) factor(f *LDLFactors, a *CSC) error {
+// load writes the symmetric part of a, which has s's pattern, into f's
+// packed buffer and returns it.
+func (f *LDLFactors) load(s *LDLSymbolic, a *CSC) []float64 {
+	s.loadOnce.Do(func() {
+		s.loadSlots = s.Slots(&CSC{NRows: s.n, NCols: s.n, ColPtr: s.pat.colPtr, RowIdx: s.pat.rowIdx})
+	})
+	v := resize(f.packed, s.NNZ())
+	f.packed = v
+	clear(v)
+	for j := 0; j < a.NCols; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			if a.RowIdx[p] == j {
+				v[s.loadSlots[p]] = a.Val[p]
+			} else {
+				v[s.loadSlots[p]] += 0.5 * a.Val[p]
+			}
+		}
+	}
+	return v
+}
+
+// FactorPacked computes the LDLᵀ factorization of the symmetric matrix
+// whose lower triangle v holds in the packed layout (see LDLSymbolic;
+// NNZ values) into f; v is not modified. Pivots stay on the diagonal: a
+// pivot below boostPivotRel of its column's largest updated entry is
+// raised to ±boostPivotRel times that entry (static pivot perturbation,
+// bounding element growth), and a column whose updated entries all
+// collapse below singularRel of its matrix column returns ErrSingular.
+// After an error f holds no factorization but stays usable. The factors
+// are a pure function of the analysis and the values.
+func (s *LDLSymbolic) FactorPacked(f *LDLFactors, v []float64) error {
+	if len(v) != s.NNZ() {
+		panic("sparse: FactorPacked of a packed matrix of another length")
+	}
 	f.bind(s)
 	lx, d, lp := f.lx, f.d, s.lp
 	// One bound on every column's largest entry: a column whose updated
-	// entries clear it cannot have collapsed, so only the rest rescan
-	// their own matrix column.
+	// entries clear it cannot have collapsed, so only the rest scan their
+	// own matrix column.
 	aMax := 0.0
-	for _, v := range a.Val {
-		if t := math.Abs(v); t > aMax {
+	for _, x := range v {
+		if t := math.Abs(x); t > aMax {
 			aMax = t
 		}
 	}
@@ -445,16 +492,7 @@ func (s *LDLSymbolic) factor(f *LDLFactors, a *CSC) error {
 		c0, c1 := s.snStart[t], s.snStart[t+1]
 		w := c1 - c0
 		nr := w + lp[c1] - lp[c1-1]
-		blk := f.blk[:blockBase(w, nr)+w]
-		clear(blk)
-		for k := c0; k < c1; k++ {
-			if p := s.gdiag[k]; p >= 0 {
-				blk[blockBase(k-c0, nr)+k-c0] = a.Val[p]
-			}
-		}
-		for g := s.gptr[c0]; g < s.gptr[c1]; g++ {
-			blk[s.gblk[g]] += 0.5 * a.Val[s.gpos[g]]
-		}
+		blk := f.blk[:copy(f.blk, v[lp[c0]+c0:lp[c1]+c1])]
 		upd := s.upd[s.updPtr[t]:s.updPtr[t+1]]
 		for i := range upd {
 			if u := &upd[i]; u.e-u.c0 < 2 {
@@ -477,7 +515,7 @@ func (s *LDLSymbolic) factor(f *LDLFactors, a *CSC) error {
 				if k > c0 {
 					panelUpdate(acc1, nil, lx, lp, d, c0, k-1)
 				}
-				if err := s.pivot(f, a, k, col1, acc1, aMax); err != nil {
+				if err := s.pivot(f, v, k, col1, acc1, aMax); err != nil {
 					return err
 				}
 				break
@@ -490,11 +528,11 @@ func (s *LDLSymbolic) factor(f *LDLFactors, a *CSC) error {
 			if q < k {
 				panelUpdate(acc1, nil, lx, lp, d, q, k-1)
 			}
-			if err := s.pivot(f, a, k, col1, acc1, aMax); err != nil {
+			if err := s.pivot(f, v, k, col1, acc1, aMax); err != nil {
 				return err
 			}
 			panelUpdate(acc2, nil, lx, lp, d, q, k)
-			if err := s.pivot(f, a, k+1, col2, acc2, aMax); err != nil {
+			if err := s.pivot(f, v, k+1, col2, acc2, aMax); err != nil {
 				return err
 			}
 		}
@@ -518,22 +556,22 @@ func ownColumn(blk []float64, nr, jj int, inPlace bool, buf []float64) (col, acc
 
 // pivot finishes column k from its block column col (pivot first) once
 // acc, its buffered accumulation when it is not col itself, is added:
-// it checks for collapse, boosts a small pivot and scales the column
-// into L.
-func (s *LDLSymbolic) pivot(f *LDLFactors, a *CSC, k int, col, acc []float64, aMax float64) error {
+// it checks for collapse against the packed matrix v, boosts a small
+// pivot and scales the column into L.
+func (s *LDLSymbolic) pivot(f *LDLFactors, v []float64, k int, col, acc []float64, aMax float64) error {
 	if &acc[0] != &col[0] {
-		for t, v := range acc {
-			col[t] += v
+		for t, x := range acc {
+			col[t] += x
 		}
 	}
 	dk := col[0]
 	amax := math.Abs(dk)
-	for _, v := range col[1:] {
-		if t := math.Abs(v); t > amax {
+	for _, x := range col[1:] {
+		if t := math.Abs(x); t > amax {
 			amax = t
 		}
 	}
-	if math.IsNaN(dk) || !(amax > singularRel*aMax) && !(amax > singularRel*columnMax(a, s.q[k])) {
+	if math.IsNaN(dk) || !(amax > singularRel*aMax) && !(amax > singularRel*s.columnMax(v, k)) {
 		return ErrSingular
 	}
 	if math.Abs(dk) < boostPivotRel*amax {
@@ -542,19 +580,22 @@ func (s *LDLSymbolic) pivot(f *LDLFactors, a *CSC, k int, col, acc []float64, aM
 	f.d[k] = dk
 	inv := 1 / dk
 	lk := f.lx[s.lp[k]:s.lp[k+1]]
-	for t, v := range col[1:] {
-		lk[t] = v * inv
+	for t, x := range col[1:] {
+		lk[t] = x * inv
 	}
 	return nil
 }
 
-// columnMax is the largest magnitude in column c of a.
-func columnMax(a *CSC, c int) float64 {
+// columnMax is the largest magnitude in column k of the symmetric matrix
+// packed in v: its own packed column, from the diagonal down, and the
+// entries of row k left of the diagonal.
+func (s *LDLSymbolic) columnMax(v []float64, k int) float64 {
 	m := 0.0
-	for _, v := range a.Val[a.ColPtr[c]:a.ColPtr[c+1]] {
-		if t := math.Abs(v); t > m {
-			m = t
-		}
+	for _, x := range v[s.lp[k]+k : s.lp[k+1]+k+1] {
+		m = max(m, math.Abs(x))
+	}
+	for _, p := range s.rowSlot[s.rowPtr[k]:s.rowPtr[k+1]] {
+		m = max(m, math.Abs(v[p]))
 	}
 	return m
 }

@@ -504,3 +504,46 @@ func TestNegativePivotsCountInertia(t *testing.T) {
 		}
 	}
 }
+
+// TestPackedLayoutMatchesLoader pins the packed input of FactorPacked,
+// under every elimination order of testAnalyses: Slots gives an entry
+// and its mirror one slot, a diagonal entry the head of its packed
+// column and distinct pairs distinct slots, and a caller stamping each
+// lower entry once into those slots factors bit for bit what
+// FactorInto's loader factors from both triangles (each stamped value
+// written once, so a −0 diagonal stays −0) — including the
+// collapse verdict, whose column scan reads the packed row as well as
+// the packed column.
+func TestPackedLayoutMatchesLoader(t *testing.T) {
+	for _, fx := range kernelFixtures(43) {
+		for o, sym := range testAnalyses(fx.A, 43) {
+			a := fx.A
+			slots := sym.Slots(a)
+			owner := map[int32][2]int{}
+			v := make([]float64, sym.NNZ())
+			for j := 0; j < a.NCols; j++ {
+				for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+					i, pair := a.RowIdx[p], [2]int{max(a.RowIdx[p], j), min(a.RowIdx[p], j)}
+					if prev, seen := owner[slots[p]]; seen && prev != pair {
+						t.Fatalf("%s/%s: (%d,%d) and %v share slot %d", fx.Name, orderNames[o], i, j, prev, slots[p])
+					}
+					owner[slots[p]] = pair
+					if k := sym.pinv[j]; i == j && int(slots[p]) != sym.lp[k]+k {
+						t.Fatalf("%s/%s: diagonal %d at slot %d, its packed column starts at %d", fx.Name, orderNames[o], j, slots[p], sym.lp[k]+k)
+					}
+					if i >= j {
+						v[slots[p]] = a.Val[p]
+					}
+				}
+			}
+			var want, got LDLFactors
+			werr, gerr := sym.FactorInto(&want, a), sym.FactorPacked(&got, v)
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("%s/%s: FactorPacked returned %v, FactorInto %v", fx.Name, orderNames[o], gerr, werr)
+			}
+			if werr == nil && (!slices.Equal(want.lx, got.lx) || !slices.Equal(want.d, got.d)) {
+				t.Fatalf("%s/%s: FactorPacked and FactorInto differ", fx.Name, orderNames[o])
+			}
+		}
+	}
+}

@@ -105,10 +105,10 @@ func NewSymbolicCache() *SymbolicCache {
 // grid with a branch out whose admittance entries are kept as explicit
 // zeros. A cache derived from a derived one shares the same root. The
 // root's analysis is made by whichever handle of the root or of any of
-// its derivations factors first, and counted on the root; a matrix of
-// another pattern is analyzed privately by the handle that meets it,
-// exactly as through a fresh cache, so correctness never depends on the
-// patterns matching.
+// its derivations asks first (Analysis), and counted on the root; a
+// matrix of another pattern is analyzed privately by the handle that
+// meets it, exactly as through a fresh cache, so correctness never
+// depends on the patterns matching.
 func (c *SymbolicCache) Derive() *SymbolicCache {
 	return &SymbolicCache{root: c.root}
 }
@@ -156,12 +156,15 @@ type CacheHandle struct {
 	// to this stream. A newer one replaces it.
 	own   *LDLSymbolic
 	stats CacheStats
-	// last is the analysis the stream's last matrix was factored on, and
-	// lastColPtr/lastRowIdx that matrix's pattern arrays: a matrix that
-	// comes back with the same arrays has the same pattern (see
-	// FactorizeInto), so it is not compared again.
+	// last is the analysis Analysis last returned, and lastColPtr/
+	// lastRowIdx the pattern arrays it was asked for: a matrix that comes
+	// back with the same arrays has the same pattern (see Analysis), so
+	// it is not compared again.
 	last                   *LDLSymbolic
 	lastColPtr, lastRowIdx []int
+	// fresh: the stream made the analysis it factors next, so that
+	// factorization is no refactor.
+	fresh bool
 }
 
 // Close folds the stream's counters into the cache. Calling it again
@@ -194,38 +197,34 @@ func sameArray(a, b []int) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// FactorSlot holds preallocated factors and workspace for FactorizeInto.
-// One slot serves one sequential factorization stream at a time and may
-// outlive it (mips pools slots across solves, of any grid); the factors
-// returned through it are valid until the next FactorizeInto call on the
-// same slot.
+// FactorSlot holds preallocated factors and workspace for a handle's
+// factorizations. One slot serves one sequential factorization stream
+// at a time and may outlive it (mips pools slots across solves, of any
+// grid); the factors returned through it are valid until the next
+// factorization through the same slot.
 type FactorSlot struct {
 	f LDLFactors
 }
 
-// FactorizeInto returns the LDLᵀ factorization of a in slot's
-// preallocated storage, on the root's analysis, which the first
-// factorization through the root or any of its derivations makes from
-// its pattern and publishes (see Derive); a root holds one pattern, so
-// the analysis of another stays with this handle, counted and never
-// published. A factorization that meets a collapsed column returns
-// ErrSingular and is counted in Fallbacks. The steady-state path (slot
-// bound to the analysis, or to a larger one before) performs zero
-// allocations. The returned factors are valid until the next call.
+// Analysis returns the analysis the stream factors a's pattern on: the
+// root's, which the first handle of the root or of any of its
+// derivations to ask makes from its pattern and publishes (see Derive);
+// a root holds one pattern, so the analysis of another stays with this
+// handle, counted and never published. The answer for the arrays asked
+// last is remembered, so asking again each iteration costs nothing.
 //
 // A's ColPtr and RowIdx must never be rewritten in place once a has
-// been factored through the handle: the handle remembers the arrays of
-// the last matrix it factored and takes a matrix that comes back with
-// the same ones (same first element, same length) as holding the
-// pattern they held, without comparing it again. Values may change
-// freely; a new pattern comes in new arrays.
-func (h *CacheHandle) FactorizeInto(slot *FactorSlot, a *CSC) (*LDLFactors, error) {
-	sym, analyzed := h.lookup(a), false
+// been given to the handle: the handle takes a matrix that comes back
+// with the arrays it was last asked for (same first element, same
+// length) as holding the pattern they held, without comparing it again.
+// Values may change freely; a new pattern comes in new arrays.
+func (h *CacheHandle) Analysis(a *CSC) *LDLSymbolic {
+	sym := h.lookup(a)
 	if sym == nil {
-		sym, analyzed = h.c.publish(a)
+		sym, h.fresh = h.c.publish(a)
 		if !sym.pat.matches(a) {
 			// The root holds another pattern: this one is the stream's alone.
-			sym, analyzed = AnalyzeLDL(a), true
+			sym, h.fresh = AnalyzeLDL(a), true
 			h.stats.Orderings++
 			h.stats.Analyses++
 			h.own = sym
@@ -233,7 +232,21 @@ func (h *CacheHandle) FactorizeInto(slot *FactorSlot, a *CSC) (*LDLFactors, erro
 	}
 	// Every path above matched a's pattern to sym's.
 	h.last, h.lastColPtr, h.lastRowIdx = sym, a.ColPtr, a.RowIdx
-	if err := sym.factor(&slot.f, a); err != nil {
+	return sym
+}
+
+// FactorizePacked returns the LDLᵀ factorization of the symmetric matrix
+// packed in v (see LDLSymbolic) on sym, an analysis Analysis returned,
+// in slot's preallocated storage. A factorization that meets a
+// collapsed column returns ErrSingular and is counted in Fallbacks; any
+// other counts as a refactor unless the stream made sym for it. The
+// steady-state path (slot bound to the analysis, or to a larger one
+// before) performs zero allocations. The returned factors are valid
+// until the next call.
+func (h *CacheHandle) FactorizePacked(slot *FactorSlot, sym *LDLSymbolic, v []float64) (*LDLFactors, error) {
+	analyzed := h.fresh
+	h.fresh = false
+	if err := sym.FactorPacked(&slot.f, v); err != nil {
 		h.stats.Fallbacks++
 		return nil, err
 	}
@@ -241,4 +254,11 @@ func (h *CacheHandle) FactorizeInto(slot *FactorSlot, a *CSC) (*LDLFactors, erro
 		h.stats.Refactors++
 	}
 	return &slot.f, nil
+}
+
+// FactorizeInto is FactorizePacked of the symmetric part of a, loaded
+// into the packed layout of its Analysis as FactorInto loads it.
+func (h *CacheHandle) FactorizeInto(slot *FactorSlot, a *CSC) (*LDLFactors, error) {
+	sym := h.Analysis(a)
+	return h.FactorizePacked(slot, sym, slot.f.load(sym, a))
 }
