@@ -164,6 +164,7 @@ var codeSize = []struct {
 	{at: "after dfb491f", all: 16952, warmPath: 5493, kernel: 3562, why: "eight weight columns per SSE2 pass (a performance change; the count goes up by 120, and from here on it counts `.s` files): `nn`'s float32 column loops became one amd64 assembly routine, `addcols_amd64.s` (+86, four outputs per `MULPS`/`ADDPS` step, a scalar tail), declared in `addcols_amd64.go` (+11), with the former Go loop kept for every other architecture in `addcols_other.go` (+33); `infer.go` −13 (the loops −26, the kernel's doc comment +13); this table's note (+3); a case300 prediction takes ≈0.99 ms instead of ≈1.85 ms with every bit unchanged (PERFORMANCE.md)"},
 	{at: "after 67b9708", all: 16175, warmPath: 5478, kernel: 3035, why: "one sparse factorization (−777): the Gilbert–Peierls LU with its frozen-pivot refactor (`sparse/lu.go`, −421), the Newton power flow that was its one caller (package `pf`, −206), reverse Cuthill–McKee, `symAdjacency`, the natural ordering and `permFor` (`order.go` −109), `(*OPF).SetOrdering` (−15), `SymbolicCache`'s ordering field and `Ordering` method; `AnalyzeLDL` and `NewSymbolicCache` take no ordering, and `sparse.Ordering` keeps one value, `OrderMinDegree`, now the zero value; `casegen` certifies a synthesized system with one cold solve of its unrated OPF and stores the optimum (−13), so `internal/grid/gen` drops its own re-anchor (−22); `sparse`'s package comment and `grid.MakeSbus`'s say what is left"},
 	{at: "after 5d4c336", all: 16178, warmPath: 5478, kernel: 3158, why: "the KKT stamped once per symmetric pair, straight into the LDLᵀ's packed blocks (a performance change; the count goes up by 3): `internal/grid/gen`, which regenerated nothing, is deleted (−121); in the kernel (+123) `LDLSymbolic.Slots`, `FactorPacked`, the collapse scan's row slots and the CSC loader replace the symmetrizing gather map (`ldl.go` +41), `CacheHandle.Analysis`/`FactorizePacked` split analysis from factorization (`symbolic.go` +20), the mips arena compiles the lower stamp against the cache's analysis with no Jgᵀ map (`arena.go` +41) and `Stepper.Factor`/`KKT` serve the inertia loop and the tests (`mips.go` +19), `sparse`'s package comment (+2); `serve_cold_mid` `latency_ms_mid` 8.23 → 7.02 ms in exchange (PERFORMANCE.md)"},
+	{at: "after 0661057", all: 16156, warmPath: 5478, kernel: 3135, why: "one regularization ladder (−22): `mips.Stepper.factorKKT` ends a solve with `ErrNumeric` on a collapsed KKT column instead of retrying the iterate with an escalating r·I on the (1,1) block, so the field that held r, `Step`'s burned-iteration branch and `kktSystem.stamp`'s `reg` argument with its primal-diagonal loop are deleted, and the comments that described the ladder say what is left; no retried solve had converged in the tier-1 tests or the benchmark workloads (PERFORMANCE.md \"One regularization ladder\")"},
 }
 
 func main() {

@@ -202,10 +202,10 @@ func (s *ineqSystem) bind(jh *sparse.CSC, nx int, upper, lower []int) {
 // each contribution to its packed slot, in stamping order: the JhᵀWJh
 // outer products row by row of the inequality Jacobian, each pair of a
 // row's entries once, the Hessian's entries on and below the diagonal,
-// the nx primal-diagonal regularization entries, Jg's entries and the
-// neq dual-diagonal ones. The pattern recompiles when the inequality
-// Jacobian, the Hessian or Jg has a pattern other than the compiled
-// one, the slots when the analysis changes.
+// the nx primal-diagonal entries (not stamped: the inertia shift's),
+// Jg's entries and the neq dual-diagonal ones. The pattern recompiles
+// when the inequality Jacobian, the Hessian or Jg has a pattern other
+// than the compiled one, the slots when the analysis changes.
 type kktSystem struct {
 	jh, hess, jg patternKey
 	// pat is the symmetric pattern of the matrix, both triangles, and
@@ -293,11 +293,10 @@ func (s *kktSystem) address(sym *sparse.LDLSymbolic) {
 }
 
 // stamp writes the KKT values into the packed layout: the w-weighted
-// outer products of the inequality Jacobian's rows, the Hessian, reg on
-// the primal diagonal, Jg, and −kktStaticReg on the dual diagonal —
-// each slot's contributions summed in that order. The pair of a row's
-// columns a ≥ b gets (w·J_a)·J_b.
-func (s *kktSystem) stamp(in *ineqSystem, w []float64, hess, jg *sparse.CSC, reg float64) {
+// outer products of the inequality Jacobian's rows, the Hessian, Jg, and
+// −kktStaticReg on the dual diagonal — each slot's contributions summed
+// in that order. The pair of a row's columns a ≥ b gets (w·J_a)·J_b.
+func (s *kktSystem) stamp(in *ineqSystem, w []float64, hess, jg *sparse.CSC) {
 	v := s.v
 	clear(v)
 	outer, rowPtr, valPos, jhVal := s.outer, in.rowPtr, in.valPos, in.m.Val
@@ -315,9 +314,6 @@ func (s *kktSystem) stamp(in *ineqSystem, w []float64, hess, jg *sparse.CSC, reg
 	for k, p := range s.hessPos {
 		v[p] += hess.Val[s.hessQ[k]]
 	}
-	for _, p := range s.reg {
-		v[p] += reg
-	}
 	for q, p := range s.jgPos {
 		v[p] += jg.Val[q]
 	}
@@ -333,9 +329,9 @@ func (s *kktSystem) saveReg(base []float64) {
 	}
 }
 
-// shiftReg writes base + dw into the primal-diagonal slots. reg is the
-// last contribution stamp sums into them, so after a stamp at reg 0 and
-// saveReg this gives the values a stamp at reg = dw would, bit for bit.
+// shiftReg writes base + dw into the primal-diagonal slots: after a
+// stamp and saveReg, the stamp's values with δ_w·I added to the (1,1)
+// block, every other slot untouched.
 func (s *kktSystem) shiftReg(base []float64, dw float64) {
 	for i, p := range s.reg {
 		s.v[p] = base[i] + dw

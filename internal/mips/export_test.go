@@ -13,6 +13,6 @@ func StampWork(s *Stepper) (slots, mults, writes int) {
 		n := in.rowPtr[r+1] - in.rowPtr[r]
 		mults += n + n*(n+1)/2
 	}
-	writes = len(k.outer) + len(k.hessPos) + len(k.reg) + len(k.jgPos) + len(k.dual)
+	writes = len(k.outer) + len(k.hessPos) + len(k.jgPos) + len(k.dual)
 	return len(k.v), mults, writes
 }

@@ -23,15 +23,16 @@
 //
 // A solve that does not converge ends on one of three verdicts, tested
 // in this order after the convergence test of each iteration: ErrMaxIter
-// at Options.MaxIter, ErrNumeric on NaN iterates (or a KKT system no
-// regularization can factor), and ErrStalled when the best primal
-// feasibility seen has not halved over the last 65 iterations. The stall
-// rule only ends solves, it never changes an iterate: a solve it leaves
-// alone takes exactly the iterations and reaches exactly the point it
-// would without it. The rule has a floor: feasibility already within ten
-// times FeasTol is never "stalled", because a solve stuck there is
-// feasible and waiting on the gradient or complementarity conditions,
-// which a feasibility trend says nothing about.
+// at Options.MaxIter, ErrNumeric on NaN iterates (or a KKT factor with
+// a collapsed column, or whose inertia no δ_w corrects), and ErrStalled
+// when the best primal feasibility seen has not halved over the last 65
+// iterations. The stall rule only ends solves, it never changes an
+// iterate: a solve it leaves alone takes exactly the iterations and
+// reaches exactly the point it would without it. The rule has a floor:
+// feasibility already within ten times FeasTol is never "stalled",
+// because a solve stuck there is feasible and waiting on the gradient or
+// complementarity conditions, which a feasibility trend says nothing
+// about.
 //
 // The per-iteration Newton KKT system is the solver's hot path. Its
 // sparsity pattern is fixed across all iterations of a solve, so Solve
@@ -195,8 +196,7 @@ type Result struct {
 	UpperIdx, LowerIdx []int
 	// InertiaCorrections counts the KKT refactorizations made to correct
 	// the factor's inertia (see inertiaGamma): a solve factors its KKT
-	// system Iterations + InertiaCorrections times, Tikhonov retries
-	// included.
+	// system Iterations + InertiaCorrections times.
 	InertiaCorrections int
 }
 
@@ -209,8 +209,8 @@ var ErrNumeric = errors.New("mips: numerical failure in KKT solve")
 // what lets the LDLᵀ keep its pivots on the diagonal and the
 // minimum-degree ordering deliver its predicted fill. The value is far
 // below the solver tolerances; the LDLᵀ's static pivot boost covers the
-// iterate whose pivot still decays, and a column that collapses is
-// rejected (sparse.ErrSingular) into the Tikhonov retry.
+// iterate whose pivot still decays, and a column that collapses
+// (sparse.ErrSingular) ends the solve with ErrNumeric.
 const kktStaticReg = 1e-8
 
 // The inertia correction of factorKKT. While γ > inertiaGamma, a factor
@@ -285,7 +285,7 @@ type Stepper struct {
 	jg, jh        *sparse.CSC
 	f, f0         float64
 	df            la.Vector
-	gamma, regKKT float64
+	gamma         float64
 	// dwLast is the last δ_w an inertia correction accepted (0: none yet).
 	dwLast float64
 
@@ -396,9 +396,9 @@ func newStepper(p *Problem, x0 la.Vector, ws *WarmStart, opt Options, ar *Arena)
 	s.f0 = s.f
 
 	// One symbolic analysis serves every iteration of this solve: the
-	// KKT pattern is fixed — the static dual regularization keeps the
-	// full diagonal structurally present, so even the Tikhonov-retry
-	// variant reuses the same pattern. The analysis reads no values,
+	// KKT pattern is fixed — the stamp keeps the full diagonal
+	// structurally present, so an inertia correction's δ_w·I reuses the
+	// same pattern. The analysis reads no values,
 	// which keeps results independent of solve order and lets a shared
 	// opt.KKT cache amortize it across the whole warm-start pipeline;
 	// without one, a private cache reproduces the same analysis from
@@ -437,11 +437,10 @@ func (s *Stepper) finish(err error) (bool, error) {
 	return true, s.err
 }
 
-// Step executes one iteration of the interior-point loop (a KKT
-// factorization failure consumes an iteration and retries with
-// escalating Tikhonov regularization, exactly as the historical loop
-// did). It returns done=true with the terminal error — nil on
-// convergence — after which further calls are no-ops.
+// Step executes one iteration of the interior-point loop: every Step
+// that does not end the solve moves the iterate. It returns done=true
+// with the terminal error — nil on convergence, ErrNumeric on a KKT
+// system factorKKT rejects — after which further calls are no-ops.
 func (s *Stepper) Step() (bool, error) {
 	if s.done {
 		return true, s.err
@@ -522,10 +521,6 @@ func (s *Stepper) Step() (bool, error) {
 	if err != nil {
 		return s.finish(err)
 	}
-	if fac == nil {
-		s.iter++
-		return false, nil
-	}
 	fac.SolveInto(ar.dxdlam, rhs, ar.solveWork)
 
 	dx := ar.dxdlam[:nx]
@@ -574,23 +569,12 @@ func (s *Stepper) Step() (bool, error) {
 
 // factorKKT factors the Newton KKT system and decides how it is
 // regularized; no other code does. A collapsed column
-// (sparse.ErrSingular) rejects the factorization: the iterate is retried
-// on the next Step with escalating Tikhonov regularization regKKT on the
-// (1,1) block, and factorKKT returns nil factors, or ErrNumeric once
-// regKKT would pass 1e-2. A factor of wrong inertia at a large barrier
-// is corrected.
+// (sparse.ErrSingular) ends the solve with ErrNumeric; a factor of wrong
+// inertia at a large barrier is corrected.
 func (s *Stepper) factorKKT() (*sparse.LDLFactors, error) {
 	fac, err := s.Factor()
 	if err != nil {
-		if s.regKKT == 0 {
-			s.regKKT = 1e-8
-		} else {
-			s.regKKT *= 100
-		}
-		if s.regKKT > 1e-2 {
-			return nil, fmt.Errorf("%w: %v", ErrNumeric, err)
-		}
-		return nil, nil
+		return nil, fmt.Errorf("%w: %v", ErrNumeric, err)
 	}
 	if s.gamma <= inertiaGamma || fac.NegativePivots() == s.neq {
 		return fac, nil
@@ -621,19 +605,17 @@ func (s *Stepper) correctInertia() (*sparse.LDLFactors, error) {
 }
 
 // newtonKKT evaluates the Hessian at the current iterate and assembles
-// the Newton KKT system: the (1,1) block JhᵀWJh + ∇²L + regKKT·I, the
-// Jg border, and the grounded dual diagonal, each symmetric pair
-// stamped once, straight into the packed layout of the LDLᵀ analysis
-// the cache holds for the pattern (compiled once per pattern triple Jh,
-// Hessian, Jg). regKKT·I is stamped even at regKKT = 0: it doubles as
-// the primal block's structural-diagonal grounding. The dual diagonal
-// carries the static −δ regularization: the quasi-definite diagonal
-// keeps the LDLᵀ's pivots on the diagonal, where minimum-degree fill
-// predictions hold — severalfold less fill than pivoting off an empty
-// dual diagonal — and makes the pattern invariant under the Tikhonov
-// retry, so one symbolic analysis covers every iteration of every
-// solve. δ only perturbs the step O(δ·‖Δ‖), far below the convergence
-// tolerances.
+// the Newton KKT system: the (1,1) block JhᵀWJh + ∇²L, the Jg border,
+// and the grounded dual diagonal, each symmetric pair stamped once,
+// straight into the packed layout of the LDLᵀ analysis the cache holds
+// for the pattern (compiled once per pattern triple Jh, Hessian, Jg).
+// The pattern holds the full primal diagonal, the slots an inertia
+// correction shifts by δ_w, so one symbolic analysis covers every
+// iteration of every solve. The dual diagonal carries the static −δ
+// regularization: the quasi-definite diagonal keeps the LDLᵀ's pivots
+// on the diagonal, where minimum-degree fill predictions hold —
+// severalfold less fill than pivoting off an empty dual diagonal. δ only
+// perturbs the step O(δ·‖Δ‖), far below the convergence tolerances.
 func (s *Stepper) newtonKKT() {
 	ar := s.ar
 	var hess *sparse.CSC
@@ -647,7 +629,7 @@ func (s *Stepper) newtonKKT() {
 	}
 	ar.kkt.bind(&ar.ineq, hess, s.jg, s.nx, s.neq)
 	ar.kkt.address(s.kkt.Analysis(ar.kkt.pat))
-	ar.kkt.stamp(&ar.ineq, w, hess, s.jg, s.regKKT)
+	ar.kkt.stamp(&ar.ineq, w, hess, s.jg)
 }
 
 // Assemble re-evaluates the problem at the current iterate — objective,

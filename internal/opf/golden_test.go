@@ -165,11 +165,20 @@ func readGolden(t *testing.T) map[string]goldenSolve {
 // one bit of an iterate fails here, and so does a solve that ends
 // another way (case30/ramp, for one, ends on a collapsed KKT column).
 // Regenerate with -update-golden only for a change meant to move answers.
+// Every Step that does not end a solve moves its iterate, so no two
+// consecutive trace rows describe the same point.
 func TestGoldenSolvesBitIdentical(t *testing.T) {
 	names, insts := goldenInstances(t)
 	got := map[string]goldenSolve{}
 	for _, name := range names {
-		r, err := insts[name].Solve(nil, Options{}) // a failed solve is pinned too
+		r, err := insts[name].Solve(nil, Options{RecordTrace: true}) // a failed solve is pinned too
+		for i := 1; i < len(r.Trace); i++ {
+			a, b := r.Trace[i-1], r.Trace[i]
+			a.Iter, a.StepSize, b.Iter, b.StepSize = 0, 0, 0, 0
+			if a == b {
+				t.Errorf("%s: iteration %d left the iterate where it was: %+v", name, i-1, r.Trace[i])
+			}
+		}
 		g := pinResult(r)
 		g.verdict = verdictOf(t, r, err)
 		got[name] = g

@@ -327,7 +327,7 @@ func (m *metrics) render(w io.Writer, queueDepth int, kkt []kktStat, lcs []lcSta
 			func(s sparse.CacheStats) uint64 { return s.Analyses }},
 		{"pgsimd_kkt_numeric_refactors_total", "Numeric KKT factorizations on the cached symbolic analysis per grid.",
 			func(s sparse.CacheStats) uint64 { return s.Refactors }},
-		{"pgsimd_kkt_refactor_fallbacks_total", "KKT factorizations rejected as numerically singular (a collapsed column; the solve retries with Tikhonov regularization) per grid.",
+		{"pgsimd_kkt_refactor_fallbacks_total", "KKT factorizations rejected as numerically singular (a collapsed column) per grid: one ends its solve with a numerical failure, one inside an inertia correction counts as wrong inertia.",
 			func(s sparse.CacheStats) uint64 { return s.Fallbacks }},
 	} {
 		header(w, f.name, "counter", f.help)

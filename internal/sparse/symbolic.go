@@ -42,9 +42,8 @@ func (pt *pattern) matches(a *CSC) bool {
 // CacheStats counts symbolic-reuse work. Refactors/(Analyses+Refactors)
 // is the reuse rate; Fallbacks counts factorizations rejected as
 // numerically singular (ErrSingular: a column collapsed, see
-// singularRel) — the solve gets the error and retries its iterate with
-// Tikhonov regularization, no analysis is redone; Orderings counts
-// fill-reducing orderings computed.
+// singularRel) — the caller gets the error, no analysis is redone;
+// Orderings counts fill-reducing orderings computed.
 type CacheStats struct {
 	Analyses  uint64 // pattern analyses (ordering, elimination tree, supernodes)
 	Refactors uint64 // numeric factorizations on an analysis made earlier
