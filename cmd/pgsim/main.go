@@ -34,7 +34,7 @@ func main() {
 	file := flag.String("file", "", "Matpower case file (overrides -case)")
 	scale := flag.String("scale", "1.0", "uniform load scaling factor, or a comma-separated sweep (e.g. 0.9,1.0,1.1)")
 	trace := flag.Bool("trace", false, "print per-iteration convergence trace")
-	workers := flag.Int("workers", 0, "worker pool size for batch stages (0 = PGSIM_WORKERS or all cores)")
+	workers := flag.Int("workers", 0, "worker pool size for batch stages (0 = all cores)")
 	flag.Parse()
 	batch.SetDefaultWorkers(*workers)
 
@@ -123,10 +123,10 @@ func sweep(c *grid.Case, scales []float64) {
 		r   *opf.Result
 		err error
 	}
-	rows, _ := batch.Map(len(scales), batch.Options{}, func(t *batch.Task) (row, error) {
+	rows, _ := batch.Map(len(scales), 0, func(i int) (row, error) {
 		fac := make([]float64, c.NB())
-		for i := range fac {
-			fac[i] = scales[t.Index]
+		for j := range fac {
+			fac[j] = scales[i]
 		}
 		r, err := base.Perturb(fac).Solve(nil, opf.Options{})
 		return row{r: r, err: err}, nil

@@ -64,7 +64,7 @@ func main() {
 	trainN := flag.Int("train", 0, "bootstrap-train a model at boot on this many load samples for systems without -model (0 = serve cold-only)")
 	epochs := flag.Int("epochs", 200, "bootstrap training epochs")
 	seed := flag.Int64("seed", 1, "bootstrap data/training seed")
-	workers := flag.Int("workers", 0, "solver workers per micro-batch (0 = PGSIM_WORKERS or all cores)")
+	workers := flag.Int("workers", 0, "solver workers per micro-batch (0 = all cores)")
 	maxBatch := flag.Int("max-batch", 16, "max requests coalesced into one micro-batch")
 	window := flag.Duration("batch-window", 2*time.Millisecond, "how long to wait for requests to coalesce (negative = no wait)")
 	queue := flag.Int("queue", 256, "pending-request bound (full queue answers 503)")

@@ -54,7 +54,7 @@ func main() {
 	trainN := flag.Int("train", 0, "train a warm-start model on this many intact-system samples first (0 = cold screening)")
 	epochs := flag.Int("epochs", 0, "training epochs for -train (0 = per-system default, see core.TrainingDefaults)")
 	variantName := flag.String("variant", "mtl", "model variant for -train: sep, mtl or smartpgsim")
-	workers := flag.Int("workers", 0, "worker pool size (0 = PGSIM_WORKERS or all cores)")
+	workers := flag.Int("workers", 0, "worker pool size (0 = all cores)")
 	jsonOut := flag.Bool("json", false, "print a machine-readable JSON summary instead of tables")
 	verbose := flag.Bool("v", false, "print one row per scenario")
 	flag.Parse()

@@ -25,7 +25,7 @@ func main() {
 	systems := flag.String("systems", "case5,case9,case14", "comma-separated system list")
 	n := flag.Int("n", 30, "problems per system")
 	seed := flag.Int64("seed", 1, "load-sampling seed")
-	workers := flag.Int("workers", 0, "parallel solve workers (0 = PGSIM_WORKERS or all cores)")
+	workers := flag.Int("workers", 0, "parallel solve workers (0 = all cores)")
 	flag.Parse()
 	batch.SetDefaultWorkers(*workers)
 

@@ -29,7 +29,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed")
 	variants := flag.Bool("variants", false, "also compare Sep models / MTL / Smart-PGSim (Figs 7-8)")
 	maxEval := flag.Int("eval", 0, "cap on evaluated validation problems (0 = all)")
-	workers := flag.Int("workers", 0, "parallel solve/evaluation workers (0 = PGSIM_WORKERS or all cores)")
+	workers := flag.Int("workers", 0, "parallel solve/evaluation workers (0 = all cores)")
 	flag.Parse()
 	batch.SetDefaultWorkers(*workers)
 

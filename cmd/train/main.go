@@ -27,7 +27,7 @@ func main() {
 	epochs := flag.Int("epochs", 0, "training epochs (0 = per-system default, see core.TrainingDefaults)")
 	seed := flag.Int64("seed", 1, "initialization seed")
 	out := flag.String("out", "", "output model file (default <case>.model)")
-	workers := flag.Int("workers", 0, "parallel evaluation workers (0 = PGSIM_WORKERS or all cores)")
+	workers := flag.Int("workers", 0, "parallel evaluation workers (0 = all cores)")
 	flag.Parse()
 	batch.SetDefaultWorkers(*workers)
 	if *data == "" {

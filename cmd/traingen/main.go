@@ -24,7 +24,7 @@ func main() {
 	n := flag.Int("n", 0, "number of load samples (0 = per-system default, see core.TrainingDefaults; the paper uses 10,000)")
 	seed := flag.Int64("seed", 1, "sampling seed")
 	out := flag.String("out", "", "output file (default <case>.ds)")
-	workers := flag.Int("workers", 0, "parallel solve workers (0 = PGSIM_WORKERS or all cores)")
+	workers := flag.Int("workers", 0, "parallel solve workers (0 = all cores)")
 	flag.Parse()
 	if *out == "" {
 		*out = *caseName + ".ds"

@@ -9,45 +9,33 @@ import (
 )
 
 // TestMapDeterministicAcrossWorkerCounts is the engine's core contract:
-// a task that mixes its index with draws from its private RNG produces
-// bit-identical output for any pool size.
+// for any pool size — one worker, several, more than there are tasks —
+// every index runs exactly once and Map returns the results in index
+// order.
 func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	const n = 200
-	run := func(workers int) []float64 {
-		out, err := Map(n, Options{Workers: workers, Seed: 42}, func(task *Task) (float64, error) {
-			v := float64(task.Index)
-			for i := 0; i < 5; i++ {
-				v += task.RNG.Float64()
+	for _, w := range []int{1, 2, 3, 8, 64, n + 1} {
+		runs := make([]atomic.Int64, n)
+		var last atomic.Int64
+		last.Store(-1)
+		out, err := Map(n, w, func(i int) (int, error) {
+			runs[i].Add(1)
+			if w == 1 && last.Swap(int64(i)) != int64(i-1) {
+				t.Errorf("workers=1: task %d ran out of index order", i)
 			}
-			return v, nil
+			return 3*i + 1, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	ref := run(1)
-	for _, w := range []int{2, 3, 8, 64} {
-		got := run(w)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: result[%d] = %v, sequential ref %v", w, i, got[i], ref[i])
+		for i := range out {
+			if c := runs[i].Load(); c != 1 {
+				t.Fatalf("workers=%d: task %d ran %d times", w, i, c)
+			}
+			if out[i] != 3*i+1 {
+				t.Fatalf("workers=%d: result[%d] = %d, want %d", w, i, out[i], 3*i+1)
 			}
 		}
-	}
-}
-
-// TestTaskSeedStable pins the seed derivation: changing it would silently
-// change every generated dataset.
-func TestTaskSeedStable(t *testing.T) {
-	if TaskSeed(1, 0) == TaskSeed(1, 1) {
-		t.Fatal("adjacent task seeds collide")
-	}
-	if TaskSeed(1, 0) == TaskSeed(2, 0) {
-		t.Fatal("base seed does not separate streams")
-	}
-	if got, want := TaskSeed(0, 0), TaskSeed(0, 0); got != want {
-		t.Fatalf("TaskSeed not pure: %d != %d", got, want)
 	}
 }
 
@@ -55,11 +43,11 @@ func TestTaskSeedStable(t *testing.T) {
 // index, joined in index order, and successful results survive.
 func TestErrorAggregation(t *testing.T) {
 	sentinel := errors.New("boom")
-	out, err := Map(10, Options{Workers: 4}, func(task *Task) (int, error) {
-		if task.Index%3 == 0 {
-			return 0, fmt.Errorf("idx %d: %w", task.Index, sentinel)
+	out, err := Map(10, 4, func(i int) (int, error) {
+		if i%3 == 0 {
+			return 0, fmt.Errorf("idx %d: %w", i, sentinel)
 		}
-		return task.Index * 10, nil
+		return i * 10, nil
 	})
 	if err == nil {
 		t.Fatal("expected aggregated error")
@@ -71,11 +59,13 @@ func TestErrorAggregation(t *testing.T) {
 	if !errors.As(err, &te) || te.Index != 0 {
 		t.Fatalf("first TaskError should be index 0, got %+v", te)
 	}
-	msg := err.Error()
+	msg, last := err.Error(), -1
 	for _, idx := range []int{0, 3, 6, 9} {
-		if !strings.Contains(msg, fmt.Sprintf("task %d:", idx)) {
-			t.Fatalf("error for task %d missing from %q", idx, msg)
+		at := strings.Index(msg, fmt.Sprintf("task %d: idx %d:", idx, idx))
+		if at <= last {
+			t.Fatalf("error for task %d missing or out of index order in %q", idx, msg)
 		}
+		last = at
 	}
 	if out[1] != 10 || out[4] != 40 {
 		t.Fatalf("successful results clobbered: %v", out)
@@ -86,10 +76,13 @@ func TestErrorAggregation(t *testing.T) {
 }
 
 // TestPanicPropagation: a worker panic must surface as a panic in the
-// caller's goroutine, naming the task, for both pool shapes.
+// caller's goroutine, naming the task, for both pool sizes, and stop the
+// hand-out of further tasks — with one worker, none after the panicking
+// one runs.
 func TestPanicPropagation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		func() {
+			var ran atomic.Int64
 			defer func() {
 				r := recover()
 				if r == nil {
@@ -98,9 +91,13 @@ func TestPanicPropagation(t *testing.T) {
 				if s, ok := r.(string); !ok || !strings.Contains(s, "task 5 panicked: kaput") {
 					t.Fatalf("workers=%d: unexpected panic value %v", workers, r)
 				}
+				if workers == 1 && ran.Load() != 6 {
+					t.Fatalf("workers=1: %d tasks ran, want 6 (0..5, then the hand-out stops)", ran.Load())
+				}
 			}()
-			_ = Run(20, Options{Workers: workers}, func(task *Task) error {
-				if task.Index == 5 {
+			_ = Run(20, workers, func(i int) error {
+				ran.Add(1)
+				if i == 5 {
 					panic("kaput")
 				}
 				return nil
@@ -109,34 +106,7 @@ func TestPanicPropagation(t *testing.T) {
 	}
 }
 
-// TestProgressCallback: OnProgress must fire once per task with a final
-// call of (n, n).
-func TestProgressCallback(t *testing.T) {
-	const n = 50
-	var calls atomic.Int64
-	var sawFinal atomic.Bool
-	err := Run(n, Options{Workers: 8, OnProgress: func(done, total int) {
-		calls.Add(1)
-		if total != n {
-			t.Errorf("total = %d, want %d", total, n)
-		}
-		if done == n {
-			sawFinal.Store(true)
-		}
-	}}, func(task *Task) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != n {
-		t.Fatalf("OnProgress fired %d times, want %d", calls.Load(), n)
-	}
-	if !sawFinal.Load() {
-		t.Fatal("never saw done == total")
-	}
-}
-
-// TestWorkerResolution covers the explicit > env > default > GOMAXPROCS
-// chain.
+// TestWorkerResolution covers the explicit > default > GOMAXPROCS chain.
 func TestWorkerResolution(t *testing.T) {
 	SetDefaultWorkers(0)
 	t.Cleanup(func() { SetDefaultWorkers(0) })
@@ -144,32 +114,23 @@ func TestWorkerResolution(t *testing.T) {
 	if got := Workers(7); got != 7 {
 		t.Fatalf("explicit: got %d", got)
 	}
-	t.Setenv("PGSIM_WORKERS", "3")
-	if got := Workers(0); got != 3 {
-		t.Fatalf("env: got %d", got)
-	}
-	if got := Workers(5); got != 5 {
-		t.Fatalf("explicit beats env: got %d", got)
-	}
-	t.Setenv("PGSIM_WORKERS", "")
 	SetDefaultWorkers(2)
 	if got := Workers(0); got != 2 {
 		t.Fatalf("SetDefaultWorkers: got %d", got)
 	}
+	if got := Workers(5); got != 5 {
+		t.Fatalf("explicit beats default: got %d", got)
+	}
 	SetDefaultWorkers(0)
 	if got := Workers(0); got < 1 {
 		t.Fatalf("GOMAXPROCS fallback: got %d", got)
-	}
-	t.Setenv("PGSIM_WORKERS", "not-a-number")
-	if got := Workers(0); got < 1 {
-		t.Fatalf("bad env should fall through, got %d", got)
 	}
 }
 
 // TestRunEmpty: n ≤ 0 is a no-op.
 func TestRunEmpty(t *testing.T) {
 	called := false
-	if err := Run(0, Options{}, func(task *Task) error { called = true; return nil }); err != nil {
+	if err := Run(0, 0, func(int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {

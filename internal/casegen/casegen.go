@@ -122,8 +122,8 @@ func MustGenerate(spec Spec) *grid.Case {
 // names sequentially. It backs core.LoadSystems, the fan-out used when
 // an experiment sweeps all evaluation systems.
 func Systems(names []string, workers int) ([]*grid.Case, error) {
-	return batch.Map(len(names), batch.Options{Workers: workers}, func(t *batch.Task) (*grid.Case, error) {
-		return Paper(names[t.Index])
+	return batch.Map(len(names), workers, func(i int) (*grid.Case, error) {
+		return Paper(names[i])
 	})
 }
 

@@ -28,8 +28,8 @@ type FeatureAccuracy struct {
 // the batch pool. Starts come back in sample order, so what callers
 // accumulate from them does not depend on scheduling.
 func predictAll(m *mtl.Model, val *dataset.Set) []*opf.Start {
-	out, _ := batch.Map(len(val.Samples), batch.Options{}, func(t *batch.Task) (*opf.Start, error) {
-		return m.Predict(val.Samples[t.Index].Input), nil
+	out, _ := batch.Map(len(val.Samples), 0, func(i int) (*opf.Start, error) {
+		return m.Predict(val.Samples[i].Input), nil
 	})
 	return out
 }

@@ -72,8 +72,8 @@ func evaluate(sys *System, m *mtl.Model, val *dataset.Set, maxProblems, workers 
 		return res
 	}
 
-	outcomes, _ := batch.Map(n, batch.Options{Workers: workers}, func(t *batch.Task) (evalOutcome, error) {
-		s := &val.Samples[t.Index]
+	outcomes, _ := batch.Map(n, workers, func(i int) (evalOutcome, error) {
+		s := &val.Samples[i]
 		// Cold MIPS baseline (measured fresh — the dataset's stored time
 		// may come from a different machine/load state).
 		o := sys.OPF.Perturb(s.Factors)

@@ -34,10 +34,10 @@ func ConvergenceStudy(sys *System, s *dataset.Sample) []ConvergenceCase {
 		{"bad init (precise Z, default mu)", &opf.Start{X: s.X, Z: s.Z}},
 		{"default init (cold start)", nil},
 	}
-	out, _ := batch.Map(len(starts), batch.Options{}, func(t *batch.Task) (ConvergenceCase, error) {
+	out, _ := batch.Map(len(starts), 0, func(i int) (ConvergenceCase, error) {
 		o := sys.OPF.Perturb(s.Factors)
-		r, _ := o.Solve(starts[t.Index].start, opts)
-		return ConvergenceCase{Label: starts[t.Index].label, Converged: r.Converged, Trace: r.Trace}, nil
+		r, _ := o.Solve(starts[i].start, opts)
+		return ConvergenceCase{Label: starts[i].label, Converged: r.Converged, Trace: r.Trace}, nil
 	})
 	return out
 }

@@ -78,8 +78,8 @@ func SensitivityStudy(sys *System, set *dataset.Set, maxProblems int) []SensRow 
 	}
 
 	// Baseline (all imprecise) times per problem.
-	baseTime, _ := batch.Map(n, batch.Options{}, func(t *batch.Task) (time.Duration, error) {
-		o := sys.OPF.Perturb(set.Samples[t.Index].Factors)
+	baseTime, _ := batch.Map(n, 0, func(i int) (time.Duration, error) {
+		o := sys.OPF.Perturb(set.Samples[i].Factors)
 		r, err := o.Solve(nil, opf.Options{})
 		if err != nil || !r.Converged {
 			// The dataset only contains solvable instances, so this
@@ -95,9 +95,9 @@ func SensitivityStudy(sys *System, set *dataset.Set, maxProblems int) []SensRow 
 		su    float64
 		iters int
 	}
-	cells, _ := batch.Map(len(combos)*n, batch.Options{}, func(t *batch.Task) (cell, error) {
-		combo := combos[t.Index/n]
-		i := t.Index % n
+	cells, _ := batch.Map(len(combos)*n, 0, func(k int) (cell, error) {
+		combo := combos[k/n]
+		i := k % n
 		if baseTime[i] < 0 {
 			return cell{}, nil
 		}

@@ -46,11 +46,9 @@ type Options struct {
 	Variation float64 // load variation t (default 0.10)
 	Seed      int64
 	// Workers sizes the solve pool; 0 resolves through the batch
-	// engine's chain (PGSIM_WORKERS, -workers, GOMAXPROCS). The sample
-	// set is bit-identical for every worker count.
+	// engine's chain (-workers, then GOMAXPROCS). The sample set is
+	// bit-identical for every worker count.
 	Workers int
-	// OnProgress, when non-nil, is reported one call per completed solve.
-	OnProgress func(done, total int)
 }
 
 // Generate draws Options.N load scenarios around the case's base load and
@@ -79,16 +77,14 @@ func Generate(c *grid.Case, o opfPreparer, opt Options) (*Set, error) {
 	}
 
 	base := o(c)
-	ordered, err := batch.Map(opt.N, batch.Options{
-		Workers: opt.Workers, Seed: opt.Seed, OnProgress: opt.OnProgress,
-	}, func(t *batch.Task) (*Sample, error) {
-		inst := base.Perturb(factors[t.Index])
+	ordered, err := batch.Map(opt.N, opt.Workers, func(i int) (*Sample, error) {
+		inst := base.Perturb(factors[i])
 		r, err := inst.Solve(nil, opf.Options{})
 		if err != nil || !r.Converged {
 			return nil, nil // failed draws are counted, not fatal
 		}
 		return &Sample{
-			Factors:    factors[t.Index],
+			Factors:    factors[i],
 			Input:      InputVector(inst.Case),
 			X:          r.X,
 			Lam:        r.Lam,

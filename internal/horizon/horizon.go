@@ -91,7 +91,7 @@ func (tr *Trajectory) Steps() int { return len(tr.Factors) }
 // benchmarks, the CLI and the serving endpoint: a smooth ramp profile
 // 1 + amp·sin(2πt/steps) (one diurnal shoulder over the horizon)
 // multiplied by per-bus noise uniform in [1−spread, 1+spread]. The
-// noise of step t is drawn from batch.TaskSeed(seed, t), so the same
+// noise of step t is drawn from stepSeed(seed, t), so the same
 // (nb, steps, seed, amp, spread) tuple reproduces the same trajectory
 // everywhere — offline, served, and across worker counts.
 func Synthetic(nb, steps int, seed int64, amp, spread float64) (*Trajectory, error) {
@@ -109,7 +109,7 @@ func Synthetic(nb, steps int, seed int64, amp, spread float64) (*Trajectory, err
 	}
 	tr := &Trajectory{Factors: make([][]float64, steps)}
 	for t := 0; t < steps; t++ {
-		rng := rand.New(rand.NewSource(batch.TaskSeed(seed, t)))
+		rng := rand.New(rand.NewSource(stepSeed(seed, t)))
 		profile := 1 + amp*math.Sin(2*math.Pi*float64(t)/float64(steps))
 		f := make([]float64, nb)
 		for b := range f {
@@ -118,6 +118,17 @@ func Synthetic(nb, steps int, seed int64, amp, spread float64) (*Trajectory, err
 		tr.Factors[t] = f
 	}
 	return tr, nil
+}
+
+// stepSeed derives the noise seed of step t under base — a splitmix64
+// finalization step, so nearby steps get well-separated streams
+// regardless of the base seed.
+func stepSeed(base int64, t int) int64 {
+	z := uint64(base) + uint64(t+1)*0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	z ^= z >> 31
+	return int64(z)
 }
 
 // RampFromRange derives per-step ramp limits as a fraction of each
@@ -324,8 +335,8 @@ type Runner struct {
 	// RampUp and RampDown are per-step ramp limits in pu (len NG; nil =
 	// unconstrained). See RampFromRange for the derivation convention.
 	RampUp, RampDown la.Vector
-	// Workers sizes the batch pool (0 resolves through PGSIM_WORKERS,
-	// batch.SetDefaultWorkers, GOMAXPROCS; 1 is sequential).
+	// Workers sizes the batch pool (0 resolves through
+	// batch.SetDefaultWorkers, then GOMAXPROCS; 1 is sequential).
 	Workers int
 }
 
@@ -375,17 +386,17 @@ func (r *Runner) RunBatch(trajs []*Trajectory) ([]*Result, error) {
 			lay.NX, lay.NEq, lay.NIq, base.Case.Name, base.Lay.NX, base.Lay.NEq, base.Lay.NIq)
 	}
 	results := make([]*Result, len(trajs))
-	err = batch.Run(len(trajs), batch.Options{Workers: r.Workers}, func(t *batch.Task) error {
+	err = batch.Run(len(trajs), r.Workers, func(i int) error {
 		st, err := NewStepper(base, r.Mode, pred, r.RampUp, r.RampDown)
 		if err != nil {
 			return err
 		}
-		traj := trajs[t.Index]
+		traj := trajs[i]
 		steps := make([]StepResult, 0, traj.Steps())
 		for _, f := range traj.Factors {
 			steps = append(steps, st.Step(f))
 		}
-		results[t.Index] = summarize(r.Mode, steps)
+		results[i] = summarize(r.Mode, steps)
 		return nil
 	})
 	if err != nil {

@@ -207,10 +207,14 @@ var ErrNumeric = errors.New("mips: numerical failure in KKT solve")
 // block's diagonal, making the KKT matrix symmetric quasi-definite
 // (Vanderbei 1995): every diagonal pivot order then exists, which is
 // what lets the LDLᵀ keep its pivots on the diagonal and the
-// minimum-degree ordering deliver its predicted fill. The value is far
-// below the solver tolerances; the LDLᵀ's static pivot boost covers the
-// iterate whose pivot still decays, and a column that collapses
-// (sparse.ErrSingular) ends the solve with ErrNumeric.
+// minimum-degree ordering deliver its predicted fill. It is not the
+// regularization the dual pivots end up with: a pivot eliminated at −δ
+// lies below the LDLᵀ's static pivot boost (1e-8 of its column's largest
+// updated entry) wherever that column holds an entry above 1, and is
+// factored at −1e-8·max|column|. The boost is load-bearing — without it
+// cold case14 N-2 converges 153 of 163 branch pairs instead of 160
+// (PERFORMANCE.md, "The static pivot boost stays"). A column that
+// collapses (sparse.ErrSingular) ends the solve with ErrNumeric.
 const kktStaticReg = 1e-8
 
 // The inertia correction of factorKKT. While γ > inertiaGamma, a factor

@@ -172,8 +172,8 @@ type Engine struct {
 	// lends the version it loaded for the sweep, tests inject stubs. Its
 	// predictions are in the base instance's layout.
 	Predictor opf.Predictor
-	// Workers sizes the batch pool (0 resolves through PGSIM_WORKERS,
-	// batch.SetDefaultWorkers, GOMAXPROCS; 1 is sequential).
+	// Workers sizes the batch pool (0 resolves through
+	// batch.SetDefaultWorkers, then GOMAXPROCS; 1 is sequential).
 	Workers int
 	// NoProjection cold-solves the classes whose start would need
 	// adapting (an outaged rated branch or a dropped unit) — the ones
@@ -305,9 +305,9 @@ func (e *Engine) Run(scenarios []Scenario) *Report {
 	}
 
 	out := make([]Outcome, len(scenarios))
-	_ = batch.Run(len(scenarios), batch.Options{Workers: e.Workers}, func(t *batch.Task) error {
-		sc := scenarios[t.Index]
-		out[t.Index] = screenClass(classes[sc.key()], pred, starts[t.Index], sc)
+	_ = batch.Run(len(scenarios), e.Workers, func(i int) error {
+		sc := scenarios[i]
+		out[i] = screenClass(classes[sc.key()], pred, starts[i], sc)
 		return nil
 	})
 
@@ -470,12 +470,12 @@ func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool) 
 // NoProjection is set.
 func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers int) []Outcome {
 	out := make([]Outcome, len(scenarios))
-	_ = batch.Run(len(scenarios), batch.Options{Workers: workers}, func(t *batch.Task) error {
-		sc := scenarios[t.Index]
+	_ = batch.Run(len(scenarios), workers, func(i int) error {
+		sc := scenarios[i]
 		key := sc.key()
 		// Same order as Engine.buildClass: validation, then islanding.
 		if err := key.check(base); err != nil {
-			out[t.Index] = Outcome{Scenario: sc, Err: err}
+			out[i] = Outcome{Scenario: sc, Err: err}
 			return nil
 		}
 		c := base.Clone()
@@ -488,14 +488,14 @@ func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers in
 			}
 		}
 		if outaged && !grid.Connected(c) {
-			out[t.Index] = Outcome{Scenario: sc, Islanded: true}
+			out[i] = Outcome{Scenario: sc, Islanded: true}
 			return nil
 		}
 		if key.g >= 0 {
 			c.Gens[key.g].Status = false
 		}
 		if err := c.Normalize(); err != nil {
-			out[t.Index] = Outcome{Scenario: sc, Err: err}
+			out[i] = Outcome{Scenario: sc, Err: err}
 			return nil
 		}
 		o := opf.Prepare(c)
@@ -503,7 +503,7 @@ func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers in
 		if m != nil && o.Lay.Fits(m.Lay) {
 			start = m.Predict(dataset.InputVector(o.Case))
 		}
-		out[t.Index] = solveOutcome(o, sc, start, false)
+		out[i] = solveOutcome(o, sc, start, false)
 		return nil
 	})
 	return out

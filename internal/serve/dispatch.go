@@ -81,12 +81,12 @@ func (s *Server) drain() {
 }
 
 // runBatch executes one micro-batch on the worker pool. Requests are
-// independent solves, so neither task order nor the per-task RNG
-// matters — only the pool's panic propagation and bounded parallelism.
+// independent solves, so task order does not matter — only the pool's
+// panic propagation and bounded parallelism.
 func (s *Server) runBatch(jobs []*job) {
 	s.met.observeBatchSize(len(jobs))
-	_ = batch.Run(len(jobs), batch.Options{Workers: s.cfg.Workers}, func(t *batch.Task) error {
-		j := jobs[t.Index]
+	_ = batch.Run(len(jobs), s.cfg.Workers, func(i int) error {
+		j := jobs[i]
 		j.resp <- s.execute(j)
 		return nil
 	})

@@ -76,8 +76,7 @@ import (
 // serving-appropriate default.
 type Config struct {
 	// Workers is the solver pool size per micro-batch; 0 resolves through
-	// the batch engine's chain (PGSIM_WORKERS, SetDefaultWorkers,
-	// GOMAXPROCS).
+	// the batch engine's chain (SetDefaultWorkers, then GOMAXPROCS).
 	Workers int
 	// MaxBatch caps how many queued requests one micro-batch coalesces
 	// (default 16).
