@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/lifecycle"
 	"repro/internal/mtl"
 	"repro/internal/opf"
@@ -73,7 +74,7 @@ func probeWarm(b *testing.B, sys *core.System, m opf.Predictor, n int, seed floa
 		for j := range factors {
 			factors[j] = 1.0 + seed + 0.002*float64(i)
 		}
-		w := sys.SolveWarm(m, factors, sys.InstanceInput(factors))
+		w := sys.SolveWarm(m, factors, dataset.InputVector(sys.OPF.Perturb(factors).Case))
 		if w.Converged {
 			hits++
 			iters += w.Iterations

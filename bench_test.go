@@ -127,12 +127,21 @@ func BenchmarkTableII(b *testing.B) {
 	printReport("tableII", func() {
 		sys30 := core.MustLoadSystem("case30")
 		sys57 := core.MustLoadSystem("case57")
-		core.PrintTableII(os.Stdout, core.TableII([]*core.System{f.sys14, sys30, sys57}))
+		printTableII([]*core.System{f.sys14, sys30, sys57})
 		fmt.Println("(case118/case300 rows: go run ./cmd/pgsim -case case118 / case300)")
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opf.Prepare(f.sys14.Case)
+	}
+}
+
+// printTableII prints the configuration counts of the given systems.
+func printTableII(systems []*core.System) {
+	fmt.Println("Table II — test-system configurations")
+	fmt.Printf("%-10s %8s %8s %10s %8s %8s\n", "system", "buses", "gens", "branches", "#lambda", "#mu(Z)")
+	for _, s := range systems {
+		fmt.Printf("%-10s %8d %8d %10d %8d %8d\n", s.Name, s.Case.NB(), s.Case.NG(), s.Case.NL(), s.OPF.Lay.NEq, s.OPF.Lay.NIq)
 	}
 }
 
@@ -243,7 +252,7 @@ func BenchmarkFig8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := f.model9.Predict(s.Input)
-		_ = st.X.Clone().Sub(s.X).NormInf()
+		_ = st.X.Clone().AddScaled(-1, s.X).NormInf()
 	}
 }
 
@@ -344,7 +353,7 @@ func kktBenchMatrix() *sparse.CSC {
 		for i := 0; i < nx; i++ {
 			kb.Append(i, i, 4)
 		}
-		jt := jh.T() // column r of jt is inequality row r
+		jt := transpose(jh) // column r of jt is inequality row r
 		for r := 0; r < jt.NCols; r++ {
 			lo, hi := jt.ColPtr[r], jt.ColPtr[r+1]
 			for p1 := lo; p1 < hi; p1++ {
@@ -354,10 +363,21 @@ func kktBenchMatrix() *sparse.CSC {
 			}
 		}
 		kb.AppendCSC(nx, 0, 1, jg)
-		kb.AppendCSC(0, nx, 1, jg.T())
+		kb.AppendCSC(0, nx, 1, transpose(jg))
 		kktMatrix = kb.ToCSC()
 	})
 	return kktMatrix
+}
+
+// transpose returns aᵀ as a new CSC matrix.
+func transpose(a *sparse.CSC) *sparse.CSC {
+	b := sparse.NewBuilder(a.NCols, a.NRows)
+	for j := 0; j < a.NCols; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			b.Append(j, a.RowIdx[p], a.Val[p])
+		}
+	}
+	return b.ToCSC()
 }
 
 // BenchmarkKKTFactor times the two halves of the symbolic/numeric split
@@ -856,7 +876,7 @@ func writeKKTBenchReport(b *testing.B) {
 				"see PERFORMANCE.md)",
 			"case":    "case14",
 			"kkt_n":   kkt.NRows,
-			"kkt_nnz": kkt.NNZ(),
+			"kkt_nnz": len(kkt.Val),
 			"entries": []map[string]any{
 				{"name": "KKTFactor/analyze", "ns_per_op": analyzeNs, "ops": facReps},
 				{"name": "KKTFactor/refactor", "ns_per_op": refactorNs, "ops": facReps},
@@ -1010,7 +1030,9 @@ func BenchmarkLDLFactor(b *testing.B) {
 		for i := range rhs {
 			rhs[i] = r.NormFloat64()
 		}
-		if be := backwardError(kkt, f.Solve(rhs), rhs); be > 1e-9 {
+		x := make(la.Vector, kkt.NRows)
+		f.SolveInto(x, rhs, make(la.Vector, kkt.NRows))
+		if be := backwardError(kkt, x, rhs); be > 1e-9 {
 			b.Fatalf("%s: LDLᵀ backward error %.3g on the production matrix, want ≤ 1e-9", name, be)
 		}
 		if allocs := testing.AllocsPerRun(3, func() {
@@ -1041,7 +1063,9 @@ func backwardError(a *sparse.CSC, x, rhs la.Vector) float64 {
 	for _, v := range a.Val {
 		norm = math.Max(norm, math.Abs(v))
 	}
-	return a.MulVec(x).Sub(rhs).NormInf() / (norm*x.NormInf() + rhs.NormInf())
+	ax := make(la.Vector, a.NRows)
+	a.MulVecInto(ax, x)
+	return ax.AddScaled(-1, rhs).NormInf() / (norm*x.NormInf() + rhs.NormInf())
 }
 
 // ---------------------------------------------------------------------------
@@ -1087,8 +1111,8 @@ func BenchmarkTrajectory(b *testing.B) {
 	r := &horizon.Runner{Prepared: sys.OPF, Mode: horizon.ModeChain, RampUp: ramp, RampDown: ramp, Workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := r.Run(traj)
-		if err != nil || res.Converged == 0 {
+		res, err := r.RunBatch([]*horizon.Trajectory{traj})
+		if err != nil || res[0].Converged == 0 {
 			b.Fatalf("trajectory failed: %v", err)
 		}
 	}
@@ -1100,10 +1124,11 @@ func runTrajMode(b *testing.B, sys *core.System, mode horizon.Mode, m *mtl.Model
 	b.Helper()
 	ramp := horizon.RampFromRange(sys.OPF, trajBenchFrac)
 	r := &horizon.Runner{Prepared: sys.OPF, Mode: mode, Model: m, RampUp: ramp, RampDown: ramp, Workers: 1}
-	res, err := r.Run(traj)
+	out, err := r.RunBatch([]*horizon.Trajectory{traj})
 	if err != nil {
 		b.Fatalf("%s %s trajectory: %v", sys.Name, mode, err)
 	}
+	res := out[0]
 	return res
 }
 
@@ -1206,10 +1231,11 @@ func pinServedReplay(b *testing.B, sys *core.System, traj *horizon.Trajectory) m
 	b.Helper()
 	ramp := horizon.RampFromRange(sys.OPF, trajBenchFrac)
 	r := &horizon.Runner{Prepared: sys.OPF, Mode: horizon.ModeChain, RampUp: ramp, RampDown: ramp, Workers: 1}
-	ref, err := r.Run(traj)
+	out, err := r.RunBatch([]*horizon.Trajectory{traj})
 	if err != nil {
 		b.Fatal(err)
 	}
+	ref := out[0]
 
 	srv := serve.New(serve.Config{})
 	defer srv.Close()

@@ -166,6 +166,7 @@ var codeSize = []struct {
 	{at: "after 5d4c336", all: 16178, warmPath: 5478, kernel: 3158, why: "the KKT stamped once per symmetric pair, straight into the LDLᵀ's packed blocks (a performance change; the count goes up by 3): `internal/grid/gen`, which regenerated nothing, is deleted (−121); in the kernel (+123) `LDLSymbolic.Slots`, `FactorPacked`, the collapse scan's row slots and the CSC loader replace the symmetrizing gather map (`ldl.go` +41), `CacheHandle.Analysis`/`FactorizePacked` split analysis from factorization (`symbolic.go` +20), the mips arena compiles the lower stamp against the cache's analysis with no Jgᵀ map (`arena.go` +41) and `Stepper.Factor`/`KKT` serve the inertia loop and the tests (`mips.go` +19), `sparse`'s package comment (+2); `serve_cold_mid` `latency_ms_mid` 8.23 → 7.02 ms in exchange (PERFORMANCE.md)"},
 	{at: "after 0661057", all: 16156, warmPath: 5478, kernel: 3135, why: "one regularization ladder (−22): `mips.Stepper.factorKKT` ends a solve with `ErrNumeric` on a collapsed KKT column instead of retrying the iterate with an escalating r·I on the (1,1) block, so the field that held r, `Step`'s burned-iteration branch and `kktSystem.stamp`'s `reg` argument with its primal-diagonal loop are deleted, and the comments that described the ladder say what is left; no retried solve had converged in the tier-1 tests or the benchmark workloads (PERFORMANCE.md \"One regularization ladder\")"},
 	{at: "after 567e187", all: 16101, warmPath: 5488, kernel: 3073, why: "one worker-pool path (−55): `batch.Run` and `Map` take `(n, workers, fn(i))` and run one loop for every worker count — indices from a shared atomic counter, the calling goroutine one of the workers — in place of the inline path and the channel-fed pool; the per-task context with its seeded `rand.Rand` (read by no production caller), the options struct with its seed and progress callback, the exported seed mix and the worker-count environment variable are deleted, `dataset`'s progress callback with them, and the splitmix64 seed mix moved into `horizon` as the unexported step seed of `Synthetic` (+11); the `kktStaticReg` and `boostPivotRel` comments say the static pivot boost is the dual regularization actually applied (+8)"},
+	{at: "after 8c6cc2b", all: 15302, warmPath: 5307, kernel: 2846, why: "production code is what the programs link (−799 with this row; the set of linked symbols of the nine commands, three examples and the `bench/` harness is unchanged): of the `internal/` functions no program links, 282 lines are deleted outright — callers switch to the linked API (`RunBatch` for `horizon.Runner.Run`, `SolveInto` for `LDLFactors.Solve`, `Equality`/`Inequality` for `opf.Constraints`, `dataset.InputVector` of the `Perturb`'d case for `core.InstanceInput`, `ConnectedWithout(c, nil)` for `grid.Connected`) or the function only tested itself (`la`'s `Min`/`Max`/`Sum`/`MaxAbs`/`T`/`MulVecT`, `sparse`'s CSC scaling, complex transpose and parts, `serve.Server.Lifecycle`, …) — and 503 lines move into the `_test.go` files of the tests that use them (the reference Hessian with `grid`'s second derivatives into `internal/opf`, `sparse`'s dense and element views and `FactorizeInto`, serve's predictor seam, `WriteMatpower`, the dense `Eye`/`Mul`/`MulVec`/`Det` helpers, `nn.MSE`, `mtl.DefaultConfig`, Table II's printer into `bench_test.go`); the 15 others are imports, the Table II row type and comments; what stays unlinked is on `TestProductionAPIHasCallers`'s allowlist or named in the verify skill's linker audit"},
 }
 
 func main() {

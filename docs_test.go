@@ -7,6 +7,9 @@ package smartpgsim_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -236,5 +239,129 @@ func TestDocsCommandLinesValid(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("found no command lines in the docs; the pattern is out of date")
+	}
+}
+
+// apiAllowlist names the exported internal/ functions and methods that
+// no program's source names, each with the reason it stays: an
+// interface method the standard library calls, a seam a roadmap item
+// keeps, or a reference that another package's tests or the root
+// benchmark harness compare against (a reference one package's tests
+// use lives in that package's _test.go files instead). Keys are
+// "<package under internal/>.<func>" or "<package>.<type>.<method>".
+var apiAllowlist = map[string]string{
+	"batch.TaskError.Unwrap": "error unwrapping, called by errors.Is and errors.As",
+	"sparse.colSeg.Less":     "sort.Interface, called by sort.Stable",
+	"sparse.colSeg.Swap":     "sort.Interface, called by sort.Stable",
+	"sparse.colSegC.Less":    "sort.Interface, called by sort.Stable",
+	"sparse.colSegC.Swap":    "sort.Interface, called by sort.Stable",
+
+	"lifecycle.LoadCapture":             "ROADMAP item 10 decides internal/lifecycle as a whole",
+	"lifecycle.Detector.Fired":          "ROADMAP item 10 decides internal/lifecycle as a whole",
+	"lifecycle.Detector.FiredAtWindow":  "ROADMAP item 10 decides internal/lifecycle as a whole",
+	"lifecycle.NewFakeClock":            "ROADMAP item 10 decides internal/lifecycle as a whole",
+	"lifecycle.FakeClock.Advance":       "ROADMAP item 10 decides internal/lifecycle as a whole",
+	"lifecycle.Manager.BeginCanaryWith": "ROADMAP item 10 decides internal/lifecycle as a whole",
+	"serve.Server.SwapModel":            "the hot swap item 10 keeps either way; TestHotSwapNoDroppedOrMixedResponses and BenchmarkLifecycle drive it",
+	"mips.Stepper.Assemble":             "item 5's seam between assemble and factor; BenchmarkNewtonSystem and the root harness meter it",
+	"casegen.EmbeddedNames":             "the embedded-system list docs_test.go, the sparse fleet tests and the root harness iterate",
+	"casegen.SensitivitySystemNames":    "Table I's system list, which docs_test.go and the casegen tests check against",
+	"grid.MakeSbus":                     "the bus-injection reference the grid, casegen and opf tests compare against",
+	"opf.OPF.KKTSymbolic":               "the production KKT analysis opf's ordering tests and the root harness (item 8(e)) measure",
+	"sparse.LDLSymbolic.FactorInto":     "the CSC-input factorization of the sparse tests and the root harness (item 8(e))",
+	"sparse.LDLSymbolic.Flops":          "analysis size reported by opf's ordering tests, the sparse fleet pin and the root harness (item 8(e))",
+	"sparse.LDLSymbolic.PatternNNZ":     "analysis size reported by opf's ordering tests and the root harness (item 8(e))",
+	"scopf.ScreenNaive":                 "the per-scenario reference the scopf tests and BenchmarkScreen pin the engine to (items 6(c), 8(e))",
+	"scopf.MatchNaive":                  "compares the engine with ScreenNaive in the scopf tests and BenchmarkScreen (items 6(c), 8(e))",
+	"scopf.BuildScenarios":              "scenario lists for the scopf tests and BenchmarkScreen (items 6(c), 8(e))",
+	"scopf.BuildGenScenarios":           "scenario lists for the scopf tests and BenchmarkScreen (items 6(c), 8(e))",
+	"scopf.BuildPairScenarios":          "scenario lists for the scopf tests and BenchmarkScreen (items 6(c), 8(e))",
+}
+
+// TestProductionAPIHasCallers: every exported function and method
+// declared in a non-test internal/ file must be named in some non-test
+// file under cmd/, examples/, internal/ or bench/, or sit on
+// apiAllowlist with its reason, so an API that only its own tests call
+// is deleted or moved into those tests rather than kept. The check is by
+// name: a dead function that shares its name with a live one, or whose
+// only caller is itself dead, passes it (.claude/skills/verify/SKILL.md
+// gives the linker audit that sees both). An allowlist entry that is no
+// longer declared, or whose name a program now uses, fails too.
+func TestProductionAPIHasCallers(t *testing.T) {
+	type decl struct{ key, name, at string }
+	var decls []decl
+	used := map[string]bool{} // identifiers named outside their own declaration
+	fset := token.NewFileSet()
+	for _, root := range []string{"cmd", "examples", "internal", "bench"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			pkg, _ := filepath.Rel("internal", filepath.Dir(path))
+			for _, dl := range f.Decls {
+				fd, ok := dl.(*ast.FuncDecl)
+				if !ok || root != "internal" || !fd.Name.IsExported() {
+					continue
+				}
+				key := filepath.ToSlash(pkg) + "."
+				if fd.Recv != nil {
+					typ := fd.Recv.List[0].Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					switch g := typ.(type) {
+					case *ast.IndexExpr:
+						typ = g.X
+					case *ast.IndexListExpr:
+						typ = g.X
+					}
+					key += typ.(*ast.Ident).Name + "."
+				}
+				decls = append(decls, decl{key + fd.Name.Name, fd.Name.Name, fset.Position(fd.Pos()).String()})
+			}
+			var mark func(ast.Node) bool
+			mark = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl: // every identifier in it but the declared name
+					if n.Recv != nil {
+						ast.Inspect(n.Recv, mark)
+					}
+					ast.Inspect(n.Type, mark)
+					if n.Body != nil {
+						ast.Inspect(n.Body, mark)
+					}
+					return false
+				case *ast.Ident:
+					used[n.Name] = true
+				}
+				return true
+			}
+			ast.Inspect(f, mark)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	declared := map[string]bool{}
+	for _, d := range decls {
+		declared[d.key] = true
+		if _, ok := apiAllowlist[d.key]; !ok && !used[d.name] {
+			t.Errorf("%s: %s is named by no program or production file: delete it, move it into the tests that use it, or allowlist it with a reason", d.at, d.key)
+		}
+	}
+	for key := range apiAllowlist {
+		name := key[strings.LastIndex(key, ".")+1:]
+		switch {
+		case !declared[key]:
+			t.Errorf("apiAllowlist entry %s is not declared in internal/ any more: drop it", key)
+		case used[name]:
+			t.Errorf("apiAllowlist entry %s is named by production code now: drop it", key)
+		}
 	}
 }

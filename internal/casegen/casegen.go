@@ -106,16 +106,6 @@ func Generate(spec Spec) (*grid.Case, error) {
 	return nil, fmt.Errorf("casegen: could not produce a feasible %d-bus system (seed %d)", spec.Buses, spec.Seed)
 }
 
-// MustGenerate is Generate that panics on failure; for the fixed paper
-// specs, generation is deterministic and known-good.
-func MustGenerate(spec Spec) *grid.Case {
-	c, err := Generate(spec)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Systems resolves a list of paper system names (see Paper) concurrently
 // on the batch worker pool, in input order. Each synthetic case is built
 // from its own fixed seed, so the result is identical to resolving the

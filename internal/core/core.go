@@ -17,6 +17,6 @@
 // The online phase is also exposed as a long-running service: the
 // internal/serve package (behind cmd/pgsimd) drives System.SolveWarm
 // per HTTP request, with opf.Predictor as the warm-start seam and
-// InstanceInput reproducing the offline pipeline's model inputs bit for
-// bit.
+// dataset.InputVector of the Perturb'd instance's case reproducing the
+// offline pipeline's model inputs bit for bit.
 package core

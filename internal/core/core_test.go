@@ -105,16 +105,9 @@ func TestSensitivityPrecise_Z_Without_Mu_Hurts(t *testing.T) {
 }
 
 func TestTableII(t *testing.T) {
-	sys9 := loadCase9(t)
 	sys14 := MustLoadSystem("case14")
-	rows := TableII([]*System{sys9, sys14})
-	if rows[1].NLam != 29 || rows[1].NMu != 48 {
-		t.Fatalf("case14 row = %+v, want #λ=29 #µ=48 (paper Table II)", rows[1])
-	}
-	var sb strings.Builder
-	PrintTableII(&sb, rows)
-	if !strings.Contains(sb.String(), "case14") {
-		t.Fatal("print missing system")
+	if lay := sys14.OPF.Lay; lay.NEq != 29 || lay.NIq != 48 {
+		t.Fatalf("case14 has #λ=%d #µ=%d, want 29 and 48 (paper Table II)", lay.NEq, lay.NIq)
 	}
 }
 

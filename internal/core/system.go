@@ -8,7 +8,6 @@ import (
 	"repro/internal/casegen"
 	"repro/internal/dataset"
 	"repro/internal/grid"
-	"repro/internal/la"
 	"repro/internal/mtl"
 	"repro/internal/opf"
 )
@@ -58,16 +57,6 @@ func MustLoadSystem(name string) *System {
 // (the offline phase's training-data collection).
 func (s *System) GenerateData(n int, seed int64) (*dataset.Set, error) {
 	return dataset.Generate(s.Case, dataset.DefaultPreparer, dataset.Options{N: n, Seed: seed})
-}
-
-// InstanceInput computes the model input [Pd; Qd] of the load instance
-// defined by factors — the same clone→scale→pack sequence that
-// dataset.Generate stores as Sample.Input, so a serving-time prediction
-// sees bit-identical inputs to the offline pipeline.
-func (s *System) InstanceInput(factors []float64) la.Vector {
-	cc := s.Case.Clone()
-	cc.ScaleLoads(factors)
-	return dataset.InputVector(cc)
 }
 
 // TrainingDefaults returns the offline-phase sizes that keep dataset

@@ -68,7 +68,8 @@ func TestGroundTruthIsOptimal(t *testing.T) {
 		c := base.Clone()
 		c.ScaleLoads(s.Factors)
 		o := opf.Prepare(c)
-		g, h := o.Constraints(s.X)
+		g, _ := o.Equality(s.X)
+		h, _ := o.Inequality(s.X)
 		if g.NormInf() > 1e-5 {
 			t.Fatalf("stored X violates balance by %v", g.NormInf())
 		}

@@ -163,61 +163,3 @@ func buildFromTables(c *Case, t map[string][][]float64) error {
 	}
 	return nil
 }
-
-// WriteMatpower serializes the case in Matpower case-file syntax. The
-// output round-trips through ParseMatpower.
-func WriteMatpower(w io.Writer, c *Case) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "function mpc = %s\n", sanitizeName(c.Name))
-	fmt.Fprintf(bw, "mpc.version = '2';\n")
-	fmt.Fprintf(bw, "mpc.baseMVA = %g;\n", c.BaseMVA)
-	fmt.Fprintf(bw, "%%%% bus_i type Pd Qd Gs Bs area Vm Va baseKV zone Vmax Vmin\n")
-	fmt.Fprintf(bw, "mpc.bus = [\n")
-	for _, b := range c.Buses {
-		fmt.Fprintf(bw, "\t%d\t%d\t%g\t%g\t%g\t%g\t1\t%g\t%g\t%g\t1\t%g\t%g;\n",
-			b.ID, b.Type, b.Pd, b.Qd, b.Gs, b.Bs, b.Vm, b.Va, b.BaseKV, b.Vmax, b.Vmin)
-	}
-	fmt.Fprintf(bw, "];\n")
-	fmt.Fprintf(bw, "mpc.gen = [\n")
-	for _, g := range c.Gens {
-		st := 0
-		if g.Status {
-			st = 1
-		}
-		fmt.Fprintf(bw, "\t%d\t%g\t%g\t%g\t%g\t%g\t%g\t%d\t%g\t%g;\n",
-			g.Bus, g.Pg, g.Qg, g.Qmax, g.Qmin, g.Vg, c.BaseMVA, st, g.Pmax, g.Pmin)
-	}
-	fmt.Fprintf(bw, "];\n")
-	fmt.Fprintf(bw, "mpc.branch = [\n")
-	for _, b := range c.Branches {
-		st := 0
-		if b.Status {
-			st = 1
-		}
-		fmt.Fprintf(bw, "\t%d\t%d\t%g\t%g\t%g\t%g\t%g\t%g\t%g\t%g\t%d;\n",
-			b.From, b.To, b.R, b.X, b.B, b.RateA, b.RateA, b.RateA, b.Ratio, b.Shift, st)
-	}
-	fmt.Fprintf(bw, "];\n")
-	fmt.Fprintf(bw, "mpc.gencost = [\n")
-	for _, g := range c.Gens {
-		fmt.Fprintf(bw, "\t2\t0\t0\t3\t%g\t%g\t%g;\n", g.Cost.C2, g.Cost.C1, g.Cost.C0)
-	}
-	fmt.Fprintf(bw, "];\n")
-	return bw.Flush()
-}
-
-func sanitizeName(s string) string {
-	if s == "" {
-		return "mpcase"
-	}
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
-}

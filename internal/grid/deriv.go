@@ -6,11 +6,11 @@ import (
 	"repro/internal/sparse"
 )
 
-// This file ports the Matpower first- and second-order AC power-flow
-// derivative formulas (dSbus_dV, dSbr_dV, dAbr_dV, d2Sbus_dV2, d2Sbr_dV2,
-// d2ASbr_dV2) to the sparse kernel of this repository. Voltages are
-// polar: derivatives are taken with respect to bus angles Va (radians)
-// and magnitudes Vm (per unit).
+// This file ports the Matpower first-order AC power-flow derivative
+// formulas (dSbus_dV, dSbr_dV, dAbr_dV) to the sparse kernel of this
+// repository; the second-order ones live with the reference Hessian in
+// internal/opf's tests. Voltages are polar: derivatives are taken with
+// respect to bus angles Va (radians) and magnitudes Vm (per unit).
 
 // BranchMatReal is the real-valued analogue of BranchMat (two entries per
 // row at the from/to bus columns); it carries derivatives of squared flow
@@ -20,9 +20,6 @@ type BranchMatReal struct {
 	F, T   []int
 	Vf, Vt []float64
 }
-
-// NL returns the number of rows (branches).
-func (m *BranchMatReal) NL() int { return len(m.F) }
 
 // DSbusDV returns the partial derivatives of the complex bus power
 // injections S = V·conj(Ybus·V) with respect to voltage angle and
@@ -100,111 +97,5 @@ func DAbrDV(dSVa, dSVm *BranchMat, s []complex128) (dAVa, dAVm *BranchMatReal) {
 		dAVm.Vf[l] = 2 * (p*real(dSVm.Vf[l]) + q*imag(dSVm.Vf[l]))
 		dAVm.Vt[l] = 2 * (p*real(dSVm.Vt[l]) + q*imag(dSVm.Vt[l]))
 	}
-	return
-}
-
-// D2SbusDV2 returns the second derivatives of the λ-weighted bus power
-// injections, λᵀ·S(Va,Vm): four nb×nb complex blocks (Gaa, Gav, Gva, Gvv)
-// over [Va; Vm].
-func D2SbusDV2(ybus *sparse.CSCComplex, v, lam []complex128) (gaa, gav, gva, gvv *sparse.CSCComplex) {
-	n := len(v)
-	ibus := ybus.MulVec(v)
-	lamV := make([]complex128, n)
-	for i := range lamV {
-		lamV[i] = lam[i] * v[i]
-	}
-	b := ybus.Clone().DiagScaleRight(v)       // Ybus·diagV
-	c := b.Clone().Conj().DiagScaleLeft(lamV) // A·conj(B)
-	d := ybus.T().Conj().DiagScaleRight(v)    // Ybusᴴ·diagV
-	dl := d.MulVec(lam)                       // D·λ
-	e := d.Clone().DiagScaleRight(lam)        // D·diagλ
-	e = e.AddScaled(-1, sparse.DiagC(dl))     // − diag(D·λ)
-	e = e.DiagScaleLeft(conjVec(v))           // conj(diagV)·(...)
-	fdiag := make([]complex128, n)
-	for i := range fdiag {
-		fdiag[i] = lamV[i] * cmplx.Conj(ibus[i])
-	}
-	f := c.AddScaled(-1, sparse.DiagC(fdiag)) // C − A·diag(conj(Ibus))
-	ginv := make([]complex128, n)
-	for i := range ginv {
-		ginv[i] = complex(1/cmplx.Abs(v[i]), 0)
-	}
-	gaa = e.AddScaled(1, f)
-	gva = e.AddScaled(-1, f).DiagScaleLeft(ginv).Scale(complex(0, 1))
-	gav = gva.T()
-	gvv = c.AddScaled(1, c.T()).DiagScaleLeft(ginv).DiagScaleRight(ginv)
-	return
-}
-
-// d2SbrDV2 returns the second derivatives of λᵀ·Sbr for one branch end.
-// ybr is the Yf or Yt BranchMat; connAtFrom selects whether the end's
-// connection matrix places the branch at its from (true) or to bus.
-func d2SbrDV2(ybr *BranchMat, connAtFrom bool, v, lam []complex128) (haa, hav, hva, hvv *sparse.CSCComplex) {
-	nb := len(v)
-	// A = Ybrᴴ·diagλ·Cbr, assembled line by line (2 entries per line).
-	ab := sparse.NewBuilderC(nb, nb)
-	for l := range ybr.F {
-		cb := ybr.F[l]
-		if !connAtFrom {
-			cb = ybr.T[l]
-		}
-		ab.Append(ybr.F[l], cb, cmplx.Conj(ybr.Vf[l])*lam[l])
-		ab.Append(ybr.T[l], cb, cmplx.Conj(ybr.Vt[l])*lam[l])
-	}
-	a := ab.ToCSC()
-	b := a.Clone().DiagScaleLeft(conjVec(v)).DiagScaleRight(v) // conj(diagV)·A·diagV
-	av := a.MulVec(v)
-	atcv := a.MulVecT(conjVec(v))
-	dd := make([]complex128, nb)
-	ee := make([]complex128, nb)
-	for i := 0; i < nb; i++ {
-		dd[i] = av[i] * cmplx.Conj(v[i])
-		ee[i] = atcv[i] * v[i]
-	}
-	bt := b.T()
-	fm := b.AddScaled(1, bt)
-	ginv := make([]complex128, nb)
-	for i := range ginv {
-		ginv[i] = complex(1/cmplx.Abs(v[i]), 0)
-	}
-	haa = fm.AddScaled(-1, sparse.DiagC(dd)).AddScaled(-1, sparse.DiagC(ee))
-	hva = b.AddScaled(-1, bt).AddScaled(-1, sparse.DiagC(dd)).AddScaled(1, sparse.DiagC(ee)).
-		DiagScaleLeft(ginv).Scale(complex(0, 1))
-	hav = hva.T()
-	hvv = fm.Clone().DiagScaleLeft(ginv).DiagScaleRight(ginv)
-	return
-}
-
-// outerBranch accumulates Σ_l w_l · a(l,:)ᵀ ⊗ conj(b(l,:)) — the
-// Jacobian-outer-product term of the squared-flow Hessian. Result is
-// nb×nb complex.
-func outerBranch(a, b *BranchMat, w []float64) *sparse.CSCComplex {
-	bld := sparse.NewBuilderC(a.NB, a.NB)
-	for l := range a.F {
-		wl := complex(w[l], 0)
-		af, at := a.Vf[l], a.Vt[l]
-		bf, bt := cmplx.Conj(b.Vf[l]), cmplx.Conj(b.Vt[l])
-		bld.Append(a.F[l], b.F[l], wl*af*bf)
-		bld.Append(a.F[l], b.T[l], wl*af*bt)
-		bld.Append(a.T[l], b.F[l], wl*at*bf)
-		bld.Append(a.T[l], b.T[l], wl*at*bt)
-	}
-	return bld.ToCSC()
-}
-
-// D2ASbrDV2 returns the second derivatives of Σ_l µ_l·|Sbr_l|² over
-// [Va; Vm] as four real nb×nb blocks. dSVa/dSVm and sbr come from DSbrDV
-// for the same branch end; ybr/connAtFrom identify the end.
-func D2ASbrDV2(dSVa, dSVm *BranchMat, sbr []complex128, ybr *BranchMat, connAtFrom bool, v []complex128, mu []float64) (haa, hav, hva, hvv *sparse.CSC) {
-	nl := len(mu)
-	lam2 := make([]complex128, nl)
-	for l := 0; l < nl; l++ {
-		lam2[l] = cmplx.Conj(sbr[l]) * complex(mu[l], 0)
-	}
-	saa, sav, sva, svv := d2SbrDV2(ybr, connAtFrom, v, lam2)
-	haa = saa.AddScaled(1, outerBranch(dSVa, dSVa, mu)).RealPart().Scale(2)
-	hva = sva.AddScaled(1, outerBranch(dSVm, dSVa, mu)).RealPart().Scale(2)
-	hav = sav.AddScaled(1, outerBranch(dSVa, dSVm, mu)).RealPart().Scale(2)
-	hvv = svv.AddScaled(1, outerBranch(dSVm, dSVm, mu)).RealPart().Scale(2)
 	return
 }

@@ -239,15 +239,6 @@ func (c *Case) ScaleLoads(factors []float64) {
 	}
 }
 
-// TotalLoad returns total (Pd, Qd) in MW/MVAr.
-func (c *Case) TotalLoad() (p, q float64) {
-	for _, b := range c.Buses {
-		p += b.Pd
-		q += b.Qd
-	}
-	return p, q
-}
-
 // Deg2Rad converts degrees to radians.
 func Deg2Rad(d float64) float64 { return d * math.Pi / 180 }
 

@@ -18,8 +18,8 @@ import (
 // rebuild (see internal/scopf). Ybus alone differs, and only in pattern:
 // it keeps the intact one, storing the outaged branch's entries as
 // explicit zeros, so an outage's KKT systems share the intact system's
-// sparsity pattern and symbolic analysis (see internal/opf). Connected and
-// ConnectedWithout classify outage topologies that split the network —
+// sparsity pattern and symbolic analysis (see internal/opf).
+// ConnectedWithout classifies outage topologies that split the network —
 // islanding scenarios the screening engine rejects before wasting
 // solver time on a structurally infeasible AC-OPF.
 
@@ -53,15 +53,6 @@ func (c *Case) WithoutGen(g int) *Case {
 	cp.Gens = append([]Gen(nil), c.Gens...)
 	cp.Gens[g].Status = false
 	return &cp
-}
-
-// Connected reports whether every bus is reachable from bus 0 over the
-// in-service branches — the from-scratch BFS reference the screening
-// package's incremental connectivity checks are pinned against, and the
-// islanding classifier for outage topology views (a disconnected
-// WithoutBranch view is an islanding scenario, not a solvable AC-OPF).
-func Connected(c *Case) bool {
-	return ConnectedWithout(c, nil)
 }
 
 // ConnectedWithout reports whether the network stays connected with the

@@ -212,7 +212,7 @@ func TestWithoutBranchView(t *testing.T) {
 func TestConnectedWithoutRandomSubsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for _, c := range []*Case{Case9(), Case14(), Case30(), Case57()} {
-		if !Connected(c) {
+		if !ConnectedWithout(c, nil) {
 			t.Fatalf("%s not connected intact", c.Name)
 		}
 		for trial := 0; trial < 60; trial++ {
@@ -229,7 +229,7 @@ func TestConnectedWithoutRandomSubsets(t *testing.T) {
 			if err := cc.Normalize(); err != nil {
 				t.Fatal(err)
 			}
-			if want := Connected(cc); got != want {
+			if want := ConnectedWithout(cc, nil); got != want {
 				t.Fatalf("%s skip %v: ConnectedWithout = %v, rebuilt BFS = %v", c.Name, skip, got, want)
 			}
 		}

@@ -38,16 +38,6 @@ func (m *BranchMat) MulVec(x []complex128) []complex128 {
 	return y
 }
 
-// ToCSC expands m to a general complex CSC matrix.
-func (m *BranchMat) ToCSC() *sparse.CSCComplex {
-	b := sparse.NewBuilderC(m.NL(), m.NB)
-	for l := range m.F {
-		b.Append(l, m.F[l], m.Vf[l])
-		b.Append(l, m.T[l], m.Vt[l])
-	}
-	return b.ToCSC()
-}
-
 // YMatrices bundles the admittance matrices of a case.
 type YMatrices struct {
 	Ybus   *sparse.CSCComplex // nb×nb bus admittance matrix
@@ -181,15 +171,6 @@ func vnorm(v []complex128) []complex128 {
 			continue
 		}
 		out[i] = x / complex(a, 0)
-	}
-	return out
-}
-
-// conjVec returns conj(v) as a new slice.
-func conjVec(v []complex128) []complex128 {
-	out := make([]complex128, len(v))
-	for i, x := range v {
-		out[i] = complex(real(x), -imag(x))
 	}
 	return out
 }

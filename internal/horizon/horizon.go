@@ -350,15 +350,6 @@ func (r *Runner) prepared() (*opf.OPF, error) {
 	return opf.Prepare(r.Base), nil
 }
 
-// Run solves a single trajectory sequentially.
-func (r *Runner) Run(traj *Trajectory) (*Result, error) {
-	out, err := r.RunBatch([]*Trajectory{traj})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
 // RunBatch solves each trajectory start-to-end (steps are sequential
 // within a trajectory) and fans the trajectories across the batch
 // pool. Results are bit-identical for any worker count: trajectory i

@@ -137,10 +137,11 @@ func TestHorizonChainMatchesSingleShotWarm(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := &Runner{Prepared: base, Mode: ModeChain, RampUp: up, RampDown: up, Workers: 1}
-			res, err := r.Run(traj)
+			out, err := r.RunBatch([]*Trajectory{traj})
 			if err != nil {
 				t.Fatal(err)
 			}
+			res := out[0]
 			if res.Converged != traj.Steps() {
 				t.Fatalf("converged %d/%d steps", res.Converged, traj.Steps())
 			}
@@ -308,10 +309,11 @@ func TestHorizonRampCouplingBinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &Runner{Prepared: base, Mode: ModeChain, RampUp: up, RampDown: up, Workers: 1}
-	res, err := r.Run(traj)
+	out, err := r.RunBatch([]*Trajectory{traj})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out[0]
 	if res.Converged != len(res.Steps) {
 		t.Fatalf("converged %d/%d steps", res.Converged, len(res.Steps))
 	}
@@ -362,7 +364,7 @@ func TestHorizonRunnerRejectsForeignModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := &Runner{Prepared: base, Mode: ModePredict, Model: models[pair[0]], Workers: 1}
-			_, err = r.Run(traj)
+			_, err = r.RunBatch([]*Trajectory{traj})
 			if own := on == pair[0]; own != (err == nil) {
 				t.Errorf("%s model on %s: error %v", pair[0], on, err)
 			}
@@ -376,16 +378,16 @@ func TestHorizonRunnerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Runner{Prepared: base, Mode: ModePredict}).Run(good); err == nil {
+	if _, err := (&Runner{Prepared: base, Mode: ModePredict}).RunBatch([]*Trajectory{good}); err == nil {
 		t.Fatal("predict mode without a model must error")
 	}
-	if _, err := (&Runner{Prepared: base, Mode: ModeChain}).Run(&Trajectory{}); err == nil {
+	if _, err := (&Runner{Prepared: base, Mode: ModeChain}).RunBatch([]*Trajectory{{}}); err == nil {
 		t.Fatal("empty trajectory must error")
 	}
-	if _, err := (&Runner{Prepared: base, Mode: ModeChain}).Run(&Trajectory{Factors: [][]float64{{1, 1}}}); err == nil {
+	if _, err := (&Runner{Prepared: base, Mode: ModeChain}).RunBatch([]*Trajectory{{Factors: [][]float64{{1, 1}}}}); err == nil {
 		t.Fatal("short factor vector must error")
 	}
-	if _, err := (&Runner{Mode: ModeChain}).Run(good); err == nil {
+	if _, err := (&Runner{Mode: ModeChain}).RunBatch([]*Trajectory{good}); err == nil {
 		t.Fatal("runner without a base must error")
 	}
 	if _, err := NewStepper(base, Mode(99), nil, nil, nil); err == nil {

@@ -40,10 +40,11 @@ func TestTrajectoryPinned(t *testing.T) {
 	ramp := RampFromRange(sys.OPF, 0.2)
 	for mode, want := range trajectorySHA256 {
 		r := &Runner{Prepared: sys.OPF, Mode: mode, Model: m, RampUp: ramp, RampDown: ramp, Workers: 1}
-		res, err := r.Run(traj)
+		out, err := r.RunBatch([]*Trajectory{traj})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := out[0]
 		h := sha256.New()
 		var b [8]byte
 		put := func(u uint64) {

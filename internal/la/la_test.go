@@ -1,6 +1,7 @@
 package la
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,14 +10,66 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// eye returns the n×n identity matrix.
+func eye(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Data[i*n+i] = 1
+	}
+	return m
+}
+
+// mulVec returns m*v as a new vector.
+func mulVec(m *Matrix, v Vector) Vector {
+	checkLen(m.Cols, len(v))
+	out := make(Vector, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		var s float64
+		for j, a := range row {
+			s += a * v[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// mul returns m*b as a new matrix.
+func mul(m, b *Matrix) *Matrix {
+	if m.Cols != b.Rows {
+		panic(fmt.Sprintf("la: Mul dims %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
+	}
+	out := NewMatrix(m.Rows, b.Cols)
+	for i := 0; i < m.Rows; i++ {
+		arow := m.Data[i*m.Cols : (i+1)*m.Cols]
+		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for k, aik := range arow {
+			if aik == 0 {
+				continue
+			}
+			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			for j, bkj := range brow {
+				orow[j] += aik * bkj
+			}
+		}
+	}
+	return out
+}
+
+// det returns the determinant of the factorized matrix.
+func det(f *LU) float64 {
+	d := float64(f.sign)
+	for i := 0; i < f.n; i++ {
+		d *= f.lu[i*f.n+i]
+	}
+	return d
+}
+
 func TestVectorBasicOps(t *testing.T) {
 	v := Vector{1, 2, 3}
 	w := Vector{4, 5, 6}
 	if got := v.Clone().Add(w); got[0] != 5 || got[1] != 7 || got[2] != 9 {
 		t.Fatalf("Add = %v", got)
-	}
-	if got := v.Clone().Sub(w); got[0] != -3 {
-		t.Fatalf("Sub = %v", got)
 	}
 	if got := v.Dot(w); got != 32 {
 		t.Fatalf("Dot = %v, want 32", got)
@@ -36,13 +89,6 @@ func TestVectorNorms(t *testing.T) {
 	}
 	if (Vector{}).NormInf() != 0 {
 		t.Errorf("empty NormInf != 0")
-	}
-}
-
-func TestVectorMinMaxSum(t *testing.T) {
-	v := Vector{2, -1, 7, 0}
-	if v.Min() != -1 || v.Max() != 7 || v.Sum() != 8 {
-		t.Fatalf("Min/Max/Sum = %v %v %v", v.Min(), v.Max(), v.Sum())
 	}
 }
 
@@ -71,13 +117,9 @@ func TestMatrixMulVec(t *testing.T) {
 	m := NewMatrix(2, 3)
 	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
 	v := Vector{1, 0, -1}
-	got := m.MulVec(v)
+	got := mulVec(m, v)
 	if got[0] != -2 || got[1] != -2 {
 		t.Fatalf("MulVec = %v", got)
-	}
-	gt := m.MulVecT(Vector{1, 1})
-	if gt[0] != 5 || gt[1] != 7 || gt[2] != 9 {
-		t.Fatalf("MulVecT = %v", gt)
 	}
 }
 
@@ -86,7 +128,7 @@ func TestMatrixMul(t *testing.T) {
 	copy(a.Data, []float64{1, 2, 3, 4})
 	b := NewMatrix(2, 2)
 	copy(b.Data, []float64{0, 1, 1, 0})
-	c := a.Mul(b)
+	c := mul(a, b)
 	want := []float64{2, 1, 4, 3}
 	for i := range want {
 		if c.Data[i] != want[i] {
@@ -95,22 +137,13 @@ func TestMatrixMul(t *testing.T) {
 	}
 }
 
-func TestMatrixTranspose(t *testing.T) {
-	a := NewMatrix(2, 3)
-	copy(a.Data, []float64{1, 2, 3, 4, 5, 6})
-	at := a.T()
-	if at.Rows != 3 || at.Cols != 2 || at.At(2, 1) != 6 || at.At(0, 1) != 4 {
-		t.Fatalf("T = %+v", at)
-	}
-}
-
 func TestEyeAndDet(t *testing.T) {
-	f, err := Factorize(Eye(4))
+	f, err := Factorize(eye(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(f.Det(), 1, 1e-14) {
-		t.Fatalf("Det(I) = %v", f.Det())
+	if !almostEq(det(f), 1, 1e-14) {
+		t.Fatalf("Det(I) = %v", det(f))
 	}
 }
 
@@ -123,7 +156,7 @@ func TestLUSolveKnown(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Verify residual, not hard-coded solution.
-	r := a.MulVec(x).Sub(b)
+	r := mulVec(a, x).AddScaled(-1, b)
 	if r.NormInf() > 1e-12 {
 		t.Fatalf("residual %v", r.NormInf())
 	}
@@ -145,8 +178,8 @@ func TestLUDetSign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(f.Det(), -1, 1e-14) {
-		t.Fatalf("Det = %v", f.Det())
+	if !almostEq(det(f), -1, 1e-14) {
+		t.Fatalf("Det = %v", det(f))
 	}
 }
 
@@ -168,12 +201,12 @@ func TestLUSolveProperty(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		b := a.MulVec(x)
+		b := mulVec(a, x)
 		got, err := Solve(a, b)
 		if err != nil {
 			return false
 		}
-		return got.Clone().Sub(x).NormInf() < 1e-8
+		return got.Clone().AddScaled(-1, x).NormInf() < 1e-8
 	}
 	cfg := &quick.Config{MaxCount: 50, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -199,12 +232,12 @@ func TestDetMultiplicativeProperty(t *testing.T) {
 		a, b := mk(), mk()
 		fa, err1 := Factorize(a)
 		fb, err2 := Factorize(b)
-		fab, err3 := Factorize(a.Mul(b))
+		fab, err3 := Factorize(mul(a, b))
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}
-		prod := fa.Det() * fb.Det()
-		return math.Abs(fab.Det()-prod) <= 1e-8*(1+math.Abs(prod))
+		prod := det(fa) * det(fb)
+		return math.Abs(det(fab)-prod) <= 1e-8*(1+math.Abs(prod))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -212,8 +245,8 @@ func TestDetMultiplicativeProperty(t *testing.T) {
 }
 
 func TestMatrixAddScaledMatScaleMaxAbs(t *testing.T) {
-	a := Eye(2)
-	b := Eye(2)
+	a := eye(2)
+	b := eye(2)
 	a.AddScaledMat(2, b)
 	if a.At(0, 0) != 3 || a.At(0, 1) != 0 {
 		t.Fatalf("AddScaledMat = %v", a.Data)
@@ -222,8 +255,8 @@ func TestMatrixAddScaledMatScaleMaxAbs(t *testing.T) {
 	if a.At(1, 1) != -6 {
 		t.Fatalf("Scale = %v", a.Data)
 	}
-	if a.MaxAbs() != 6 {
-		t.Fatalf("MaxAbs = %v", a.MaxAbs())
+	if m := Vector(a.Data).NormInf(); m != 6 {
+		t.Fatalf("MaxAbs = %v", m)
 	}
 }
 

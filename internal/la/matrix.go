@@ -19,23 +19,11 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// Eye returns the n×n identity matrix.
-func Eye(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Add adds v to element (i, j).
-func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
@@ -45,71 +33,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
-}
-
-// MulVec returns m*v as a new vector.
-func (m *Matrix) MulVec(v Vector) Vector {
-	checkLen(m.Cols, len(v))
-	out := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, a := range row {
-			s += a * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// MulVecT returns mᵀ*v as a new vector.
-func (m *Matrix) MulVecT(v Vector) Vector {
-	checkLen(m.Rows, len(v))
-	out := make(Vector, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, a := range row {
-			out[j] += a * vi
-		}
-	}
-	return out
-}
-
-// Mul returns m*b as a new matrix.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("la: Mul dims %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		arow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bkj := range brow {
-				orow[j] += aik * bkj
-			}
-		}
-	}
-	return out
 }
 
 // AddScaledMat sets m = m + s*b and returns m.
@@ -131,23 +54,12 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// MaxAbs returns the largest absolute entry of m (0 for empty).
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, x := range m.Data {
-		if a := math.Abs(x); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // LU is an LU factorization with partial pivoting: P*A = L*U.
 type LU struct {
 	n    int
 	lu   []float64 // combined L (unit lower) and U, row-major
 	piv  []int     // row permutation
-	sign int       // permutation sign, for Det
+	sign int       // permutation sign, the determinant's
 }
 
 // ErrSingular is returned when a factorization meets an (effectively) zero
@@ -230,15 +142,6 @@ func (f *LU) Solve(b Vector) Vector {
 		x[i] = s / row[i]
 	}
 	return x
-}
-
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }
 
 // Solve solves the square dense system A*x = b.

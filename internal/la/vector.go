@@ -41,9 +41,6 @@ func (v Vector) AddScaled(s float64, w Vector) Vector {
 // Add sets v = v + w and returns v.
 func (v Vector) Add(w Vector) Vector { return v.AddScaled(1, w) }
 
-// Sub sets v = v - w and returns v.
-func (v Vector) Sub(w Vector) Vector { return v.AddScaled(-1, w) }
-
 // Scale sets v = s*v and returns v.
 func (v Vector) Scale(s float64) Vector {
 	for i := range v {
@@ -71,43 +68,6 @@ func (v Vector) NormInf() float64 {
 		}
 	}
 	return m
-}
-
-// Min returns the smallest element of v. Panics on empty input.
-func (v Vector) Min() float64 {
-	if len(v) == 0 {
-		panic("la: Min of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of v. Panics on empty input.
-func (v Vector) Max() float64 {
-	if len(v) == 0 {
-		panic("la: Max of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of the elements of v.
-func (v Vector) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
 }
 
 // HasNaN reports whether v contains a NaN or Inf entry.

@@ -341,7 +341,9 @@ func (s *kktSystem) shiftReg(base []float64, dw float64) {
 // matrix returns the stamped system as a new CSC matrix on the full
 // symmetric pattern, each pair's value in both triangles.
 func (s *kktSystem) matrix() *sparse.CSC {
-	m := s.pat.Clone()
+	m := &sparse.CSC{NRows: s.pat.NRows, NCols: s.pat.NCols,
+		ColPtr: slices.Clone(s.pat.ColPtr), RowIdx: slices.Clone(s.pat.RowIdx),
+		Val: make([]float64, len(s.pat.Val))}
 	for p, k := range s.slot {
 		m.Val[p] = s.v[k]
 	}

@@ -25,11 +25,41 @@ func randJacobian(r *rand.Rand, niq, nx int, density float64) *sparse.CSC {
 	return b.ToCSC()
 }
 
+// transpose returns aᵀ as a new CSC matrix.
+func transpose(a *sparse.CSC) *sparse.CSC {
+	b := sparse.NewBuilder(a.NCols, a.NRows)
+	for j := 0; j < a.NCols; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			b.Append(j, a.RowIdx[p], a.Val[p])
+		}
+	}
+	return b.ToCSC()
+}
+
+// entry returns element (i, j) of a.
+func entry(a *sparse.CSC, i, j int) float64 {
+	for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+		if a.RowIdx[p] == i {
+			return a.Val[p]
+		}
+	}
+	return 0
+}
+
+// twoI returns 2·I, the Hessian of the test problems' Σ(x−c)² terms.
+func twoI(n int) *sparse.CSC {
+	b := sparse.NewBuilder(n, n)
+	for i := 0; i < n; i++ {
+		b.Append(i, i, 2)
+	}
+	return b.ToCSC()
+}
+
 // jtDiagJ computes Jᵀ·diag(w)·J for a row-per-constraint Jacobian: the
 // reference the arena's KKT stamp is pinned against.
 func jtDiagJ(j *sparse.CSC, w la.Vector) *sparse.CSC {
 	// Work row-wise: columns of Jᵀ are rows of J.
-	jt := j.T() // nx × niq: column r holds row r of J
+	jt := transpose(j) // nx × niq: column r holds row r of J
 	nx := j.NCols
 	b := sparse.NewBuilder(nx, nx)
 	for r := 0; r < jt.NCols; r++ {
@@ -78,9 +108,9 @@ func TestJhViewStreamedProductMatchesReference(t *testing.T) {
 			got := ar.kkt.matrix()
 			for i := 0; i < nx; i++ {
 				for k := 0; k < nx; k++ {
-					if d := math.Abs(got.At(i, k) - want.At(i, k)); d > 1e-13 {
+					if d := math.Abs(entry(got, i, k) - entry(want, i, k)); d > 1e-13 {
 						t.Fatalf("trial %d pass %d: JᵀWJ[%d,%d] = %v want %v",
-							trial, pass, i, k, got.At(i, k), want.At(i, k))
+							trial, pass, i, k, entry(got, i, k), entry(want, i, k))
 					}
 				}
 			}

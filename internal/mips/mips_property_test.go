@@ -15,17 +15,24 @@ import (
 // positive definite, and also returns the exact solution from the dense
 // KKT system [[Q Aᵀ],[A 0]]·[x;λ] = [-c; b].
 func randomConvexQP(r *rand.Rand, n, m int) (*Problem, la.Vector) {
-	// Q = LLᵀ + εI.
-	q := la.NewMatrix(n, n)
+	// Q = LLᵀ, L lower triangular with its diagonal shifted by 2.
 	l := la.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			l.Set(i, j, r.NormFloat64())
 		}
-		l.Add(i, i, 2)
+		l.Set(i, i, l.At(i, i)+2)
 	}
-	lt := l.T()
-	q = l.Mul(lt)
+	q := la.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for k := 0; k < n; k++ {
+				s += l.At(i, k) * l.At(j, k)
+			}
+			q.Set(i, j, s)
+		}
+	}
 	c := make(la.Vector, n)
 	for i := range c {
 		c[i] = r.NormFloat64()
@@ -86,12 +93,15 @@ func randomConvexQP(r *rand.Rand, n, m int) (*Problem, la.Vector) {
 	p := &Problem{
 		NX: n,
 		F: func(x la.Vector) (float64, la.Vector) {
-			qx := qcsc.MulVec(x)
+			qx := make(la.Vector, n)
+			qcsc.MulVecInto(qx, x)
 			f := 0.5*x.Dot(qx) + c.Dot(x)
 			return f, qx.Add(c)
 		},
 		G: func(x la.Vector) (la.Vector, *sparse.CSC) {
-			g := acsc.MulVec(x).Sub(b)
+			g := make(la.Vector, m)
+			acsc.MulVecInto(g, x)
+			g.AddScaled(-1, b)
 			return g, acsc
 		},
 		Hess: func(x, lam, mu la.Vector) *sparse.CSC { return qcsc },
@@ -114,7 +124,7 @@ func TestQPMatchesDenseKKT(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.X.Clone().Sub(ref).NormInf() < 1e-5*(1+ref.NormInf())
+		return res.X.Clone().AddScaled(-1, ref).NormInf() < 1e-5*(1+ref.NormInf())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -145,7 +155,7 @@ func TestInactiveBoundsAreNeutral(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return bounded.X.Clone().Sub(free.X).NormInf() < 1e-4*(1+free.X.NormInf())
+		return bounded.X.Clone().AddScaled(-1, free.X).NormInf() < 1e-4*(1+free.X.NormInf())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -190,7 +200,7 @@ func infeasibleEqualities() *Problem {
 			return la.Vector{x[0], x[0] - 1}, jac
 		},
 		Hess: func(x, lam, mu la.Vector) *sparse.CSC {
-			return sparse.Identity(1).Scale(2)
+			return twoI(1)
 		},
 	}
 }

@@ -25,7 +25,7 @@ func quadProblem(c la.Vector) *Problem {
 			return f, df
 		},
 		Hess: func(x, lam, mu la.Vector) *sparse.CSC {
-			return sparse.Identity(n).Scale(2)
+			return twoI(n)
 		},
 	}
 }
@@ -39,7 +39,7 @@ func TestUnconstrainedQuadratic(t *testing.T) {
 	if !r.Converged {
 		t.Fatal("not converged")
 	}
-	if r.X.Clone().Sub(c).NormInf() > 1e-6 {
+	if r.X.Clone().AddScaled(-1, c).NormInf() > 1e-6 {
 		t.Fatalf("x = %v", r.X)
 	}
 }
@@ -58,7 +58,7 @@ func TestEqualityQP(t *testing.T) {
 			return la.Vector{x[0] + x[1] - 1}, b.ToCSC()
 		},
 		Hess: func(x, lam, mu la.Vector) *sparse.CSC {
-			return sparse.Identity(2).Scale(2)
+			return twoI(2)
 		},
 	}
 	r, err := Solve(p, la.Vector{0, 0}, nil, Options{})
@@ -120,7 +120,7 @@ func TestMIPSDocExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := la.Vector{1.58114, 2.23607, 1.58114}
-	if r.X.Clone().Sub(want).NormInf() > 1e-4 {
+	if r.X.Clone().AddScaled(-1, want).NormInf() > 1e-4 {
 		t.Fatalf("x = %v want %v", r.X, want)
 	}
 	if math.Abs(r.F-(-7.0711)) > 1e-3 {
@@ -159,7 +159,7 @@ func TestInequalityQP(t *testing.T) {
 			return h, b.ToCSC()
 		},
 		Hess: func(x, lam, mu la.Vector) *sparse.CSC {
-			return sparse.Identity(2).Scale(2)
+			return twoI(2)
 		},
 		XMin: la.Vector{0, 0},
 		XMax: la.Vector{math.Inf(1), math.Inf(1)},
@@ -227,7 +227,7 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 	if warm.Iterations >= cold.Iterations {
 		t.Fatalf("warm start took %d iterations, cold %d", warm.Iterations, cold.Iterations)
 	}
-	if warm.X.Clone().Sub(cold.X).NormInf() > 1e-5 {
+	if warm.X.Clone().AddScaled(-1, cold.X).NormInf() > 1e-5 {
 		t.Fatalf("warm solution drifted: %v vs %v", warm.X, cold.X)
 	}
 }
@@ -316,8 +316,8 @@ func TestJtDiagJ(t *testing.T) {
 	want := [][]float64{{2, 0, 4}, {0, 9, 0}, {4, 0, 8}}
 	for i := 0; i < 3; i++ {
 		for k := 0; k < 3; k++ {
-			if math.Abs(m.At(i, k)-want[i][k]) > 1e-14 {
-				t.Fatalf("JtWJ[%d,%d] = %v want %v", i, k, m.At(i, k), want[i][k])
+			if math.Abs(entry(m, i, k)-want[i][k]) > 1e-14 {
+				t.Fatalf("JtWJ[%d,%d] = %v want %v", i, k, entry(m, i, k), want[i][k])
 			}
 		}
 	}

@@ -94,17 +94,6 @@ type Config struct {
 	Seed       int64
 }
 
-// DefaultConfig returns the full Smart-PGSim configuration.
-func DefaultConfig() Config {
-	return Config{
-		Variant:      VariantSmartPGSim,
-		Hierarchy:    true,
-		DetachPeriod: 4,
-		Physics:      DefaultPhysics(),
-		Seed:         1,
-	}
-}
-
 // taskID indexes the seven estimators.
 type taskID int
 

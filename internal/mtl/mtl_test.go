@@ -13,6 +13,17 @@ import (
 	"repro/internal/opf"
 )
 
+// defaultConfig returns the full Smart-PGSim configuration.
+func defaultConfig() Config {
+	return Config{
+		Variant:      VariantSmartPGSim,
+		Hierarchy:    true,
+		DetachPeriod: 4,
+		Physics:      DefaultPhysics(),
+		Seed:         1,
+	}
+}
+
 func case9Data(t *testing.T, n int) (*grid.Case, *opf.OPF, *dataset.Set) {
 	t.Helper()
 	c := grid.Case9()
@@ -41,10 +52,12 @@ func TestRangeRoundTrip(t *testing.T) {
 	if norm.At(0, 1) != 0.5 {
 		t.Fatalf("degenerate column: %v", norm.At(0, 1))
 	}
-	back := r.Denormalize(norm)
-	for i := range m.Data {
-		if math.Abs(back.Data[i]-m.Data[i]) > 1e-12 {
-			t.Fatal("round trip failed")
+	for i := 0; i < m.Rows; i++ {
+		back := r.DenormalizeVec(norm.Row(i))
+		for j, v := range m.Row(i) {
+			if math.Abs(back[j]-v) > 1e-12 {
+				t.Fatal("round trip failed")
+			}
 		}
 	}
 }
@@ -61,7 +74,7 @@ func TestChainGradMatchesDenormalize(t *testing.T) {
 func TestModelShapes(t *testing.T) {
 	_, o, _ := case9Data(t, 4)
 	for _, v := range []Variant{VariantSeparate, VariantMTL, VariantSmartPGSim} {
-		cfg := DefaultConfig()
+		cfg := defaultConfig()
 		cfg.Variant = v
 		cfg.Hierarchy = v != VariantSeparate
 		m := New(o.Lay, cfg)
@@ -118,20 +131,23 @@ func TestModelGradCheck(t *testing.T) {
 			m2.Data[i] = rng.Float64()
 		}
 	}
+	// The paper's loss with ε = 1 is smooth enough for central
+	// differences.
+	lossFn := nn.Charbonnier{Eps: 1}
 	loss := func() float64 {
 		p := m.Forward(in)
-		l1, _ := (nn.MSE{}).Eval(p.X, tX)
-		l2, _ := (nn.MSE{}).Eval(p.Lam, tLam)
-		l3, _ := (nn.MSE{}).Eval(p.Mu, tMu)
-		l4, _ := (nn.MSE{}).Eval(p.Z, tZ)
+		l1, _ := lossFn.Eval(p.X, tX)
+		l2, _ := lossFn.Eval(p.Lam, tLam)
+		l3, _ := lossFn.Eval(p.Mu, tMu)
+		l4, _ := lossFn.Eval(p.Z, tZ)
 		return l1 + l2 + l3 + l4
 	}
 	nn.ZeroGrads(m.Params())
 	p := m.Forward(in)
-	_, gX := (nn.MSE{}).Eval(p.X, tX)
-	_, gLam := (nn.MSE{}).Eval(p.Lam, tLam)
-	_, gMu := (nn.MSE{}).Eval(p.Mu, tMu)
-	_, gZ := (nn.MSE{}).Eval(p.Z, tZ)
+	_, gX := lossFn.Eval(p.X, tX)
+	_, gLam := lossFn.Eval(p.Lam, tLam)
+	_, gMu := lossFn.Eval(p.Mu, tMu)
+	_, gZ := lossFn.Eval(p.Z, tZ)
 	m.Backward(&Pred{X: gX, Lam: gLam, Mu: gMu, Z: gZ}, false)
 
 	h := 1e-6
@@ -264,7 +280,7 @@ func TestPhysicsACZeroAtGroundTruth(t *testing.T) {
 
 func TestTrainingReducesLoss(t *testing.T) {
 	c, o, set := case9Data(t, 40)
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	cfg.Seed = 11
 	m := New(o.Lay, cfg)
 	phys := NewPhysics(o, dataset.InputVector(c))
@@ -286,7 +302,7 @@ func TestTrainedModelWarmStartConverges(t *testing.T) {
 	// warm-start unseen instances and compare against cold-start.
 	c, o, set := case9Data(t, 60)
 	train, val := set.Split(0.8)
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	cfg.Seed = 13
 	m := New(o.Lay, cfg)
 	phys := NewPhysics(o, dataset.InputVector(c))
@@ -312,7 +328,7 @@ func TestTrainedModelWarmStartConverges(t *testing.T) {
 
 func TestPredictPositivity(t *testing.T) {
 	c, o, set := case9Data(t, 20)
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	m := New(o.Lay, cfg)
 	phys := NewPhysics(o, dataset.InputVector(c))
 	if _, err := Train(m, phys, set, TrainConfig{Epochs: 5, BatchSize: 8, Seed: 3}); err != nil {
@@ -351,14 +367,14 @@ func TestSaveLoadModel(t *testing.T) {
 	}
 	a := m.Predict(set.Samples[0].Input)
 	b := m2.Predict(set.Samples[0].Input)
-	if a.X.Clone().Sub(b.X).NormInf() > 1e-12 {
+	if a.X.Clone().AddScaled(-1, b.X).NormInf() > 1e-12 {
 		t.Fatal("loaded model predicts differently")
 	}
 }
 
 func TestTrainErrorsWithoutPhysicsProvider(t *testing.T) {
 	_, o, set := case9Data(t, 6)
-	m := New(o.Lay, DefaultConfig())
+	m := New(o.Lay, defaultConfig())
 	if _, err := Train(m, nil, set, TrainConfig{Epochs: 1}); err == nil {
 		t.Fatal("expected error when physics provider missing")
 	}

@@ -75,17 +75,6 @@ func (r Range) normVal(v float64, j int) float64 {
 	return (v - r.Min[j]) / s
 }
 
-// Denormalize maps normalized values back to physical units.
-func (r Range) Denormalize(m *la.Matrix) *la.Matrix {
-	out := la.NewMatrix(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(i, j, r.denormVal(m.At(i, j), j))
-		}
-	}
-	return out
-}
-
 // DenormalizeVec maps one normalized row back to physical units.
 func (r Range) DenormalizeVec(v la.Vector) la.Vector {
 	out := make(la.Vector, len(v))

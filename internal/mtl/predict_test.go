@@ -70,7 +70,7 @@ const densePredictAllocs = 34
 // allocations per Predict than the dense kernel made.
 func BenchmarkPredict(b *testing.B) {
 	lay := layoutFor(118, 54, 186)
-	m := New(lay, DefaultConfig())
+	m := New(lay, defaultConfig())
 	m.Norm = Normalizer{
 		In:  identityRange(2 * lay.NB),
 		X:   identityRange(lay.NX),

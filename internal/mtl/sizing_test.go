@@ -58,7 +58,7 @@ func TestTrunkWidthsScaleAware(t *testing.T) {
 // shape contract cmd/train snapshots rely on.
 func TestModelBuildsAtPaperScale(t *testing.T) {
 	lay := layoutFor(300, 69, 411)
-	m := New(lay, DefaultConfig())
+	m := New(lay, defaultConfig())
 	count := func(m *Model) int {
 		n := 0
 		for _, p := range m.Params() {
@@ -68,7 +68,7 @@ func TestModelBuildsAtPaperScale(t *testing.T) {
 	}
 	// The capped trunk must be materially smaller than the paper's
 	// uncapped linear rule at this scale.
-	uncapped := DefaultConfig()
+	uncapped := defaultConfig()
 	uncapped.TrunkWidths = []int{600, 720, 840, 960, 1080}
 	if n, nu := count(m), count(New(lay, uncapped)); n >= nu*3/4 {
 		t.Fatalf("capped model has %d parameters vs %d uncapped — sizing cap not effective", n, nu)

@@ -203,7 +203,7 @@ const loadAllocBudget = 1 << 20
 // more than loadAllocBudget.
 func BenchmarkModelLoad(b *testing.B) {
 	lay := layoutFor(118, 54, 186)
-	src := New(lay, DefaultConfig())
+	src := New(lay, defaultConfig())
 	rng := rand.New(rand.NewSource(118))
 	norm, _ := normParams(&src.Norm, lay)
 	for _, p := range norm {

@@ -41,22 +41,3 @@ func (c Charbonnier) Eval(pred, target *la.Matrix) (float64, *la.Matrix) {
 	}
 	return loss / n, grad
 }
-
-// MSE is the mean squared error, (1/N)·Σ (pred−target)².
-type MSE struct{}
-
-// Eval returns the scalar loss and ∂L/∂pred.
-func (MSE) Eval(pred, target *la.Matrix) (float64, *la.Matrix) {
-	if pred.Rows != target.Rows || pred.Cols != target.Cols {
-		panic("nn: MSE shape mismatch")
-	}
-	n := float64(pred.Rows * pred.Cols)
-	grad := la.NewMatrix(pred.Rows, pred.Cols)
-	var loss float64
-	for i, p := range pred.Data {
-		d := p - target.Data[i]
-		loss += d * d
-		grad.Data[i] = 2 * d / n
-	}
-	return loss / n, grad
-}

@@ -462,14 +462,6 @@ func (o *OPF) costGrad(x la.Vector) (float64, la.Vector) {
 	return f, df
 }
 
-// Constraints evaluates g(x) and h(x) (nonlinear rows only) at x — used
-// by tests and by the physics-informed losses.
-func (o *OPF) Constraints(x la.Vector) (g, h la.Vector) {
-	g, _ = o.equality(x, false)
-	h, _ = o.inequality(x, false)
-	return g, h
-}
-
 // Problem returns the mips problem description Solve hands to the
 // interior-point solver, backed by a private evaluation scratch (not
 // the shared pool, so callers may hold it as long as they like). It is
@@ -564,68 +556,6 @@ func appendBranchReal(jb *sparse.Builder, m *grid.BranchMatReal, rowOff, colOff 
 	for l := range m.F {
 		jb.Append(rowOff+l, colOff+m.F[l], m.Vf[l])
 		jb.Append(rowOff+l, colOff+m.T[l], m.Vt[l])
-	}
-}
-
-// hessian assembles ∇²f + Σλ∇²g + Σµ∇²h in the packed x layout.
-func (o *OPF) hessian(x la.Vector, lam, mu la.Vector) *sparse.CSC {
-	lay := o.Lay
-	nb := lay.NB
-	base := o.Case.BaseMVA
-	v := o.voltages(x)
-	hb := sparse.NewBuilder(lay.NX, lay.NX)
-
-	// Cost block (diagonal in Pg).
-	for g, gen := range o.gens {
-		if d2 := gen.Cost.Deriv2() * base * base; d2 != 0 {
-			hb.Append(lay.PgOff+g, lay.PgOff+g, o.on(g)*d2)
-		}
-	}
-
-	// Power-balance block.
-	lamP := make([]complex128, nb)
-	lamQ := make([]complex128, nb)
-	for i := 0; i < nb; i++ {
-		lamP[i] = complex(lam[i], 0)
-		lamQ[i] = complex(lam[nb+i], 0)
-	}
-	paa, pav, pva, pvv := grid.D2SbusDV2(o.Y.Ybus, v, lamP)
-	qaa, qav, qva, qvv := grid.D2SbusDV2(o.Y.Ybus, v, lamQ)
-	appendRealImagSum(hb, paa, qaa, lay.VaOff, lay.VaOff)
-	appendRealImagSum(hb, pav, qav, lay.VaOff, lay.VmOff)
-	appendRealImagSum(hb, pva, qva, lay.VmOff, lay.VaOff)
-	appendRealImagSum(hb, pvv, qvv, lay.VmOff, lay.VmOff)
-
-	// Branch-flow block.
-	nlr := lay.NLRated
-	if nlr > 0 && len(mu) == 2*nlr {
-		dSfVa, dSfVm, dStVa, dStVm, sf, st := grid.DSbrDV(o.ratedY, v)
-		muF := mu[:nlr]
-		muT := mu[nlr:]
-		faa, fav, fva, fvv := grid.D2ASbrDV2(dSfVa, dSfVm, sf, o.ratedY.Yf, true, v, muF)
-		taa, tav, tva, tvv := grid.D2ASbrDV2(dStVa, dStVm, st, o.ratedY.Yt, false, v, muT)
-		hb.AppendCSC(lay.VaOff, lay.VaOff, 1, faa)
-		hb.AppendCSC(lay.VaOff, lay.VmOff, 1, fav)
-		hb.AppendCSC(lay.VmOff, lay.VaOff, 1, fva)
-		hb.AppendCSC(lay.VmOff, lay.VmOff, 1, fvv)
-		hb.AppendCSC(lay.VaOff, lay.VaOff, 1, taa)
-		hb.AppendCSC(lay.VaOff, lay.VmOff, 1, tav)
-		hb.AppendCSC(lay.VmOff, lay.VaOff, 1, tva)
-		hb.AppendCSC(lay.VmOff, lay.VmOff, 1, tvv)
-	}
-	return hb.ToCSC()
-}
-
-func appendRealImagSum(hb *sparse.Builder, re, im *sparse.CSCComplex, rowOff, colOff int) {
-	for j := 0; j < re.NCols; j++ {
-		for p := re.ColPtr[j]; p < re.ColPtr[j+1]; p++ {
-			hb.Append(rowOff+re.RowIdx[p], colOff+j, real(re.Val[p]))
-		}
-	}
-	for j := 0; j < im.NCols; j++ {
-		for p := im.ColPtr[j]; p < im.ColPtr[j+1]; p++ {
-			hb.Append(rowOff+im.RowIdx[p], colOff+j, imag(im.Val[p]))
-		}
 	}
 }
 

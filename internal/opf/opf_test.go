@@ -30,6 +30,33 @@ func TestCase9KnownOptimum(t *testing.T) {
 	}
 }
 
+// TestPublishedOptima pins cold optima at nominal load to the precision
+// the published values are quoted with: within half a unit of the last
+// quoted digit. case57 runs with every RateA zeroed, the configuration
+// Matpower documents; its derived ratings bind and move the optimum to
+// 42,065.93.
+func TestPublishedOptima(t *testing.T) {
+	unrated := grid.Case57()
+	for l := range unrated.Branches {
+		unrated.Branches[l].RateA = 0
+	}
+	for _, tc := range []struct {
+		c    *grid.Case
+		want float64
+	}{
+		{grid.Case9(), 5296.69},
+		{unrated, 41737.79},
+		{grid.Case118(), 129660.69},
+	} {
+		if r := solveCase(t, tc.c); math.Abs(r.Cost-tc.want) > 0.005 {
+			t.Errorf("%s: cold optimum %.3f, want %.2f ± 0.005", tc.c.Name, r.Cost, tc.want)
+		}
+	}
+}
+
+// case14 reads 8,081.420 against the published 8,081.53 (1.4e-5 off),
+// so it keeps a 1 % check until its provenance is settled (ROADMAP
+// 8(d)).
 func TestCase14KnownOptimum(t *testing.T) {
 	r := solveCase(t, grid.Case14())
 	if math.Abs(r.Cost-8081.53)/8081.53 > 0.01 {
@@ -51,7 +78,8 @@ func TestSolutionFeasibility(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		g, h := o.Constraints(r.X)
+		g, _ := o.Equality(r.X)
+		h, _ := o.Inequality(r.X)
 		if g.NormInf() > 1e-5 {
 			t.Errorf("%s: power balance violated by %v", c.Name, g.NormInf())
 		}

@@ -120,7 +120,7 @@ func TestIslandingClassification(t *testing.T) {
 			if err := cc.Normalize(); err != nil {
 				t.Fatal(err)
 			}
-			if grid.Connected(cc) {
+			if grid.ConnectedWithout(cc, nil) {
 				t.Fatalf("%s: rebuilt BFS disagrees on bridge %d", tc.name, b)
 			}
 		}

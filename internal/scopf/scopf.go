@@ -487,7 +487,7 @@ func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers in
 				outaged = true
 			}
 		}
-		if outaged && !grid.Connected(c) {
+		if outaged && !grid.ConnectedWithout(c, nil) {
 			out[i] = Outcome{Scenario: sc, Islanded: true}
 			return nil
 		}

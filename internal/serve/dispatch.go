@@ -102,8 +102,8 @@ func (s *Server) execute(j *job) *SolveResponse {
 	t0 := time.Now()
 	resp := &SolveResponse{System: j.st.sys.Name, Path: "cold"}
 	// One derivation serves both the model input and the solver: the
-	// Perturb'd instance's case is the scaled clone InstanceInput would
-	// otherwise rebuild.
+	// Perturb'd instance's case is the scaled clone the model input is
+	// packed from.
 	inst := j.st.sys.OPF.Perturb(j.factors)
 	var input []float64
 	var r *opf.Result

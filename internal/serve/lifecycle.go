@@ -42,14 +42,6 @@ func (s *Server) AttachLifecycle(name string, mgr *lifecycle.Manager, auto bool)
 	return nil
 }
 
-// Lifecycle returns the manager attached to a system, nil if none.
-func (s *Server) Lifecycle(name string) *lifecycle.Manager {
-	if st, ok := s.systems[name]; ok {
-		return st.lc
-	}
-	return nil
-}
-
 // ServingVersion reports the version tag of a system's active model
 // ("" for cold-only systems).
 func (s *Server) ServingVersion(name string) string {
@@ -90,17 +82,6 @@ func (s *Server) swap(st *systemState, mv *modelVersion, version string) {
 	s.met.inc(s.met.lcSwaps, 1, st.sys.Name)
 }
 
-// SwapPredictors is SwapModel with an explicit predictor — the test
-// seam for forcing warm-start outcomes across a hot swap.
-func (s *Server) SwapPredictors(name string, p opf.Predictor, version string) error {
-	st, ok := s.systems[name]
-	if !ok {
-		return fmt.Errorf("serve: swap on unknown system %q", name)
-	}
-	s.swap(st, newPredictorVersion(p, version), version)
-	return nil
-}
-
 // StartCanary opens a canary window serving the attached manager's
 // candidate model (installed by Manager.Retrain or BeginCanaryWith) on
 // the manager's configured traffic fraction. Warm requests are split
@@ -125,26 +106,6 @@ func (s *Server) StartCanary(name string) error {
 	}
 	st.canary.Store(&canaryRun{cand: newModelVersion(cand, version), ctl: ctl})
 	return nil
-}
-
-// StartCanaryPredictors opens a canary window with an explicit
-// candidate predictor and controller — the test seam. It does not need
-// an attached lifecycle manager; without one, promotion swaps the active
-// version and rollback discards the candidate, with no registry
-// bookkeeping.
-func (s *Server) StartCanaryPredictors(name string, p opf.Predictor, version string, ctl *lifecycle.Canary) error {
-	st, ok := s.systems[name]
-	if !ok {
-		return fmt.Errorf("serve: canary on unknown system %q", name)
-	}
-	st.canary.Store(&canaryRun{cand: newPredictorVersion(p, version), ctl: ctl})
-	return nil
-}
-
-// CanaryActive reports whether a canary window is open on a system.
-func (s *Server) CanaryActive(name string) bool {
-	st, ok := s.systems[name]
-	return ok && st.canary.Load() != nil
 }
 
 // maybeFinishCanary closes the canary window when its arms have enough

@@ -426,7 +426,7 @@ func TestCanaryIdenticalWeightsBitIdentical(t *testing.T) {
 
 	scale := 1.015
 	factors := uniform(sys.Case.NB(), scale)
-	ref := sys.SolveWarm(m, factors, sys.InstanceInput(factors))
+	ref := sys.SolveWarm(m, factors, dataset.InputVector(sys.OPF.Perturb(factors).Case))
 	if !ref.Converged {
 		t.Fatal("reference warm solve did not converge")
 	}

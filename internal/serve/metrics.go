@@ -147,8 +147,8 @@ type metrics struct {
 	trajectoryStepLatency                                                *histogram
 
 	// Lifecycle event counters, per system: hot swaps applied to the
-	// serving model version (SwapModel, SwapPredictors or a canary
-	// promotion), drift-detector firings, canary-scored solves per arm
+	// serving model version (SwapModel or a canary promotion),
+	// drift-detector firings, canary-scored solves per arm
 	// and canary window outcomes. Gauge-like lifecycle state (captured
 	// records, retrains, …) is snapshotted from the attached managers at
 	// render time instead.

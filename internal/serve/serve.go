@@ -201,13 +201,6 @@ func (s *Server) AddSystemVersion(sys *core.System, m *mtl.Model, version string
 	s.addSystem(sys, newModelVersion(m, version))
 }
 
-// AddSystemPredictors registers a base grid with an explicit predictor
-// (nil for cold-only), called from every worker at once. Tests use it to
-// force warm-start outcomes; AddSystem is the production path.
-func (s *Server) AddSystemPredictors(sys *core.System, p opf.Predictor) {
-	s.addSystem(sys, newPredictorVersion(p, "p-fixed"))
-}
-
 func (s *Server) addSystem(sys *core.System, mv *modelVersion) {
 	st := &systemState{sys: sys}
 	if mv != nil {
@@ -235,13 +228,6 @@ func newModelVersion(m *mtl.Model, version string) *modelVersion {
 	}
 	m.Release()
 	return &modelVersion{version: version, pred: m}
-}
-
-func newPredictorVersion(p opf.Predictor, version string) *modelVersion {
-	if p == nil {
-		return nil
-	}
-	return &modelVersion{version: version, pred: p}
 }
 
 // Handler returns the HTTP handler serving the API.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/la"
 	"repro/internal/mtl"
 	"repro/internal/opf"
@@ -240,7 +241,7 @@ func TestWarmMatchesOffline(t *testing.T) {
 		t.Fatalf("path = %q, want a warm-pipeline path", resp.Path)
 	}
 
-	ref := sys.SolveWarm(m, factors, sys.InstanceInput(factors))
+	ref := sys.SolveWarm(m, factors, dataset.InputVector(sys.OPF.Perturb(factors).Case))
 	if resp.WarmConverged != ref.Converged {
 		t.Fatalf("served warm_converged=%v, offline %v", resp.WarmConverged, ref.Converged)
 	}
@@ -509,7 +510,7 @@ func TestConcurrentDeterminism(t *testing.T) {
 	refs := make([]*core.WarmOutcome, len(scales))
 	for i, sc := range scales {
 		f := uniform(sys.Case.NB(), sc)
-		refs[i] = sys.SolveWarm(m, f, sys.InstanceInput(f))
+		refs[i] = sys.SolveWarm(m, f, dataset.InputVector(sys.OPF.Perturb(f).Case))
 	}
 
 	type result struct {

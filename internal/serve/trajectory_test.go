@@ -132,10 +132,11 @@ func TestTrajectoryStreamReplay(t *testing.T) {
 		RampDown: ramp,
 		Workers:  1,
 	}
-	ref, err := r.Run(traj)
+	out, err := r.RunBatch([]*horizon.Trajectory{traj})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := out[0]
 
 	for i, sr := range ref.Steps {
 		ln := got[i]
@@ -208,10 +209,11 @@ func TestTrajectoryPredictReplay(t *testing.T) {
 		Predictor: stub,
 		Workers:   1,
 	}
-	ref, err := r.Run(traj)
+	out, err := r.RunBatch([]*horizon.Trajectory{traj})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := out[0]
 	for i, sr := range ref.Steps {
 		ln := got[i]
 		if ln.Converged != sr.Converged || ln.Warm != sr.WarmUsed ||

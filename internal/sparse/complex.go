@@ -15,9 +15,6 @@ type CSCComplex struct {
 	Val          []complex128
 }
 
-// NNZ returns the number of stored entries.
-func (a *CSCComplex) NNZ() int { return len(a.Val) }
-
 // BuilderC accumulates complex coordinate entries; duplicates sum on ToCSC.
 type BuilderC struct {
 	nrows, ncols int
@@ -127,33 +124,6 @@ func (a *CSCComplex) MulVec(x []complex128) []complex128 {
 	return y
 }
 
-// MulVecT returns aᵀ*x (pure transpose, no conjugation).
-func (a *CSCComplex) MulVecT(x []complex128) []complex128 {
-	if len(x) != a.NRows {
-		panic("sparse: complex MulVecT dim")
-	}
-	y := make([]complex128, a.NCols)
-	for j := 0; j < a.NCols; j++ {
-		var s complex128
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			s += a.Val[p] * x[a.RowIdx[p]]
-		}
-		y[j] = s
-	}
-	return y
-}
-
-// T returns the pure transpose aᵀ (no conjugation) as a new matrix.
-func (a *CSCComplex) T() *CSCComplex {
-	b := NewBuilderC(a.NCols, a.NRows)
-	for j := 0; j < a.NCols; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			b.Append(j, a.RowIdx[p], a.Val[p])
-		}
-	}
-	return b.ToCSC()
-}
-
 // Conj conjugates every entry in place and returns a.
 func (a *CSCComplex) Conj() *CSCComplex {
 	for i, v := range a.Val {
@@ -227,38 +197,4 @@ func (a *CSCComplex) Clone() *CSCComplex {
 		RowIdx: append([]int(nil), a.RowIdx...),
 		Val:    append([]complex128(nil), a.Val...),
 	}
-}
-
-// At returns element (i, j).
-func (a *CSCComplex) At(i, j int) complex128 {
-	lo, hi := a.ColPtr[j], a.ColPtr[j+1]
-	seg := a.RowIdx[lo:hi]
-	k := sort.SearchInts(seg, i)
-	if k < len(seg) && seg[k] == i {
-		return a.Val[lo+k]
-	}
-	return 0
-}
-
-// RealPart extracts Re(a) as a real CSC matrix (explicit zeros kept so the
-// pattern stays aligned with the complex parent).
-func (a *CSCComplex) RealPart() *CSC {
-	b := NewBuilder(a.NRows, a.NCols)
-	for j := 0; j < a.NCols; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			b.Append(a.RowIdx[p], j, real(a.Val[p]))
-		}
-	}
-	return b.ToCSC()
-}
-
-// ImagPart extracts Im(a) as a real CSC matrix.
-func (a *CSCComplex) ImagPart() *CSC {
-	b := NewBuilder(a.NRows, a.NCols)
-	for j := 0; j < a.NCols; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			b.Append(a.RowIdx[p], j, imag(a.Val[p]))
-		}
-	}
-	return b.ToCSC()
 }

@@ -36,9 +36,6 @@ type CSC struct {
 	Val          []float64 // len nnz
 }
 
-// NNZ returns the number of stored entries.
-func (a *CSC) NNZ() int { return len(a.Val) }
-
 // Builder accumulates coordinate-form entries; duplicates are summed when
 // the matrix is compiled with ToCSC.
 type Builder struct {
@@ -153,47 +150,6 @@ func sortColSeg(rows []int, vals []float64) {
 	sort.Stable(colSeg{rows, vals})
 }
 
-// Identity returns the n×n identity in CSC form.
-func Identity(n int) *CSC {
-	a := &CSC{NRows: n, NCols: n, ColPtr: make([]int, n+1), RowIdx: make([]int, n), Val: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		a.ColPtr[i+1] = i + 1
-		a.RowIdx[i] = i
-		a.Val[i] = 1
-	}
-	return a
-}
-
-// Diag returns a square diagonal matrix with d on the diagonal.
-func Diag(d la.Vector) *CSC {
-	n := len(d)
-	a := &CSC{NRows: n, NCols: n, ColPtr: make([]int, n+1), RowIdx: make([]int, n), Val: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		a.ColPtr[i+1] = i + 1
-		a.RowIdx[i] = i
-		a.Val[i] = d[i]
-	}
-	return a
-}
-
-// MulVec returns a*x.
-func (a *CSC) MulVec(x la.Vector) la.Vector {
-	if len(x) != a.NCols {
-		panic(fmt.Sprintf("sparse: MulVec dims %dx%d · %d", a.NRows, a.NCols, len(x)))
-	}
-	y := make(la.Vector, a.NRows)
-	for j := 0; j < a.NCols; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			y[a.RowIdx[p]] += a.Val[p] * xj
-		}
-	}
-	return y
-}
-
 // MulVecInto computes dst = a·x without allocating. dst must have
 // length NRows and must not alias x.
 func (a *CSC) MulVecInto(dst, x la.Vector) {
@@ -243,92 +199,4 @@ func (a *CSC) MulVecTInto(dst, x la.Vector) {
 		}
 		dst[j] = s
 	}
-}
-
-// T returns the transpose as a new CSC matrix.
-func (a *CSC) T() *CSC {
-	b := NewBuilder(a.NCols, a.NRows)
-	for j := 0; j < a.NCols; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			b.Append(j, a.RowIdx[p], a.Val[p])
-		}
-	}
-	return b.ToCSC()
-}
-
-// Scale multiplies every stored value by s and returns a.
-func (a *CSC) Scale(s float64) *CSC {
-	for i := range a.Val {
-		a.Val[i] *= s
-	}
-	return a
-}
-
-// DiagScaleLeft scales row i of a by d[i] in place (a = diag(d)·a).
-func (a *CSC) DiagScaleLeft(d la.Vector) *CSC {
-	if len(d) != a.NRows {
-		panic("sparse: DiagScaleLeft dim")
-	}
-	for p, i := range a.RowIdx {
-		a.Val[p] *= d[i]
-	}
-	return a
-}
-
-// DiagScaleRight scales column j of a by d[j] in place (a = a·diag(d)).
-func (a *CSC) DiagScaleRight(d la.Vector) *CSC {
-	if len(d) != a.NCols {
-		panic("sparse: DiagScaleRight dim")
-	}
-	for j := 0; j < a.NCols; j++ {
-		dj := d[j]
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			a.Val[p] *= dj
-		}
-	}
-	return a
-}
-
-// AddScaled returns a + s·b as a new matrix. Shapes must match.
-func (a *CSC) AddScaled(s float64, other *CSC) *CSC {
-	if a.NRows != other.NRows || a.NCols != other.NCols {
-		panic("sparse: AddScaled shape mismatch")
-	}
-	b := NewBuilder(a.NRows, a.NCols)
-	b.AppendCSC(0, 0, 1, a)
-	b.AppendCSC(0, 0, s, other)
-	return b.ToCSC()
-}
-
-// At returns element (i, j); O(log nnz(col j)).
-func (a *CSC) At(i, j int) float64 {
-	lo, hi := a.ColPtr[j], a.ColPtr[j+1]
-	seg := a.RowIdx[lo:hi]
-	k := sort.SearchInts(seg, i)
-	if k < len(seg) && seg[k] == i {
-		return a.Val[lo+k]
-	}
-	return 0
-}
-
-// ToDense expands a into a dense matrix.
-func (a *CSC) ToDense() *la.Matrix {
-	m := la.NewMatrix(a.NRows, a.NCols)
-	for j := 0; j < a.NCols; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			m.Add(a.RowIdx[p], j, a.Val[p])
-		}
-	}
-	return m
-}
-
-// Clone returns a deep copy of a.
-func (a *CSC) Clone() *CSC {
-	c := &CSC{
-		NRows: a.NRows, NCols: a.NCols,
-		ColPtr: append([]int(nil), a.ColPtr...),
-		RowIdx: append([]int(nil), a.RowIdx...),
-		Val:    append([]float64(nil), a.Val...),
-	}
-	return c
 }

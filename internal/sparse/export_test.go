@@ -30,3 +30,19 @@ func MatchMinDegree(a *CSC) error { return matchMinDegree(a) }
 
 // MinDegreeFixtures returns the random patterns the ordering tests run on.
 func MinDegreeFixtures(seed int64) []kernelFixture { return minDegreeFixtures(seed) }
+
+// Supernodes returns the number of supernodes and the number of columns
+// inside those at least two columns wide.
+func (s *LDLSymbolic) Supernodes() (count, panelCols int) {
+	count = len(s.snStart) - 1
+	for sn := 0; sn < count; sn++ {
+		if w := s.snStart[sn+1] - s.snStart[sn]; w > 1 {
+			panelCols += w
+		}
+	}
+	return count, panelCols
+}
+
+// Updates returns the number of source→destination supernode updates
+// one factorization applies: the entries of every update program.
+func (s *LDLSymbolic) Updates() int { return len(s.upd) }

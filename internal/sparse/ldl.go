@@ -368,25 +368,6 @@ func (s *LDLSymbolic) Slots(a *CSC) []int32 {
 // PatternNNZ returns the stored entries of the analyzed matrix pattern.
 func (s *LDLSymbolic) PatternNNZ() int { return len(s.pat.rowIdx) }
 
-// PatternMatches reports whether a has exactly the analyzed pattern.
-func (s *LDLSymbolic) PatternMatches(a *CSC) bool { return s.pat.matches(a) }
-
-// Supernodes returns the number of supernodes and the number of columns
-// inside those at least two columns wide.
-func (s *LDLSymbolic) Supernodes() (count, panelCols int) {
-	count = len(s.snStart) - 1
-	for sn := 0; sn < count; sn++ {
-		if w := s.snStart[sn+1] - s.snStart[sn]; w > 1 {
-			panelCols += w
-		}
-	}
-	return count, panelCols
-}
-
-// Updates returns the number of source→destination supernode updates
-// one factorization applies: the entries of every update program.
-func (s *LDLSymbolic) Updates() int { return len(s.upd) }
-
 // Flops returns the floating-point operations of one factorization:
 // column j with c entries below its pivot updates the c(c+1)/2 entries
 // at and below each of them, a multiply and an add per entry, and
@@ -792,13 +773,6 @@ func panelUpdate(acc1, acc2, lx []float64, lp []int, d []float64, j, e int) {
 			acc2[t] += x0 * v0
 		}
 	}
-}
-
-// Solve solves A·x = b with the factorization. b is not modified.
-func (f *LDLFactors) Solve(b la.Vector) la.Vector {
-	x := make(la.Vector, len(b))
-	f.SolveInto(x, b, make(la.Vector, len(b)))
-	return x
 }
 
 // SolveInto solves A·x = b into dst without allocating. work is an

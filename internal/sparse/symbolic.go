@@ -254,10 +254,3 @@ func (h *CacheHandle) FactorizePacked(slot *FactorSlot, sym *LDLSymbolic, v []fl
 	}
 	return &slot.f, nil
 }
-
-// FactorizeInto is FactorizePacked of the symmetric part of a, loaded
-// into the packed layout of its Analysis as FactorInto loads it.
-func (h *CacheHandle) FactorizeInto(slot *FactorSlot, a *CSC) (*LDLFactors, error) {
-	sym := h.Analysis(a)
-	return h.FactorizePacked(slot, sym, slot.f.load(sym, a))
-}

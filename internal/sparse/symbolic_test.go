@@ -62,7 +62,7 @@ func TestRefactorSameMatrixBitIdentical(t *testing.T) {
 		for i := range rhs {
 			rhs[i] = r.NormFloat64()
 		}
-		x0, x1 := f0.Solve(rhs), f1.Solve(rhs)
+		x0, x1 := solve(f0, rhs), solve(f1, rhs)
 		for i := range x0 {
 			if x0[i] != x1[i] {
 				t.Fatalf("trial %d: refactor solve differs at %d: %v != %v", trial, i, x0[i], x1[i])
@@ -95,7 +95,7 @@ func TestRefactorAgainstDenseReference(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if fac.Solve(rhs).Sub(xd).NormInf() > 1e-9*(1+xd.NormInf()) {
+			if solve(fac, rhs).AddScaled(-1, xd).NormInf() > 1e-9*(1+xd.NormInf()) {
 				return false
 			}
 		}
@@ -145,7 +145,7 @@ func TestOrderingPermutationRoundTrip(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if fac.Solve(rhs).Sub(x).NormInf() > 1e-8 {
+			if solve(fac, rhs).AddScaled(-1, x).NormInf() > 1e-8 {
 				return false
 			}
 		}
@@ -204,7 +204,7 @@ func TestSymbolicCacheReuseAndStats(t *testing.T) {
 	if st, want := c.Stats(), (CacheStats{Analyses: 1, Refactors: 2, Orderings: 1}); st != want {
 		t.Fatalf("cache stats = %+v, want %+v", st, want)
 	}
-	if sym := c.Symbolic(); sym == nil || !sym.PatternMatches(a1) || sym.PatternNNZ() != a1.NNZ() {
+	if sym := c.Symbolic(); sym == nil || !sym.pat.matches(a1) || sym.PatternNNZ() != len(a1.Val) {
 		t.Fatal("the cache should publish the analysis of the first pattern it met")
 	}
 }
@@ -247,7 +247,7 @@ func TestSymbolicCacheSecondPatternStaysPrivate(t *testing.T) {
 					return
 				}
 				if i%2 == 1 {
-					if d := f.Solve(rhs).Sub(x).NormInf(); d > 1e-8 {
+					if d := solve(f, rhs).AddScaled(-1, x).NormInf(); d > 1e-8 {
 						t.Errorf("second-pattern solve off by %g", d)
 					}
 				}
@@ -325,8 +325,8 @@ func TestSymbolicCacheUnstableFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := fac.Solve(la.Vector{1, 2})
-	if res := good.MulVec(x).Sub(la.Vector{1, 2}).NormInf(); res > 1e-9 {
+	x := solve(fac, la.Vector{1, 2})
+	if res := good.MulVec(x).AddScaled(-1, la.Vector{1, 2}).NormInf(); res > 1e-9 {
 		t.Fatalf("solve residual %v", res)
 	}
 	h.Close()
@@ -483,7 +483,7 @@ func TestDerivedCacheEmbedsSubPattern(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d := fac.Solve(m.MulVec(x)).Sub(x).NormInf(); d > 1e-9 {
+				if d := solve(fac, m.MulVec(x)).AddScaled(-1, x).NormInf(); d > 1e-9 {
 					t.Fatalf("derived first %v: solve through the reused slot is off by %g", derivedFirst, d)
 				}
 			}
@@ -571,7 +571,7 @@ func TestDerivedCacheAnalyzesUncontainedPattern(t *testing.T) {
 			!slices.Equal(f.sym.q, w.sym.q) {
 			t.Fatalf("%s: factors differ from a fresh cache's", name)
 		}
-		if d := f.Solve(a.MulVec(x)).Sub(x).NormInf(); d > 1e-8 {
+		if d := solve(f, a.MulVec(x)).AddScaled(-1, x).NormInf(); d > 1e-8 {
 			t.Fatalf("%s: solve off by %g", name, d)
 		}
 	}
