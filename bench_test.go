@@ -22,9 +22,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/casegen"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/grid"
 	"repro/internal/horizon"
 	"repro/internal/la"
 	"repro/internal/mips"
@@ -333,10 +333,11 @@ func BenchmarkAblationDetach(b *testing.B) {
 // them with -benchtime=1x in seconds. The first invocation of either writes
 // BENCH_kkt.json with self-timed numbers for the symbolic-reuse speedups.
 
-// kktBench holds a KKT-shaped matrix of the case14 OPF: Hessian-proxy
-// diagonal plus JhᵀJh on the (1,1) block, bordered by the equality
-// Jacobian — the same proxy kktProxyFor builds, not the reduced system
-// MIPS factors.
+// kktBenchMatrix builds, once, a KKT-shaped matrix of the case14 OPF at
+// its default start: 4·I plus JhᵀJh (Jh the full inequality Jacobian)
+// on the (1,1) block, bordered by the equality Jacobian Jg and Jgᵀ, with
+// an empty (2,2) block. It is a proxy of that shape, not the reduced
+// system MIPS factors (productionKKT assembles that one).
 var (
 	kktOnce   sync.Once
 	kktMatrix *sparse.CSC
@@ -903,11 +904,11 @@ func writeKKTBenchReport(b *testing.B) {
 // degree below. RESULTS.md "KKT fill by ordering" renders the section.
 func productionFill(b *testing.B) map[string]any {
 	systems := map[string]any{}
-	for _, name := range casegen.EmbeddedNames() {
+	for _, name := range grid.Names() {
 		if name == "case1354" && benchSkipLarge() {
 			continue // on-disk row preserved by mergeKKTReport
 		}
-		c, err := casegen.Paper(name)
+		c, err := grid.ByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -989,7 +990,7 @@ func mergeKKTReport(b *testing.B, sections map[string]any) {
 // the number of primal variables: rows from nx on are dual.
 func productionKKT(b *testing.B, name string, steps int) (kkt *sparse.CSC, nx int) {
 	b.Helper()
-	c, err := casegen.Paper(name)
+	c, err := grid.ByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,11 +24,12 @@ import (
 	"log"
 	"math"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/casegen"
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/horizon"
 	"repro/internal/mtl"
 	"repro/internal/opf"
@@ -42,7 +43,7 @@ const maxSteps = 4096
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("horizon: ")
-	caseName := flag.String("case", "case9", "built-in system (case5, case9, case14, case30, case39, case57, case118, case300)")
+	caseName := flag.String("case", "case9", "built-in system ("+strings.Join(grid.Names(), ", ")+")")
 	steps := flag.Int("steps", 12, "trajectory length in dispatch intervals")
 	interval := flag.Float64("interval", 5, "minutes per dispatch interval; scales the per-step ramp window (-ramp is per hour)")
 	modeName := flag.String("mode", "chain", "warm-start mode: chain, predict or cold")
@@ -85,7 +86,7 @@ func main() {
 		log.Fatal("-mode predict needs a trained model: set -train N")
 	}
 
-	c, err := casegen.Paper(*caseName)
+	c, err := grid.ByName(*caseName)
 	if err != nil {
 		log.Fatal(err)
 	}

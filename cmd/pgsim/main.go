@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/casegen"
 	"repro/internal/grid"
 	"repro/internal/opf"
 )
@@ -30,7 +29,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pgsim: ")
-	caseName := flag.String("case", "case9", "built-in system (case5, case9, case14, case30, case39, case57, case118, case300)")
+	caseName := flag.String("case", "case9", "built-in system ("+strings.Join(grid.Names(), ", ")+")")
 	file := flag.String("file", "", "Matpower case file (overrides -case)")
 	scale := flag.String("scale", "1.0", "uniform load scaling factor, or a comma-separated sweep (e.g. 0.9,1.0,1.1)")
 	trace := flag.Bool("trace", false, "print per-iteration convergence trace")
@@ -48,7 +47,7 @@ func main() {
 		c, err = grid.ParseMatpower(f)
 		f.Close()
 	} else {
-		c, err = casegen.Paper(*caseName)
+		c, err = grid.ByName(*caseName)
 	}
 	if err != nil {
 		log.Fatal(err)

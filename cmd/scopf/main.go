@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/casegen"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/la"
@@ -43,7 +42,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("scopf: ")
-	caseName := flag.String("case", "case9", "built-in system (case5, case9, case14, case30, case39, case57, case118, case300)")
+	caseName := flag.String("case", "case9", "built-in system ("+strings.Join(grid.Names(), ", ")+")")
 	nDraws := flag.Int("draws", 4, "number of load draws to cross with the contingencies")
 	seed := flag.Int64("seed", 1, "load-draw sampling seed")
 	spread := flag.Float64("spread", 0.1, "half-width of the load band (0.1 = the paper's ±10 %)")
@@ -67,7 +66,7 @@ func main() {
 	}
 	batch.SetDefaultWorkers(*workers)
 
-	c, err := casegen.Paper(*caseName)
+	c, err := grid.ByName(*caseName)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,8 +33,7 @@ func main() {
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
 	}
-	// Resolve every system upfront — case39's synthetic Table II profile is
-	// built concurrently on the worker pool.
+	// Resolve every system upfront, so a bad name fails before any solve.
 	syss, err := core.LoadSystems(names)
 	if err != nil {
 		log.Fatal(err)

@@ -5,8 +5,7 @@
 // The implementation lives under internal/: the power-grid model and AC
 // power-flow algebra (internal/grid), dense and sparse linear algebra
 // (internal/la; internal/sparse, whose supernodal LDLᵀ factors every
-// interior-point KKT system — DESIGN.md §7, §11), the
-// synthesis of OPF-certified systems (internal/casegen), the MIPS
+// interior-point KKT system — DESIGN.md §7, §11), the MIPS
 // primal–dual interior-point solver with its zero-allocation warm loop (internal/mips), the AC-OPF
 // assembly (internal/opf), the neural-network framework and multitask
 // model (internal/nn, internal/mtl), dataset generation

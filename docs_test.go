@@ -1,8 +1,8 @@
 package smartpgsim_test
 
 // Docs coverage check (run by CI's docs job): the README system matrix
-// and the RESULTS.md comparison must mention every system casegen.Paper
-// exposes, so adding a system to the fleet without documenting it — or
+// and the RESULTS.md comparison must mention every system grid.ByName
+// serves, so adding a system to the fleet without documenting it — or
 // regenerating RESULTS.md from a partial benchmark run — fails fast.
 
 import (
@@ -18,7 +18,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/casegen"
+	"repro/internal/grid"
 )
 
 func mustRead(t *testing.T, path string) string {
@@ -36,11 +36,11 @@ func mentions(doc, name string) bool {
 	return regexp.MustCompile(`\b` + regexp.QuoteMeta(name) + `\b`).MatchString(doc)
 }
 
-// TestDocsSystemMatrixCoverage: README.md must name every paper system
-// (the "Embedded systems" matrix plus the synthesized case39 row).
+// TestDocsSystemMatrixCoverage: README.md's system matrix must name
+// every embedded system.
 func TestDocsSystemMatrixCoverage(t *testing.T) {
 	readme := mustRead(t, "README.md")
-	for _, name := range casegen.SensitivitySystemNames() {
+	for _, name := range grid.Names() {
 		if !mentions(readme, name) {
 			t.Errorf("README.md does not mention %s (system matrix out of date?)", name)
 		}
@@ -62,13 +62,28 @@ func TestResultsCoverage(t *testing.T) {
 	}
 }
 
-// TestEmbeddedNamesResolve: every name EmbeddedNames advertises must
-// resolve through Paper (the docs and benches iterate this list).
+// TestEmbeddedNamesResolve: every name grid.Names lists (the list the
+// docs, the benches and the fleet tests iterate) resolves through
+// grid.ByName to a fresh copy of a system of that name, the list runs in
+// size order, and an unknown name is an error.
 func TestEmbeddedNamesResolve(t *testing.T) {
-	for _, name := range casegen.EmbeddedNames() {
-		if _, err := casegen.Paper(name); err != nil {
-			t.Errorf("EmbeddedNames lists %s but Paper fails: %v", name, err)
+	prev := 0
+	for _, name := range grid.Names() {
+		c, err := grid.ByName(name)
+		if err != nil {
+			t.Fatalf("grid.Names lists %s but ByName fails: %v", name, err)
 		}
+		if c.Name != name || c.NB() <= prev {
+			t.Fatalf("ByName(%s): name %s, %d buses after %d", name, c.Name, c.NB(), prev)
+		}
+		prev = c.NB()
+		c.Buses[0].Pd++
+		if again, _ := grid.ByName(name); again.Buses[0].Pd == c.Buses[0].Pd {
+			t.Fatalf("ByName(%s) shares data between calls", name)
+		}
+	}
+	if _, err := grid.ByName("case9999"); err == nil {
+		t.Error("unknown system accepted")
 	}
 }
 
@@ -76,14 +91,16 @@ func TestEmbeddedNamesResolve(t *testing.T) {
 // frozen data that no command regenerates, so their headers point at
 // cases.go's provenance and no document sends a reader to a generator.
 func TestFrozenTablesNameNoGenerator(t *testing.T) {
-	for _, table := range []string{"internal/grid/cases300.go", "internal/grid/cases1354.go"} {
+	for _, table := range []string{"internal/grid/cases39.go", "internal/grid/cases300.go", "internal/grid/cases1354.go"} {
 		if src := mustRead(t, table); !mentions(src, "Frozen synthesis, see cases.go") || mentions(src, "regenerate") {
 			t.Errorf("%s does not say it is a frozen synthesis that nothing regenerates", table)
 		}
 	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
-		if mentions(mustRead(t, doc), "internal/grid/gen") {
-			t.Errorf("%s names internal/grid/gen, which no longer exists", doc)
+		for _, gone := range []string{"internal/grid/gen", "internal/casegen"} {
+			if mentions(mustRead(t, doc), gone) {
+				t.Errorf("%s names %s, which no longer exists", doc, gone)
+			}
 		}
 	}
 }
@@ -264,9 +281,7 @@ var apiAllowlist = map[string]string{
 	"lifecycle.Manager.BeginCanaryWith": "ROADMAP item 10 decides internal/lifecycle as a whole",
 	"serve.Server.SwapModel":            "the hot swap item 10 keeps either way; TestHotSwapNoDroppedOrMixedResponses and BenchmarkLifecycle drive it",
 	"mips.Stepper.Assemble":             "item 5's seam between assemble and factor; BenchmarkNewtonSystem and the root harness meter it",
-	"casegen.EmbeddedNames":             "the embedded-system list docs_test.go, the sparse fleet tests and the root harness iterate",
-	"casegen.SensitivitySystemNames":    "Table I's system list, which docs_test.go and the casegen tests check against",
-	"grid.MakeSbus":                     "the bus-injection reference the grid, casegen and opf tests compare against",
+	"grid.MakeSbus":                     "the bus-injection reference the grid and opf tests compare against",
 	"opf.OPF.KKTSymbolic":               "the production KKT analysis opf's ordering tests and the root harness (item 8(e)) measure",
 	"sparse.LDLSymbolic.FactorInto":     "the CSC-input factorization of the sparse tests and the root harness (item 8(e))",
 	"sparse.LDLSymbolic.Flops":          "analysis size reported by opf's ordering tests, the sparse fleet pin and the root harness (item 8(e))",

@@ -1,7 +1,7 @@
 // Package batch is the parallel batch-execution engine behind every
 // embarrassingly-parallel stage of the reproduction: dataset generation,
-// the train/test evaluation sweeps, the Table I ablation grid, the
-// synthetic-system construction of casegen, contingency screening,
+// the train/test evaluation sweeps, the Table I ablation grid,
+// contingency screening,
 // trajectories and the serving daemon's micro-batches all fan their
 // per-case work out through this worker pool.
 //

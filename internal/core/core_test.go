@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,6 +25,42 @@ func TestLoadSystems(t *testing.T) {
 	}
 	if _, err := LoadSystem("nope"); err == nil {
 		t.Fatal("unknown system accepted")
+	}
+}
+
+// TestLoadSystemsMatchesLoadSystem: LoadSystems resolves its names in
+// input order to exactly what LoadSystem returns for each.
+func TestLoadSystemsMatchesLoadSystem(t *testing.T) {
+	names := []string{"case30", "case9", "case39"}
+	syss, err := LoadSystems(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		one, err := LoadSystem(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if syss[i].Name != name || !reflect.DeepEqual(syss[i].Case, one.Case) {
+			t.Fatalf("slot %d: LoadSystems differs from LoadSystem(%s)", i, name)
+		}
+	}
+}
+
+// TestLoadSystemsResolvesNames: LoadSystems keeps its input order and
+// reports an unknown name as an error.
+func TestLoadSystemsResolvesNames(t *testing.T) {
+	syss, err := LoadSystems([]string{"case9", "case5", "case14"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{9, 5, 14} {
+		if nb := syss[i].Case.NB(); nb != want {
+			t.Fatalf("slot %d: %d buses, want %d", i, nb, want)
+		}
+	}
+	if _, err := LoadSystems([]string{"case9", "nope"}); err == nil {
+		t.Fatal("unknown system name not reported")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/casegen"
 	"repro/internal/dataset"
 	"repro/internal/grid"
 	"repro/internal/mtl"
@@ -19,27 +18,25 @@ type System struct {
 	OPF  *opf.OPF
 }
 
-// LoadSystem resolves one of the paper's test systems by name
-// ("case5" … "case300").
+// LoadSystem resolves one of the embedded test systems by name
+// (grid.Names: "case5" … "case1354").
 func LoadSystem(name string) (*System, error) {
-	c, err := casegen.Paper(name)
+	c, err := grid.ByName(name)
 	if err != nil {
 		return nil, err
 	}
 	return &System{Name: name, Case: c, OPF: opf.Prepare(c)}, nil
 }
 
-// LoadSystems resolves several test systems concurrently on the batch
-// worker pool (synthesizing the Table II profiles is the expensive
-// part), in input order.
+// LoadSystems resolves several test systems, in input order.
 func LoadSystems(names []string) ([]*System, error) {
-	cases, err := casegen.Systems(names, 0)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*System, len(cases))
-	for i, c := range cases {
-		out[i] = &System{Name: names[i], Case: c, OPF: opf.Prepare(c)}
+	out := make([]*System, len(names))
+	for i, name := range names {
+		s, err := LoadSystem(name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = s
 	}
 	return out, nil
 }

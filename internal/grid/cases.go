@@ -10,8 +10,8 @@ import "math"
 // transformer taps as the off-nominal Ratio on the from side (0 means a
 // plain line). Each case stores an operating point (bus Vm/Va and
 // generator dispatch): the source file's printed solution, or for
-// case300 and case1354 the certifying OPF optimum of their synthesis,
-// which balances power to rounding.
+// case39, case300 and case1354 the certifying OPF optimum of their
+// synthesis, which balances power to rounding.
 //
 // Provenance by case:
 //
@@ -21,15 +21,16 @@ import "math"
 //   - Case57, Case118: transcribed from the Matpower case57/case118
 //     files (IEEE 57- and 118-bus systems), stored as compact
 //     Matpower-style data tables in cases57.go and cases118.go.
-//   - Case300: the 300-bus evaluation system of the paper's Table II,
-//     embedded in cases300.go as a frozen, deterministic 300-bus grid
-//     with the IEEE 300-bus system's size profile (300 buses, 69
-//     generators, 411 branches). The original case300 file is not
-//     redistributed here; the data was produced once by an earlier
-//     version of the certified synthesis procedure of internal/casegen
-//     and is now static, so it cannot drift with the generator. The
-//     current casegen no longer reproduces it, and nothing regenerates
-//     it.
+//   - Case39, Case300: the 39- and 300-bus evaluation systems of the
+//     paper's Table II, embedded in cases39.go and cases300.go as
+//     frozen, deterministic grids with the IEEE systems' size profiles
+//     (39 buses, 10 generators, 46 branches; 300, 69, 411). The
+//     original case files are not redistributed here. Each grid was
+//     produced once by a synthesis procedure — a preferential-attachment
+//     topology with drawn parameters, certified by a cold solve of its
+//     unrated OPF whose optimum became the stored operating point — and
+//     is now static data. The synthesizer is no longer in the tree (git
+//     history keeps it); nothing regenerates these tables.
 //   - Case1354: the beyond-paper scaling system in cases1354.go, frozen
 //     the same way (the PEGASE 1354-bus element counts).
 //
@@ -38,10 +39,10 @@ import "math"
 // finite ratings. Every embedded system therefore guarantees a fully
 // rated branch set: cases whose source file has ratings (case5, case9,
 // case30) keep them verbatim, and the others derive ratings with
-// RateBranches at ratedHeadroom× the apparent-power flow of the stored
-// operating point, floored at ratedFloorMVA — the same convention
-// internal/casegen certifies synthetic systems with. case14 keeps its
-// unrated source data (the no-flow-constraint regression case).
+// RateBranches at RatedHeadroom× the apparent-power flow of the stored
+// operating point, floored at RatedFloorMVA; the frozen syntheses were
+// rated the same way. case14 keeps its unrated source data (the
+// no-flow-constraint regression case).
 
 // Case9 returns the WSCC 3-machine 9-bus system (file ratings on all
 // branches; provenance and conventions in the comment above).
@@ -326,9 +327,7 @@ func caseFromTables(name string, baseKV, vmax, vmin float64, hv map[int]bool, bu
 }
 
 // Rated-branch derivation constants — the single definition of the
-// convention (see the package comment above). internal/casegen's
-// certify step derives its synthetic ratings from these same values,
-// so embedded and synthesized systems cannot drift apart.
+// convention (see the package comment above).
 const (
 	// RatedHeadroom scales the base-case apparent flow into the branch
 	// rating: base point feasible with ~2× margin, limits binding under

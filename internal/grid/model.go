@@ -9,9 +9,10 @@
 // every serving-daemon request is a scaled clone of a base case, leaving
 // the admittance structure shared (see opf.Rebind).
 //
-// The package also embeds the paper's evaluation fleet — Case5 through
-// Case300, every branch rated — with provenance, units and the
-// rated-branch convention documented once in cases.go.
+// The package also embeds the paper's evaluation fleet, Case5 through
+// Case300, and the beyond-paper Case1354, served by name through ByName,
+// with provenance, units and the rated-branch convention documented
+// once in cases.go.
 package grid
 
 import (

@@ -48,7 +48,8 @@ func (c DriftConfig) withDefaults() DriftConfig {
 // The first Baseline complete windows freeze the reference hit rate and
 // mean iteration count; every later window is compared against them on
 // close. Once fired, the detector stays fired until Reset (the manager
-// resets it after a promotion or rollback re-baselines the model).
+// resets it on the drift event, and again after a promotion or rollback
+// re-baselines the model).
 type Detector struct {
 	mu  sync.Mutex
 	cfg DriftConfig

@@ -16,8 +16,8 @@ const (
 	// StateCapturing: serving on the incumbent, capturing pairs and
 	// watching for drift.
 	StateCapturing State = iota
-	// StateRetraining: drift detected, a candidate is (to be) trained
-	// on the captured pairs.
+	// StateRetraining: a candidate is being trained on the captured
+	// pairs (Retrain is running; it is the only way in).
 	StateRetraining
 	// StateCanary: a candidate is serving a traffic fraction; arms are
 	// being compared.
@@ -176,7 +176,11 @@ func (m *Manager) Canary() *Canary {
 // buffer conversion later, but the tap only sends converged solves),
 // and — while capturing — warm-pipeline outcomes feed the drift
 // detector. Returns ActionRetrain exactly once per drift event, on the
-// observation that closed the firing window.
+// observation that closed the firing window. A drift event leaves the
+// state at capturing — only Retrain enters StateRetraining, and a
+// server that only captures never calls it — and re-baselines the
+// detector on the traffic now arriving, so it keeps watching for the
+// next regime change.
 func (m *Manager) Observe(rec Record) Action {
 	if rec.ModelVersion == "" {
 		m.mu.Lock()
@@ -195,11 +199,11 @@ func (m *Manager) Observe(rec Record) Action {
 	}
 	if m.det.Observe(rec.WarmConverged, rec.Iterations) {
 		m.mu.Lock()
-		m.state = StateRetraining
 		m.driftEvents++
 		m.mu.Unlock()
-		m.logf("drift detected on %s after %d windows (baseline hit rate %.2f) — retraining",
+		m.logf("drift detected on %s after %d windows (baseline hit rate %.2f)",
 			m.cfg.System.Name, m.det.Windows(), firstOf(m.det.Baseline))
+		m.det.Reset()
 		return ActionRetrain
 	}
 	return ActionNone

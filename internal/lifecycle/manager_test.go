@@ -81,8 +81,8 @@ func TestManagerClosedLoop(t *testing.T) {
 	if fired != 23 {
 		t.Fatalf("drift fired at observation %d, want 23 (first degraded window close)", fired)
 	}
-	if mgr.State() != StateRetraining {
-		t.Fatalf("state = %v after drift, want retraining", mgr.State())
+	if mgr.State() != StateCapturing {
+		t.Fatalf("state = %v after drift, want capturing until Retrain runs", mgr.State())
 	}
 	st := mgr.Stats()
 	if st.DriftEvents != 1 || st.Captured != 24 || st.Retained != 24 {
@@ -151,6 +151,44 @@ func TestManagerClosedLoop(t *testing.T) {
 	// The detector re-baselined: fresh windows, not fired.
 	if mgr.Detector().Fired() || mgr.Detector().Windows() != 0 {
 		t.Fatal("promotion did not re-baseline the drift detector")
+	}
+}
+
+// TestManagerCaptureOnlyKeepsWatching: without a retrain (pgsimd
+// -capture-dir without -retrain), a drift event leaves the manager
+// capturing and its detector fed: it re-baselines on the drifted
+// traffic, which then fires no second event.
+func TestManagerCaptureOnlyKeepsWatching(t *testing.T) {
+	sys, _ := loadFixture(t)
+	mgr, err := NewManager(Config{
+		System:  sys,
+		Variant: mtl.VariantSmartPGSim,
+		Clock:   NewFakeClock(),
+		Drift:   DriftConfig{Window: 8, Baseline: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	observe := func(n int, warmConverged bool) (fired int) {
+		for i := 0; i < n; i++ {
+			if mgr.Observe(Record{Warm: true, WarmConverged: warmConverged, Iterations: 5}) == ActionRetrain {
+				fired++
+			}
+		}
+		return fired
+	}
+	if fired := observe(16, true) + observe(8, false); fired != 1 {
+		t.Fatalf("%d drift events on a hit-rate step, want 1", fired)
+	}
+	if mgr.State() != StateCapturing {
+		t.Fatalf("state = %v after drift, want capturing", mgr.State())
+	}
+	if fired := observe(200, false); fired != 0 {
+		t.Fatalf("%d more drift events on stationary traffic, want 0", fired)
+	}
+	if st, w := mgr.Stats(), mgr.Detector().Windows(); st.State != StateCapturing || st.DriftEvents != 1 || w != 25 {
+		t.Fatalf("after 200 more observations: state %v, %d drift events, %d detector windows; want capturing, 1, 25",
+			st.State, st.DriftEvents, w)
 	}
 }
 

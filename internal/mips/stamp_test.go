@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/casegen"
 	"repro/internal/grid"
 	"repro/internal/mips"
 	"repro/internal/opf"
@@ -151,7 +150,7 @@ func TestStampWorkPinned(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("# name slots mults writes; written by go test ./internal/mips -run TestStampWorkPinned -update-work\n")
 	for _, name := range []string{"case5", "case9", "case14", "case30", "case57", "case118", "case300"} {
-		c, err := casegen.Paper(name)
+		c, err := grid.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}

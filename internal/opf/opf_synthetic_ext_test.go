@@ -1,29 +1,26 @@
 package opf_test
 
-// The synthetic-system OPF tests live in the external test package:
-// casegen certifies its systems with opf, so package opf's own tests
-// cannot import it.
+// OPF tests on case39, the frozen synthetic Table II system (the
+// warm-start check runs the IEEE case57 and case118 beside it).
 
 import (
 	"math"
 	"math/cmplx"
 	"testing"
 
-	"repro/internal/casegen"
 	"repro/internal/grid"
 	"repro/internal/opf"
 )
 
 // The warm-start acceleration must hold on the synthetic Table II
-// systems, not only on the embedded IEEE cases (case30 is embedded now,
-// so case39 carries the rated synthetic profile here).
+// system case39, not only on the IEEE cases.
 func TestWarmStartSyntheticSystems(t *testing.T) {
 	names := []string{"case39", "case57"}
 	if !testing.Short() {
 		names = append(names, "case118")
 	}
 	for _, name := range names {
-		c, err := casegen.Paper(name)
+		c, err := grid.ByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -45,16 +42,17 @@ func TestWarmStartSyntheticSystems(t *testing.T) {
 	}
 }
 
-// Rated synthetic systems must respect their flow limits at the optimum.
+// The rated synthetic case39 respects its flow limits at its cold
+// optimum, pinned at 19,077.461 $/hr in 16 iterations.
 func TestSyntheticFlowLimits(t *testing.T) {
-	c, err := casegen.Paper("case39")
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := grid.Case39()
 	o := opf.Prepare(c)
 	r, err := o.Solve(nil, opf.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if math.Abs(r.Cost-19077.461) > 0.005 || r.Iterations != 16 {
+		t.Errorf("cold optimum %.6f in %d iterations, want 19077.461 ± 0.005 in 16", r.Cost, r.Iterations)
 	}
 	y := grid.MakeYbus(c)
 	v := grid.Voltage(r.Vm, r.Va)

@@ -125,12 +125,8 @@ func TestLifecycleClosedLoopServed(t *testing.T) {
 		if resp.Path != "warm_restart" || !resp.Converged {
 			t.Fatalf("degraded request %d: %+v", i, resp)
 		}
-		wantState := lifecycle.StateCapturing
-		if i == 23 {
-			wantState = lifecycle.StateRetraining
-		}
-		if mgr.State() != wantState {
-			t.Fatalf("after request %d: state=%v, want %v", i, mgr.State(), wantState)
+		if mgr.State() != lifecycle.StateCapturing {
+			t.Fatalf("after request %d: state=%v, want capturing until Retrain runs", i, mgr.State())
 		}
 	}
 	if st := mgr.Stats(); st.DriftEvents != 1 || st.Captured != 24 {

@@ -16,7 +16,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/casegen"
+	"repro/internal/grid"
 	"repro/internal/la"
 	"repro/internal/mips"
 	"repro/internal/opf"
@@ -29,7 +29,7 @@ import (
 // all — and the number of primal variables: rows from nx on are dual.
 func productionKKT(tb testing.TB, name string, iters ...int) (kkts []*sparse.CSC, nx int) {
 	tb.Helper()
-	c, err := casegen.Paper(name)
+	c, err := grid.ByName(name)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func onPattern(r *rand.Rand, m *sparse.CSC, nx int) *sparse.CSC {
 // package).
 func TestRefactorBlockedEmbeddedFleet(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
-	for _, name := range casegen.EmbeddedNames() {
+	for _, name := range grid.Names() {
 		t.Run(name, func(t *testing.T) {
 			skipLargeInShort(t, name)
 			kkts, nx := productionKKT(t, name, 2)
@@ -156,7 +156,7 @@ func TestLDLMatchesColumnKernel(t *testing.T) {
 			}
 		}
 	})
-	for _, name := range casegen.EmbeddedNames() {
+	for _, name := range grid.Names() {
 		t.Run(name, func(t *testing.T) {
 			skipLargeInShort(t, name)
 			kkts, nx := productionKKT(t, name, 0, 3, 10)
@@ -192,7 +192,7 @@ func TestMinDegreeMatchesReference(t *testing.T) {
 			}
 		}
 	})
-	for _, name := range casegen.EmbeddedNames() {
+	for _, name := range grid.Names() {
 		t.Run(name, func(t *testing.T) {
 			skipLargeInShort(t, name)
 			kkts, _ := productionKKT(t, name, 0)
@@ -216,7 +216,7 @@ const workPath = "testdata/ldl_work.txt"
 func TestLDLWorkPinned(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("# name n nnz(L)+n supernodes updates flops; written by go test ./internal/sparse -run TestLDLWorkPinned -update-work\n")
-	for _, name := range casegen.EmbeddedNames() {
+	for _, name := range grid.Names() {
 		kkts, _ := productionKKT(t, name, 0)
 		sym := sparse.AnalyzeLDL(kkts[0])
 		count, _ := sym.Supernodes()
@@ -350,7 +350,7 @@ func BenchmarkFleetRefactorKernels(b *testing.B) {
 // every embedded system's production KKT pattern, the one-off cost a
 // grid pays before its first factorization. Recorded, not asserted.
 func BenchmarkAnalyzeLDL(b *testing.B) {
-	for _, name := range casegen.EmbeddedNames() {
+	for _, name := range grid.Names() {
 		kkts, _ := productionKKT(b, name, 0)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
