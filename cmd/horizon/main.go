@@ -128,7 +128,6 @@ func main() {
 	}
 
 	r := &horizon.Runner{
-		Base:     c,
 		Prepared: base,
 		Mode:     mode,
 		Model:    model,

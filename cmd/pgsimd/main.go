@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/lifecycle"
 	"repro/internal/mtl"
 	"repro/internal/serve"
@@ -57,7 +58,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pgsimd: ")
 	addr := flag.String("addr", ":8421", "listen address")
-	systems := flag.String("systems", "case9", "comma-separated systems to serve (case5 … case300)")
+	systems := flag.String("systems", "case9", "comma-separated systems to serve ("+strings.Join(grid.Names(), ", ")+")")
 	models := modelFlags{}
 	flag.Var(models, "model", "system=path of a cmd/train snapshot (repeatable)")
 	variantName := flag.String("variant", "smartpgsim", "variant of the -model snapshots: sep, mtl or smartpgsim")

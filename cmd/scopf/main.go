@@ -6,7 +6,7 @@
 // the intact-system warm start fitted to each outage, islanding outages
 // classified without solving, scenarios fanned out on the parallel
 // worker pool). The per-scenario-rebuild reference the engine is pinned
-// to (scopf.ScreenNaive) is not selectable here; BenchmarkScreen runs it.
+// to lives in the scopf tests, with BenchmarkScreen.
 //
 // Usage:
 //
@@ -108,26 +108,12 @@ func main() {
 		pairs = scopf.AllPairs(cons)
 	}
 	draws := sampleDraws(c.NB(), *nDraws, *seed, *spread)
-	var scenarios []scopf.Scenario
-	for _, f := range draws {
-		if !*skipIntact {
-			scenarios = append(scenarios, scopf.Scenario{Factors: f, OutBranch: -1})
-		}
-		for _, l := range cons {
-			scenarios = append(scenarios, scopf.Scenario{Factors: f, OutBranch: l})
-		}
-		for _, g := range genCons {
-			scenarios = append(scenarios, scopf.GenScenario(f, g))
-		}
-		for _, p := range pairs {
-			scenarios = append(scenarios, scopf.PairScenario(f, p[0], p[1]))
-		}
-	}
+	scenarios := scopf.Cross(draws, !*skipIntact, cons, genCons, pairs)
 	if len(scenarios) == 0 {
 		log.Fatal("nothing to screen (no draws or no topologies)")
 	}
 	t0 := time.Now()
-	eng := &scopf.Engine{Base: c, Prepared: base, Model: model, Workers: *workers}
+	eng := &scopf.Engine{Prepared: base, Model: model, Workers: *workers}
 	kkt0 := base.KKTStats()
 	rep := eng.Run(scenarios)
 	// rep.KKT is the outage classes' work; the intact system's own is on base.
@@ -140,7 +126,7 @@ func main() {
 		printJSON(c.Name, sum, classes, kkt.Add(intactKKT), elapsed)
 		return
 	}
-	perDraw := len(cons) + len(genCons) + len(pairs) + boolInt(!*skipIntact)
+	perDraw := len(scenarios) / len(draws)
 	fmt.Printf("case %s: screened %d scenarios (%d draws × %d topologies) in %v — %.1f scenarios/s\n",
 		c.Name, sum.Total, len(draws), perDraw, elapsed.Round(time.Millisecond),
 		float64(sum.Total)/elapsed.Seconds())
@@ -340,11 +326,4 @@ func sampleDraws(nb, n int, seed int64, spread float64) []la.Vector {
 		out[i] = f
 	}
 	return out
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -286,11 +286,6 @@ var apiAllowlist = map[string]string{
 	"sparse.LDLSymbolic.FactorInto":     "the CSC-input factorization of the sparse tests and the root harness (item 8(e))",
 	"sparse.LDLSymbolic.Flops":          "analysis size reported by opf's ordering tests, the sparse fleet pin and the root harness (item 8(e))",
 	"sparse.LDLSymbolic.PatternNNZ":     "analysis size reported by opf's ordering tests and the root harness (item 8(e))",
-	"scopf.ScreenNaive":                 "the per-scenario reference the scopf tests and BenchmarkScreen pin the engine to (items 6(c), 8(e))",
-	"scopf.MatchNaive":                  "compares the engine with ScreenNaive in the scopf tests and BenchmarkScreen (items 6(c), 8(e))",
-	"scopf.BuildScenarios":              "scenario lists for the scopf tests and BenchmarkScreen (items 6(c), 8(e))",
-	"scopf.BuildGenScenarios":           "scenario lists for the scopf tests and BenchmarkScreen (items 6(c), 8(e))",
-	"scopf.BuildPairScenarios":          "scenario lists for the scopf tests and BenchmarkScreen (items 6(c), 8(e))",
 }
 
 // TestProductionAPIHasCallers: every exported function and method

@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/dataset"
-	"repro/internal/grid"
 	"repro/internal/la"
 	"repro/internal/mtl"
 	"repro/internal/opf"
@@ -327,8 +326,7 @@ func (s *Stepper) Step(factors []float64) StepResult {
 // starts come from Predictor when set, else from Model
 // (mtl.PredictorFor); all in-flight trajectories share the one source.
 type Runner struct {
-	Base      *grid.Case
-	Prepared  *opf.OPF // prepared base instance; built from Base when nil
+	Prepared  *opf.OPF // the base grid, opf.Prepare'd; required
 	Mode      Mode
 	Model     *mtl.Model
 	Predictor opf.Predictor // used instead of Model when set (tests inject stubs)
@@ -340,24 +338,14 @@ type Runner struct {
 	Workers int
 }
 
-func (r *Runner) prepared() (*opf.OPF, error) {
-	if r.Prepared != nil {
-		return r.Prepared, nil
-	}
-	if r.Base == nil {
-		return nil, fmt.Errorf("horizon: runner needs Base or Prepared")
-	}
-	return opf.Prepare(r.Base), nil
-}
-
 // RunBatch solves each trajectory start-to-end (steps are sequential
 // within a trajectory) and fans the trajectories across the batch
 // pool. Results are bit-identical for any worker count: trajectory i
 // depends only on its own chained state.
 func (r *Runner) RunBatch(trajs []*Trajectory) ([]*Result, error) {
-	base, err := r.prepared()
-	if err != nil {
-		return nil, err
+	base := r.Prepared
+	if base == nil {
+		return nil, fmt.Errorf("horizon: runner needs Prepared")
 	}
 	nb := base.Lay.NB
 	for i, tr := range trajs {
@@ -377,7 +365,7 @@ func (r *Runner) RunBatch(trajs []*Trajectory) ([]*Result, error) {
 			lay.NX, lay.NEq, lay.NIq, base.Case.Name, base.Lay.NX, base.Lay.NEq, base.Lay.NIq)
 	}
 	results := make([]*Result, len(trajs))
-	err = batch.Run(len(trajs), r.Workers, func(i int) error {
+	err := batch.Run(len(trajs), r.Workers, func(i int) error {
 		st, err := NewStepper(base, r.Mode, pred, r.RampUp, r.RampDown)
 		if err != nil {
 			return err

@@ -31,14 +31,14 @@ func TestPredictOncePerDraw(t *testing.T) {
 	c := grid.Case14()
 	m := trainModel(t, c, 5)
 	draw := loadDraws(c.NB(), 1, 6)
-	shared := BuildScenarios(draw, Contingencies(c)[:4])
+	shared := Cross(draw, true, Contingencies(c)[:4], nil, nil)
 	separate := slices.Clone(shared)
 	for i := range separate {
 		separate[i].Factors = shared[i].Factors.Clone()
 	}
 	run := func(scenarios []Scenario, workers int) ([]Outcome, int64) {
 		pred := &countingPredictor{Predictor: m}
-		rep := (&Engine{Base: c, Predictor: pred, Workers: workers}).Run(scenarios)
+		rep := (&Engine{Prepared: opf.Prepare(c), Predictor: pred, Workers: workers}).Run(scenarios)
 		return rep.Outcomes, pred.calls.Load()
 	}
 	var want []Outcome
@@ -79,17 +79,17 @@ func TestPredictOncePerDraw(t *testing.T) {
 // bit-identical.
 func TestEngineScenarioOrderIndependent(t *testing.T) {
 	c := grid.Case14()
-	scenarios := BuildScenarios(loadDraws(c.NB(), 2, 8), Contingencies(c)[:6])
-	want := (&Engine{Base: c, Workers: 1}).Run(scenarios).Outcomes
+	scenarios := Cross(loadDraws(c.NB(), 2, 8), true, Contingencies(c)[:6], nil, nil)
+	want := (&Engine{Prepared: opf.Prepare(c), Workers: 1}).Run(scenarios).Outcomes
 
 	reversed := slices.Clone(scenarios)
 	slices.Reverse(reversed) // outage scenarios first, an intact one last
 	for _, workers := range []int{1, 4} {
-		got := (&Engine{Base: c, Workers: workers}).Run(reversed).Outcomes
+		got := (&Engine{Prepared: opf.Prepare(c), Workers: workers}).Run(reversed).Outcomes
 		slices.Reverse(got)
 		sameOutcomes(t, got, want)
 	}
-	sameOutcomes(t, (&Engine{Base: c, Workers: 4}).Run(scenarios).Outcomes, want)
+	sameOutcomes(t, (&Engine{Prepared: opf.Prepare(c), Workers: 4}).Run(scenarios).Outcomes, want)
 }
 
 // A sweep reports the KKT analysis work of its outage classes, per class
@@ -109,7 +109,7 @@ func TestReportCountsKKTWork(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		base := opf.Prepare(c)
-		e := &Engine{Base: c, Prepared: base, Workers: workers}
+		e := &Engine{Prepared: base, Workers: workers}
 		for sweep := 0; sweep < 2; sweep++ { // the second finds the intact analysis in place
 			rep := e.Run(scenarios)
 			var sum sparse.CacheStats

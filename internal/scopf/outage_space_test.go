@@ -5,13 +5,16 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/la"
+	"repro/internal/opf"
 )
 
 // The engine's generator-outage path must agree (MatchNaive) with the
-// naive per-scenario rebuild, cold and warm (the naive path cold-solves
-// gen drops, whose fresh Prepare has another layout; NoProjection makes
-// the engine match). The dropped unit decouples into an equivalent
-// problem, not the same one; on these sweeps no iteration count moves.
+// naive per-scenario rebuild on a cold sweep: the dropped unit decouples
+// into an equivalent problem, not the same one; on these sweeps no
+// iteration count moves. Warm, the engine fits the prediction to each
+// dropped unit while the rebuild, whose fresh Prepare has another
+// layout, solves it cold: intact scenarios must match it exactly, and
+// generator scenarios in feasibility and in cost to 1e-6.
 func TestEngineMatchesNaiveGenOutages(t *testing.T) {
 	c := grid.Case9()
 	draws := loadDraws(c.NB(), 2, 13)
@@ -19,22 +22,35 @@ func TestEngineMatchesNaiveGenOutages(t *testing.T) {
 	if len(gens) != len(c.Gens) {
 		t.Fatalf("%d gen contingencies want %d", len(gens), len(c.Gens))
 	}
-	scenarios := BuildScenarios(draws, nil)
-	scenarios = append(scenarios, BuildGenScenarios(draws, gens)...)
+	scenarios := Cross(draws, true, nil, gens, nil)
 
-	e := &Engine{Base: c, Workers: 4}
+	e := &Engine{Prepared: opf.Prepare(c), Workers: 4}
 	matchesNaive(t, e.Run(scenarios).Outcomes, ScreenNaive(c, nil, scenarios, 4), Drift{})
 
 	m := trainModel(t, c, 17)
-	ew := &Engine{Base: c, Model: m, Workers: 4, NoProjection: true}
-	matchesNaive(t, ew.Run(scenarios).Outcomes, ScreenNaive(c, m, scenarios, 4), Drift{})
+	warm := (&Engine{Prepared: opf.Prepare(c), Model: m, Workers: 4}).Run(scenarios).Outcomes
+	naive := ScreenNaive(c, m, scenarios, 4)
+	if Summarize(warm).Projected == 0 {
+		t.Fatal("no generator scenario accepted a fitted warm start")
+	}
+	for i, g := range warm {
+		w := naive[i]
+		switch {
+		case g.Scenario.OutagedGen() < 0:
+			if !sameVerdict(g, w) || g.Iterations != w.Iterations || g.Cost != w.Cost {
+				t.Fatalf("intact scenario %d:\n got %+v\nwant %+v", i, g, w)
+			}
+		case g.Feasible != w.Feasible || relCostDiff(g, w) > 1e-6:
+			t.Fatalf("generator scenario %d: fitted warm start %+v, cold rebuild %+v", i, g, w)
+		}
+	}
 
 	// A fixed-output unit's two Pg bound rows bind at every solution. Once
 	// the unit is dropped they are decoupled rows, which the rebuild does
 	// not have: Binding must not count them.
 	fixed := grid.Case9()
 	fixed.Gens[1].Pmin = fixed.Gens[1].Pmax
-	e = &Engine{Base: fixed, Workers: 4}
+	e = &Engine{Prepared: opf.Prepare(fixed), Workers: 4}
 	matchesNaive(t, e.Run(scenarios).Outcomes, ScreenNaive(fixed, nil, scenarios, 4), Drift{})
 }
 
@@ -44,14 +60,14 @@ func TestEngineMatchesNaivePairs(t *testing.T) {
 	c := grid.Case9()
 	draws := loadDraws(c.NB(), 2, 19)
 	pairs := [][2]int{{1, 4}, {2, 8}, {1, 2} /* islands */, {4, 1} /* dup, swapped */}
-	scenarios := BuildPairScenarios(draws, pairs)
+	scenarios := Cross(draws, false, nil, nil, pairs)
 	// A combined branch+generator scenario exercises the chained
 	// derivation (branch rebind, then gen rebind).
 	combined := GenScenario(draws[0], 1)
 	combined.OutBranch = 4
 	scenarios = append(scenarios, combined)
 
-	e := &Engine{Base: c, Workers: 4}
+	e := &Engine{Prepared: opf.Prepare(c), Workers: 4}
 	rep := e.Run(scenarios)
 	matchesNaive(t, rep.Outcomes, ScreenNaive(c, nil, scenarios, 4), Drift{})
 
@@ -92,9 +108,9 @@ func TestIslandingClassification(t *testing.T) {
 		for _, b := range tc.bridges {
 			scenarios = append(scenarios, Scenario{Factors: ones(tc.c.NB()), OutBranch: b})
 		}
-		scenarios = append(scenarios, BuildPairScenarios([]la.Vector{ones(tc.c.NB())}, tc.pairs)...)
+		scenarios = append(scenarios, Cross([]la.Vector{ones(tc.c.NB())}, false, nil, nil, tc.pairs)...)
 		for _, outs := range [][]Outcome{
-			(&Engine{Base: tc.c, Workers: 2}).Run(scenarios).Outcomes,
+			(&Engine{Prepared: opf.Prepare(tc.c), Workers: 2}).Run(scenarios).Outcomes,
 			ScreenNaive(tc.c, nil, scenarios, 2),
 		} {
 			for i, o := range outs {
@@ -159,7 +175,7 @@ func TestGenOutageErrors(t *testing.T) {
 		GenScenario(ones(c.NB()), 2), // out of service on cc
 	}
 	for _, outs := range [][]Outcome{
-		(&Engine{Base: cc, Workers: 1}).Run(scenarios).Outcomes,
+		(&Engine{Prepared: opf.Prepare(cc), Workers: 1}).Run(scenarios).Outcomes,
 		ScreenNaive(cc, nil, scenarios, 1),
 	} {
 		for i, o := range outs {

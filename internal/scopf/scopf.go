@@ -21,13 +21,14 @@
 // class's own work, Report.KKT the sweep's: factorizations only, no
 // analysis). The engine predicts once per load draw, not per scenario, and
 // the class fits the intact-system prediction to its outages
-// (opf.AdaptStart) instead of falling back to a cold solve. ScreenNaive
-// keeps the per-scenario-Prepare reference path, which solves every
-// outage on its own smaller layout and analyzes it privately: the engine
-// is pinned to it by MatchNaive — every verdict exact, costs to 1e-9,
-// iteration drift within a measured ceiling — in this package's tests
-// and in BenchmarkScreen (BENCH_scopf.json). It and Engine.NoProjection
-// are that reference only; no command selects them.
+// (opf.AdaptStart) instead of falling back to a cold solve. Cross lists
+// the scenarios of a sweep, draw by draw, for every caller.
+//
+// Engine is the package's one screener. The per-scenario-rebuild
+// reference it is pinned to — every outage solved on its own smaller
+// layout and analyzed privately; every verdict exact, costs to 1e-9,
+// iteration drift within a measured ceiling — lives in this package's
+// tests, with BenchmarkScreen, which writes BENCH_scopf.json.
 package scopf
 
 import (
@@ -165,8 +166,7 @@ type Report struct {
 // Predictor when set, else from Model, else the screen runs cold
 // (mtl.PredictorFor); all workers share the one source.
 type Engine struct {
-	Base     *grid.Case
-	Prepared *opf.OPF // prepared base instance; built from Base when nil
+	Prepared *opf.OPF // the intact system, opf.Prepare'd; required
 	Model    *mtl.Model
 	// Predictor is used instead of Model when set — the serving daemon
 	// lends the version it loaded for the sweep, tests inject stubs. Its
@@ -175,12 +175,6 @@ type Engine struct {
 	// Workers sizes the batch pool (0 resolves through
 	// batch.SetDefaultWorkers, then GOMAXPROCS; 1 is sequential).
 	Workers int
-	// NoProjection cold-solves the classes whose start would need
-	// adapting (an outaged rated branch or a dropped unit) — the ones
-	// the naive reference path solves cold because their fresh Prepare
-	// has another layout — so the engine's verdicts match it (the pinning
-	// mode).
-	NoProjection bool
 }
 
 // classKey identifies one topology class: the canonicalized outage
@@ -217,8 +211,8 @@ func (s Scenario) key() classKey {
 
 // check validates the class's outage indices against the case: branch
 // ranges first, then generator range and service status. The engine and
-// the naive reference both reject a scenario through it, so they report
-// the same error for the same bad input.
+// the tests' per-scenario reference both reject a scenario through it,
+// so they report the same error for the same bad input.
 func (k classKey) check(c *grid.Case) error {
 	for _, b := range []int{k.b1, k.b2} {
 		if b >= len(c.Branches) {
@@ -259,15 +253,9 @@ type class struct {
 }
 
 // Run screens every scenario and returns outcomes in scenario order.
-// Results are bit-identical for any worker count and scenario order,
-// and — outage warm starts aside (see NoProjection) — agree with the
-// ScreenNaive reference as MatchNaive defines.
+// Results are bit-identical for any worker count and scenario order.
 func (e *Engine) Run(scenarios []Scenario) *Report {
 	base := e.Prepared
-	if base == nil {
-		base = opf.Prepare(e.Base)
-	}
-
 	pred, warm := e.predictor(base)
 
 	// One prepared OPF per distinct topology, first-seen order.
@@ -280,7 +268,7 @@ func (e *Engine) Run(scenarios []Scenario) *Report {
 		if _, ok := classes[key]; ok {
 			continue
 		}
-		classes[key] = e.buildClass(base, warm, key)
+		classes[key] = buildClass(base, warm, key)
 		order = append(order, key)
 	}
 
@@ -353,7 +341,7 @@ func (e *Engine) predictor(base *opf.OPF) (opf.Predictor, bool) {
 // buildClass derives the prepared OPF and warm mode of one topology
 // class. Branch outages are applied first (ascending), then the
 // generator drop.
-func (e *Engine) buildClass(base *opf.OPF, warm bool, key classKey) *class {
+func buildClass(base *opf.OPF, warm bool, key classKey) *class {
 	cl := &class{kind: key.kind()}
 	if cl.err = key.check(base.Case); cl.err != nil {
 		return cl
@@ -394,7 +382,7 @@ func (e *Engine) buildClass(base *opf.OPF, warm bool, key classKey) *class {
 	case !warm: // no usable prediction: cold
 	case !cur.AdaptsStart():
 		cl.mode = warmExact
-	case !e.NoProjection:
+	default:
 		cl.mode = warmProjected
 	}
 	return cl
@@ -433,9 +421,9 @@ func screenClass(cl *class, pred opf.Predictor, draw *drawStart, sc Scenario) Ou
 }
 
 // solveOutcome runs one scenario through the warm→cold chain
-// (opf.SolveWarm) and reports it. Both the engine and the naive
-// reference path report through it, so their accounting is identical by
-// construction.
+// (opf.SolveWarm) and reports it. Both the engine and the tests'
+// per-scenario reference report through it, so their accounting is
+// identical by construction.
 func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool) Outcome {
 	res := Outcome{Scenario: sc}
 	out := inst.SolveWarm(start, opf.Options{})
@@ -457,126 +445,6 @@ func solveOutcome(inst *opf.OPF, sc Scenario, start *opf.Start, projected bool) 
 		res.Binding = bindingCount(r.Z, inst.Decoupled())
 	}
 	return res
-}
-
-// ScreenNaive is the reference screening path: every scenario deep-clones
-// the case, re-Normalizes, rebuilds the admittance matrices and layout
-// with a fresh opf.Prepare, and warm-starts only when the contingency
-// preserves the model's constraint layout (outages of rated branches and
-// of units fall back to cold). It mirrors the Engine's full contingency-space
-// semantics — validation order, islanding classification, generator and
-// N-2 pair outages — and exists as the pinning target and benchmark
-// baseline for the Engine, which must agree with it (MatchNaive) when
-// NoProjection is set.
-func ScreenNaive(base *grid.Case, m *mtl.Model, scenarios []Scenario, workers int) []Outcome {
-	out := make([]Outcome, len(scenarios))
-	_ = batch.Run(len(scenarios), workers, func(i int) error {
-		sc := scenarios[i]
-		key := sc.key()
-		// Same order as Engine.buildClass: validation, then islanding.
-		if err := key.check(base); err != nil {
-			out[i] = Outcome{Scenario: sc, Err: err}
-			return nil
-		}
-		c := base.Clone()
-		c.ScaleLoads(sc.Factors)
-		outaged := false
-		for _, b := range []int{key.b1, key.b2} {
-			if b >= 0 && c.Branches[b].Status {
-				c.Branches[b].Status = false
-				outaged = true
-			}
-		}
-		if outaged && !grid.ConnectedWithout(c, nil) {
-			out[i] = Outcome{Scenario: sc, Islanded: true}
-			return nil
-		}
-		if key.g >= 0 {
-			c.Gens[key.g].Status = false
-		}
-		if err := c.Normalize(); err != nil {
-			out[i] = Outcome{Scenario: sc, Err: err}
-			return nil
-		}
-		o := opf.Prepare(c)
-		var start *opf.Start
-		if m != nil && o.Lay.Fits(m.Lay) {
-			start = m.Predict(dataset.InputVector(o.Case))
-		}
-		out[i] = solveOutcome(o, sc, start, false)
-		return nil
-	})
-	return out
-}
-
-// NaiveCostTol is the relative cost agreement MatchNaive asks of every
-// scenario. The reference analyzes each outage pattern privately, so its
-// factors round differently from the engine's: where the two take the
-// same trajectory the costs differ by ≤ 3e-13.
-const NaiveCostTol = 1e-9
-
-// Drift measures how far an engine sweep sits from the ScreenNaive
-// outcomes of the same scenarios in the two quantities that are not
-// verdicts. The engine solves every outage as a value edit on the intact
-// problem and factors it on the intact system's analysis; the reference
-// solves the outaged case's own smaller problem on a private analysis.
-// The two are equivalent problems, not the same one — the decoupled rows
-// and columns of the engine's take part in every Newton step and in the
-// convergence tests — so a trajectory, cold ones most of all, can take
-// another iteration count on the way to the same optimum (PERFORMANCE.md,
-// "Every contingency is a value edit", lists what was measured).
-type Drift struct {
-	IterDiffs  int     // scenarios that took a different number of iterations
-	IterAbs    int     // Σ |iterations − reference iterations| over them
-	MaxRelCost float64 // worst relative cost difference
-}
-
-// MatchNaive is the one pin of the engine to the ScreenNaive reference,
-// for the package tests and BenchmarkScreen alike. It fails unless every
-// outcome agrees exactly in Feasible, WarmUsed, Projected, Islanded,
-// Binding and error presence, and the sweep's drift stays
-// within allow. The zero Drift allows none: every iteration count equal,
-// every cost within NaiveCostTol (allow.MaxRelCost below that is read as
-// NaiveCostTol). A sweep known to drift passes the drift measured on it,
-// so that anything beyond fails. The measured drift is returned.
-func MatchNaive(got, ref []Outcome, allow Drift) (Drift, error) {
-	var d Drift
-	if len(got) != len(ref) {
-		return d, fmt.Errorf("scopf: %d outcomes against %d reference outcomes", len(got), len(ref))
-	}
-	for i := range got {
-		g, r := got[i], ref[i]
-		if !sameVerdict(g, r) {
-			return d, fmt.Errorf("scopf: scenario %d: verdict differs from the reference:\n got %+v\nwant %+v", i, g, r)
-		}
-		if g.Iterations != r.Iterations {
-			d.IterDiffs++
-			d.IterAbs += max(g.Iterations-r.Iterations, r.Iterations-g.Iterations)
-		}
-		d.MaxRelCost = math.Max(d.MaxRelCost, relCostDiff(g, r))
-	}
-	if d.IterDiffs > allow.IterDiffs || d.IterAbs > allow.IterAbs || d.MaxRelCost > math.Max(allow.MaxRelCost, NaiveCostTol) {
-		return d, fmt.Errorf("scopf: drift from the reference %+v exceeds %+v", d, allow)
-	}
-	return d, nil
-}
-
-// sameVerdict reports whether two outcomes of one scenario agree in
-// everything that is not a float or an iteration count.
-func sameVerdict(got, ref Outcome) bool {
-	return got.Feasible == ref.Feasible && got.WarmUsed == ref.WarmUsed &&
-		got.Projected == ref.Projected && got.Islanded == ref.Islanded &&
-		got.Binding == ref.Binding && (got.Err != nil) == (ref.Err != nil)
-}
-
-// relCostDiff is |got.Cost − ref.Cost| relative to the larger of the
-// two (0 when both are 0, as for two infeasible outcomes).
-func relCostDiff(got, ref Outcome) float64 {
-	d := math.Abs(got.Cost - ref.Cost)
-	if d == 0 {
-		return 0
-	}
-	return d / math.Max(math.Abs(got.Cost), math.Abs(ref.Cost))
 }
 
 // Contingencies enumerates the single-branch outages that leave the
@@ -620,37 +488,28 @@ func GenContingencies(c *grid.Case) []int {
 	return out
 }
 
-// BuildScenarios crosses load draws with contingencies (plus the intact
-// topology) into a scenario list.
-func BuildScenarios(draws []la.Vector, contingencies []int) []Scenario {
-	out := make([]Scenario, 0, len(draws)*(len(contingencies)+1))
+// Cross lists the scenarios of every load draw, draw by draw: the
+// intact topology (when intact is set), then each branch outage, each
+// generator outage and each N-2 pair, in the order given. Every caller
+// builds its scenario list here, so scenario i belongs to draw
+// i / (len(result) / len(draws)). Islanding pairs are legal inputs — the
+// screen classifies them instead of solving.
+func Cross(draws []la.Vector, intact bool, branches, gens []int, pairs [][2]int) []Scenario {
+	perDraw := len(branches) + len(gens) + len(pairs)
+	if intact {
+		perDraw++
+	}
+	out := make([]Scenario, 0, len(draws)*perDraw)
 	for _, f := range draws {
-		out = append(out, Scenario{Factors: f, OutBranch: -1})
-		for _, l := range contingencies {
+		if intact {
+			out = append(out, Scenario{Factors: f, OutBranch: -1})
+		}
+		for _, l := range branches {
 			out = append(out, Scenario{Factors: f, OutBranch: l})
 		}
-	}
-	return out
-}
-
-// BuildGenScenarios crosses load draws with generator outages into a
-// scenario list (no intact entries — pair with BuildScenarios).
-func BuildGenScenarios(draws []la.Vector, gens []int) []Scenario {
-	out := make([]Scenario, 0, len(draws)*len(gens))
-	for _, f := range draws {
 		for _, g := range gens {
 			out = append(out, GenScenario(f, g))
 		}
-	}
-	return out
-}
-
-// BuildPairScenarios crosses load draws with N-2 branch pairs into a
-// scenario list. Islanding pairs are legal inputs — the screen
-// classifies them instead of solving.
-func BuildPairScenarios(draws []la.Vector, pairs [][2]int) []Scenario {
-	out := make([]Scenario, 0, len(draws)*len(pairs))
-	for _, f := range draws {
 		for _, p := range pairs {
 			out = append(out, PairScenario(f, p[0], p[1]))
 		}
@@ -659,8 +518,8 @@ func BuildPairScenarios(draws []la.Vector, pairs [][2]int) []Scenario {
 }
 
 // AllPairs enumerates every branch pair of the contingency list in
-// canonical (low, high) order — the N-2 pair set BuildPairScenarios
-// crosses with the load draws.
+// canonical (low, high) order — the N-2 pair set Cross crosses with
+// the load draws.
 func AllPairs(contingencies []int) [][2]int {
 	var out [][2]int
 	for i := 0; i < len(contingencies); i++ {

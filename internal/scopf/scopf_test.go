@@ -53,22 +53,37 @@ func TestContingenciesConnected(t *testing.T) {
 	}
 }
 
+// Cross lists each draw's scenarios as intact, branches, generators,
+// then pairs, draw after draw, so scenario i belongs to draw i/perDraw.
 func TestBuildScenarios(t *testing.T) {
 	draws := loadDraws(9, 3, 1)
-	sc := BuildScenarios(draws, []int{0, 4})
-	if len(sc) != 3*3 {
-		t.Fatalf("%d scenarios, want 9", len(sc))
+	want := []Scenario{
+		{OutBranch: -1}, {OutBranch: 0}, {OutBranch: 4},
+		GenScenario(nil, 1), PairScenario(nil, 0, 4),
 	}
-	if sc[0].OutBranch != -1 || sc[1].OutBranch != 0 {
-		t.Fatal("scenario ordering wrong")
+	for _, intact := range []bool{true, false} {
+		per := want
+		if !intact {
+			per = want[1:]
+		}
+		sc := Cross(draws, intact, []int{0, 4}, []int{1}, [][2]int{{0, 4}})
+		if len(sc) != len(draws)*len(per) {
+			t.Fatalf("intact=%v: %d scenarios, want %d", intact, len(sc), len(draws)*len(per))
+		}
+		for i, got := range sc {
+			w := per[i%len(per)]
+			if got.OutBranch != w.OutBranch || got.OutBranch2 != w.OutBranch2 || got.OutGen != w.OutGen || &got.Factors[0] != &draws[i/len(per)][0] {
+				t.Fatalf("intact=%v: scenario %d = %+v, want outage %+v of draw %d", intact, i, got, w, i/len(per))
+			}
+		}
 	}
 }
 
 func TestScreenColdStart(t *testing.T) {
 	c := grid.Case9()
-	s := &Engine{Base: c, Workers: 4}
+	s := &Engine{Prepared: opf.Prepare(c), Workers: 4}
 	draws := loadDraws(c.NB(), 2, 2)
-	outs := s.Run(BuildScenarios(draws, Contingencies(c)[:3])).Outcomes
+	outs := s.Run(Cross(draws, true, Contingencies(c)[:3], nil, nil)).Outcomes
 	sum := Summarize(outs)
 	if sum.Total != 8 {
 		t.Fatalf("total %d", sum.Total)
@@ -96,10 +111,10 @@ func TestScreenWarmStart(t *testing.T) {
 
 	draws := loadDraws(c.NB(), 3, 6)
 	cons := Contingencies(c)[:4]
-	scenarios := BuildScenarios(draws, cons)
+	scenarios := Cross(draws, true, cons, nil, nil)
 
-	warm := &Engine{Base: c, Model: m, Workers: 4}
-	cold := &Engine{Base: c, Workers: 4}
+	warm := &Engine{Prepared: opf.Prepare(c), Model: m, Workers: 4}
+	cold := &Engine{Prepared: opf.Prepare(c), Workers: 4}
 	wOut := Summarize(warm.Run(scenarios).Outcomes)
 	cOut := Summarize(cold.Run(scenarios).Outcomes)
 
@@ -126,11 +141,11 @@ func TestWarmScreenNeverSlowerThanCold(t *testing.T) {
 	c := grid.Case30()
 	m := trainModel(t, c, 30)
 	draws := loadDraws(c.NB(), 4, 31)
-	scenarios := BuildScenarios(draws, Contingencies(c)[:3])
-	scenarios = append(scenarios, BuildGenScenarios(draws[:2], GenContingencies(c)[:2])...)
+	scenarios := Cross(draws, true, Contingencies(c)[:3], nil, nil)
+	scenarios = append(scenarios, Cross(draws[:2], false, nil, GenContingencies(c)[:2], nil)...)
 
-	warm := (&Engine{Base: c, Model: m, Workers: 8}).Run(scenarios).Outcomes
-	cold := (&Engine{Base: c, Workers: 8}).Run(scenarios).Outcomes
+	warm := (&Engine{Prepared: opf.Prepare(c), Model: m, Workers: 8}).Run(scenarios).Outcomes
+	cold := (&Engine{Prepared: opf.Prepare(c), Workers: 8}).Run(scenarios).Outcomes
 	totWarm, totCold := 0, 0
 	for i := range warm {
 		w, cd := warm[i], cold[i]
@@ -213,25 +228,21 @@ func matchesNaive(t *testing.T, got, ref []Outcome, allow Drift) {
 func TestEngineMatchesNaiveCold(t *testing.T) {
 	c := grid.Case9()
 	draws := loadDraws(c.NB(), 2, 3)
-	scenarios := BuildScenarios(draws, Contingencies(c))
-	e := &Engine{Base: c, Workers: 4}
+	scenarios := Cross(draws, true, Contingencies(c), nil, nil)
+	e := &Engine{Prepared: opf.Prepare(c), Workers: 4}
 	matchesNaive(t, e.Run(scenarios).Outcomes, ScreenNaive(c, nil, scenarios, 4), Drift{IterDiffs: 3, IterAbs: 3})
 }
 
-// Warm screening on case14 (unrated: every outage keeps the layout) must
-// also match the naive path — same predictions, same warm-start
-// acceptance, same iteration counts.
+// Warm screening on case14 (unrated: every outage keeps the layout, so
+// no class fits its start) must also match the naive path — same
+// predictions, same warm-start acceptance, same iteration counts.
 func TestEngineMatchesNaiveWarm(t *testing.T) {
 	c := grid.Case14()
 	m := trainModel(t, c, 5)
 	draws := loadDraws(c.NB(), 2, 6)
-	scenarios := BuildScenarios(draws, Contingencies(c)[:4])
-	e := &Engine{Base: c, Model: m, Workers: 4, NoProjection: true}
+	scenarios := Cross(draws, true, Contingencies(c)[:4], nil, nil)
+	e := &Engine{Prepared: opf.Prepare(c), Model: m, Workers: 4}
 	matchesNaive(t, e.Run(scenarios).Outcomes, ScreenNaive(c, m, scenarios, 4), Drift{})
-	// An unrated system's outages have nothing to adapt: the default
-	// engine must produce the same outcomes.
-	e2 := &Engine{Base: c, Model: m, Workers: 4}
-	matchesNaive(t, e2.Run(scenarios).Outcomes, ScreenNaive(c, m, scenarios, 4), Drift{})
 }
 
 // Sequential and parallel engine runs must be bit-identical (the batch
@@ -241,9 +252,9 @@ func TestEngineSeqParallelIdentical(t *testing.T) {
 	c := grid.Case9()
 	m := trainModel(t, c, 9)
 	draws := loadDraws(c.NB(), 2, 4)
-	scenarios := BuildScenarios(draws, Contingencies(c)[:3])
-	seq := (&Engine{Base: c, Model: m, Workers: 1}).Run(scenarios)
-	par := (&Engine{Base: c, Model: m, Workers: 4}).Run(scenarios)
+	scenarios := Cross(draws, true, Contingencies(c)[:3], nil, nil)
+	seq := (&Engine{Prepared: opf.Prepare(c), Model: m, Workers: 1}).Run(scenarios)
+	par := (&Engine{Prepared: opf.Prepare(c), Model: m, Workers: 4}).Run(scenarios)
 	sameOutcomes(t, par.Outcomes, seq.Outcomes)
 	if len(seq.Classes) != len(par.Classes) || len(seq.Classes) != 4 {
 		t.Fatalf("class counts %d/%d want 4", len(seq.Classes), len(par.Classes))
@@ -259,8 +270,8 @@ func TestProjectionWarmStartsRatedOutages(t *testing.T) {
 	m := trainModel(t, c, 5)
 	draws := loadDraws(c.NB(), 3, 11)
 	cons := Contingencies(c)
-	scenarios := BuildScenarios(draws, cons)
-	eng := (&Engine{Base: c, Model: m, Workers: 4}).Run(scenarios)
+	scenarios := Cross(draws, true, cons, nil, nil)
+	eng := (&Engine{Prepared: opf.Prepare(c), Model: m, Workers: 4}).Run(scenarios)
 	naive := ScreenNaive(c, m, scenarios, 4)
 	sEng, sNaive := Summarize(eng.Outcomes), Summarize(naive)
 	if sEng.Feasible != sNaive.Feasible {
@@ -311,7 +322,7 @@ func TestOutcomeErrors(t *testing.T) {
 		{Factors: ones(c.NB()), OutBranch: len(c.Branches) + 3},
 	}
 	for _, outs := range [][]Outcome{
-		(&Engine{Base: c, Workers: 1}).Run(scenarios).Outcomes,
+		(&Engine{Prepared: opf.Prepare(c), Workers: 1}).Run(scenarios).Outcomes,
 		ScreenNaive(c, nil, scenarios, 1),
 	} {
 		if outs[0].Err != nil || !outs[0].Feasible {
@@ -350,7 +361,7 @@ func TestOutcomeErrors(t *testing.T) {
 		}
 		sc := Scenario{Factors: ones(tc.c.NB()), OutBranch: tc.branch}
 		for _, pred := range []opf.Predictor{nil, fixedStart{nominal}} {
-			outs := (&Engine{Base: tc.c, Predictor: pred, Workers: 1}).Run([]Scenario{sc}).Outcomes
+			outs := (&Engine{Prepared: opf.Prepare(tc.c), Predictor: pred, Workers: 1}).Run([]Scenario{sc}).Outcomes
 			if !errors.Is(outs[0].Err, tc.want) {
 				t.Fatalf("%s branch %d: err = %v, want %v", tc.c.Name, tc.branch, outs[0].Err, tc.want)
 			}
@@ -405,9 +416,9 @@ func ones(n int) la.Vector {
 
 func TestScreenDeterministicOrder(t *testing.T) {
 	c := grid.Case9()
-	s := &Engine{Base: c, Workers: 3}
+	s := &Engine{Prepared: opf.Prepare(c), Workers: 3}
 	draws := loadDraws(c.NB(), 2, 7)
-	scenarios := BuildScenarios(draws, nil)
+	scenarios := Cross(draws, true, nil, nil, nil)
 	a := s.Run(scenarios).Outcomes
 	b := s.Run(scenarios).Outcomes
 	for i := range a {

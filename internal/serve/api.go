@@ -201,48 +201,49 @@ const (
 )
 
 // validateScreen resolves a screening request into the scenario list
-// (draw-major, intact topology first unless skipped) and the draw index
-// of each scenario. Error text is safe for the client.
-func (s *Server) validateScreen(req *ScreenRequest) (*systemState, []scopf.Scenario, []int, error) {
+// (scopf.Cross: draw-major, intact topology first unless skipped) and
+// the number of scenarios per draw, so scenario i belongs to draw
+// i / perDraw. Error text is safe for the client.
+func (s *Server) validateScreen(req *ScreenRequest) (*systemState, []scopf.Scenario, int, error) {
 	st, err := s.system(req.System)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, 0, err
 	}
 	nb := st.sys.Case.NB()
 
 	if req.NDraws < 0 {
-		return nil, nil, nil, fmt.Errorf("n_draws %d out of range (want a positive count)", req.NDraws)
+		return nil, nil, 0, fmt.Errorf("n_draws %d out of range (want a positive count)", req.NDraws)
 	}
 	if len(req.Draws) > 0 && req.NDraws > 0 {
-		return nil, nil, nil, fmt.Errorf("fields %q and %q are mutually exclusive", "draws", "n_draws")
+		return nil, nil, 0, fmt.Errorf("fields %q and %q are mutually exclusive", "draws", "n_draws")
 	}
 	var draws []la.Vector
 	switch {
 	case len(req.Draws) > 0:
 		if len(req.Draws) > maxScreenDraws {
-			return nil, nil, nil, fmt.Errorf("%d draws exceed the limit of %d", len(req.Draws), maxScreenDraws)
+			return nil, nil, 0, fmt.Errorf("%d draws exceed the limit of %d", len(req.Draws), maxScreenDraws)
 		}
 		for d, f := range req.Draws {
 			if len(f) != nb {
-				return nil, nil, nil, fmt.Errorf("draws[%d] has %d entries, system %s has %d buses", d, len(f), req.System, nb)
+				return nil, nil, 0, fmt.Errorf("draws[%d] has %d entries, system %s has %d buses", d, len(f), req.System, nb)
 			}
 			for i, v := range f {
 				if !validFactor(v) {
-					return nil, nil, nil, fmt.Errorf("draws[%d][%d] = %v out of range (want a positive finite multiplier ≤ %v)", d, i, v, maxFactor)
+					return nil, nil, 0, fmt.Errorf("draws[%d][%d] = %v out of range (want a positive finite multiplier ≤ %v)", d, i, v, maxFactor)
 				}
 			}
 			draws = append(draws, la.Vector(f).Clone())
 		}
 	case req.NDraws > 0:
 		if req.NDraws > maxScreenDraws {
-			return nil, nil, nil, fmt.Errorf("n_draws %d exceeds the limit of %d", req.NDraws, maxScreenDraws)
+			return nil, nil, 0, fmt.Errorf("n_draws %d exceeds the limit of %d", req.NDraws, maxScreenDraws)
 		}
 		spread := req.Spread
 		if spread == 0 {
 			spread = 0.1
 		}
 		if spread < 0 || spread >= 1 {
-			return nil, nil, nil, fmt.Errorf("spread %v out of range (want 0 < spread < 1)", spread)
+			return nil, nil, 0, fmt.Errorf("spread %v out of range (want 0 < spread < 1)", spread)
 		}
 		rng := rand.New(rand.NewSource(req.Seed))
 		for d := 0; d < req.NDraws; d++ {
@@ -254,7 +255,7 @@ func (s *Server) validateScreen(req *ScreenRequest) (*systemState, []scopf.Scena
 		}
 	default:
 		if req.Spread != 0 {
-			return nil, nil, nil, fmt.Errorf("field %q needs %q", "spread", "n_draws")
+			return nil, nil, 0, fmt.Errorf("field %q needs %q", "spread", "n_draws")
 		}
 		f := make(la.Vector, nb)
 		for i := range f {
@@ -270,29 +271,29 @@ func (s *Server) validateScreen(req *ScreenRequest) (*systemState, []scopf.Scena
 	nbr := len(st.sys.Case.Branches)
 	for i, l := range cons {
 		if l < 0 || l >= nbr {
-			return nil, nil, nil, fmt.Errorf("contingencies[%d] = %d outside the %d branches of %s", i, l, nbr, req.System)
+			return nil, nil, 0, fmt.Errorf("contingencies[%d] = %d outside the %d branches of %s", i, l, nbr, req.System)
 		}
 	}
 	gens := req.GenContingencies
 	if req.AllGenOutages {
 		if len(gens) > 0 {
-			return nil, nil, nil, fmt.Errorf("fields %q and %q are mutually exclusive", "gen_contingencies", "all_gen_outages")
+			return nil, nil, 0, fmt.Errorf("fields %q and %q are mutually exclusive", "gen_contingencies", "all_gen_outages")
 		}
 		gens = scopf.GenContingencies(st.sys.Case)
 	}
 	ngen := len(st.sys.Case.Gens)
 	for i, g := range gens {
 		if g < 0 || g >= ngen {
-			return nil, nil, nil, fmt.Errorf("gen_contingencies[%d] = %d outside the %d generators of %s", i, g, ngen, req.System)
+			return nil, nil, 0, fmt.Errorf("gen_contingencies[%d] = %d outside the %d generators of %s", i, g, ngen, req.System)
 		}
 		if !st.sys.Case.Gens[g].Status {
-			return nil, nil, nil, fmt.Errorf("gen_contingencies[%d]: generator %d of %s is out of service", i, g, req.System)
+			return nil, nil, 0, fmt.Errorf("gen_contingencies[%d]: generator %d of %s is out of service", i, g, req.System)
 		}
 	}
 	for i, p := range req.Pairs {
 		for _, l := range p {
 			if l < 0 || l >= nbr {
-				return nil, nil, nil, fmt.Errorf("pairs[%d] names branch %d outside the %d branches of %s", i, l, nbr, req.System)
+				return nil, nil, 0, fmt.Errorf("pairs[%d] names branch %d outside the %d branches of %s", i, l, nbr, req.System)
 			}
 		}
 	}
@@ -301,33 +302,13 @@ func (s *Server) validateScreen(req *ScreenRequest) (*systemState, []scopf.Scena
 		perDraw++
 	}
 	if perDraw == 0 {
-		return nil, nil, nil, fmt.Errorf("nothing to screen: %q with an empty %q", "skip_intact", "contingencies")
+		return nil, nil, 0, fmt.Errorf("nothing to screen: %q with an empty %q", "skip_intact", "contingencies")
 	}
 	if total := len(draws) * perDraw; total > maxScreenScenarios {
-		return nil, nil, nil, fmt.Errorf("%d scenarios (%d draws × %d topologies) exceed the limit of %d", total, len(draws), perDraw, maxScreenScenarios)
+		return nil, nil, 0, fmt.Errorf("%d scenarios (%d draws × %d topologies) exceed the limit of %d", total, len(draws), perDraw, maxScreenScenarios)
 	}
 
-	scenarios := make([]scopf.Scenario, 0, len(draws)*perDraw)
-	drawIdx := make([]int, 0, len(draws)*perDraw)
-	for d, f := range draws {
-		if !req.SkipIntact {
-			scenarios = append(scenarios, scopf.Scenario{Factors: f, OutBranch: -1})
-			drawIdx = append(drawIdx, d)
-		}
-		for _, l := range cons {
-			scenarios = append(scenarios, scopf.Scenario{Factors: f, OutBranch: l})
-			drawIdx = append(drawIdx, d)
-		}
-		for _, g := range gens {
-			scenarios = append(scenarios, scopf.GenScenario(f, g))
-			drawIdx = append(drawIdx, d)
-		}
-		for _, p := range req.Pairs {
-			scenarios = append(scenarios, scopf.PairScenario(f, p[0], p[1]))
-			drawIdx = append(drawIdx, d)
-		}
-	}
-	return st, scenarios, drawIdx, nil
+	return st, scopf.Cross(draws, !req.SkipIntact, cons, gens, req.Pairs), perDraw, nil
 }
 
 // validate checks a decoded request against the registered system and

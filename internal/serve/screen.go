@@ -19,7 +19,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, endpoint, &req) {
 		return
 	}
-	st, scenarios, drawIdx, err := s.validateScreen(&req)
+	st, scenarios, perDraw, err := s.validateScreen(&req)
 	if err != nil {
 		s.reject(w, endpoint, err)
 		return
@@ -41,7 +41,6 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 	}
 
 	eng := &scopf.Engine{
-		Base:      st.sys.Case,
 		Prepared:  st.sys.OPF,
 		Predictor: pred,
 		Workers:   s.cfg.Workers,
@@ -82,7 +81,7 @@ func (s *Server) handleScreen(w http.ResponseWriter, r *http.Request) {
 		resp.Outcomes = make([]ScreenOutcome, len(rep.Outcomes))
 		for i, o := range rep.Outcomes {
 			so := ScreenOutcome{
-				Draw: drawIdx[i], OutBranch: o.Scenario.OutBranch,
+				Draw: i / perDraw, OutBranch: o.Scenario.OutBranch,
 				OutBranch2: o.Scenario.SecondBranch(), OutGen: o.Scenario.OutagedGen(),
 				Feasible: o.Feasible, Cost: o.Cost, Iterations: o.Iterations,
 				Binding: o.Binding, Warm: o.WarmUsed, Projected: o.Projected,

@@ -89,7 +89,7 @@ func TestScreenColdMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := (&scopf.Engine{Base: sys.Case, Prepared: sys.OPF, Workers: 2}).Run(scenarios)
+	ref := (&scopf.Engine{Prepared: sys.OPF, Workers: 2}).Run(scenarios)
 	sum := scopf.Summarize(ref.Outcomes)
 
 	cons := scopf.Contingencies(sys.Case)
@@ -137,7 +137,7 @@ func TestScreenCountsInertiaCorrections(t *testing.T) {
 		t.Fatal(err)
 	}
 	corrections := 0
-	for _, o := range (&scopf.Engine{Base: sys.Case, Prepared: sys.OPF, Workers: 2}).Run(scenarios).Outcomes {
+	for _, o := range (&scopf.Engine{Prepared: sys.OPF, Workers: 2}).Run(scenarios).Outcomes {
 		corrections += o.InertiaCorrections
 	}
 	if corrections == 0 {
@@ -196,8 +196,8 @@ func TestScreenWarmProjection(t *testing.T) {
 // The full contingency space is reachable over the API: generator
 // outages, explicit N-2 pairs (including islanding pairs, classified
 // without solving), all reported through the extended
-// class/outcome/summary fields and bit-identical to the engine run
-// directly.
+// class/outcome/summary fields, outcome by outcome in the order
+// scopf.Cross lists the scenarios.
 func TestScreenFullContingencySpace(t *testing.T) {
 	sys, m := loadFixture(t)
 	s := newTestServer(t, Config{Workers: 2}, sys, m)
@@ -237,6 +237,37 @@ func TestScreenFullContingencySpace(t *testing.T) {
 		}
 		if o.OutGen >= 0 && o.Err == "" && !o.Feasible && !o.Islanded {
 			t.Logf("gen outage infeasible: %+v", o) // legal, just informative
+		}
+	}
+
+	// Each draw lists intact, branches 1 and 2, generators 0–2, then the
+	// pairs [1,2] and [1,4]; outcome i belongs to draw i/perDraw. Without
+	// the intact scenario every other one keeps its answer.
+	type outage struct{ b1, b2, g int }
+	order := []outage{{-1, -1, -1}, {1, -1, -1}, {2, -1, -1}, {-1, -1, 0}, {-1, -1, 1}, {-1, -1, 2}, {1, 2, -1}, {1, 4, -1}}
+	checkOrder := func(outs []ScreenOutcome, per []outage) {
+		t.Helper()
+		if len(outs) != 2*len(per) {
+			t.Fatalf("%d outcomes, want %d", len(outs), 2*len(per))
+		}
+		for i, o := range outs {
+			w := per[i%len(per)]
+			if o.Draw != i/len(per) || o.OutBranch != w.b1 || o.OutBranch2 != w.b2 || o.OutGen != w.g {
+				t.Fatalf("outcome %d = %+v, want outage %+v of draw %d", i, o, w, i/len(per))
+			}
+		}
+	}
+	checkOrder(resp.Outcomes, order)
+	code, raw = postScreen(t, h, strings.Replace(body, `"outcomes":true`, `"outcomes":true,"skip_intact":true`, 1))
+	if code != http.StatusOK {
+		t.Fatalf("skip_intact status = %d (%s)", code, raw)
+	}
+	skipped := decodeScreen(t, raw)
+	checkOrder(skipped.Outcomes, order[1:])
+	for i, o := range skipped.Outcomes {
+		want := resp.Outcomes[i+1+i/(len(order)-1)] // the same scenario in the full sweep
+		if o != want {
+			t.Fatalf("skip_intact outcome %d = %+v, want %+v", i, o, want)
 		}
 	}
 

@@ -113,9 +113,15 @@ func (s *Server) validateTrajectory(req *TrajectoryRequest) (*systemState, horiz
 	if req.Amp != nil {
 		amp = *req.Amp
 	}
+	if amp < 0 || amp >= 1 {
+		return nil, 0, nil, nil, 0, fmt.Errorf("amp %v out of range [0, 1)", amp)
+	}
 	spread := 0.02
 	if req.Spread != nil {
 		spread = *req.Spread
+	}
+	if spread < 0 || spread >= 1 {
+		return nil, 0, nil, nil, 0, fmt.Errorf("spread %v out of range [0, 1)", spread)
 	}
 	frac := defaultRampFrac
 	if req.RampFrac != nil {
@@ -126,9 +132,7 @@ func (s *Server) validateTrajectory(req *TrajectoryRequest) (*systemState, horiz
 	}
 	traj, err := horizon.Synthetic(st.sys.Case.NB(), req.Steps, req.Seed, amp, spread)
 	if err != nil {
-		// Synthetic's own bounds checks (amp/spread in [0, 1)) with the
-		// package prefix stripped for the client.
-		return nil, 0, nil, nil, 0, fmt.Errorf("%v", err)
+		return nil, 0, nil, nil, 0, err
 	}
 	return st, mode, pred, traj, frac, nil
 }

@@ -69,8 +69,8 @@ func TestTrajectoryValidation(t *testing.T) {
 		{"predict without model", `{"system":"case9","steps":3,"mode":"predict"}`, http.StatusBadRequest, "cold-only"},
 		{"negative ramp_frac", `{"system":"case9","steps":3,"ramp_frac":-0.1}`, http.StatusBadRequest, "ramp_frac"},
 		{"huge ramp_frac", `{"system":"case9","steps":3,"ramp_frac":1.5}`, http.StatusBadRequest, "ramp_frac"},
-		{"bad amp", `{"system":"case9","steps":3,"amp":1.5}`, http.StatusBadRequest, "amp"},
-		{"bad spread", `{"system":"case9","steps":3,"spread":-0.5}`, http.StatusBadRequest, "spread"},
+		{"bad amp", `{"system":"case9","steps":3,"amp":1.5}`, http.StatusBadRequest, "amp 1.5 out of range [0, 1)"},
+		{"bad spread", `{"system":"case9","steps":3,"spread":-0.5}`, http.StatusBadRequest, "spread -0.5 out of range [0, 1)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,6 +86,11 @@ func TestTrajectoryValidation(t *testing.T) {
 			}
 			if !strings.Contains(er.Error, tc.want) {
 				t.Fatalf("error %q does not mention %q", er.Error, tc.want)
+			}
+			// Errors name the request's fields, not the package that
+			// checked them.
+			if strings.Contains(er.Error, "horizon:") {
+				t.Fatalf("error %q carries an internal package prefix", er.Error)
 			}
 		})
 	}
