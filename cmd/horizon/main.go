@@ -2,11 +2,12 @@
 // synthetic load forecast (smooth ramp profile × per-step noise) solved
 // step by step with per-generator ramp limits coupling each step to the
 // previous dispatch. Warm-start modes: chain (each step starts from the
-// previous step's full primal/dual solution, projected across layout
-// changes), predict (a trained MTL model predicts each step's start) and
-// cold. Multiple trajectories fan out on the parallel worker pool with
-// per-trajectory worker affinity; results are bit-identical for any
-// worker count and replay the /v1/trajectory stream exactly.
+// previous step's full primal/dual solution, as is: every step keeps
+// the base grid's layout), predict (a trained MTL model predicts each
+// step's start) and cold. Multiple trajectories fan out on the parallel
+// worker pool with per-trajectory worker affinity; results are
+// bit-identical for any worker count and replay the /v1/trajectory
+// stream exactly.
 //
 // Usage:
 //

@@ -1,14 +1,13 @@
 // Command results renders RESULTS.md — the paper-vs-reproduction
-// comparison — from the BENCH_paper.json written by
+// comparison — from the BENCH_paper.json written by internal/core's
 // BenchmarkPaperSystems. Regenerate both with:
 //
-//	go test -run '^$' -bench BenchmarkPaperSystems -benchtime 1x .
+//	go test -run '^$' -bench PaperSystems -benchtime 1x ./internal/core
 //	go run ./cmd/results
 //
 // A filtered benchmark run (e.g. CI's -bench 'PaperSystems/case57$')
-// produces a JSON with a subset of systems; results renders whatever
-// rows are present, so the committed RESULTS.md should come from a
-// full sweep.
+// measures a subset of systems and keeps the other rows on disk, so the
+// committed RESULTS.md should come from a full sweep.
 package main
 
 import (
@@ -56,15 +55,10 @@ type trajSystemRow struct {
 }
 
 type trajReport struct {
-	Benchmark string  `json:"benchmark"`
-	Steps     int     `json:"steps"`
-	RampFrac  float64 `json:"ramp_frac"`
-	Replay    struct {
-		System             string `json:"system"`
-		Steps              int    `json:"steps"`
-		ServedBitIdentical bool   `json:"served_bit_identical"`
-	} `json:"replay"`
-	Systems map[string]trajSystemRow `json:"systems"`
+	Benchmark string                   `json:"benchmark"`
+	Steps     int                      `json:"steps"`
+	RampFrac  float64                  `json:"ramp_frac"`
+	Systems   map[string]trajSystemRow `json:"systems"`
 }
 
 type kernelRow struct {
@@ -169,6 +163,7 @@ var codeSize = []struct {
 	{at: "after 8c6cc2b", all: 15302, warmPath: 5307, kernel: 2846, why: "production code is what the programs link (−799 with this row; the set of linked symbols of the nine commands, three examples and the `bench/` harness is unchanged): of the `internal/` functions no program links, 282 lines are deleted outright — callers switch to the linked API (`RunBatch` for `horizon.Runner.Run`, `SolveInto` for `LDLFactors.Solve`, `Equality`/`Inequality` for `opf.Constraints`, `dataset.InputVector` of the `Perturb`'d case for `core.InstanceInput`, `ConnectedWithout(c, nil)` for `grid.Connected`) or the function only tested itself (`la`'s `Min`/`Max`/`Sum`/`MaxAbs`/`T`/`MulVecT`, `sparse`'s CSC scaling, complex transpose and parts, `serve.Server.Lifecycle`, …) — and 503 lines move into the `_test.go` files of the tests that use them (the reference Hessian with `grid`'s second derivatives into `internal/opf`, `sparse`'s dense and element views and `FactorizeInto`, serve's predictor seam, `WriteMatpower`, the dense `Eye`/`Mul`/`MulVec`/`Det` helpers, `nn.MSE`, `mtl.DefaultConfig`, Table II's printer into `bench_test.go`); the 15 others are imports, the Table II row type and comments; what stays unlinked is on `TestProductionAPIHasCallers`'s allowlist or named in the verify skill's linker audit"},
 	{at: "after b53b441", all: 14986, warmPath: 5304, kernel: 2846, why: "every named system is data (−316 counted lines; the 124 lines of `internal/grid/cases39.go` are data and uncounted): case39, the one system still synthesized when it loaded, is committed in case300's table format (`reflect.DeepEqual` to the synthesis it replaces) and `internal/casegen` (360 lines: the preferential-attachment generator, its load-level retry ladder and certifying solve, five `Spec` profiles and the concurrent `Systems` fan-out) is deleted; `grid.ByName` and `grid.Names` (+43, one table) serve all nine systems, `core.LoadSystems` is a plain loop over `LoadSystem`"},
 	{at: "after 36b5d61", all: 14797, warmPath: 5135, kernel: 2846, why: "one screener (−189 counted lines with this row: 69 deleted, 120 moved into test files, which is no reduction): `scopf.Engine.NoProjection`, `Engine.Base` with `Run`'s `opf.Prepare` fallback, `horizon.Runner.Base` with `Runner.prepared` and the three `scopf.Build*Scenarios` are deleted, and `scopf.Cross` builds every scenario list in place of the draw loops `cmd/scopf` and `/v1/screen` wrote by hand (`/v1/screen` reads each outcome's draw as `i / perDraw`); the per-scenario-rebuild reference — `ScreenNaive`, `MatchNaive`, `Drift`, `NaiveCostTol`, `sameVerdict`, `relCostDiff`, 120 lines — moved into `internal/scopf/naive_test.go`, and `BenchmarkScreen` with its `BENCH_scopf.json` writer from the root harness into `internal/scopf/bench_test.go`"},
+	{at: "after 61f472f", all: 14753, warmPath: 5135, kernel: 2846, why: "one benchmark harness (−44 counted lines with this row): the root `bench_test.go` and `bench_lifecycle_test.go` (1,234 test lines) are gone — their paper-table benchmarks duplicated the `cmd/` printers and are deleted, and each `BENCH_*.json` writer and `b.Fatal` pin moved into the package it measures (`internal/sparse`, `internal/opf`, `internal/core`, `internal/horizon`, `internal/serve`); counted code: `dataset.Generate` calls `opf.Prepare` itself (its one-valued preparer parameter and `DefaultPreparer` deleted), the drift detector's fired latch (`fired`, `firedAt`, `Fired`, `FiredAtWindow`, `Observe`'s early return) and its never-read `lastHit`/`lastIter` are deleted, and `cmd/results` renders the trajectory replay note without the JSON `replay` block"},
 }
 
 func main() {
@@ -183,7 +178,7 @@ func main() {
 
 	buf, err := os.ReadFile(*in)
 	if err != nil {
-		log.Fatalf("%v (run the benchmark first: go test -run '^$' -bench BenchmarkPaperSystems -benchtime 1x .)", err)
+		log.Fatalf("%v (run the benchmark first: go test -run '^$' -bench PaperSystems -benchtime 1x ./internal/core)", err)
 	}
 	var r report
 	if err := json.Unmarshal(buf, &r); err != nil {
@@ -208,7 +203,7 @@ func main() {
 	w("predict→warm-solve→fallback pipeline. Numbers regenerate with:")
 	w("")
 	w("```sh")
-	w("go test -run '^$' -bench BenchmarkPaperSystems -benchtime 1x .")
+	w("go test -run '^$' -bench PaperSystems -benchtime 1x ./internal/core")
 	w("go run ./cmd/results")
 	w("```")
 	w("")
@@ -324,7 +319,7 @@ func bySize[T any](m map[string]T, size func(T) int) []string {
 
 // renderKernel appends the KKT-fill and numeric-kernel sections from
 // BENCH_kkt.json (production fill and symbolic reuse written by
-// BenchmarkKKTFactor/BenchmarkMIPSSolve; the RCM fill columns and the
+// internal/sparse's BenchmarkKKTFactor; the RCM fill columns and the
 // LDLᵀ-vs-LU race are history, recorded before RCM and the LU were
 // deleted). Any part may be absent, so each table renders only when its
 // rows exist.
@@ -375,8 +370,9 @@ func renderKernel(w func(string, ...any), path string, buf []byte) {
 		w("against the scalar LU of the same elimination on the production KKT")
 		w("matrix at iteration 10 of a cold solve (DESIGN.md §11), under the")
 		w("ordering the section's `matrix` field names — recorded by")
-		w("BenchmarkLDLvsLU before the LU was deleted. BenchmarkLDLFactor keeps")
-		w("its backward-error and zero-allocation pins on the LDLᵀ alone:")
+		w("BenchmarkLDLvsLU before the LU was deleted. `internal/sparse`'s")
+		w("BenchmarkLDLFactor keeps its backward-error and zero-allocation pins")
+		w("on the LDLᵀ alone:")
 		w("")
 		w("| system | KKT n | L+U | nnz(L)+n | LU ms | LDLᵀ ms | speedup | supernodes | panel cols | supernode updates |")
 		w("|---|---|---|---|---|---|---|---|---|---|")
@@ -390,7 +386,7 @@ func renderKernel(w func(string, ...any), path string, buf []byte) {
 }
 
 // renderTrajectory appends the multi-period crossover section from
-// BENCH_trajectory.json (written by BenchmarkTrajectory).
+// BENCH_trajectory.json (written by internal/horizon's BenchmarkTrajectory).
 func renderTrajectory(w func(string, ...any), path string, buf []byte) {
 	var t trajReport
 	if err := json.Unmarshal(buf, &t); err != nil {
@@ -420,16 +416,15 @@ func renderTrajectory(w func(string, ...any), path string, buf []byte) {
 			s.ChainSpeedupVsCold, s.PredictSpeedupVsCold, s.Winner, s.ChainWarmHits, t.Steps)
 	}
 	w("")
-	if t.Replay.ServedBitIdentical {
-		w("The served stream is pinned: the same %s trajectory replayed", t.Replay.System)
-		w("through `POST /v1/trajectory` is bit-identical to the offline runner")
-		w("(every step's convergence flags, iteration count, cost and dispatch).")
-		w("")
-	}
+	w("The served stream is pinned by `internal/serve`'s")
+	w("`TestTrajectoryStreamReplay`: the case14 trajectory replayed through")
+	w("`POST /v1/trajectory` is bit-identical to the offline runner (every")
+	w("step's convergence flags, iteration count, cost and dispatch).")
+	w("")
 }
 
 // renderLifecycle appends the online-lifecycle section from
-// BENCH_lifecycle.json (written by BenchmarkLifecycle).
+// BENCH_lifecycle.json (written by internal/serve's BenchmarkLifecycle).
 func renderLifecycle(w func(string, ...any), path string, buf []byte) {
 	var l lifecycleReport
 	if err := json.Unmarshal(buf, &l); err != nil {

@@ -33,10 +33,10 @@
 // daemon with an HTTP/JSON API including the streaming /v1/trajectory
 // endpoint and the online model lifecycle (capture, drift-triggered
 // retraining, canary-gated hot swap; README.md documents the endpoints
-// and flags). Runnable examples live under examples/, and bench_test.go
-// in this directory regenerates every table and figure of the paper but
-// Figure 9, whose 128-GPU cluster is not reproduced without one — see
-// DESIGN.md and EXPERIMENTS.md.
+// and flags). Runnable examples live under examples/. The CLIs print
+// every table and figure of the paper but Figure 9, whose 128-GPU
+// cluster is not reproduced without one; the benchmarks live beside the
+// packages they measure — see DESIGN.md and EXPERIMENTS.md.
 package smartpgsim
 
 // Version identifies the reproduction release.

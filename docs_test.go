@@ -7,6 +7,7 @@ package smartpgsim_test
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -14,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -259,12 +261,101 @@ func TestDocsCommandLinesValid(t *testing.T) {
 	}
 }
 
+// benchRecipe matches a `go test` command line the docs tell a reader to
+// run and its arguments, up to the end of the code span, a comment, a
+// pipe or a shell operator outside quotes.
+var benchRecipe = regexp.MustCompile("go test((?:[^`#|&;>'\"]|'[^']*'|\"[^\"]*\")*)")
+
+// benchDecl matches a Benchmark function declaration.
+var benchDecl = regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`)
+
+// alternatives splits a regular expression at its top-level |.
+func alternatives(re string) (alts []string) {
+	depth, start := 0, 0
+	for i, r := range re {
+		switch {
+		case r == '(' || r == '[':
+			depth++
+		case r == ')' || r == ']':
+			depth--
+		case r == '|' && depth == 0:
+			alts, start = append(alts, re[start:i]), i+1
+		}
+	}
+	return append(alts, re[start:])
+}
+
+// TestDocsBenchRecipesValid: every `go test … -bench <re> <pkg>` recipe
+// in README.md, EXPERIMENTS.md, PERFORMANCE.md and the verify skill must
+// name packages (the current directory when it names none) whose
+// _test.go files declare, for each top-level alternative of the
+// regexp's first / element, a Benchmark it matches — so a benchmark
+// that moves or is deleted cannot leave a dead recipe behind, as
+// `-bench . .` would be at the repository root, which declares none. A
+// recipe must sit on one line.
+func TestDocsBenchRecipesValid(t *testing.T) {
+	benchmarksIn := func(dir string) (names []string) {
+		srcs, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		for _, src := range srcs {
+			for _, m := range benchDecl.FindAllStringSubmatch(mustRead(t, src), -1) {
+				names = append(names, m[1])
+			}
+		}
+		return names
+	}
+
+	checked := 0
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "PERFORMANCE.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+		for i, line := range strings.Split(mustRead(t, doc), "\n") {
+			for _, m := range benchRecipe.FindAllStringSubmatch(line, -1) {
+				args := strings.Fields(m[1])
+				re, pkgs := "", []string{}
+				for k := 0; k < len(args); k++ {
+					switch a := args[k]; {
+					case a == "-bench" && k+1 < len(args):
+						k++
+						re = args[k]
+					case strings.HasPrefix(a, "-bench="):
+						re = strings.TrimPrefix(a, "-bench=")
+					case a == "." || strings.HasPrefix(a, "./"):
+						pkgs = append(pkgs, a)
+					}
+				}
+				if re == "" {
+					continue // not a benchmark recipe
+				}
+				checked++
+				if len(pkgs) == 0 {
+					pkgs = []string{"."}
+				}
+				var names []string
+				for _, pkg := range pkgs {
+					names = append(names, benchmarksIn(pkg)...)
+				}
+				first, _, _ := strings.Cut(strings.Trim(re, `'"`), "/")
+				for _, alt := range alternatives(first) {
+					match, err := regexp.Compile(alt)
+					if err == nil && !slices.ContainsFunc(names, match.MatchString) {
+						err = fmt.Errorf("no Benchmark declared in %v matches %q", pkgs, alt)
+					}
+					if err != nil {
+						t.Errorf("%s:%d: -bench %s: %v", doc, i+1, re, err)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no benchmark recipes in the docs; the pattern is out of date")
+	}
+}
+
 // apiAllowlist names the exported internal/ functions and methods that
 // no program's source names, each with the reason it stays: an
 // interface method the standard library calls, a seam a roadmap item
-// keeps, or a reference that another package's tests or the root
-// benchmark harness compare against (a reference one package's tests
-// use lives in that package's _test.go files instead). Keys are
+// keeps, or a reference that another package's tests or benchmarks
+// compare against (a reference one package's tests use lives in that
+// package's _test.go files instead). Keys are
 // "<package under internal/>.<func>" or "<package>.<type>.<method>".
 var apiAllowlist = map[string]string{
 	"batch.TaskError.Unwrap": "error unwrapping, called by errors.Is and errors.As",
@@ -274,18 +365,16 @@ var apiAllowlist = map[string]string{
 	"sparse.colSegC.Swap":    "sort.Interface, called by sort.Stable",
 
 	"lifecycle.LoadCapture":             "ROADMAP item 10 decides internal/lifecycle as a whole",
-	"lifecycle.Detector.Fired":          "ROADMAP item 10 decides internal/lifecycle as a whole",
-	"lifecycle.Detector.FiredAtWindow":  "ROADMAP item 10 decides internal/lifecycle as a whole",
 	"lifecycle.NewFakeClock":            "ROADMAP item 10 decides internal/lifecycle as a whole",
 	"lifecycle.FakeClock.Advance":       "ROADMAP item 10 decides internal/lifecycle as a whole",
 	"lifecycle.Manager.BeginCanaryWith": "ROADMAP item 10 decides internal/lifecycle as a whole",
 	"serve.Server.SwapModel":            "the hot swap item 10 keeps either way; TestHotSwapNoDroppedOrMixedResponses and BenchmarkLifecycle drive it",
-	"mips.Stepper.Assemble":             "item 5's seam between assemble and factor; BenchmarkNewtonSystem and the root harness meter it",
+	"mips.Stepper.Assemble":             "item 5's seam between assemble and factor; BenchmarkNewtonSystem meters it and the sparse fleet tests assemble the production KKT through it",
 	"grid.MakeSbus":                     "the bus-injection reference the grid and opf tests compare against",
-	"opf.OPF.KKTSymbolic":               "the production KKT analysis opf's ordering tests and the root harness (item 8(e)) measure",
-	"sparse.LDLSymbolic.FactorInto":     "the CSC-input factorization of the sparse tests and the root harness (item 8(e))",
-	"sparse.LDLSymbolic.Flops":          "analysis size reported by opf's ordering tests, the sparse fleet pin and the root harness (item 8(e))",
-	"sparse.LDLSymbolic.PatternNNZ":     "analysis size reported by opf's ordering tests and the root harness (item 8(e))",
+	"opf.OPF.KKTSymbolic":               "the production KKT analysis opf's ordering tests measure",
+	"sparse.LDLSymbolic.FactorInto":     "the CSC-input factorization of the sparse tests and benchmarks (BenchmarkKKTFactor, BenchmarkLDLFactor)",
+	"sparse.LDLSymbolic.Flops":          "analysis size reported by opf's ordering tests, the sparse fleet pin and BENCH_kkt.json's production_fill",
+	"sparse.LDLSymbolic.PatternNNZ":     "analysis size reported by opf's ordering tests and BENCH_kkt.json's production_fill",
 }
 
 // TestProductionAPIHasCallers: every exported function and method

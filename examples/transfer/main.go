@@ -49,7 +49,7 @@ func main() {
 	outSys := &core.System{Name: outCase.Name, Case: outCase, OPF: opf.Prepare(outCase)}
 
 	fmt.Println("collecting a small dataset on the outaged grid (30 samples)...")
-	outSet, err := dataset.Generate(outCase, dataset.DefaultPreparer, dataset.Options{N: 30, Seed: 9})
+	outSet, err := dataset.Generate(outCase, dataset.Options{N: 30, Seed: 9})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // The heavy sweeps (Evaluate, SensitivityStudy, PredictionAccuracy,
 // ConvergenceStudy) fan their per-problem solves out across the
 // internal/batch worker pool. Each perturbed problem instance is derived
-// from the system's prepared OPF via Rebind, sharing the assembled Ybus
+// from the system's prepared OPF via Perturb, sharing the assembled Ybus
 // and constraint structure across all load perturbations, and every
 // worker predicts with the one model ((*mtl.Model).Predict is safe for
 // concurrent use). All aggregates except wall-clock timings are

@@ -53,7 +53,7 @@ func MustLoadSystem(name string) *System {
 // GenerateData draws n ±10 % load samples and solves them to optimality
 // (the offline phase's training-data collection).
 func (s *System) GenerateData(n int, seed int64) (*dataset.Set, error) {
-	return dataset.Generate(s.Case, dataset.DefaultPreparer, dataset.Options{N: n, Seed: seed})
+	return dataset.Generate(s.Case, dataset.Options{N: n, Seed: seed})
 }
 
 // TrainingDefaults returns the offline-phase sizes that keep dataset

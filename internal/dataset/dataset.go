@@ -55,8 +55,10 @@ type Options struct {
 // solves each to optimality with the cold-start interior-point method,
 // fanning the solves out across the batch worker pool. The OPF structure
 // (Ybus, rated-branch subset, bounds) is prepared once on the base case
-// and rebound per perturbation, since load scaling leaves it unchanged.
-func Generate(c *grid.Case, o opfPreparer, opt Options) (*Set, error) {
+// and derived per perturbation with (*opf.OPF).Perturb, which shares the
+// assembled Ybus and constraint structure across all load draws, since
+// load scaling leaves it unchanged.
+func Generate(c *grid.Case, opt Options) (*Set, error) {
 	if opt.N == 0 {
 		opt.N = 100
 	}
@@ -76,7 +78,7 @@ func Generate(c *grid.Case, o opfPreparer, opt Options) (*Set, error) {
 		factors[s] = f
 	}
 
-	base := o(c)
+	base := opf.Prepare(c)
 	ordered, err := batch.Map(opt.N, opt.Workers, func(i int) (*Sample, error) {
 		inst := base.Perturb(factors[i])
 		r, err := inst.Solve(nil, opf.Options{})
@@ -112,15 +114,6 @@ func Generate(c *grid.Case, o opfPreparer, opt Options) (*Set, error) {
 	}
 	return set, nil
 }
-
-// opfPreparer abstracts opf.Prepare. It is invoked once on the base case;
-// per-perturbation instances are derived with (*opf.OPF).Rebind, which
-// shares the assembled Ybus and constraint structure across all load
-// draws instead of rebuilding them per sample.
-type opfPreparer func(*grid.Case) *opf.OPF
-
-// DefaultPreparer simply calls opf.Prepare.
-func DefaultPreparer(c *grid.Case) *opf.OPF { return opf.Prepare(c) }
 
 // InputVector packs the per-unit loads [Pd; Qd] of a case as model input.
 func InputVector(c *grid.Case) la.Vector {

@@ -12,7 +12,7 @@ import (
 
 func genSmall(t *testing.T, n int) *Set {
 	t.Helper()
-	set, err := Generate(grid.Case9(), DefaultPreparer, Options{N: n, Seed: 42})
+	set, err := Generate(grid.Case9(), Options{N: n, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

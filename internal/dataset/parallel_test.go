@@ -13,11 +13,11 @@ import (
 // every sample field except the wall-clock SolveTime.
 func TestGenerateParallelEquivalence(t *testing.T) {
 	const n = 24
-	seq, err := Generate(grid.Case9(), DefaultPreparer, Options{N: n, Seed: 42, Workers: 1})
+	seq, err := Generate(grid.Case9(), Options{N: n, Seed: 42, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Generate(grid.Case9(), DefaultPreparer, Options{N: n, Seed: 42, Workers: 4})
+	par, err := Generate(grid.Case9(), Options{N: n, Seed: 42, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func BenchmarkGenerate(b *testing.B) {
 	for _, w := range counts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Generate(grid.Case9(), DefaultPreparer, Options{N: 64, Seed: 7, Workers: w}); err != nil {
+				if _, err := Generate(grid.Case9(), Options{N: 64, Seed: 7, Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,7 +7,7 @@
 // Case.Clone and Case.ScaleLoads are the instance-derivation primitives
 // of the ±10 % load-perturbation workload: every sample of a sweep and
 // every serving-daemon request is a scaled clone of a base case, leaving
-// the admittance structure shared (see opf.Rebind).
+// the admittance structure shared (see opf.OPF.Perturb).
 //
 // The package also embeds the paper's evaluation fleet, Case5 through
 // Case300, and the beyond-paper Case1354, served by name through ByName,

@@ -47,9 +47,9 @@ func (c DriftConfig) withDefaults() DriftConfig {
 //
 // The first Baseline complete windows freeze the reference hit rate and
 // mean iteration count; every later window is compared against them on
-// close. Once fired, the detector stays fired until Reset (the manager
-// resets it on the drift event, and again after a promotion or rollback
-// re-baselines the model).
+// close, and each one that crosses a threshold fires. The manager
+// resets the detector on the drift event, and again after a promotion
+// or rollback re-baselines the model.
 type Detector struct {
 	mu  sync.Mutex
 	cfg DriftConfig
@@ -65,12 +65,8 @@ type Detector struct {
 	baseN       int
 	baseIters   int
 
-	armed    bool
-	fired    bool
-	windows  int // complete windows observed
-	firedAt  int // window index that fired (0 = not fired)
-	lastHit  float64
-	lastIter float64
+	armed   bool
+	windows int // complete windows observed
 }
 
 // NewDetector builds a detector with cfg's defaults applied.
@@ -81,15 +77,10 @@ func NewDetector(cfg DriftConfig) *Detector {
 // Observe feeds one warm-pipeline outcome (whether the warm attempt
 // converged, and the accepted solve's iteration count). It returns true
 // exactly when this observation closes a window whose statistics cross
-// a firing threshold — the drift event edge. Once fired, further
-// observations return false (the event is edge-triggered; Fired()
-// reports the level).
+// a firing threshold — the drift event edge.
 func (d *Detector) Observe(warmConverged bool, iterations int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.fired {
-		return false
-	}
 	d.n++
 	if warmConverged {
 		d.hits++
@@ -116,10 +107,7 @@ func (d *Detector) Observe(warmConverged bool, iterations int) bool {
 
 	baseHit := float64(d.baseHits) / float64(d.baseN)
 	winHit := float64(winHits) / float64(winN)
-	d.lastHit = winHit
 	if baseHit-winHit > d.cfg.HitRateDrop {
-		d.fired = true
-		d.firedAt = d.windows
 		return true
 	}
 	// Iteration comparison is over warm-converged solves only: a window
@@ -129,21 +117,9 @@ func (d *Detector) Observe(warmConverged bool, iterations int) bool {
 	if d.baseHits > 0 && winHits > 0 {
 		baseIter := float64(d.baseIters) / float64(d.baseHits)
 		winIter := float64(winIters) / float64(winHits)
-		d.lastIter = winIter
-		if baseIter > 0 && winIter > baseIter*(1+d.cfg.IterRise) {
-			d.fired = true
-			d.firedAt = d.windows
-			return true
-		}
+		return baseIter > 0 && winIter > baseIter*(1+d.cfg.IterRise)
 	}
 	return false
-}
-
-// Fired reports whether drift has been detected since the last Reset.
-func (d *Detector) Fired() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.fired
 }
 
 // Windows reports complete windows observed since the last Reset.
@@ -151,14 +127,6 @@ func (d *Detector) Windows() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.windows
-}
-
-// FiredAtWindow reports the window index (1-based, counting complete
-// windows) that fired, or 0 while not fired.
-func (d *Detector) FiredAtWindow() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.firedAt
 }
 
 // Baseline reports the frozen reference hit rate and mean warm
@@ -175,14 +143,13 @@ func (d *Detector) Baseline() (hitRate, meanIters float64, armed bool) {
 	return hitRate, meanIters, d.armed
 }
 
-// Reset clears all state — windows, baseline and the fired latch — so
-// the detector re-baselines on the model now serving.
+// Reset clears all state — windows and baseline — so the detector
+// re-baselines on the model now serving.
 func (d *Detector) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.n, d.hits, d.iterSum = 0, 0, 0
 	d.baseWindows, d.baseHits, d.baseN, d.baseIters = 0, 0, 0, 0
-	d.armed, d.fired = false, false
-	d.windows, d.firedAt = 0, 0
-	d.lastHit, d.lastIter = 0, 0
+	d.armed = false
+	d.windows = 0
 }

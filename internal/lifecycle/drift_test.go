@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -29,10 +30,7 @@ func TestDriftStationaryNeverFires(t *testing.T) {
 		d := NewDetector(DriftConfig{})
 		rng := rand.New(rand.NewSource(seed))
 		if stationaryTraffic(d, rng, 10_000*100, 0.9, 5) {
-			t.Fatalf("seed %d: detector fired on stationary traffic at window %d", seed, d.FiredAtWindow())
-		}
-		if d.Fired() {
-			t.Fatalf("seed %d: Fired() latched without an Observe edge", seed)
+			t.Fatalf("seed %d: detector fired on stationary traffic at window %d", seed, d.Windows())
 		}
 		if d.Windows() != 10_000 {
 			t.Fatalf("seed %d: %d windows observed, want 10000", seed, d.Windows())
@@ -59,19 +57,19 @@ func TestDriftStepFiresWithinOneWindow(t *testing.T) {
 			// step must fire: at most 2 window closes away when the step
 			// lands mid-window (the straddling window may stay under the
 			// threshold), exactly 1 at a boundary.
-			fired := false
+			firedAt := 0 // the window whose close fired
 			for i := 0; i < 2*window; i++ {
 				if d.Observe(rng.Float64() < 0.4, 5+rng.Intn(3)-1) {
-					fired = true
+					firedAt = d.Windows()
 					break
 				}
 			}
-			if !fired {
+			if firedAt == 0 {
 				t.Fatalf("seed %d offset %d: no fire within two windows of a 0.5 hit-rate step", seed, offset)
 			}
 			stepWindow := pre / window // complete windows before the step
-			if got := d.FiredAtWindow(); got > stepWindow+2 {
-				t.Fatalf("seed %d offset %d: fired at window %d, step at window %d", seed, offset, got, stepWindow)
+			if firedAt > stepWindow+2 {
+				t.Fatalf("seed %d offset %d: fired at window %d, step at window %d", seed, offset, firedAt, stepWindow)
 			}
 		}
 	}
@@ -96,9 +94,9 @@ func TestDriftIterationRiseFires(t *testing.T) {
 	}
 }
 
-// TestDriftEdgeTriggerAndReset pins the latch semantics: Observe
-// returns true exactly once, Fired reports the level, Reset re-arms and
-// re-baselines.
+// TestDriftEdgeTriggerAndReset pins the edge semantics: Observe returns
+// true on the observation that closes a window crossing the threshold,
+// and on no other; Reset clears the windows and the baseline.
 func TestDriftEdgeTriggerAndReset(t *testing.T) {
 	d := NewDetector(DriftConfig{Window: 10, Baseline: 1})
 	for i := 0; i < 10; i++ { // baseline window: perfect hit rate
@@ -106,20 +104,20 @@ func TestDriftEdgeTriggerAndReset(t *testing.T) {
 			t.Fatal("fired while accumulating the baseline")
 		}
 	}
-	edges := 0
+	var edges []int           // the window each edge closed
 	for i := 0; i < 30; i++ { // three degraded windows
 		if d.Observe(false, 0) {
-			edges++
+			if i%10 != 9 {
+				t.Fatalf("edge on observation %d of the degraded run, which closes no window", i)
+			}
+			edges = append(edges, d.Windows())
 		}
 	}
-	if edges != 1 {
-		t.Fatalf("drift edge reported %d times, want exactly 1", edges)
-	}
-	if !d.Fired() || d.FiredAtWindow() != 2 {
-		t.Fatalf("Fired=%v FiredAtWindow=%d, want true/2", d.Fired(), d.FiredAtWindow())
+	if !slices.Equal(edges, []int{2, 3, 4}) {
+		t.Fatalf("drift edges closed windows %v, want [2 3 4]", edges)
 	}
 	d.Reset()
-	if d.Fired() || d.Windows() != 0 {
+	if d.Windows() != 0 {
 		t.Fatal("Reset did not clear the detector")
 	}
 	if _, _, armed := d.Baseline(); armed {

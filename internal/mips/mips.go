@@ -42,8 +42,8 @@
 // analysis order — see sparse.SymbolicCache and DESIGN.md §7. No value
 // enters the analysis, it is a function of the pattern alone, so
 // Options.KKT extends that reuse across every solve that shares a
-// problem structure; without one, Options.Ordering picks the
-// fill-reducing ordering of a cache private to the solve.
+// problem structure; without one, the solve analyzes on a cache private
+// to it, under the same exact minimum-degree ordering.
 package mips
 
 import (

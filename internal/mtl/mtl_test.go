@@ -28,7 +28,7 @@ func case9Data(t *testing.T, n int) (*grid.Case, *opf.OPF, *dataset.Set) {
 	t.Helper()
 	c := grid.Case9()
 	o := opf.Prepare(c)
-	set, err := dataset.Generate(c, dataset.DefaultPreparer, dataset.Options{N: n, Seed: 7})
+	set, err := dataset.Generate(c, dataset.Options{N: n, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,17 +102,22 @@ func BenchmarkNewtonSystem(b *testing.B) {
 	}
 }
 
-// BenchmarkColdSolve times one cold solve of case118 and case300 at
-// 1.02× nominal load through the grid's shared KKT cache — the
-// in-process number PERFORMANCE.md compares across kernel changes
-// (run it with GOMAXPROCS=1, alternating builds).
+// BenchmarkColdSolve times one cold solve through the grid's shared
+// KKT cache: case14 at 1.03× nominal load (the solve BENCH_kkt.json
+// self-times), case118 and case300 at 1.02× — the in-process number
+// PERFORMANCE.md compares across kernel changes (run it with
+// GOMAXPROCS=1, alternating builds).
 func BenchmarkColdSolve(b *testing.B) {
-	for _, c := range []*grid.Case{grid.Case118(), grid.Case300()} {
+	for _, in := range []struct {
+		c    *grid.Case
+		load float64
+	}{{grid.Case14(), 1.03}, {grid.Case118(), 1.02}, {grid.Case300(), 1.02}} {
+		c := in.c
 		b.Run(c.Name, func(b *testing.B) {
 			o := Prepare(c)
 			fac := make([]float64, c.NB())
 			for i := range fac {
-				fac[i] = 1.02
+				fac[i] = in.load
 			}
 			if _, err := o.Perturb(fac).Solve(nil, Options{}); err != nil {
 				b.Fatal(err)

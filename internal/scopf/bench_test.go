@@ -101,7 +101,7 @@ func writeScreenBenchReport(b *testing.B) {
 			}
 			return d
 		}
-		coldDrift := mustMatchNaive("case14", engOuts, naiveOuts, Drift{IterDiffs: 19, IterAbs: 79})
+		coldDrift := mustMatchNaive("case14", engOuts, naiveOuts, Drift{})
 
 		// --- case9, warm projection --------------------------------------
 		sys9 := core.MustLoadSystem("case9")
@@ -137,8 +137,9 @@ func writeScreenBenchReport(b *testing.B) {
 			genEng = (&Engine{Prepared: opf.Prepare(sys14.Case), Workers: 1}).Run(gsc14).Outcomes
 		})
 		// The dropped unit decouples into an equivalent problem, not the
-		// same one, so cold trajectories drift as the branch sweeps do.
-		genDrift := mustMatchNaive("case14 gen-outage", genEng, genNaive, Drift{IterDiffs: 9, IterAbs: 33})
+		// same one, so cold trajectories may drift: two scenarios by one
+		// iteration each when the ceiling was set.
+		genDrift := mustMatchNaive("case14 gen-outage", genEng, genNaive, Drift{IterDiffs: 2, IterAbs: 2})
 
 		gsc9 := Cross(loadDraws(sys9.Case.NB(), 6, 7), false, nil, GenContingencies(sys9.Case), nil)
 		var gwEng, gwNaive []Outcome
@@ -168,7 +169,7 @@ func writeScreenBenchReport(b *testing.B) {
 		}, func() {
 			pairEng = (&Engine{Prepared: opf.Prepare(sys14.Case), Workers: 1}).Run(pairSc14).Outcomes
 		})
-		pairDrift := mustMatchNaive("case14 N-2 pair", pairEng, pairNaive, Drift{IterDiffs: 16, IterAbs: 71, MaxRelCost: 1e-8})
+		pairDrift := mustMatchNaive("case14 N-2 pair", pairEng, pairNaive, Drift{IterDiffs: 2, IterAbs: 2, MaxRelCost: 1e-8})
 
 		pairSc9 := Cross(loadDraws(sys9.Case.NB(), 1, 7), false, nil, nil, AllPairs(Contingencies(sys9.Case)))
 		t0 := time.Now()

@@ -99,7 +99,7 @@ func TestScreenColdStart(t *testing.T) {
 func TestScreenWarmStart(t *testing.T) {
 	c := grid.Case14() // unrated branches: outages keep the layout
 	o := opf.Prepare(c)
-	set, err := dataset.Generate(c, dataset.DefaultPreparer, dataset.Options{N: 60, Seed: 5})
+	set, err := dataset.Generate(c, dataset.Options{N: 60, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestAllPairs(t *testing.T) {
 func trainModel(t *testing.T, c *grid.Case, seed int64) *mtl.Model {
 	t.Helper()
 	o := opf.Prepare(c)
-	set, err := dataset.Generate(c, dataset.DefaultPreparer, dataset.Options{N: 60, Seed: seed})
+	set, err := dataset.Generate(c, dataset.Options{N: 60, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,8 +113,8 @@ func TestLifecycleClosedLoopServed(t *testing.T) {
 			t.Fatalf("baseline request %d: %+v", i, resp)
 		}
 	}
-	if mgr.State() != lifecycle.StateCapturing || mgr.Detector().Fired() {
-		t.Fatalf("after baseline: state=%v fired=%v", mgr.State(), mgr.Detector().Fired())
+	if mgr.State() != lifecycle.StateCapturing || mgr.Stats().DriftEvents != 0 {
+		t.Fatalf("after baseline: state=%v drift events=%d", mgr.State(), mgr.Stats().DriftEvents)
 	}
 
 	// Phase 2: the regime changes. Warm starts stop converging (served

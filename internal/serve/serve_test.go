@@ -33,7 +33,7 @@ var fixture struct {
 // loadFixture returns the shared system and a model freshly loaded from
 // the shared snapshot, as the daemon loads one: registering a model
 // with a server releases its float64 weights, so no two tests share one.
-func loadFixture(t *testing.T) (*core.System, *mtl.Model) {
+func loadFixture(t testing.TB) (*core.System, *mtl.Model) {
 	t.Helper()
 	fixture.once.Do(func() {
 		sys, err := core.LoadSystem("case9")

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/horizon"
 	"repro/internal/opf"
 )
@@ -101,84 +102,90 @@ func TestTrajectoryValidation(t *testing.T) {
 // is the done summary, and every per-step outcome — convergence, warm
 // acceptance, ramp flags, iteration counts, cost and dispatch — is
 // bit-identical to an offline replay of the same (seed, amp, spread,
-// ramp_frac) tuple.
+// ramp_frac) tuple, on case9 and on the case14 trajectory of
+// internal/horizon's BenchmarkTrajectory.
 func TestTrajectoryStreamReplay(t *testing.T) {
-	sys, _ := loadFixture(t)
-	s := newTestServer(t, Config{}, sys, nil)
-
-	const (
-		steps  = 4
-		seed   = 11
-		amp    = 0.03
-		spread = 0.01
-		frac   = 0.4
-	)
-	body := fmt.Sprintf(`{"system":"case9","steps":%d,"mode":"chain","seed":%d,"amp":%v,"spread":%v,"ramp_frac":%v}`,
-		steps, seed, amp, spread, frac)
-	code, lines := postTrajectory(t, s.Handler(), body)
-	if code != http.StatusOK {
-		t.Fatalf("status = %d (%v)", code, lines)
-	}
-	if len(lines) != steps+1 {
-		t.Fatalf("stream has %d lines, want %d steps + summary", len(lines), steps)
-	}
-	got, sum := decodeSteps(t, lines)
-
-	// Offline replay through the same horizon runner the CLI uses.
-	traj, err := horizon.Synthetic(sys.Case.NB(), steps, seed, amp, spread)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ramp := horizon.RampFromRange(sys.OPF, frac)
-	r := &horizon.Runner{
-		Prepared: sys.OPF,
-		Mode:     horizon.ModeChain,
-		RampUp:   ramp,
-		RampDown: ramp,
-		Workers:  1,
-	}
-	out, err := r.RunBatch([]*horizon.Trajectory{traj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := out[0]
-
-	for i, sr := range ref.Steps {
-		ln := got[i]
-		if ln.Step != i {
-			t.Fatalf("line %d carries step %d: stream out of order", i, ln.Step)
-		}
-		if ln.Converged != sr.Converged || ln.Warm != sr.WarmUsed ||
-			ln.ColdRestarted != sr.ColdRestart || ln.Ramped != sr.Ramped ||
-			ln.RampBinding != sr.RampBinding || ln.Iterations != sr.Iterations {
-			t.Fatalf("step %d served %+v diverges from offline %+v", i, ln, sr)
-		}
-		if ln.Cost != sr.Cost {
-			t.Fatalf("step %d served cost %v != offline %v", i, ln.Cost, sr.Cost)
-		}
-		if sr.Result == nil {
-			t.Fatalf("offline step %d has no result", i)
-		}
-		if len(ln.Pg) != len(sr.Result.Pg) {
-			t.Fatalf("step %d Pg length %d != %d", i, len(ln.Pg), len(sr.Result.Pg))
-		}
-		for g := range ln.Pg {
-			if ln.Pg[g] != sr.Result.Pg[g] {
-				t.Fatalf("step %d gen %d served Pg %v != offline %v", i, g, ln.Pg[g], sr.Result.Pg[g])
+	fixtureSys, _ := loadFixture(t)
+	for _, in := range []struct {
+		sys               *core.System
+		steps             int
+		seed              int64
+		amp, spread, frac float64
+	}{
+		{fixtureSys, 4, 11, 0.03, 0.01, 0.4},
+		{core.MustLoadSystem("case14"), 8, 21, 0.03, 0.01, 0.2},
+	} {
+		t.Run(in.sys.Name, func(t *testing.T) {
+			sys, steps := in.sys, in.steps
+			s := newTestServer(t, Config{}, sys, nil)
+			body := fmt.Sprintf(`{"system":%q,"steps":%d,"mode":"chain","seed":%d,"amp":%v,"spread":%v,"ramp_frac":%v}`,
+				sys.Name, steps, in.seed, in.amp, in.spread, in.frac)
+			code, lines := postTrajectory(t, s.Handler(), body)
+			if code != http.StatusOK {
+				t.Fatalf("status = %d (%v)", code, lines)
 			}
-		}
-	}
-	if !sum.Done || sum.System != "case9" || sum.Mode != "chain" {
-		t.Fatalf("summary %+v lacks done/system/mode", sum)
-	}
-	if sum.Steps != steps || sum.Converged != ref.Converged ||
-		sum.WarmHits != ref.WarmHits || sum.ColdRestarts != ref.ColdRestarts ||
-		sum.Iterations != ref.Iterations {
-		t.Fatalf("summary %+v diverges from offline result (conv=%d warm=%d cold=%d it=%d)",
-			sum, ref.Converged, ref.WarmHits, ref.ColdRestarts, ref.Iterations)
-	}
-	if sum.Converged == 0 || sum.WarmHits == 0 {
-		t.Fatalf("degenerate trajectory: %+v", sum)
+			if len(lines) != steps+1 {
+				t.Fatalf("stream has %d lines, want %d steps + summary", len(lines), steps)
+			}
+			got, sum := decodeSteps(t, lines)
+
+			// Offline replay through the same horizon runner the CLI uses.
+			traj, err := horizon.Synthetic(sys.Case.NB(), steps, in.seed, in.amp, in.spread)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ramp := horizon.RampFromRange(sys.OPF, in.frac)
+			r := &horizon.Runner{
+				Prepared: sys.OPF,
+				Mode:     horizon.ModeChain,
+				RampUp:   ramp,
+				RampDown: ramp,
+				Workers:  1,
+			}
+			out, err := r.RunBatch([]*horizon.Trajectory{traj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := out[0]
+
+			for i, sr := range ref.Steps {
+				ln := got[i]
+				if ln.Step != i {
+					t.Fatalf("line %d carries step %d: stream out of order", i, ln.Step)
+				}
+				if ln.Converged != sr.Converged || ln.Warm != sr.WarmUsed ||
+					ln.ColdRestarted != sr.ColdRestart || ln.Ramped != sr.Ramped ||
+					ln.RampBinding != sr.RampBinding || ln.Iterations != sr.Iterations {
+					t.Fatalf("step %d served %+v diverges from offline %+v", i, ln, sr)
+				}
+				if ln.Cost != sr.Cost {
+					t.Fatalf("step %d served cost %v != offline %v", i, ln.Cost, sr.Cost)
+				}
+				if sr.Result == nil {
+					t.Fatalf("offline step %d has no result", i)
+				}
+				if len(ln.Pg) != len(sr.Result.Pg) {
+					t.Fatalf("step %d Pg length %d != %d", i, len(ln.Pg), len(sr.Result.Pg))
+				}
+				for g := range ln.Pg {
+					if ln.Pg[g] != sr.Result.Pg[g] {
+						t.Fatalf("step %d gen %d served Pg %v != offline %v", i, g, ln.Pg[g], sr.Result.Pg[g])
+					}
+				}
+			}
+			if !sum.Done || sum.System != sys.Name || sum.Mode != "chain" {
+				t.Fatalf("summary %+v lacks done/system/mode", sum)
+			}
+			if sum.Steps != steps || sum.Converged != ref.Converged ||
+				sum.WarmHits != ref.WarmHits || sum.ColdRestarts != ref.ColdRestarts ||
+				sum.Iterations != ref.Iterations {
+				t.Fatalf("summary %+v diverges from offline result (conv=%d warm=%d cold=%d it=%d)",
+					sum, ref.Converged, ref.WarmHits, ref.ColdRestarts, ref.Iterations)
+			}
+			if sum.Converged == 0 || sum.WarmHits == 0 {
+				t.Fatalf("degenerate trajectory: %+v", sum)
+			}
+		})
 	}
 }
 
